@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all maghom modules."""
+"""Exception hierarchy shared by all maghom modules, and validated settings."""
+
+import os
 
 
 class MaghomError(Exception):
@@ -23,3 +25,18 @@ class CertificateError(MaghomError):
 
 class InternalCheckError(MaghomError):
     """Two independent computations of the same quantity disagree."""
+
+
+def positive_int_env(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, or ``default``
+    when it is unset or empty; any other value raises ValidationError."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
+    return value

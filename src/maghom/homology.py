@@ -10,11 +10,10 @@ normal form of the boundary matrices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, positive_int_env
 from .graph import Graph
 from .snf import SNFResult, SparseMatrix, smith_normal_form
 
@@ -23,8 +22,7 @@ _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
 
 
 def basis_cap() -> int:
-    raw = os.environ.get(_BASIS_CAP_ENV)
-    return int(raw) if raw else DEFAULT_BASIS_CAP
+    return positive_int_env(_BASIS_CAP_ENV, DEFAULT_BASIS_CAP)
 
 
 def sequence_length(g: Graph, points: tuple[int, ...]) -> int:

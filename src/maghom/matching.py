@@ -20,13 +20,18 @@ general by exhaustive backtracking.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
 from .ai_complex import Simplex, build_pair, simplex_to_sequence
-from .errors import BudgetExceeded, CertificateError, ParseError, ValidationError
+from .errors import (
+    BudgetExceeded,
+    CertificateError,
+    ParseError,
+    ValidationError,
+    positive_int_env,
+)
 from .graph import Graph, diameter, is_pawful
 from .morse import Matching
 
@@ -37,8 +42,7 @@ _SEARCH_BUDGET_ENV = "MAGHOM_SEARCH_BUDGET"
 
 
 def search_budget() -> int:
-    raw = os.environ.get(_SEARCH_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_SEARCH_BUDGET
+    return positive_int_env(_SEARCH_BUDGET_ENV, DEFAULT_SEARCH_BUDGET)
 
 
 @dataclass(frozen=True)

@@ -205,3 +205,22 @@ def test_graph6_input_format(capsys, tmp_path, g2):
 def test_match_requires_certificate_choice(capsys):
     with pytest.raises(SystemExit):
         cli.main(["match", str(FIXTURES / "G1"), "--a", "1", "--b", "1", "--ell", "3"])
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_basis_cap_env(capsys, monkeypatch, tmp_path, value):
+    # a graph no other test builds, so no cached basis skips the cap lookup
+    path = tmp_path / "c5_tail"
+    path.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n1 6\n6 7\n")
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", value)
+    code, out, err = run(capsys, "mh-table", path, "--lmax", 3)
+    assert (code, out) == (1, "")
+    assert err == f"error: MAGHOM_BASIS_CAP must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_search_budget_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("MAGHOM_SEARCH_BUDGET", value)
+    code, out, err = run(capsys, "s-structure", FIXTURES / "G1", "--search")
+    assert (code, out) == (1, "")
+    assert err == f"error: MAGHOM_SEARCH_BUDGET must be a positive integer, got {value!r}\n"
