@@ -22,6 +22,7 @@ from .homology import (
     enumerate_sequences,
     is_diagonal_up_to,
     mh_ab,
+    mh_column,
     mh_rank,
     mh_table,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "enumerate_sequences",
     "is_diagonal_up_to",
     "mh_ab",
+    "mh_column",
     "mh_rank",
     "mh_table",
     "euler_check",

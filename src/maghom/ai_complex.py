@@ -16,43 +16,13 @@ position; that ordering fixes the boundary orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ValidationError
 from .graph import Graph
-from .homology import mh_ab
+from .homology import enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
-
-
-@lru_cache(maxsize=None)
-def enumerate_paths(g: Graph, a: int, b: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """All edge paths (x_0, ..., x_l) from a to b, lexicographically.
-
-    Consecutive vertices are adjacent, so these are the walks of length l
-    without staying in place; repeats at distance >= 2 apart are allowed.
-    """
-    if length < 1:
-        return ()
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        rem = length - (len(prefix) - 1)
-        last = prefix[-1]
-        if rem == 0:
-            if last == b:
-                out.append(tuple(prefix))
-            return
-        if g.dist[last][b] > rem:
-            return
-        for v in g.neighbors[last]:
-            prefix.append(v)
-            extend(prefix)
-            prefix.pop()
-
-    extend([a])
-    return tuple(out)
 
 
 def simplex_to_sequence(a: int, b: int, simplex: Simplex) -> tuple[int, ...]:
@@ -88,13 +58,16 @@ class SimplicialPair:
         return tuple(counts)
 
 
-@lru_cache(maxsize=None)
 def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
-    """Enumerate K_l(a,b) and K'_l(a,b) from the length-l paths."""
+    """Enumerate K_l(a,b) and K'_l(a,b) from the length-l edge paths.
+
+    The edge paths are the degree-l, length-l sequences from a to b:
+    each of their l gaps is a single edge.
+    """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     full: set[Simplex] = set()
-    for path in enumerate_paths(g, a, b, length):
+    for path in enumerate_sequences(g, length, length, (a, b)):
         interior = tuple((path[i], i) for i in range(1, length))
         m = len(interior)
         for mask in range(1, 1 << m):
@@ -145,7 +118,7 @@ def relative_homology(pair: SimplicialPair) -> list[tuple[int, tuple[int, ...]]]
     if not by_dim:
         return [(0, ())] * want
     dims, boundaries = _complex_boundaries(by_dim, pair.subcomplex)
-    result = homology_of_complex(dims, boundaries)
+    result = homology_of_complex(dims, boundaries.items())
     result += [(0, ())] * (want - len(result))
     return result[:want]
 
@@ -169,7 +142,7 @@ def reduced_homology(cells) -> list[tuple[int, tuple[int, ...]]]:
     shifted_dims = [1] + dims
     shifted = {k + 1: m for k, m in boundaries.items()}
     shifted[1] = aug
-    result = homology_of_complex(shifted_dims, shifted)
+    result = homology_of_complex(shifted_dims, shifted.items())
     return result[1:]  # drop the degree -1 slot
 
 
@@ -189,10 +162,11 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
     """
     pair = build_pair(g, a, b, length)
     rel = relative_homology(pair)
+    column = mh_column(g, length, (a, b))
     per: dict[int, tuple[bool, tuple, tuple]] = {}
     ok = True
     for k in range(2, length + 1):
-        lhs = mh_ab(g, a, b, k, length)
+        lhs = column[k]
         if k >= 3:
             rhs = rel[k - 2]
         elif g.dist[a][b] == length:

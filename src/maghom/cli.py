@@ -31,7 +31,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .homology import MHTable, is_diagonal_up_to, mh_ab, mh_table
+from .homology import MHTable, is_diagonal_up_to, mh_table
 from .magnitude import magnitude_rational, magnitude_series
 
 
@@ -95,12 +95,7 @@ def _cmd_mh_table(args) -> int:
         except ValueError:
             raise ValidationError("--ab expects 'a,b' with integer ids") from None
         _require_vertices(g, a, b)
-        entries = {
-            (k, length): mh_ab(g, a, b, k, length)
-            for length in range(args.lmax + 1)
-            for k in range(length + 1)
-        }
-        table = MHTable(args.lmax, entries)
+        table = mh_table(g, args.lmax, (a, b))
     else:
         table = mh_table(g, args.lmax)
     if args.csv:
@@ -150,22 +145,26 @@ def _cmd_ai_complex(args) -> int:
     return 0
 
 
-def _build_matching_from_args(g: Graph, args, s_path: str | None) -> mt.MatchingBuild:
+def _build_matching_from_args(
+    g: Graph, args, s_path: str | None
+) -> tuple[aic.SimplicialPair, mt.MatchingBuild]:
     _require_vertices(g, args.a, args.b)
     if s_path:
         with open(s_path) as fh:
             cert = mt.parse_s(fh.read(), g)
     else:
         cert = mt.build_pawful_S(g)
-    return mt.build_matching(g, args.a, args.b, args.ell, cert)
-
-
-def _matching_report(g: Graph, args, build: mt.MatchingBuild) -> tuple[bool, list[str]]:
     pair = aic.build_pair(g, args.a, args.b, args.ell)
+    return pair, mt.build_matching(g, pair, cert)
+
+
+def _matching_report(
+    pair: aic.SimplicialPair, build: mt.MatchingBuild
+) -> tuple[bool, list[str]]:
     poset = ms.FacePoset.from_cells(pair.quotient_cells())
     ok_match, why_match = ms.verify_matching(poset, build.matching)
     ok_acyclic, cycle = ms.is_acyclic(poset, build.matching)
-    ok_ranks, detail = ms.morse_rank_check(g, args.a, args.b, args.ell, build.matching)
+    ok_ranks, detail = ms.morse_rank_check(pair, build.matching)
     lines = [
         f"cells outside the subcomplex: {len(poset.cells)}",
         f"matched pairs: {len(build.matching)}",
@@ -180,8 +179,8 @@ def _matching_report(g: Graph, args, build: mt.MatchingBuild) -> tuple[bool, lis
 def _cmd_morse(args) -> int:
     g = _load_graph(args.graph, args.format)
     s_path = None if args.matching == "pawful" else args.matching
-    build = _build_matching_from_args(g, args, s_path)
-    ok, lines = _matching_report(g, args, build)
+    pair, build = _build_matching_from_args(g, args, s_path)
+    ok, lines = _matching_report(pair, build)
     if args.report or not ok:
         for line in lines:
             print(line)
@@ -192,8 +191,8 @@ def _cmd_morse(args) -> int:
 
 def _cmd_match(args) -> int:
     g = _load_graph(args.graph, args.format)
-    build = _build_matching_from_args(g, args, args.s)
-    ok, lines = _matching_report(g, args, build)
+    pair, build = _build_matching_from_args(g, args, args.s)
+    ok, lines = _matching_report(pair, build)
     for line in lines:
         print(line)
     for low, high in sorted(build.matching.pairs):
@@ -245,10 +244,17 @@ def _cmd_ahk_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.stream == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.stream) as fh:
-            lines = fh.read().splitlines()
+        return _classify_lines(sys.stdin, args)
+    with open(args.stream) as fh:
+        return _classify_lines(fh, args)
+
+
+def _classify_lines(lines, args) -> int:
+    """One JSON record per graph6 line, reading the lines one at a time.
+
+    A graph over a budget gets "budget-exceeded" in the field that hit
+    it, and the stream goes on.
+    """
     if args.budget is not None and args.budget < 1:
         raise ValidationError("--budget must be positive")
     for idx, raw in enumerate(lines, start=1):
@@ -272,7 +278,10 @@ def _cmd_classify(args) -> int:
         else:
             record["s_found"] = None
         record["diagonal_up_to"] = args.lmax
-        record["diagonal"] = is_diagonal_up_to(g, args.lmax)
+        try:
+            record["diagonal"] = is_diagonal_up_to(g, args.lmax)
+        except BudgetExceeded:
+            record["diagonal"] = "budget-exceeded"
         record["ahk"] = None if g.is_tree() else ahk_edge_cycle_check(g)[0]
         print(json.dumps(record, sort_keys=True))
     return 0

@@ -11,11 +11,10 @@ normal form of the boundary matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceeded, positive_int_env
 from .graph import Graph
-from .snf import SNFResult, SparseMatrix, smith_normal_form
+from .snf import SparseMatrix, homology_of_complex
 
 DEFAULT_BASIS_CAP = 2_000_000
 _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
@@ -38,7 +37,6 @@ def is_smooth(g: Graph, points: tuple[int, ...], i: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_sequences(
     g: Graph,
     k: int,
@@ -48,10 +46,9 @@ def enumerate_sequences(
     """All degree-k sequences of total length ``length``, lexicographically.
 
     With ``endpoints=(a, b)`` only sequences starting at a and ending at b
-    are produced.  The result is cached per graph: basis order must be
-    reproducible because matrix snapshots depend on it.  Enumeration
-    aborts with BudgetExceeded as soon as the basis would outgrow the
-    configured cap, before memory does.
+    are produced.  Basis order is reproducible, since matrix snapshots
+    depend on it.  Enumeration aborts with BudgetExceeded as soon as the
+    basis would outgrow the configured cap, before memory does.
     """
     if k < 0 or length < 0:
         return ()
@@ -107,23 +104,22 @@ def enumerate_sequences(
 
 def boundary_matrix(
     g: Graph,
-    k: int,
-    length: int,
-    endpoints: tuple[int, int] | None = None,
+    basis_k: tuple[tuple[int, ...], ...],
+    basis_lo: tuple[tuple[int, ...], ...],
 ) -> SparseMatrix:
-    """Matrix of the degree-k boundary, columns over the degree-k basis.
+    """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
-    Column x picks up (-1)^i at the row of x with position i deleted, for
-    every smooth interior i; endpoints are kept.  A smooth deletion can
-    never produce equal consecutive entries, so target rows always exist.
+    Both bases come from ``enumerate_sequences`` with the same length and
+    endpoints, in degrees k and k-1.  Column x picks up (-1)^i at the row
+    of x with position i deleted, for every smooth interior i; endpoints
+    are kept.  A smooth deletion can never produce equal consecutive
+    entries, so target rows always exist.
     """
-    basis_k = enumerate_sequences(g, k, length, endpoints)
-    basis_lo = enumerate_sequences(g, k - 1, length, endpoints)
     index = {x: r for r, x in enumerate(basis_lo)}
     entries: dict[tuple[int, int], int] = {}
     for col, x in enumerate(basis_k):
         sign = -1
-        for i in range(1, k):
+        for i in range(1, len(x) - 1):
             if is_smooth(g, x, i):
                 row = index[x[:i] + x[i + 1 :]]
                 s = entries.get((row, col), 0) + sign
@@ -135,50 +131,32 @@ def boundary_matrix(
     return SparseMatrix(entries, len(basis_lo), len(basis_k))
 
 
-def _guard_basis(g: Graph, k: int, length: int, endpoints) -> int:
-    n = len(enumerate_sequences(g, k, length, endpoints))
-    cap = basis_cap()
-    if n > cap:
-        raise BudgetExceeded(
-            f"degree-{k} length-{length} basis has {n} elements, cap is {cap}"
-        )
-    return n
+def mh_column(
+    g: Graph, length: int, endpoints: tuple[int, int] | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
-
-@lru_cache(maxsize=None)
-def _boundary_snf(
-    g: Graph, k: int, length: int, endpoints: tuple[int, int] | None
-) -> SNFResult:
-    if k < 1 or k > length:
-        return SNFResult(0, ())
-    _guard_basis(g, k, length, endpoints)
-    _guard_basis(g, k - 1, length, endpoints)
-    return smith_normal_form(boundary_matrix(g, k, length, endpoints))
-
-
-def _homology_at(
-    g: Graph, k: int, length: int, endpoints: tuple[int, int] | None
-) -> tuple[int, tuple[int, ...]]:
-    dim = _guard_basis(g, k, length, endpoints)
-    out_rank = _boundary_snf(g, k, length, endpoints).rank
-    incoming = _boundary_snf(g, k + 1, length, endpoints)
-    return dim - out_rank - incoming.rank, incoming.divisors
+    With ``endpoints=(a, b)`` only the (a, b) summand is computed.  Each
+    basis is enumerated once and each boundary built once; the boundaries
+    reach the Smith form one at a time, so only one is held in memory.
+    """
+    bases = [enumerate_sequences(g, k, length, endpoints) for k in range(length + 1)]
+    boundaries = (
+        (k, boundary_matrix(g, bases[k], bases[k - 1])) for k in range(1, length + 1)
+    )
+    return homology_of_complex([len(b) for b in bases], boundaries)
 
 
 def mh_rank(g: Graph, k: int, length: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion divisors of the degree-k, length-l group."""
-    if k < 0 or length < 0 or k > length:
-        return 0, ()
-    return _homology_at(g, k, length, None)
+    return mh_column(g, length)[k] if 0 <= k <= length else (0, ())
 
 
 def mh_ab(
     g: Graph, a: int, b: int, k: int, length: int
 ) -> tuple[int, tuple[int, ...]]:
     """Same as mh_rank, restricted to the (a, b) endpoint summand."""
-    if k < 0 or length < 0 or k > length:
-        return 0, ()
-    return _homology_at(g, k, length, (a, b))
+    return mh_column(g, length, (a, b))[k] if 0 <= k <= length else (0, ())
 
 
 @dataclass(frozen=True)
@@ -226,11 +204,14 @@ class MHTable:
         return "\n".join(lines) + "\n"
 
 
-def mh_table(g: Graph, lmax: int) -> MHTable:
+def mh_table(
+    g: Graph, lmax: int, endpoints: tuple[int, int] | None = None
+) -> MHTable:
+    """All groups with l <= lmax, or those of the (a, b) summand."""
     entries = {}
     for length in range(lmax + 1):
-        for k in range(length + 1):
-            entries[(k, length)] = mh_rank(g, k, length)
+        for k, group in enumerate(mh_column(g, length, endpoints)):
+            entries[(k, length)] = group
     return MHTable(lmax, entries)
 
 

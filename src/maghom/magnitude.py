@@ -27,7 +27,7 @@ from math import factorial
 
 from .errors import InternalCheckError, ValidationError
 from .graph import Graph
-from .homology import mh_rank
+from .homology import mh_column
 from .polyq import IntPoly, RatFunc
 
 
@@ -191,8 +191,7 @@ def euler_check(g: Graph, lmax: int) -> bool:
     series = magnitude_series(g, lmax)
     for length in range(lmax + 1):
         alt = 0
-        for k in range(length + 1):
-            rank, _ = mh_rank(g, k, length)
+        for k, (rank, _) in enumerate(mh_column(g, length)):
             alt += rank if k % 2 == 0 else -rank
         if alt != series[length]:
             return False

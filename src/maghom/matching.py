@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf
 
-from .ai_complex import Simplex, build_pair, simplex_to_sequence
+from .ai_complex import Simplex, SimplicialPair, simplex_to_sequence
 from .errors import (
     BudgetExceeded,
     CertificateError,
@@ -104,7 +103,6 @@ def _validate_structure(g: Graph, s: SStructure) -> None:
             raise ValidationError(f"quadruple {q} violates its distance conditions")
 
 
-@lru_cache(maxsize=None)
 def _quad_by_key(s: SStructure) -> dict[tuple[int, int, int], int]:
     out: dict[tuple[int, int, int], int] = {}
     for q in sorted(s.quads):
@@ -115,7 +113,6 @@ def _quad_by_key(s: SStructure) -> dict[tuple[int, int, int], int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _triple_by_key(s: SStructure) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for t in sorted(s.triples):
@@ -209,27 +206,26 @@ class MatchingBuild:
 
 def build_matching(
     g: Graph,
-    a: int,
-    b: int,
-    length: int,
+    pair: SimplicialPair,
     s: SStructure,
     *,
     triple_override: bool = True,
 ) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
-    Gap-first cells get the certificate's middle vertex inserted right
-    after the gap start (position +1, the unique choice that keeps
-    positions cumulative); pattern-first cells lose the vertex after the
-    pattern start.  Both directions are verified to be mutually inverse;
-    any failure means the certificate is invalid for this graph.
+    ``pair`` is ``build_pair(g, a, b, l)``.  Gap-first cells get the
+    certificate's middle vertex inserted right after the gap start
+    (position +1, the unique choice that keeps positions cumulative);
+    pattern-first cells lose the vertex after the pattern start.  Both
+    directions are verified to be mutually inverse; any failure means the
+    certificate is invalid for this graph.
     """
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
     _validate_structure(g, s)
     quad_mid = _quad_by_key(s)
     triple_mid = _triple_by_key(s)
-    pair = build_pair(g, a, b, length)
+    a, b, length = pair.a, pair.b, pair.length
     cells = pair.quotient_cells()
     live = set(cells)
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ai_complex import Simplex, build_pair, relative_homology
-from .graph import Graph
+from .ai_complex import Simplex, SimplicialPair, relative_homology
 
 
 @dataclass(frozen=True)
@@ -125,24 +124,21 @@ def is_acyclic(
     return True, None
 
 
-def critical_cells(poset: FacePoset, matching: Matching) -> list[tuple[Simplex, int]]:
-    """Unmatched cells with their dimensions, in poset order."""
+def critical_cells(cells, matching: Matching) -> list[tuple[Simplex, int]]:
+    """Unmatched cells with their dimensions, in the order of ``cells``."""
     matched = matching.matched_cells()
-    return [(c, poset.dim(c)) for c in poset.cells if c not in matched]
+    return [(c, len(c) - 1) for c in cells if c not in matched]
 
 
-def morse_rank_check(
-    g: Graph, a: int, b: int, length: int, matching: Matching
-) -> tuple[bool, str]:
+def morse_rank_check(pair: SimplicialPair, matching: Matching) -> tuple[bool, str]:
     """Homological consequence of an acyclic matching on K_l \\ K'_l.
 
     With every critical cell in the top dimension l-2, the relative
     homology of the pair must be free of rank equal to the critical
     count, concentrated in degree l-2.  Returns (ok, diagnostic).
     """
-    pair = build_pair(g, a, b, length)
-    poset = FacePoset.from_cells(pair.quotient_cells())
-    crit = critical_cells(poset, matching)
+    length = pair.length
+    crit = critical_cells(pair.quotient_cells(), matching)
     off = [(c, d) for c, d in crit if d != length - 2]
     if off:
         return False, f"critical cells off dimension {length - 2}: {off[:5]}"

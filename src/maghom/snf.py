@@ -11,6 +11,7 @@ Python integers; intermediate values may exceed 64 bits.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import MaghomError
@@ -261,22 +262,24 @@ def rank_fraction_free(rows) -> int:
 
 
 def homology_of_complex(
-    dims: list[int], boundaries: dict[int, SparseMatrix]
+    dims: list[int], boundaries: Iterable[tuple[int, SparseMatrix]]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of a finite chain complex of free Z-modules.
 
-    ``dims[k]`` is the rank of the degree-k chain group and
-    ``boundaries[k]`` the map from degree k to degree k-1 (absent means
-    zero).  Returns, per degree, the free rank together with the torsion
+    ``dims[k]`` is the rank of the degree-k chain group and ``boundaries``
+    yields pairs (k, matrix of the map from degree k to degree k-1);
+    degrees it skips have zero boundary.  Each matrix is released once
+    its Smith form is known, so a generator may build them one at a
+    time.  Returns, per degree, the free rank together with the torsion
     divisors, which come from the Smith form of the incoming boundary.
     """
-    top = len(dims) - 1
     snf: dict[int, SNFResult] = {}
-    for k, mat in boundaries.items():
-        snf[k] = smith_normal_form(mat) if mat is not None else SNFResult(0, ())
+    for k, mat in boundaries:
+        snf[k] = smith_normal_form(mat)
+        del mat  # not held while the next boundary is built
     zero = SNFResult(0, ())
     out = []
-    for k in range(top + 1):
+    for k in range(len(dims)):
         incoming = snf.get(k + 1, zero)
         betti = dims[k] - snf.get(k, zero).rank - incoming.rank
         out.append((betti, incoming.divisors))

@@ -52,3 +52,12 @@ def encode_graph6(n, edges):
             word = word * 2 + bit
         out += chr(63 + word)
     return out
+
+
+def full_boundary(g, k, length):
+    """The degree-k boundary matrix of the whole length-l complex."""
+    from maghom import boundary_matrix, enumerate_sequences
+
+    return boundary_matrix(
+        g, enumerate_sequences(g, k, length), enumerate_sequences(g, k - 1, length)
+    )

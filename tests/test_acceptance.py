@@ -8,6 +8,8 @@ the stated runtime targets, asserted where the criterion states one.
 import random
 import time
 
+from conftest import full_boundary
+
 from maghom import (
     complete_graph,
     cycle_graph,
@@ -22,7 +24,6 @@ from maghom import (
 )
 from maghom.ai_complex import build_pair, relative_homology, verify_correspondence
 from maghom.graph import parse_edge_list
-from maghom.homology import boundary_matrix
 from maghom.matching import (
     build_matching,
     build_pawful_S,
@@ -122,14 +123,14 @@ def test_criterion_06_pawful_pipeline(c4):
         for ell in (3, 4, 5):
             for a in g.vertices:
                 for b in g.vertices:
-                    built = build_matching(g, a, b, ell, cert)
+                    built = build_matching(g, build_pair(g, a, b, ell), cert)
                     poset = FacePoset.from_cells(
                         build_pair(g, a, b, ell).quotient_cells()
                     )
                     ok = ok and verify_matching(poset, built.matching)[0]
                     ok = ok and is_acyclic(poset, built.matching)[0]
                     ok = ok and all(len(c) - 1 == ell - 2 for c in built.critical)
-                    ok = ok and morse_rank_check(g, a, b, ell, built.matching)[0]
+                    ok = ok and morse_rank_check(build_pair(g, a, b, ell), built.matching)[0]
     dt = time.perf_counter() - t0
     report(6, ok, "pawful matchings on K4, K5, C4 for lengths 3..5: acyclic wedge model", dt)
 
@@ -144,7 +145,7 @@ def test_criterion_07_g1_certificate(g1, g1_cert_text):
     for ell in (3, 4):
         for a in g1.vertices:
             for b in g1.vertices:
-                built = build_matching(g1, a, b, ell, cert)
+                built = build_matching(g1, build_pair(g1, a, b, ell), cert)
                 poset = FacePoset.from_cells(build_pair(g1, a, b, ell).quotient_cells())
                 ok = ok and verify_matching(poset, built.matching)[0]
                 ok = ok and is_acyclic(poset, built.matching)[0]
@@ -179,7 +180,7 @@ def test_criterion_10_property_suites(g1, g3, c4, g1_cert_text):
         for length in range(5):
             for k in range(2, length + 1):
                 ok = ok and sparse_matmul(
-                    boundary_matrix(g, k - 1, length), boundary_matrix(g, k, length)
+                    full_boundary(g, k - 1, length), full_boundary(g, k, length)
                 ).is_zero()
 
     # and on a relative path-pair complex

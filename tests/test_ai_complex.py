@@ -1,9 +1,8 @@
 from itertools import product
 
-from maghom import complete_graph, cycle_graph, mh_ab, path_graph
+from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_ab, path_graph
 from maghom.ai_complex import (
     build_pair,
-    enumerate_paths,
     is_closed_under_faces,
     reduced_homology,
     relative_homology,
@@ -24,17 +23,17 @@ def brute_force_paths(g, a, b, length):
 
 
 def test_enumerate_paths_k2():
-    assert enumerate_paths(complete_graph(2), 1, 2, 1) == ((1, 2),)
+    assert enumerate_sequences(complete_graph(2), 1, 1, (1, 2)) == ((1, 2),)
 
 
 def test_enumerate_paths_c4_closed(c4):
-    paths = enumerate_paths(c4, 1, 1, 4)
+    paths = enumerate_sequences(c4, 4, 4, (1, 1))
     assert len(paths) == 8  # one per maximal face of the octahedron
 
 
 def test_enumerate_paths_match_brute_force(g1, g2):
     for g, a, b, ell in ((g1, 1, 1, 3), (g1, 2, 4, 3), (g2, 1, 2, 4)):
-        assert list(enumerate_paths(g, a, b, ell)) == brute_force_paths(g, a, b, ell)
+        assert list(enumerate_sequences(g, ell, ell, (a, b))) == brute_force_paths(g, a, b, ell)
 
 
 def test_c4_pair_worked_example(c4):

@@ -1,8 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
 
-from maghom import cli
+from maghom import ai_complex, cli, complete_graph
 from conftest import FIXTURES, encode_graph6
 
 
@@ -174,6 +176,60 @@ def test_classify_stream(capsys, tmp_path, g1, g2, g3):
     assert (r3["ahk"], r3["diagonal"]) == (True, False)
 
 
+def test_classify_records_budget_failure_and_goes_on(capsys, monkeypatch, tmp_path, g3):
+    k3 = complete_graph(3)  # largest basis at lmax 4: 3 * 2^4 = 48 sequences
+    small = encode_graph6(k3.n, k3.edges)
+    stream = tmp_path / "stream.g6"
+    stream.write_text("\n".join([small, encode_graph6(g3.n, g3.edges), small]) + "\n")
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "48")
+    code, out, err = run(capsys, "classify", stream, "--lmax", 4)
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["index"] for r in records] == [1, 2, 3]
+    assert [r["diagonal"] for r in records] == [True, "budget-exceeded", True]
+    assert records[1]["pawful"] is False and records[1]["s_found"] is False
+
+
+class LinesOnly(io.StringIO):
+    """A stdin that can be iterated line by line but not read whole."""
+
+    def read(self, *args):
+        raise AssertionError("classify read the whole stream")
+
+    def readlines(self, *args):
+        raise AssertionError("classify read the whole stream")
+
+
+def test_classify_streams_stdin(capsys, monkeypatch, g1, g2):
+    lines = [encode_graph6(g1.n, g1.edges), "", "!!!notgraph6!!!", encode_graph6(g2.n, g2.edges)]
+    monkeypatch.setattr("sys.stdin", LinesOnly("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, "classify", "-", "--lmax", 3)
+    assert code == 0
+    assert err.startswith("warning: line 3:")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["index"], r["n"]) for r in records] == [(1, g1.n), (4, g2.n)]
+
+
+@pytest.mark.parametrize("command", ["morse", "match"])
+def test_one_pair_per_matching_command(capsys, monkeypatch, command):
+    calls = []
+    build_pair = ai_complex.build_pair
+
+    def counted(*args):
+        calls.append(args)
+        return build_pair(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maghom") and getattr(module, "build_pair", None) is build_pair:
+            monkeypatch.setattr(module, "build_pair", counted)
+    choice = ["--matching", "pawful"] if command == "morse" else ["--pawful"]
+    code, out, _ = run(
+        capsys, command, FIXTURES / "C4", "--a", 1, "--b", 1, "--ell", 4, *choice
+    )
+    assert code == 0 and "3 critical cells in dimension 2" in out
+    assert len(calls) == 1
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "magnitude", "no/such/file")
     assert code == 1 and "error" in err
@@ -209,7 +265,6 @@ def test_match_requires_certificate_choice(capsys):
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_bad_basis_cap_env(capsys, monkeypatch, tmp_path, value):
-    # a graph no other test builds, so no cached basis skips the cap lookup
     path = tmp_path / "c5_tail"
     path.write_text("1 2\n2 3\n3 4\n4 5\n5 1\n1 6\n6 7\n")
     monkeypatch.setenv("MAGHOM_BASIS_CAP", value)

@@ -1,0 +1,60 @@
+"""Byte-for-byte CLI output on the README's command lines.
+
+Each case's stdout and exit code are compared with a file under
+``tests/golden``.  The files were captured from the CLI and pin its
+output format; a change that alters them must say why.  Regenerate with
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+"""
+
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from maghom.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+F = ROOT / "fixtures"
+
+CASES = {
+    "magnitude_series": ["magnitude", F / "G1", "--series", "7"],
+    "magnitude_json": ["magnitude", F / "G1", "--json"],
+    "mh_table_csv": ["mh-table", F / "G3", "--lmax", "6", "--csv"],
+    "mh_table_json": ["mh-table", F / "G3", "--lmax", "5", "--json"],
+    "mh_table_ab": ["mh-table", F / "C4", "--lmax", "4", "--ab", "1,1", "--json"],
+    "mh_table_tsv": ["mh-table", F / "G1", "--lmax", "4"],
+    "ai_complex": ["ai-complex", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
+                   "--homology", "--list-faces"],
+    "morse_report": ["morse", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
+                     "--matching", "pawful", "--report"],
+    "morse_certificate": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
+                          "--matching", F / "G1.sstruct"],
+    "match_s": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",
+                "--s", F / "G1.sstruct"],
+    "pawful": ["pawful", F / "G1"],
+    "s_structure_verify": ["s-structure", F / "G1", "--verify", F / "G1.sstruct"],
+    "s_structure_search": ["s-structure", F / "G2", "--search"],
+    "ahk_check": ["ahk-check", F / "G3"],
+    "classify": ["classify", GOLDEN / "stream.g6", "--lmax", "4"],
+}
+
+
+def run(argv) -> str:
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    assert run(CASES[name]) == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.out").write_text(run(argv))
+        print(name, file=sys.stderr)

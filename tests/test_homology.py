@@ -1,7 +1,7 @@
 import pytest
+from conftest import full_boundary
 
 from maghom import (
-    boundary_matrix,
     complete_graph,
     enumerate_sequences,
     is_diagonal_up_to,
@@ -43,7 +43,7 @@ def test_enumerate_endpoint_restriction(g2):
 def test_boundary_zero_column_for_non_smooth(c4):
     # (u, v, u) has a non-smooth middle: d(u, u) = 0 but the gaps sum to 2
     basis = enumerate_sequences(c4, 2, 2)
-    mat = boundary_matrix(c4, 2, 2)
+    mat = full_boundary(c4, 2, 2)
     col = basis.index((1, 2, 1))
     assert not is_smooth(c4, (1, 2, 1), 1)
     assert all(c != col for (_, c) in mat.entries)
@@ -54,7 +54,7 @@ def test_boundary_squares_to_zero(g1, g3):
         for length in range(5):
             for k in range(2, length + 1):
                 prod = sparse_matmul(
-                    boundary_matrix(g, k - 1, length), boundary_matrix(g, k, length)
+                    full_boundary(g, k - 1, length), full_boundary(g, k, length)
                 )
                 assert prod.is_zero()
 
@@ -145,9 +145,19 @@ def test_off_diagonal_growth_forces_non_pawful(g3):
 
 def test_basis_cap(monkeypatch, g1):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "3")
-    # cached results bypass the guard, so probe an uncached cell
     with pytest.raises(BudgetExceeded):
         mh_rank(g1, 5, 5)
+
+
+def test_basis_cap_applies_to_a_repeated_call(monkeypatch, g1):
+    # the degree-1 basis at length 2 fits under the cap and the degree-2
+    # one does not; an earlier uncapped call must not let a capped one by
+    cap = len(enumerate_sequences(g1, 1, 2))
+    assert len(enumerate_sequences(g1, 2, 2)) > cap
+    assert mh_rank(g1, 1, 2) == (0, ())
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
+    with pytest.raises(BudgetExceeded):
+        mh_rank(g1, 1, 2)
 
 
 def test_table_csv_blanks(g3):

@@ -70,33 +70,33 @@ def test_rotating_matching_has_cycle():
 
 def test_critical_cells_empty_matching():
     poset = square_boundary_poset()
-    crit = critical_cells(poset, Matching(frozenset()))
+    crit = critical_cells(poset.cells, Matching(frozenset()))
     assert len(crit) == len(poset.cells)
 
 
 def test_critical_cells_partition():
     poset = square_boundary_poset()
     m = Matching(frozenset({((1,), (1, 2)), ((2,), (2, 3))}))
-    crit = critical_cells(poset, m)
+    crit = critical_cells(poset.cells, m)
     assert len(crit) == len(poset.cells) - 4
 
 
 def test_morse_rank_check_c4(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, 1, 1, 4, s)
-    ok, detail = morse_rank_check(c4, 1, 1, 4, build.matching)
+    build = build_matching(c4, build_pair(c4, 1, 1, 4), s)
+    ok, detail = morse_rank_check(build_pair(c4, 1, 1, 4), build.matching)
     assert ok and "3 critical" in detail
 
 
 def test_morse_rank_check_rejects_empty_matching(c4):
     # with nothing matched there are critical cells in low dimensions
-    ok, detail = morse_rank_check(c4, 1, 1, 4, Matching(frozenset()))
+    ok, detail = morse_rank_check(build_pair(c4, 1, 1, 4), Matching(frozenset()))
     assert not ok and "off dimension" in detail
 
 
 def test_morse_rank_check_vacuous_empty_poset(c4):
     # no odd-length closed paths in a bipartite graph: empty cell set
-    ok, _ = morse_rank_check(c4, 1, 2, 4, Matching(frozenset()))
+    ok, _ = morse_rank_check(build_pair(c4, 1, 2, 4), Matching(frozenset()))
     assert ok
 
 
@@ -104,7 +104,7 @@ def test_critical_count_equals_relative_rank_complete_graph():
     g = complete_graph(4)
     s = build_pawful_S(g)
     for a, b in ((1, 1), (1, 2)):
-        build = build_matching(g, a, b, 3, s)
+        build = build_matching(g, build_pair(g, a, b, 3), s)
         from maghom.ai_complex import relative_homology
 
         rel = relative_homology(build_pair(g, a, b, 3))

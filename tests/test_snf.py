@@ -95,7 +95,7 @@ def test_torsion_of_projective_plane():
     dims, boundaries = simplicial_chain(faces)
     for d in range(2, len(dims)):
         assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
-    h = homology_of_complex(dims, boundaries)
+    h = homology_of_complex(dims, boundaries.items())
     assert h[0] == (1, ())
     assert h[1] == (0, (2,))
     assert h[2] == (0, ())
@@ -113,7 +113,7 @@ def test_torus_homology():
             faces.append((vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)))
     dims, boundaries = simplicial_chain(faces)
     assert dims == [9, 27, 18]
-    h = homology_of_complex(dims, boundaries)
+    h = homology_of_complex(dims, boundaries.items())
     assert h[0] == (1, ())
     assert h[1] == (2, ())
     assert h[2] == (1, ())
