@@ -15,7 +15,9 @@ position; that ordering fixes the boundary orientation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ValidationError
 from .graph import Graph
@@ -37,17 +39,19 @@ def subsequence_length(g: Graph, a: int, b: int, simplex: Simplex) -> int:
 
 @dataclass(frozen=True)
 class SimplicialPair:
-    """K together with its subcomplex K', both closed under nonempty faces."""
+    """K together with its subcomplex K', both closed under nonempty faces.
+
+    ``cells`` holds the simplices of K outside K', sorted by dimension
+    then lexicographically: the basis of the relative chain complex and
+    the cell set of the Morse matching.
+    """
 
     a: int
     b: int
     length: int
     complex: frozenset[Simplex]
     subcomplex: frozenset[Simplex]
-
-    def quotient_cells(self) -> list[Simplex]:
-        """Cells of K outside K', sorted by dimension then lexicographically."""
-        return sorted(self.complex - self.subcomplex, key=lambda s: (len(s), s))
+    cells: tuple[Simplex, ...]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts of K by dimension."""
@@ -69,40 +73,56 @@ def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
     full: set[Simplex] = set()
     for path in enumerate_sequences(g, length, length, (a, b)):
         interior = tuple((path[i], i) for i in range(1, length))
-        m = len(interior)
-        for mask in range(1, 1 << m):
-            full.add(tuple(interior[i] for i in range(m) if mask >> i & 1))
+        for r in range(1, length):
+            full.update(combinations(interior, r))
     sub = frozenset(s for s in full if subsequence_length(g, a, b, s) <= length - 1)
-    return SimplicialPair(a, b, length, frozenset(full), sub)
+    cells = tuple(sorted(full - sub, key=lambda s: (len(s), s)))
+    return SimplicialPair(a, b, length, frozenset(full), sub, cells)
 
 
-def _faces(s: Simplex):
+def faces(s: Simplex) -> Iterator[tuple[Simplex, int]]:
+    """The codimension-1 faces of ``s``, the i-th (dropping s[i]) with sign (-1)^i."""
+    sign = 1
     for i in range(len(s)):
-        yield s[:i] + s[i + 1 :]
+        yield s[:i] + s[i + 1 :], sign
+        sign = -sign
 
 
 def is_closed_under_faces(cells: frozenset[Simplex]) -> bool:
-    return all(f in cells for s in cells for f in _faces(s) if f)
+    return all(f in cells for s in cells for f, _ in faces(s) if f)
 
 
-def _complex_boundaries(
-    by_dim: dict[int, list[Simplex]], absent_ok: set[Simplex] | frozenset[Simplex]
-) -> tuple[list[int], dict[int, SparseMatrix]]:
-    """Chain dims and boundary matrices, dropping faces in ``absent_ok``."""
-    top = max(by_dim, default=-1)
-    dims = [len(by_dim.get(d, ())) for d in range(top + 1)]
-    boundaries: dict[int, SparseMatrix] = {}
-    for d in range(1, top + 1):
-        lower = {s: i for i, s in enumerate(by_dim.get(d - 1, ()))}
-        entries: dict[tuple[int, int], int] = {}
-        for col, s in enumerate(by_dim.get(d, ())):
-            sign = 1
-            for face in _faces(s):
-                if face not in absent_ok:
-                    entries[(lower[face], col)] = sign
-                sign = -sign
-        boundaries[d] = SparseMatrix(entries, dims[d - 1], dims[d])
-    return dims, boundaries
+def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]]]:
+    """Chain ranks and boundary maps of the complex spanned by ``cells``.
+
+    Cells are graded by size: slot k holds the cells with k elements, so
+    the empty simplex, when given, sits in slot 0.  Within a slot the
+    cells keep their order in ``cells``.  A face is kept exactly when it
+    is one of ``cells``, so leaving out a subcomplex gives the relative
+    boundary.  The maps (k, slot k -> slot k-1) come one at a time; a map
+    to or from an empty slot is zero and is not yielded.
+    """
+    top = max(map(len, cells), default=0)
+    by_size: list[list[Simplex]] = [[] for _ in range(top + 1)]
+    for s in cells:
+        by_size[len(s)].append(s)
+    dims = [len(group) for group in by_size]
+
+    def maps():
+        for k in range(1, len(by_size)):
+            if not dims[k] or not dims[k - 1]:
+                continue
+            row = {s: i for i, s in enumerate(by_size[k - 1])}
+            entries = {
+                (row[f], col): sign
+                for col, s in enumerate(by_size[k])
+                for f, sign in faces(s)
+                if f in row
+            }
+            yield k, SparseMatrix(entries, dims[k - 1], dims[k])
+            del entries  # not held while the next map is built
+
+    return dims, maps()
 
 
 def relative_homology(pair: SimplicialPair) -> list[tuple[int, tuple[int, ...]]]:
@@ -111,14 +131,8 @@ def relative_homology(pair: SimplicialPair) -> list[tuple[int, tuple[int, ...]]]
     Cells are the simplices of K outside K'; boundary faces that fall
     into K' are dropped.
     """
-    by_dim: dict[int, list[Simplex]] = {}
-    for s in pair.quotient_cells():
-        by_dim.setdefault(len(s) - 1, []).append(s)
     want = pair.length - 1  # degrees 0 .. length-2
-    if not by_dim:
-        return [(0, ())] * want
-    dims, boundaries = _complex_boundaries(by_dim, pair.subcomplex)
-    result = homology_of_complex(dims, boundaries.items())
+    result = homology_of_complex(*cell_boundaries(pair.cells))[1:]  # slot 0 is empty
     result += [(0, ())] * (want - len(result))
     return result[:want]
 
@@ -129,21 +143,11 @@ def reduced_homology(cells) -> list[tuple[int, tuple[int, ...]]]:
     The empty simplex is adjoined in degree -1, so degree 0 loses one
     rank per connected component's worth of augmentation.
     """
-    cells = frozenset(cells)
+    cells = set(cells)
     if not cells:
         return []
-    by_dim: dict[int, list[Simplex]] = {}
-    for s in sorted(cells, key=lambda s: (len(s), s)):
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    dims, boundaries = _complex_boundaries(by_dim, frozenset())
-    # augmentation: every vertex maps to the empty simplex with coefficient 1
-    n0 = dims[0]
-    aug = SparseMatrix({(0, c): 1 for c in range(n0)}, 1, n0)
-    shifted_dims = [1] + dims
-    shifted = {k + 1: m for k, m in boundaries.items()}
-    shifted[1] = aug
-    result = homology_of_complex(shifted_dims, shifted.items())
-    return result[1:]  # drop the degree -1 slot
+    # slot 0 holds the empty simplex, degree -1
+    return homology_of_complex(*cell_boundaries([()] + sorted(cells)))[1:]
 
 
 @dataclass(frozen=True)

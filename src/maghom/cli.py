@@ -9,6 +9,7 @@ disagreed -- a bug signal, not a user error).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -87,7 +88,13 @@ def _table_json(table: MHTable) -> str:
     return json.dumps({"lmax": table.lmax, "entries": entries}, sort_keys=True)
 
 
+def _require_lmax(lmax: int) -> None:
+    if lmax < 0:
+        raise ValidationError("--lmax must be >= 0")
+
+
 def _cmd_mh_table(args) -> int:
+    _require_lmax(args.lmax)
     g = _load_graph(args.graph, args.format)
     if args.ab:
         try:
@@ -117,7 +124,7 @@ def _cmd_ai_complex(args) -> int:
         "ell": args.ell,
         "f_vector": list(pair.f_vector()),
         "subcomplex_size": len(pair.subcomplex),
-        "quotient_cells": len(pair.quotient_cells()),
+        "quotient_cells": len(pair.cells),
     }
     if args.homology:
         rel = aic.relative_homology(pair)
@@ -161,12 +168,11 @@ def _build_matching_from_args(
 def _matching_report(
     pair: aic.SimplicialPair, build: mt.MatchingBuild
 ) -> tuple[bool, list[str]]:
-    poset = ms.FacePoset.from_cells(pair.quotient_cells())
-    ok_match, why_match = ms.verify_matching(poset, build.matching)
-    ok_acyclic, cycle = ms.is_acyclic(poset, build.matching)
+    ok_match, why_match = ms.verify_matching(pair.cells, build.matching)
+    ok_acyclic, cycle = ms.is_acyclic(pair.cells, build.matching)
     ok_ranks, detail = ms.morse_rank_check(pair, build.matching)
     lines = [
-        f"cells outside the subcomplex: {len(poset.cells)}",
+        f"cells outside the subcomplex: {len(pair.cells)}",
         f"matched pairs: {len(build.matching)}",
         f"critical cells: {len(build.critical)}",
         f"matching axioms: {'ok' if ok_match else why_match}",
@@ -243,9 +249,14 @@ def _cmd_ahk_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _require_lmax(args.lmax)
+    if args.budget is not None and args.budget < 1:
+        raise ValidationError("--budget must be positive")
     if args.stream == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(errors="replace")
         return _classify_lines(sys.stdin, args)
-    with open(args.stream) as fh:
+    with open(args.stream, errors="replace") as fh:
         return _classify_lines(fh, args)
 
 
@@ -253,10 +264,9 @@ def _classify_lines(lines, args) -> int:
     """One JSON record per graph6 line, reading the lines one at a time.
 
     A graph over a budget gets "budget-exceeded" in the field that hit
-    it, and the stream goes on.
+    it, and the stream goes on.  Undecodable bytes are replaced, so such
+    a line gets a warning like any other unparsable line.
     """
-    if args.budget is not None and args.budget < 1:
-        raise ValidationError("--budget must be positive")
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -376,7 +386,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, CertificateError, FileNotFoundError) as exc:
+    except (
+        ParseError, ValidationError, CertificateError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

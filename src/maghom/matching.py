@@ -123,7 +123,7 @@ def _triple_by_key(s: SStructure) -> dict[tuple[int, int], int]:
     return out
 
 
-def build_pawful_S(g: Graph, sel: SelectorMaps | None = None) -> SStructure:
+def build_pawful_S(g: Graph) -> SStructure:
     """The canonical certificate of a pawful graph.
 
     Quadruples come in two families over the keys (alpha, beta, delta)
@@ -132,8 +132,7 @@ def build_pawful_S(g: Graph, sel: SelectorMaps | None = None) -> SStructure:
     selector vertex adjacent to all of alpha, delta, beta.  Triples pick
     the selected common neighbor of each ordered distance-2 pair.
     """
-    if sel is None:
-        sel = default_selectors(g)
+    sel = default_selectors(g)
     quads = set()
     triples = set()
     for beta in g.vertices:
@@ -165,31 +164,18 @@ class SequenceIndices:
     gap: float
 
 
-def sequence_indices(
-    g: Graph,
-    seq: tuple[int, ...],
-    s: SStructure,
-    *,
-    triple_override: bool = True,
-) -> SequenceIndices:
+def sequence_indices(g: Graph, seq: tuple[int, ...], s: SStructure) -> SequenceIndices:
     """Scan a full endpoint-to-endpoint sequence for the two indices.
 
-    ``triple_override=True`` gives the leading-triple rule precedence
-    over quadruple windows; flipping it checks windows first.
+    The leading-triple rule takes precedence over quadruple windows.
     """
     k = len(seq) - 1
-    triple_hit = k >= 2 and seq[0:3] in s.triples
-    quad_i = next(
-        (i for i in range(1, k - 1) if seq[i - 1 : i + 3] in s.quads), None
-    )
-    if triple_override and triple_hit:
-        pattern = 0
-    elif quad_i is not None:
-        pattern = quad_i
-    elif triple_hit:
+    if k >= 2 and seq[0:3] in s.triples:
         pattern = 0
     else:
-        pattern = inf
+        pattern = next(
+            (i for i in range(1, k - 1) if seq[i - 1 : i + 3] in s.quads), inf
+        )
     gap = next((j for j in range(k) if g.dist[seq[j]][seq[j + 1]] == 2), inf)
     return SequenceIndices(pattern, gap)
 
@@ -204,13 +190,7 @@ class MatchingBuild:
     critical: tuple[Simplex, ...]    # untouched cells
 
 
-def build_matching(
-    g: Graph,
-    pair: SimplicialPair,
-    s: SStructure,
-    *,
-    triple_override: bool = True,
-) -> MatchingBuild:
+def build_matching(g: Graph, pair: SimplicialPair, s: SStructure) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
     ``pair`` is ``build_pair(g, a, b, l)``.  Gap-first cells get the
@@ -226,7 +206,7 @@ def build_matching(
     quad_mid = _quad_by_key(s)
     triple_mid = _triple_by_key(s)
     a, b, length = pair.a, pair.b, pair.length
-    cells = pair.quotient_cells()
+    cells = pair.cells
     live = set(cells)
 
     untouched: list[Simplex] = []
@@ -235,7 +215,7 @@ def build_matching(
     index_of: dict[Simplex, SequenceIndices] = {}
     for cell in cells:
         seq = simplex_to_sequence(a, b, cell)
-        idx = sequence_indices(g, seq, s, triple_override=triple_override)
+        idx = sequence_indices(g, seq, s)
         index_of[cell] = idx
         if idx.pattern == inf and idx.gap == inf:
             untouched.append(cell)

@@ -1,6 +1,8 @@
-"""Discrete Morse machinery on face posets of simplicial cell sets.
+"""Discrete Morse machinery on sets of simplicial cells.
 
-A partial matching pairs each lower cell with a cover (a cell one
+The covers of a cell set are its codimension-1 face relations: (face,
+cell) with ``face`` one of ``ai_complex.faces(cell)`` and both in the
+set.  A partial matching pairs each lower cell with a cover (a cell one
 dimension up containing it), each cell used at most once.  Orienting
 matched covers upward and all other covers downward gives a digraph; the
 matching is acyclic when that digraph has no directed cycle.  Unmatched
@@ -13,36 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ai_complex import Simplex, SimplicialPair, relative_homology
-
-
-@dataclass(frozen=True)
-class FacePoset:
-    """Cells with their codimension-1 cover relations.
-
-    Covers are pairs (face, cell) where ``face`` is ``cell`` minus one
-    element and both belong to the cell set; dimensions differ by one.
-    """
-
-    cells: tuple[Simplex, ...]
-    covers: frozenset[tuple[Simplex, Simplex]]
-
-    @staticmethod
-    def from_cells(cells) -> "FacePoset":
-        cellset = set(cells)
-        covers = set()
-        for s in cellset:
-            if len(s) < 2:
-                continue
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                if face in cellset:
-                    covers.add((face, s))
-        ordered = tuple(sorted(cellset, key=lambda s: (len(s), s)))
-        return FacePoset(ordered, frozenset(covers))
-
-    def dim(self, cell: Simplex) -> int:
-        return len(cell) - 1
+from .ai_complex import Simplex, SimplicialPair, faces, relative_homology
 
 
 @dataclass(frozen=True)
@@ -62,14 +35,14 @@ class Matching:
         return out
 
 
-def verify_matching(poset: FacePoset, matching: Matching) -> tuple[bool, str | None]:
+def verify_matching(cells, matching: Matching) -> tuple[bool, str | None]:
     """Check both matching axioms; report the first violation found."""
-    cellset = set(poset.cells)
+    cellset = set(cells)
     used: set[Simplex] = set()
     for low, high in sorted(matching.pairs):
         if low not in cellset or high not in cellset:
-            return False, f"pair ({low}, {high}) uses a cell outside the poset"
-        if (low, high) not in poset.covers:
+            return False, f"pair ({low}, {high}) uses a cell outside the cell set"
+        if not any(f == low for f, _ in faces(high)):
             return False, f"pair ({low}, {high}) is not a cover relation"
         for cell in (low, high):
             if cell in used:
@@ -78,28 +51,30 @@ def verify_matching(poset: FacePoset, matching: Matching) -> tuple[bool, str | N
     return True, None
 
 
-def is_acyclic(
-    poset: FacePoset, matching: Matching
-) -> tuple[bool, list[Simplex] | None]:
+def is_acyclic(cells, matching: Matching) -> tuple[bool, list[Simplex] | None]:
     """Cycle check on the up/down orientation of the cover digraph.
 
     Matched covers point up, the rest point down.  An upper cell has no
     outgoing up-edge (it is already the top of its pair), so any directed
-    cycle automatically alternates up and down moves.  Returns the cycle
-    as a cell list when one exists.
+    cycle automatically alternates up and down moves.  The search starts
+    from the cells in the order given.  Returns the cycle as a cell list
+    when one exists.
     """
-    up: dict[Simplex, list[Simplex]] = {c: [] for c in poset.cells}
-    for low, high in sorted(poset.covers):
-        if (low, high) in matching.pairs:
-            up[low].append(high)
-        else:
-            up[high].append(low)
+    up: dict[Simplex, list[Simplex]] = {c: [] for c in cells}
+    for high in cells:
+        for low, _ in faces(high):
+            if low not in up:
+                continue
+            if (low, high) in matching.pairs:
+                up[low].append(high)
+            else:
+                up[high].append(low)
     for targets in up.values():
         targets.sort()
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in poset.cells}
-    for root in poset.cells:
+    color = {c: WHITE for c in cells}
+    for root in cells:
         if color[root] != WHITE:
             continue
         stack: list[tuple[Simplex, int]] = [(root, 0)]
@@ -138,7 +113,7 @@ def morse_rank_check(pair: SimplicialPair, matching: Matching) -> tuple[bool, st
     count, concentrated in degree l-2.  Returns (ok, diagnostic).
     """
     length = pair.length
-    crit = critical_cells(pair.quotient_cells(), matching)
+    crit = critical_cells(pair.cells, matching)
     off = [(c, d) for c, d in crit if d != length - 2]
     if off:
         return False, f"critical cells off dimension {length - 2}: {off[:5]}"

@@ -141,16 +141,6 @@ class IntPoly:
             return self
         return IntPoly([x // c for x in self.coeffs])
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by q^k."""
-        if not self.coeffs:
-            return IntPoly()
-        return IntPoly((0,) * k + self.coeffs)
-
-    def truncate(self, order: int) -> "IntPoly":
-        """Drop all terms of degree above ``order``."""
-        return IntPoly(self.coeffs[: order + 1])
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 

@@ -32,7 +32,7 @@ from maghom.matching import (
     serialize_s,
     verify_s_structure,
 )
-from maghom.morse import FacePoset, is_acyclic, morse_rank_check, verify_matching
+from maghom.morse import is_acyclic, morse_rank_check, verify_matching
 from maghom.snf import SparseMatrix, rank_fraction_free, smith_normal_form, sparse_matmul
 
 
@@ -124,9 +124,7 @@ def test_criterion_06_pawful_pipeline(c4):
             for a in g.vertices:
                 for b in g.vertices:
                     built = build_matching(g, build_pair(g, a, b, ell), cert)
-                    poset = FacePoset.from_cells(
-                        build_pair(g, a, b, ell).quotient_cells()
-                    )
+                    poset = build_pair(g, a, b, ell).cells
                     ok = ok and verify_matching(poset, built.matching)[0]
                     ok = ok and is_acyclic(poset, built.matching)[0]
                     ok = ok and all(len(c) - 1 == ell - 2 for c in built.critical)
@@ -146,7 +144,7 @@ def test_criterion_07_g1_certificate(g1, g1_cert_text):
         for a in g1.vertices:
             for b in g1.vertices:
                 built = build_matching(g1, build_pair(g1, a, b, ell), cert)
-                poset = FacePoset.from_cells(build_pair(g1, a, b, ell).quotient_cells())
+                poset = build_pair(g1, a, b, ell).cells
                 ok = ok and verify_matching(poset, built.matching)[0]
                 ok = ok and is_acyclic(poset, built.matching)[0]
                 ok = ok and all(len(c) - 1 == ell - 2 for c in built.critical)
@@ -184,14 +182,12 @@ def test_criterion_10_property_suites(g1, g3, c4, g1_cert_text):
                 ).is_zero()
 
     # and on a relative path-pair complex
-    from maghom.ai_complex import _complex_boundaries
+    from maghom.ai_complex import cell_boundaries
 
     pair = build_pair(c4, 1, 1, 4)
-    by_dim = {}
-    for s in pair.quotient_cells():
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    dims, boundaries = _complex_boundaries(by_dim, pair.subcomplex)
-    for d in range(2, len(dims)):
+    dims, maps = cell_boundaries(pair.cells)
+    boundaries = dict(maps)
+    for d in range(3, len(dims)):  # slot d holds the cells of dimension d - 1
         ok = ok and sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
 
     # endpoint decomposition is a direct sum

@@ -131,21 +131,34 @@ def test_relative_homology_empty_pair(c4):
 
 
 def test_relative_boundary_squares_to_zero(g1):
-    from maghom.ai_complex import _complex_boundaries
+    from maghom.ai_complex import cell_boundaries
     from maghom.snf import sparse_matmul
 
     pair = build_pair(g1, 1, 1, 4)
-    by_dim = {}
-    for s in pair.quotient_cells():
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    dims, boundaries = _complex_boundaries(by_dim, pair.subcomplex)
-    for d in range(2, len(dims)):
+    dims, maps = cell_boundaries(pair.cells)
+    boundaries = dict(maps)
+    for d in range(3, len(dims)):  # slot d holds the cells of dimension d - 1
         assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
 
 
+
+def test_augmented_boundary_squares_to_zero(g1, c4):
+    from maghom.ai_complex import cell_boundaries
+    from maghom.snf import sparse_matmul
+
+    for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 1, 4), (g1, 2, 4, 4)):
+        pair = build_pair(g, a, b, ell)
+        dims, maps = cell_boundaries([()] + sorted(pair.complex))
+        boundaries = dict(maps)
+        # the augmentation sends every vertex to the empty simplex
+        assert dims[0] == 1
+        assert boundaries[1].entries == {(0, c): 1 for c in range(dims[1])}
+        for d in range(2, len(dims)):
+            assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
+
 def test_euler_characteristic_of_quotient(g1):
     pair = build_pair(g1, 2, 4, 4)
-    cells = pair.quotient_cells()
+    cells = pair.cells
     chi = sum((-1) ** (len(s) - 1) for s in cells)
     rel = relative_homology(pair)
     assert chi == sum((-1) ** d * rank for d, (rank, _) in enumerate(rel))

@@ -242,6 +242,55 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+
+def test_directory_as_graph_file(capsys):
+    code, out, err = run(capsys, "magnitude", FIXTURES)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "directory" in err
+
+
+def test_undecodable_graph_file(capsys, tmp_path):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run(capsys, "magnitude", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "decode" in err
+
+
+def _stream_with_bad_third_line(g1, g2):
+    good = [encode_graph6(g.n, g.edges).encode() for g in (g1, g2)]
+    return b"\n".join(good + [b"\xff\xfe", good[0]]) + b"\n"
+
+
+def _assert_bad_line_skipped(code, out, err, g1, g2):
+    assert code == 0
+    assert err.startswith("warning: line 3:") and err.count("\n") == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["index"], r["n"]) for r in records] == [(1, g1.n), (2, g2.n), (4, g1.n)]
+
+
+def test_classify_undecodable_line_in_file(capsys, tmp_path, g1, g2):
+    stream = tmp_path / "stream.g6"
+    stream.write_bytes(_stream_with_bad_third_line(g1, g2))
+    code, out, err = run(capsys, "classify", stream, "--lmax", 2)
+    _assert_bad_line_skipped(code, out, err, g1, g2)
+
+
+def test_classify_undecodable_line_on_stdin(capsys, monkeypatch, g1, g2):
+    data = io.BytesIO(_stream_with_bad_third_line(g1, g2))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(data, encoding="utf-8"))
+    code, out, err = run(capsys, "classify", "-", "--lmax", 2)
+    _assert_bad_line_skipped(code, out, err, g1, g2)
+
+
+@pytest.mark.parametrize("command", ["classify", "mh-table"])
+def test_negative_lmax(capsys, tmp_path, g1, command):
+    path = tmp_path / "g1.g6"
+    path.write_text(encode_graph6(g1.n, g1.edges) + "\n")
+    graph = path if command == "classify" else FIXTURES / "G1"
+    code, out, err = run(capsys, command, graph, "--lmax", -1)
+    assert (code, out, err) == (1, "", "error: --lmax must be >= 0\n")
+
 def test_internal_inconsistency_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "magnitude_series", lambda g, n: [0] * (n + 1))
     code, _, err = run(capsys, "magnitude", FIXTURES / "C4", "--series", 2)

@@ -22,7 +22,7 @@ from maghom.matching import (
     serialize_s,
     verify_s_structure,
 )
-from maghom.morse import FacePoset, is_acyclic, morse_rank_check, verify_matching
+from maghom.morse import is_acyclic, morse_rank_check, verify_matching
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,6 @@ def test_sequence_indices_triple_override_flag(g1):
     s = SStructure(frozenset({(1, 2, 6, 4)}), frozenset({(1, 2, 6)}))
     seq = (1, 2, 6, 4)
     assert sequence_indices(g1, seq, s).pattern == 0
-    assert sequence_indices(g1, seq, s, triple_override=False).pattern == 1
 
 
 def test_build_matching_c4(c4):
@@ -99,7 +98,7 @@ def test_build_matching_c4(c4):
     assert len(build.matching) == 6
     assert len(build.critical) == 3
     assert all(len(c) - 1 == 2 for c in build.critical)
-    poset = FacePoset.from_cells(build_pair(c4, 1, 1, 4).quotient_cells())
+    poset = build_pair(c4, 1, 1, 4).cells
     assert verify_matching(poset, build.matching)[0]
     assert is_acyclic(poset, build.matching)[0]
 
@@ -107,7 +106,7 @@ def test_build_matching_c4(c4):
 def test_build_matching_partitions_cells(c4):
     s = build_pawful_S(c4)
     build = build_matching(c4, build_pair(c4, 1, 1, 4), s)
-    cells = build_pair(c4, 1, 1, 4).quotient_cells()
+    cells = build_pair(c4, 1, 1, 4).cells
     groups = set(build.inserted) | set(build.deleted) | set(build.critical)
     assert groups == set(cells)
     assert len(build.inserted) == len(build.deleted) == len(build.matching)
@@ -135,7 +134,7 @@ def test_build_matching_g1_certificate(g1, g1_cert):
     for ell in (3, 4):
         for a, b in ((1, 1), (1, 4), (3, 5), (6, 6)):
             build = build_matching(g1, build_pair(g1, a, b, ell), g1_cert)
-            poset = FacePoset.from_cells(build_pair(g1, a, b, ell).quotient_cells())
+            poset = build_pair(g1, a, b, ell).cells
             assert verify_matching(poset, build.matching)[0]
             assert is_acyclic(poset, build.matching)[0]
             assert all(len(c) - 1 == ell - 2 for c in build.critical)
