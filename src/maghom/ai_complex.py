@@ -62,6 +62,23 @@ class SimplicialPair:
         return tuple(counts)
 
 
+def _all_gaps_geodesic(g: Graph, a: int, b: int, length: int, simplex: Simplex) -> bool:
+    """Does the completed sequence of a cell of K_l(a,b) have length l?
+
+    A gap between positions i < j spans j - i edges of a path, so its
+    distance is at most j - i; the total is l exactly when every gap
+    attains it.  Same as ``subsequence_length(...) == length`` on cells
+    of K, stopping at the first short gap.
+    """
+    dist = g.dist
+    prev, at = a, 0
+    for v, i in simplex:
+        if dist[prev][v] != i - at:
+            return False
+        prev, at = v, i
+    return dist[prev][b] == length - at
+
+
 def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
     """Enumerate K_l(a,b) and K'_l(a,b) from the length-l edge paths.
 
@@ -75,8 +92,9 @@ def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
         interior = tuple((path[i], i) for i in range(1, length))
         for r in range(1, length):
             full.update(combinations(interior, r))
-    sub = frozenset(s for s in full if subsequence_length(g, a, b, s) <= length - 1)
-    cells = tuple(sorted(full - sub, key=lambda s: (len(s), s)))
+    outside = [s for s in full if _all_gaps_geodesic(g, a, b, length, s)]
+    sub = frozenset(full.difference(outside))
+    cells = tuple(sorted(outside, key=lambda s: (len(s), s)))
     return SimplicialPair(a, b, length, frozenset(full), sub, cells)
 
 

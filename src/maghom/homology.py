@@ -6,6 +6,15 @@ boundary deletes interior smooth points with alternating signs; endpoint
 entries are never deleted, so the complex splits over endpoint pairs.
 Homology is computed exactly (free rank plus torsion divisors) by Smith
 normal form of the boundary matrices.
+
+Reversal R(x_0, ..., x_k) = (x_k, ..., x_0) maps the (a, b) summand onto
+the (b, a) summand: position i of R(x) is smooth exactly when position
+k - i of x is, so the boundary satisfies dR = (-1)^k Rd in degree k, and
+R with the signs (-1)^(k(k+1)/2) is a chain isomorphism.  The whole
+complex is therefore built only on the sequences with x_0 <= x_k, as two
+complexes: the open part (x_0 < x_k), which stands for itself and its
+reversal and counts with multiplicity 2, and the closed part (x_0 = x_k),
+which counts once.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, positive_int_env
 from .graph import Graph
-from .snf import SparseMatrix, homology_of_complex
+from .snf import SparseMatrix, homology_of_complex, smith_normal_form
 
 DEFAULT_BASIS_CAP = 2_000_000
 _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
@@ -42,14 +51,21 @@ def enumerate_sequences(
     k: int,
     length: int,
     endpoints: tuple[int, int] | None = None,
+    *,
+    half: bool = False,
 ) -> tuple[tuple[int, ...], ...]:
     """All degree-k sequences of total length ``length``, lexicographically.
 
     With ``endpoints=(a, b)`` only sequences starting at a and ending at b
-    are produced.  Basis order is reproducible, since matrix snapshots
+    are produced.  Without endpoints, ``half=True`` produces only those
+    with x_0 <= x_k: one of each pair related by reversal, and every
+    closed sequence.  Basis order is reproducible, since matrix snapshots
     depend on it.  Enumeration aborts with BudgetExceeded as soon as the
-    basis would outgrow the configured cap, before memory does.
+    full basis would outgrow the configured cap (in half mode an open
+    sequence counts twice), before memory does.
     """
+    if half and endpoints is not None:
+        raise ValueError("half=True enumerates the whole complex, not one summand")
     if k < 0 or length < 0:
         return ()
     if k == 0:
@@ -59,46 +75,71 @@ def enumerate_sequences(
             a, b = endpoints
             return ((a,),) if a == b else ()
         return tuple((v,) for v in g.vertices)
-    if length < k:
-        return ()  # each of the k gaps contributes at least 1
-
-    maxd = max(max(row) for row in g.dist[1:])
+    dist = g.dist
+    maxd = max(max(row) for row in dist[1:])
+    if not k <= length <= k * maxd:
+        return ()  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
-    out: list[tuple[int, ...]] = []
-    starts = [endpoints[0]] if endpoints is not None else list(g.vertices)
-    target_end = endpoints[1] if endpoints is not None else None
-
-    def extend(prefix: list[int], used: int) -> None:
-        slot = len(prefix)  # index of the vertex about to be placed
-        remaining = k + 1 - slot
-        if remaining == 0:
-            if len(out) >= cap:
-                raise BudgetExceeded(
-                    f"degree-{k} length-{length} basis exceeds the cap of {cap}"
-                )
-            out.append(tuple(prefix))
-            return
-        last = prefix[-1]
+    # others[u]: (v, d(u, v)) for v != u; spheres[u][r]: the v with d(u, v) = r
+    others: list = [None]
+    spheres: list = [None]
+    for u in g.vertices:
+        others.append([(v, dist[u][v]) for v in g.vertices if v != u])
+        sphere: list[list[int]] = [[] for _ in range(maxd + 1)]
         for v in g.vertices:
-            if v == last:
-                continue
-            u = used + g.dist[last][v]
-            # every later gap is >= 1 and <= maxd
-            lo = u + (remaining - 1)
-            hi = u + (remaining - 1) * maxd
-            if lo > length or hi < length:
-                continue
-            if remaining == 1:
-                if u != length:
-                    continue
-                if target_end is not None and v != target_end:
-                    continue
-            prefix.append(v)
-            extend(prefix, u)
-            prefix.pop()
+            sphere[dist[u][v]].append(v)
+        spheres.append(sphere)
+    end = endpoints[1] if endpoints is not None else None
+    out: list[tuple[int, ...]] = []
+    size = 0  # of the full basis found so far
 
-    for s in starts:
-        extend([s], 0)
+    def close(new: list[tuple[int, ...]]) -> None:
+        """Append the completed sequences ``new``, minding the cap."""
+        nonlocal size
+        found = len(new)
+        if half:  # an open sequence stands for itself and its reversal
+            found += found - [x[-1] for x in new].count(first)
+        if size + found > cap:
+            raise BudgetExceeded(
+                f"degree-{k} length-{length} basis exceeds the cap of {cap}"
+            )
+        size += found
+        out.extend(new)
+
+    def extend(prefix: tuple[int, ...], budget: int, gaps: int) -> None:
+        """Place the next vertex; ``gaps`` >= 2 gaps must add up to ``budget``."""
+        nxt = others[prefix[-1]]
+        # every later gap is >= 1 and <= maxd, and the last ends at `end`
+        lo = budget - (gaps - 1) * maxd
+        hi = budget - (gaps - 1)
+        if gaps > 2:
+            for v, d in nxt:
+                if lo <= d <= hi and (end is None or dist[v][end] <= budget - d):
+                    extend(prefix + (v,), budget - d, gaps - 1)
+        elif end is not None:
+            close([
+                prefix + (v, end)
+                for v, d in nxt
+                if lo <= d <= hi and dist[v][end] == budget - d
+            ])
+        else:  # the last vertex comes from a distance sphere
+            close([
+                prefix + (v, w)
+                for v, d in nxt
+                if lo <= d <= hi
+                for w in spheres[v][budget - d]
+                if not half or w >= first
+            ])
+
+    for first in [endpoints[0]] if endpoints is not None else g.vertices:
+        if k > 1:
+            extend((first,), length, k)
+        else:
+            close([
+                (first, w)
+                for w in spheres[first][length]
+                if end in (None, w) and (not half or w >= first)
+            ])
     return tuple(out)
 
 
@@ -109,26 +150,66 @@ def boundary_matrix(
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
-    Both bases come from ``enumerate_sequences`` with the same length and
-    endpoints, in degrees k and k-1.  Column x picks up (-1)^i at the row
-    of x with position i deleted, for every smooth interior i; endpoints
-    are kept.  A smooth deletion can never produce equal consecutive
-    entries, so target rows always exist.
+    The bases are degrees k and k-1 of one length and one set of
+    endpoint pairs: from ``enumerate_sequences`` with the same length and
+    endpoints, or the open or the closed parts of its half bases.  Column
+    x picks up (-1)^i at the row of x with position i deleted, for every
+    smooth interior i (see ``is_smooth``); endpoints are kept.  A smooth
+    deletion can never produce equal consecutive entries, so target rows
+    always exist, and two deletions from one x never give the same row.
     """
+    dist = g.dist
     index = {x: r for r, x in enumerate(basis_lo)}
     entries: dict[tuple[int, int], int] = {}
     for col, x in enumerate(basis_k):
+        before = dist[x[0]]  # distances from x[i-1]
         sign = -1
         for i in range(1, len(x) - 1):
-            if is_smooth(g, x, i):
-                row = index[x[:i] + x[i + 1 :]]
-                s = entries.get((row, col), 0) + sign
-                if s:
-                    entries[(row, col)] = s
-                else:
-                    del entries[(row, col)]
+            here = dist[x[i]]
+            after = x[i + 1]
+            if before[after] == before[x[i]] + here[after]:
+                entries[(index[x[:i] + x[i + 1 :]], col)] = sign
+            before = here
             sign = -sign
     return SparseMatrix(entries, len(basis_lo), len(basis_k))
+
+
+def _homology(
+    g: Graph, bases: list[tuple[tuple[int, ...], ...]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Homology of the complex spanned by ``bases`` (degree k at index k).
+
+    Each boundary is built once and reaches the Smith form on its own, so
+    only one is held in memory; a map to or from an empty basis is zero
+    and is not built.
+    """
+    boundaries = (
+        (k, boundary_matrix(g, bases[k], bases[k - 1]))
+        for k in range(1, len(bases))
+        if bases[k] and bases[k - 1]
+    )
+    return homology_of_complex([len(b) for b in bases], boundaries)
+
+
+def merge_torsion(
+    open_part: tuple[int, ...], closed_part: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Invariant factors of T_open + T_open + T_closed.
+
+    A sorted divisibility chain is already in Smith form; otherwise the
+    Smith form of the diagonal matrix of all divisors gives them.
+
+    >>> merge_torsion((2,), (3,))
+    (2, 6)
+    >>> merge_torsion((2, 4), ())
+    (2, 2, 4, 4)
+    """
+    divisors = sorted(open_part + open_part + closed_part)
+    if all(b % a == 0 for a, b in zip(divisors, divisors[1:])):
+        return tuple(divisors)
+    n = len(divisors)
+    diagonal = SparseMatrix({(i, i): d for i, d in enumerate(divisors)}, n, n)
+    return smith_normal_form(diagonal).divisors
 
 
 def mh_column(
@@ -136,15 +217,29 @@ def mh_column(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
-    With ``endpoints=(a, b)`` only the (a, b) summand is computed.  Each
-    basis is enumerated once and each boundary built once; the boundaries
-    reach the Smith form one at a time, so only one is held in memory.
+    With ``endpoints=(a, b)`` only the (a, b) summand is computed.
+    Otherwise only the sequences with x_0 <= x_k are built, split into an
+    open part (x_0 < x_k) and a closed part (x_0 = x_k); reversal gives
+    the rest, so each group is the open group twice plus the closed one.
+    Each basis is enumerated once, before any boundary is built.
     """
-    bases = [enumerate_sequences(g, k, length, endpoints) for k in range(length + 1)]
-    boundaries = (
-        (k, boundary_matrix(g, bases[k], bases[k - 1])) for k in range(1, length + 1)
-    )
-    return homology_of_complex([len(b) for b in bases], boundaries)
+    if endpoints is not None:
+        return _homology(
+            g, [enumerate_sequences(g, k, length, endpoints) for k in range(length + 1)]
+        )
+    open_bases, closed_bases = [], []
+    for k in range(length + 1):
+        basis = enumerate_sequences(g, k, length, half=True)
+        open_bases.append(tuple(x for x in basis if x[0] != x[-1]))
+        closed_bases.append(tuple(x for x in basis if x[0] == x[-1]))
+    open_column = _homology(g, open_bases)
+    del open_bases  # not held while the closed part is reduced
+    return [
+        (2 * open_rank + closed_rank, merge_torsion(open_tors, closed_tors))
+        for (open_rank, open_tors), (closed_rank, closed_tors) in zip(
+            open_column, _homology(g, closed_bases)
+        )
+    ]
 
 
 def mh_rank(g: Graph, k: int, length: int) -> tuple[int, tuple[int, ...]]:
@@ -216,5 +311,13 @@ def mh_table(
 
 
 def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
-    """Do all groups with k != l vanish (rank and torsion) for l <= lmax?"""
-    return mh_table(g, lmax).is_diagonal()
+    """Do all groups with k != l vanish (rank and torsion) for l <= lmax?
+
+    Lengths are computed in increasing order, and the first one with a
+    nonzero off-diagonal group settles the answer.
+    """
+    for length in range(lmax + 1):
+        column = mh_column(g, length)
+        if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
+            return False
+    return True

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from maghom import parse_graph
+from maghom import from_edges, parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -61,3 +61,11 @@ def full_boundary(g, k, length):
     return boundary_matrix(
         g, enumerate_sequences(g, k, length), enumerate_sequences(g, k - 1, length)
     )
+
+
+def random_connected(rng, n):
+    """A random spanning tree on 1..n plus a random number of extra edges."""
+    edges = {tuple(sorted((v, rng.randrange(1, v)))) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges |= set(rng.sample(pairs, rng.randrange(len(pairs) // 2 + 1)))
+    return from_edges(sorted(edges), n=n)

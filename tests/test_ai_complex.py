@@ -109,6 +109,19 @@ def test_positions_are_cumulative_outside_subcomplex(g1, c4):
                 assert s[t - 1] == (seq[t], pos)
 
 
+def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
+    # K' by its definition: the completed sequence is shorter than l
+    for g in (c4, g1, g2, g3):
+        for a, b in ((1, 1), (1, 3), (2, 5), (4, 2)):
+            if b > g.n:
+                continue
+            for ell in (3, 4, 5):
+                pair = build_pair(g, a, b, ell)
+                short = {s for s in pair.complex if subsequence_length(g, a, b, s) < ell}
+                assert pair.subcomplex == short
+                assert set(pair.cells) == pair.complex - short
+
+
 def test_lower_length_complex_sits_inside_subcomplex(g1):
     # needs every edge on a triangle, which holds in this fixture
     for a, b in ((1, 1), (1, 4), (2, 5)):

@@ -109,6 +109,16 @@ def test_pawful_command(capsys):
     assert out.strip() == "pawful: false (triple 3,1,4 has no common neighbor)"
 
 
+@pytest.mark.parametrize("command", ["morse", "match"])
+def test_non_pawful_certificate_error(capsys, command):
+    choice = ["--matching", "pawful"] if command == "morse" else ["--pawful"]
+    code, out, err = run(
+        capsys, command, FIXTURES / "G1", "--a", 1, "--b", 3, "--ell", 4, *choice
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: graph is not pawful: triple (3, 1, 4) has no common neighbor\n"
+
+
 def test_s_structure_search_exhausted(capsys):
     code, out, _ = run(capsys, "s-structure", FIXTURES / "G2", "--search")
     assert code == 0

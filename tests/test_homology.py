@@ -1,5 +1,9 @@
+import random
+from collections import defaultdict
+from itertools import product
+
 import pytest
-from conftest import full_boundary
+from conftest import full_boundary, random_connected
 
 from maghom import (
     complete_graph,
@@ -11,8 +15,9 @@ from maghom import (
     path_graph,
     star_graph,
 )
+from maghom import homology
 from maghom.errors import BudgetExceeded
-from maghom.homology import is_smooth, sequence_length
+from maghom.homology import boundary_matrix, is_smooth, merge_torsion, mh_column, sequence_length
 from maghom.snf import sparse_matmul
 
 
@@ -173,3 +178,157 @@ def test_path_graph_tree_table():
     table = mh_table(path_graph(4), 3)
     assert table.is_diagonal()
     assert [table.rank(k, k) for k in range(4)] == [4, 6, 6, 6]
+
+
+# n <= 7, seeded; shared by the enumerator, boundary and direct-sum checks
+SMALL_GRAPHS = [random_connected(random.Random(seed), 2 + seed % 6) for seed in range(24)]
+
+
+def brute_force_sequences(g, k):
+    """Every degree-k sequence, lexicographically, keyed by its length."""
+    by_length = defaultdict(list)
+    for seq in product(g.vertices, repeat=k + 1):
+        if all(seq[i] != seq[i + 1] for i in range(k)):
+            by_length[sequence_length(g, seq)].append(seq)
+    return by_length
+
+
+def test_enumerator_matches_brute_force(g1, c4):
+    for g in [c4, g1] + SMALL_GRAPHS[:12]:
+        for k in range(6):
+            by_length = brute_force_sequences(g, k)
+            for length in range(6):
+                seqs = tuple(by_length[length])
+                assert enumerate_sequences(g, k, length) == seqs
+                half = tuple(x for x in seqs if x[0] <= x[-1])
+                assert enumerate_sequences(g, k, length, half=True) == half
+                by_ends = defaultdict(list)
+                for x in seqs:
+                    by_ends[(x[0], x[-1])].append(x)
+                for a, b in product(g.vertices, repeat=2):
+                    assert enumerate_sequences(g, k, length, (a, b)) == tuple(by_ends[(a, b)])
+
+
+def test_half_is_for_the_whole_complex(g1):
+    with pytest.raises(ValueError):
+        enumerate_sequences(g1, 2, 2, (1, 3), half=True)
+
+
+def test_basis_cap_is_exact(monkeypatch, g1):
+    # the cap bounds the full basis in every mode: half mode counts each
+    # open sequence for itself and its reversal
+    for k, length, ends in ((2, 2, None), (3, 4, None), (4, 5, (1, 3)), (3, 4, (2, 2))):
+        basis = enumerate_sequences(g1, k, length, ends)
+        half = enumerate_sequences(g1, k, length, half=True)
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(basis)))
+        assert enumerate_sequences(g1, k, length, ends) == basis
+        if ends is None:
+            assert enumerate_sequences(g1, k, length, half=True) == half
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(basis) - 1))
+        with pytest.raises(BudgetExceeded):
+            enumerate_sequences(g1, k, length, ends)
+        if ends is None:
+            with pytest.raises(BudgetExceeded):
+                enumerate_sequences(g1, k, length, half=True)
+        monkeypatch.delenv("MAGHOM_BASIS_CAP")
+
+
+def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
+    largest = max(len(enumerate_sequences(g1, k, 4)) for k in range(5))
+    column = mh_column(g1, 4)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", str(largest))
+    assert mh_column(g1, 4) == column
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", str(largest - 1))
+    with pytest.raises(BudgetExceeded):
+        mh_column(g1, 4)
+
+
+def test_boundary_matches_smooth_point_rule(g3):
+    # the inline smooth test agrees with is_smooth, position by position
+    for g in [g3] + SMALL_GRAPHS:
+        for length in range(2, 5):
+            for k in range(2, length + 1):
+                for half in (False, True):
+                    basis = enumerate_sequences(g, k, length, half=half)
+                    lower = enumerate_sequences(g, k - 1, length, half=half)
+                    index = {x: r for r, x in enumerate(lower)}
+                    expected = {
+                        (index[x[:i] + x[i + 1 :]], col): (-1) ** i
+                        for col, x in enumerate(basis)
+                        for i in range(1, k)
+                        if is_smooth(g, x, i)
+                    }
+                    assert boundary_matrix(g, basis, lower).entries == expected
+
+
+def invariant_factors(divisors):
+    """Invariant factors of the sum of the groups Z/d, by their primary parts."""
+    powers = defaultdict(list)  # prime -> its prime powers, one per divisor
+    for d in divisors:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers[p].append(q)
+            p += 1
+    width = max(map(len, powers.values()), default=0)
+    factors = [1] * width
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[width - 1 - i] *= q
+    return tuple(factors)
+
+
+def test_merge_torsion():
+    assert merge_torsion((2,), (3,)) == (2, 6)
+    assert merge_torsion((2, 4), ()) == (2, 2, 4, 4)
+    assert merge_torsion((), (3, 9)) == (3, 9)
+    assert merge_torsion((), ()) == ()
+    rng = random.Random(3)
+    for _ in range(200):
+        parts = []
+        for _ in range(2):
+            chain, d = [], 1
+            for _ in range(rng.randrange(4)):
+                d *= rng.choice((2, 3, 4, 5, 6, 9))
+                chain.append(d)
+            parts.append(tuple(chain))
+        open_part, closed_part = parts
+        expected = invariant_factors(open_part + open_part + closed_part)
+        assert merge_torsion(open_part, closed_part) == expected
+
+
+def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
+    # a second route to the halved complex: every ordered pair (a, b),
+    # b < a included, computed on its own and added up
+    for g in [c4, g1, g2, g3] + SMALL_GRAPHS[:20]:
+        table = mh_table(g, 5)
+        ranks = defaultdict(int)
+        torsion = defaultdict(list)
+        for a, b in product(g.vertices, repeat=2):
+            for cell, (rank, tors) in mh_table(g, 5, (a, b)).entries.items():
+                ranks[cell] += rank
+                torsion[cell] += tors
+        assert table.entries == {
+            cell: (ranks[cell], invariant_factors(torsion[cell])) for cell in ranks
+        }
+        assert is_diagonal_up_to(g, 5) == table.is_diagonal()
+
+
+def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, g3):
+    seen = []
+    column = homology.mh_column
+
+    def recorded(g, length, *rest):
+        seen.append(length)
+        return column(g, length, *rest)
+
+    monkeypatch.setattr(homology, "mh_column", recorded)
+    assert not is_diagonal_up_to(g3, 6)
+    assert seen == [0, 1, 2, 3]  # G3 is diagonal through length 2
+    seen.clear()
+    assert is_diagonal_up_to(g1, 3)
+    assert seen == [0, 1, 2, 3]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import random_connected
 
 from maghom import (
     complete_graph,
@@ -52,15 +53,7 @@ def _bareiss_dets(g):
     return _det_bareiss(z), _det_bareiss(bordered)
 
 
-def _random_connected(rng, n):
-    """A random spanning tree on 1..n plus a random number of extra edges."""
-    edges = {tuple(sorted((v, rng.randrange(1, v)))) for v in range(2, n + 1)}
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    edges |= set(rng.sample(pairs, rng.randrange(len(pairs) // 2 + 1)))
-    return from_edges(sorted(edges), n=n)
-
-
-RANDOM_GRAPHS = [_random_connected(random.Random(seed), 2 + seed % 8) for seed in range(30)]
+RANDOM_GRAPHS = [random_connected(random.Random(seed), 2 + seed % 8) for seed in range(30)]
 
 
 @pytest.fixture
