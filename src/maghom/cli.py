@@ -209,13 +209,7 @@ def _cmd_match(args) -> int:
 def _cmd_pawful(args) -> int:
     g = _load_graph(args.graph, args.format)
     w = is_pawful(g)
-    if w.verdict:
-        print("pawful: true")
-    elif w.far_pair:
-        print(f"pawful: false (vertices {w.far_pair} are at distance > 2)")
-    else:
-        x, y, z = w.violation
-        print(f"pawful: false (triple {x},{y},{z} has no common neighbor)")
+    print("pawful: true" if w.verdict else f"pawful: false ({w.reason()})")
     return 0
 
 

@@ -264,6 +264,13 @@ class PawfulWitness:
     violation: tuple[int, int, int] | None = None
     far_pair: tuple[int, int] | None = None
 
+    def reason(self) -> str:
+        """Why the graph is not pawful, in words (negative verdicts only)."""
+        if self.far_pair:
+            return f"vertices {self.far_pair} are at distance > 2"
+        x, y, z = self.violation
+        return f"triple {x},{y},{z} has no common neighbor"
+
 
 def is_pawful(g: Graph) -> PawfulWitness:
     """Diameter at most 2, and every (2,2,1)-triple has a common neighbor.

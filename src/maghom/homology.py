@@ -11,10 +11,11 @@ Reversal R(x_0, ..., x_k) = (x_k, ..., x_0) maps the (a, b) summand onto
 the (b, a) summand: position i of R(x) is smooth exactly when position
 k - i of x is, so the boundary satisfies dR = (-1)^k Rd in degree k, and
 R with the signs (-1)^(k(k+1)/2) is a chain isomorphism.  The whole
-complex is therefore built only on the sequences with x_0 <= x_k, as two
+complex is therefore built only on the sequences with x_0 <= x_k (the
+basis ``enumerate_sequences`` gives without endpoints), as two
 complexes: the open part (x_0 < x_k), which stands for itself and its
-reversal and counts with multiplicity 2, and the closed part (x_0 = x_k),
-which counts once.
+reversal and counts with multiplicity 2, and the closed part
+(x_0 = x_k), which counts once.
 """
 
 from __future__ import annotations
@@ -47,25 +48,19 @@ def is_smooth(g: Graph, points: tuple[int, ...], i: int) -> bool:
 
 
 def enumerate_sequences(
-    g: Graph,
-    k: int,
-    length: int,
-    endpoints: tuple[int, int] | None = None,
-    *,
-    half: bool = False,
+    g: Graph, k: int, length: int, endpoints: tuple[int, int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """All degree-k sequences of total length ``length``, lexicographically.
+    """Degree-k sequences of total length ``length``, lexicographically.
 
-    With ``endpoints=(a, b)`` only sequences starting at a and ending at b
-    are produced.  Without endpoints, ``half=True`` produces only those
-    with x_0 <= x_k: one of each pair related by reversal, and every
-    closed sequence.  Basis order is reproducible, since matrix snapshots
-    depend on it.  Enumeration aborts with BudgetExceeded as soon as the
-    full basis would outgrow the configured cap (in half mode an open
-    sequence counts twice), before memory does.
+    With ``endpoints=(a, b)`` these are all sequences starting at a and
+    ending at b.  Without endpoints they are those with x_0 <= x_k: one
+    of each pair related by reversal, and every closed sequence; the
+    others are their reversals.  Basis order is reproducible, since
+    matrix snapshots depend on it.  Enumeration aborts with
+    BudgetExceeded as soon as the full basis would outgrow the configured
+    cap (without endpoints an open sequence counts twice), before memory
+    does.
     """
-    if half and endpoints is not None:
-        raise ValueError("half=True enumerates the whole complex, not one summand")
     if k < 0 or length < 0:
         return ()
     if k == 0:
@@ -92,13 +87,38 @@ def enumerate_sequences(
     end = endpoints[1] if endpoints is not None else None
     out: list[tuple[int, ...]] = []
     size = 0  # of the full basis found so far
+    # following[((v, r), gaps)]: the stubs after v when `gaps` gaps add up
+    # to r; at most n * length * k lists of at most n stubs each
+    following: dict[tuple[tuple[int, int], int], list[tuple[int, int]]] = {}
 
-    def close(new: list[tuple[int, ...]]) -> None:
-        """Append the completed sequences ``new``, minding the cap."""
+    def extend(prefix: tuple[int, ...], stubs: list, gaps: int) -> None:
+        """Continue ``prefix`` by each stub (v, r): v, then ``gaps`` >= 1
+        gaps adding up to r.  The last vertex comes from a distance sphere."""
         nonlocal size
-        found = len(new)
-        if half:  # an open sequence stands for itself and its reversal
-            found += found - [x[-1] for x in new].count(first)
+        if gaps > 1:
+            for stub in stubs:
+                after = following.get((stub, gaps))
+                if after is None:  # later gaps are >= 1 and <= maxd, and end at `end`
+                    v, r = stub
+                    lo = r - (gaps - 1) * maxd
+                    hi = r - (gaps - 1)
+                    after = following[(stub, gaps)] = [
+                        (w, r - d)
+                        for w, d in others[v]
+                        if lo <= d <= hi and (end is None or dist[w][end] <= r - d)
+                    ]
+                if after:
+                    extend(prefix + (stub[0],), after, gaps - 1)
+            return
+        if end is not None:
+            new = [prefix + (v, end) for v, r in stubs if dist[v][end] == r]
+            found = len(new)
+        else:
+            new = [
+                prefix + (v, w) for v, r in stubs for w in spheres[v][r] if w >= first
+            ]
+            # an open sequence stands for itself and its reversal
+            found = 2 * len(new) - [x[-1] for x in new].count(first)
         if size + found > cap:
             raise BudgetExceeded(
                 f"degree-{k} length-{length} basis exceeds the cap of {cap}"
@@ -106,40 +126,8 @@ def enumerate_sequences(
         size += found
         out.extend(new)
 
-    def extend(prefix: tuple[int, ...], budget: int, gaps: int) -> None:
-        """Place the next vertex; ``gaps`` >= 2 gaps must add up to ``budget``."""
-        nxt = others[prefix[-1]]
-        # every later gap is >= 1 and <= maxd, and the last ends at `end`
-        lo = budget - (gaps - 1) * maxd
-        hi = budget - (gaps - 1)
-        if gaps > 2:
-            for v, d in nxt:
-                if lo <= d <= hi and (end is None or dist[v][end] <= budget - d):
-                    extend(prefix + (v,), budget - d, gaps - 1)
-        elif end is not None:
-            close([
-                prefix + (v, end)
-                for v, d in nxt
-                if lo <= d <= hi and dist[v][end] == budget - d
-            ])
-        else:  # the last vertex comes from a distance sphere
-            close([
-                prefix + (v, w)
-                for v, d in nxt
-                if lo <= d <= hi
-                for w in spheres[v][budget - d]
-                if not half or w >= first
-            ])
-
     for first in [endpoints[0]] if endpoints is not None else g.vertices:
-        if k > 1:
-            extend((first,), length, k)
-        else:
-            close([
-                (first, w)
-                for w in spheres[first][length]
-                if end in (None, w) and (not half or w >= first)
-            ])
+        extend((), [(first, length)], k)
     return tuple(out)
 
 
@@ -152,11 +140,12 @@ def boundary_matrix(
 
     The bases are degrees k and k-1 of one length and one set of
     endpoint pairs: from ``enumerate_sequences`` with the same length and
-    endpoints, or the open or the closed parts of its half bases.  Column
-    x picks up (-1)^i at the row of x with position i deleted, for every
-    smooth interior i (see ``is_smooth``); endpoints are kept.  A smooth
-    deletion can never produce equal consecutive entries, so target rows
-    always exist, and two deletions from one x never give the same row.
+    endpoints, or the open or the closed parts of its bases without
+    endpoints.  Column x picks up (-1)^i at the row of x with position i
+    deleted, for every smooth interior i (see ``is_smooth``); endpoints
+    are kept.  A smooth deletion can never produce equal consecutive
+    entries, so target rows always exist, and two deletions from one x
+    never give the same row.
     """
     dist = g.dist
     index = {x: r for r, x in enumerate(basis_lo)}
@@ -196,17 +185,15 @@ def merge_torsion(
 ) -> tuple[int, ...]:
     """Invariant factors of T_open + T_open + T_closed.
 
-    A sorted divisibility chain is already in Smith form; otherwise the
-    Smith form of the diagonal matrix of all divisors gives them.
+    They are the divisors of the Smith form of the diagonal matrix of all
+    the divisors.
 
     >>> merge_torsion((2,), (3,))
     (2, 6)
     >>> merge_torsion((2, 4), ())
     (2, 2, 4, 4)
     """
-    divisors = sorted(open_part + open_part + closed_part)
-    if all(b % a == 0 for a, b in zip(divisors, divisors[1:])):
-        return tuple(divisors)
+    divisors = open_part + open_part + closed_part
     n = len(divisors)
     diagonal = SparseMatrix({(i, i): d for i, d in enumerate(divisors)}, n, n)
     return smith_normal_form(diagonal).divisors
@@ -229,7 +216,7 @@ def mh_column(
         )
     open_bases, closed_bases = [], []
     for k in range(length + 1):
-        basis = enumerate_sequences(g, k, length, half=True)
+        basis = enumerate_sequences(g, k, length)
         open_bases.append(tuple(x for x in basis if x[0] != x[-1]))
         closed_bases.append(tuple(x for x in basis if x[0] == x[-1]))
     open_column = _homology(g, open_bases)

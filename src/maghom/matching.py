@@ -59,14 +59,8 @@ class SelectorMaps:
 
 def default_selectors(g: Graph) -> SelectorMaps:
     witness = is_pawful(g)
-    if witness.far_pair:
-        raise ValidationError(
-            f"graph is not pawful: vertices {witness.far_pair} are at distance > 2"
-        )
-    if witness.violation:
-        raise ValidationError(
-            f"graph is not pawful: triple {witness.violation} has no common neighbor"
-        )
+    if not witness.verdict:
+        raise ValidationError(f"graph is not pawful: {witness.reason()}")
     pair_mid = {}
     triple_mid = {}
     for x in g.vertices:

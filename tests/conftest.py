@@ -54,13 +54,20 @@ def encode_graph6(n, edges):
     return out
 
 
+def full_basis(g, k, length):
+    """The whole degree-k, length-l basis in lexicographic order: the
+    sequences with x_0 <= x_k and the reversals of the open ones."""
+    from maghom import enumerate_sequences
+
+    half = enumerate_sequences(g, k, length)
+    return tuple(sorted(half + tuple(x[::-1] for x in half if x[0] != x[-1])))
+
+
 def full_boundary(g, k, length):
     """The degree-k boundary matrix of the whole length-l complex."""
-    from maghom import boundary_matrix, enumerate_sequences
+    from maghom import boundary_matrix
 
-    return boundary_matrix(
-        g, enumerate_sequences(g, k, length), enumerate_sequences(g, k - 1, length)
-    )
+    return boundary_matrix(g, full_basis(g, k, length), full_basis(g, k - 1, length))
 
 
 def random_connected(rng, n):

@@ -116,7 +116,7 @@ def test_non_pawful_certificate_error(capsys, command):
         capsys, command, FIXTURES / "G1", "--a", 1, "--b", 3, "--ell", 4, *choice
     )
     assert (code, out) == (1, "")
-    assert err == "error: graph is not pawful: triple (3, 1, 4) has no common neighbor\n"
+    assert err == "error: graph is not pawful: triple 3,1,4 has no common neighbor\n"
 
 
 def test_s_structure_search_exhausted(capsys):

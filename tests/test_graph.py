@@ -203,6 +203,11 @@ def test_pawful_far_pair():
     assert w.violation is None
 
 
+def test_pawful_witness_reason(g1):
+    assert is_pawful(path_graph(4)).reason() == "vertices (1, 4) are at distance > 2"
+    assert is_pawful(g1).reason() == "triple 3,1,4 has no common neighbor"
+
+
 def test_ahk_check(g3):
     assert ahk_edge_cycle_check(complete_graph(4)) == (True, None)
     assert ahk_edge_cycle_check(g3) == (True, None)

@@ -3,7 +3,7 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
-from conftest import full_boundary, random_connected
+from conftest import full_basis, full_boundary, random_connected
 
 from maghom import (
     complete_graph,
@@ -47,7 +47,7 @@ def test_enumerate_endpoint_restriction(g2):
 
 def test_boundary_zero_column_for_non_smooth(c4):
     # (u, v, u) has a non-smooth middle: d(u, u) = 0 but the gaps sum to 2
-    basis = enumerate_sequences(c4, 2, 2)
+    basis = full_basis(c4, 2, 2)
     mat = full_boundary(c4, 2, 2)
     col = basis.index((1, 2, 1))
     assert not is_smooth(c4, (1, 2, 1), 1)
@@ -157,8 +157,8 @@ def test_basis_cap(monkeypatch, g1):
 def test_basis_cap_applies_to_a_repeated_call(monkeypatch, g1):
     # the degree-1 basis at length 2 fits under the cap and the degree-2
     # one does not; an earlier uncapped call must not let a capped one by
-    cap = len(enumerate_sequences(g1, 1, 2))
-    assert len(enumerate_sequences(g1, 2, 2)) > cap
+    cap = len(full_basis(g1, 1, 2))
+    assert len(full_basis(g1, 2, 2)) > cap
     assert mh_rank(g1, 1, 2) == (0, ())
     monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
     with pytest.raises(BudgetExceeded):
@@ -199,9 +199,9 @@ def test_enumerator_matches_brute_force(g1, c4):
             by_length = brute_force_sequences(g, k)
             for length in range(6):
                 seqs = tuple(by_length[length])
-                assert enumerate_sequences(g, k, length) == seqs
                 half = tuple(x for x in seqs if x[0] <= x[-1])
-                assert enumerate_sequences(g, k, length, half=True) == half
+                assert enumerate_sequences(g, k, length) == half
+                assert full_basis(g, k, length) == seqs
                 by_ends = defaultdict(list)
                 for x in seqs:
                     by_ends[(x[0], x[-1])].append(x)
@@ -209,32 +209,24 @@ def test_enumerator_matches_brute_force(g1, c4):
                     assert enumerate_sequences(g, k, length, (a, b)) == tuple(by_ends[(a, b)])
 
 
-def test_half_is_for_the_whole_complex(g1):
-    with pytest.raises(ValueError):
-        enumerate_sequences(g1, 2, 2, (1, 3), half=True)
-
-
 def test_basis_cap_is_exact(monkeypatch, g1):
-    # the cap bounds the full basis in every mode: half mode counts each
-    # open sequence for itself and its reversal
-    for k, length, ends in ((2, 2, None), (3, 4, None), (4, 5, (1, 3)), (3, 4, (2, 2))):
+    # the cap bounds the full basis: without endpoints each open sequence
+    # counts for itself and its reversal
+    for k, length, ends in (
+        (1, 2, None), (2, 2, None), (3, 4, None), (4, 5, (1, 3)), (3, 4, (2, 2))
+    ):
         basis = enumerate_sequences(g1, k, length, ends)
-        half = enumerate_sequences(g1, k, length, half=True)
-        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(basis)))
+        full = basis if ends else full_basis(g1, k, length)
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(full)))
         assert enumerate_sequences(g1, k, length, ends) == basis
-        if ends is None:
-            assert enumerate_sequences(g1, k, length, half=True) == half
-        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(basis) - 1))
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(full) - 1))
         with pytest.raises(BudgetExceeded):
             enumerate_sequences(g1, k, length, ends)
-        if ends is None:
-            with pytest.raises(BudgetExceeded):
-                enumerate_sequences(g1, k, length, half=True)
         monkeypatch.delenv("MAGHOM_BASIS_CAP")
 
 
 def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
-    largest = max(len(enumerate_sequences(g1, k, 4)) for k in range(5))
+    largest = max(len(full_basis(g1, k, 4)) for k in range(5))
     column = mh_column(g1, 4)
     monkeypatch.setenv("MAGHOM_BASIS_CAP", str(largest))
     assert mh_column(g1, 4) == column
@@ -248,9 +240,9 @@ def test_boundary_matches_smooth_point_rule(g3):
     for g in [g3] + SMALL_GRAPHS:
         for length in range(2, 5):
             for k in range(2, length + 1):
-                for half in (False, True):
-                    basis = enumerate_sequences(g, k, length, half=half)
-                    lower = enumerate_sequences(g, k - 1, length, half=half)
+                for bases in (full_basis, enumerate_sequences):
+                    basis = bases(g, k, length)
+                    lower = bases(g, k - 1, length)
                     index = {x: r for r, x in enumerate(lower)}
                     expected = {
                         (index[x[:i] + x[i + 1 :]], col): (-1) ** i
