@@ -9,6 +9,11 @@ l.  The relative homology of (K, K') recovers the (a, b) summand of
 magnitude homology with a degree shift of two, which is what
 ``verify_correspondence`` checks numerically.
 
+A simplex lies outside K' exactly when every gap is geodesic, its
+positions the cumulative distances from a: ``relative_complex`` builds
+these cells from the sequence enumerator, and ``path_complex`` builds K
+from the edge paths only where K itself is reported or checked.
+
 A simplex is stored as a tuple of (vertex, position) pairs sorted by
 position; that ordering fixes the boundary orientation.
 """
@@ -38,49 +43,43 @@ def subsequence_length(g: Graph, a: int, b: int, simplex: Simplex) -> int:
 
 
 @dataclass(frozen=True)
-class SimplicialPair:
-    """K together with its subcomplex K', both closed under nonempty faces.
+class RelativeComplex:
+    """The simplices of K_l(a,b) outside K'_l(a,b).
 
-    ``cells`` holds the simplices of K outside K', sorted by dimension
-    then lexicographically: the basis of the relative chain complex and
-    the cell set of the Morse matching.
+    ``cells`` is sorted by dimension then lexicographically: the basis of
+    the relative chain complex and the cell set of the Morse matching.
     """
 
     a: int
     b: int
     length: int
-    complex: frozenset[Simplex]
-    subcomplex: frozenset[Simplex]
     cells: tuple[Simplex, ...]
 
-    def f_vector(self) -> tuple[int, ...]:
-        """Face counts of K by dimension."""
-        top = max((len(s) for s in self.complex), default=0)
-        counts = [0] * top
-        for s in self.complex:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
 
+def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
+    """The cells of K_l(a,b) outside K'_l(a,b), from the sequence enumerator.
 
-def _all_gaps_geodesic(g: Graph, a: int, b: int, length: int, simplex: Simplex) -> bool:
-    """Does the completed sequence of a cell of K_l(a,b) have length l?
-
-    A gap between positions i < j spans j - i edges of a path, so its
-    distance is at most j - i; the total is l exactly when every gap
-    attains it.  Same as ``subsequence_length(...) == length`` on cells
-    of K, stopping at the first short gap.
+    The cells with k - 1 vertices are the degree-k, length-l sequences
+    from a to b, each interior vertex at its cumulative distance from a.
+    A position depends only on the vertex prefix, so sequence order is
+    cell order.
     """
+    if length < 3:
+        raise ValidationError("path-pair complexes need length >= 3")
     dist = g.dist
-    prev, at = a, 0
-    for v, i in simplex:
-        if dist[prev][v] != i - at:
-            return False
-        prev, at = v, i
-    return dist[prev][b] == length - at
+    cells = []
+    for k in range(2, length + 1):
+        for seq in enumerate_sequences(g, k, length, (a, b)):
+            at, cell = 0, []
+            for u, v in zip(seq, seq[1:-1]):
+                at += dist[u][v]
+                cell.append((v, at))
+            cells.append(tuple(cell))
+    return RelativeComplex(a, b, length, tuple(cells))
 
 
-def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
-    """Enumerate K_l(a,b) and K'_l(a,b) from the length-l edge paths.
+def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
+    """K_l(a,b): the nonempty subsets of the interiors of length-l edge paths.
 
     The edge paths are the degree-l, length-l sequences from a to b:
     each of their l gaps is a single edge.
@@ -92,10 +91,15 @@ def build_pair(g: Graph, a: int, b: int, length: int) -> SimplicialPair:
         interior = tuple((path[i], i) for i in range(1, length))
         for r in range(1, length):
             full.update(combinations(interior, r))
-    outside = [s for s in full if _all_gaps_geodesic(g, a, b, length, s)]
-    sub = frozenset(full.difference(outside))
-    cells = tuple(sorted(outside, key=lambda s: (len(s), s)))
-    return SimplicialPair(a, b, length, frozenset(full), sub, cells)
+    return frozenset(full)
+
+
+def f_vector(simplices) -> tuple[int, ...]:
+    """Face counts by dimension."""
+    counts = [0] * max(map(len, simplices), default=0)
+    for s in simplices:
+        counts[len(s) - 1] += 1
+    return tuple(counts)
 
 
 def faces(s: Simplex) -> Iterator[tuple[Simplex, int]]:
@@ -143,7 +147,7 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     return dims, maps()
 
 
-def relative_homology(pair: SimplicialPair) -> list[tuple[int, tuple[int, ...]]]:
+def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the quotient chain complex, degrees 0 .. length-2.
 
     Cells are the simplices of K outside K'; boundary faces that fall
@@ -180,9 +184,12 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
     For k >= 3 the degree k group must match relative degree k-2; the
     k = 2 group matches relative degree 0 when d(a,b) < l, and the
     reduced degree-0 homology of K when d(a,b) = l.  Both sides are
-    computed from scratch by their own pipelines.
+    computed from scratch by their own pipelines; the relative side
+    filters K by ``subsequence_length`` instead of ``relative_complex``.
     """
-    pair = build_pair(g, a, b, length)
+    full = path_complex(g, a, b, length)
+    cells = [s for s in full if subsequence_length(g, a, b, s) == length]
+    pair = RelativeComplex(a, b, length, tuple(sorted(cells, key=lambda s: (len(s), s))))
     rel = relative_homology(pair)
     column = mh_column(g, length, (a, b))
     per: dict[int, tuple[bool, tuple, tuple]] = {}
@@ -192,7 +199,7 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
         if k >= 3:
             rhs = rel[k - 2]
         elif g.dist[a][b] == length:
-            red = reduced_homology(pair.complex)
+            red = reduced_homology(full)
             rhs = red[0] if red else (0, ())
         else:
             rhs = rel[0]

@@ -117,13 +117,14 @@ def _cmd_mh_table(args) -> int:
 def _cmd_ai_complex(args) -> int:
     g = _load_graph(args.graph, args.format)
     _require_vertices(g, args.a, args.b)
-    pair = aic.build_pair(g, args.a, args.b, args.ell)
+    pair = aic.relative_complex(g, args.a, args.b, args.ell)
+    full = aic.path_complex(g, args.a, args.b, args.ell)
     payload: dict = {
         "a": args.a,
         "b": args.b,
         "ell": args.ell,
-        "f_vector": list(pair.f_vector()),
-        "subcomplex_size": len(pair.subcomplex),
+        "f_vector": list(aic.f_vector(full)),
+        "subcomplex_size": len(full) - len(pair.cells),
         "quotient_cells": len(pair.cells),
     }
     if args.homology:
@@ -132,15 +133,16 @@ def _cmd_ai_complex(args) -> int:
             {"degree": d, "rank": r, "torsion": list(t)} for d, (r, t) in enumerate(rel)
         ]
     if args.list_faces:
+        cells = set(pair.cells)
         payload["faces"] = [
-            {"simplex": [list(p) for p in s], "in_subcomplex": s in pair.subcomplex}
-            for s in sorted(pair.complex, key=lambda s: (len(s), s))
+            {"simplex": [list(p) for p in s], "in_subcomplex": s not in cells}
+            for s in sorted(full, key=lambda s: (len(s), s))
         ]
     if args.json:
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"K_{args.ell}({args.a},{args.b}): f-vector {pair.f_vector()}, "
-          f"|K'| = {len(pair.subcomplex)}, cells outside K' = {payload['quotient_cells']}")
+    print(f"K_{args.ell}({args.a},{args.b}): f-vector {tuple(payload['f_vector'])}, "
+          f"|K'| = {payload['subcomplex_size']}, cells outside K' = {payload['quotient_cells']}")
     if args.homology:
         for entry in payload["relative_homology"]:
             print(f"  H_{entry['degree']}(K, K') rank {entry['rank']} "
@@ -154,19 +156,19 @@ def _cmd_ai_complex(args) -> int:
 
 def _build_matching_from_args(
     g: Graph, args, s_path: str | None
-) -> tuple[aic.SimplicialPair, mt.MatchingBuild]:
+) -> tuple[aic.RelativeComplex, mt.MatchingBuild]:
     _require_vertices(g, args.a, args.b)
     if s_path:
         with open(s_path) as fh:
             cert = mt.parse_s(fh.read(), g)
     else:
         cert = mt.build_pawful_S(g)
-    pair = aic.build_pair(g, args.a, args.b, args.ell)
+    pair = aic.relative_complex(g, args.a, args.b, args.ell)
     return pair, mt.build_matching(g, pair, cert)
 
 
 def _matching_report(
-    pair: aic.SimplicialPair, build: mt.MatchingBuild
+    pair: aic.RelativeComplex, build: mt.MatchingBuild
 ) -> tuple[bool, list[str]]:
     ok_match, why_match = ms.verify_matching(pair.cells, build.matching)
     ok_acyclic, cycle = ms.is_acyclic(pair.cells, build.matching)

@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from math import inf
 
-from .ai_complex import Simplex, SimplicialPair, simplex_to_sequence
+from .ai_complex import RelativeComplex, Simplex, simplex_to_sequence
 from .errors import (
     BudgetExceeded,
     CertificateError,
@@ -190,10 +190,10 @@ class MatchingBuild:
     critical: tuple[Simplex, ...]    # untouched cells
 
 
-def build_matching(g: Graph, pair: SimplicialPair, s: SStructure) -> MatchingBuild:
+def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
-    ``pair`` is ``build_pair(g, a, b, l)``.  Gap-first cells get the
+    ``pair`` is ``relative_complex(g, a, b, l)``.  Gap-first cells get the
     certificate's middle vertex inserted right after the gap start
     (position +1, the unique choice that keeps positions cumulative);
     pattern-first cells lose the vertex after the pattern start.  Both

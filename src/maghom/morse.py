@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ai_complex import Simplex, SimplicialPair, faces, relative_homology
+from .ai_complex import RelativeComplex, Simplex, faces, relative_homology
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def critical_cells(cells, matching: Matching) -> list[tuple[Simplex, int]]:
     return [(c, len(c) - 1) for c in cells if c not in matched]
 
 
-def morse_rank_check(pair: SimplicialPair, matching: Matching) -> tuple[bool, str]:
+def morse_rank_check(pair: RelativeComplex, matching: Matching) -> tuple[bool, str]:
     """Homological consequence of an acyclic matching on K_l \\ K'_l.
 
     With every critical cell in the top dimension l-2, the relative

@@ -25,18 +25,8 @@ class SparseMatrix:
     nrows: int
     ncols: int
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix({(c, r): v for (r, c), v in self.entries.items()},
-                            self.ncols, self.nrows)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def to_dense(self) -> list[list[int]]:
-        m = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            m[r][c] = v
-        return m
 
     @staticmethod
     def from_dense(rows) -> "SparseMatrix":

@@ -1,10 +1,16 @@
+import random
 from itertools import product
+
+import pytest
+from conftest import random_connected
 
 from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_ab, path_graph
 from maghom.ai_complex import (
-    build_pair,
+    f_vector,
     is_closed_under_faces,
+    path_complex,
     reduced_homology,
+    relative_complex,
     relative_homology,
     simplex_to_sequence,
     subsequence_length,
@@ -37,8 +43,9 @@ def test_enumerate_paths_match_brute_force(g1, g2):
 
 
 def test_c4_pair_worked_example(c4):
-    pair = build_pair(c4, 1, 1, 4)
-    assert pair.f_vector() == (6, 12, 8)
+    pair = relative_complex(c4, 1, 1, 4)
+    full = path_complex(c4, 1, 1, 4)
+    assert f_vector(full) == (6, 12, 8)
     expected_sub = {
         ((2, 1),), ((1, 2),), ((2, 3),), ((4, 3),), ((4, 1),),
         ((1, 2), (2, 3)),
@@ -48,15 +55,16 @@ def test_c4_pair_worked_example(c4):
         ((4, 1), (1, 2)),
         ((4, 1), (4, 3)),
     }
-    assert pair.subcomplex == expected_sub
+    assert full - set(pair.cells) == expected_sub
 
 
 def test_pairs_closed_under_faces(g1, c4):
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 4, 3), (g1, 2, 2, 4)):
-        pair = build_pair(g, a, b, ell)
-        assert is_closed_under_faces(pair.complex)
-        assert is_closed_under_faces(pair.subcomplex)
-        assert pair.subcomplex <= pair.complex
+        full = path_complex(g, a, b, ell)
+        sub = full - set(relative_complex(g, a, b, ell).cells)
+        assert is_closed_under_faces(full)
+        assert is_closed_under_faces(sub)
+        assert sub <= full
 
 
 def test_complete_graph_maximal_boundaries_inside_subcomplex():
@@ -64,12 +72,13 @@ def test_complete_graph_maximal_boundaries_inside_subcomplex():
         g = complete_graph(n)
         for a in (1,):
             for b in (1, 2):
-                pair = build_pair(g, a, b, 3)
-                top = [s for s in pair.complex if len(s) == 2]
+                full = path_complex(g, a, b, 3)
+                sub = full - set(relative_complex(g, a, b, 3).cells)
+                top = [s for s in full if len(s) == 2]
                 assert top, "expected maximal faces"
                 for s in top:
                     for i in range(2):
-                        assert (s[:i] + s[i + 1 :]) in pair.subcomplex
+                        assert (s[:i] + s[i + 1 :]) in sub
 
 
 def test_membership_against_subset_oracle():
@@ -93,14 +102,12 @@ def test_membership_against_subset_oracle():
             cand = tuple(sorted(cand, key=lambda vp: vp[1]))
             if any(all(path[p] == v for v, p in cand) for path in paths):
                 oracle.add(cand)
-    pair = build_pair(g, a, b, ell)
-    assert pair.complex == oracle
+    assert path_complex(g, a, b, ell) == oracle
 
 
 def test_positions_are_cumulative_outside_subcomplex(g1, c4):
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 1, 3), (g1, 2, 5, 4)):
-        pair = build_pair(g, a, b, ell)
-        for s in pair.complex - pair.subcomplex:
+        for s in relative_complex(g, a, b, ell).cells:
             seq = simplex_to_sequence(a, b, s)
             assert subsequence_length(g, a, b, s) == ell
             pos = 0
@@ -116,30 +123,44 @@ def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
             if b > g.n:
                 continue
             for ell in (3, 4, 5):
-                pair = build_pair(g, a, b, ell)
-                short = {s for s in pair.complex if subsequence_length(g, a, b, s) < ell}
-                assert pair.subcomplex == short
-                assert set(pair.cells) == pair.complex - short
+                full = path_complex(g, a, b, ell)
+                cells = relative_complex(g, a, b, ell).cells
+                short = {s for s in full if subsequence_length(g, a, b, s) < ell}
+                assert full - set(cells) == short
+                assert set(cells) == full - short
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_direct_cells_are_the_full_length_simplices_of_k(seed):
+    # the two routes to the cells, in the same order, on every endpoint pair
+    g = random_connected(random.Random(seed), 4 + seed % 4)
+    for a in g.vertices:
+        for b in g.vertices:
+            for ell in (3, 4, 5):
+                full = path_complex(g, a, b, ell)
+                kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
+                expected = sorted(kept, key=lambda s: (len(s), s))
+                assert list(relative_complex(g, a, b, ell).cells) == expected
 
 
 def test_lower_length_complex_sits_inside_subcomplex(g1):
     # needs every edge on a triangle, which holds in this fixture
     for a, b in ((1, 1), (1, 4), (2, 5)):
-        shorter = build_pair(g1, a, b, 3)
-        pair = build_pair(g1, a, b, 4)
-        assert shorter.complex <= pair.subcomplex
-        assert shorter.complex < pair.subcomplex  # strict on this fixture
+        shorter = path_complex(g1, a, b, 3)
+        sub = path_complex(g1, a, b, 4) - set(relative_complex(g1, a, b, 4).cells)
+        assert shorter <= sub
+        assert shorter < sub  # strict on this fixture
 
 
 def test_relative_homology_c4(c4):
-    pair = build_pair(c4, 1, 1, 4)
+    pair = relative_complex(c4, 1, 1, 4)
     assert relative_homology(pair) == [(0, ()), (0, ()), (3, ())]
 
 
 def test_relative_homology_empty_pair(c4):
     # bipartite parity: no odd-to-even paths, so K is empty
-    pair = build_pair(c4, 1, 2, 4)
-    assert not pair.complex
+    pair = relative_complex(c4, 1, 2, 4)
+    assert not path_complex(c4, 1, 2, 4)
     assert relative_homology(pair) == [(0, ()), (0, ()), (0, ())]
 
 
@@ -147,7 +168,7 @@ def test_relative_boundary_squares_to_zero(g1):
     from maghom.ai_complex import cell_boundaries
     from maghom.snf import sparse_matmul
 
-    pair = build_pair(g1, 1, 1, 4)
+    pair = relative_complex(g1, 1, 1, 4)
     dims, maps = cell_boundaries(pair.cells)
     boundaries = dict(maps)
     for d in range(3, len(dims)):  # slot d holds the cells of dimension d - 1
@@ -160,8 +181,7 @@ def test_augmented_boundary_squares_to_zero(g1, c4):
     from maghom.snf import sparse_matmul
 
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 1, 4), (g1, 2, 4, 4)):
-        pair = build_pair(g, a, b, ell)
-        dims, maps = cell_boundaries([()] + sorted(pair.complex))
+        dims, maps = cell_boundaries([()] + sorted(path_complex(g, a, b, ell)))
         boundaries = dict(maps)
         # the augmentation sends every vertex to the empty simplex
         assert dims[0] == 1
@@ -170,7 +190,7 @@ def test_augmented_boundary_squares_to_zero(g1, c4):
             assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
 
 def test_euler_characteristic_of_quotient(g1):
-    pair = build_pair(g1, 2, 4, 4)
+    pair = relative_complex(g1, 2, 4, 4)
     cells = pair.cells
     chi = sum((-1) ** (len(s) - 1) for s in cells)
     rel = relative_homology(pair)
@@ -186,8 +206,7 @@ def test_reduced_homology_basics():
 
 
 def test_reduced_homology_octahedron(c4):
-    pair = build_pair(c4, 1, 1, 4)
-    assert reduced_homology(pair.complex) == [(0, ()), (0, ()), (1, ())]
+    assert reduced_homology(path_complex(c4, 1, 1, 4)) == [(0, ()), (0, ()), (1, ())]
 
 
 def test_correspondence_c4(c4):
@@ -226,7 +245,7 @@ def test_g2_total_relative_rank_is_diagonal_rank(g2):
     total = 0
     for a in g2.vertices:
         for b in g2.vertices:
-            rel = relative_homology(build_pair(g2, a, b, 3))
+            rel = relative_homology(relative_complex(g2, a, b, 3))
             total += rel[1][0]
             assert rel[0] == (0, ())
     assert total == 38
@@ -235,5 +254,5 @@ def test_g2_total_relative_rank_is_diagonal_rank(g2):
 def test_correspondence_agreement_uses_both_sides(g2):
     # spot check that the two sides are computed by different pipelines
     lhs = mh_ab(g2, 1, 3, 3, 3)
-    rhs = relative_homology(build_pair(g2, 1, 3, 3))[1]
+    rhs = relative_homology(relative_complex(g2, 1, 3, 3))[1]
     assert lhs == rhs

@@ -220,24 +220,40 @@ def test_classify_streams_stdin(capsys, monkeypatch, g1, g2):
     assert [(r["index"], r["n"]) for r in records] == [(1, g1.n), (4, g2.n)]
 
 
+@pytest.mark.parametrize("cap, code", [(40, 0), (39, 2)])
+def test_basis_cap_bounds_each_degree_of_cells(capsys, monkeypatch, cap, code):
+    # C4 (1,3) at l = 6: 40 cells of degree 5, the largest list, from 32 edge paths
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
+    got, out, err = run(
+        capsys, "morse", FIXTURES / "C4", "--a", 1, "--b", 3, "--ell", 6,
+        "--matching", "pawful",
+    )
+    assert got == code
+    if code:
+        assert "degree-5 length-6 basis exceeds the cap of 39" in out + err
+    else:
+        assert out == "homology model: ok, 3 critical cells in dimension 4\n"
+
+
 @pytest.mark.parametrize("command", ["morse", "match"])
 def test_one_pair_per_matching_command(capsys, monkeypatch, command):
     calls = []
-    build_pair = ai_complex.build_pair
+    for builder in ("relative_complex", "path_complex"):
+        original = getattr(ai_complex, builder)
 
-    def counted(*args):
-        calls.append(args)
-        return build_pair(*args)
+        def counted(*args, builder=builder, original=original):
+            calls.append(builder)
+            return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("maghom") and getattr(module, "build_pair", None) is build_pair:
-            monkeypatch.setattr(module, "build_pair", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("maghom") and getattr(module, builder, None) is original:
+                monkeypatch.setattr(module, builder, counted)
     choice = ["--matching", "pawful"] if command == "morse" else ["--pawful"]
     code, out, _ = run(
         capsys, command, FIXTURES / "C4", "--a", 1, "--b", 1, "--ell", 4, *choice
     )
     assert code == 0 and "3 critical cells in dimension 2" in out
-    assert len(calls) == 1
+    assert calls == ["relative_complex"]
 
 
 def test_missing_file(capsys):

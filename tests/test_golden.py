@@ -28,8 +28,12 @@ CASES = {
     "mh_table_tsv": ["mh-table", F / "G1", "--lmax", "4"],
     "ai_complex": ["ai-complex", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
                    "--homology", "--list-faces"],
+    "ai_complex_g1": ["ai-complex", F / "G1", "--a", "2", "--b", "5", "--ell", "4",
+                      "--json", "--homology", "--list-faces"],
     "morse_report": ["morse", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
                      "--matching", "pawful", "--report"],
+    "morse_report_g1": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "7",
+                        "--matching", F / "G1.sstruct", "--report"],
     "morse_certificate": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
                           "--matching", F / "G1.sstruct"],
     "match_s": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",

@@ -3,7 +3,7 @@ from math import inf
 import pytest
 
 from maghom import complete_graph
-from maghom.ai_complex import build_pair
+from maghom.ai_complex import relative_complex
 from maghom.errors import (
     BudgetExceeded,
     CertificateError,
@@ -94,19 +94,19 @@ def test_sequence_indices_triple_override_flag(g1):
 
 def test_build_matching_c4(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, build_pair(c4, 1, 1, 4), s)
+    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
     assert len(build.matching) == 6
     assert len(build.critical) == 3
     assert all(len(c) - 1 == 2 for c in build.critical)
-    poset = build_pair(c4, 1, 1, 4).cells
+    poset = relative_complex(c4, 1, 1, 4).cells
     assert verify_matching(poset, build.matching)[0]
     assert is_acyclic(poset, build.matching)[0]
 
 
 def test_build_matching_partitions_cells(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, build_pair(c4, 1, 1, 4), s)
-    cells = build_pair(c4, 1, 1, 4).cells
+    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
+    cells = relative_complex(c4, 1, 1, 4).cells
     groups = set(build.inserted) | set(build.deleted) | set(build.critical)
     assert groups == set(cells)
     assert len(build.inserted) == len(build.deleted) == len(build.matching)
@@ -117,24 +117,24 @@ def test_build_matching_complete_graphs():
         g = complete_graph(n)
         s = build_pawful_S(g)
         for a, b in ((1, 2), (2, 2)):
-            build = build_matching(g, build_pair(g, a, b, ell), s)
+            build = build_matching(g, relative_complex(g, a, b, ell), s)
             assert not build.matching.pairs  # nothing to pair: no gaps, no patterns
             assert all(len(c) - 1 == ell - 2 for c in build.critical)
-            assert morse_rank_check(build_pair(g, a, b, ell), build.matching)[0]
+            assert morse_rank_check(relative_complex(g, a, b, ell), build.matching)[0]
 
 
 def test_build_matching_rejects_incomplete_certificate(c4):
     s = build_pawful_S(c4)
     crippled = SStructure(s.quads, frozenset(t for t in s.triples if t != (1, 2, 3)))
     with pytest.raises(CertificateError):
-        build_matching(c4, build_pair(c4, 1, 1, 4), crippled)
+        build_matching(c4, relative_complex(c4, 1, 1, 4), crippled)
 
 
 def test_build_matching_g1_certificate(g1, g1_cert):
     for ell in (3, 4):
         for a, b in ((1, 1), (1, 4), (3, 5), (6, 6)):
-            build = build_matching(g1, build_pair(g1, a, b, ell), g1_cert)
-            poset = build_pair(g1, a, b, ell).cells
+            build = build_matching(g1, relative_complex(g1, a, b, ell), g1_cert)
+            poset = relative_complex(g1, a, b, ell).cells
             assert verify_matching(poset, build.matching)[0]
             assert is_acyclic(poset, build.matching)[0]
             assert all(len(c) - 1 == ell - 2 for c in build.critical)
@@ -271,4 +271,4 @@ def test_diameter_guards(g1):
     with pytest.raises(ValidationError):
         search_structure(p4)
     with pytest.raises(ValidationError):
-        build_matching(p4, build_pair(p4, 1, 4, 3), SStructure(frozenset(), frozenset()))
+        build_matching(p4, relative_complex(p4, 1, 4, 3), SStructure(frozenset(), frozenset()))

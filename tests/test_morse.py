@@ -1,5 +1,5 @@
 from maghom import complete_graph
-from maghom.ai_complex import build_pair, faces
+from maghom.ai_complex import faces, relative_complex
 from maghom.matching import build_matching, build_pawful_S
 from maghom.morse import (
     Matching,
@@ -83,20 +83,20 @@ def test_critical_cells_partition():
 
 def test_morse_rank_check_c4(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, build_pair(c4, 1, 1, 4), s)
-    ok, detail = morse_rank_check(build_pair(c4, 1, 1, 4), build.matching)
+    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
+    ok, detail = morse_rank_check(relative_complex(c4, 1, 1, 4), build.matching)
     assert ok and "3 critical" in detail
 
 
 def test_morse_rank_check_rejects_empty_matching(c4):
     # with nothing matched there are critical cells in low dimensions
-    ok, detail = morse_rank_check(build_pair(c4, 1, 1, 4), Matching(frozenset()))
+    ok, detail = morse_rank_check(relative_complex(c4, 1, 1, 4), Matching(frozenset()))
     assert not ok and "off dimension" in detail
 
 
 def test_morse_rank_check_vacuous_empty_poset(c4):
     # no odd-length closed paths in a bipartite graph: empty cell set
-    ok, _ = morse_rank_check(build_pair(c4, 1, 2, 4), Matching(frozenset()))
+    ok, _ = morse_rank_check(relative_complex(c4, 1, 2, 4), Matching(frozenset()))
     assert ok
 
 
@@ -104,10 +104,10 @@ def test_critical_count_equals_relative_rank_complete_graph():
     g = complete_graph(4)
     s = build_pawful_S(g)
     for a, b in ((1, 1), (1, 2)):
-        build = build_matching(g, build_pair(g, a, b, 3), s)
+        build = build_matching(g, relative_complex(g, a, b, 3), s)
         from maghom.ai_complex import relative_homology
 
-        rel = relative_homology(build_pair(g, a, b, 3))
+        rel = relative_homology(relative_complex(g, a, b, 3))
         assert rel[1][0] == len(build.critical)
         from maghom import mh_ab
 
