@@ -32,7 +32,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .homology import MHTable, is_diagonal_up_to, mh_table
+from .homology import MHTable, is_diagonal_up_to, mh_table, pairwise_column
 from .magnitude import magnitude_rational, magnitude_series
 
 
@@ -102,9 +102,18 @@ def _cmd_mh_table(args) -> int:
         except ValueError:
             raise ValidationError("--ab expects 'a,b' with integer ids") from None
         _require_vertices(g, a, b)
+        if args.verify:
+            raise ValidationError("--verify checks the whole table, not one summand")
         table = mh_table(g, args.lmax, (a, b))
     else:
         table = mh_table(g, args.lmax)
+    if args.verify:
+        for length in range(args.lmax + 1):
+            column = [table.entries[(k, length)] for k in range(length + 1)]
+            if column != pairwise_column(g, length):
+                raise InternalCheckError(
+                    f"length-{length} groups differ from the sum over all endpoint pairs"
+                )
     if args.csv:
         sys.stdout.write(table.to_csv())
     elif args.json:
@@ -311,6 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     _graph_arg(p)
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--ab", metavar="A,B", help="restrict to one endpoint summand")
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="recompute each length as the sum of all n^2 endpoint summands, "
+        "without symmetry, and exit 3 on a mismatch",
+    )
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

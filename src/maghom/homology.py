@@ -7,24 +7,29 @@ entries are never deleted, so the complex splits over endpoint pairs.
 Homology is computed exactly (free rank plus torsion divisors) by Smith
 normal form of the boundary matrices.
 
-Reversal R(x_0, ..., x_k) = (x_k, ..., x_0) maps the (a, b) summand onto
-the (b, a) summand: position i of R(x) is smooth exactly when position
-k - i of x is, so the boundary satisfies dR = (-1)^k Rd in degree k, and
-R with the signs (-1)^(k(k+1)/2) is a chain isomorphism.  The whole
-complex is therefore built only on the sequences with x_0 <= x_k (the
-basis ``enumerate_sequences`` gives without endpoints), as two
-complexes: the open part (x_0 < x_k), which stands for itself and its
-reversal and counts with multiplicity 2, and the closed part
-(x_0 = x_k), which counts once.
+Two symmetries map one endpoint summand isomorphically onto another.
+An automorphism sigma of G preserves distances, so it maps the (a, b)
+summand onto the (sigma a, sigma b) summand, smooth points to smooth
+points.  Reversal R(x_0, ..., x_k) = (x_k, ..., x_0) maps the (a, b)
+summand onto the (b, a) summand: position i of R(x) is smooth exactly
+when position k - i of x is, so the boundary satisfies dR = (-1)^k Rd in
+degree k, and R with the signs (-1)^(k(k+1)/2) is a chain isomorphism.
+So the whole complex is built on one pair per orbit of <Aut(G), reversal>
+on ordered pairs (``symmetry.pair_orbits``): the pairs whose orbits have
+m elements span one complex, whose groups count m times.  With trivial
+Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
+(a, a) (m = 1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, positive_int_env
 from .graph import Graph
 from .snf import SparseMatrix, homology_of_complex, smith_normal_form
+from .symmetry import pair_orbits
 
 DEFAULT_BASIS_CAP = 2_000_000
 _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
@@ -34,99 +39,79 @@ def basis_cap() -> int:
     return positive_int_env(_BASIS_CAP_ENV, DEFAULT_BASIS_CAP)
 
 
-def sequence_length(g: Graph, points: tuple[int, ...]) -> int:
-    """Sum of consecutive distances along the tuple."""
-    return sum(g.dist[points[i]][points[i + 1]] for i in range(len(points) - 1))
-
-
-def is_smooth(g: Graph, points: tuple[int, ...], i: int) -> bool:
-    """Deleting position i preserves the length (0 < i < len-1 assumed)."""
-    d = g.dist
-    return d[points[i - 1]][points[i + 1]] == (
-        d[points[i - 1]][points[i]] + d[points[i]][points[i + 1]]
-    )
-
-
 def enumerate_sequences(
-    g: Graph, k: int, length: int, endpoints: tuple[int, int] | None = None
+    g: Graph,
+    k: int,
+    length: int,
+    endpoints: tuple[int, int] | Iterable[tuple[int, int]] | None = None,
+    weight: int = 1,
+    spent: int = 0,
 ) -> tuple[tuple[int, ...], ...]:
     """Degree-k sequences of total length ``length``, lexicographically.
 
-    With ``endpoints=(a, b)`` these are all sequences starting at a and
-    ending at b.  Without endpoints they are those with x_0 <= x_k: one
-    of each pair related by reversal, and every closed sequence; the
-    others are their reversals.  Basis order is reproducible, since
-    matrix snapshots depend on it.  Enumeration aborts with
-    BudgetExceeded as soon as the full basis would outgrow the configured
-    cap (without endpoints an open sequence counts twice), before memory
-    does.
+    ``endpoints`` allows the pairs (x_0, x_k): one pair (a, b), a
+    collection of pairs, or None for all of them.  Basis order is
+    reproducible, since matrix snapshots depend on it.  The sequences
+    found stand for ``weight`` copies each in the full basis of this
+    degree, of which ``spent`` elements were found elsewhere; enumeration
+    aborts with BudgetExceeded as soon as that full basis would outgrow
+    the configured cap, before memory does.
     """
     if k < 0 or length < 0:
         return ()
+    if endpoints is None:
+        ends = {a: list(g.vertices) for a in g.vertices}
+    else:
+        if endpoints and isinstance(next(iter(endpoints)), int):
+            endpoints = [endpoints]
+        ends = {}
+        for a, b in sorted(set(endpoints)):
+            ends.setdefault(a, []).append(b)  # each list in increasing order
     if k == 0:
-        if length != 0:
-            return ()
-        if endpoints is not None:
-            a, b = endpoints
-            return ((a,),) if a == b else ()
-        return tuple((v,) for v in g.vertices)
+        return tuple((a,) for a, last in ends.items() if length == 0 and a in last)
     dist = g.dist
     maxd = max(max(row) for row in dist[1:])
     if not k <= length <= k * maxd:
         return ()  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
-    # others[u]: (v, d(u, v)) for v != u; spheres[u][r]: the v with d(u, v) = r
-    others: list = [None]
-    spheres: list = [None]
-    for u in g.vertices:
-        others.append([(v, dist[u][v]) for v in g.vertices if v != u])
-        sphere: list[list[int]] = [[] for _ in range(maxd + 1)]
-        for v in g.vertices:
-            sphere[dist[u][v]].append(v)
-        spheres.append(sphere)
-    end = endpoints[1] if endpoints is not None else None
     out: list[tuple[int, ...]] = []
-    size = 0  # of the full basis found so far
-    # following[((v, r), gaps)]: the stubs after v when `gaps` gaps add up
-    # to r; at most n * length * k lists of at most n stubs each
-    following: dict[tuple[tuple[int, int], int], list[tuple[int, int]]] = {}
+    size = spent  # of the full basis found so far
+    # memo[end][((v, r), gaps)]: the stubs after v when `gaps` gaps add up
+    # to r and end at `end` (None: anywhere); at most n * length * k lists
+    # of at most n stubs each per end
+    memo: dict[int | None, dict[tuple[tuple[int, int], int], list[tuple[int, int]]]] = {}
 
     def extend(prefix: tuple[int, ...], stubs: list, gaps: int) -> None:
         """Continue ``prefix`` by each stub (v, r): v, then ``gaps`` >= 1
-        gaps adding up to r.  The last vertex comes from a distance sphere."""
+        gaps adding up to r, the last one to an allowed end."""
         nonlocal size
         if gaps > 1:
             for stub in stubs:
                 after = following.get((stub, gaps))
                 if after is None:  # later gaps are >= 1 and <= maxd, and end at `end`
                     v, r = stub
-                    lo = r - (gaps - 1) * maxd
+                    lo = max(1, r - (gaps - 1) * maxd)  # skips w = v and index 0
                     hi = r - (gaps - 1)
                     after = following[(stub, gaps)] = [
                         (w, r - d)
-                        for w, d in others[v]
+                        for w, d in enumerate(dist[v])
                         if lo <= d <= hi and (end is None or dist[w][end] <= r - d)
                     ]
                 if after:
                     extend(prefix + (stub[0],), after, gaps - 1)
             return
-        if end is not None:
-            new = [prefix + (v, end) for v, r in stubs if dist[v][end] == r]
-            found = len(new)
-        else:
-            new = [
-                prefix + (v, w) for v, r in stubs for w in spheres[v][r] if w >= first
-            ]
-            # an open sequence stands for itself and its reversal
-            found = 2 * len(new) - [x[-1] for x in new].count(first)
-        if size + found > cap:
+        new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
+        if size + weight * len(new) > cap:
             raise BudgetExceeded(
                 f"degree-{k} length-{length} basis exceeds the cap of {cap}"
             )
-        size += found
+        size += weight * len(new)
         out.extend(new)
 
-    for first in [endpoints[0]] if endpoints is not None else g.vertices:
+    for first, last in ends.items():
+        # a single end prunes every prefix that cannot reach it in time
+        end = last[0] if len(last) == 1 else None
+        following = memo.setdefault(end, {})
         extend((), [(first, length)], k)
     return tuple(out)
 
@@ -139,13 +124,12 @@ def boundary_matrix(
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
     The bases are degrees k and k-1 of one length and one set of
-    endpoint pairs: from ``enumerate_sequences`` with the same length and
-    endpoints, or the open or the closed parts of its bases without
+    endpoint pairs, from ``enumerate_sequences`` with the same length and
     endpoints.  Column x picks up (-1)^i at the row of x with position i
-    deleted, for every smooth interior i (see ``is_smooth``); endpoints
-    are kept.  A smooth deletion can never produce equal consecutive
-    entries, so target rows always exist, and two deletions from one x
-    never give the same row.
+    deleted, for every smooth interior i (d(x_(i-1), x_(i+1)) =
+    d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints are kept.  A smooth
+    deletion can never produce equal consecutive entries, so target rows
+    always exist, and two deletions from one x never give the same row.
     """
     dist = g.dist
     index = {x: r for r, x in enumerate(basis_lo)}
@@ -180,52 +164,86 @@ def _homology(
     return homology_of_complex([len(b) for b in bases], boundaries)
 
 
-def merge_torsion(
-    open_part: tuple[int, ...], closed_part: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Invariant factors of T_open + T_open + T_closed.
+def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of T^m over the parts (T, m),
+    each T given by its divisors.
 
     They are the divisors of the Smith form of the diagonal matrix of all
-    the divisors.
+    the divisors, each repeated m times.
 
-    >>> merge_torsion((2,), (3,))
+    >>> merge_torsion([((2,), 2), ((3,), 1)])
     (2, 6)
-    >>> merge_torsion((2, 4), ())
+    >>> merge_torsion([((2, 4), 2)])
     (2, 2, 4, 4)
+    >>> merge_torsion([((2,), 3), ((3,), 1), ((), 60)])
+    (2, 2, 6)
+    >>> merge_torsion([((6,), 3), ((4,), 1)])
+    (2, 6, 6, 12)
     """
-    divisors = open_part + open_part + closed_part
+    divisors = [d for tors, m in parts for d in tors * m]
     n = len(divisors)
     diagonal = SparseMatrix({(i, i): d for i, d in enumerate(divisors)}, n, n)
     return smith_normal_form(diagonal).divisors
 
 
+Classes = list[tuple[int, list[tuple[int, int]]]]
+
+
+def orbit_classes(g: Graph) -> Classes:
+    """One endpoint pair from each orbit of <Aut(G), reversal> on ordered
+    pairs, grouped by orbit size m: (m, pairs) in increasing order of m."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for pair, m in pair_orbits(g).items():
+        classes.setdefault(m, []).append(pair)
+    return sorted(classes.items())
+
+
 def mh_column(
-    g: Graph, length: int, endpoints: tuple[int, int] | None = None
+    g: Graph,
+    length: int,
+    endpoints: tuple[int, int] | None = None,
+    classes: Classes | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
     With ``endpoints=(a, b)`` only the (a, b) summand is computed.
-    Otherwise only the sequences with x_0 <= x_k are built, split into an
-    open part (x_0 < x_k) and a closed part (x_0 = x_k); reversal gives
-    the rest, so each group is the open group twice plus the closed one.
-    Each basis is enumerated once, before any boundary is built.
+    Otherwise one summand per orbit is reduced: the pairs of each orbit
+    size m in ``classes`` (``orbit_classes(g)`` when not given) span one
+    complex, whose groups count m times.  Each basis is enumerated once,
+    before any boundary is built.
     """
     if endpoints is not None:
         return _homology(
             g, [enumerate_sequences(g, k, length, endpoints) for k in range(length + 1)]
         )
-    open_bases, closed_bases = [], []
-    for k in range(length + 1):
-        basis = enumerate_sequences(g, k, length)
-        open_bases.append(tuple(x for x in basis if x[0] != x[-1]))
-        closed_bases.append(tuple(x for x in basis if x[0] == x[-1]))
-    open_column = _homology(g, open_bases)
-    del open_bases  # not held while the closed part is reduced
+    spent = [0] * (length + 1)  # of the full basis of each degree
+    parts = []
+    for m, pairs in orbit_classes(g) if classes is None else classes:
+        bases = [
+            enumerate_sequences(g, k, length, pairs, m, spent[k]) for k in range(length + 1)
+        ]
+        spent = [s + m * len(basis) for s, basis in zip(spent, bases)]
+        parts.append((m, bases))
+    columns = []
+    while parts:  # a class's bases are not held once it is reduced
+        m, bases = parts.pop()
+        columns.append((m, _homology(g, bases)))
     return [
-        (2 * open_rank + closed_rank, merge_torsion(open_tors, closed_tors))
-        for (open_rank, open_tors), (closed_rank, closed_tors) in zip(
-            open_column, _homology(g, closed_bases)
+        (
+            sum(m * column[k][0] for m, column in columns),
+            merge_torsion((column[k][1], m) for m, column in columns),
         )
+        for k in range(length + 1)
+    ]
+
+
+def pairwise_column(g: Graph, length: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``mh_column(g, length)`` by a second route that uses no symmetry:
+    the sum of all n^2 endpoint summands, each reduced on its own."""
+    summands = [mh_column(g, length, (a, b)) for a in g.vertices for b in g.vertices]
+    return [
+        (sum(s[k][0] for s in summands), merge_torsion((s[k][1], 1) for s in summands))
+        for k in range(length + 1)
     ]
 
 
@@ -290,9 +308,10 @@ def mh_table(
     g: Graph, lmax: int, endpoints: tuple[int, int] | None = None
 ) -> MHTable:
     """All groups with l <= lmax, or those of the (a, b) summand."""
+    classes = orbit_classes(g) if endpoints is None else None
     entries = {}
     for length in range(lmax + 1):
-        for k, group in enumerate(mh_column(g, length, endpoints)):
+        for k, group in enumerate(mh_column(g, length, endpoints, classes)):
             entries[(k, length)] = group
     return MHTable(lmax, entries)
 
@@ -303,8 +322,9 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     Lengths are computed in increasing order, and the first one with a
     nonzero off-diagonal group settles the answer.
     """
+    classes = orbit_classes(g)
     for length in range(lmax + 1):
-        column = mh_column(g, length)
+        column = mh_column(g, length, None, classes)
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

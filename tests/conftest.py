@@ -55,12 +55,10 @@ def encode_graph6(n, edges):
 
 
 def full_basis(g, k, length):
-    """The whole degree-k, length-l basis in lexicographic order: the
-    sequences with x_0 <= x_k and the reversals of the open ones."""
+    """The whole degree-k, length-l basis in lexicographic order."""
     from maghom import enumerate_sequences
 
-    half = enumerate_sequences(g, k, length)
-    return tuple(sorted(half + tuple(x[::-1] for x in half if x[0] != x[-1])))
+    return enumerate_sequences(g, k, length)
 
 
 def full_boundary(g, k, length):

@@ -1,11 +1,15 @@
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from maghom import ai_complex, cli, complete_graph
-from conftest import FIXTURES, encode_graph6
+from maghom import ai_complex, cli, complete_graph, serialize_edge_list
+from maghom.symmetry import pair_orbits
+from conftest import FIXTURES, encode_graph6, random_connected
+
+GOLDEN = FIXTURES.parent / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -322,6 +326,53 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "magnitude", FIXTURES / "C4", "--series", 2)
     assert code == 3
     assert "inconsistency" in err
+
+
+def test_mh_table_verify_on_the_golden_g3_table(capsys):
+    argv = ["mh-table", FIXTURES / "G3", "--lmax", 5, "--json"]
+    code, out, _ = run(capsys, *argv, "--verify")
+    assert f"exit {code}\n{out}" == (GOLDEN / "mh_table_json.out").read_text()
+    assert out == run(capsys, *argv)[1]
+
+
+def test_mh_table_verify_on_symmetric_random_graphs(capsys, tmp_path):
+    checked = 0
+    for seed in range(40):
+        g = random_connected(random.Random(seed), 5 + seed % 4)
+        if len(pair_orbits(g)) == g.n * (g.n + 1) // 2:
+            continue  # Aut(G) is trivial: only reversal pairs up the summands
+        path = tmp_path / f"g{seed}"
+        path.write_text(serialize_edge_list(g))
+        code, out, err = run(capsys, "mh-table", path, "--lmax", 4, "--csv", "--verify")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "mh-table", path, "--lmax", 4, "--csv")[1]
+        checked += 1
+        if checked == 12:
+            break
+    assert checked == 12
+
+
+def test_mh_table_verify_mismatch_exit_code(capsys, monkeypatch):
+    real = cli.pairwise_column
+
+    def off_by_one(g, length):
+        column = real(g, length)
+        rank, tors = column[-1]
+        return column[:-1] + [(rank + 1, tors)]
+
+    monkeypatch.setattr(cli, "pairwise_column", off_by_one)
+    code, out, err = run(capsys, "mh-table", FIXTURES / "C4", "--lmax", 2, "--verify")
+    assert code == 3
+    assert out == ""
+    assert "length-0 groups differ" in err
+
+
+def test_mh_table_verify_refuses_one_summand(capsys):
+    code, _, err = run(
+        capsys, "mh-table", FIXTURES / "C4", "--lmax", 2, "--ab", "1,1", "--verify"
+    )
+    assert code == 1
+    assert "whole table" in err
 
 
 def test_graph6_input_format(capsys, tmp_path, g2):

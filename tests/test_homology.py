@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from conftest import full_basis, full_boundary, random_connected
+from oracles import is_smooth, sequence_length
 
 from maghom import (
     complete_graph,
@@ -17,7 +18,7 @@ from maghom import (
 )
 from maghom import homology
 from maghom.errors import BudgetExceeded
-from maghom.homology import boundary_matrix, is_smooth, merge_torsion, mh_column, sequence_length
+from maghom.homology import boundary_matrix, merge_torsion, mh_column
 from maghom.snf import sparse_matmul
 
 
@@ -194,34 +195,43 @@ def brute_force_sequences(g, k):
 
 
 def test_enumerator_matches_brute_force(g1, c4):
+    rng = random.Random(7)
     for g in [c4, g1] + SMALL_GRAPHS[:12]:
+        pairs = list(product(g.vertices, repeat=2))
         for k in range(6):
             by_length = brute_force_sequences(g, k)
             for length in range(6):
                 seqs = tuple(by_length[length])
-                half = tuple(x for x in seqs if x[0] <= x[-1])
-                assert enumerate_sequences(g, k, length) == half
+                assert enumerate_sequences(g, k, length) == seqs
                 assert full_basis(g, k, length) == seqs
+                some = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+                assert enumerate_sequences(g, k, length, some) == tuple(
+                    x for x in seqs if (x[0], x[-1]) in some
+                )
                 by_ends = defaultdict(list)
                 for x in seqs:
                     by_ends[(x[0], x[-1])].append(x)
-                for a, b in product(g.vertices, repeat=2):
+                for a, b in pairs:
                     assert enumerate_sequences(g, k, length, (a, b)) == tuple(by_ends[(a, b)])
+                    assert enumerate_sequences(g, k, length, [(a, b)]) == tuple(by_ends[(a, b)])
 
 
 def test_basis_cap_is_exact(monkeypatch, g1):
-    # the cap bounds the full basis: without endpoints each open sequence
-    # counts for itself and its reversal
-    for k, length, ends in (
-        (1, 2, None), (2, 2, None), (3, 4, None), (4, 5, (1, 3)), (3, 4, (2, 2))
+    # the cap bounds the full basis: the sequences found count `weight`
+    # times each, on top of the `spent` ones found elsewhere
+    open_pairs = [(a, b) for a in g1.vertices for b in g1.vertices if a < b]
+    closed_pairs = [(a, a) for a in g1.vertices]
+    for k, length, ends, weight, spent in (
+        (1, 2, None, 1, 0), (2, 2, None, 1, 0), (3, 4, open_pairs, 2, 0),
+        (3, 4, closed_pairs, 3, 17), (4, 5, (1, 3), 1, 0), (3, 4, (2, 2), 1, 5),
     ):
         basis = enumerate_sequences(g1, k, length, ends)
-        full = basis if ends else full_basis(g1, k, length)
-        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(full)))
-        assert enumerate_sequences(g1, k, length, ends) == basis
-        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(len(full) - 1))
+        full = spent + weight * len(basis)
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full))
+        assert enumerate_sequences(g1, k, length, ends, weight, spent) == basis
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full - 1))
         with pytest.raises(BudgetExceeded):
-            enumerate_sequences(g1, k, length, ends)
+            enumerate_sequences(g1, k, length, ends, weight, spent)
         monkeypatch.delenv("MAGHOM_BASIS_CAP")
 
 
@@ -235,12 +245,18 @@ def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
         mh_column(g1, 4)
 
 
+def open_basis(g, k, length):
+    """The sequences with x_0 < x_k, a basis of a subcomplex."""
+    pairs = [(a, b) for a in g.vertices for b in g.vertices if a < b]
+    return enumerate_sequences(g, k, length, pairs)
+
+
 def test_boundary_matches_smooth_point_rule(g3):
     # the inline smooth test agrees with is_smooth, position by position
     for g in [g3] + SMALL_GRAPHS:
         for length in range(2, 5):
             for k in range(2, length + 1):
-                for bases in (full_basis, enumerate_sequences):
+                for bases in (full_basis, open_basis):
                     basis = bases(g, k, length)
                     lower = bases(g, k - 1, length)
                     index = {x: r for r, x in enumerate(lower)}
@@ -275,22 +291,23 @@ def invariant_factors(divisors):
 
 
 def test_merge_torsion():
-    assert merge_torsion((2,), (3,)) == (2, 6)
-    assert merge_torsion((2, 4), ()) == (2, 2, 4, 4)
-    assert merge_torsion((), (3, 9)) == (3, 9)
-    assert merge_torsion((), ()) == ()
+    assert merge_torsion([((2,), 2), ((3,), 1)]) == (2, 6)
+    assert merge_torsion([((2, 4), 2), ((), 1)]) == (2, 2, 4, 4)
+    assert merge_torsion([((), 2), ((3, 9), 1)]) == (3, 9)
+    assert merge_torsion([((), 2), ((), 1)]) == ()
+    assert merge_torsion([]) == ()
+    assert merge_torsion([((2, 6), 3)]) == (2, 2, 2, 6, 6, 6)
     rng = random.Random(3)
     for _ in range(200):
         parts = []
-        for _ in range(2):
+        for _ in range(rng.randrange(4)):
             chain, d = [], 1
             for _ in range(rng.randrange(4)):
                 d *= rng.choice((2, 3, 4, 5, 6, 9))
                 chain.append(d)
-            parts.append(tuple(chain))
-        open_part, closed_part = parts
-        expected = invariant_factors(open_part + open_part + closed_part)
-        assert merge_torsion(open_part, closed_part) == expected
+            parts.append((tuple(chain), rng.randint(1, 4)))
+        expected = invariant_factors([d for chain, m in parts for d in chain * m])
+        assert merge_torsion(parts) == expected
 
 
 def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from conftest import random_connected
@@ -16,7 +17,8 @@ from maghom import (
 )
 from maghom import magnitude
 from maghom.errors import ValidationError
-from maghom.polyq import IntPoly
+from maghom.polyq import IntPoly, RatFunc
+from maghom.symmetry import equitable_partition
 
 
 def _det_bareiss(m):
@@ -297,3 +299,44 @@ def test_leinster_cartesian_product(g1, c4):
     for g, h in ((c4, path_graph(3)), (complete_graph(2), g1)):
         a, b = magnitude_rational(g), magnitude_rational(h)
         assert _same(a.num * b.num, a.den * b.den, magnitude_rational(_box(g, h)))
+
+
+# The quotient by the coarsest equitable partition (symmetry.py) is the
+# route magnitude_rational takes; bordered_dets with no cells is the
+# general elimination on Z itself.
+
+PETERSEN = from_edges(
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+)
+K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+
+
+def test_quotient_equals_bareiss_oracle(g1, g3):
+    for g, cells in ((cycle_graph(9), 1), (PETERSEN, 1), (K33, 1), (g1, 4), (g3, 4)):
+        partition = equitable_partition(g)
+        assert len(partition) == cells
+        det_m, det_b = magnitude.bordered_dets(g, partition)
+        det_z, det_bz = _bareiss_dets(g)
+        assert RatFunc(-det_b, det_m) == RatFunc(-det_bz, det_z) == magnitude_rational(g)
+        top, bound = magnitude.det_bounds(g, partition)
+        for det in (det_m, det_b):
+            assert det.degree <= top
+            assert max(abs(c) for c in det.coeffs) <= bound
+
+
+def test_quotient_bounds_shrink_to_one_cell():
+    g = cycle_graph(25)
+    cells = equitable_partition(g)
+    # one cell: D = ecc(1) = 12 and C = 1 * 1! * 25
+    assert magnitude.det_bounds(g, cells) == (12, 25)
+    assert magnitude.det_bounds(g) == (25 * 12, 25 * factorial(25))
+
+
+def test_general_elimination_on_a_discrete_25_vertex_graph():
+    g = random_connected(random.Random(0), 25)
+    assert len(equitable_partition(g)) == g.n  # the quotient is Z itself
+    # 2C exceeds the first prime, 2^89 - 1, so two primes are combined
+    assert 2 * magnitude.det_bounds(g)[1] > magnitude._PRIMES[0]
+    assert magnitude_rational(g).series(10) == magnitude_series(g, 10)
