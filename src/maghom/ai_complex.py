@@ -10,19 +10,26 @@ magnitude homology with a degree shift of two, which is what
 ``verify_correspondence`` checks numerically.
 
 A simplex lies outside K' exactly when every gap is geodesic, its
-positions the cumulative distances from a: ``relative_complex`` builds
-these cells from the sequence enumerator, and ``path_complex`` builds K
-from the edge paths only where K itself is reported or checked.
+positions the cumulative distances from a.  So the cells of K outside K'
+are the length-l sequences (a, x_1, .., x_(k-1), b) of the (a, b) summand
+of the magnitude chain complex, and a face of one (drop x_i, keep the
+other positions) lies outside K' exactly when x_i is smooth: the relative
+faces are the smooth deletions.  ``relative_complex`` builds the cells
+from the sequence enumerator with their faces, once; the positions are
+derived only to display a cell.  ``path_complex`` builds K itself from
+the edge paths, where K is reported or checked.
 
-A simplex is stored as a tuple of (vertex, position) pairs sorted by
-position; that ordering fixes the boundary orientation.
+There a simplex is a tuple of (vertex, position) pairs sorted by
+position; that ordering fixes the boundary orientation.  ``faces`` and
+``cell_boundaries`` take the faces of such simplices one element at a
+time, the second route that ``verify_correspondence`` uses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 
 from .errors import ValidationError
 from .graph import Graph
@@ -32,28 +39,35 @@ from .snf import SparseMatrix, homology_of_complex
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
 
 
-def simplex_to_sequence(a: int, b: int, simplex: Simplex) -> tuple[int, ...]:
-    """The completed vertex sequence (a, interior vertices, b)."""
-    return (a,) + tuple(v for v, _ in simplex) + (b,)
-
-
 def subsequence_length(g: Graph, a: int, b: int, simplex: Simplex) -> int:
-    seq = simplex_to_sequence(a, b, simplex)
+    seq = (a,) + tuple(v for v, _ in simplex) + (b,)
     return sum(g.dist[seq[i]][seq[i + 1]] for i in range(len(seq) - 1))
 
 
 @dataclass(frozen=True)
 class RelativeComplex:
-    """The simplices of K_l(a,b) outside K'_l(a,b).
+    """The simplices of K_l(a,b) outside K'_l(a,b), as vertex sequences.
 
-    ``cells`` is sorted by dimension then lexicographically: the basis of
-    the relative chain complex and the cell set of the Morse matching.
+    The cell with interior vertices x_1 .. x_(k-1) is the degree-k,
+    length-l sequence (a, x_1, .., x_(k-1), b), of dimension k - 2.
+    ``cells`` holds them by degree, then lexicographically: the order of
+    their simplices, the basis of the relative chain complex and the cell
+    set of the Morse matching.  ``faces[c]`` lists the faces of cell c
+    outside K' as (cell index, sign): deleting x_i gives one exactly when
+    x_i is smooth, with sign (-1)^(i-1).
     """
 
+    g: Graph = field(repr=False, compare=False)
     a: int
     b: int
     length: int
-    cells: tuple[Simplex, ...]
+    cells: tuple[tuple[int, ...], ...]
+    faces: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
+
+    def simplex(self, c: int) -> Simplex:
+        """Cell c in its (vertex, position) form, for display."""
+        seq, dist = self.cells[c], self.g.dist
+        return tuple(zip(seq[1:-1], accumulate(dist[u][v] for u, v in zip(seq, seq[1:-1]))))
 
 
 def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
@@ -62,20 +76,29 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     The cells with k - 1 vertices are the degree-k, length-l sequences
     from a to b, each interior vertex at its cumulative distance from a.
     A position depends only on the vertex prefix, so sequence order is
-    cell order.
+    cell order.  Each cell's faces are found once, by the smoothness test
+    of ``homology.boundary_matrix``.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     dist = g.dist
-    cells = []
+    cells: list[tuple[int, ...]] = []
+    faces: list[tuple[tuple[int, int], ...]] = []
+    index: dict[tuple[int, ...], int] = {}
     for k in range(2, length + 1):
-        for seq in enumerate_sequences(g, k, length, (a, b)):
-            at, cell = 0, []
-            for u, v in zip(seq, seq[1:-1]):
-                at += dist[u][v]
-                cell.append((v, at))
-            cells.append(tuple(cell))
-    return RelativeComplex(a, b, length, tuple(cells))
+        for x in enumerate_sequences(g, k, length, (a, b)):
+            index[x] = len(cells)
+            cells.append(x)
+            out = []
+            if k > 2:  # deleting a lone vertex leaves the empty simplex, in K'
+                before, sign = dist[a], 1  # distances from x[i-1]
+                for i in range(1, k):
+                    here = dist[x[i]]
+                    if before[x[i + 1]] == before[x[i]] + here[x[i + 1]]:
+                        out.append((index[x[:i] + x[i + 1 :]], sign))
+                    before, sign = here, -sign
+            faces.append(tuple(out))
+    return RelativeComplex(g, a, b, length, tuple(cells), tuple(faces))
 
 
 def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
@@ -108,10 +131,6 @@ def faces(s: Simplex) -> Iterator[tuple[Simplex, int]]:
     for i in range(len(s)):
         yield s[:i] + s[i + 1 :], sign
         sign = -sign
-
-
-def is_closed_under_faces(cells: frozenset[Simplex]) -> bool:
-    return all(f in cells for s in cells for f, _ in faces(s) if f)
 
 
 def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]]]:
@@ -147,16 +166,43 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     return dims, maps()
 
 
+def relative_boundaries(
+    pair: RelativeComplex,
+) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]]]:
+    """Chain ranks and boundary maps of the relative complex, from its face table.
+
+    Slot d holds the cells of dimension d, for d = 0 .. length-2.  The
+    maps (d, slot d -> slot d-1) come one at a time, as in
+    ``cell_boundaries``; a map to or from an empty slot is not yielded.
+    """
+    dims = [0] * (pair.length - 1)
+    for x in pair.cells:
+        dims[len(x) - 3] += 1
+    starts = list(accumulate(dims, initial=0))
+
+    def maps():
+        for d in range(1, len(dims)):
+            if not dims[d] or not dims[d - 1]:
+                continue
+            lo, first = starts[d - 1], starts[d]
+            entries = {
+                (f - lo, c - first): sign
+                for c in range(first, starts[d + 1])
+                for f, sign in pair.faces[c]
+            }
+            yield d, SparseMatrix(entries, dims[d - 1], dims[d])
+            del entries  # not held while the next map is built
+
+    return dims, maps()
+
+
 def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the quotient chain complex, degrees 0 .. length-2.
 
     Cells are the simplices of K outside K'; boundary faces that fall
     into K' are dropped.
     """
-    want = pair.length - 1  # degrees 0 .. length-2
-    result = homology_of_complex(*cell_boundaries(pair.cells))[1:]  # slot 0 is empty
-    result += [(0, ())] * (want - len(result))
-    return result[:want]
+    return homology_of_complex(*relative_boundaries(pair))
 
 
 def reduced_homology(cells) -> list[tuple[int, tuple[int, ...]]]:
@@ -185,12 +231,14 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
     k = 2 group matches relative degree 0 when d(a,b) < l, and the
     reduced degree-0 homology of K when d(a,b) = l.  Both sides are
     computed from scratch by their own pipelines; the relative side
-    filters K by ``subsequence_length`` instead of ``relative_complex``.
+    filters the simplices of K by ``subsequence_length`` and takes their
+    faces by ``cell_boundaries``, not from ``relative_complex``.
     """
     full = path_complex(g, a, b, length)
     cells = [s for s in full if subsequence_length(g, a, b, s) == length]
-    pair = RelativeComplex(a, b, length, tuple(sorted(cells, key=lambda s: (len(s), s))))
-    rel = relative_homology(pair)
+    cells.sort(key=lambda s: (len(s), s))
+    rel = homology_of_complex(*cell_boundaries(cells))[1:]  # slot 0 is empty
+    rel += [(0, ())] * (length - 1 - len(rel))
     column = mh_column(g, length, (a, b))
     per: dict[int, tuple[bool, tuple, tuple]] = {}
     ok = True

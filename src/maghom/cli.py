@@ -142,7 +142,7 @@ def _cmd_ai_complex(args) -> int:
             {"degree": d, "rank": r, "torsion": list(t)} for d, (r, t) in enumerate(rel)
         ]
     if args.list_faces:
-        cells = set(pair.cells)
+        cells = {pair.simplex(c) for c in range(len(pair.cells))}
         payload["faces"] = [
             {"simplex": [list(p) for p in s], "in_subcomplex": s not in cells}
             for s in sorted(full, key=lambda s: (len(s), s))
@@ -179,8 +179,8 @@ def _build_matching_from_args(
 def _matching_report(
     pair: aic.RelativeComplex, build: mt.MatchingBuild
 ) -> tuple[bool, list[str]]:
-    ok_match, why_match = ms.verify_matching(pair.cells, build.matching)
-    ok_acyclic, cycle = ms.is_acyclic(pair.cells, build.matching)
+    ok_match, why_match = ms.verify_matching(pair, build.matching)
+    ok_acyclic, cycle = ms.is_acyclic(pair, build.matching)
     ok_ranks, detail = ms.morse_rank_check(pair, build.matching)
     lines = [
         f"cells outside the subcomplex: {len(pair.cells)}",
@@ -212,8 +212,8 @@ def _cmd_match(args) -> int:
     ok, lines = _matching_report(pair, build)
     for line in lines:
         print(line)
-    for low, high in sorted(build.matching.pairs):
-        print(f"pair: {list(low)} -> {list(high)}")
+    for low, high in sorted(build.matching.pairs, key=lambda p: pair.cells[p[0]][1:-1]):
+        print(f"pair: {list(pair.simplex(low))} -> {list(pair.simplex(high))}")
     return 0 if ok else 1
 
 

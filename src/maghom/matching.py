@@ -3,14 +3,16 @@
 On a diameter-2 graph, a certificate assigns to every ordered distance-2
 pair a middle vertex (a triple rule), and to every (alpha, beta, delta)
 with d(alpha,beta)=1, d(beta,delta)=2 a middle vertex between beta and
-delta (a quadruple rule).  Scanning a cell of K_l \\ K'_l for the first
-certificate pattern and for the first distance-2 gap splits the cells
-into three groups: untouched cells A (no gap, no pattern), gap-first
-cells paired upward by inserting the certificate's middle vertex, and
-pattern-first cells paired downward by deleting the vertex after the
-pattern.  For a valid certificate this is a perfect pairing off of
-everything but A, and the resulting matching is acyclic, which the
-callers re-check rather than assume.
+delta (a quadruple rule).  Scanning the vertex sequence of a cell of
+K_l \\ K'_l for the first certificate pattern or distance-2 gap splits
+the cells into three groups: untouched cells A (no gap, no pattern),
+gap-first cells paired upward by inserting the certificate's middle
+vertex, and pattern-first cells paired downward by deleting the vertex
+after the pattern.  For a valid certificate this is a perfect pairing
+off of everything but A, and the resulting matching is acyclic, which
+the callers re-check rather than assume.  Cells are handled as sequences
+and named by index; their (vertex, position) form appears only in error
+messages.
 
 Pawful graphs always carry such a certificate (built here from
 smallest-id selectors); ``search_structure`` decides existence in
@@ -21,9 +23,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import inf
 
-from .ai_complex import RelativeComplex, Simplex, simplex_to_sequence
+from .ai_complex import RelativeComplex
 from .errors import (
     BudgetExceeded,
     CertificateError,
@@ -151,86 +152,57 @@ def build_pawful_S(g: Graph) -> SStructure:
 
 
 @dataclass(frozen=True)
-class SequenceIndices:
-    """First certificate-pattern index and first distance-2 gap index.
-
-    ``pattern`` is 0 when the leading triple (x0, x1, x2) is in the
-    certificate, otherwise the least window start i with
-    (x_{i-1}, ..., x_{i+2}) among the quadruples, otherwise infinity.
-    ``gap`` is the least j with d(x_j, x_{j+1}) = 2, otherwise infinity.
-    """
-
-    pattern: float
-    gap: float
-
-
-def sequence_indices(g: Graph, seq: tuple[int, ...], s: SStructure) -> SequenceIndices:
-    """Scan a full endpoint-to-endpoint sequence for the two indices.
-
-    The leading-triple rule takes precedence over quadruple windows.
-    """
-    k = len(seq) - 1
-    if k >= 2 and seq[0:3] in s.triples:
-        pattern = 0
-    else:
-        pattern = next(
-            (i for i in range(1, k - 1) if seq[i - 1 : i + 3] in s.quads), inf
-        )
-    gap = next((j for j in range(k) if g.dist[seq[j]][seq[j + 1]] == 2), inf)
-    return SequenceIndices(pattern, gap)
-
-
-@dataclass(frozen=True)
 class MatchingBuild:
-    """A constructed matching with its cell partition."""
+    """A constructed matching with its cell partition, as cell indices."""
 
     matching: Matching
-    inserted: tuple[Simplex, ...]    # gap-first cells, lower halves of pairs
-    deleted: tuple[Simplex, ...]     # pattern-first cells, upper halves
-    critical: tuple[Simplex, ...]    # untouched cells
+    inserted: tuple[int, ...]    # gap-first cells, lower halves of pairs
+    deleted: tuple[int, ...]     # pattern-first cells, upper halves
+    critical: tuple[int, ...]    # untouched cells
 
 
 def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
     ``pair`` is ``relative_complex(g, a, b, l)``.  Gap-first cells get the
-    certificate's middle vertex inserted right after the gap start
-    (position +1, the unique choice that keeps positions cumulative);
-    pattern-first cells lose the vertex after the pattern start.  Both
-    directions are verified to be mutually inverse; any failure means the
-    certificate is invalid for this graph.
+    certificate's middle vertex inserted right after the gap start (in
+    the simplex, at position +1, the unique choice that keeps positions
+    cumulative); pattern-first cells lose the vertex after the pattern
+    start.  Both directions are verified to be mutually inverse; any
+    failure means the certificate is invalid for this graph.
     """
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
     _validate_structure(g, s)
     quad_mid = _quad_by_key(s)
     triple_mid = _triple_by_key(s)
-    a, b, length = pair.a, pair.b, pair.length
-    cells = pair.cells
-    live = set(cells)
+    cells, show = pair.cells, pair.simplex
+    index = {seq: c for c, seq in enumerate(cells)}
 
-    untouched: list[Simplex] = []
-    gap_first: list[Simplex] = []
-    pattern_first: list[Simplex] = []
-    index_of: dict[Simplex, SequenceIndices] = {}
-    for cell in cells:
-        seq = simplex_to_sequence(a, b, cell)
-        idx = sequence_indices(g, seq, s)
-        index_of[cell] = idx
-        if idx.pattern == inf and idx.gap == inf:
-            untouched.append(cell)
-        elif idx.pattern == idx.gap:
-            raise CertificateError(
-                f"cell {cell}: pattern and gap coincide at {idx.pattern}"
-            )
-        elif idx.pattern > idx.gap:
-            gap_first.append(cell)
+    dist, triples, quads = g.dist, s.triples, s.quads
+    untouched: list[int] = []
+    gap_first: list[int] = []
+    pattern_first: list[int] = []
+    at: dict[int, int] = {}  # the first gap or pattern start of each paired cell
+    for c, seq in enumerate(cells):
+        k = len(seq) - 1
+        for t in range(k):
+            # a pattern starts at t: the leading triple (t = 0) or the
+            # quadruple window x_(t-1) .. x_(t+2); a gap: d(x_t, x_(t+1)) = 2
+            pattern = seq[t - 1 : t + 3] in quads if t else seq[:3] in triples
+            gap = dist[seq[t]][seq[t + 1]] == 2
+            if pattern or gap:
+                break
         else:
-            pattern_first.append(cell)
+            untouched.append(c)
+            continue
+        if pattern and gap:
+            raise CertificateError(f"cell {show(c)}: pattern and gap coincide at {t}")
+        (gap_first if gap else pattern_first).append(c)
+        at[c] = t
 
-    def insert(cell: Simplex) -> Simplex:
-        seq = simplex_to_sequence(a, b, cell)
-        j = int(index_of[cell].gap)
+    def insert(c: int) -> int:
+        seq, j = cells[c], at[c]
         if j == 0:
             mid = triple_mid.get((seq[0], seq[1]))
         else:
@@ -239,37 +211,36 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
             raise CertificateError(
                 f"no certificate entry for the gap at {j} in {seq}"
             )
-        pos = 0 if j == 0 else cell[j - 1][1]
-        out = cell[:j] + ((mid, pos + 1),) + cell[j:]
-        if out not in live:
+        out = index.get(seq[: j + 1] + (mid,) + seq[j + 1 :])
+        if out is None:
             raise CertificateError(
-                f"inserting {mid} into {seq} left the length-{length} cell set"
+                f"inserting {mid} into {seq} left the length-{pair.length} cell set"
             )
         return out
 
-    def delete(cell: Simplex) -> Simplex:
-        i = int(index_of[cell].pattern)
-        return cell[:i] + cell[i + 1 :]
+    def delete(c: int) -> int | None:
+        seq, i = cells[c], at[c]
+        return index.get(seq[: i + 1] + seq[i + 2 :])
 
     gap_set = set(gap_first)
     pattern_set = set(pattern_first)
-    pairs = []
-    for cell in gap_first:
-        mate = insert(cell)
-        if mate not in pattern_set:
-            raise CertificateError(f"image of {cell} is not a pattern-first cell")
-        if delete(mate) != cell:
-            raise CertificateError(f"deletion does not invert insertion at {cell}")
-        pairs.append((cell, mate))
-    for cell in pattern_first:
-        mate = delete(cell)
-        if mate not in gap_set:
-            raise CertificateError(f"preimage of {cell} is not a gap-first cell")
-        if insert(mate) != cell:
-            raise CertificateError(f"insertion does not invert deletion at {cell}")
+    mate: dict[int, int] = {}
+    for c in gap_first:
+        m = insert(c)
+        if m not in pattern_set:
+            raise CertificateError(f"image of {show(c)} is not a pattern-first cell")
+        if delete(m) != c:
+            raise CertificateError(f"deletion does not invert insertion at {show(c)}")
+        mate[c] = m
+    for c in pattern_first:
+        m = delete(c)
+        if m not in gap_set:
+            raise CertificateError(f"preimage of {show(c)} is not a gap-first cell")
+        if mate[m] != c:
+            raise CertificateError(f"insertion does not invert deletion at {show(c)}")
 
     return MatchingBuild(
-        matching=Matching(frozenset(pairs)),
+        matching=Matching(frozenset(mate.items())),
         inserted=tuple(gap_first),
         deleted=tuple(pattern_first),
         critical=tuple(untouched),

@@ -1,108 +1,112 @@
-"""Discrete Morse machinery on sets of simplicial cells.
+"""Discrete Morse machinery on the cells of a relative complex.
 
-The covers of a cell set are its codimension-1 face relations: (face,
-cell) with ``face`` one of ``ai_complex.faces(cell)`` and both in the
-set.  A partial matching pairs each lower cell with a cover (a cell one
-dimension up containing it), each cell used at most once.  Orienting
-matched covers upward and all other covers downward gives a digraph; the
-matching is acyclic when that digraph has no directed cycle.  Unmatched
-cells are critical, and for an acyclic matching the cell set is
-homotopy-modelled by one cell per critical cell, which this module
-verifies at the level of homology ranks.
+The cells are those of ``ai_complex.RelativeComplex``, named by their
+index, and its face table gives the covers: (face, cell) for each face
+of a cell, which is a smooth deletion of one of its vertices.  A partial
+matching pairs each lower cell with a cover (a cell one dimension up
+containing it), each cell used at most once.  Orienting matched covers
+upward and all other covers downward gives a digraph; the matching is
+acyclic when that digraph has no directed cycle.  Unmatched cells are
+critical, and for an acyclic matching the cell set is homotopy-modelled
+by one cell per critical cell, which this module verifies at the level
+of homology ranks.  Cells appear in their (vertex, position) form only
+in messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ai_complex import RelativeComplex, Simplex, faces, relative_homology
+from .ai_complex import RelativeComplex, relative_homology
 
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of (lower cell, upper cell) pairs."""
+    """A set of (lower cell, upper cell) pairs of cell indices."""
 
-    pairs: frozenset[tuple[Simplex, Simplex]]
+    pairs: frozenset[tuple[int, int]]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def matched_cells(self) -> set[Simplex]:
-        out: set[Simplex] = set()
-        for low, high in self.pairs:
-            out.add(low)
-            out.add(high)
-        return out
+    def matched_cells(self) -> set[int]:
+        return {c for pair in self.pairs for c in pair}
 
 
-def verify_matching(cells, matching: Matching) -> tuple[bool, str | None]:
-    """Check both matching axioms; report the first violation found."""
-    cellset = set(cells)
-    used: set[Simplex] = set()
+def verify_matching(pair: RelativeComplex, matching: Matching) -> tuple[bool, str | None]:
+    """Check both matching axioms; report the first violation found.
+
+    Pairs are taken in the order of their cells' simplices, which is the
+    order of their interior vertices in all dimensions at once.
+    """
+    cells, show = pair.cells, pair.simplex
     for low, high in sorted(matching.pairs):
-        if low not in cellset or high not in cellset:
+        if not (0 <= low < len(cells) and 0 <= high < len(cells)):
             return False, f"pair ({low}, {high}) uses a cell outside the cell set"
-        if not any(f == low for f, _ in faces(high)):
-            return False, f"pair ({low}, {high}) is not a cover relation"
+    used: set[int] = set()
+    order = sorted(matching.pairs, key=lambda p: (cells[p[0]][1:-1], cells[p[1]][1:-1]))
+    for low, high in order:
+        if not any(f == low for f, _ in pair.faces[high]):
+            return False, f"pair ({show(low)}, {show(high)}) is not a cover relation"
         for cell in (low, high):
             if cell in used:
-                return False, f"cell {cell} appears in more than one pair"
+                return False, f"cell {show(cell)} appears in more than one pair"
             used.add(cell)
     return True, None
 
 
-def is_acyclic(cells, matching: Matching) -> tuple[bool, list[Simplex] | None]:
+def is_acyclic(pair: RelativeComplex, matching: Matching) -> tuple[bool, list[int] | None]:
     """Cycle check on the up/down orientation of the cover digraph.
 
     Matched covers point up, the rest point down.  An upper cell has no
     outgoing up-edge (it is already the top of its pair), so any directed
     cycle automatically alternates up and down moves.  The search starts
-    from the cells in the order given.  Returns the cycle as a cell list
-    when one exists.
+    from the cells in index order and takes targets in simplex order.
+    Returns the cycle as a list of cell indices when one exists.
     """
-    up: dict[Simplex, list[Simplex]] = {c: [] for c in cells}
-    for high in cells:
-        for low, _ in faces(high):
-            if low not in up:
-                continue
-            if (low, high) in matching.pairs:
+    pairs = matching.pairs
+    n = len(pair.cells)
+    up: list[list[int]] = [[] for _ in range(n)]
+    for high, faces in enumerate(pair.faces):
+        for low, _ in faces:
+            if (low, high) in pairs:
                 up[low].append(high)
             else:
                 up[high].append(low)
-    for targets in up.values():
-        targets.sort()
+    lows = {low for low, _ in pairs}
+    for c, targets in enumerate(up):
+        if c in lows:  # up and down targets: order by interior vertices
+            targets.sort(key=lambda t: pair.cells[t][1:-1])
+        else:  # one dimension, where index order is simplex order
+            targets.sort()
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in cells}
-    for root in cells:
+    color = [WHITE] * n
+    for root in range(n):
         if color[root] != WHITE:
             continue
-        stack: list[tuple[Simplex, int]] = [(root, 0)]
         color[root] = GRAY
         path = [root]
+        stack = [iter(up[root])]  # the targets still to visit along the path
         while stack:
-            cell, idx = stack[-1]
-            if idx < len(up[cell]):
-                stack[-1] = (cell, idx + 1)
-                nxt = up[cell][idx]
+            for nxt in stack[-1]:
                 if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    return False, cycle
+                    return False, path[path.index(nxt):] + [nxt]
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, 0))
                     path.append(nxt)
+                    stack.append(iter(up[nxt]))
+                    break
             else:
-                color[cell] = BLACK
+                color[path.pop()] = BLACK
                 stack.pop()
-                path.pop()
     return True, None
 
 
-def critical_cells(cells, matching: Matching) -> list[tuple[Simplex, int]]:
-    """Unmatched cells with their dimensions, in the order of ``cells``."""
+def critical_cells(pair: RelativeComplex, matching: Matching) -> list[tuple[int, int]]:
+    """Unmatched cells with their dimensions, in index order."""
     matched = matching.matched_cells()
-    return [(c, len(c) - 1) for c in cells if c not in matched]
+    return [(c, len(x) - 3) for c, x in enumerate(pair.cells) if c not in matched]
 
 
 def morse_rank_check(pair: RelativeComplex, matching: Matching) -> tuple[bool, str]:
@@ -113,10 +117,11 @@ def morse_rank_check(pair: RelativeComplex, matching: Matching) -> tuple[bool, s
     count, concentrated in degree l-2.  Returns (ok, diagnostic).
     """
     length = pair.length
-    crit = critical_cells(pair.cells, matching)
+    crit = critical_cells(pair, matching)
     off = [(c, d) for c, d in crit if d != length - 2]
     if off:
-        return False, f"critical cells off dimension {length - 2}: {off[:5]}"
+        shown = [(pair.simplex(c), d) for c, d in off[:5]]
+        return False, f"critical cells off dimension {length - 2}: {shown}"
     rel = relative_homology(pair)
     for deg, (rank, tors) in enumerate(rel):
         if deg == length - 2:

@@ -28,33 +28,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    @staticmethod
-    def from_dense(rows) -> "SparseMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
-        return SparseMatrix(entries, len(rows), len(rows[0]) if rows else 0)
-
-
-def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.ncols != b.nrows:
-        raise MaghomError("dimension mismatch in sparse product")
-    b_rows: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in b.entries.items():
-        b_rows.setdefault(r, []).append((c, v))
-    out: dict[tuple[int, int], int] = {}
-    for (r, k), va in a.entries.items():
-        for c, vb in b_rows.get(k, ()):
-            key = (r, c)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return SparseMatrix(out, a.nrows, b.ncols)
-
 
 @dataclass(frozen=True)
 class SNFResult:

@@ -3,16 +3,17 @@ from itertools import product
 
 import pytest
 from conftest import random_connected
+from oracles import is_closed_under_faces, simplex_to_sequence, simplices, sparse_matmul
 
 from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_ab, path_graph
 from maghom.ai_complex import (
+    cell_boundaries,
     f_vector,
-    is_closed_under_faces,
     path_complex,
     reduced_homology,
+    relative_boundaries,
     relative_complex,
     relative_homology,
-    simplex_to_sequence,
     subsequence_length,
     verify_correspondence,
 )
@@ -55,13 +56,13 @@ def test_c4_pair_worked_example(c4):
         ((4, 1), (1, 2)),
         ((4, 1), (4, 3)),
     }
-    assert full - set(pair.cells) == expected_sub
+    assert full - set(simplices(pair)) == expected_sub
 
 
 def test_pairs_closed_under_faces(g1, c4):
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 4, 3), (g1, 2, 2, 4)):
         full = path_complex(g, a, b, ell)
-        sub = full - set(relative_complex(g, a, b, ell).cells)
+        sub = full - set(simplices(relative_complex(g, a, b, ell)))
         assert is_closed_under_faces(full)
         assert is_closed_under_faces(sub)
         assert sub <= full
@@ -73,7 +74,7 @@ def test_complete_graph_maximal_boundaries_inside_subcomplex():
         for a in (1,):
             for b in (1, 2):
                 full = path_complex(g, a, b, 3)
-                sub = full - set(relative_complex(g, a, b, 3).cells)
+                sub = full - set(simplices(relative_complex(g, a, b, 3)))
                 top = [s for s in full if len(s) == 2]
                 assert top, "expected maximal faces"
                 for s in top:
@@ -107,8 +108,9 @@ def test_membership_against_subset_oracle():
 
 def test_positions_are_cumulative_outside_subcomplex(g1, c4):
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 1, 3), (g1, 2, 5, 4)):
-        for s in relative_complex(g, a, b, ell).cells:
-            seq = simplex_to_sequence(a, b, s)
+        pair = relative_complex(g, a, b, ell)
+        for seq, s in zip(pair.cells, simplices(pair)):
+            assert simplex_to_sequence(a, b, s) == seq
             assert subsequence_length(g, a, b, s) == ell
             pos = 0
             for t in range(1, len(seq) - 1):
@@ -124,7 +126,7 @@ def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
                 continue
             for ell in (3, 4, 5):
                 full = path_complex(g, a, b, ell)
-                cells = relative_complex(g, a, b, ell).cells
+                cells = simplices(relative_complex(g, a, b, ell))
                 short = {s for s in full if subsequence_length(g, a, b, s) < ell}
                 assert full - set(cells) == short
                 assert set(cells) == full - short
@@ -140,14 +142,31 @@ def test_direct_cells_are_the_full_length_simplices_of_k(seed):
                 full = path_complex(g, a, b, ell)
                 kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
                 expected = sorted(kept, key=lambda s: (len(s), s))
-                assert list(relative_complex(g, a, b, ell).cells) == expected
+                assert simplices(relative_complex(g, a, b, ell)) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_face_table_boundaries_are_the_simplex_boundaries(seed):
+    # the relative boundary two ways: from the smooth-deletion face table,
+    # and by dropping each simplex element and keeping the faces outside K'
+    g = random_connected(random.Random(seed), 4 + seed % 4)
+    for a in g.vertices:
+        for b in g.vertices:
+            for ell in (3, 4, 5):
+                full = path_complex(g, a, b, ell)
+                kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
+                dims, maps = cell_boundaries(sorted(kept, key=lambda s: (len(s), s)))
+                table_dims, table_maps = relative_boundaries(relative_complex(g, a, b, ell))
+                # slot k of the simplex route holds dimension k - 1
+                assert dims[1:] + [0] * (ell - len(dims)) == table_dims
+                assert {k - 1: m for k, m in maps} == dict(table_maps)
 
 
 def test_lower_length_complex_sits_inside_subcomplex(g1):
     # needs every edge on a triangle, which holds in this fixture
     for a, b in ((1, 1), (1, 4), (2, 5)):
         shorter = path_complex(g1, a, b, 3)
-        sub = path_complex(g1, a, b, 4) - set(relative_complex(g1, a, b, 4).cells)
+        sub = path_complex(g1, a, b, 4) - set(simplices(relative_complex(g1, a, b, 4)))
         assert shorter <= sub
         assert shorter < sub  # strict on this fixture
 
@@ -165,21 +184,15 @@ def test_relative_homology_empty_pair(c4):
 
 
 def test_relative_boundary_squares_to_zero(g1):
-    from maghom.ai_complex import cell_boundaries
-    from maghom.snf import sparse_matmul
-
     pair = relative_complex(g1, 1, 1, 4)
-    dims, maps = cell_boundaries(pair.cells)
+    dims, maps = relative_boundaries(pair)
     boundaries = dict(maps)
-    for d in range(3, len(dims)):  # slot d holds the cells of dimension d - 1
+    for d in range(2, len(dims)):  # slot d holds the cells of dimension d
         assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
 
 
 
 def test_augmented_boundary_squares_to_zero(g1, c4):
-    from maghom.ai_complex import cell_boundaries
-    from maghom.snf import sparse_matmul
-
     for g, a, b, ell in ((c4, 1, 1, 4), (g1, 1, 1, 4), (g1, 2, 4, 4)):
         dims, maps = cell_boundaries([()] + sorted(path_complex(g, a, b, ell)))
         boundaries = dict(maps)
@@ -191,7 +204,7 @@ def test_augmented_boundary_squares_to_zero(g1, c4):
 
 def test_euler_characteristic_of_quotient(g1):
     pair = relative_complex(g1, 2, 4, 4)
-    cells = pair.cells
+    cells = simplices(pair)
     chi = sum((-1) ** (len(s) - 1) for s in cells)
     rel = relative_homology(pair)
     assert chi == sum((-1) ** d * rank for d, (rank, _) in enumerate(rel))

@@ -107,6 +107,18 @@ def test_match_with_certificate(capsys):
     assert out.count("pair: ") == 3
 
 
+def test_certificate_error_names_the_cell(capsys, tmp_path):
+    # swapping the middle of one quadruple breaks the insert/delete inverse
+    bad = tmp_path / "bad.sstruct"
+    text = (FIXTURES / "G1.sstruct").read_text()
+    bad.write_text(text.replace("Q 1 2 5 4\n", "Q 1 2 3 4\n"))
+    code, out, err = run(
+        capsys, "match", FIXTURES / "G1", "--a", 1, "--b", 3, "--ell", 4, "--s", bad
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: deletion does not invert insertion at ((2, 1), (4, 3))\n"
+
+
 def test_pawful_command(capsys):
     code, out, _ = run(capsys, "pawful", FIXTURES / "G1")
     assert code == 0

@@ -38,6 +38,10 @@ CASES = {
                           "--matching", F / "G1.sstruct"],
     "match_s": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",
                 "--s", F / "G1.sstruct"],
+    "match_s_g1_l5": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
+                      "--s", F / "G1.sstruct"],
+    "match_pawful_c4": ["match", F / "C4", "--a", "1", "--b", "3", "--ell", "4",
+                        "--pawful"],
     "pawful": ["pawful", F / "G1"],
     "s_structure_verify": ["s-structure", F / "G1", "--verify", F / "G1.sstruct"],
     "s_structure_search": ["s-structure", F / "G2", "--search"],

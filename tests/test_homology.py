@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 from conftest import full_basis, full_boundary, random_connected
-from oracles import is_smooth, sequence_length
+from oracles import is_smooth, sequence_length, sparse_matmul
 
 from maghom import (
     complete_graph,
@@ -19,7 +19,6 @@ from maghom import (
 from maghom import homology
 from maghom.errors import BudgetExceeded
 from maghom.homology import boundary_matrix, merge_torsion, mh_column
-from maghom.snf import sparse_matmul
 
 
 def test_enumerate_degree_zero(g1):

@@ -1,6 +1,7 @@
 from math import inf
 
 import pytest
+from oracles import sequence_indices
 
 from maghom import complete_graph
 from maghom.ai_complex import relative_complex
@@ -18,7 +19,6 @@ from maghom.matching import (
     default_selectors,
     parse_s,
     search_structure,
-    sequence_indices,
     serialize_s,
     verify_s_structure,
 )
@@ -97,8 +97,8 @@ def test_build_matching_c4(c4):
     build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
     assert len(build.matching) == 6
     assert len(build.critical) == 3
-    assert all(len(c) - 1 == 2 for c in build.critical)
-    poset = relative_complex(c4, 1, 1, 4).cells
+    poset = relative_complex(c4, 1, 1, 4)
+    assert all(len(poset.simplex(c)) - 1 == 2 for c in build.critical)
     assert verify_matching(poset, build.matching)[0]
     assert is_acyclic(poset, build.matching)[0]
 
@@ -108,8 +108,27 @@ def test_build_matching_partitions_cells(c4):
     build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
     cells = relative_complex(c4, 1, 1, 4).cells
     groups = set(build.inserted) | set(build.deleted) | set(build.critical)
-    assert groups == set(cells)
+    assert groups == set(range(len(cells)))
     assert len(build.inserted) == len(build.deleted) == len(build.matching)
+
+
+def test_build_matching_scan_agrees_with_sequence_indices(g1, g1_cert, c4):
+    # the first-event scan of build_matching against the two full scans
+    for g, s in ((g1, g1_cert), (c4, build_pawful_S(c4))):
+        for a, b in ((1, 1), (1, 3), (2, 4), (4, 2)):
+            pair = relative_complex(g, a, b, 5)
+            build = build_matching(g, pair, s)
+            groups = {"critical": [], "inserted": [], "deleted": []}
+            for c, seq in enumerate(pair.cells):
+                idx = sequence_indices(g, seq, s)
+                if idx.pattern == idx.gap == inf:
+                    groups["critical"].append(c)
+                else:
+                    groups["inserted" if idx.gap < idx.pattern else "deleted"].append(c)
+            assert groups == {name: list(getattr(build, name)) for name in groups}
+            for low, high in build.matching.pairs:
+                i = sequence_indices(g, pair.cells[high], s).pattern
+                assert pair.cells[low] == pair.cells[high][: i + 1] + pair.cells[high][i + 2 :]
 
 
 def test_build_matching_complete_graphs():
@@ -117,9 +136,10 @@ def test_build_matching_complete_graphs():
         g = complete_graph(n)
         s = build_pawful_S(g)
         for a, b in ((1, 2), (2, 2)):
-            build = build_matching(g, relative_complex(g, a, b, ell), s)
+            pair = relative_complex(g, a, b, ell)
+            build = build_matching(g, pair, s)
             assert not build.matching.pairs  # nothing to pair: no gaps, no patterns
-            assert all(len(c) - 1 == ell - 2 for c in build.critical)
+            assert all(len(pair.simplex(c)) - 1 == ell - 2 for c in build.critical)
             assert morse_rank_check(relative_complex(g, a, b, ell), build.matching)[0]
 
 
@@ -134,10 +154,10 @@ def test_build_matching_g1_certificate(g1, g1_cert):
     for ell in (3, 4):
         for a, b in ((1, 1), (1, 4), (3, 5), (6, 6)):
             build = build_matching(g1, relative_complex(g1, a, b, ell), g1_cert)
-            poset = relative_complex(g1, a, b, ell).cells
+            poset = relative_complex(g1, a, b, ell)
             assert verify_matching(poset, build.matching)[0]
             assert is_acyclic(poset, build.matching)[0]
-            assert all(len(c) - 1 == ell - 2 for c in build.critical)
+            assert all(len(poset.simplex(c)) - 1 == ell - 2 for c in build.critical)
 
 
 def test_star_property_pawful_fixtures(c4):

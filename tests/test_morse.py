@@ -1,3 +1,8 @@
+import random
+from types import SimpleNamespace
+
+import oracles
+
 from maghom import complete_graph
 from maghom.ai_complex import faces, relative_complex
 from maghom.matching import build_matching, build_pawful_S
@@ -11,13 +16,29 @@ from maghom.morse import (
 
 
 def square_boundary_poset():
-    """The boundary of a square as an abstract complex on elements 1..4."""
-    cells = [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)]
-    return sorted(cells, key=lambda s: (len(s), s))
+    """The boundary of a square as an abstract complex on elements 1..4.
+
+    It is given as the morse functions read a relative complex: cells
+    with sentinel ends, their face table, and each cell's display form.
+    """
+    simplices = [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)]
+    simplices.sort(key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(simplices)}
+    return SimpleNamespace(
+        cells=[(0,) + s + (0,) for s in simplices],
+        faces=[[(index[f], sign) for f, sign in faces(s) if f in index] for s in simplices],
+        simplex=simplices.__getitem__,
+    )
+
+
+def matching(poset, *pairs):
+    index = {poset.simplex(c): c for c in range(len(poset.cells))}
+    return Matching(frozenset((index[low], index[high]) for low, high in pairs))
 
 
 def test_cover_relations():
-    cells = square_boundary_poset()
+    poset = square_boundary_poset()
+    cells = [poset.simplex(c) for c in range(len(poset.cells))]
     covers = {(low, high) for high in cells for low, _ in faces(high) if low in cells}
     assert ((1,), (1, 2)) in covers
     assert ((3,), (1, 2)) not in covers
@@ -31,7 +52,7 @@ def test_verify_empty_matching():
 
 def test_verify_rejects_duplicate_cell():
     poset = square_boundary_poset()
-    m = Matching(frozenset({((1,), (1, 2)), ((1,), (1, 4))}))
+    m = matching(poset, ((1,), (1, 2)), ((1,), (1, 4)))
     ok, why = verify_matching(poset, m)
     assert not ok
     assert "(1,)" in why
@@ -39,27 +60,24 @@ def test_verify_rejects_duplicate_cell():
 
 def test_verify_rejects_non_cover():
     poset = square_boundary_poset()
-    ok, why = verify_matching(poset, Matching(frozenset({((1,), (2, 3))})))
+    ok, why = verify_matching(poset, matching(poset, ((1,), (2, 3))))
     assert not ok and "cover" in why
 
 
 def test_single_pair_is_acyclic():
     poset = square_boundary_poset()
-    m = Matching(frozenset({((1,), (1, 2))}))
+    m = matching(poset, ((1,), (1, 2)))
     assert verify_matching(poset, m)[0]
     assert is_acyclic(poset, m) == (True, None)
 
 
 def test_rotating_matching_has_cycle():
     poset = square_boundary_poset()
-    m = Matching(
-        frozenset(
-            {((1,), (1, 2)), ((2,), (2, 3)), ((3,), (3, 4)), ((4,), (1, 4))}
-        )
-    )
+    m = matching(poset, ((1,), (1, 2)), ((2,), (2, 3)), ((3,), (3, 4)), ((4,), (1, 4)))
     assert verify_matching(poset, m)[0]
     ok, cycle = is_acyclic(poset, m)
     assert not ok
+    cycle = [poset.simplex(c) for c in cycle]
     assert cycle[0] == cycle[-1]
     # alternation: dimensions go up and down by one along the cycle
     dims = [len(c) - 1 for c in cycle]
@@ -71,14 +89,14 @@ def test_rotating_matching_has_cycle():
 def test_critical_cells_empty_matching():
     poset = square_boundary_poset()
     crit = critical_cells(poset, Matching(frozenset()))
-    assert len(crit) == len(poset)
+    assert len(crit) == len(poset.cells)
 
 
 def test_critical_cells_partition():
     poset = square_boundary_poset()
-    m = Matching(frozenset({((1,), (1, 2)), ((2,), (2, 3))}))
+    m = matching(poset, ((1,), (1, 2)), ((2,), (2, 3)))
     crit = critical_cells(poset, m)
-    assert len(crit) == len(poset) - 4
+    assert len(crit) == len(poset.cells) - 4
 
 
 def test_morse_rank_check_c4(c4):
@@ -112,3 +130,33 @@ def test_critical_count_equals_relative_rank_complete_graph():
         from maghom import mh_ab
 
         assert mh_ab(g, a, b, 3, 3)[0] == len(build.critical)
+
+
+def test_random_matchings_agree_with_the_simplex_oracles(g1):
+    # the index-and-table checks against the former simplex-based ones, on
+    # valid, cyclic and invalid matchings; cycles come back cell for cell
+    rng = random.Random(3141)
+    seen = {"acyclic": 0, "cyclic": 0, "invalid": 0}
+    for trial in range(360):
+        a, b = rng.choice(list(g1.vertices)), rng.choice(list(g1.vertices))
+        pair = relative_complex(g1, a, b, 4 + trial % 3)
+        covers = [(low, high) for high, fs in enumerate(pair.faces) for low, _ in fs]
+        rng.shuffle(covers)
+        pairs, used = set(), set()
+        for low, high in covers[: rng.randint(0, len(covers))]:
+            if low not in used and high not in used:
+                pairs.add((low, high))
+                used |= {low, high}
+        n = len(pair.cells)
+        if n > 1 and trial % 4 == 0:  # any two cells: a reused cell or a non-cover
+            pairs.add(tuple(rng.sample(range(n), 2)))
+        matching = Matching(frozenset(pairs))
+        shown = {(pair.simplex(low), pair.simplex(high)) for low, high in pairs}
+        simplices = [pair.simplex(c) for c in range(n)]
+        valid = verify_matching(pair, matching)
+        assert valid == oracles.verify_matching(simplices, shown)
+        ok, cycle = is_acyclic(pair, matching)
+        expected = oracles.is_acyclic(simplices, shown)
+        assert (ok, cycle and [pair.simplex(c) for c in cycle]) == expected
+        seen["invalid" if not valid[0] else "acyclic" if ok else "cyclic"] += 1
+    assert min(seen.values()) >= 20, seen

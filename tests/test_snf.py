@@ -1,17 +1,20 @@
 import random
 from itertools import combinations
 
+from oracles import from_dense, rank_mod_p, sparse_matmul
+
+from maghom import boundary_matrix, enumerate_sequences
+from maghom.ai_complex import relative_boundaries, relative_complex
 from maghom.snf import (
     SparseMatrix,
     homology_of_complex,
     rank_fraction_free,
     smith_normal_form,
-    sparse_matmul,
 )
 
 
 def snf_dense(rows):
-    return smith_normal_form(SparseMatrix.from_dense(rows))
+    return smith_normal_form(from_dense(rows))
 
 
 def test_known_small_forms():
@@ -86,6 +89,53 @@ def simplicial_chain(maximal_faces):
     return dims, boundaries
 
 
+LARGE_PRIME = 2**31 - 1
+
+
+def prime_factors(d):
+    out, q = set(), 2
+    while q * q <= d:
+        while d % q == 0:
+            out.add(q)
+            d //= q
+        q += 1
+    return out | ({d} if d > 1 else set())
+
+
+def check_rank_mod_p(mat):
+    """rank_p = rank - #{divisors that p divides}, for p = 2, 3, every prime
+    factor of a divisor and one large prime; returns the primes checked."""
+    res = smith_normal_form(mat)
+    primes = {2, 3, LARGE_PRIME}.union(*map(prime_factors, res.divisors))
+    for p in primes:
+        assert rank_mod_p(mat, p) == res.rank - sum(d % p == 0 for d in res.divisors), p
+    return primes
+
+
+def test_rank_mod_p_on_random_matrices():
+    rng = random.Random(2718)
+    for _ in range(100):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        check_rank_mod_p(from_dense([[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]))
+    assert check_rank_mod_p(from_dense([[2, 0], [0, 3]])) == {2, 3, LARGE_PRIME}
+    assert rank_mod_p(from_dense([[2, 0], [0, 3]]), 2) == 1
+
+
+def test_rank_mod_p_on_fixture_boundaries(c4, g1, g2, g3):
+    # every boundary of the relative complexes and of the magnitude summands
+    for g in (c4, g1, g2, g3):
+        for a in g.vertices:
+            for b in g.vertices:
+                for ell in range(1, 6):
+                    bases = [enumerate_sequences(g, k, ell, (a, b)) for k in range(ell + 1)]
+                    for k in range(1, ell + 1):
+                        if bases[k] and bases[k - 1]:
+                            check_rank_mod_p(boundary_matrix(g, bases[k], bases[k - 1]))
+                    if ell >= 3:
+                        for _, mat in relative_boundaries(relative_complex(g, a, b, ell))[1]:
+                            check_rank_mod_p(mat)
+
+
 def test_torsion_of_projective_plane():
     # 6-vertex triangulation; integral homology is Z, Z/2, 0
     faces = [
@@ -99,6 +149,10 @@ def test_torsion_of_projective_plane():
     assert h[0] == (1, ())
     assert h[1] == (0, (2,))
     assert h[2] == (0, ())
+    assert 2 in check_rank_mod_p(boundaries[2])
+    assert rank_mod_p(boundaries[2], 2) == smith_normal_form(boundaries[2]).rank - 1
+    for d in (1, 2):
+        check_rank_mod_p(boundaries[d])
 
 
 def test_torus_homology():
@@ -117,6 +171,8 @@ def test_torus_homology():
     assert h[0] == (1, ())
     assert h[1] == (2, ())
     assert h[2] == (1, ())
+    for d in (1, 2):
+        check_rank_mod_p(boundaries[d])
 
 
 def test_sparse_matmul_shapes():
