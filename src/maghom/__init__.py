@@ -26,9 +26,9 @@ from .homology import (
     mh_rank,
     mh_table,
 )
-from .magnitude import euler_check, magnitude_rational, magnitude_series, zeta_matrix
+from .magnitude import euler_check, magnitude_rational, magnitude_series
 from .polyq import IntPoly, RatFunc
-from .snf import SNFResult, SparseMatrix, rank_fraction_free, smith_normal_form
+from .snf import SNFResult, SparseMatrix, smith_normal_form
 
 __all__ = [
     "Graph",
@@ -54,11 +54,9 @@ __all__ = [
     "euler_check",
     "magnitude_rational",
     "magnitude_series",
-    "zeta_matrix",
     "IntPoly",
     "RatFunc",
     "SNFResult",
     "SparseMatrix",
-    "rank_fraction_free",
     "smith_normal_form",
 ]

@@ -140,8 +140,9 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     the empty simplex, when given, sits in slot 0.  Within a slot the
     cells keep their order in ``cells``.  A face is kept exactly when it
     is one of ``cells``, so leaving out a subcomplex gives the relative
-    boundary.  The maps (k, slot k -> slot k-1) come one at a time; a map
-    to or from an empty slot is zero and is not yielded.
+    boundary.  The maps (k, slot k -> slot k-1) come one at a time, from
+    the top slot down (the order in which ``snf.homology_of_complex``
+    clears); a map to or from an empty slot is zero and is not yielded.
     """
     top = max(map(len, cells), default=0)
     by_size: list[list[Simplex]] = [[] for _ in range(top + 1)]
@@ -150,7 +151,7 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     dims = [len(group) for group in by_size]
 
     def maps():
-        for k in range(1, len(by_size)):
+        for k in range(len(by_size) - 1, 0, -1):
             if not dims[k] or not dims[k - 1]:
                 continue
             row = {s: i for i, s in enumerate(by_size[k - 1])}
@@ -172,8 +173,9 @@ def relative_boundaries(
     """Chain ranks and boundary maps of the relative complex, from its face table.
 
     Slot d holds the cells of dimension d, for d = 0 .. length-2.  The
-    maps (d, slot d -> slot d-1) come one at a time, as in
-    ``cell_boundaries``; a map to or from an empty slot is not yielded.
+    maps (d, slot d -> slot d-1) come one at a time from the top slot
+    down, as in ``cell_boundaries``; a map to or from an empty slot is not
+    yielded.
     """
     dims = [0] * (pair.length - 1)
     for x in pair.cells:
@@ -181,7 +183,7 @@ def relative_boundaries(
     starts = list(accumulate(dims, initial=0))
 
     def maps():
-        for d in range(1, len(dims)):
+        for d in range(len(dims) - 1, 0, -1):
             if not dims[d] or not dims[d - 1]:
                 continue
             lo, first = starts[d - 1], starts[d]

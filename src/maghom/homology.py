@@ -152,13 +152,14 @@ def _homology(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the complex spanned by ``bases`` (degree k at index k).
 
-    Each boundary is built once and reaches the Smith form on its own, so
-    only one is held in memory; a map to or from an empty basis is zero
-    and is not built.
+    Each boundary is built once, from the top degree down so that
+    ``homology_of_complex`` clears, and reaches the Smith form on its
+    own, so only one is held in memory; a map to or from an empty basis
+    is zero and is not built.
     """
     boundaries = (
         (k, boundary_matrix(g, bases[k], bases[k - 1]))
-        for k in range(1, len(bases))
+        for k in range(len(bases) - 1, 0, -1)
         if bases[k] and bases[k - 1]
     )
     return homology_of_complex([len(b) for b in bases], boundaries)

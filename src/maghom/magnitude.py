@@ -52,13 +52,6 @@ from .polyq import IntPoly, RatFunc
 from .symmetry import Cells, equitable_partition
 
 
-def zeta_matrix(g: Graph) -> list[list[IntPoly]]:
-    """Matrix with (x, y) entry the monomial q^d(x,y)."""
-    return [
-        [IntPoly.monomial(1, g.dist[x][y]) for y in g.vertices] for x in g.vertices
-    ]
-
-
 # Tried in order.  The Mersenne prime 2^89 - 1 alone exceeds 2C = 2n*n! for n <= 24;
 # primes below 2^61 follow.  All fit in three 30-bit digits of a Python int,
 # so each costs about the same per operation.  The test suite proves each

@@ -9,12 +9,19 @@ second route for the sequence-based code that replaced them.
 from collections import namedtuple
 from math import inf
 
-from maghom.snf import SparseMatrix
+from maghom.errors import MaghomError
+from maghom.polyq import IntPoly
+from maghom.snf import SparseMatrix, smith_normal_form
 
 
 def sequence_length(g, points):
     """Sum of consecutive distances along the tuple."""
     return sum(g.dist[points[i]][points[i + 1]] for i in range(len(points) - 1))
+
+
+def zeta_matrix(g):
+    """Matrix with (x, y) entry the monomial q^d(x,y)."""
+    return [[IntPoly.monomial(1, g.dist[x][y]) for y in g.vertices] for x in g.vertices]
 
 
 def is_smooth(g, points, i):
@@ -152,6 +159,59 @@ def sparse_matmul(a, b):
         for c, vb in b_rows.get(k, ()):
             out[(r, c)] = out.get((r, c), 0) + va * vb
     return SparseMatrix({rc: v for rc, v in out.items() if v}, a.nrows, b.ncols)
+
+
+def is_zero(mat):
+    return not mat.entries
+
+
+def rank_fraction_free(rows):
+    """Rank by Bareiss fraction-free elimination; independent of the SNF path.
+
+    >>> rank_fraction_free([[2, 4], [1, 2]])
+    1
+    >>> rank_fraction_free([[1, 0, 2], [0, 3, 1], [1, 3, 3]])
+    2
+    """
+    m = [[int(v) for v in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    prev = 1
+    pr = 0
+    for pc in range(nc):
+        piv_row = next((i for i in range(pr, nr) if m[i][pc]), None)
+        if piv_row is None:
+            continue
+        m[pr], m[piv_row] = m[piv_row], m[pr]
+        piv = m[pr][pc]
+        for i in range(pr + 1, nr):
+            for j in range(pc + 1, nc):
+                num = piv * m[i][j] - m[i][pc] * m[pr][j]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise MaghomError("fraction-free elimination lost exactness")
+                m[i][j] = q
+            m[i][pc] = 0
+        prev = piv
+        rank += 1
+        pr += 1
+        if pr == nr:
+            break
+    return rank
+
+
+def homology_uncleared(dims, boundaries):
+    """Homology with every full boundary (k, d_k) reduced bottom-up and
+    nothing cleared: rank H_k = dims[k] - rank d_k - rank d_(k+1), torsion
+    from the divisors of d_(k+1)."""
+    snf = {k: smith_normal_form(mat) for k, mat in sorted(boundaries, key=lambda km: km[0])}
+    out = []
+    for k in range(len(dims)):
+        rank_in = snf[k + 1].rank if k + 1 in snf else 0
+        rank_out = snf[k].rank if k in snf else 0
+        out.append((dims[k] - rank_out - rank_in, snf[k + 1].divisors if k + 1 in snf else ()))
+    return out
 
 
 def rank_mod_p(mat, p):

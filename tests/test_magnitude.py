@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 from conftest import random_connected
+from oracles import zeta_matrix
 
 from maghom import (
     complete_graph,
@@ -13,7 +14,6 @@ from maghom import (
     magnitude_series,
     path_graph,
     star_graph,
-    zeta_matrix,
 )
 from maghom import magnitude
 from maghom.errors import ValidationError

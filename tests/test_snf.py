@@ -1,14 +1,30 @@
 import random
 from itertools import combinations
 
-from oracles import from_dense, rank_mod_p, sparse_matmul
+import pytest
+from conftest import random_connected
+from oracles import (
+    from_dense,
+    homology_uncleared,
+    is_zero,
+    rank_fraction_free,
+    rank_mod_p,
+    sparse_matmul,
+)
 
-from maghom import boundary_matrix, enumerate_sequences
-from maghom.ai_complex import relative_boundaries, relative_complex
+from maghom import boundary_matrix, enumerate_sequences, snf
+from maghom.ai_complex import (
+    cell_boundaries,
+    path_complex,
+    relative_boundaries,
+    relative_complex,
+    relative_homology,
+)
+from maghom.homology import merge_torsion, mh_column, orbit_classes
 from maghom.snf import (
     SparseMatrix,
+    _dense_smith_diagonal,
     homology_of_complex,
-    rank_fraction_free,
     smith_normal_form,
 )
 
@@ -144,8 +160,11 @@ def test_torsion_of_projective_plane():
     ]
     dims, boundaries = simplicial_chain(faces)
     for d in range(2, len(dims)):
-        assert sparse_matmul(boundaries[d - 1], boundaries[d]).is_zero()
+        assert is_zero(sparse_matmul(boundaries[d - 1], boundaries[d]))
+    # bottom-up (nothing to clear) and top-down (cleared), and the oracle
     h = homology_of_complex(dims, boundaries.items())
+    assert h == homology_of_complex(dims, reversed(boundaries.items()))
+    assert h == homology_uncleared(dims, boundaries.items())
     assert h[0] == (1, ())
     assert h[1] == (0, (2,))
     assert h[2] == (0, ())
@@ -168,6 +187,8 @@ def test_torus_homology():
     dims, boundaries = simplicial_chain(faces)
     assert dims == [9, 27, 18]
     h = homology_of_complex(dims, boundaries.items())
+    assert h == homology_of_complex(dims, reversed(boundaries.items()))
+    assert h == homology_uncleared(dims, boundaries.items())
     assert h[0] == (1, ())
     assert h[1] == (2, ())
     assert h[2] == (1, ())
@@ -181,3 +202,120 @@ def test_sparse_matmul_shapes():
     prod = sparse_matmul(a, b)
     assert prod.entries == {(0, 0): 6}
     assert (prod.nrows, prod.ncols) == (2, 1)
+
+
+def dense_smith(mat):
+    """(rank, divisors) by the dense reduction alone, with no sparse phase."""
+    dense = [[0] * mat.ncols for _ in range(mat.nrows)]
+    for (r, c), v in mat.entries.items():
+        dense[r][c] = v
+    diag = _dense_smith_diagonal(dense)
+    return len(diag), tuple(d for d in diag if d > 1)
+
+
+def test_peeled_smith_form_agrees_with_the_dense_reduction():
+    # sparse +-1 matrices (mostly peeled) and sparse integer matrices
+    # (peeling, Markowitz pivots and a dense residual)
+    rng = random.Random(8128)
+    for trial in range(300):
+        nr, nc = rng.randint(1, 14), rng.randint(1, 14)
+        values = (-1, 1) if trial % 2 else (-3, -2, -1, 1, 2, 3, 4)
+        density = rng.choice((0.1, 0.2, 0.35))
+        entries = {
+            (r, c): rng.choice(values)
+            for r in range(nr)
+            for c in range(nc)
+            if rng.random() < density
+        }
+        mat = SparseMatrix(entries, nr, nc)
+        res = smith_normal_form(mat)
+        assert (res.rank, res.divisors) == dense_smith(mat)
+        # the unit pivot rows carry a unimodular minor: their rows of the
+        # matrix have Smith form I
+        rows = res.pivot_rows
+        assert len(rows) <= res.rank and rows <= set(range(nr))
+        sub = smith_normal_form(
+            SparseMatrix({rc: v for rc, v in entries.items() if rc[0] in rows}, nr, nc)
+        )
+        assert (sub.rank, sub.divisors) == (len(rows), ())
+
+
+def test_dense_phase_pivot_rows_are_not_cleared():
+    # Z -> Z^2 -> Z with d_2 = (2, 3)^T and d_1 = (3, -2): exact, so all
+    # groups vanish.  d_2 has no unit entry, so nothing may be cleared from
+    # d_1; leaving out its first column would give H_0 = Z/2.
+    boundaries = [
+        (2, SparseMatrix({(0, 0): 2, (1, 0): 3}, 2, 1)),
+        (1, SparseMatrix({(0, 0): 3, (0, 1): -2}, 1, 2)),
+    ]
+    assert smith_normal_form(boundaries[0][1]).pivot_rows == frozenset()
+    expected = [(0, ()), (0, ()), (0, ())]
+    assert homology_uncleared([1, 2, 1], boundaries) == expected
+    assert homology_of_complex([1, 2, 1], boundaries) == expected
+
+
+def magnitude_boundaries(g, bases):
+    """(k, d_k) for the complex spanned by ``bases``, from the top degree down."""
+    return [
+        (k, boundary_matrix(g, bases[k], bases[k - 1]))
+        for k in range(len(bases) - 1, 0, -1)
+        if bases[k] and bases[k - 1]
+    ]
+
+
+def test_clearing_leaves_out_the_unit_pivot_rows_of_the_map_above(g3, monkeypatch):
+    bases = [enumerate_sequences(g3, k, 6) for k in range(7)]
+    calls = []
+
+    def recorded(mat, cleared=()):
+        res = smith_normal_form(mat, cleared)
+        calls.append((mat, cleared, res))
+        return res
+
+    monkeypatch.setattr(snf, "smith_normal_form", recorded)
+    dims, boundaries = [len(b) for b in bases], magnitude_boundaries(g3, bases)
+    assert homology_of_complex(dims, boundaries) == homology_uncleared(dims, boundaries)
+    # C_2 = 0 at length 6 (diameter 2), so d_3 is zero and not built
+    assert [mat.ncols for mat, _, _ in calls] == dims[6:3:-1]
+    assert not calls[0][1]
+    for (mat, _, res), (_, cleared, _) in zip(calls, calls[1:]):
+        assert cleared == res.pivot_rows
+        # no dense phase here: every pivot is a unit pivot
+        assert len(cleared) == smith_normal_form(mat).rank > 0
+
+
+def test_clearing_keeps_the_fixture_summands(c4, g1, g2, g3):
+    for g in (c4, g1, g2, g3):
+        for a in g.vertices:
+            for b in g.vertices:
+                for ell in range(1, 7):
+                    bases = [enumerate_sequences(g, k, ell, (a, b)) for k in range(ell + 1)]
+                    dims = [len(x) for x in bases]
+                    expected = homology_uncleared(dims, magnitude_boundaries(g, bases))
+                    assert mh_column(g, ell, (a, b)) == expected
+                    if ell >= 3:
+                        pair = relative_complex(g, a, b, ell)
+                        dims, maps = relative_boundaries(pair)
+                        assert relative_homology(pair) == homology_uncleared(dims, maps)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_clearing_keeps_the_orbit_class_complexes(seed):
+    rng = random.Random(seed)
+    g = random_connected(rng, 5 + seed % 3)
+    for ell in range(1, 6):
+        columns = []
+        for m, pairs in orbit_classes(g):
+            bases = [enumerate_sequences(g, k, ell, pairs) for k in range(ell + 1)]
+            dims, boundaries = [len(x) for x in bases], magnitude_boundaries(g, bases)
+            columns.append((m, homology_uncleared(dims, boundaries)))
+            assert homology_of_complex(dims, boundaries) == columns[-1][1]
+        assert mh_column(g, ell) == [
+            (sum(m * c[k][0] for m, c in columns), merge_torsion((c[k][1], m) for m, c in columns))
+            for k in range(ell + 1)
+        ]
+        a, b = rng.choice(g.vertices), rng.choice(g.vertices)
+        if ell >= 3:
+            dims, maps = cell_boundaries([()] + sorted(path_complex(g, a, b, ell)))
+            maps = list(maps)
+            assert homology_of_complex(dims, maps) == homology_uncleared(dims, maps)
