@@ -25,10 +25,17 @@ with small moduli: evaluation at points t modulo primes, interpolation, CRT
 (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).  Two bounds
 make the result certain rather than likely:
 
-* degree: M_ij has degree at most ecc(x_i), so each permutation term of
-  det M has degree at most D = sum_i ecc(x_i); in each term of det B one
-  row i of M gives way to the border column, and the border row adds
-  degree 0.  So D + 1 points determine either polynomial.
+* degree: E_ij = max_{y in C_j} d(x_i, y) is the degree of M_ij, so a
+  permutation term prod_i M_{i,sigma(i)} of det M has degree at most
+  sum_i E_{i,sigma(i)}, and det M has degree at most D*, the largest such
+  sum over all sigma: a maximum-weight assignment, found by the
+  Hungarian method in O(r^3).  In each term of det B the border column
+  sits in some row i and the border row in some column j, both of
+  degree 0, and the other rows go bijectively onto the other columns;
+  adding the pair (i, j), with E_ij >= 0, makes that bijection a
+  permutation, so det B has degree at most D* as well.  As E_ij <=
+  ecc(x_i), D* <= sum_i ecc(x_i), with equality for K_n.  So D* + 1
+  points determine either polynomial.
 * coefficients: M_ij has nonnegative coefficients adding up to |C_j|,
   so a permutation term of det M, a product with one entry from each
   column, has coefficients adding up to at most P = prod_j |C_j|; a term
@@ -38,16 +45,35 @@ make the result certain rather than likely:
   C = r*r!*P in size; the discrete partition gives C = n*n!.  Residues
   modulo a product of primes above 2C, taken symmetrically, are the
   coefficients themselves.
+
+At each point the bordered matrix is made symmetric and eliminated
+without pivoting.  With s the cell sizes, |C_i| M_ij = sum over x in C_i
+and y in C_j of q^d(x,y) = |C_j| M_ji, so scaling row i of M by s_i gives
+the symmetric S = [[diag(s) M, s], [s^T, 0]]: B with its first r rows
+scaled, det S = prod_i s_i * det B.  Elimination without row exchanges
+keeps S symmetric, so only its upper triangle is stored and updated, half
+the products of a general elimination.  The k-th pivot is the ratio of
+the leading principal minors of orders k and k - 1; the first r pivots
+multiply to prod_i s_i * det M(t), and the entry left in the corner is
+det S / (prod_i s_i * det M) = det B(t) / det M(t).  A point where a
+pivot vanishes mod p is skipped.  Those are the roots of the leading
+minors S_[k] = prod_{i<k} s_i * det M_[k], k = 1..r.  M(0) is the
+identity, so S_[k] has constant term prod_{i<k} s_i, which is nonzero mod
+a prime p above every cell size (smaller primes are not used); and
+det M_[k] has degree at most D*, since an assignment of the leading k x k
+block extends to all of E by the diagonal, E_ii >= 0.  So each leading
+minor has at most D* roots mod p, and at most r*D* points are ever
+skipped.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial, inf, prod
 
-from .errors import InternalCheckError, ValidationError
+from .errors import BudgetExceeded, InternalCheckError, ValidationError
 from .graph import Graph
-from .homology import mh_column
+from .homology import basis_cap, mh_column
 from .polyq import IntPoly, RatFunc
 from .symmetry import Cells, equitable_partition
 
@@ -62,54 +88,106 @@ _PRIMES = (2**89 - 1,) + tuple(2**61 - d for d in (
 
 
 def _quotient(g: Graph, cells: Cells | None) -> tuple[list[list[int]], list[int]]:
-    """Row i: d(x_i, y) for the first vertex x_i of cell i and every y, cell
-    by cell; and the cell sizes.  No cells means the discrete partition."""
+    """Row i: d(x_i, y) for the first vertex x_i of cell i and every y, the
+    cells taken last to first; and the cell sizes.  No cells means the
+    discrete partition.  With the cells reversed, the columns of cells
+    j >= i, which make up the upper triangle, are a prefix of row i."""
     if cells is None:
         cells = tuple((v,) for v in g.vertices)
-    order = [y for cell in cells for y in cell]
+    order = [y for cell in reversed(cells) for y in cell]
     return [[g.dist[cell[0]][y] for y in order] for cell in cells], list(map(len, cells))
 
 
+def _cell_spans(sizes: list[int]) -> list[tuple[int, int]]:
+    """The column range of each cell in a ``_quotient`` row, last cell first."""
+    ends = list(accumulate(reversed(sizes), initial=0))
+    return list(zip(ends, ends[1:]))
+
+
+def _max_assignment(w: list[list[int]]) -> int:
+    """The largest sum_i w[i][sigma(i)] over permutations sigma: the Hungarian
+    method with row and column potentials on the costs -w, O(r^3).
+
+    >>> _max_assignment([[1, 5, 0], [4, 1, 0], [0, 0, 2]])
+    11
+    """
+    r = len(w)
+    u, v = [0] * (r + 1), [0] * (r + 1)  # potentials; index 0 is a free column
+    owner, way = [0] * (r + 1), [0] * (r + 1)  # owner[j]: row (1-based) on column j
+    for i in range(1, r + 1):
+        owner[0], j0 = i, 0
+        slack, used = [inf] * (r + 1), [False] * (r + 1)
+        while owner[j0]:  # grow a tree of tight edges until a free column joins it
+            used[j0] = True
+            row, i0, delta, j1 = w[owner[j0] - 1], owner[j0], inf, 0
+            for j in range(1, r + 1):
+                if not used[j]:
+                    cur = -row[j - 1] - u[i0] - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(r + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # shift the assignment along the path found
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    return sum(w[owner[j] - 1][j - 1] for j in range(1, r + 1))
+
+
 def det_bounds(g: Graph, cells: Cells | None = None) -> tuple[int, int]:
-    """(D, C): det M and det B of the quotient on ``cells`` (the discrete
-    partition by default, where M = Z) have degree <= D and coefficients
-    in [-C, C]."""
+    """(D*, C): det M and det B of the quotient on ``cells`` (the discrete
+    partition by default, where M = Z) have degree <= D* and coefficients
+    in [-C, C] (see the module docstring)."""
     rows, sizes = _quotient(g, cells)
+    spans = _cell_spans(sizes)[::-1]
+    top = _max_assignment([[max(row[a:b]) for a, b in spans] for row in rows])
     r = len(sizes)
-    return sum(map(max, rows)), r * factorial(r) * prod(sizes)
+    return top, r * factorial(r) * prod(sizes)
 
 
 def _dets_at(
     quotient: tuple[list[list[int]], list[int]], t: int, p: int
 ) -> tuple[int, int] | None:
-    """(det M(t), det B(t)) mod p, or None when det M(t) = 0 mod p, for the
-    quotient (rows, sizes) of ``_quotient``.
+    """(det M(t), det B(t)) mod p, or None when a leading principal minor
+    of M(t) vanishes mod p, for the quotient (rows, sizes) of ``_quotient``
+    and a prime p above every cell size.
 
-    One elimination of B(t) = [[M(t), 1], [sizes, 0]] with pivots taken
-    from M's rows only: det M(t) is the signed pivot product and the
-    corner left at the end is the Schur complement det B(t) / det M(t).
+    Eliminates S(t) = [[diag(sizes) M(t), sizes], [sizes, 0]] without
+    pivoting (see the module docstring).  Row i holds S_ij for j = r down
+    to i, so its pivot comes last and entry j sits at index r - j; the
+    update of row i by pivot row k zips the two, and zip stops at column i.
     """
     dist, sizes = quotient
+    r = len(sizes)
     pw = [pow(t, d, p) for d in range(max(map(max, dist)) + 1)]
-    rows = [[pw[d] for d in row] for row in dist]
-    if len(sizes) < len(dist[0]):  # add up each cell's columns; singletons need no pass
-        bounds = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-        rows = [[sum(row[a:b]) % p for a, b in bounds] for row in rows]
-    rows = [row + [1] for row in rows] + [sizes + [0]]
-    det = 1
-    while len(rows) > 1:
-        i = next((i for i, row in enumerate(rows[:-1]) if row[0]), None)
-        if i is None:
-            return None
-        piv = rows.pop(i)  # moving row i to the top has sign (-1)^i
-        det = (-det if i % 2 else det) * piv[0] % p
-        h = pow(piv[0], -1, p)
-        piv = [b * h % p for b in piv[1:]]
+    if r == len(dist[0]):  # singletons: sizes are 1 and S = B
+        rows = [[1] + [pw[d] for d in row[: r - i]] for i, row in enumerate(dist)]
+    else:
+        spans = _cell_spans(sizes)
         rows = [
-            [(a - f * b) % p for a, b in zip(row[1:], piv)] if (f := row[0]) else row[1:]
-            for row in rows
+            [s] + [s * sum([pw[d] for d in row[a:b]]) % p for a, b in spans[: r - i]]
+            for i, (row, s) in enumerate(zip(dist, sizes))
         ]
-    return det, det * rows[0][0] % p
+    rows.append([0])
+    det = 1
+    for k in range(r):
+        piv = rows[k]
+        if not (a := piv[-1]):
+            return None
+        det = det * a % p
+        h = pow(a, -1, p)
+        for i in range(k + 1, r + 1):
+            if f := piv[r - i]:
+                f = f * h % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
+    det = det * pow(prod(sizes), -1, p) % p
+    return det, det * rows[r][0] % p
 
 
 def _interpolate(
@@ -149,20 +227,25 @@ def bordered_dets(g: Graph, cells: Cells | None = None) -> tuple[IntPoly, IntPol
     all-ones row and column and a 0 corner on the discrete partition, the
     default (see the module docstring).
 
-    Both are interpolated mod each prime from D + 1 points t = 1, 2, ...
-    with det M(t) != 0 mod p, and primes are combined by CRT until their
-    product m exceeds 2C (see det_bounds).  A nonzero polynomial of degree
-    <= D has at most D roots, so after D + 1 skipped points det M vanishes
-    mod p and the prime is dropped, as it is when t runs out of room below p.
+    Both are interpolated mod each prime from D* + 1 points t = 1, 2, ...
+    where ``_dets_at`` succeeds, and primes are combined by CRT until their
+    product m exceeds 2C (see det_bounds).  At most r*D* points are
+    skipped; a prime is dropped after more, or when t runs out of room
+    below p.  Primes no larger than a cell are passed over, since the
+    scaling by cell sizes needs their inverses.
     """
     top, bound = det_bounds(g, cells)
     quotient = _quotient(g, cells)
+    sizes = quotient[1]
+    allowance = len(sizes) * top
     acc_m, acc_b, m = [0] * (top + 1), [0] * (top + 1), 1
     for p in _PRIMES:
         if m > 2 * bound:
             break
+        if p <= max(sizes):
+            continue
         points, t = [], 0
-        while len(points) <= top and t - len(points) <= top and t < p - 1:
+        while len(points) <= top and t - len(points) <= allowance and t < p - 1:
             t += 1
             if dets := _dets_at(quotient, t, p):
                 points.append((t, *dets))
@@ -198,10 +281,17 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
     Z = I + N with every entry of N of positive degree, so the entry sum
     of Z^{-1} is sum_k 1.(-N)^k.1, and (-N)^k has no term below q^k.  The
     vectors (-N)^k.1 are built by ``order`` matrix-vector products on
-    coefficient lists truncated at q^order.
+    coefficient lists truncated at q^order.  Those n lists of order + 1
+    coefficients count against the basis cap (``MAGHOM_BASIS_CAP``).
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
+    cap = basis_cap()
+    if g.n * (order + 1) > cap:
+        raise BudgetExceeded(
+            f"series through q^{order} needs {g.n} x {order + 1} coefficients, "
+            f"over the basis cap {cap}"
+        )
     dist = [g.dist[x][1:] for x in g.vertices]
     vec = [[1] + [0] * order for _ in dist]
     total = [len(dist)] + [0] * order

@@ -33,6 +33,16 @@ def test_magnitude_human(capsys):
     assert out.startswith("magnitude = ")
 
 
+def test_magnitude_series_over_the_cap_is_a_budget_error(capsys, monkeypatch):
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    code, out, err = run(capsys, "magnitude", FIXTURES / "G1", "--series", 99999999999)
+    assert code == 2 and out == ""
+    assert err == (
+        "budget exceeded: series through q^99999999999 needs 6 x 100000000000 "
+        "coefficients, over the basis cap 2000000\n"
+    )
+
+
 def test_mh_table_csv(capsys, g3):
     code, out, _ = run(capsys, "mh-table", FIXTURES / "G3", "--lmax", 6, "--csv")
     assert code == 0

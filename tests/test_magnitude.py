@@ -1,9 +1,10 @@
 import random
-from math import factorial
+from itertools import permutations
+from math import factorial, inf
 
 import pytest
 from conftest import random_connected
-from oracles import zeta_matrix
+from oracles import dets_at_pivoting, zeta_matrix
 
 from maghom import (
     complete_graph,
@@ -16,7 +17,7 @@ from maghom import (
     star_graph,
 )
 from maghom import magnitude
-from maghom.errors import ValidationError
+from maghom.errors import BudgetExceeded, ValidationError
 from maghom.polyq import IntPoly, RatFunc
 from maghom.symmetry import equitable_partition
 
@@ -142,10 +143,40 @@ def test_small_prime_table_exhausted(monkeypatch, g1):
         magnitude_rational(g1)
 
 
+def _assignment_by_subsets(w):
+    """Largest sum_i w[i][sigma(i)] over permutations, by dynamic programming
+    over the sets of columns taken by the first rows."""
+    best = {0: 0}
+    for row in w:
+        nxt = {}
+        for mask, val in best.items():
+            for j, x in enumerate(row):
+                if not mask >> j & 1 and nxt.get(mask | 1 << j, -inf) < val + x:
+                    nxt[mask | 1 << j] = val + x
+        best = nxt
+    return max(best.values())
+
+
+def _degree_matrix(g, cells):
+    """E_ij = max_{y in C_j} d(x_i, y), x_i the first vertex of C_i."""
+    return [[max(g.dist[ci[0]][y] for y in cj) for cj in cells] for ci in cells]
+
+
+def test_assignment_bound_is_the_largest_permutation_sum():
+    rng = random.Random(7)
+    for _ in range(300):
+        r = rng.randint(1, 7)
+        w = [[rng.randint(-3, 9) for _ in range(r)] for _ in range(r)]
+        best = max(sum(w[i][s[i]] for i in range(r)) for s in permutations(range(r)))
+        assert magnitude._max_assignment(w) == best == _assignment_by_subsets(w)
+
+
 def test_det_bounds(oracle_graphs):
     for g in oracle_graphs:
         top, bound = magnitude.det_bounds(g)
-        assert top == sum(max(g.dist[x][1:]) for x in g.vertices)
+        discrete = tuple((v,) for v in g.vertices)
+        assert top == _assignment_by_subsets(_degree_matrix(g, discrete))
+        assert top <= sum(max(g.dist[x][1:]) for x in g.vertices)
         for det in _bareiss_dets(g):
             assert det.degree <= top
             assert max(abs(c) for c in det.coeffs) <= bound
@@ -321,6 +352,7 @@ def test_quotient_equals_bareiss_oracle(g1, g3):
         det_z, det_bz = _bareiss_dets(g)
         assert RatFunc(-det_b, det_m) == RatFunc(-det_bz, det_z) == magnitude_rational(g)
         top, bound = magnitude.det_bounds(g, partition)
+        assert top == _assignment_by_subsets(_degree_matrix(g, partition))
         for det in (det_m, det_b):
             assert det.degree <= top
             assert max(abs(c) for c in det.coeffs) <= bound
@@ -340,3 +372,70 @@ def test_general_elimination_on_a_discrete_25_vertex_graph():
     # 2C exceeds the first prime, 2^89 - 1, so two primes are combined
     assert 2 * magnitude.det_bounds(g)[1] > magnitude._PRIMES[0]
     assert magnitude_rational(g).series(10) == magnitude_series(g, 10)
+
+
+def _leading_minor_vanishes(quotient, t, p):
+    """Is det M_[k](t) = 0 mod p for a leading k x k block of M, k = 1..r?
+    The block is the quotient on the first k cells, whose columns come
+    last in each row."""
+    dist, sizes = quotient
+    for k in range(1, len(sizes) + 1):
+        width = sum(sizes[:k])
+        if dets_at_pivoting(([row[-width:] for row in dist[:k]], sizes[:k]), t, p) is None:
+            return True
+    return False
+
+
+def test_symmetric_elimination_matches_the_pivoting_oracle(g1, g3):
+    cases = [(g, None) for g in (g1, g3, RANDOM_GRAPHS[7], RANDOM_GRAPHS[13])]
+    cases += [(g, equitable_partition(g)) for g in (g1, g3)]
+    only_a_minor = 0
+    for g, cells in cases:
+        quotient = magnitude._quotient(g, cells)
+        assert cells is None or len(set(quotient[1])) > 1  # cells of unequal sizes
+        for p in (2**89 - 1, 5, 7, 11, 13):
+            for t in range(1, 41):
+                got, want = magnitude._dets_at(quotient, t, p), dets_at_pivoting(quotient, t, p)
+                if _leading_minor_vanishes(quotient, t, p):
+                    assert got is None
+                    only_a_minor += want is not None
+                else:
+                    assert got == want and want is not None
+    assert only_a_minor
+    # on G1, the leading 5 x 5 minor of Z(2) is 0 mod 5, while det Z(2) = 1
+    quotient = magnitude._quotient(g1, None)
+    assert magnitude._dets_at(quotient, 2, 5) is None
+    assert dets_at_pivoting(quotient, 2, 5) == (1, 3)
+
+
+@pytest.mark.parametrize("g, cell, primes", [
+    (PETERSEN, 10, (5, 7, 11, 13)),
+    (K33, 6, (3, 5, 7, 11, 13)),
+])
+def test_primes_no_larger_than_a_cell_are_passed_over(monkeypatch, g, cell, primes):
+    calls = []
+
+    def recording(quotient, t, p):
+        calls.append(p)
+        return real(quotient, t, p)
+
+    real = magnitude._dets_at
+    monkeypatch.setattr(magnitude, "_dets_at", recording)
+    monkeypatch.setattr(magnitude, "_PRIMES", primes)
+    partition = equitable_partition(g)
+    assert [len(c) for c in partition] == [cell]
+    det_m, det_b = magnitude.bordered_dets(g, partition)
+    det_z, det_bz = _bareiss_dets(g)
+    assert RatFunc(-det_b, det_m) == RatFunc(-det_bz, det_z)
+    assert calls and min(calls) > cell
+    # mod a prime dividing the cell size, S(t) is 0 and every point is skipped
+    quotient = magnitude._quotient(g, partition)
+    assert all(real(quotient, t, primes[0]) is None for t in range(1, primes[0]))
+
+
+def test_series_table_is_capped(monkeypatch, g1):
+    # n * (order + 1) coefficients are held at once
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "60")
+    assert magnitude_series(g1, 9)[:8] == [6, -20, 60, -182, 556, -1702, 5214, -15980]
+    with pytest.raises(BudgetExceeded, match="series"):
+        magnitude_series(g1, 10)
