@@ -26,7 +26,7 @@ from .homology import (
     mh_rank,
     mh_table,
 )
-from .magnitude import euler_check, magnitude_rational, magnitude_series
+from .magnitude import magnitude_rational, magnitude_series
 from .polyq import IntPoly, RatFunc
 from .snf import SNFResult, SparseMatrix, smith_normal_form
 
@@ -51,7 +51,6 @@ __all__ = [
     "mh_column",
     "mh_rank",
     "mh_table",
-    "euler_check",
     "magnitude_rational",
     "magnitude_series",
     "IntPoly",

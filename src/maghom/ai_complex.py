@@ -14,10 +14,12 @@ positions the cumulative distances from a.  So the cells of K outside K'
 are the length-l sequences (a, x_1, .., x_(k-1), b) of the (a, b) summand
 of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
-faces are the smooth deletions.  ``relative_complex`` builds the cells
-from the sequence enumerator with their faces, once; the positions are
-derived only to display a cell.  ``path_complex`` builds K itself from
-the edge paths, where K is reported or checked.
+faces are the smooth deletions.  So the relative chain complex is that
+summand in degrees 2..l with d_2 dropped, and ``relative_complex`` builds
+its cells by ``homology.enumerate_sequences`` and its maps by
+``homology.boundary_matrix``, once; the positions are derived only to
+display a cell.  ``path_complex`` builds K itself from the edge paths,
+where K is reported or checked.
 
 There a simplex is a tuple of (vertex, position) pairs sorted by
 position; that ordering fixes the boundary orientation.  ``faces`` and
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from .errors import ValidationError
 from .graph import Graph
-from .homology import enumerate_sequences, mh_column
+from .homology import boundary_matrix, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -52,9 +54,11 @@ class RelativeComplex:
     length-l sequence (a, x_1, .., x_(k-1), b), of dimension k - 2.
     ``cells`` holds them by degree, then lexicographically: the order of
     their simplices, the basis of the relative chain complex and the cell
-    set of the Morse matching.  ``faces[c]`` lists the faces of cell c
-    outside K' as (cell index, sign): deleting x_i gives one exactly when
-    x_i is smooth, with sign (-1)^(i-1).
+    set of the Morse matching.  The cells of dimension d are
+    ``cells[starts[d]:starts[d + 1]]``.  ``boundaries[d]`` maps them to
+    dimension d - 1, for each d >= 1 with both sides nonempty: deleting
+    x_i gives a face exactly when x_i is smooth, with the simplicial sign
+    (-1)^(i-1).
     """
 
     g: Graph = field(repr=False, compare=False)
@@ -62,43 +66,42 @@ class RelativeComplex:
     b: int
     length: int
     cells: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
+    starts: tuple[int, ...]
+    boundaries: dict[int, SparseMatrix] = field(repr=False, compare=False)
 
     def simplex(self, c: int) -> Simplex:
         """Cell c in its (vertex, position) form, for display."""
         seq, dist = self.cells[c], self.g.dist
         return tuple(zip(seq[1:-1], accumulate(dist[u][v] for u, v in zip(seq, seq[1:-1]))))
 
+    def covers(self) -> Iterator[tuple[int, int]]:
+        """(face, cell) as cell indices, for each entry of the boundaries."""
+        for d, mat in self.boundaries.items():
+            lo, first = self.starts[d - 1], self.starts[d]
+            for r, c in mat.entries:
+                yield lo + r, first + c
+
 
 def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
-    """The cells of K_l(a,b) outside K'_l(a,b), from the sequence enumerator.
+    """The cells of K_l(a,b) outside K'_l(a,b) and their boundaries.
 
-    The cells with k - 1 vertices are the degree-k, length-l sequences
+    The cells of dimension d are the degree-(d+2), length-l sequences
     from a to b, each interior vertex at its cumulative distance from a.
     A position depends only on the vertex prefix, so sequence order is
-    cell order.  Each cell's faces are found once, by the smoothness test
-    of ``homology.boundary_matrix``.
+    cell order.  The boundaries are those of the magnitude chain complex,
+    negated: there deleting x_i has sign (-1)^i.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    dist = g.dist
-    cells: list[tuple[int, ...]] = []
-    faces: list[tuple[tuple[int, int], ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for k in range(2, length + 1):
-        for x in enumerate_sequences(g, k, length, (a, b)):
-            index[x] = len(cells)
-            cells.append(x)
-            out = []
-            if k > 2:  # deleting a lone vertex leaves the empty simplex, in K'
-                before, sign = dist[a], 1  # distances from x[i-1]
-                for i in range(1, k):
-                    here = dist[x[i]]
-                    if before[x[i + 1]] == before[x[i]] + here[x[i + 1]]:
-                        out.append((index[x[:i] + x[i + 1 :]], sign))
-                    before, sign = here, -sign
-            faces.append(tuple(out))
-    return RelativeComplex(g, a, b, length, tuple(cells), tuple(faces))
+    bases = [enumerate_sequences(g, k, length, (a, b)) for k in range(2, length + 1)]
+    boundaries: dict[int, SparseMatrix] = {}
+    for d in range(1, len(bases)):
+        if bases[d] and bases[d - 1]:
+            mat = boundary_matrix(g, bases[d], bases[d - 1])
+            entries = {e: -v for e, v in mat.entries.items()}
+            boundaries[d] = SparseMatrix(entries, mat.nrows, mat.ncols)
+    starts = tuple(accumulate(map(len, bases), initial=0))
+    return RelativeComplex(g, a, b, length, tuple(chain(*bases)), starts, boundaries)
 
 
 def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
@@ -170,32 +173,14 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
 def relative_boundaries(
     pair: RelativeComplex,
 ) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]]]:
-    """Chain ranks and boundary maps of the relative complex, from its face table.
+    """Chain ranks and boundary maps of the relative complex.
 
     Slot d holds the cells of dimension d, for d = 0 .. length-2.  The
-    maps (d, slot d -> slot d-1) come one at a time from the top slot
-    down, as in ``cell_boundaries``; a map to or from an empty slot is not
-    yielded.
+    maps (d, slot d -> slot d-1) come from the top slot down, as in
+    ``cell_boundaries``; a map to or from an empty slot is not yielded.
     """
-    dims = [0] * (pair.length - 1)
-    for x in pair.cells:
-        dims[len(x) - 3] += 1
-    starts = list(accumulate(dims, initial=0))
-
-    def maps():
-        for d in range(len(dims) - 1, 0, -1):
-            if not dims[d] or not dims[d - 1]:
-                continue
-            lo, first = starts[d - 1], starts[d]
-            entries = {
-                (f - lo, c - first): sign
-                for c in range(first, starts[d + 1])
-                for f, sign in pair.faces[c]
-            }
-            yield d, SparseMatrix(entries, dims[d - 1], dims[d])
-            del entries  # not held while the next map is built
-
-    return dims, maps()
+    dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
+    return dims, reversed(pair.boundaries.items())
 
 
 def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]]:

@@ -38,9 +38,6 @@ class Graph:
     def is_tree(self) -> bool:
         return self.m == self.n - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and self.dist[u][v] == 1
-
     def common_neighbors(self, *vs: int) -> list[int]:
         sets = [set(self.neighbors[v]) for v in vs]
         out = sets[0]

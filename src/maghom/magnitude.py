@@ -73,7 +73,7 @@ from math import factorial, inf, prod
 
 from .errors import BudgetExceeded, InternalCheckError, ValidationError
 from .graph import Graph
-from .homology import basis_cap, mh_column
+from .homology import basis_cap
 from .polyq import IntPoly, RatFunc
 from .symmetry import Cells, equitable_partition
 
@@ -307,17 +307,3 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
         total = [s + sum(col) for s, col in zip(total, zip(*vec))]
     return total
 
-
-def euler_check(g: Graph, lmax: int) -> bool:
-    """Does sum_k (-1)^k rank MH_k^l match the series coefficient of q^l?
-
-    Checked for every l <= lmax; torsion does not enter the rank count.
-    """
-    series = magnitude_series(g, lmax)
-    for length in range(lmax + 1):
-        alt = 0
-        for k, (rank, _) in enumerate(mh_column(g, length)):
-            alt += rank if k % 2 == 0 else -rank
-        if alt != series[length]:
-            return False
-    return True

@@ -1,16 +1,16 @@
 """Discrete Morse machinery on the cells of a relative complex.
 
 The cells are those of ``ai_complex.RelativeComplex``, named by their
-index, and its face table gives the covers: (face, cell) for each face
-of a cell, which is a smooth deletion of one of its vertices.  A partial
-matching pairs each lower cell with a cover (a cell one dimension up
-containing it), each cell used at most once.  Orienting matched covers
-upward and all other covers downward gives a digraph; the matching is
-acyclic when that digraph has no directed cycle.  Unmatched cells are
-critical, and for an acyclic matching the cell set is homotopy-modelled
-by one cell per critical cell, which this module verifies at the level
-of homology ranks.  Cells appear in their (vertex, position) form only
-in messages.
+index, and its ``covers()`` are the entries of its boundary maps: (face,
+cell) for each face of a cell, a smooth deletion of one of its vertices.
+A partial matching pairs each lower cell with a cover (a cell one
+dimension up containing it), each cell used at most once.  Orienting
+matched covers upward and all other covers downward gives a digraph; the
+matching is acyclic when that digraph has no directed cycle.  Unmatched
+cells are critical, and for an acyclic matching the cell set is
+homotopy-modelled by one cell per critical cell, which this module
+verifies at the level of homology ranks.  Cells appear in their (vertex,
+position) form only in messages.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ def verify_matching(pair: RelativeComplex, matching: Matching) -> tuple[bool, st
     for low, high in sorted(matching.pairs):
         if not (0 <= low < len(cells) and 0 <= high < len(cells)):
             return False, f"pair ({low}, {high}) uses a cell outside the cell set"
+    covers = set(pair.covers())
     used: set[int] = set()
     order = sorted(matching.pairs, key=lambda p: (cells[p[0]][1:-1], cells[p[1]][1:-1]))
     for low, high in order:
-        if not any(f == low for f, _ in pair.faces[high]):
+        if (low, high) not in covers:
             return False, f"pair ({show(low)}, {show(high)}) is not a cover relation"
         for cell in (low, high):
             if cell in used:
@@ -67,12 +68,11 @@ def is_acyclic(pair: RelativeComplex, matching: Matching) -> tuple[bool, list[in
     pairs = matching.pairs
     n = len(pair.cells)
     up: list[list[int]] = [[] for _ in range(n)]
-    for high, faces in enumerate(pair.faces):
-        for low, _ in faces:
-            if (low, high) in pairs:
-                up[low].append(high)
-            else:
-                up[high].append(low)
+    for low, high in pair.covers():
+        if (low, high) in pairs:
+            up[low].append(high)
+        else:
+            up[high].append(low)
     lows = {low for low, _ in pairs}
     for c, targets in enumerate(up):
         if c in lows:  # up and down targets: order by interior vertices

@@ -11,6 +11,8 @@ from itertools import accumulate
 from math import inf
 
 from maghom.errors import MaghomError
+from maghom.homology import mh_column
+from maghom.magnitude import magnitude_series
 from maghom.polyq import IntPoly
 from maghom.snf import SparseMatrix, smith_normal_form
 
@@ -270,3 +272,18 @@ def dets_at_pivoting(quotient, t, p):
             for row in rows
         ]
     return det, det * rows[0][0] % p
+
+
+def euler_check(g, lmax):
+    """Does sum_k (-1)^k rank MH_k^l match the series coefficient of q^l?
+
+    Checked for every l <= lmax; torsion does not enter the rank count.
+    """
+    series = magnitude_series(g, lmax)
+    for length in range(lmax + 1):
+        alt = 0
+        for k, (rank, _) in enumerate(mh_column(g, length)):
+            alt += rank if k % 2 == 0 else -rank
+        if alt != series[length]:
+            return False
+    return True

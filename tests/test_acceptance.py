@@ -9,12 +9,18 @@ import random
 import time
 
 from conftest import full_boundary
-from oracles import from_dense, is_zero, rank_fraction_free, simplices, sparse_matmul
+from oracles import (
+    euler_check,
+    from_dense,
+    is_zero,
+    rank_fraction_free,
+    simplices,
+    sparse_matmul,
+)
 
 from maghom import (
     complete_graph,
     cycle_graph,
-    euler_check,
     magnitude_rational,
     magnitude_series,
     mh_ab,

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from conftest import random_connected
@@ -153,8 +153,9 @@ def test_direct_cells_are_the_full_length_simplices_of_k(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_face_table_boundaries_are_the_simplex_boundaries(seed):
-    # the relative boundary two ways: from the smooth-deletion face table,
-    # and by dropping each simplex element and keeping the faces outside K'
+    # the relative boundary two ways: from the smooth deletions that
+    # relative_complex stores as maps, and by dropping each simplex element
+    # and keeping the faces outside K'
     g = random_connected(random.Random(seed), 4 + seed % 4)
     for a in g.vertices:
         for b in g.vertices:
@@ -162,10 +163,17 @@ def test_face_table_boundaries_are_the_simplex_boundaries(seed):
                 full = path_complex(g, a, b, ell)
                 kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
                 dims, maps = cell_boundaries(sorted(kept, key=lambda s: (len(s), s)))
-                table_dims, table_maps = relative_boundaries(relative_complex(g, a, b, ell))
+                pair = relative_complex(g, a, b, ell)
+                table_dims, table_maps = relative_boundaries(pair)
                 # slot k of the simplex route holds dimension k - 1
                 assert dims[1:] + [0] * (ell - len(dims)) == table_dims
-                assert {k - 1: m for k, m in maps} == dict(table_maps)
+                maps = {k - 1: m for k, m in maps}
+                assert maps == dict(table_maps)
+                # the Morse covers are the entries of the simplex route's maps
+                starts = list(accumulate(dims[1:], initial=0))
+                assert set(pair.covers()) == {
+                    (starts[d - 1] + r, starts[d] + c) for d, m in maps.items() for r, c in m.entries
+                }
 
 
 def test_lower_length_complex_sits_inside_subcomplex(g1):

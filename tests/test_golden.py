@@ -30,6 +30,8 @@ CASES = {
                    "--homology", "--list-faces"],
     "ai_complex_g1": ["ai-complex", F / "G1", "--a", "2", "--b", "5", "--ell", "4",
                       "--json", "--homology", "--list-faces"],
+    "ai_complex_g3": ["ai-complex", F / "G3", "--a", "1", "--b", "2", "--ell", "5",
+                      "--homology", "--json"],
     "morse_report": ["morse", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
                      "--matching", "pawful", "--report"],
     "morse_report_g1": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "7",

@@ -4,12 +4,11 @@ from math import factorial, inf
 
 import pytest
 from conftest import random_connected
-from oracles import dets_at_pivoting, zeta_matrix
+from oracles import dets_at_pivoting, euler_check, zeta_matrix
 
 from maghom import (
     complete_graph,
     cycle_graph,
-    euler_check,
     from_edges,
     magnitude_rational,
     magnitude_series,

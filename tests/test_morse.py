@@ -19,14 +19,16 @@ def square_boundary_poset():
     """The boundary of a square as an abstract complex on elements 1..4.
 
     It is given as the morse functions read a relative complex: cells
-    with sentinel ends, their face table, and each cell's display form.
+    with sentinel ends, their covers as (face, cell) indices, and each
+    cell's display form.
     """
     simplices = [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)]
     simplices.sort(key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(simplices)}
+    covers = [(index[f], c) for c, s in enumerate(simplices) for f, _ in faces(s) if f in index]
     return SimpleNamespace(
         cells=[(0,) + s + (0,) for s in simplices],
-        faces=[[(index[f], sign) for f, sign in faces(s) if f in index] for s in simplices],
+        covers=covers.__iter__,
         simplex=simplices.__getitem__,
     )
 
@@ -140,7 +142,7 @@ def test_random_matchings_agree_with_the_simplex_oracles(g1):
     for trial in range(360):
         a, b = rng.choice(list(g1.vertices)), rng.choice(list(g1.vertices))
         pair = relative_complex(g1, a, b, 4 + trial % 3)
-        covers = [(low, high) for high, fs in enumerate(pair.faces) for low, _ in fs]
+        covers = list(pair.covers())
         rng.shuffle(covers)
         pairs, used = set(), set()
         for low, high in covers[: rng.randint(0, len(covers))]:
