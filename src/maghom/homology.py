@@ -7,6 +7,17 @@ entries are never deleted, so the complex splits over endpoint pairs.
 Homology is computed exactly (free rank plus torsion divisors) by Smith
 normal form of the boundary matrices.
 
+The top degree k = l is never enumerated.  Its generators are the
+length-l walks, since each of their l gaps is 1, so its rank in the
+(a, b) summand is the walk count (A^l)_ab.  Its boundary d_l is built
+from degree l-1 alone: a degree-(l-1), length-l sequence y has l-1 gaps
+>= 1 adding up to l, so exactly one gap is 2, say between y_(j-1) and
+y_j.  The walks with a smooth point whose deletion gives y are y with a
+common neighbour of y_(j-1) and y_j inserted at position j, each with
+sign (-1)^j.  So inserting common neighbours yields every nonzero entry
+of d_l once, and the walks without a smooth point, the zero columns of
+d_l, never appear; MH_(l,l) is the walk count minus the rank of d_l.
+
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
 summand onto the (sigma a, sigma b) summand, smooth points to smooth
@@ -37,6 +48,10 @@ _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
 
 def basis_cap() -> int:
     return positive_int_env(_BASIS_CAP_ENV, DEFAULT_BASIS_CAP)
+
+
+def _over_cap(k: int, length: int, cap: int) -> BudgetExceeded:
+    return BudgetExceeded(f"degree-{k} length-{length} basis exceeds the cap of {cap}")
 
 
 def enumerate_sequences(
@@ -102,9 +117,7 @@ def enumerate_sequences(
             return
         new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
         if size + weight * len(new) > cap:
-            raise BudgetExceeded(
-                f"degree-{k} length-{length} basis exceeds the cap of {cap}"
-            )
+            raise _over_cap(k, length, cap)
         size += weight * len(new)
         out.extend(new)
 
@@ -118,7 +131,7 @@ def enumerate_sequences(
 
 def boundary_matrix(
     g: Graph,
-    basis_k: tuple[tuple[int, ...], ...],
+    basis_k: tuple[tuple[int, ...], ...] | None,
     basis_lo: tuple[tuple[int, ...], ...],
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
@@ -130,10 +143,34 @@ def boundary_matrix(
     d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints are kept.  A smooth
     deletion can never produce equal consecutive entries, so target rows
     always exist, and two deletions from one x never give the same row.
+
+    With ``basis_k`` None, k is the top degree, the length l, and the
+    walks are found from ``basis_lo``: each y there has one gap of 2, at
+    position j, and a common neighbour v of y_(j-1) and y_j inserted at j
+    makes a walk in which v is smooth and whose deletion gives y back;
+    every smooth point of every walk arises so, once.  The columns are
+    these walks in order of first appearance: d_l without its zero
+    columns, the walks that have no smooth point.
     """
     dist = g.dist
-    index = {x: r for r, x in enumerate(basis_lo)}
     entries: dict[tuple[int, int], int] = {}
+    if basis_k is None:
+        walks: dict[tuple[int, ...], int] = {}
+        common: dict[tuple[int, int], list[int]] = {}
+        for row, y in enumerate(basis_lo):
+            j = 1
+            while dist[y[j - 1]][y[j]] == 1:
+                j += 1
+            gap = y[j - 1], y[j]
+            if gap not in common:
+                common[gap] = g.common_neighbors(*gap)
+            sign = (-1) ** j
+            head, tail = y[:j], y[j:]
+            for v in common[gap]:
+                col = walks.setdefault(head + (v,) + tail, len(walks))
+                entries[(row, col)] = sign
+        return SparseMatrix(entries, len(basis_lo), len(walks))
+    index = {x: r for r, x in enumerate(basis_lo)}
     for col, x in enumerate(basis_k):
         before = dist[x[0]]  # distances from x[i-1]
         sign = -1
@@ -147,22 +184,48 @@ def boundary_matrix(
     return SparseMatrix(entries, len(basis_lo), len(basis_k))
 
 
+def walk_counts(g: Graph, starts: Iterable[int], length: int) -> dict[int, list[int]]:
+    """Row a of A^length for each a in ``starts``, A the adjacency matrix:
+    entry b is the number of length-l walks from a to b, the size of the
+    degree-l, length-l basis of the (a, b) summand."""
+    neighbors = g.neighbors
+    rows = {}
+    for a in starts:
+        row = [0] * (g.n + 1)
+        row[a] = 1
+        for _ in range(length):
+            step = [0] * (g.n + 1)
+            for v, count in enumerate(row):
+                if count:
+                    for w in neighbors[v]:
+                        step[w] += count
+            row = step
+        rows[a] = row
+    return rows
+
+
 def _homology(
-    g: Graph, bases: list[tuple[tuple[int, ...], ...]]
+    g: Graph, bases: list[tuple[tuple[int, ...], ...]], top: int
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Homology of the complex spanned by ``bases`` (degree k at index k).
+    """Homology of the length-l complex spanned by ``bases`` in degrees
+    k < l (degree k at index k, l = len(bases)) and ``top`` walks in
+    degree l.
 
     Each boundary is built once, from the top degree down so that
     ``homology_of_complex`` clears, and reaches the Smith form on its
     own, so only one is held in memory; a map to or from an empty basis
     is zero and is not built.
     """
-    boundaries = (
-        (k, boundary_matrix(g, bases[k], bases[k - 1]))
-        for k in range(len(bases) - 1, 0, -1)
-        if bases[k] and bases[k - 1]
-    )
-    return homology_of_complex([len(b) for b in bases], boundaries)
+    length = len(bases)
+
+    def boundaries():
+        if top and length and bases[-1]:
+            yield length, boundary_matrix(g, None, bases[-1])
+        for k in range(length - 1, 0, -1):
+            if bases[k] and bases[k - 1]:
+                yield k, boundary_matrix(g, bases[k], bases[k - 1])
+
+    return homology_of_complex([len(b) for b in bases] + [top], boundaries())
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -182,6 +245,8 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     (2, 6, 6, 12)
     """
     divisors = [d for tors, m in parts for d in tors * m]
+    if not divisors:
+        return ()
     n = len(divisors)
     diagonal = SparseMatrix({(i, i): d for i, d in enumerate(divisors)}, n, n)
     return smith_normal_form(diagonal).divisors
@@ -210,25 +275,38 @@ def mh_column(
     With ``endpoints=(a, b)`` only the (a, b) summand is computed.
     Otherwise one summand per orbit is reduced: the pairs of each orbit
     size m in ``classes`` (``orbit_classes(g)`` when not given) span one
-    complex, whose groups count m times.  Each basis is enumerated once,
-    before any boundary is built.
+    complex, whose groups count m times.  Each basis of degree k < l is
+    enumerated once, before any boundary is built.  Degree l is counted,
+    not enumerated: its cells are the length-l walks, Σ (A^l)_ab over the
+    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The count
+    is charged to the basis cap like an enumerated degree.
     """
     if endpoints is not None:
-        return _homology(
-            g, [enumerate_sequences(g, k, length, endpoints) for k in range(length + 1)]
-        )
+        classes = [(1, [endpoints])]
+    elif classes is None:
+        classes = orbit_classes(g)
+    walks = walk_counts(g, {a for _, pairs in classes for a, _ in pairs}, length)
     spent = [0] * (length + 1)  # of the full basis of each degree
     parts = []
-    for m, pairs in orbit_classes(g) if classes is None else classes:
+    for m, pairs in classes:
         bases = [
-            enumerate_sequences(g, k, length, pairs, m, spent[k]) for k in range(length + 1)
+            enumerate_sequences(g, k, length, pairs, m, spent[k]) for k in range(length)
         ]
-        spent = [s + m * len(basis) for s, basis in zip(spent, bases)]
-        parts.append((m, bases))
+        top = sum(walks[a][b] for a, b in pairs)
+        if length:  # as in enumerate_sequences, which charges no degree 0
+            cap = basis_cap()
+            if spent[length] + m * top > cap:
+                raise _over_cap(length, length, cap)
+        spent = [s + m * len(basis) for s, basis in zip(spent, bases)] + [
+            spent[length] + m * top
+        ]
+        parts.append((m, bases, top))
     columns = []
     while parts:  # a class's bases are not held once it is reduced
-        m, bases = parts.pop()
-        columns.append((m, _homology(g, bases)))
+        m, bases, top = parts.pop()
+        columns.append((m, _homology(g, bases, top)))
+    if endpoints is not None:
+        return columns[0][1]
     return [
         (
             sum(m * column[k][0] for m, column in columns),

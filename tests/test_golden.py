@@ -24,6 +24,7 @@ CASES = {
     "magnitude_json": ["magnitude", F / "G1", "--json"],
     "mh_table_csv": ["mh-table", F / "G3", "--lmax", "6", "--csv"],
     "mh_table_json": ["mh-table", F / "G3", "--lmax", "5", "--json"],
+    "mh_table_json_l8": ["mh-table", F / "G3", "--lmax", "8", "--json"],
     "mh_table_ab": ["mh-table", F / "C4", "--lmax", "4", "--ab", "1,1", "--json"],
     "mh_table_tsv": ["mh-table", F / "G1", "--lmax", "4"],
     "ai_complex": ["ai-complex", F / "C4", "--a", "1", "--b", "1", "--ell", "4",
@@ -49,6 +50,9 @@ CASES = {
     "s_structure_search": ["s-structure", F / "G2", "--search"],
     "ahk_check": ["ahk-check", F / "G3"],
     "classify": ["classify", GOLDEN / "stream.g6", "--lmax", "4"],
+    # 7 vertices: FEl~? is first off-diagonal at l = 5, FhCKG and Frq_w at
+    # l = 4, Fpa?g and FxOY? at l = 3; the last three are diagonal
+    "classify_l5": ["classify", GOLDEN / "stream7.g6", "--lmax", "5"],
 }
 
 

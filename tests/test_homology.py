@@ -9,6 +9,7 @@ from oracles import is_smooth, is_zero, sequence_length, sparse_matmul
 from maghom import (
     complete_graph,
     enumerate_sequences,
+    from_edges,
     is_diagonal_up_to,
     mh_ab,
     mh_rank,
@@ -18,7 +19,13 @@ from maghom import (
 )
 from maghom import homology
 from maghom.errors import BudgetExceeded
-from maghom.homology import boundary_matrix, merge_torsion, mh_column
+from maghom.homology import (
+    boundary_matrix,
+    merge_torsion,
+    mh_column,
+    orbit_classes,
+    walk_counts,
+)
 
 
 def test_enumerate_degree_zero(g1):
@@ -242,6 +249,50 @@ def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", str(largest - 1))
     with pytest.raises(BudgetExceeded):
         mh_column(g1, 4)
+
+
+def test_top_degree_cap_counts_the_walks(monkeypatch):
+    # K_3 at l = 4: only degree 4 is nonempty, 3 * 2^4 = 48 walks, counted
+    # over the classes (a, a) (m = 3) and (a, b) (m = 6) without enumeration
+    k3 = complete_graph(3)
+    assert len(full_basis(k3, 4, 4)) == 48
+    column = mh_column(k3, 4)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "48")
+    assert mh_column(k3, 4) == column
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "47")
+    with pytest.raises(BudgetExceeded, match="degree-4 length-4 basis exceeds the cap of 47"):
+        mh_column(k3, 4)
+
+
+K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+
+
+def nonzero_columns(mat):
+    """The columns of ``mat`` as a multiset of {row: entry}, zero ones left out."""
+    columns = defaultdict(dict)
+    for (r, c), v in mat.entries.items():
+        columns[c][r] = v
+    return sorted(sorted(col.items()) for col in columns.values())
+
+
+def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
+    # the walk count is the enumerated top degree, and the boundary built
+    # by inserting common neighbours is the enumerated d_l without its
+    # zero columns
+    for g in [c4, g1, g2, g3, K33] + SMALL_GRAPHS:
+        pair_sets = [pairs for _, pairs in orbit_classes(g)]
+        pair_sets += [[(a, b)] for a in g.vertices for b in g.vertices]
+        for length in range(1, 6):
+            walks = walk_counts(g, g.vertices, length)
+            for pairs in pair_sets:
+                top = enumerate_sequences(g, length, length, pairs)
+                assert sum(walks[a][b] for a, b in pairs) == len(top)
+                lower = enumerate_sequences(g, length - 1, length, pairs)
+                inserted = boundary_matrix(g, None, lower)
+                assert nonzero_columns(inserted) == nonzero_columns(
+                    boundary_matrix(g, top, lower)
+                )
+                assert inserted.ncols == len(nonzero_columns(inserted))
 
 
 def open_basis(g, k, length):

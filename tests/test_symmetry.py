@@ -145,9 +145,9 @@ def test_one_summand_per_orbit_is_reduced(monkeypatch):
     calls = Counter()
     column = homology._homology
 
-    def counted(g, bases):
-        calls[len(bases)] += 1
-        return column(g, bases)
+    def counted(g, bases, top):
+        calls[len(bases) + 1] += 1  # degree l is counted, not enumerated
+        return column(g, bases, top)
 
     monkeypatch.setattr(homology, "_homology", counted)
     mh_column(PETERSEN, 4)
