@@ -29,13 +29,17 @@ So the whole complex is built on one pair per orbit of <Aut(G), reversal>
 on ordered pairs (``symmetry.pair_orbits``): the pairs whose orbits have
 m elements span one complex, whose groups count m times.  With trivial
 Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
-(a, a) (m = 1).
+(a, a) (m = 1).  Each degree k < l of a length is enumerated once for
+all of these complexes (``enumerate_classes``): every completed
+sequence goes to its complex by its endpoint pair, and each complex is
+then reduced on its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetExceeded, positive_int_env
 from .graph import Graph
@@ -46,6 +50,10 @@ DEFAULT_BASIS_CAP = 2_000_000
 _BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
 
 
+Classes = list[tuple[int, list[tuple[int, int]]]]
+Basis = Sequence[tuple[int, ...]]
+
+
 def basis_cap() -> int:
     return positive_int_env(_BASIS_CAP_ENV, DEFAULT_BASIS_CAP)
 
@@ -54,43 +62,41 @@ def _over_cap(k: int, length: int, cap: int) -> BudgetExceeded:
     return BudgetExceeded(f"degree-{k} length-{length} basis exceeds the cap of {cap}")
 
 
-def enumerate_sequences(
-    g: Graph,
-    k: int,
-    length: int,
-    endpoints: tuple[int, int] | Iterable[tuple[int, int]] | None = None,
-    weight: int = 1,
-    spent: int = 0,
-) -> tuple[tuple[int, ...], ...]:
-    """Degree-k sequences of total length ``length``, lexicographically.
+def enumerate_classes(
+    g: Graph, k: int, length: int, classes: Classes
+) -> list[list[tuple[int, ...]]]:
+    """Degree-k sequences of total length ``length`` whose endpoint pair
+    (x_0, x_k) lies in each class (m, pairs), lexicographically per class.
 
-    ``endpoints`` allows the pairs (x_0, x_k): one pair (a, b), a
-    collection of pairs, or None for all of them.  Basis order is
-    reproducible, since matrix snapshots depend on it.  The sequences
-    found stand for ``weight`` copies each in the full basis of this
-    degree, of which ``spent`` elements were found elsewhere; enumeration
-    aborts with BudgetExceeded as soon as that full basis would outgrow
-    the configured cap, before memory does.
+    One pass serves every class: the sequences are grown from each first
+    vertex towards all of its allowed ends at once, and each batch of
+    completions is handed to its class by end vertex.  Within a class the
+    order is lexicographic, as if it were enumerated alone; basis order
+    is reproducible, since matrix snapshots depend on it.  A sequence of
+    a class stands for its m orbit elements in the full basis of this
+    degree; enumeration aborts with BudgetExceeded as soon as that full
+    basis would outgrow the configured cap, before memory does.
     """
+    out: list[list[tuple[int, ...]]] = [[] for _ in classes]
     if k < 0 or length < 0:
-        return ()
-    if endpoints is None:
-        ends = {a: list(g.vertices) for a in g.vertices}
-    else:
-        if endpoints and isinstance(next(iter(endpoints)), int):
-            endpoints = [endpoints]
-        ends = {}
-        for a, b in sorted(set(endpoints)):
-            ends.setdefault(a, []).append(b)  # each list in increasing order
+        return out
+    ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> class
+    for i, (_, pairs) in enumerate(classes):
+        for a, b in pairs:
+            ends.setdefault(a, {})[b] = i
     if k == 0:
-        return tuple((a,) for a, last in ends.items() if length == 0 and a in last)
+        if length == 0:
+            for a in sorted(ends):
+                if a in ends[a]:
+                    out[ends[a][a]].append((a,))
+        return out
     dist = g.dist
     maxd = max(max(row) for row in dist[1:])
     if not k <= length <= k * maxd:
-        return ()  # each of the k gaps contributes between 1 and maxd
+        return out  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
-    out: list[tuple[int, ...]] = []
-    size = spent  # of the full basis found so far
+    weights = [m for m, _ in classes]
+    size = 0  # of the full basis found so far
     # memo[end][((v, r), gaps)]: the stubs after v when `gaps` gaps add up
     # to r and end at `end` (None: anywhere); at most n * length * k lists
     # of at most n stubs each per end
@@ -115,34 +121,62 @@ def enumerate_sequences(
                 if after:
                     extend(prefix + (stub[0],), after, gaps - 1)
             return
-        new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
-        if size + weight * len(new) > cap:
-            raise _over_cap(k, length, cap)
-        size += weight * len(new)
-        out.extend(new)
+        for i, last in groups:
+            new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
+            if new:
+                size += weights[i] * len(new)
+                if size > cap:
+                    raise _over_cap(k, length, cap)
+                out[i].extend(new)
 
-    for first, last in ends.items():
+    for first in sorted(ends):
+        groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
+        for b in sorted(ends[first]):
+            groups_of.setdefault(ends[first][b], []).append(b)
+        groups = list(groups_of.items())
         # a single end prunes every prefix that cannot reach it in time
-        end = last[0] if len(last) == 1 else None
+        end = next(iter(ends[first])) if len(ends[first]) == 1 else None
         following = memo.setdefault(end, {})
         extend((), [(first, length)], k)
-    return tuple(out)
+    return out
+
+
+def enumerate_sequences(
+    g: Graph,
+    k: int,
+    length: int,
+    endpoints: tuple[int, int] | Iterable[tuple[int, int]] | None = None,
+) -> tuple[tuple[int, ...], ...]:
+    """Degree-k sequences of total length ``length``, lexicographically.
+
+    ``endpoints`` allows the pairs (x_0, x_k): one pair (a, b), a
+    collection of pairs, or None for all of them.  The sequences found
+    count against the basis cap once each (see ``enumerate_classes``).
+    """
+    if endpoints is None:
+        pairs = list(product(g.vertices, repeat=2))
+    elif endpoints and isinstance(next(iter(endpoints)), int):
+        pairs = [endpoints]
+    else:
+        pairs = list(endpoints)
+    return tuple(enumerate_classes(g, k, length, [(1, pairs)])[0])
 
 
 def boundary_matrix(
     g: Graph,
-    basis_k: tuple[tuple[int, ...], ...] | None,
-    basis_lo: tuple[tuple[int, ...], ...],
+    basis_k: Basis | None,
+    basis_lo: Basis,
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
     The bases are degrees k and k-1 of one length and one set of
-    endpoint pairs, from ``enumerate_sequences`` with the same length and
-    endpoints.  Column x picks up (-1)^i at the row of x with position i
-    deleted, for every smooth interior i (d(x_(i-1), x_(i+1)) =
-    d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints are kept.  A smooth
-    deletion can never produce equal consecutive entries, so target rows
-    always exist, and two deletions from one x never give the same row.
+    endpoint pairs, from ``enumerate_sequences`` or ``enumerate_classes``
+    with the same length and endpoints.  Column x picks up (-1)^i at the
+    row of x with position i deleted, for every smooth interior i
+    (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
+    are kept.  A smooth deletion can never produce equal consecutive
+    entries, so target rows always exist, and two deletions from one x
+    never give the same row.
 
     With ``basis_k`` None, k is the top degree, the length l, and the
     walks are found from ``basis_lo``: each y there has one gap of 2, at
@@ -205,7 +239,7 @@ def walk_counts(g: Graph, starts: Iterable[int], length: int) -> dict[int, list[
 
 
 def _homology(
-    g: Graph, bases: list[tuple[tuple[int, ...], ...]], top: int
+    g: Graph, bases: list[Basis], top: int
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the length-l complex spanned by ``bases`` in degrees
     k < l (degree k at index k, l = len(bases)) and ``top`` walks in
@@ -252,9 +286,6 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     return smith_normal_form(diagonal).divisors
 
 
-Classes = list[tuple[int, list[tuple[int, int]]]]
-
-
 def orbit_classes(g: Graph) -> Classes:
     """One endpoint pair from each orbit of <Aut(G), reversal> on ordered
     pairs, grouped by orbit size m: (m, pairs) in increasing order of m."""
@@ -275,32 +306,31 @@ def mh_column(
     With ``endpoints=(a, b)`` only the (a, b) summand is computed.
     Otherwise one summand per orbit is reduced: the pairs of each orbit
     size m in ``classes`` (``orbit_classes(g)`` when not given) span one
-    complex, whose groups count m times.  Each basis of degree k < l is
-    enumerated once, before any boundary is built.  Degree l is counted,
-    not enumerated: its cells are the length-l walks, Σ (A^l)_ab over the
-    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The count
-    is charged to the basis cap like an enumerated degree.
+    complex, whose groups count m times.  Each degree k < l is enumerated
+    once for all classes (``enumerate_classes``), before any boundary is
+    built, and each class gets the basis it would get alone; every cell
+    charges its orbit size m to the basis cap.  Degree l is counted, not
+    enumerated: its cells are the length-l walks, Σ (A^l)_ab over the
+    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The walk
+    count, each cell weighed by m, is checked against the cap after the
+    enumerated degrees.  Each class is reduced on its own.
     """
     if endpoints is not None:
         classes = [(1, [endpoints])]
     elif classes is None:
         classes = orbit_classes(g)
+    by_degree = [enumerate_classes(g, k, length, classes) for k in range(length)]
     walks = walk_counts(g, {a for _, pairs in classes for a, _ in pairs}, length)
-    spent = [0] * (length + 1)  # of the full basis of each degree
-    parts = []
-    for m, pairs in classes:
-        bases = [
-            enumerate_sequences(g, k, length, pairs, m, spent[k]) for k in range(length)
-        ]
-        top = sum(walks[a][b] for a, b in pairs)
-        if length:  # as in enumerate_sequences, which charges no degree 0
-            cap = basis_cap()
-            if spent[length] + m * top > cap:
-                raise _over_cap(length, length, cap)
-        spent = [s + m * len(basis) for s, basis in zip(spent, bases)] + [
-            spent[length] + m * top
-        ]
-        parts.append((m, bases, top))
+    tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
+    if length:  # as in enumerate_classes, which charges no degree 0
+        cap = basis_cap()
+        if sum(m * top for (m, _), top in zip(classes, tops)) > cap:
+            raise _over_cap(length, length, cap)
+    parts = [
+        (m, [bases[i] for bases in by_degree], tops[i])
+        for i, (m, _) in enumerate(classes)
+    ]
+    del by_degree
     columns = []
     while parts:  # a class's bases are not held once it is reduced
         m, bases, top = parts.pop()
@@ -398,11 +428,27 @@ def mh_table(
 def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     """Do all groups with k != l vanish (rank and torsion) for l <= lmax?
 
-    Lengths are computed in increasing order, and the first one with a
-    nonzero off-diagonal group settles the answer.
+    Every length l <= 2 is diagonal, so the check starts at length 3.
+    This is Hepworth–Willerton's vanishing of MH_{0,l} for l != 0 and of
+    MH_{1,l} for l != 1.  For connected G:
+
+    * C_{0,l} = 0 for l >= 1, since a single vertex has length 0.
+    * For l >= 2, a generator (a, b) of C_{1,l} has d(a, b) = l, so a
+      geodesic from a to b has a vertex x with d(a, x) = 1 and
+      d(x, b) = l - 1.  Then (a, x, b) has length l, x is smooth, and
+      its boundary is -(a, b).  The boundary into C_{1,l} is onto, so
+      MH_{1,l} = 0, torsion included.
+    * Groups with k > l are zero, as chains of degree k have length >= k.
+
+    So at l = 0 only MH_{0,0}, at l = 1 only MH_{1,1} and at l = 2 only
+    MH_{2,2} can be nonzero, all on the diagonal.  Lengths from 3 on are
+    computed in increasing order, and the first one with a nonzero
+    off-diagonal group settles the answer.
     """
+    if lmax < 3:
+        return True
     classes = orbit_classes(g)
-    for length in range(lmax + 1):
+    for length in range(3, lmax + 1):
         column = mh_column(g, length, None, classes)
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False

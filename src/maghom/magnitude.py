@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import factorial, inf, prod
+from operator import add, sub
 
 from .errors import BudgetExceeded, InternalCheckError, ValidationError
 from .graph import Graph
@@ -292,16 +293,26 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
             f"series through q^{order} needs {g.n} x {order + 1} coefficients, "
             f"over the basis cap {cap}"
         )
-    dist = [g.dist[x][1:] for x in g.vertices]
-    vec = [[1] + [0] * order for _ in dist]
-    total = [len(dist)] + [0] * order
+    # shells[x][d]: the vertices at distance d from x, for 0 < d <= order,
+    # whose vectors are summed before one shift by q^d
+    shells = []
+    for x in g.vertices:
+        shell: dict[int, list[int]] = {}
+        for y, d in enumerate(g.dist[x][1:]):
+            if 0 < d <= order:
+                shell.setdefault(d, []).append(y)
+        shells.append(shell)
+    vec = [[1] + [0] * order for _ in shells]
+    total = [len(shells)] + [0] * order
     for _ in range(order):
         nxt = []
-        for row in dist:
+        for shell in shells:
             acc = [0] * (order + 1)
-            for d, v in zip(row, vec):
-                if 0 < d <= order:
-                    acc[d:] = [a - b for a, b in zip(acc[d:], v)]
+            for d, ys in shell.items():
+                summed = vec[ys[0]]
+                for y in ys[1:]:
+                    summed = list(map(add, summed, vec[y]))
+                acc[d:] = map(sub, acc[d:], summed)  # stops at order
             nxt.append(acc)
         vec = nxt
         total = [s + sum(col) for s, col in zip(total, zip(*vec))]

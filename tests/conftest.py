@@ -6,6 +6,13 @@ from maghom import from_edges, parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+PETERSEN = from_edges(
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+)
+K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+
 
 def load_fixture(name):
     return parse_graph((FIXTURES / name).read_text())

@@ -1,4 +1,4 @@
-"""Whole-space census on five vertices.
+"""Whole-space censuses on five and seven vertices.
 
 Runs every connected labelled graph on 5 vertices through the full
 pipeline and asserts the implication chain the library is built around:
@@ -7,13 +7,21 @@ diagonality; and a diagonal bridgeless non-tree has every edge on a
 short cycle.  Bridges are excluded from the last step because an edge on
 no cycle at all can coexist with diagonality (attaching a pendant tree
 to a diagonal graph keeps it diagonal).
+
+On seven vertices, ``classify`` runs over the diameter <= 2 graphs of
+``fixtures/atlas7_diam2.g6`` (written by ``tools/atlas7.py`` from the
+networkx graph atlas) and its counts are pinned.
 """
 
-from collections import deque
+import json
+from collections import Counter, deque
 from itertools import combinations
+
+from conftest import FIXTURES
 
 from maghom import (
     ahk_edge_cycle_check,
+    cli,
     diameter,
     from_edges,
     is_diagonal_up_to,
@@ -81,3 +89,27 @@ def test_implication_chain_on_all_five_vertex_graphs():
             assert ahk_edge_cycle_check(g)[0], g.edges
     assert total == 728
     assert pawful_count == 296
+
+
+def test_seven_vertex_census_of_diameter_two(capsys):
+    # one graph per isomorphism class: 374 of the 853 connected ones
+    assert cli.main(["classify", str(FIXTURES / "atlas7_diam2.g6"), "--lmax", "4"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 374
+    for r in records:
+        assert r["star"] is not None  # diameter <= 2
+        assert r["s_found"] in (True, False) and r["diagonal"] in (True, False)  # no budget hit
+        if r["pawful"]:
+            assert r["star"], r["index"]
+        if r["star"]:
+            assert r["s_found"] is True, r["index"]
+        if r["s_found"] is True:
+            assert r["diagonal"] is True, r["index"]
+    kinds = Counter(
+        "pawful" if r["pawful"]
+        else "certificate" if r["s_found"] is True
+        else "diagonal" if r["diagonal"] is True
+        else "not diagonal"
+        for r in records
+    )
+    assert kinds == {"pawful": 217, "certificate": 14, "diagonal": 111, "not diagonal": 32}

@@ -3,13 +3,12 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
-from conftest import full_basis, full_boundary, random_connected
+from conftest import K33, PETERSEN, full_basis, full_boundary, random_connected
 from oracles import is_smooth, is_zero, sequence_length, sparse_matmul
 
 from maghom import (
     complete_graph,
     enumerate_sequences,
-    from_edges,
     is_diagonal_up_to,
     mh_ab,
     mh_rank,
@@ -21,6 +20,7 @@ from maghom import homology
 from maghom.errors import BudgetExceeded
 from maghom.homology import (
     boundary_matrix,
+    enumerate_classes,
     merge_torsion,
     mh_column,
     orbit_classes,
@@ -223,22 +223,38 @@ def test_enumerator_matches_brute_force(g1, c4):
 
 
 def test_basis_cap_is_exact(monkeypatch, g1):
-    # the cap bounds the full basis: the sequences found count `weight`
-    # times each, on top of the `spent` ones found elsewhere
-    open_pairs = [(a, b) for a in g1.vertices for b in g1.vertices if a < b]
+    # the cap bounds the full basis: every sequence found counts the orbit
+    # size m of its class, summed over all classes of one enumeration
+    all_pairs = list(product(g1.vertices, repeat=2))
+    open_pairs = [(a, b) for a, b in all_pairs if a < b]
     closed_pairs = [(a, a) for a in g1.vertices]
-    for k, length, ends, weight, spent in (
-        (1, 2, None, 1, 0), (2, 2, None, 1, 0), (3, 4, open_pairs, 2, 0),
-        (3, 4, closed_pairs, 3, 17), (4, 5, (1, 3), 1, 0), (3, 4, (2, 2), 1, 5),
+    for k, length, classes in (
+        (1, 2, [(1, all_pairs)]), (2, 2, [(1, all_pairs)]), (3, 4, [(2, open_pairs)]),
+        (3, 4, [(3, closed_pairs), (2, open_pairs)]), (4, 5, [(1, [(1, 3)])]),
+        (3, 4, [(1, [(2, 2)]), (5, [(1, 3), (4, 2)])]), (3, 4, orbit_classes(g1)),
     ):
-        basis = enumerate_sequences(g1, k, length, ends)
-        full = spent + weight * len(basis)
+        bases = enumerate_classes(g1, k, length, classes)
+        full = sum(m * len(basis) for (m, _), basis in zip(classes, bases))
+        assert all(bases)
         monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full))
-        assert enumerate_sequences(g1, k, length, ends, weight, spent) == basis
+        assert enumerate_classes(g1, k, length, classes) == bases
         monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full - 1))
         with pytest.raises(BudgetExceeded):
-            enumerate_sequences(g1, k, length, ends, weight, spent)
+            enumerate_classes(g1, k, length, classes)
         monkeypatch.delenv("MAGHOM_BASIS_CAP")
+
+
+def test_one_enumeration_gives_each_class_its_own_basis(g1, g2, g3, c4):
+    # the shared pass splits its sequences by endpoint pair, and each class
+    # gets the lexicographic basis it gets when enumerated alone
+    for g in [c4, g1, g2, g3, K33, PETERSEN] + SMALL_GRAPHS:
+        classes = orbit_classes(g)
+        for length in range(6):
+            for k in range(length + 1):
+                bases = enumerate_classes(g, k, length, classes)
+                assert bases == [
+                    list(enumerate_sequences(g, k, length, pairs)) for _, pairs in classes
+                ]
 
 
 def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
@@ -262,9 +278,6 @@ def test_top_degree_cap_counts_the_walks(monkeypatch):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "47")
     with pytest.raises(BudgetExceeded, match="degree-4 length-4 basis exceeds the cap of 47"):
         mh_column(k3, 4)
-
-
-K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
 
 
 def nonzero_columns(mat):
@@ -387,7 +400,21 @@ def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, 
 
     monkeypatch.setattr(homology, "mh_column", recorded)
     assert not is_diagonal_up_to(g3, 6)
-    assert seen == [0, 1, 2, 3]  # G3 is diagonal through length 2
+    assert seen == [3]  # lengths 0-2 are diagonal without computing
     seen.clear()
     assert is_diagonal_up_to(g1, 3)
-    assert seen == [0, 1, 2, 3]
+    assert seen == [3]
+    seen.clear()
+    assert is_diagonal_up_to(g3, 2)
+    assert seen == []
+
+
+def test_lengths_up_to_two_are_diagonal(g1, g2, g3, c4):
+    # MH_(0,l) and MH_(1,l) vanish off the diagonal, so is_diagonal_up_to
+    # starts at length 3 and still agrees with the whole table
+    for g in [c4, g1, g2, g3, K33, PETERSEN] + SMALL_GRAPHS:
+        for length in range(3):
+            column = mh_column(g, length)
+            assert all(group == (0, ()) for group in column[:length])
+        for lmax in range(6):
+            assert is_diagonal_up_to(g, lmax) == mh_table(g, lmax).is_diagonal()

@@ -3,7 +3,7 @@ from itertools import permutations
 from math import factorial, inf
 
 import pytest
-from conftest import random_connected
+from conftest import K33, PETERSEN, random_connected
 from oracles import dets_at_pivoting, euler_check, zeta_matrix
 
 from maghom import (
@@ -334,13 +334,6 @@ def test_leinster_cartesian_product(g1, c4):
 # The quotient by the coarsest equitable partition (symmetry.py) is the
 # route magnitude_rational takes; bordered_dets with no cells is the
 # general elimination on Z itself.
-
-PETERSEN = from_edges(
-    [(i, i % 5 + 1) for i in range(1, 6)]
-    + [(i, i + 5) for i in range(1, 6)]
-    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
-)
-K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
 
 
 def test_quotient_equals_bareiss_oracle(g1, g3):

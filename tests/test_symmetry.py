@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from conftest import random_connected
+from conftest import K33, PETERSEN, random_connected
 
 from maghom import complete_graph, cycle_graph, from_edges, mh_column, mh_table
 from maghom import homology, symmetry
@@ -16,12 +16,6 @@ from maghom.symmetry import (
     pair_orbits,
 )
 
-PETERSEN = from_edges(
-    [(i, i % 5 + 1) for i in range(1, 6)]
-    + [(i, i + 5) for i in range(1, 6)]
-    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
-)
-K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
 SMALL = [random_connected(random.Random(seed), 3 + seed % 4) for seed in range(30)]
 # 3-regular, so refinement alone splits nothing and the search meets
 # leaves that no automorphism reaches
