@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -38,12 +39,21 @@ class Graph:
     def is_tree(self) -> bool:
         return self.m == self.n - 1
 
-    def common_neighbors(self, *vs: int) -> list[int]:
-        sets = [set(self.neighbors[v]) for v in vs]
-        out = sets[0]
-        for s in sets[1:]:
-            out &= s
-        return sorted(out)
+    @cached_property
+    def common(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``common[u][v]``: the common neighbours of u and v, increasing
+        (index 0 unused).  Built on first use, once per graph; it is not a
+        field, so equality and hashing ignore it."""
+        table: list[list[list[int]]] = [[[] for _ in range(self.n + 1)] for _ in range(self.n + 1)]
+        for w in self.vertices:
+            for u in self.neighbors[w]:
+                for v in self.neighbors[w]:
+                    table[u][v].append(w)
+        return tuple(tuple(map(tuple, row)) for row in table)
+
+    def common_neighbors(self, u: int, v: int, *more: int) -> list[int]:
+        """The vertices adjacent to all of u, v and ``more``, increasing."""
+        return [w for w in self.common[u][v] if all(self.dist[w][x] == 1 for x in more)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -278,7 +288,6 @@ def is_pawful(g: Graph) -> PawfulWitness:
         for v in g.vertices:
             if g.dist[u][v] > 2:
                 return PawfulWitness(False, far_pair=(u, v))
-    nbr = [None] + [set(g.neighbors[v]) for v in g.vertices]
     for x in g.vertices:
         for y in g.vertices:
             if g.dist[x][y] != 2:
@@ -286,7 +295,7 @@ def is_pawful(g: Graph) -> PawfulWitness:
             for z in g.vertices:
                 if g.dist[y][z] != 2 or g.dist[x][z] != 1:
                     continue
-                if not (nbr[x] & nbr[y] & nbr[z]):
+                if not g.common_neighbors(x, y, z):
                     return PawfulWitness(False, violation=(x, y, z))
     return PawfulWitness(True)
 
@@ -301,7 +310,7 @@ def ahk_edge_cycle_check(g: Graph) -> tuple[bool, tuple[int, int] | None]:
         raise ValidationError("edge-cycle condition applies to non-trees only")
     edgeset = set(g.edges)
     for u, v in g.edges:
-        if g.common_neighbors(u, v):
+        if g.common[u][v]:
             continue                      # triangle through {u, v}
         found = False
         for w in g.neighbors[v]:

@@ -17,6 +17,14 @@ common neighbour of y_(j-1) and y_j inserted at position j, each with
 sign (-1)^j.  So inserting common neighbours yields every nonzero entry
 of d_l once, and the walks without a smooth point, the zero columns of
 d_l, never appear; MH_(l,l) is the walk count minus the rank of d_l.
+A walk whose only smooth point is the inserted vertex is a column with
+one entry, a unit pivot on its row: that row is peeled as d_l is
+assembled, its entries are never stored, and the rank and divisors are
+kept (elementary reduction, Kaczynski-Mrozek-Slusarek, "Homology
+computation by reduction of chain complexes", 1998; the proof is in
+``boundary_matrix``).  The peeled rows are pivot rows of d_l, which
+clearing leaves out of d_(l-1), so those columns of d_(l-1) are never
+built.
 
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
@@ -37,7 +45,7 @@ then reduced on its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -166,6 +174,7 @@ def boundary_matrix(
     g: Graph,
     basis_k: Basis | None,
     basis_lo: Basis,
+    skip: Collection[int] = (),
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
@@ -176,36 +185,68 @@ def boundary_matrix(
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
     are kept.  A smooth deletion can never produce equal consecutive
     entries, so target rows always exist, and two deletions from one x
-    never give the same row.
+    never give the same row.  The columns in ``skip`` are left empty and
+    keep their indices.
 
     With ``basis_k`` None, k is the top degree, the length l, and the
     walks are found from ``basis_lo``: each y there has one gap of 2, at
     position j, and a common neighbour v of y_(j-1) and y_j inserted at j
-    makes a walk in which v is smooth and whose deletion gives y back;
-    every smooth point of every walk arises so, once.  The columns are
-    these walks in order of first appearance: d_l without its zero
-    columns, the walks that have no smooth point.
+    makes a walk w in which v is smooth and whose deletion gives y back;
+    every smooth point of every walk arises so, once.  All gaps of w are
+    1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.  Its points
+    i < j-1 and i > j+1 are the points i and i-1 of y, whose gaps are 1
+    too, and do not depend on v; point j-1 (if j >= 2) compares y_(j-2)
+    with v, and point j+1 (if j <= l-2) compares v with y_(j+1).
+
+    When j is the only smooth point of some such w, its column of d_l is
+    the lone entry (-1)^j at row y, and y is peeled: adding multiples of
+    that column to the others (column operations, which keep the image)
+    clears the rest of row y.  So the result is d_l U for a unimodular
+    U: its ``peeled`` rows, each with its unit column, and the columns of
+    the walks with two or more smooth points, restricted to the other
+    rows, in order of first appearance.  The columns that are then zero
+    are not stored; these include the walks with no smooth point, which
+    are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
+    I_|peeled| beside that of the stored entries.
     """
     dist = g.dist
     entries: dict[tuple[int, int], int] = {}
     if basis_k is None:
+        common = g.common
         walks: dict[tuple[int, ...], int] = {}
-        common: dict[tuple[int, int], list[int]] = {}
+        peeled = []
+        last = len(basis_lo[0]) - 1 if basis_lo else 0  # each y ends at l - 1
         for row, y in enumerate(basis_lo):
             j = 1
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
-            gap = y[j - 1], y[j]
-            if gap not in common:
-                common[gap] = g.common_neighbors(*gap)
+            inserts = common[y[j - 1]][y[j]]
+            for p in range(1, last):
+                if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
+                    break  # smooth in every walk made from y
+            else:
+                # distances from the neighbours of v in the walk; row 0 of
+                # dist is all zeros and stands for a missing one
+                left = dist[y[j - 2]] if j > 1 else dist[0]
+                right = dist[y[j + 1]] if j < last else dist[0]
+                lone = False
+                for v in inserts:
+                    if left[v] != 2 and right[v] != 2:
+                        lone = True
+                        break
+                if lone:
+                    peeled.append(row)
+                    continue
             sign = (-1) ** j
             head, tail = y[:j], y[j:]
-            for v in common[gap]:
+            for v in inserts:
                 col = walks.setdefault(head + (v,) + tail, len(walks))
                 entries[(row, col)] = sign
-        return SparseMatrix(entries, len(basis_lo), len(walks))
+        return SparseMatrix(entries, len(basis_lo), len(walks), frozenset(peeled))
     index = {x: r for r, x in enumerate(basis_lo)}
     for col, x in enumerate(basis_k):
+        if col in skip:
+            continue
         before = dist[x[0]]  # distances from x[i-1]
         sign = -1
         for i in range(1, len(x) - 1):
@@ -248,16 +289,23 @@ def _homology(
     Each boundary is built once, from the top degree down so that
     ``homology_of_complex`` clears, and reaches the Smith form on its
     own, so only one is held in memory; a map to or from an empty basis
-    is zero and is not built.
+    is zero and is not built.  The rows that d_l peeled are among its
+    pivot rows, which clearing leaves out of d_(l-1), so those columns
+    of d_(l-1) are not built at all.
     """
     length = len(bases)
 
     def boundaries():
+        peeled: frozenset[int] = frozenset()
         if top and length and bases[-1]:
-            yield length, boundary_matrix(g, None, bases[-1])
+            mat = boundary_matrix(g, None, bases[-1])
+            peeled = mat.peeled
+            yield length, mat
+            del mat  # not held while the next boundary is built
         for k in range(length - 1, 0, -1):
             if bases[k] and bases[k - 1]:
-                yield k, boundary_matrix(g, bases[k], bases[k - 1])
+                skip = peeled if k == length - 1 else ()
+                yield k, boundary_matrix(g, bases[k], bases[k - 1], skip)
 
     return homology_of_complex([len(b) for b in bases] + [top], boundaries())
 

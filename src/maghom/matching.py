@@ -68,7 +68,7 @@ def default_selectors(g: Graph) -> SelectorMaps:
         for y in g.vertices:
             if g.dist[x][y] != 2:
                 continue
-            pair_mid[(x, y)] = g.common_neighbors(x, y)[0]
+            pair_mid[(x, y)] = g.common[x][y][0]
             for z in g.vertices:
                 if g.dist[y][z] == 2 and g.dist[x][z] == 1:
                     triple_mid[(x, y, z)] = g.common_neighbors(x, y, z)[0]
@@ -282,7 +282,7 @@ def check_star_property(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
     for alpha, beta, delta in _ordered_y_keys(g):
         if not any(
             g.dist[alpha][gamma] <= 1
-            for gamma in g.common_neighbors(beta, delta)
+            for gamma in g.common[beta][delta]
         ):
             return False, (alpha, beta, delta)
     return True, None
@@ -358,7 +358,7 @@ def verify_s_structure(
     for q in quads:
         al, be, ga, de = q
         if g.dist[al][ga] == 2:
-            others = [x for x in g.common_neighbors(be, de) if x != ga]
+            others = [x for x in g.common[be][de] if x != ga]
             if others:
                 return False, (
                     f"(iii): {q} has d(alpha,gamma)=2 but {others[0]} is "
@@ -383,10 +383,10 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
     variables: list[tuple[str, tuple, list]] = []
     for key in _ordered_x_keys(g):
         a_, c_ = key
-        variables.append(("T", key, g.common_neighbors(a_, c_)))
+        variables.append(("T", key, g.common[a_][c_]))
     for key in _ordered_y_keys(g):
         al, be, de = key
-        mids = g.common_neighbors(be, de)
+        mids = g.common[be][de]
         allowed = [ga for ga in mids if g.dist[al][ga] <= 1 or len(mids) == 1]
         variables.append(("Q", key, allowed))
     variables.sort(key=lambda v: (len(v[2]), v[0], v[1]))

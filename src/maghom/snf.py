@@ -10,7 +10,9 @@ units left are taken in Markowitz order, least (row size - 1) * (column
 size - 1) first, and whatever a pivot leaves alone in a row or column is
 peeled at once.  A dense textbook Smith reduction then takes the small
 block that has no unit left.  All arithmetic uses Python integers;
-intermediate values may exceed 64 bits.
+intermediate values may exceed 64 bits.  A matrix may come with rows
+its producer has peeled already (``SparseMatrix.peeled``): they count as
+unit pivots and are never loaded.
 
 ``homology_of_complex`` takes the boundaries from the top degree down
 and clears: the rows on which d_(k+1) pivoted on a unit are left out as
@@ -30,11 +32,19 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Integer matrix stored as {(row, col): nonzero value}."""
+    """Integer matrix stored as {(row, col): nonzero value}, beside the
+    ``peeled`` rows: each stands for a unit pivot whose row and column
+    hold no other entry, and none of its entries is stored.
+
+    So the matrix is I_|peeled| on the peeled rows and their unit columns
+    (not counted in ``ncols``), plus the stored entries on the other rows.
+    ``boundary_matrix`` peels the top boundary as it assembles it.
+    """
 
     entries: dict[tuple[int, int], int]
     nrows: int
     ncols: int
+    peeled: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -43,8 +53,9 @@ class SNFResult:
 
     ``divisors`` lists the diagonal entries > 1 of the Smith form, in
     divisibility order d1 | d2 | ... .  ``pivot_rows`` are the rows of the
-    unit pivots of the sparse phase (none of the dense phase), the rows
-    that ``homology_of_complex`` clears from the next boundary down.
+    unit pivots of the sparse phase (none of the dense phase) and the
+    peeled rows, the rows that ``homology_of_complex`` clears from the
+    next boundary down.
     """
 
     rank: int
@@ -55,7 +66,12 @@ class SNFResult:
 def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFResult:
     """Rank and elementary divisors via hybrid sparse/dense reduction, of
     ``mat`` with the columns in ``cleared`` left out; the rows of the unit
-    pivots come back as ``pivot_rows``."""
+    pivots come back as ``pivot_rows``.
+
+    The Smith form is I_|peeled| beside that of the stored entries, which
+    lie on the other rows, so the peeled rows add to the rank and to the
+    pivot rows and are never loaded.
+    """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in mat.entries.items():
@@ -159,8 +175,8 @@ def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFRe
                     del cols[cc]
         peel()
 
-    rank = len(pivots)
-    pivot_rows = frozenset(pivots)
+    rank = len(pivots) + len(mat.peeled)
+    pivot_rows = mat.peeled.union(pivots)
     if not rows:
         return SNFResult(rank, (), pivot_rows)
 
@@ -271,6 +287,12 @@ def homology_of_complex(
     that basis d_k is its columns off P beside zero columns: a unimodular
     change of basis, which keeps the Smith form.  Dense-phase pivots are
     not unit pivots and are never cleared.
+
+    A matrix with ``peeled`` rows stands for d_(k+1) U with U unimodular
+    (see ``SparseMatrix``): it has the image of d_(k+1), so the same
+    homology, and d_k d_(k+1) U = 0, so the argument above holds for it
+    with each peeled row and its unit column among the pivots.  The
+    producer may then leave those columns of d_k out itself.
     """
     snf: dict[int, SNFResult] = {}
     zero = SNFResult(0, ())

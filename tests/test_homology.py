@@ -26,6 +26,7 @@ from maghom.homology import (
     orbit_classes,
     walk_counts,
 )
+from maghom.snf import SparseMatrix
 
 
 def test_enumerate_degree_zero(g1):
@@ -289,9 +290,10 @@ def nonzero_columns(mat):
 
 
 def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
-    # the walk count is the enumerated top degree, and the boundary built
-    # by inserting common neighbours is the enumerated d_l without its
-    # zero columns
+    # the walk count is the enumerated top degree; the boundary built by
+    # inserting common neighbours peels exactly the rows of the enumerated
+    # d_l that hold a one-entry column, and stores the rest of d_l on the
+    # other rows, without its zero columns
     for g in [c4, g1, g2, g3, K33] + SMALL_GRAPHS:
         pair_sets = [pairs for _, pairs in orbit_classes(g)]
         pair_sets += [[(a, b)] for a in g.vertices for b in g.vertices]
@@ -302,9 +304,14 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                 assert sum(walks[a][b] for a, b in pairs) == len(top)
                 lower = enumerate_sequences(g, length - 1, length, pairs)
                 inserted = boundary_matrix(g, None, lower)
+                full = boundary_matrix(g, top, lower)
+                lone = {col[0][0] for col in nonzero_columns(full) if len(col) == 1}
+                assert inserted.peeled == lone
+                rest = {rc: v for rc, v in full.entries.items() if rc[0] not in lone}
                 assert nonzero_columns(inserted) == nonzero_columns(
-                    boundary_matrix(g, top, lower)
+                    SparseMatrix(rest, full.nrows, full.ncols)
                 )
+                assert not any(r in lone for r, _ in inserted.entries)
                 assert inserted.ncols == len(nonzero_columns(inserted))
 
 

@@ -240,6 +240,30 @@ def test_peeled_smith_form_agrees_with_the_dense_reduction():
         assert (sub.rank, sub.divisors) == (len(rows), ())
 
 
+def test_peeled_rows_add_unit_pivots_beside_the_stored_rows():
+    # a matrix with ``peeled`` rows is I_|peeled| beside its stored entries,
+    # which lie on the other rows
+    rng = random.Random(4096)
+    for trial in range(200):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        peeled = frozenset(r for r in range(nr) if rng.random() < 0.3)
+        values = (-1, 1) if trial % 2 else (-3, -2, -1, 1, 2, 3, 4)
+        entries = {
+            (r, c): rng.choice(values)
+            for r in range(nr)
+            for c in range(nc)
+            if r not in peeled and rng.random() < 0.25
+        }
+        res = smith_normal_form(SparseMatrix(entries, nr, nc, peeled))
+        stored = smith_normal_form(SparseMatrix(entries, nr, nc))
+        assert (res.rank, res.divisors) == (len(peeled) + stored.rank, stored.divisors)
+        assert res.pivot_rows >= peeled
+        # the same matrix with each peeled row's unit column written out
+        units = {(r, nc + i): rng.choice((-1, 1)) for i, r in enumerate(sorted(peeled))}
+        whole = SparseMatrix({**entries, **units}, nr, nc + len(peeled))
+        assert (res.rank, res.divisors) == dense_smith(whole)
+
+
 def test_dense_phase_pivot_rows_are_not_cleared():
     # Z -> Z^2 -> Z with d_2 = (2, 3)^T and d_1 = (3, -2): exact, so all
     # groups vanish.  d_2 has no unit entry, so nothing may be cleared from
