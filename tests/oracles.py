@@ -7,7 +7,6 @@ second route for the sequence-based code that replaced them.
 """
 
 from collections import namedtuple
-from itertools import accumulate
 from math import inf
 
 from maghom.errors import MaghomError
@@ -242,36 +241,6 @@ def rank_mod_p(mat, p):
 
 
 # --- magnitude ----------------------------------------------------------------
-
-
-def dets_at_pivoting(quotient, t, p):
-    """(det M(t), det B(t)) mod p, or None when det M(t) = 0 mod p, for the
-    quotient (rows, sizes) of ``magnitude._quotient``: the library's former
-    elimination, with row exchanges and no symmetry.
-
-    One elimination of B(t) = [[M(t), 1], [sizes, 0]] with pivots taken
-    from M's rows only: det M(t) is the signed pivot product and the
-    corner left at the end is the Schur complement det B(t) / det M(t).
-    """
-    dist, sizes = quotient
-    pw = [pow(t, d, p) for d in range(max(map(max, dist)) + 1)]
-    ends = list(accumulate(reversed(sizes), initial=0))  # columns come last cell first
-    rows = [[sum(pw[d] for d in row[a:b]) % p for a, b in zip(ends, ends[1:])][::-1] for row in dist]
-    rows = [row + [1] for row in rows] + [sizes + [0]]
-    det = 1
-    while len(rows) > 1:
-        i = next((i for i, row in enumerate(rows[:-1]) if row[0]), None)
-        if i is None:
-            return None
-        piv = rows.pop(i)  # moving row i to the top has sign (-1)^i
-        det = (-det if i % 2 else det) * piv[0] % p
-        h = pow(piv[0], -1, p)
-        piv = [b * h % p for b in piv[1:]]
-        rows = [
-            [(a - f * b) % p for a, b in zip(row[1:], piv)] if (f := row[0]) else row[1:]
-            for row in rows
-        ]
-    return det, det * rows[0][0] % p
 
 
 def euler_check(g, lmax):

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,35 @@ def test_magnitude_series_over_the_cap_is_a_budget_error(capsys, monkeypatch):
         "budget exceeded: series through q^99999999999 needs 6 x 100000000000 "
         "coefficients, over the basis cap 2000000\n"
     )
+
+
+def test_magnitude_elimination_over_the_cap_is_a_budget_error(capsys, monkeypatch):
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "143")
+    code, out, err = run(capsys, "magnitude", FIXTURES / "G1")
+    assert code == 2 and out == ""
+    assert err == (
+        "budget exceeded: elimination on 4 cells needs 16 x 9 coefficients, "
+        "over the basis cap 143\n"
+    )
+
+
+def test_successive_calls_print_what_fresh_processes_print(capsys, monkeypatch):
+    # the parser is built once per process; defaults must not leak between calls
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    calls = [
+        ("mh-table", FIXTURES / "G1", "--lmax", 2, "--json"),
+        ("magnitude", FIXTURES / "G1", "--series", 5, "--json"),
+        ("mh-table", FIXTURES / "C4", "--json"),
+        ("magnitude", FIXTURES / "C4"),
+        ("pawful", FIXTURES / "G1"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "maghom", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_mh_table_csv(capsys, g3):

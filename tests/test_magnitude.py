@@ -1,10 +1,9 @@
 import random
-from itertools import permutations
-from math import factorial, inf
+from math import isqrt
 
 import pytest
 from conftest import K33, PETERSEN, random_connected
-from oracles import dets_at_pivoting, euler_check, zeta_matrix
+from oracles import euler_check, zeta_matrix
 
 from maghom import (
     complete_graph,
@@ -16,13 +15,14 @@ from maghom import (
     star_graph,
 )
 from maghom import magnitude
-from maghom.errors import BudgetExceeded, ValidationError
+from maghom.errors import BudgetExceeded, InternalCheckError
 from maghom.polyq import IntPoly, RatFunc
 from maghom.symmetry import equitable_partition
 
 
-def _det_bareiss(m):
-    """Fraction-free determinant over Z[q]; every division is exact."""
+def _poly_det(m):
+    """Fraction-free determinant over Z[q] with row exchanges; every
+    division is exact."""
     n = len(m)
     if n == 0:
         return IntPoly.one()
@@ -48,11 +48,29 @@ def _det_bareiss(m):
     return det if sign == 1 else -det
 
 
-def _bareiss_dets(g):
-    z = zeta_matrix(g)
-    one = IntPoly.one()
-    bordered = [row + [one] for row in z] + [[one] * g.n + [IntPoly.zero()]]
-    return _det_bareiss(z), _det_bareiss(bordered)
+def _quotient_matrix(g, cells):
+    """M_ij = sum_{y in C_j} q^d(x_i, y), x_i the first vertex of C_i; Z
+    itself when there are no cells."""
+    if cells is None:
+        return zeta_matrix(g)
+    return [
+        [sum((IntPoly.monomial(1, g.dist[ci[0]][y]) for y in cj), IntPoly.zero()) for cj in cells]
+        for ci in cells
+    ]
+
+
+def _sizes(g, cells):
+    return [1] * g.n if cells is None else [len(c) for c in cells]
+
+
+def _bareiss_dets(g, cells=None):
+    """det M and det B of the quotient on ``cells`` (M = Z by default),
+    B being M bordered by a column of ones, a row of the cell sizes and a
+    0 corner."""
+    m = _quotient_matrix(g, cells)
+    bordered = [row + [IntPoly.one()] for row in m]
+    bordered.append([IntPoly([s]) for s in _sizes(g, cells)] + [IntPoly.zero()])
+    return _poly_det(m), _poly_det(bordered)
 
 
 RANDOM_GRAPHS = [random_connected(random.Random(seed), 2 + seed % 8) for seed in range(30)]
@@ -64,137 +82,66 @@ def oracle_graphs(g1, g2, g3, c4):
     return named + RANDOM_GRAPHS
 
 
-def _is_prime_mr(n):
-    """Miller-Rabin with the prime bases up to 37: a proof for n < 3.18e23
-    (Sorenson and Webster, 2015)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    assert n < 318_665_857_834_031_151_167_461
-    if n in bases:
-        return True
-    if n < 2 or any(n % b == 0 for b in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _is_mersenne_prime(e):
-    """Lucas-Lehmer test of 2^e - 1 for an odd prime exponent e."""
-    m, s = 2**e - 1, 4
-    for _ in range(e - 2):
-        s = (s * s - 2) % m
-    return s == 0
-
-
-def test_prime_table_is_proved():
-    primes = magnitude._PRIMES
-    assert primes[0] == 2**89 - 1 and _is_prime_mr(89) and _is_mersenne_prime(89)
-    assert all(p < 2**61 and _is_prime_mr(p) for p in primes[1:])
-    assert len(set(primes)) == len(primes)
-    # 2^11 - 1 = 23 * 89; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
-    assert not _is_mersenne_prime(11)
-    assert not _is_prime_mr(2**61 - 3) and not _is_prime_mr(3215031751)
-
-
-def test_modular_dets_equal_bareiss(oracle_graphs):
+def test_dets_equal_bareiss(oracle_graphs):
     for g in oracle_graphs:
-        assert magnitude.bordered_dets(g) == _bareiss_dets(g)
+        for cells in (None, equitable_partition(g)):
+            assert magnitude.bordered_dets(g, cells) == _bareiss_dets(g, cells)
 
 
-def test_modular_dets_with_small_primes(monkeypatch, oracle_graphs):
-    """Tiny primes force skipped points, dropped primes and many-prime CRT."""
-    calls = []
-
-    def recording(dist, t, p):
-        out = real(dist, t, p)
-        calls.append((p, out is None))
-        return out
-
-    real = magnitude._dets_at
-    small = [p for p in range(5, 140) if all(p % d for d in range(2, p))]
-    monkeypatch.setattr(magnitude, "_dets_at", recording)
-    monkeypatch.setattr(magnitude, "_PRIMES", tuple(small))
-    skipped = dropped = 0
-    for g in oracle_graphs:
-        calls.clear()
-        # for n >= 4, 2 n n! > 139 needs several primes, so CRT is exercised
-        assert magnitude.bordered_dets(g) == _bareiss_dets(g)
-        skipped += sum(none for _, none in calls)
-        # a prime with fewer than D + 1 nonzero points is dropped
-        dropped += any(p - 1 <= magnitude.det_bounds(g)[0] for p, _ in calls)
-    assert skipped and dropped
-
-
-def test_small_prime_table_exhausted(monkeypatch, g1):
-    monkeypatch.setattr(magnitude, "_PRIMES", (5, 7))
-    with pytest.raises(ValidationError, match="too large for the prime table"):
+def test_dets_charge_the_basis_cap(monkeypatch, g1):
+    # 4 cells with eccentricities 2, 2, 2, 2: 4^2 x (8 + 1) = 144 coefficients
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "144")
+    r = magnitude_rational(g1)
+    assert list(r.num.coeffs) == [-6, -10, 4, 2]
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "143")
+    with pytest.raises(BudgetExceeded) as err:
         magnitude_rational(g1)
-
-
-def _assignment_by_subsets(w):
-    """Largest sum_i w[i][sigma(i)] over permutations, by dynamic programming
-    over the sets of columns taken by the first rows."""
-    best = {0: 0}
-    for row in w:
-        nxt = {}
-        for mask, val in best.items():
-            for j, x in enumerate(row):
-                if not mask >> j & 1 and nxt.get(mask | 1 << j, -inf) < val + x:
-                    nxt[mask | 1 << j] = val + x
-        best = nxt
-    return max(best.values())
-
-
-def _degree_matrix(g, cells):
-    """E_ij = max_{y in C_j} d(x_i, y), x_i the first vertex of C_i."""
-    return [[max(g.dist[ci[0]][y] for y in cj) for cj in cells] for ci in cells]
-
-
-def test_assignment_bound_is_the_largest_permutation_sum():
-    rng = random.Random(7)
-    for _ in range(300):
-        r = rng.randint(1, 7)
-        w = [[rng.randint(-3, 9) for _ in range(r)] for _ in range(r)]
-        best = max(sum(w[i][s[i]] for i in range(r)) for s in permutations(range(r)))
-        assert magnitude._max_assignment(w) == best == _assignment_by_subsets(w)
+    assert str(err.value) == (
+        "elimination on 4 cells needs 16 x 9 coefficients, over the basis cap 143"
+    )
 
 
 def test_det_bounds(oracle_graphs):
+    # every coefficient of det M, det B and each leading minor det M_[k]
     for g in oracle_graphs:
-        top, bound = magnitude.det_bounds(g)
-        discrete = tuple((v,) for v in g.vertices)
-        assert top == _assignment_by_subsets(_degree_matrix(g, discrete))
-        assert top <= sum(max(g.dist[x][1:]) for x in g.vertices)
-        for det in _bareiss_dets(g):
-            assert det.degree <= top
-            assert max(abs(c) for c in det.coeffs) <= bound
-    # det Z(K_n) = (1 - q)^(n-1) (1 + (n-1) q) attains the degree bound n
-    for n in range(1, 6):
-        g = complete_graph(n)
-        assert magnitude.bordered_dets(g)[0].degree == magnitude.det_bounds(g)[0]
+        for cells in (None, equitable_partition(g)):
+            m = _quotient_matrix(g, cells)
+            bound = magnitude.det_bound(_sizes(g, cells))
+            minors = [_poly_det([row[:k] for row in m[:k]]) for k in range(1, len(m))]
+            for det in [*_bareiss_dets(g, cells), *minors]:
+                assert max(map(abs, det.coeffs)) <= bound
 
 
-def test_interpolation_and_crt_recover_a_polynomial():
-    coeffs = [-(10**20), 3, 0, 7, -1]
-    p1, p2 = 2**61 - 1, 2**89 - 1
-    acc, m = [0] * 5, 1
-    for p in (p1, p2):
-        xs = [1, 2, 4, 5, 9]
-        ys = [sum(c * x**k for k, c in enumerate(coeffs)) % p for x in xs]
-        inv = [0] + [pow(d, -1, p) for d in range(1, 9)]
-        acc, m = magnitude._crt(acc, m, magnitude._interpolate(xs, ys, p, inv), p), m * p
-    assert [c - m if 2 * c > m else c for c in acc] == coeffs
+@pytest.mark.parametrize("k", [2, 3, 8, 61, 100])
+def test_unpack_round_trips_balanced_digits(k):
+    half = 1 << (k - 1)
+    assert magnitude._unpack(0, k, 3) == [0, 0, 0]
+    for coeffs in ([half - 1, 1 - half, 0, -half], [1 - half, half - 1], [0, 0, -1], [-half]):
+        value = sum(c << (k * d) for d, c in enumerate(coeffs))
+        assert magnitude._unpack(value, k, len(coeffs) + 1) == coeffs + [0]
+        with pytest.raises(InternalCheckError):
+            magnitude._unpack(value, k, len(coeffs) - 1)
+
+
+def test_symmetric_elimination_matches_the_pivoting_oracle():
+    # the kernel returns the last two leading minors; _poly_det exchanges rows
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[IntPoly()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = IntPoly([rng.randint(-9, 9)])
+        minors = [_poly_det([row[:k] for row in a[:k]]) for k in range(n + 1)]
+        rows = [[a[i][j].lead for j in range(n - 1, i - 1, -1)] for i in range(n)]
+        if all(minors[1:-1]):
+            assert magnitude._det_bareiss(rows) == (minors[-2].lead, minors[-1].lead)
+        else:
+            refused += 1
+            with pytest.raises(InternalCheckError):
+                magnitude._det_bareiss(rows)
+    assert 0 < refused < 30
 
 
 def test_series_matches_rational_on_random_graphs():
@@ -341,88 +288,29 @@ def test_quotient_equals_bareiss_oracle(g1, g3):
         partition = equitable_partition(g)
         assert len(partition) == cells
         det_m, det_b = magnitude.bordered_dets(g, partition)
+        assert (det_m, det_b) == _bareiss_dets(g, partition)
         det_z, det_bz = _bareiss_dets(g)
         assert RatFunc(-det_b, det_m) == RatFunc(-det_bz, det_z) == magnitude_rational(g)
-        top, bound = magnitude.det_bounds(g, partition)
-        assert top == _assignment_by_subsets(_degree_matrix(g, partition))
-        for det in (det_m, det_b):
-            assert det.degree <= top
-            assert max(abs(c) for c in det.coeffs) <= bound
+    # cells of unequal sizes, so the scaling by sizes is not a common factor
+    for g in (g1, g3):
+        assert len({len(c) for c in equitable_partition(g)}) > 1
 
 
 def test_quotient_bounds_shrink_to_one_cell():
     g = cycle_graph(25)
-    cells = equitable_partition(g)
-    # one cell: D = ecc(1) = 12 and C = 1 * 1! * 25
-    assert magnitude.det_bounds(g, cells) == (12, 25)
-    assert magnitude.det_bounds(g) == (25 * 12, 25 * factorial(25))
+    sizes = [len(c) for c in equitable_partition(g)]
+    # one cell of 25: H = (625 + 1)^(1/2) * 625^(1/2), rounded down 625
+    assert sizes == [25] and magnitude.det_bound(sizes) == 625
+    assert magnitude.det_bound([1] * 25) == isqrt(26**25 * 25)
 
 
 def test_general_elimination_on_a_discrete_25_vertex_graph():
     g = random_connected(random.Random(0), 25)
     assert len(equitable_partition(g)) == g.n  # the quotient is Z itself
-    # 2C exceeds the first prime, 2^89 - 1, so two primes are combined
-    assert 2 * magnitude.det_bounds(g)[1] > magnitude._PRIMES[0]
+    # H = 26^12.5 * 5 is just above 2^61, so the digits have 63 bits
+    assert magnitude.det_bound([1] * 25).bit_length() == 62
+    assert magnitude.bordered_dets(g) == _bareiss_dets(g)
     assert magnitude_rational(g).series(10) == magnitude_series(g, 10)
-
-
-def _leading_minor_vanishes(quotient, t, p):
-    """Is det M_[k](t) = 0 mod p for a leading k x k block of M, k = 1..r?
-    The block is the quotient on the first k cells, whose columns come
-    last in each row."""
-    dist, sizes = quotient
-    for k in range(1, len(sizes) + 1):
-        width = sum(sizes[:k])
-        if dets_at_pivoting(([row[-width:] for row in dist[:k]], sizes[:k]), t, p) is None:
-            return True
-    return False
-
-
-def test_symmetric_elimination_matches_the_pivoting_oracle(g1, g3):
-    cases = [(g, None) for g in (g1, g3, RANDOM_GRAPHS[7], RANDOM_GRAPHS[13])]
-    cases += [(g, equitable_partition(g)) for g in (g1, g3)]
-    only_a_minor = 0
-    for g, cells in cases:
-        quotient = magnitude._quotient(g, cells)
-        assert cells is None or len(set(quotient[1])) > 1  # cells of unequal sizes
-        for p in (2**89 - 1, 5, 7, 11, 13):
-            for t in range(1, 41):
-                got, want = magnitude._dets_at(quotient, t, p), dets_at_pivoting(quotient, t, p)
-                if _leading_minor_vanishes(quotient, t, p):
-                    assert got is None
-                    only_a_minor += want is not None
-                else:
-                    assert got == want and want is not None
-    assert only_a_minor
-    # on G1, the leading 5 x 5 minor of Z(2) is 0 mod 5, while det Z(2) = 1
-    quotient = magnitude._quotient(g1, None)
-    assert magnitude._dets_at(quotient, 2, 5) is None
-    assert dets_at_pivoting(quotient, 2, 5) == (1, 3)
-
-
-@pytest.mark.parametrize("g, cell, primes", [
-    (PETERSEN, 10, (5, 7, 11, 13)),
-    (K33, 6, (3, 5, 7, 11, 13)),
-])
-def test_primes_no_larger_than_a_cell_are_passed_over(monkeypatch, g, cell, primes):
-    calls = []
-
-    def recording(quotient, t, p):
-        calls.append(p)
-        return real(quotient, t, p)
-
-    real = magnitude._dets_at
-    monkeypatch.setattr(magnitude, "_dets_at", recording)
-    monkeypatch.setattr(magnitude, "_PRIMES", primes)
-    partition = equitable_partition(g)
-    assert [len(c) for c in partition] == [cell]
-    det_m, det_b = magnitude.bordered_dets(g, partition)
-    det_z, det_bz = _bareiss_dets(g)
-    assert RatFunc(-det_b, det_m) == RatFunc(-det_bz, det_z)
-    assert calls and min(calls) > cell
-    # mod a prime dividing the cell size, S(t) is 0 and every point is skipped
-    quotient = magnitude._quotient(g, partition)
-    assert all(real(quotient, t, primes[0]) is None for t in range(1, primes[0]))
 
 
 def test_series_table_is_capped(monkeypatch, g1):
