@@ -82,7 +82,9 @@ def oracle_graphs(g1, g2, g3, c4):
     return named + RANDOM_GRAPHS
 
 
-def test_dets_equal_bareiss(oracle_graphs):
+def test_modular_dets_equal_bareiss(oracle_graphs):
+    # each coefficient is read back as a balanced residue mod 2^K of one
+    # exact determinant; all of them must equal the polynomial oracle's
     for g in oracle_graphs:
         for cells in (None, equitable_partition(g)):
             assert magnitude.bordered_dets(g, cells) == _bareiss_dets(g, cells)
