@@ -33,9 +33,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
-
     def is_tree(self) -> bool:
         return self.m == self.n - 1
 

@@ -93,13 +93,15 @@ def _cell_spans(sizes: list[int]) -> list[tuple[int, int]]:
     return list(zip(ends, ends[1:]))
 
 
-def _check_cap(what: str, rows: int, cols: int) -> None:
-    """Refuse to hold ``what``, a table of rows x cols coefficients, when
-    it is over the basis cap (``MAGHOM_BASIS_CAP``)."""
+def _check_cap(what: str, rows: int, cols: int, words: int = 1) -> None:
+    """Refuse to hold ``what``, a table of rows x cols coefficients of up
+    to ``words`` machine words each, when its words are over the basis
+    cap (``MAGHOM_BASIS_CAP``)."""
     cap = basis_cap()
-    if rows * cols > cap:
+    if rows * cols * words > cap:
+        each = f" of {words} machine words each" if rows * cols <= cap else ""
         raise BudgetExceeded(
-            f"{what} needs {rows} x {cols} coefficients, over the basis cap {cap}"
+            f"{what} needs {rows} x {cols} coefficients{each}, over the basis cap {cap}"
         )
 
 
@@ -169,14 +171,11 @@ def bordered_dets(g: Graph, cells: Cells | None = None) -> tuple[IntPoly, IntPol
     _check_cap(f"elimination on {r} cells", r * r, top + 1)
     k = det_bound(sizes).bit_length() + 1
     pw = [1 << (k * d) for d in range(max(map(max, dist)) + 1)]
-    if r == len(dist[0]):  # singletons: sizes are 1 and S = B
-        rows = [[1] + [pw[d] for d in row[: r - i]] for i, row in enumerate(dist)]
-    else:
-        spans = _cell_spans(sizes)
-        rows = [
-            [s] + [s * sum([pw[d] for d in row[a:b]]) for a, b in spans[: r - i]]
-            for i, (row, s) in enumerate(zip(dist, sizes))
-        ]
+    spans = _cell_spans(sizes)
+    rows = [
+        [s] + [s * sum([pw[d] for d in row[a:b]]) for a, b in spans[: r - i]]
+        for i, (row, s) in enumerate(zip(dist, sizes))
+    ]
     rows.append([0])
     scale = prod(sizes)
     return tuple(IntPoly(_unpack(det // scale, k, top + 1)) for det in _det_bareiss(rows))
@@ -200,12 +199,26 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
     Z = I + N with every entry of N of positive degree, so the entry sum
     of Z^{-1} is sum_k 1.(-N)^k.1, and (-N)^k has no term below q^k.  The
     vectors (-N)^k.1 are built by ``order`` matrix-vector products on
-    coefficient lists truncated at q^order.  Those n lists of order + 1
-    coefficients count against the basis cap (``MAGHOM_BASIS_CAP``).
+    coefficient lists truncated at q^order.
+
+    No coefficient held at q^m exceeds n^(m+1) in size.  The q^m
+    coefficient of ((-N)^k.1)_x is (-1)^k times the number of walks
+    x = x_0, ..., x_k with x_(i+1) != x_i whose distances add up to m, at
+    most (n-1)^k, and 0 for k > m; the sums over shells add walks of one
+    sign, and the entry sum adds n of them for each k <= m, at most
+    n * sum_(k<=m) (n-1)^k <= n * ((n-1) + 1)^m.  So with n <= 2^e every
+    coefficient through q^order is at most 2^(e * (order + 1)) in size,
+    and fits in w signed 64-bit words (which hold sizes up to
+    2^(64w - 2)), w = floor((e * (order + 1) + 1) / 64) + 1; the n lists of
+    order + 1 coefficients count n x (order + 1) x w machine words
+    against the basis cap (``MAGHOM_BASIS_CAP``): n x (order + 1) while
+    w = 1.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
-    _check_cap(f"series through q^{order}", g.n, order + 1)
+    e = (g.n - 1).bit_length()
+    words = (e * (order + 1) + 1) // 64 + 1
+    _check_cap(f"series through q^{order}", g.n, order + 1, words)
     # shells[x][d]: the vertices at distance d from x, for 0 < d <= order,
     # whose vectors are summed before one shift by q^d
     shells = []

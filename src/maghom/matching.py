@@ -14,9 +14,10 @@ the callers re-check rather than assume.  Cells are handled as sequences
 and named by index; their (vertex, position) form appears only in error
 messages.
 
-Pawful graphs always carry such a certificate (built here from
-smallest-id selectors); ``search_structure`` decides existence in
-general by exhaustive backtracking.
+Pawful graphs always carry such a certificate (``build_pawful_S`` takes
+each middle as the smallest fitting vertex of ``Graph.common``);
+``search_structure`` decides existence in general by exhaustive
+backtracking.
 """
 
 from __future__ import annotations
@@ -46,48 +47,17 @@ def search_budget() -> int:
 
 
 @dataclass(frozen=True)
-class SelectorMaps:
-    """Smallest-id choices of middle vertices on a pawful graph.
-
-    ``triple_mid[(x, y, z)]`` is adjacent to all of x, y, z for the
-    triples with d(x,y) = d(y,z) = 2 and d(x,z) = 1; ``pair_mid[(x, y)]``
-    is a common neighbor for each ordered pair at distance 2.
-    """
-
-    triple_mid: dict[tuple[int, int, int], int]
-    pair_mid: dict[tuple[int, int], int]
-
-
-def default_selectors(g: Graph) -> SelectorMaps:
-    witness = is_pawful(g)
-    if not witness.verdict:
-        raise ValidationError(f"graph is not pawful: {witness.reason()}")
-    pair_mid = {}
-    triple_mid = {}
-    for x in g.vertices:
-        for y in g.vertices:
-            if g.dist[x][y] != 2:
-                continue
-            pair_mid[(x, y)] = g.common[x][y][0]
-            for z in g.vertices:
-                if g.dist[y][z] == 2 and g.dist[x][z] == 1:
-                    triple_mid[(x, y, z)] = g.common_neighbors(x, y, z)[0]
-    return SelectorMaps(triple_mid, pair_mid)
-
-
-@dataclass(frozen=True)
 class SStructure:
     """A certificate: quadruple-rule tuples and triple-rule tuples.
 
     Every quad (alpha, beta, gamma, delta) has d(alpha,beta) = d(beta,gamma)
     = d(gamma,delta) = 1 and d(beta,delta) = 2; every triple
     (beta, gamma, delta) has d(beta,gamma) = d(gamma,delta) = 1 and
-    d(beta,delta) = 2.  ``origin`` records how it was produced.
+    d(beta,delta) = 2.
     """
 
     quads: frozenset[tuple[int, int, int, int]]
     triples: frozenset[tuple[int, int, int]]
-    origin: str = "general"
 
 
 def _validate_structure(g: Graph, s: SStructure) -> None:
@@ -104,49 +74,36 @@ def _validate_structure(g: Graph, s: SStructure) -> None:
             raise ValidationError(f"quadruple {q} violates its distance conditions")
 
 
-def _quad_by_key(s: SStructure) -> dict[tuple[int, int, int], int]:
-    out: dict[tuple[int, int, int], int] = {}
-    for q in sorted(s.quads):
-        key = (q[0], q[1], q[3])
-        if key in out and out[key] != q[2]:
-            raise CertificateError(f"two quadruples share the key {key}")
-        out[key] = q[2]
-    return out
-
-
-def _triple_by_key(s: SStructure) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for t in sorted(s.triples):
-        key = (t[0], t[2])
-        if key in out and out[key] != t[1]:
-            raise CertificateError(f"two triples share the key {key}")
-        out[key] = t[1]
+def _by_key(tuples, mid: int, kind: str) -> dict[tuple[int, ...], int]:
+    """Each tuple's entry at ``mid``, keyed by the tuple without it."""
+    out: dict[tuple[int, ...], int] = {}
+    for t in sorted(tuples):
+        key = t[:mid] + t[mid + 1 :]
+        if key in out and out[key] != t[mid]:
+            raise CertificateError(f"two {kind} share the key {key}")
+        out[key] = t[mid]
     return out
 
 
 def build_pawful_S(g: Graph) -> SStructure:
     """The canonical certificate of a pawful graph.
 
-    Quadruples come in two families over the keys (alpha, beta, delta)
-    with d(alpha,beta) = 1 and d(beta,delta) = 2: when d(alpha,delta) = 1
-    the middle is alpha itself, when d(alpha,delta) = 2 it is the
-    selector vertex adjacent to all of alpha, delta, beta.  Triples pick
-    the selected common neighbor of each ordered distance-2 pair.
+    The triple over each ordered distance-2 pair (beta, delta) takes
+    their smallest common neighbor.  The quadruple over each key
+    (alpha, beta, delta), with d(alpha,beta) = 1 and d(beta,delta) = 2,
+    takes alpha itself when d(alpha,delta) = 1, and otherwise
+    (d(alpha,delta) = 2) the smallest vertex adjacent to all of alpha,
+    delta and beta, which pawfulness provides.
     """
-    sel = default_selectors(g)
-    quads = set()
-    triples = set()
-    for beta in g.vertices:
-        for delta in g.vertices:
-            if g.dist[beta][delta] != 2:
-                continue
-            triples.add((beta, sel.pair_mid[(beta, delta)], delta))
-            for alpha in g.neighbors[beta]:
-                if g.dist[alpha][delta] == 1:
-                    quads.add((alpha, beta, alpha, delta))
-                elif g.dist[alpha][delta] == 2:
-                    quads.add((alpha, beta, sel.triple_mid[(alpha, delta, beta)], delta))
-    s = SStructure(frozenset(quads), frozenset(triples), origin="pawful")
+    witness = is_pawful(g)
+    if not witness.verdict:
+        raise ValidationError(f"graph is not pawful: {witness.reason()}")
+    triples = frozenset((be, g.common[be][de][0], de) for be, de in _ordered_x_keys(g))
+    quads = frozenset(
+        (al, be, al if g.dist[al][de] == 1 else g.common_neighbors(al, de, be)[0], de)
+        for al, be, de in _ordered_y_keys(g)
+    )
+    s = SStructure(quads, triples)
     _validate_structure(g, s)
     return s
 
@@ -174,8 +131,8 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
     _validate_structure(g, s)
-    quad_mid = _quad_by_key(s)
-    triple_mid = _triple_by_key(s)
+    quad_mid = _by_key(s.quads, 2, "quadruples")
+    triple_mid = _by_key(s.triples, 1, "triples")
     cells, show = pair.cells, pair.simplex
     index = {seq: c for c, seq in enumerate(cells)}
 

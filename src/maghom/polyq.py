@@ -101,9 +101,6 @@ class IntPoly:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
-    __rmul__ = __mul__
-    __radd__ = __add__
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Quotient self / other, asserting the division is exact in Z[q]."""
         if not other:

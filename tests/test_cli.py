@@ -46,6 +46,17 @@ def test_magnitude_series_over_the_cap_is_a_budget_error(capsys, monkeypatch):
     )
 
 
+def test_magnitude_series_is_charged_by_coefficient_size(capsys, monkeypatch):
+    # 6 x 300001 coefficients are under the cap, their words are not
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    code, out, err = run(capsys, "magnitude", FIXTURES / "G1", "--series", 300000)
+    assert code == 2 and out == ""
+    assert err == (
+        "budget exceeded: series through q^300000 needs 6 x 300001 coefficients "
+        "of 14063 machine words each, over the basis cap 2000000\n"
+    )
+
+
 def test_magnitude_elimination_over_the_cap_is_a_budget_error(capsys, monkeypatch):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "143")
     code, out, err = run(capsys, "magnitude", FIXTURES / "G1")
@@ -159,6 +170,20 @@ def test_certificate_error_names_the_cell(capsys, tmp_path):
     )
     assert (code, out) == (1, "")
     assert err == "error: deletion does not invert insertion at ((2, 1), (4, 3))\n"
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [("Q 1 2 6 4", "two quadruples share the key (1, 2, 4)"),
+     ("T 1 5 6", "two triples share the key (1, 6)")],
+)
+def test_certificate_with_two_middles_over_one_key(capsys, tmp_path, extra, key):
+    bad = tmp_path / "bad.sstruct"
+    bad.write_text((FIXTURES / "G1.sstruct").read_text() + extra + "\n")
+    code, out, err = run(
+        capsys, "match", FIXTURES / "G1", "--a", 1, "--b", 3, "--ell", 3, "--s", bad
+    )
+    assert (code, out, err) == (1, "", f"error: {key}\n")
 
 
 def test_pawful_command(capsys):

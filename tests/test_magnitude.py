@@ -321,3 +321,26 @@ def test_series_table_is_capped(monkeypatch, g1):
     assert magnitude_series(g1, 9)[:8] == [6, -20, 60, -182, 556, -1702, 5214, -15980]
     with pytest.raises(BudgetExceeded, match="series"):
         magnitude_series(g1, 10)
+
+
+def test_series_coefficients_within_the_charged_bound(g1):
+    # |coefficient of q^m| <= n^(m+1); K_n attains n (n-1)^m
+    for g in (g1, complete_graph(5), cycle_graph(7)):
+        series = magnitude_series(g, 30)
+        assert all(abs(c) <= g.n ** (m + 1) for m, c in enumerate(series))
+
+
+def test_series_charges_machine_words(monkeypatch, g1):
+    # n = 6 <= 2^3, so q^m is charged 3(m + 1) bits: one word through q^19,
+    # two from q^20 on (3 * 21 + 1 > 62 + 1)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "120")  # 6 x 20 x 1
+    head = magnitude_series(g1, 19)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "252")  # 6 x 21 x 2
+    assert magnitude_series(g1, 20)[:20] == head
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "251")
+    with pytest.raises(BudgetExceeded) as err:
+        magnitude_series(g1, 20)
+    assert str(err.value) == (
+        "series through q^20 needs 6 x 21 coefficients of 2 machine words each, "
+        "over the basis cap 251"
+    )

@@ -3,7 +3,7 @@ from math import inf
 import pytest
 from oracles import sequence_indices
 
-from maghom import complete_graph
+from maghom import complete_graph, from_edges
 from maghom.ai_complex import relative_complex
 from maghom.errors import (
     BudgetExceeded,
@@ -16,7 +16,6 @@ from maghom.matching import (
     build_matching,
     build_pawful_S,
     check_star_property,
-    default_selectors,
     parse_s,
     search_structure,
     serialize_s,
@@ -30,27 +29,45 @@ def g1_cert(g1, g1_cert_text):
     return parse_s(g1_cert_text, g1)
 
 
-def test_default_selectors_complete_graph():
-    sel = default_selectors(complete_graph(4))
-    assert sel.pair_mid == {} and sel.triple_mid == {}
+def _middles(g, s):
+    """The triple middle over each ordered distance-2 pair, and the
+    quadruple middle over each key (alpha, delta, beta) with
+    d(alpha,delta) = 2, as the certificate chose them."""
+    pair_mid = {(t[0], t[2]): t[1] for t in s.triples}
+    triple_mid = {(q[0], q[3], q[1]): q[2] for q in s.quads if g.d(q[0], q[3]) == 2}
+    return pair_mid, triple_mid
 
 
-def test_default_selectors_c4(c4):
-    sel = default_selectors(c4)
-    assert sel.pair_mid == {(1, 3): 2, (3, 1): 2, (2, 4): 1, (4, 2): 1}
-    assert sel.triple_mid == {}
+def test_pawful_middles_complete_graph():
+    assert _middles(complete_graph(4), build_pawful_S(complete_graph(4))) == ({}, {})
 
 
-def test_default_selectors_reject_non_pawful(g1):
+def test_pawful_middles_c4(c4):
+    pair_mid, triple_mid = _middles(c4, build_pawful_S(c4))
+    assert pair_mid == {(1, 3): 2, (3, 1): 2, (2, 4): 1, (4, 2): 1}
+    assert triple_mid == {}
+
+
+def test_pawful_middles_are_the_smallest_common_neighbors():
+    # C_5 on 1..5 with two adjacent hubs 6, 7 joined to every rim vertex
+    rim = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    g = from_edges(rim + [(h, v) for h in (6, 7) for v in range(1, 6)] + [(6, 7)])
+    pair_mid, triple_mid = _middles(g, build_pawful_S(g))
+    assert pair_mid == {(1, 3): 2, (3, 1): 2, (1, 4): 5, (4, 1): 5, (2, 4): 3,
+                        (4, 2): 3, (2, 5): 1, (5, 2): 1, (3, 5): 4, (5, 3): 4}
+    # a far middle is adjacent to alpha, delta and beta: only the hubs are
+    assert set(triple_mid.values()) == {6} and len(triple_mid) == 10
+
+
+def test_build_pawful_S_rejects_non_pawful(g1):
     with pytest.raises(ValidationError) as err:
-        default_selectors(g1)
+        build_pawful_S(g1)
     assert str(err.value) == "graph is not pawful: triple 3,1,4 has no common neighbor"
 
 
 def test_pawful_structure_complete_graph_empty():
     s = build_pawful_S(complete_graph(5))
     assert not s.quads and not s.triples
-    assert s.origin == "pawful"
 
 
 def test_pawful_structure_c4(c4):
@@ -148,6 +165,20 @@ def test_build_matching_rejects_incomplete_certificate(c4):
     crippled = SStructure(s.quads, frozenset(t for t in s.triples if t != (1, 2, 3)))
     with pytest.raises(CertificateError):
         build_matching(c4, relative_complex(c4, 1, 1, 4), crippled)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("Q 1 2 6 4", "two quadruples share the key (1, 2, 4)"),
+        ("T 1 5 6", "two triples share the key (1, 6)"),
+    ],
+)
+def test_build_matching_rejects_two_middles_over_one_key(g1, g1_cert_text, extra, message):
+    s = parse_s(g1_cert_text + extra + "\n", g1)
+    with pytest.raises(CertificateError) as err:
+        build_matching(g1, relative_complex(g1, 1, 3, 3), s)
+    assert str(err.value) == message
 
 
 def test_build_matching_g1_certificate(g1, g1_cert):
