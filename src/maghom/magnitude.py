@@ -21,12 +21,11 @@ partition gives M = Z; a cycle gives r = 1, Leinster's formula
 n / sum_y q^d(x,y) for homogeneous graphs (arXiv:1401.4623).
 
 det M and det B are integer polynomials, found by one exact elimination
-over Z through Kronecker substitution (von zur Gathen-Gerhard, Modern
-Computer Algebra, 8.4).  Setting q = X = 2^K is a ring map Z[q] -> Z,
-so eliminating at X gives det M(X) and det B(X); and a polynomial whose
-coefficients all lie in [-X/2, X/2) is the only one with those balanced
-base-X digits, so it is read off its value at X.  A zero value then
-means the zero polynomial.  One bound makes the result certain:
+over Z at q = X = 2^K (Kronecker substitution, see ``maghom.polyq``):
+eliminating at X gives det M(X) and det B(X), and a polynomial with
+coefficients in [-X/2, X/2) is read off its value at X (``polyq.unpack``).
+A zero value then means the zero polynomial.  One bound makes the result
+certain:
 
 * coefficients (Hadamard): the coefficient of q^d in p is the mean of
   p(z) z^-d over |z| = 1, so no coefficient exceeds max_{|z|=1} |p(z)|.
@@ -60,7 +59,8 @@ row degree 0, so such a minor, det M and det B among them, is the value
 at X of a polynomial of degree at most D = sum_i e_i.  So D + 1 digits
 are read, and a value left over is an internal error.  The r^2 x (D + 1)
 coefficients that the elimination stands for count against the basis
-cap (``MAGHOM_BASIS_CAP``), as the series table does.
+cap (``MAGHOM_BASIS_CAP``), as the series table does.  -det B / det M
+is brought to lowest terms by ``polyq.poly_gcd``, at q = 2^k as well.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from operator import add, sub
 from .errors import BudgetExceeded, InternalCheckError, ValidationError
 from .graph import Graph
 from .homology import basis_cap
-from .polyq import IntPoly, RatFunc
+from .polyq import IntPoly, RatFunc, unpack
 from .symmetry import Cells, equitable_partition
 
 
@@ -111,26 +111,6 @@ def det_bound(sizes: list[int]) -> int:
     docstring)."""
     q = sum(s * s for s in sizes)
     return isqrt((q + 1) ** len(sizes) * q)
-
-
-def _unpack(v: int, k: int, digits: int) -> list[int]:
-    """The lowest ``digits`` balanced base-2^k digits of v, lowest first,
-    each in [-2^(k-1), 2^(k-1)): the coefficients of the polynomial p of
-    degree < ``digits`` with p(2^k) = v, if p has such coefficients.  A
-    value left over raises InternalCheckError.
-
-    >>> _unpack(3 * 2**16 - 2**8 + 5, 8, 4)   # 3q^2 - q + 5 at q = 2^8
-    [5, -1, 3, 0]
-    """
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    out = []
-    for _ in range(digits):
-        c = ((v + half) & mask) - half
-        out.append(c)
-        v = (v - c) >> k
-    if v:
-        raise InternalCheckError(f"a determinant has more than {digits} base-2^{k} digits")
-    return out
 
 
 def _det_bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -178,7 +158,7 @@ def bordered_dets(g: Graph, cells: Cells | None = None) -> tuple[IntPoly, IntPol
     ]
     rows.append([0])
     scale = prod(sizes)
-    return tuple(IntPoly(_unpack(det // scale, k, top + 1)) for det in _det_bareiss(rows))
+    return tuple(IntPoly(unpack(det // scale, k, top + 1)) for det in _det_bareiss(rows))
 
 
 def magnitude_rational(g: Graph) -> RatFunc:
@@ -188,8 +168,6 @@ def magnitude_rational(g: Graph) -> RatFunc:
     by the coarsest equitable partition (see the module docstring).
     """
     det_m, det_b = bordered_dets(g, equitable_partition(g))
-    if not det_m:
-        raise InternalCheckError("similarity matrix determinant reduced to zero")
     return RatFunc(-det_b, det_m)
 
 

@@ -425,14 +425,14 @@ def parse_s(text: str, g: Graph) -> SStructure:
             tag, nums = parts[0].upper(), [int(x) for x in parts[1:]]
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer entry in {raw!r}") from None
-        if tag == "T" and len(nums) == 3:
-            triples.add(tuple(nums))
-        elif tag == "Q" and len(nums) == 4:
-            quads.add(tuple(nums))
-        else:
+        if (tag, len(nums)) not in (("T", 3), ("Q", 4)):
             raise ParseError(
                 f"line {lineno}: expected 'T b c d' or 'Q a b c d', got {raw!r}"
             )
+        for v in nums:
+            if not 1 <= v <= g.n:
+                raise ParseError(f"line {lineno}: vertex {v} is outside 1..{g.n}")
+        (triples if tag == "T" else quads).add(tuple(nums))
     s = SStructure(frozenset(quads), frozenset(triples))
     _validate_structure(g, s)
     return s

@@ -4,17 +4,25 @@ Coefficient vectors are stored lowest degree first and use Python's
 arbitrary-precision integers throughout: determinants of q-power matrices
 blow past 64 bits already for small graphs.
 
+The arithmetic that magnitude needs runs over Z by Kronecker substitution
+(von zur Gathen-Gerhard, Modern Computer Algebra, 8.4): setting q = X = 2^k
+is a ring map Z[q] -> Z, and a polynomial whose coefficients all lie in
+[-X/2, X/2) is the only one with those balanced base-X digits, so it is
+read back off its value at X (``unpack``).  ``magnitude.bordered_dets``
+takes its determinants this way and ``poly_gcd`` its gcd, so IntPoly
+needs no sum or product.
+
 >>> p = IntPoly([-6, -10, 4, 2])
 >>> str(p)
 '2*q^3 + 4*q^2 - 10*q - 6'
->>> p * IntPoly.one() == p
+>>> IntPoly(unpack(2 * 2**24 + 4 * 2**16 - 10 * 2**8 - 6, 8, 4)) == p
 True
 """
 
 from __future__ import annotations
 
 from math import gcd
-from .errors import MaghomError
+from .errors import InternalCheckError, MaghomError
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -42,13 +50,6 @@ class IntPoly:
     def one() -> "IntPoly":
         return IntPoly((1,))
 
-    @staticmethod
-    def monomial(coeff: int, degree: int) -> "IntPoly":
-        """coeff * q^degree"""
-        if coeff == 0:
-            return IntPoly()
-        return IntPoly([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
@@ -71,35 +72,6 @@ class IntPoly:
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Quotient self / other, asserting the division is exact in Z[q]."""
@@ -127,10 +99,7 @@ class IntPoly:
 
     def content(self) -> int:
         """gcd of the coefficients; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         c = self.content()
@@ -166,32 +135,77 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
+def unpack(v: int, k: int, digits: int) -> list[int]:
+    """The lowest ``digits`` balanced base-2^k digits of v, lowest first,
+    each in [-2^(k-1), 2^(k-1)): the coefficients of the polynomial p of
+    degree < ``digits`` with p(2^k) = v, if p has such coefficients.  A
+    value left over raises InternalCheckError.
+
+    >>> unpack(3 * 2**16 - 2**8 + 5, 8, 4)   # 3q^2 - q + 5 at q = 2^8
+    [5, -1, 3, 0]
+    """
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(digits):
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> k
+    if v:
+        raise InternalCheckError(f"a packed value has more than {digits} base-2^{k} digits")
+    return out
+
+
+def _pack(p: IntPoly, k: int) -> int:
+    """p(2^k)."""
+    return sum(c << (k * d) for d, c in enumerate(p.coeffs))
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd in Z[q] with positive leading coefficient.
 
-    Primitive-part Euclidean algorithm: pseudo-remainders on primitive
-    parts, with the integer content handled separately.
+    Heuristic gcd on packed values (GCDHEU: Char-Geddes-Gonnet, JSC 1989).
+    The integer content is split off first; below, a and b are the
+    primitive parts, g is their gcd and m is the largest size of their
+    coefficients.  For X = 2^k > 2m + 2, h is read as the balanced base-X
+    digits of gamma = gcd(a(X), b(X)), and its primitive part p is
+    accepted when it divides a and b exactly; otherwise k goes up by one.
+
+    * Reading: every |a_i| <= m < X/2 - 1, so the digits of a(X) are the
+      coefficients of a, and 0 < gamma <= |a(X)| <= (X/2 - 1)(1 + X + ...
+      + X^d), d = deg a: the largest value of d + 1 balanced digits, which
+      take every value from 0 up to it.  Likewise for b, so h has at most
+      min(deg a, deg b) + 1 digits and h(X) = gamma.
+    * Acceptance: p divides a and b, so g = p c.  g(X) divides a(X), b(X),
+      so p(X) c(X) divides gamma = cont(h) p(X), and |c(X)| <= |cont(h)|
+      <= X/2, the size of a nonzero digit.  Were c of positive degree, its
+      roots would be roots of a, of size below m + 1 (Cauchy), so
+      |c(X)| >= prod |X - root| > (X - m - 1)^deg c > X/2.  So c = +-1.
+    * Termination: a = g a', b = g b' with a', b' coprime, so some
+      Z[q]-combination of a' and b' is a nonzero integer R (Bezout in Q[q],
+      denominators cleared), and delta = gcd(a'(X), b'(X)) divides R.  Once
+      X > 2 |R| max |g_i| + 2, g(X) > 0 (its top digit is), so gamma =
+      delta g(X), whose digits are the coefficients of delta g; their
+      primitive part g is accepted.  k grows until then.
 
     >>> poly_gcd(IntPoly([-1, 0, 1]), IntPoly([1, 1]))   # q^2-1 vs q+1
     IntPoly([1, 1])
     """
-    if not a:
-        g = b
-    elif not b:
-        g = a
+    if not a or not b:
+        g = a or b
     else:
         cont = gcd(a.content(), b.content())
         a, b = a.primitive(), b.primitive()
-        while b:
-            # pseudo-remainder: lead(b)^k * a mod b stays in Z[q]
-            r = a
-            while r and r.degree >= b.degree:
-                r = r * b.lead - b * IntPoly.monomial(r.lead, r.degree - b.degree)
-            a, b = b, r.primitive()
-        g = IntPoly([c * cont for c in a.primitive().coeffs])
-    if g.lead < 0:
-        g = -g
-    return g
+        k = (2 * max(map(abs, a.coeffs + b.coeffs)) + 2).bit_length()
+        digits = min(a.degree, b.degree) + 1
+        while True:
+            p = IntPoly(unpack(gcd(_pack(a, k), _pack(b, k)), k, digits)).primitive()
+            try:
+                a.exact_div(p), b.exact_div(p)
+                break
+            except MaghomError:
+                k += 1
+        g = IntPoly([c * cont for c in p.coeffs])
+    return -g if g.lead < 0 else g
 
 
 class RatFunc:

@@ -7,7 +7,7 @@ second route for the sequence-based code that replaced them.
 """
 
 from collections import namedtuple
-from math import inf
+from math import gcd, inf
 
 from maghom.errors import MaghomError
 from maghom.homology import mh_column
@@ -23,7 +23,7 @@ def sequence_length(g, points):
 
 def zeta_matrix(g):
     """Matrix with (x, y) entry the monomial q^d(x,y)."""
-    return [[IntPoly.monomial(1, g.dist[x][y]) for y in g.vertices] for x in g.vertices]
+    return [[Poly.monomial(1, g.dist[x][y]) for y in g.vertices] for x in g.vertices]
 
 
 def is_smooth(g, points, i):
@@ -238,6 +238,90 @@ def rank_mod_p(mat, p):
                 else:
                     row.pop(c, None)
     return len(pivots)
+
+
+# --- polynomials ----------------------------------------------------------------
+
+
+class Poly(IntPoly):
+    """An IntPoly with the ring operations, which the library no longer
+    needs: built from coefficients, an int or an IntPoly, and mixed freely
+    with IntPoly and int operands.
+
+    >>> p = Poly([-6, -10, 4, 2])
+    >>> p * IntPoly.one() == p
+    True
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        if isinstance(coeffs, int):
+            coeffs = (coeffs,)
+        super().__init__(coeffs.coeffs if isinstance(coeffs, IntPoly) else coeffs)
+
+    @staticmethod
+    def monomial(coeff, degree):
+        """coeff * q^degree"""
+        return Poly([0] * degree + [coeff])
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        a, b = self.coeffs, Poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -Poly(other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, Poly(other).coeffs
+        if not a or not b:
+            return Poly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def exact_div(self, other):
+        return Poly(super().exact_div(other))
+
+
+def euclid_gcd(a, b):
+    """gcd in Z[q] with positive leading coefficient, by the primitive-part
+    Euclidean algorithm: pseudo-remainders on primitive parts, with the
+    integer content handled separately.  The library's former gcd.
+
+    >>> euclid_gcd(Poly([-1, 0, 1]), Poly([1, 1])) == Poly([1, 1])   # q^2-1 vs q+1
+    True
+    """
+    if not a:
+        g = Poly(b)
+    elif not b:
+        g = Poly(a)
+    else:
+        cont = gcd(a.content(), b.content())
+        a, b = Poly(a.primitive()), Poly(b.primitive())
+        while b:
+            # pseudo-remainder: lead(b)^k * a mod b stays in Z[q]
+            r = a
+            while r and r.degree >= b.degree:
+                r = r * b.lead - b * Poly.monomial(r.lead, r.degree - b.degree)
+            a, b = b, Poly(r.primitive())
+        g = Poly(a.primitive()) * cont
+    return -g if g.lead < 0 else g
 
 
 # --- magnitude ----------------------------------------------------------------

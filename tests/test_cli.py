@@ -186,6 +186,27 @@ def test_certificate_with_two_middles_over_one_key(capsys, tmp_path, extra, key)
     assert (code, out, err) == (1, "", f"error: {key}\n")
 
 
+CERTIFICATE_ARGS = {"match": ["--a", 1, "--b", 3, "--ell", 3, "--s"], "s-structure": ["--verify"]}
+
+
+@pytest.mark.parametrize("command", sorted(CERTIFICATE_ARGS))
+def test_certificate_ids_above_n(capsys, command):
+    # line 7 of G1.sstruct is "T 1 2 6"; G2 has 5 vertices
+    code, out, err = run(
+        capsys, command, FIXTURES / "G2", *CERTIFICATE_ARGS[command], FIXTURES / "G1.sstruct"
+    )
+    assert (code, out, err) == (1, "", "error: line 7: vertex 6 is outside 1..5\n")
+
+
+@pytest.mark.parametrize("line, vertex", [("T 0 2 3", 0), ("Q 1 2 3 -1", -1)])
+@pytest.mark.parametrize("command", sorted(CERTIFICATE_ARGS))
+def test_certificate_ids_below_one(capsys, tmp_path, command, line, vertex):
+    bad = tmp_path / "bad.sstruct"
+    bad.write_text(f"T 1 2 3\n{line}\n")
+    code, out, err = run(capsys, command, FIXTURES / "G1", *CERTIFICATE_ARGS[command], bad)
+    assert (code, out, err) == (1, "", f"error: line 2: vertex {vertex} is outside 1..6\n")
+
+
 def test_pawful_command(capsys):
     code, out, _ = run(capsys, "pawful", FIXTURES / "G1")
     assert code == 0

@@ -1,7 +1,14 @@
-import pytest
+import random
+from itertools import combinations
 
+import pytest
+from oracles import Poly, euclid_gcd
+
+from maghom import cycle_graph, from_edges, polyq
 from maghom.errors import MaghomError
+from maghom.magnitude import bordered_dets
 from maghom.polyq import IntPoly, RatFunc, poly_gcd
+from maghom.symmetry import equitable_partition
 
 
 def test_construction_trims_and_normalizes():
@@ -13,8 +20,8 @@ def test_construction_trims_and_normalizes():
 
 
 def test_ring_identities():
-    p = IntPoly([-6, -10, 4, 2])
-    q = IntPoly([3, 0, 1])
+    p = Poly([-6, -10, 4, 2])
+    q = Poly([3, 0, 1])
     assert p + IntPoly.zero() == p
     assert p * IntPoly.one() == p
     assert p - p == IntPoly.zero()
@@ -47,6 +54,85 @@ def test_gcd():
     # gcd of coprime polynomials is a constant
     g = poly_gcd(IntPoly([1, 1]), IntPoly([2, 1]))
     assert g.degree == 0
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The k of each packed gcd that poly_gcd reads back; a 20th read
+    before the list is cleared fails, so a retry loop that never ends
+    fails too."""
+    ks = []
+    unpack = polyq.unpack
+
+    def reader(v, k, digits):
+        ks.append(k)
+        assert len(ks) < 20, f"k does not grow: {ks}"
+        return unpack(v, k, digits)
+
+    monkeypatch.setattr(polyq, "unpack", reader)
+    return ks
+
+
+def _random_poly(rng, degree, size):
+    lead = rng.choice((-1, 1)) * rng.randint(1, size)
+    return Poly([rng.randint(-size, size) for _ in range(degree)] + [lead])
+
+
+def test_gcd_matches_euclid_on_planted_factors(reads):
+    rng = random.Random(11)
+    retried = 0
+    for _ in range(400):
+        g = _random_poly(rng, rng.randint(0, 5), 30)
+        a = g * _random_poly(rng, rng.randint(0, 6), 9) * rng.randint(-12, 12)
+        b = g * _random_poly(rng, rng.randint(0, 6), 9) * rng.randint(-12, 12)
+        reads.clear()
+        h = poly_gcd(a, b)
+        assert h == euclid_gcd(a, b)
+        if a and b:
+            assert Poly(h).exact_div(g.primitive())   # raises unless g divides h
+        retried += len(reads) > 1
+    assert retried > 0
+
+
+def test_gcd_of_zero_and_constant_inputs():
+    zero, q = Poly(), Poly([0, 1])
+    for a, b in [
+        (zero, zero), (zero, Poly(5)), (Poly(-5), zero), (zero, -3 * q), (q * q - 4, zero),
+        (Poly(4), Poly(6)), (Poly(-4), Poly(-6)), (Poly(7), q * q + 1), (6 * q + 4, Poly(-2)),
+        (Poly(1), 5 * q - 3), (Poly(-1), Poly(-1)),
+    ]:
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == poly_gcd(b, a)
+
+
+def _graph(rng, n, m):
+    """A random connected graph on 1..n with m edges: a random tree plus
+    m - n + 1 more edges."""
+    edges = {tuple(sorted((v, rng.randrange(1, v)))) for v in range(2, n + 1)}
+    rest = [e for e in combinations(range(1, n + 1), 2) if e not in edges]
+    return from_edges(sorted(edges | set(rng.sample(rest, m - n + 1))), n=n)
+
+
+def test_gcd_on_magnitude_determinants(c4, g1, g2, g3):
+    # the pairs RatFunc reduces, -det B over det M, as magnitude_rational
+    # makes them; the random graphs have the benchmark's shape, m = 2n - 5
+    rng = random.Random(5)
+    graphs = [c4, g1, g2, g3, cycle_graph(15)]
+    graphs += [_graph(rng, n, 2 * n - 5) for n in range(15, 20)]
+    degrees = []
+    for g in graphs:
+        det_m, det_b = bordered_dets(g, equitable_partition(g))
+        h = poly_gcd(-det_b, det_m)
+        assert h == euclid_gcd(-det_b, det_m)
+        degrees.append(h.degree)
+    assert min(degrees[-5:]) > 0
+
+
+def test_gcd_retries_with_one_more_bit(reads):
+    # at k = 4, gcd(a(16), b(16)) reads as q - 4, which does not divide b;
+    # k = 5 fails the division too, and k = 6 gives the gcd 1
+    a, b = Poly([-4, 1]), Poly([4, -2, -5])   # q - 4, -5q^2 - 2q + 4
+    assert poly_gcd(a, b) == euclid_gcd(a, b) == IntPoly.one()
+    assert reads == [4, 5, 6]
 
 
 def test_ratfunc_canonical_form():
