@@ -32,7 +32,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .homology import MHTable, is_diagonal_up_to, mh_table, pairwise_column
+from .homology import MHTable, basis_cap, is_diagonal_up_to, mh_table, pairwise_column
 from .magnitude import magnitude_rational, magnitude_series
 
 
@@ -257,6 +257,8 @@ def _cmd_classify(args) -> int:
     _require_lmax(args.lmax)
     if args.budget is not None and args.budget < 1:
         raise ValidationError("--budget must be positive")
+    basis_cap()  # read before the first line, so a bad setting writes no record
+    args.budget = args.budget or mt.search_budget()
     if args.stream == "-":
         if isinstance(sys.stdin, io.TextIOWrapper):
             sys.stdin.reconfigure(errors="replace")

@@ -37,20 +37,44 @@ class Graph:
         return self.m == self.n - 1
 
     @cached_property
-    def common(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``common[u][v]``: the common neighbours of u and v, increasing
-        (index 0 unused).  Built on first use, once per graph; it is not a
-        field, so equality and hashing ignore it."""
-        table: list[list[list[int]]] = [[[] for _ in range(self.n + 1)] for _ in range(self.n + 1)]
-        for w in self.vertices:
-            for u in self.neighbors[w]:
-                for v in self.neighbors[w]:
-                    table[u][v].append(w)
-        return tuple(tuple(map(tuple, row)) for row in table)
+    def between(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``between[u][w]``: the vertices v other than u and w with
+        d(u, v) + d(v, w) = d(u, w), increasing (index 0 unused), the inside
+        of the geodesic interval: empty when d(u, w) <= 1, the common
+        neighbours when d(u, w) = 2.  Built on first use, once per graph;
+        it is not a field, so equality and hashing ignore it."""
+        dist, vertices = self.dist, self.vertices
+        return tuple(
+            tuple(
+                tuple(v for v in vertices if 0 < du[v] < d and du[v] + dist[v][w] == d)
+                if d > 1 else ()
+                for w, d in enumerate(du)
+            )
+            for du in dist
+        )
 
-    def common_neighbors(self, u: int, v: int, *more: int) -> list[int]:
-        """The vertices adjacent to all of u, v and ``more``, increasing."""
-        return [w for w in self.common[u][v] if all(self.dist[w][x] == 1 for x in more)]
+    @cached_property
+    def _powers(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {0: tuple(tuple(int(u == v) for v in range(self.n + 1)) for u in range(self.n + 1))}
+
+    def walks(self, length: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of A^length, A the adjacency matrix (index 0 unused):
+        ``walks(l)[a][b]`` counts the length-l walks from a to b.  Each
+        power is the one before times A, kept on the graph for later
+        lengths; a power found twice at once is the same, and kept once."""
+        powers, neighbors = self._powers, self.neighbors
+        for i in range(length):
+            if i + 1 not in powers:
+                rows = []
+                for row in powers[i]:
+                    step = [0] * (self.n + 1)
+                    for v, count in enumerate(row):
+                        if count:
+                            for w in neighbors[v]:
+                                step[w] += count
+                    rows.append(tuple(step))
+                powers.setdefault(i + 1, tuple(rows))
+        return powers[length]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -292,7 +316,7 @@ def is_pawful(g: Graph) -> PawfulWitness:
             for z in g.vertices:
                 if g.dist[y][z] != 2 or g.dist[x][z] != 1:
                     continue
-                if not g.common_neighbors(x, y, z):
+                if all(g.dist[w][z] != 1 for w in g.between[x][y]):
                     return PawfulWitness(False, violation=(x, y, z))
     return PawfulWitness(True)
 
@@ -305,22 +329,10 @@ def ahk_edge_cycle_check(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """
     if g.is_tree():
         raise ValidationError("edge-cycle condition applies to non-trees only")
-    edgeset = set(g.edges)
     for u, v in g.edges:
-        if g.common[u][v]:
-            continue                      # triangle through {u, v}
-        found = False
-        for w in g.neighbors[v]:
-            if w == u:
-                continue
-            for x in g.neighbors[u]:
-                if x == v or x == w:
-                    continue
-                if (min(w, x), max(w, x)) in edgeset:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        # a triangle or a square: x ~ u, w ~ v with x != v, w != u, x = w or x ~ w
+        if not any(
+            g.dist[x][w] <= 1 for x in g.neighbors[u] if x != v for w in g.neighbors[v] if w != u
+        ):
             return False, (u, v)
     return True, None

@@ -3,28 +3,21 @@
 Degree-k, length-l chains are generated by vertex tuples (x_0, ..., x_k)
 with consecutive entries distinct and total metric length l.  The
 boundary deletes interior smooth points with alternating signs; endpoint
-entries are never deleted, so the complex splits over endpoint pairs.
-Homology is computed exactly (free rank plus torsion divisors) by Smith
-normal form of the boundary matrices.
+entries are never deleted, so the complex splits over endpoint pairs.  A
+point is smooth exactly when it lies inside the geodesic interval of its
+two neighbours, so every boundary is built by one rule from its lower
+degree: a coface inserts a vertex of that interval (``Graph.between``)
+into a gap.  Homology is computed exactly (free rank plus torsion
+divisors) by Smith normal form of the boundary matrices.
 
 The top degree k = l is never enumerated.  Its generators are the
 length-l walks, since each of their l gaps is 1, so its rank in the
-(a, b) summand is the walk count (A^l)_ab.  Its boundary d_l is built
-from degree l-1 alone: a degree-(l-1), length-l sequence y has l-1 gaps
->= 1 adding up to l, so exactly one gap is 2, say between y_(j-1) and
-y_j.  The walks with a smooth point whose deletion gives y are y with a
-common neighbour of y_(j-1) and y_j inserted at position j, each with
-sign (-1)^j.  So inserting common neighbours yields every nonzero entry
-of d_l once, and the walks without a smooth point, the zero columns of
-d_l, never appear; MH_(l,l) is the walk count minus the rank of d_l.
-A walk whose only smooth point is the inserted vertex is a column with
-one entry, a unit pivot on its row: that row is peeled as d_l is
-assembled, its entries are never stored, and the rank and divisors are
-kept (elementary reduction, Kaczynski-Mrozek-Slusarek, "Homology
-computation by reduction of chain complexes", 1998; the proof is in
-``boundary_matrix``).  The peeled rows are pivot rows of d_l, which
-clearing leaves out of d_(l-1), so those columns of d_(l-1) are never
-built.
+(a, b) summand is the walk count (A^l)_ab (``Graph.walks``), and d_l is
+built from degree l-1 by the same insertions, its zero columns never
+made.  A walk whose only smooth point is the inserted vertex peels its
+row as d_l is assembled (elementary reduction, Kaczynski-Mrozek-Slusarek,
+"Homology computation by reduction of chain complexes", 1998).  The
+proofs are in ``boundary_matrix``.
 
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
@@ -161,12 +154,9 @@ def enumerate_sequences(
     collection of pairs, or None for all of them.  The sequences found
     count against the basis cap once each (see ``enumerate_classes``).
     """
-    if endpoints is None:
-        pairs = list(product(g.vertices, repeat=2))
-    elif endpoints and isinstance(next(iter(endpoints)), int):
-        pairs = [endpoints]
-    else:
-        pairs = list(endpoints)
+    pairs = list(product(g.vertices, repeat=2) if endpoints is None else endpoints)
+    if pairs and isinstance(pairs[0], int):  # one pair; listed first, as an iterator reads once
+        pairs = [tuple(pairs)]
     return tuple(enumerate_classes(g, k, length, [(1, pairs)])[0])
 
 
@@ -183,20 +173,31 @@ def boundary_matrix(
     with the same length and endpoints.  Column x picks up (-1)^i at the
     row of x with position i deleted, for every smooth interior i
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
-    are kept.  A smooth deletion can never produce equal consecutive
-    entries, so target rows always exist, and two deletions from one x
-    never give the same row.  The columns in ``skip`` are left empty and
-    keep their indices.
+    are kept.  The columns in ``skip`` are left empty and keep their
+    indices.
+
+    The entries are found by insertion, row by row: for each y in
+    ``basis_lo``, each gap j of y and each v in ``g.between[y_(j-1)][y_j]``,
+    column x, which is y with v inserted at j, gets (-1)^j at row y.  This
+    finds each nonzero entry once.  Such an x has the endpoints, degree
+    and length of the columns, as v lies on a geodesic from y_(j-1) to y_j
+    and is neither end; v is smooth in x, and deleting it gives y back.
+    Conversely, a smooth x_i lies inside the interval of x_(i-1) and
+    x_(i+1), which differ, their distance being a sum of two positive
+    ones; so deleting x_i gives a row y, into which x_i inserts as x.
+    Deleting two positions of one x gives two sequences, as no two
+    consecutive entries are equal, so no x comes from one y twice.  With
+    ``basis_k`` given, each x is looked up in it; one missing raises
+    KeyError.
 
     With ``basis_k`` None, k is the top degree, the length l, and the
-    walks are found from ``basis_lo``: each y there has one gap of 2, at
-    position j, and a common neighbour v of y_(j-1) and y_j inserted at j
-    makes a walk w in which v is smooth and whose deletion gives y back;
-    every smooth point of every walk arises so, once.  All gaps of w are
-    1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.  Its points
-    i < j-1 and i > j+1 are the points i and i-1 of y, whose gaps are 1
-    too, and do not depend on v; point j-1 (if j >= 2) compares y_(j-2)
-    with v, and point j+1 (if j <= l-2) compares v with y_(j+1).
+    columns are the walks so found, in order of first appearance.  Each y
+    has one gap of 2, at position j, the only gap with a nonempty
+    interval: the common neighbours of y_(j-1) and y_j.  All gaps of a
+    walk w are 1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.
+    Its points i < j-1 and i > j+1 are the points i and i-1 of y and do
+    not depend on v; point j-1 (if j >= 2) compares y_(j-2) with v, and
+    point j+1 (if j <= l-2) compares v with y_(j+1).
 
     When j is the only smooth point of some such w, its column of d_l is
     the lone entry (-1)^j at row y, and y is peeled: adding multiples of
@@ -209,18 +210,22 @@ def boundary_matrix(
     are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
     I_|peeled| beside that of the stored entries.
     """
-    dist = g.dist
+    dist, between = g.dist, g.between
     entries: dict[tuple[int, int], int] = {}
+    peeled = []
+    gaps = range(1, len(basis_lo[0]) if basis_lo else 1)  # of every y
     if basis_k is None:
-        common = g.common
-        walks: dict[tuple[int, ...], int] = {}
-        peeled = []
-        last = len(basis_lo[0]) - 1 if basis_lo else 0  # each y ends at l - 1
-        for row, y in enumerate(basis_lo):
+        index: dict[tuple[int, ...], int] = {}  # the walks in order of first appearance
+        last = len(gaps)  # each y ends at l - 1
+    else:
+        index = {x: col for col, x in enumerate(basis_k)}
+    for row, y in enumerate(basis_lo):
+        at = gaps
+        if basis_k is None:
             j = 1
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
-            inserts = common[y[j - 1]][y[j]]
+            at = (j,)  # the only gap with a nonempty interval
             for p in range(1, last):
                 if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
                     break  # smooth in every walk made from y
@@ -230,53 +235,24 @@ def boundary_matrix(
                 left = dist[y[j - 2]] if j > 1 else dist[0]
                 right = dist[y[j + 1]] if j < last else dist[0]
                 lone = False
-                for v in inserts:
+                for v in between[y[j - 1]][y[j]]:
                     if left[v] != 2 and right[v] != 2:
                         lone = True
                         break
                 if lone:
                     peeled.append(row)
                     continue
-            sign = (-1) ** j
-            head, tail = y[:j], y[j:]
-            for v in inserts:
-                col = walks.setdefault(head + (v,) + tail, len(walks))
-                entries[(row, col)] = sign
-        return SparseMatrix(entries, len(basis_lo), len(walks), frozenset(peeled))
-    index = {x: r for r, x in enumerate(basis_lo)}
-    for col, x in enumerate(basis_k):
-        if col in skip:
-            continue
-        before = dist[x[0]]  # distances from x[i-1]
-        sign = -1
-        for i in range(1, len(x) - 1):
-            here = dist[x[i]]
-            after = x[i + 1]
-            if before[after] == before[x[i]] + here[after]:
-                entries[(index[x[:i] + x[i + 1 :]], col)] = sign
-            before = here
-            sign = -sign
-    return SparseMatrix(entries, len(basis_lo), len(basis_k))
-
-
-def walk_counts(g: Graph, starts: Iterable[int], length: int) -> dict[int, list[int]]:
-    """Row a of A^length for each a in ``starts``, A the adjacency matrix:
-    entry b is the number of length-l walks from a to b, the size of the
-    degree-l, length-l basis of the (a, b) summand."""
-    neighbors = g.neighbors
-    rows = {}
-    for a in starts:
-        row = [0] * (g.n + 1)
-        row[a] = 1
-        for _ in range(length):
-            step = [0] * (g.n + 1)
-            for v, count in enumerate(row):
-                if count:
-                    for w in neighbors[v]:
-                        step[w] += count
-            row = step
-        rows[a] = row
-    return rows
+        for j in at:
+            inserts = between[y[j - 1]][y[j]]
+            if inserts:
+                sign = (-1) ** j
+                head, tail = y[:j], y[j:]
+                for v in inserts:
+                    x = head + (v,) + tail
+                    col = index[x] if basis_k is not None else index.setdefault(x, len(index))
+                    if col not in skip:
+                        entries[(row, col)] = sign
+    return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
 
 
 def _homology(
@@ -368,7 +344,7 @@ def mh_column(
     elif classes is None:
         classes = orbit_classes(g)
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(length)]
-    walks = walk_counts(g, {a for _, pairs in classes for a, _ in pairs}, length)
+    walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
     if length:  # as in enumerate_classes, which charges no degree 0
         cap = basis_cap()

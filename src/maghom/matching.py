@@ -3,7 +3,9 @@
 On a diameter-2 graph, a certificate assigns to every ordered distance-2
 pair a middle vertex (a triple rule), and to every (alpha, beta, delta)
 with d(alpha,beta)=1, d(beta,delta)=2 a middle vertex between beta and
-delta (a quadruple rule).  Scanning the vertex sequence of a cell of
+delta (a quadruple rule).  A middle lies in the interval
+``Graph.between`` of its gap, so inserting it is the coface rule of
+``homology.boundary_matrix``.  Scanning the vertex sequence of a cell of
 K_l \\ K'_l for the first certificate pattern or distance-2 gap splits
 the cells into three groups: untouched cells A (no gap, no pattern),
 gap-first cells paired upward by inserting the certificate's middle
@@ -15,7 +17,7 @@ and named by index; their (vertex, position) form appears only in error
 messages.
 
 Pawful graphs always carry such a certificate (``build_pawful_S`` takes
-each middle as the smallest fitting vertex of ``Graph.common``);
+each middle as the smallest fitting vertex of ``Graph.between``);
 ``search_structure`` decides existence in general by exhaustive
 backtracking.
 """
@@ -98,9 +100,11 @@ def build_pawful_S(g: Graph) -> SStructure:
     witness = is_pawful(g)
     if not witness.verdict:
         raise ValidationError(f"graph is not pawful: {witness.reason()}")
-    triples = frozenset((be, g.common[be][de][0], de) for be, de in _ordered_x_keys(g))
+    triples = frozenset((be, g.between[be][de][0], de) for be, de in _ordered_x_keys(g))
     quads = frozenset(
-        (al, be, al if g.dist[al][de] == 1 else g.common_neighbors(al, de, be)[0], de)
+        (al, be, al, de)
+        if g.dist[al][de] == 1
+        else (al, be, next(ga for ga in g.between[be][de] if g.dist[al][ga] == 1), de)
         for al, be, de in _ordered_y_keys(g)
     )
     s = SStructure(quads, triples)
@@ -239,7 +243,7 @@ def check_star_property(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
     for alpha, beta, delta in _ordered_y_keys(g):
         if not any(
             g.dist[alpha][gamma] <= 1
-            for gamma in g.common[beta][delta]
+            for gamma in g.between[beta][delta]
         ):
             return False, (alpha, beta, delta)
     return True, None
@@ -315,7 +319,7 @@ def verify_s_structure(
     for q in quads:
         al, be, ga, de = q
         if g.dist[al][ga] == 2:
-            others = [x for x in g.common[be][de] if x != ga]
+            others = [x for x in g.between[be][de] if x != ga]
             if others:
                 return False, (
                     f"(iii): {q} has d(alpha,gamma)=2 but {others[0]} is "
@@ -340,10 +344,10 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
     variables: list[tuple[str, tuple, list]] = []
     for key in _ordered_x_keys(g):
         a_, c_ = key
-        variables.append(("T", key, g.common[a_][c_]))
+        variables.append(("T", key, g.between[a_][c_]))
     for key in _ordered_y_keys(g):
         al, be, de = key
-        mids = g.common[be][de]
+        mids = g.between[be][de]
         allowed = [ga for ga in mids if g.dist[al][ga] <= 1 or len(mids) == 1]
         variables.append(("Q", key, allowed))
     variables.sort(key=lambda v: (len(v[2]), v[0], v[1]))

@@ -160,8 +160,13 @@ def _pack(p: IntPoly, k: int) -> int:
     return sum(c << (k * d) for d, c in enumerate(p.coeffs))
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """gcd in Z[q] with positive leading coefficient.
+def _times(p: IntPoly, c: int) -> IntPoly:
+    return IntPoly([x * c for x in p.coeffs])
+
+
+def poly_gcd(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """gcd g in Z[q] with positive leading coefficient, and the cofactors
+    a / g and b / g, contents included (all three 0 when a = b = 0).
 
     Heuristic gcd on packed values (GCDHEU: Char-Geddes-Gonnet, JSC 1989).
     The integer content is split off first; below, a and b are the
@@ -169,6 +174,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     coefficients.  For X = 2^k > 2m + 2, h is read as the balanced base-X
     digits of gamma = gcd(a(X), b(X)), and its primitive part p is
     accepted when it divides a and b exactly; otherwise k goes up by one.
+    Those two exact quotients, times the contents, are the cofactors.
 
     * Reading: every |a_i| <= m < X/2 - 1, so the digits of a(X) are the
       coefficients of a, and 0 < gamma <= |a(X)| <= (X/2 - 1)(1 + X + ...
@@ -188,24 +194,25 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
       primitive part g is accepted.  k grows until then.
 
     >>> poly_gcd(IntPoly([-1, 0, 1]), IntPoly([1, 1]))   # q^2-1 vs q+1
-    IntPoly([1, 1])
+    (IntPoly([1, 1]), IntPoly([-1, 1]), IntPoly([1]))
     """
     if not a or not b:
-        g = a or b
-    else:
-        cont = gcd(a.content(), b.content())
-        a, b = a.primitive(), b.primitive()
-        k = (2 * max(map(abs, a.coeffs + b.coeffs)) + 2).bit_length()
-        digits = min(a.degree, b.degree) + 1
-        while True:
-            p = IntPoly(unpack(gcd(_pack(a, k), _pack(b, k)), k, digits)).primitive()
-            try:
-                a.exact_div(p), b.exact_div(p)
-                break
-            except MaghomError:
-                k += 1
-        g = IntPoly([c * cont for c in p.coeffs])
-    return -g if g.lead < 0 else g
+        sign = -1 if (a or b).lead < 0 else 1
+        return _times(a or b, sign), IntPoly([sign if a else 0]), IntPoly([sign if b else 0])
+    cont_a, cont_b = a.content(), b.content()
+    cont = gcd(cont_a, cont_b)
+    a, b = a.primitive(), b.primitive()
+    k = (2 * max(map(abs, a.coeffs + b.coeffs)) + 2).bit_length()
+    digits = min(a.degree, b.degree) + 1
+    while True:
+        p = IntPoly(unpack(gcd(_pack(a, k), _pack(b, k)), k, digits)).primitive()
+        p = -p if p.lead < 0 else p
+        try:
+            over_a, over_b = a.exact_div(p), b.exact_div(p)
+            break
+        except MaghomError:
+            k += 1
+    return _times(p, cont), _times(over_a, cont_a // cont), _times(over_b, cont_b // cont)
 
 
 class RatFunc:
@@ -224,10 +231,7 @@ class RatFunc:
         if not num:
             num, den = IntPoly.zero(), IntPoly.one()
         else:
-            g = poly_gcd(num, den)
-            if g != IntPoly.one():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            _, num, den = poly_gcd(num, den)  # the cofactors
             if den.lead < 0:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)

@@ -505,3 +505,19 @@ def test_bad_search_budget_env(capsys, monkeypatch, value):
     code, out, err = run(capsys, "s-structure", FIXTURES / "G1", "--search")
     assert (code, out) == (1, "")
     assert err == f"error: MAGHOM_SEARCH_BUDGET must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("name", ["MAGHOM_BASIS_CAP", "MAGHOM_SEARCH_BUDGET"])
+def test_classify_checks_its_settings_before_the_first_record(capsys, monkeypatch, tmp_path, name):
+    # P4 (diameter 3, no search) before a diameter-2 graph: no record is
+    # written, not even at an lmax that needs no homology
+    stream = tmp_path / "stream.g6"
+    stream.write_text("Ch\nFEl~?\n")
+    monkeypatch.setenv(name, "abc")
+    for lmax in (2, 4):
+        code, out, err = run(capsys, "classify", stream, "--lmax", lmax)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be a positive integer, got 'abc'\n"
+    if name == "MAGHOM_SEARCH_BUDGET":  # --budget stands in for it
+        code, out, err = run(capsys, "classify", stream, "--lmax", 2, "--budget", 5)
+        assert code == 0 and len(out.splitlines()) == 2

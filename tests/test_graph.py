@@ -184,7 +184,7 @@ def test_g1_not_pawful(g1):
     assert set(w.violation) == {1, 3, 4}
     x, y, z = w.violation
     assert (g1.d(x, y), g1.d(y, z), g1.d(x, z)) == (2, 2, 1)
-    assert g1.common_neighbors(x, y, z) == []
+    assert not [w for w in g1.vertices if g1.d(w, x) == g1.d(w, y) == g1.d(w, z) == 1]
     assert w.far_pair is None
 
 
@@ -193,7 +193,7 @@ def test_g2_not_pawful(g2):
     assert not w.verdict and w.violation is not None
     x, y, z = w.violation
     assert (g2.d(x, y), g2.d(y, z), g2.d(x, z)) == (2, 2, 1)
-    assert g2.common_neighbors(x, y, z) == []
+    assert not [w for w in g2.vertices if g2.d(w, x) == g2.d(w, y) == g2.d(w, z) == 1]
 
 
 def test_pawful_far_pair():
@@ -218,3 +218,17 @@ def test_ahk_check(g3):
 def test_ahk_rejects_trees():
     with pytest.raises(ValidationError):
         ahk_edge_cycle_check(star_graph(3))
+
+
+def test_walks_are_the_powers_of_the_adjacency_matrix(g3):
+    # asked in any order of lengths, each is A times the one before
+    for g in (g3, cycle_graph(5), star_graph(3), complete_graph(1)):
+        verts = range(g.n + 1)
+        adj = [[int(v in g.neighbors[u]) for v in verts] for u in verts]
+        power = [[int(u == v) for v in verts] for u in verts]
+        expected = []
+        for _ in range(7):
+            expected.append(tuple(map(tuple, power)))
+            power = [[sum(power[u][w] * adj[w][v] for w in verts) for v in verts] for u in verts]
+        for length in (4, 0, 6, 2, 5, 1, 3):
+            assert g.walks(length) == expected[length]

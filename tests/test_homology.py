@@ -3,7 +3,7 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
-from conftest import K33, PETERSEN, full_basis, full_boundary, random_connected
+from conftest import K33, PETERSEN, full_basis, full_boundary, load_fixture, random_connected
 from oracles import is_smooth, is_zero, sequence_length, sparse_matmul
 
 from maghom import (
@@ -24,7 +24,6 @@ from maghom.homology import (
     merge_torsion,
     mh_column,
     orbit_classes,
-    walk_counts,
 )
 from maghom.snf import SparseMatrix
 
@@ -51,6 +50,16 @@ def test_enumerate_endpoint_restriction(g2):
     full = enumerate_sequences(g2, 3, 4)
     restricted = enumerate_sequences(g2, 3, 4, (1, 2))
     assert restricted == tuple(s for s in full if s[0] == 1 and s[-1] == 2)
+
+
+def test_enumerate_reads_one_shot_endpoints_once(g1):
+    pairs = [(1, 3), (3, 1), (2, 2)]
+    listed = enumerate_sequences(g1, 2, 2, pairs)
+    assert len(listed) == 6
+    assert enumerate_sequences(g1, 2, 2, iter(pairs)) == listed
+    assert enumerate_sequences(g1, 2, 2, (p for p in pairs)) == listed
+    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)])) == enumerate_sequences(g1, 2, 2, (1, 3))
+    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)]))
 
 
 def test_boundary_zero_column_for_non_smooth(c4):
@@ -291,28 +300,60 @@ def nonzero_columns(mat):
 
 def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
     # the walk count is the enumerated top degree; the boundary built by
-    # inserting common neighbours peels exactly the rows of the enumerated
-    # d_l that hold a one-entry column, and stores the rest of d_l on the
-    # other rows, without its zero columns
+    # insertion peels exactly the rows of the deletion-rule d_l that hold
+    # a one-entry column, and stores the rest of d_l on the other rows,
+    # without its zero columns
     for g in [c4, g1, g2, g3, K33] + SMALL_GRAPHS:
         pair_sets = [pairs for _, pairs in orbit_classes(g)]
         pair_sets += [[(a, b)] for a in g.vertices for b in g.vertices]
         for length in range(1, 6):
-            walks = walk_counts(g, g.vertices, length)
+            walks = g.walks(length)
             for pairs in pair_sets:
                 top = enumerate_sequences(g, length, length, pairs)
                 assert sum(walks[a][b] for a, b in pairs) == len(top)
                 lower = enumerate_sequences(g, length - 1, length, pairs)
                 inserted = boundary_matrix(g, None, lower)
-                full = boundary_matrix(g, top, lower)
-                lone = {col[0][0] for col in nonzero_columns(full) if len(col) == 1}
+                index = {x: r for r, x in enumerate(lower)}
+                full = {
+                    (index[x[:i] + x[i + 1 :]], col): (-1) ** i
+                    for col, x in enumerate(top)
+                    for i in range(1, length)
+                    if is_smooth(g, x, i)
+                }
+                deleted = SparseMatrix(full, len(lower), len(top))
+                lone = {col[0][0] for col in nonzero_columns(deleted) if len(col) == 1}
                 assert inserted.peeled == lone
-                rest = {rc: v for rc, v in full.entries.items() if rc[0] not in lone}
+                rest = {rc: v for rc, v in full.items() if rc[0] not in lone}
                 assert nonzero_columns(inserted) == nonzero_columns(
-                    SparseMatrix(rest, full.nrows, full.ncols)
+                    SparseMatrix(rest, len(lower), len(top))
                 )
                 assert not any(r in lone for r, _ in inserted.entries)
                 assert inserted.ncols == len(nonzero_columns(inserted))
+
+
+def test_between_is_the_geodesic_interval(g1, g2, g3, c4):
+    for g in [c4, g1, g2, g3, load_fixture("R40"), K33, PETERSEN] + SMALL_GRAPHS:
+        d = g.dist
+        for u in g.vertices:
+            for w in g.vertices:
+                interval = [
+                    v for v in g.vertices if v not in (u, w) and d[u][v] + d[v][w] == d[u][w]
+                ]
+                assert list(g.between[u][w]) == interval
+                if d[u][w] <= 1:
+                    assert interval == []
+                if d[u][w] == 2:
+                    assert interval == [v for v in g.neighbors[u] if v in g.neighbors[w]]
+
+
+def test_boundary_raises_on_a_missing_coface(g1):
+    # a basis without one cell with a smooth point is not the degree
+    # above ``lower``
+    basis = full_basis(g1, 3, 4)
+    lower = full_basis(g1, 2, 4)
+    col = min(c for _, c in boundary_matrix(g1, basis, lower).entries)
+    with pytest.raises(KeyError):
+        boundary_matrix(g1, basis[:col] + basis[col + 1 :], lower)
 
 
 def open_basis(g, k, length):

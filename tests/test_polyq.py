@@ -47,13 +47,25 @@ def test_exact_div():
         p.exact_div(IntPoly())
 
 
+def gcd_checked(a, b):
+    """The gcd from poly_gcd(a, b), once its cofactors are checked to give
+    back a and b."""
+    g, over_a, over_b = poly_gcd(a, b)
+    assert Poly(g) * over_a == a and Poly(g) * over_b == b
+    return g
+
+
 def test_gcd():
-    assert poly_gcd(IntPoly([-1, 0, 1]), IntPoly([1, 1])) == IntPoly([1, 1])
-    assert poly_gcd(IntPoly([2, 2]), IntPoly([4])) == IntPoly([2])
-    assert poly_gcd(IntPoly(), IntPoly([0, -3])) == IntPoly([0, 3])
+    assert gcd_checked(IntPoly([-1, 0, 1]), IntPoly([1, 1])) == IntPoly([1, 1])
+    assert gcd_checked(IntPoly([2, 2]), IntPoly([4])) == IntPoly([2])
+    assert gcd_checked(IntPoly(), IntPoly([0, -3])) == IntPoly([0, 3])
     # gcd of coprime polynomials is a constant
-    g = poly_gcd(IntPoly([1, 1]), IntPoly([2, 1]))
+    g = gcd_checked(IntPoly([1, 1]), IntPoly([2, 1]))
     assert g.degree == 0
+    # the cofactors keep the contents and the signs of the inputs
+    assert poly_gcd(IntPoly([2, 2]), IntPoly([4])) == (IntPoly([2]), IntPoly([1, 1]), IntPoly([2]))
+    assert poly_gcd(IntPoly([-4]), IntPoly([-6])) == (IntPoly([2]), IntPoly([-2]), IntPoly([-3]))
+    assert poly_gcd(IntPoly([0, -3]), IntPoly()) == (IntPoly([0, 3]), IntPoly([-1]), IntPoly())
 
 
 @pytest.fixture
@@ -86,7 +98,7 @@ def test_gcd_matches_euclid_on_planted_factors(reads):
         a = g * _random_poly(rng, rng.randint(0, 6), 9) * rng.randint(-12, 12)
         b = g * _random_poly(rng, rng.randint(0, 6), 9) * rng.randint(-12, 12)
         reads.clear()
-        h = poly_gcd(a, b)
+        h = gcd_checked(a, b)
         assert h == euclid_gcd(a, b)
         if a and b:
             assert Poly(h).exact_div(g.primitive())   # raises unless g divides h
@@ -101,7 +113,7 @@ def test_gcd_of_zero_and_constant_inputs():
         (Poly(4), Poly(6)), (Poly(-4), Poly(-6)), (Poly(7), q * q + 1), (6 * q + 4, Poly(-2)),
         (Poly(1), 5 * q - 3), (Poly(-1), Poly(-1)),
     ]:
-        assert poly_gcd(a, b) == euclid_gcd(a, b) == poly_gcd(b, a)
+        assert gcd_checked(a, b) == euclid_gcd(a, b) == gcd_checked(b, a)
 
 
 def _graph(rng, n, m):
@@ -121,7 +133,7 @@ def test_gcd_on_magnitude_determinants(c4, g1, g2, g3):
     degrees = []
     for g in graphs:
         det_m, det_b = bordered_dets(g, equitable_partition(g))
-        h = poly_gcd(-det_b, det_m)
+        h = gcd_checked(-det_b, det_m)
         assert h == euclid_gcd(-det_b, det_m)
         degrees.append(h.degree)
     assert min(degrees[-5:]) > 0
@@ -131,7 +143,7 @@ def test_gcd_retries_with_one_more_bit(reads):
     # at k = 4, gcd(a(16), b(16)) reads as q - 4, which does not divide b;
     # k = 5 fails the division too, and k = 6 gives the gcd 1
     a, b = Poly([-4, 1]), Poly([4, -2, -5])   # q - 4, -5q^2 - 2q + 4
-    assert poly_gcd(a, b) == euclid_gcd(a, b) == IntPoly.one()
+    assert gcd_checked(a, b) == euclid_gcd(a, b) == IntPoly.one()
     assert reads == [4, 5, 6]
 
 
@@ -142,6 +154,22 @@ def test_ratfunc_canonical_form():
     # re-canonicalizing is idempotent
     assert RatFunc(r.num, r.den) == r
     assert r.den.lead > 0
+
+
+def test_ratfunc_divides_nothing_after_the_gcd(monkeypatch):
+    # num and den are the cofactors that poly_gcd returns
+    gcd = polyq.poly_gcd
+    found = []
+
+    def then_no_division(a, b):
+        found.append(gcd(a, b))
+        monkeypatch.setattr(IntPoly, "exact_div", None)
+        return found[-1]
+
+    monkeypatch.setattr(polyq, "poly_gcd", then_no_division)
+    r = RatFunc(IntPoly([2, -2]), IntPoly([1, 0, -1]))  # (2-2q)/(1-q^2)
+    _, num, den = found[0]
+    assert (r.num, r.den) == (-num, -den) == (IntPoly([2]), IntPoly([1, 1]))
 
 
 def test_ratfunc_series_geometric():
