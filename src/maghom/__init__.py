@@ -21,9 +21,7 @@ from .homology import (
     boundary_matrix,
     enumerate_sequences,
     is_diagonal_up_to,
-    mh_ab,
     mh_column,
-    mh_rank,
     mh_table,
 )
 from .magnitude import magnitude_rational, magnitude_series
@@ -47,9 +45,7 @@ __all__ = [
     "boundary_matrix",
     "enumerate_sequences",
     "is_diagonal_up_to",
-    "mh_ab",
     "mh_column",
-    "mh_rank",
     "mh_table",
     "magnitude_rational",
     "magnitude_series",

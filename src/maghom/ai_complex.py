@@ -16,10 +16,13 @@ of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
 summand in degrees 2..l with d_2 dropped, and ``relative_complex`` builds
-its cells by ``homology.enumerate_sequences`` and its maps by
-``homology.boundary_matrix``, once; the positions are derived only to
-display a cell.  ``path_complex`` builds K itself from the edge paths,
-where K is reported or checked.
+its cells by ``homology.enumerate_sequences`` on the pairs [(a, b)] and
+its maps by ``homology.boundary_matrix``, once; the positions are
+derived only to display a cell.  ``path_complex`` builds K itself from
+the edge paths, where K is reported or checked, and charges its
+simplices to the basis cap.  ``verify_correspondence`` compares with
+the summand that ``homology.mh_column`` computes for the one class
+[(1, [(a, b)])].
 
 There a simplex is a tuple of (vertex, position) pairs sorted by
 position; that ordering fixes the boundary orientation.  ``faces`` and
@@ -33,9 +36,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 
-from .errors import ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .graph import Graph
-from .homology import boundary_matrix, enumerate_sequences, mh_column
+from .homology import basis_cap, boundary_matrix, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -93,7 +96,7 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    bases = [enumerate_sequences(g, k, length, (a, b)) for k in range(2, length + 1)]
+    bases = [enumerate_sequences(g, k, length, [(a, b)]) for k in range(2, length + 1)]
     boundaries: dict[int, SparseMatrix] = {}
     for d in range(1, len(bases)):
         if bases[d] and bases[d - 1]:
@@ -108,15 +111,28 @@ def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
     """K_l(a,b): the nonempty subsets of the interiors of length-l edge paths.
 
     The edge paths are the degree-l, length-l sequences from a to b:
-    each of their l gaps is a single edge.
+    each of their l gaps is a single edge.  The simplices held count
+    against the basis cap, and K is refused with BudgetExceeded as soon
+    as it would exceed it.  Each path alone has 2^(l-1) - 1 of them.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
+    cap, per_path = basis_cap(), 2 ** (length - 1) - 1
+    over = BudgetExceeded(f"K_{length}({a},{b}) exceeds the cap of {cap} simplices")
     full: set[Simplex] = set()
-    for path in enumerate_sequences(g, length, length, (a, b)):
+    for path in enumerate_sequences(g, length, length, [(a, b)]):
+        if per_path > cap:
+            raise over
         interior = tuple((path[i], i) for i in range(1, length))
-        for r in range(1, length):
-            full.update(combinations(interior, r))
+        subsets = chain.from_iterable(combinations(interior, r) for r in range(1, length))
+        if len(full) + per_path <= cap:
+            full.update(subsets)
+            continue
+        for s in subsets:  # one at a time near the cap
+            if s not in full:
+                if len(full) == cap:
+                    raise over
+                full.add(s)
     return frozenset(full)
 
 
@@ -226,7 +242,7 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
     cells.sort(key=lambda s: (len(s), s))
     rel = homology_of_complex(*cell_boundaries(cells))[1:]  # slot 0 is empty
     rel += [(0, ())] * (length - 1 - len(rel))
-    column = mh_column(g, length, (a, b))
+    column = mh_column(g, length, [(1, [(a, b)])])
     per: dict[int, tuple[bool, tuple, tuple]] = {}
     ok = True
     for k in range(2, length + 1):

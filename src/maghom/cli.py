@@ -104,7 +104,7 @@ def _cmd_mh_table(args) -> int:
         _require_vertices(g, a, b)
         if args.verify:
             raise ValidationError("--verify checks the whole table, not one summand")
-        table = mh_table(g, args.lmax, (a, b))
+        table = mh_table(g, args.lmax, [(1, [(a, b)])])
     else:
         table = mh_table(g, args.lmax)
     if args.verify:

@@ -34,15 +34,20 @@ Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
 all of these complexes (``enumerate_classes``): every completed
 sequence goes to its complex by its endpoint pair, and each complex is
 then reduced on its own.
+
+A list of classes (m, pairs) is the one way to name summands: the
+pairs of a class span one complex whose groups count m >= 1 times,
+and no pair may be named twice.  ``orbit_classes`` gives the classes of
+the whole complex; one summand (a, b) is [(1, [(a, b)])].
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded, positive_int_env
+from .errors import BudgetExceeded, ValidationError, positive_int_env
 from .graph import Graph
 from .snf import SparseMatrix, homology_of_complex, smith_normal_form
 from .symmetry import pair_orbits
@@ -143,38 +148,28 @@ def enumerate_classes(
 
 
 def enumerate_sequences(
-    g: Graph,
-    k: int,
-    length: int,
-    endpoints: tuple[int, int] | Iterable[tuple[int, int]] | None = None,
+    g: Graph, k: int, length: int, pairs: Iterable[tuple[int, int]] | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Degree-k sequences of total length ``length``, lexicographically.
 
-    ``endpoints`` allows the pairs (x_0, x_k): one pair (a, b), a
-    collection of pairs, or None for all of them.  The sequences found
-    count against the basis cap once each (see ``enumerate_classes``).
+    ``pairs`` allows the pairs (x_0, x_k), all of them when None; they
+    are checked as one class of ``mh_column``.  The sequences found count
+    against the basis cap once each (see ``enumerate_classes``).
     """
-    pairs = list(product(g.vertices, repeat=2) if endpoints is None else endpoints)
-    if pairs and isinstance(pairs[0], int):  # one pair; listed first, as an iterator reads once
-        pairs = [tuple(pairs)]
-    return tuple(enumerate_classes(g, k, length, [(1, pairs)])[0])
+    classes = [(1, list(product(g.vertices, repeat=2) if pairs is None else pairs))]
+    _check_classes(g, classes)
+    return tuple(enumerate_classes(g, k, length, classes)[0])
 
 
-def boundary_matrix(
-    g: Graph,
-    basis_k: Basis | None,
-    basis_lo: Basis,
-    skip: Collection[int] = (),
-) -> SparseMatrix:
+def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
     The bases are degrees k and k-1 of one length and one set of
     endpoint pairs, from ``enumerate_sequences`` or ``enumerate_classes``
-    with the same length and endpoints.  Column x picks up (-1)^i at the
-    row of x with position i deleted, for every smooth interior i
+    with the same length and pairs.  Column x picks up (-1)^i at the row
+    of x with position i deleted, for every smooth interior i
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
-    are kept.  The columns in ``skip`` are left empty and keep their
-    indices.
+    are kept.
 
     The entries are found by insertion, row by row: for each y in
     ``basis_lo``, each gap j of y and each v in ``g.between[y_(j-1)][y_j]``,
@@ -250,8 +245,7 @@ def boundary_matrix(
                 for v in inserts:
                     x = head + (v,) + tail
                     col = index[x] if basis_k is not None else index.setdefault(x, len(index))
-                    if col not in skip:
-                        entries[(row, col)] = sign
+                    entries[(row, col)] = sign
     return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
 
 
@@ -265,23 +259,21 @@ def _homology(
     Each boundary is built once, from the top degree down so that
     ``homology_of_complex`` clears, and reaches the Smith form on its
     own, so only one is held in memory; a map to or from an empty basis
-    is zero and is not built.  The rows that d_l peeled are among its
-    pivot rows, which clearing leaves out of d_(l-1), so those columns
-    of d_(l-1) are not built at all.
+    is zero and is not built.  A row y that d_l peeled (at its gap of 2,
+    position j) is a zero column of d_(l-1), as y has no smooth point:
+    its lone walk has none but the inserted v, so no point of y away
+    from the gap is smooth, and d(y_(j-2), v) <= 1 puts y_(j-2) within 2
+    of y_j, so y_(j-1) is not smooth, nor likewise y_j.  No insertion
+    reaches such a column, so d_(l-1) is built whole.
     """
     length = len(bases)
 
     def boundaries():
-        peeled: frozenset[int] = frozenset()
         if top and length and bases[-1]:
-            mat = boundary_matrix(g, None, bases[-1])
-            peeled = mat.peeled
-            yield length, mat
-            del mat  # not held while the next boundary is built
+            yield length, boundary_matrix(g, None, bases[-1])
         for k in range(length - 1, 0, -1):
             if bases[k] and bases[k - 1]:
-                skip = peeled if k == length - 1 else ()
-                yield k, boundary_matrix(g, bases[k], bases[k - 1], skip)
+                yield k, boundary_matrix(g, bases[k], bases[k - 1])
 
     return homology_of_complex([len(b) for b in bases] + [top], boundaries())
 
@@ -319,30 +311,40 @@ def orbit_classes(g: Graph) -> Classes:
     return sorted(classes.items())
 
 
+def _check_classes(g: Graph, classes: Classes) -> None:
+    """Raise ValidationError unless the weights of ``classes`` are
+    positive and their pairs are vertex pairs of g, each named once."""
+    seen = set()
+    for m, pairs in classes:
+        if m < 1:
+            raise ValidationError(f"class weight {m} is not positive")
+        for pair in pairs:
+            for v in pair:
+                if not 1 <= v <= g.n:
+                    raise ValidationError(f"vertex {v} is outside 1..{g.n}")
+            if pair in seen:
+                raise ValidationError(f"endpoint pair {pair} is named twice")
+            seen.add(pair)
+
+
 def mh_column(
-    g: Graph,
-    length: int,
-    endpoints: tuple[int, int] | None = None,
-    classes: Classes | None = None,
+    g: Graph, length: int, classes: Classes | None = None
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
-    With ``endpoints=(a, b)`` only the (a, b) summand is computed.
-    Otherwise one summand per orbit is reduced: the pairs of each orbit
-    size m in ``classes`` (``orbit_classes(g)`` when not given) span one
-    complex, whose groups count m times.  Each degree k < l is enumerated
-    once for all classes (``enumerate_classes``), before any boundary is
-    built, and each class gets the basis it would get alone; every cell
-    charges its orbit size m to the basis cap.  Degree l is counted, not
-    enumerated: its cells are the length-l walks, Σ (A^l)_ab over the
-    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The walk
-    count, each cell weighed by m, is checked against the cap after the
-    enumerated degrees.  Each class is reduced on its own.
+    One summand per class (m, pairs) of ``classes`` (``orbit_classes(g)``
+    when not given) is reduced: its pairs span one complex, whose groups
+    count m times.  Each degree k < l is enumerated once for all classes
+    (``enumerate_classes``), before any boundary is built, and each class
+    gets the basis it would get alone; every cell charges its orbit size
+    m to the basis cap.  Degree l is counted, not enumerated: its cells
+    are the length-l walks, Σ (A^l)_ab over the pairs, and
+    ``boundary_matrix`` builds d_l from degree l-1.  The walk count, each
+    cell weighed by m, is checked against the cap after the enumerated
+    degrees.  Each class is reduced on its own.
     """
-    if endpoints is not None:
-        classes = [(1, [endpoints])]
-    elif classes is None:
-        classes = orbit_classes(g)
+    classes = orbit_classes(g) if classes is None else classes
+    _check_classes(g, classes)
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
@@ -359,8 +361,6 @@ def mh_column(
     while parts:  # a class's bases are not held once it is reduced
         m, bases, top = parts.pop()
         columns.append((m, _homology(g, bases, top)))
-    if endpoints is not None:
-        return columns[0][1]
     return [
         (
             sum(m * column[k][0] for m, column in columns),
@@ -373,23 +373,11 @@ def mh_column(
 def pairwise_column(g: Graph, length: int) -> list[tuple[int, tuple[int, ...]]]:
     """``mh_column(g, length)`` by a second route that uses no symmetry:
     the sum of all n^2 endpoint summands, each reduced on its own."""
-    summands = [mh_column(g, length, (a, b)) for a in g.vertices for b in g.vertices]
+    summands = [mh_column(g, length, [(1, [(a, b)])]) for a in g.vertices for b in g.vertices]
     return [
         (sum(s[k][0] for s in summands), merge_torsion((s[k][1], 1) for s in summands))
         for k in range(length + 1)
     ]
-
-
-def mh_rank(g: Graph, k: int, length: int) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion divisors of the degree-k, length-l group."""
-    return mh_column(g, length)[k] if 0 <= k <= length else (0, ())
-
-
-def mh_ab(
-    g: Graph, a: int, b: int, k: int, length: int
-) -> tuple[int, tuple[int, ...]]:
-    """Same as mh_rank, restricted to the (a, b) endpoint summand."""
-    return mh_column(g, length, (a, b))[k] if 0 <= k <= length else (0, ())
 
 
 @dataclass(frozen=True)
@@ -437,16 +425,15 @@ class MHTable:
         return "\n".join(lines) + "\n"
 
 
-def mh_table(
-    g: Graph, lmax: int, endpoints: tuple[int, int] | None = None
-) -> MHTable:
-    """All groups with l <= lmax, or those of the (a, b) summand."""
-    classes = orbit_classes(g) if endpoints is None else None
-    entries = {}
-    for length in range(lmax + 1):
-        for k, group in enumerate(mh_column(g, length, endpoints, classes)):
-            entries[(k, length)] = group
-    return MHTable(lmax, entries)
+def mh_table(g: Graph, lmax: int, classes: Classes | None = None) -> MHTable:
+    """All groups with l <= lmax of the summands ``classes`` names, as in
+    ``mh_column``."""
+    classes = orbit_classes(g) if classes is None else classes
+    return MHTable(lmax, {
+        (k, length): group
+        for length in range(lmax + 1)
+        for k, group in enumerate(mh_column(g, length, classes))
+    })
 
 
 def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
@@ -473,7 +460,7 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
         return True
     classes = orbit_classes(g)
     for length in range(3, lmax + 1):
-        column = mh_column(g, length, None, classes)
+        column = mh_column(g, length, classes)
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

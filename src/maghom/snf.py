@@ -291,8 +291,7 @@ def homology_of_complex(
     A matrix with ``peeled`` rows stands for d_(k+1) U with U unimodular
     (see ``SparseMatrix``): it has the image of d_(k+1), so the same
     homology, and d_k d_(k+1) U = 0, so the argument above holds for it
-    with each peeled row and its unit column among the pivots.  The
-    producer may then leave those columns of d_k out itself.
+    with each peeled row and its unit column among the pivots.
     """
     snf: dict[int, SNFResult] = {}
     zero = SNFResult(0, ())

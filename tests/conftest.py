@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,29 @@ PETERSEN = from_edges(
     + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
 )
 K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+
+# a 6-vertex triangulation of the real projective plane, whose integral
+# homology is Z, Z/2, 0
+RP2_FACES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
+def hasse_graph(faces):
+    """The Hasse diagram of the complex the given faces generate, with a
+    bottom (vertex 1) below its vertices and a top (vertex n) above its
+    maximal faces, as an undirected graph on 1..n."""
+    cells = sorted(
+        {c for f in faces for k in range(1, len(f) + 1) for c in combinations(sorted(f), k)},
+        key=lambda c: (len(c), c),
+    )
+    index = {c: i for i, c in enumerate(cells, start=2)}
+    top = len(cells) + 2
+    edges = [(1, index[c]) for c in cells if len(c) == 1]
+    edges += [(index[c[:i] + c[i + 1 :]], index[c]) for c in cells if len(c) > 1 for i in range(len(c))]
+    edges += [(index[tuple(sorted(f))], top) for f in faces]
+    return from_edges(edges, n=top)
 
 
 def load_fixture(name):

@@ -11,7 +11,7 @@ from oracles import (
     sparse_matmul,
 )
 
-from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_ab, path_graph
+from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_column, path_graph
 from maghom.ai_complex import (
     cell_boundaries,
     f_vector,
@@ -23,6 +23,7 @@ from maghom.ai_complex import (
     subsequence_length,
     verify_correspondence,
 )
+from maghom.errors import BudgetExceeded
 
 
 def brute_force_paths(g, a, b, length):
@@ -36,17 +37,17 @@ def brute_force_paths(g, a, b, length):
 
 
 def test_enumerate_paths_k2():
-    assert enumerate_sequences(complete_graph(2), 1, 1, (1, 2)) == ((1, 2),)
+    assert enumerate_sequences(complete_graph(2), 1, 1, [(1, 2)]) == ((1, 2),)
 
 
 def test_enumerate_paths_c4_closed(c4):
-    paths = enumerate_sequences(c4, 4, 4, (1, 1))
+    paths = enumerate_sequences(c4, 4, 4, [(1, 1)])
     assert len(paths) == 8  # one per maximal face of the octahedron
 
 
 def test_enumerate_paths_match_brute_force(g1, g2):
     for g, a, b, ell in ((g1, 1, 1, 3), (g1, 2, 4, 3), (g2, 1, 2, 4)):
-        assert list(enumerate_sequences(g, ell, ell, (a, b))) == brute_force_paths(g, a, b, ell)
+        assert list(enumerate_sequences(g, ell, ell, [(a, b)])) == brute_force_paths(g, a, b, ell)
 
 
 def test_c4_pair_worked_example(c4):
@@ -280,6 +281,19 @@ def test_g2_total_relative_rank_is_diagonal_rank(g2):
 
 def test_correspondence_agreement_uses_both_sides(g2):
     # spot check that the two sides are computed by different pipelines
-    lhs = mh_ab(g2, 1, 3, 3, 3)
+    lhs = mh_column(g2, 3, [(1, [(1, 3)])])[3]
     rhs = relative_homology(relative_complex(g2, 1, 3, 3))[1]
     assert lhs == rhs
+
+
+def test_path_complex_is_refused_exactly_over_the_cap(g1, monkeypatch):
+    # K_8(1,1) of K_2 is one path's 127 subsets; the G1 complexes are
+    # unions over several paths, charged one simplex at a time near the cap
+    for g, a, b, ell in ((g1, 1, 3, 4), (g1, 2, 5, 5), (complete_graph(2), 1, 1, 8)):
+        size = len(path_complex(g, a, b, ell))
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(size))
+        assert len(path_complex(g, a, b, ell)) == size
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(size - 1))
+        with pytest.raises(BudgetExceeded, match=f"K_{ell}\\({a},{b}\\) exceeds the cap of {size - 1} "):
+            path_complex(g, a, b, ell)
+        monkeypatch.delenv("MAGHOM_BASIS_CAP")

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,19 @@ def test_ai_complex_list_faces(capsys):
     )
     assert code == 0
     assert out.count("\n  K' ") == 11
+
+
+def test_ai_complex_refuses_a_path_complex_over_the_cap(capsys, monkeypatch, tmp_path):
+    # the one edge path of length 40 from 1 to 1 on K_2 alone has 2^39 - 1
+    # interior subsets, far over the default cap
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    k2 = tmp_path / "K2"
+    k2.write_text("1 2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ai-complex", k2, "--a", 1, "--b", 1, "--ell", 40, "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: K_40(1,1) exceeds the cap of 2000000 simplices\n"
 
 
 def test_morse_pawful(capsys):

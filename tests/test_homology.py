@@ -3,27 +3,36 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
-from conftest import K33, PETERSEN, full_basis, full_boundary, load_fixture, random_connected
+from conftest import (
+    K33,
+    PETERSEN,
+    RP2_FACES,
+    full_basis,
+    full_boundary,
+    hasse_graph,
+    load_fixture,
+    random_connected,
+)
 from oracles import is_smooth, is_zero, sequence_length, sparse_matmul
 
 from maghom import (
     complete_graph,
+    cycle_graph,
     enumerate_sequences,
     is_diagonal_up_to,
-    mh_ab,
-    mh_rank,
     mh_table,
     path_graph,
     star_graph,
 )
 from maghom import homology
-from maghom.errors import BudgetExceeded
+from maghom.errors import BudgetExceeded, ValidationError
 from maghom.homology import (
     boundary_matrix,
     enumerate_classes,
     merge_torsion,
     mh_column,
     orbit_classes,
+    pairwise_column,
 )
 from maghom.snf import SparseMatrix
 
@@ -48,7 +57,7 @@ def test_enumerate_is_lexicographic_and_valid(g2):
 
 def test_enumerate_endpoint_restriction(g2):
     full = enumerate_sequences(g2, 3, 4)
-    restricted = enumerate_sequences(g2, 3, 4, (1, 2))
+    restricted = enumerate_sequences(g2, 3, 4, [(1, 2)])
     assert restricted == tuple(s for s in full if s[0] == 1 and s[-1] == 2)
 
 
@@ -58,7 +67,7 @@ def test_enumerate_reads_one_shot_endpoints_once(g1):
     assert len(listed) == 6
     assert enumerate_sequences(g1, 2, 2, iter(pairs)) == listed
     assert enumerate_sequences(g1, 2, 2, (p for p in pairs)) == listed
-    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)])) == enumerate_sequences(g1, 2, 2, (1, 3))
+    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)])) == enumerate_sequences(g1, 2, 2, [(1, 3)])
     assert enumerate_sequences(g1, 2, 2, iter([(1, 3)]))
 
 
@@ -83,21 +92,16 @@ def test_boundary_squares_to_zero(g1, g3):
 
 def test_mh_degree_zero(g1, g2, c4):
     for g in (g1, g2, c4):
-        assert mh_rank(g, 0, 0) == (g.n, ())
+        assert mh_column(g, 0)[0] == (g.n, ())
         for length in (1, 2, 3):
-            assert mh_rank(g, 0, length) == (0, ())
+            assert mh_column(g, length)[0] == (0, ())
 
 
 def test_mh_small_forced_values(g1, g3):
     for g in (g1, g3):
-        assert mh_rank(g, 1, 1) == (2 * g.m, ())
+        assert mh_column(g, 1)[1] == (2 * g.m, ())
         for length in (2, 3):
-            assert mh_rank(g, 1, length) == (0, ())
-
-
-def test_mh_vanishes_above_diagonal(g2):
-    for length in range(4):
-        assert mh_rank(g2, length + 1, length) == (0, ())
+            assert mh_column(g, length)[1] == (0, ())
 
 
 def test_single_edge_table():
@@ -110,13 +114,13 @@ def test_single_edge_table():
 
 
 def test_g2_pinned_rank(g2):
-    assert mh_rank(g2, 3, 3) == (38, ())
+    assert mh_column(g2, 3)[3] == (38, ())
 
 
 def test_g3_pinned_ranks(g3):
-    assert mh_rank(g3, 2, 3) == (2, ())
-    assert mh_rank(g3, 4, 6) == (2, ())
-    assert mh_rank(g3, 5, 6) == (60, ())
+    assert mh_column(g3, 3)[2] == (2, ())
+    assert mh_column(g3, 6)[4] == (2, ())
+    assert mh_column(g3, 6)[5] == (60, ())
 
 
 def test_direct_sum_law(g1, g3):
@@ -125,10 +129,10 @@ def test_direct_sum_law(g1, g3):
         torsion = []
         for a in g.vertices:
             for b in g.vertices:
-                rank, tors = mh_ab(g, a, b, k, length)
+                rank, tors = mh_column(g, length, [(1, [(a, b)])])[k]
                 total += rank
                 torsion.extend(tors)
-        rank, tors = mh_rank(g, k, length)
+        rank, tors = mh_column(g, length)[k]
         assert total == rank
         assert sorted(torsion) == sorted(tors)
 
@@ -136,12 +140,12 @@ def test_direct_sum_law(g1, g3):
 def test_mh_ab_bipartite_odd_closed(c4):
     # closed sequences in a bipartite graph have even length
     for k in range(4):
-        assert enumerate_sequences(c4, k, 3, (1, 1)) == ()
-        assert mh_ab(c4, 1, 1, k, 3) == (0, ())
+        assert enumerate_sequences(c4, k, 3, [(1, 1)]) == ()
+        assert mh_column(c4, 3, [(1, [(1, 1)])])[k] == (0, ())
 
 
 def test_mh_ab_c4_antipodal_sphere(c4):
-    assert mh_ab(c4, 1, 1, 4, 4) == (3, ())
+    assert mh_column(c4, 4, [(1, [(1, 1)])])[4] == (3, ())
 
 
 def test_diagonality_judgements(g1, g3):
@@ -152,9 +156,9 @@ def test_diagonality_judgements(g1, g3):
 
 def test_g1_diagonal_entries_match_series(g1):
     # the erratum question: degree 2 carries rank 60, degree 3 rank 182
-    assert mh_rank(g1, 2, 2) == (60, ())
-    assert mh_rank(g1, 3, 3) == (182, ())
-    assert mh_rank(g1, 2, 3) == (0, ())
+    assert mh_column(g1, 2)[2] == (60, ())
+    assert mh_column(g1, 3)[3] == (182, ())
+    assert mh_column(g1, 3)[2] == (0, ())
 
 
 def test_off_diagonal_growth_forces_non_pawful(g3):
@@ -168,7 +172,7 @@ def test_off_diagonal_growth_forces_non_pawful(g3):
 def test_basis_cap(monkeypatch, g1):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "3")
     with pytest.raises(BudgetExceeded):
-        mh_rank(g1, 5, 5)
+        mh_column(g1, 5)
 
 
 def test_basis_cap_applies_to_a_repeated_call(monkeypatch, g1):
@@ -176,10 +180,10 @@ def test_basis_cap_applies_to_a_repeated_call(monkeypatch, g1):
     # one does not; an earlier uncapped call must not let a capped one by
     cap = len(full_basis(g1, 1, 2))
     assert len(full_basis(g1, 2, 2)) > cap
-    assert mh_rank(g1, 1, 2) == (0, ())
+    assert mh_column(g1, 2)[1] == (0, ())
     monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
     with pytest.raises(BudgetExceeded):
-        mh_rank(g1, 1, 2)
+        mh_column(g1, 2)
 
 
 def test_table_csv_blanks(g3):
@@ -228,7 +232,6 @@ def test_enumerator_matches_brute_force(g1, c4):
                 for x in seqs:
                     by_ends[(x[0], x[-1])].append(x)
                 for a, b in pairs:
-                    assert enumerate_sequences(g, k, length, (a, b)) == tuple(by_ends[(a, b)])
                     assert enumerate_sequences(g, k, length, [(a, b)]) == tuple(by_ends[(a, b)])
 
 
@@ -331,6 +334,68 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                 assert inserted.ncols == len(nonzero_columns(inserted))
 
 
+def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
+    # a cell that d_l peels has no smooth point, so no insertion reaches
+    # its column of d_(l-1), which is built whole; the graphs of diameter
+    # 3 or more also test the ends of the peeled cell's gap of 2
+    peeled_seen = 0
+    for g in [g1, g3, K33, PETERSEN, cycle_graph(7)] + SMALL_GRAPHS:
+        for length in range(3, 7):
+            for _, pairs in orbit_classes(g):
+                upper = enumerate_sequences(g, length - 1, length, pairs)
+                lower = enumerate_sequences(g, length - 2, length, pairs)
+                if upper and lower:
+                    peeled = boundary_matrix(g, None, upper).peeled
+                    below = boundary_matrix(g, upper, lower)
+                    assert not any(col in peeled for _, col in below.entries)
+                    peeled_seen += len(peeled)
+    assert peeled_seen > 1000
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        [(1, [(1, 3), (1, 3)])],
+        [(1, [(1, 3)]), (1, [(1, 3)])],
+        [(2, [(2, 2), (1, 3)]), (1, [(4, 5), (1, 3)])],
+        [(1, [(1, 99)])],
+        [(1, [(0, 3)])],
+        [(1, [(2, -1)])],
+        [(0, [(1, 3)])],
+        [(2, [(1, 1)]), (-1, [(1, 3)])],
+    ],
+)
+def test_classes_name_each_pair_once_and_only_vertices_with_positive_weights(g1, classes):
+    if len(classes) == 1 and classes[0][0] == 1:
+        with pytest.raises(ValidationError):
+            enumerate_sequences(g1, 3, 4, classes[0][1])
+    for length in (0, 4):
+        with pytest.raises(ValidationError):
+            mh_column(g1, length, classes)
+        with pytest.raises(ValidationError):
+            mh_table(g1, length, classes)
+
+
+def test_one_class_weighs_its_summand(g1):
+    # (3, 1) is the reversal of (1, 3), so m = 2 counts both
+    assert mh_column(g1, 4, [(1, [(1, 3)])])[4] == (4, ())
+    assert mh_column(g1, 4, [(1, [(3, 1)])])[4] == (4, ())
+    assert mh_column(g1, 4, [(2, [(1, 3)])])[4] == (8, ())
+    assert mh_column(g1, 4, [(1, [(1, 3), (3, 1)])])[4] == (8, ())
+
+
+def test_torsion_of_a_hasse_diagram_through_the_summand_route():
+    # the (bottom, top) summand of the Hasse diagram of RP^2 at length 4
+    # is the reduced homology of RP^2 shifted up by 2, so degree 3 holds
+    # Z/2; its reversal (top, bottom) holds another, merged with weight 2
+    g = hasse_graph(RP2_FACES)
+    assert (g.n, g.m) == (33, 76)
+    column = mh_column(g, 4)
+    assert column == pairwise_column(g, 4)
+    assert column[3] == (450, (2, 2))
+    assert mh_column(g, 4, [(1, [(1, g.n)])])[3] == (0, (2,))
+
+
 def test_between_is_the_geodesic_interval(g1, g2, g3, c4):
     for g in [c4, g1, g2, g3, load_fixture("R40"), K33, PETERSEN] + SMALL_GRAPHS:
         d = g.dist
@@ -429,7 +494,7 @@ def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
         ranks = defaultdict(int)
         torsion = defaultdict(list)
         for a, b in product(g.vertices, repeat=2):
-            for cell, (rank, tors) in mh_table(g, 5, (a, b)).entries.items():
+            for cell, (rank, tors) in mh_table(g, 5, [(1, [(a, b)])]).entries.items():
                 ranks[cell] += rank
                 torsion[cell] += tors
         assert table.entries == {

@@ -129,9 +129,9 @@ def test_critical_count_equals_relative_rank_complete_graph():
 
         rel = relative_homology(relative_complex(g, a, b, 3))
         assert rel[1][0] == len(build.critical)
-        from maghom import mh_ab
+        from maghom import mh_column
 
-        assert mh_ab(g, a, b, 3, 3)[0] == len(build.critical)
+        assert mh_column(g, 3, [(1, [(a, b)])])[3][0] == len(build.critical)
 
 
 def test_random_matchings_agree_with_the_simplex_oracles(g1):

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import random_connected
+from conftest import RP2_FACES, random_connected
 from oracles import (
     from_dense,
     homology_uncleared,
@@ -143,7 +143,7 @@ def test_rank_mod_p_on_fixture_boundaries(c4, g1, g2, g3):
         for a in g.vertices:
             for b in g.vertices:
                 for ell in range(1, 6):
-                    bases = [enumerate_sequences(g, k, ell, (a, b)) for k in range(ell + 1)]
+                    bases = [enumerate_sequences(g, k, ell, [(a, b)]) for k in range(ell + 1)]
                     for k in range(1, ell + 1):
                         if bases[k] and bases[k - 1]:
                             check_rank_mod_p(boundary_matrix(g, bases[k], bases[k - 1]))
@@ -153,12 +153,7 @@ def test_rank_mod_p_on_fixture_boundaries(c4, g1, g2, g3):
 
 
 def test_torsion_of_projective_plane():
-    # 6-vertex triangulation; integral homology is Z, Z/2, 0
-    faces = [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ]
-    dims, boundaries = simplicial_chain(faces)
+    dims, boundaries = simplicial_chain(RP2_FACES)
     for d in range(2, len(dims)):
         assert is_zero(sparse_matmul(boundaries[d - 1], boundaries[d]))
     # bottom-up (nothing to clear) and top-down (cleared), and the oracle
@@ -313,10 +308,10 @@ def test_clearing_keeps_the_fixture_summands(c4, g1, g2, g3):
         for a in g.vertices:
             for b in g.vertices:
                 for ell in range(1, 7):
-                    bases = [enumerate_sequences(g, k, ell, (a, b)) for k in range(ell + 1)]
+                    bases = [enumerate_sequences(g, k, ell, [(a, b)]) for k in range(ell + 1)]
                     dims = [len(x) for x in bases]
                     expected = homology_uncleared(dims, magnitude_boundaries(g, bases))
-                    assert mh_column(g, ell, (a, b)) == expected
+                    assert mh_column(g, ell, [(1, [(a, b)])]) == expected
                     if ell >= 3:
                         pair = relative_complex(g, a, b, ell)
                         dims, maps = relative_boundaries(pair)
