@@ -124,11 +124,7 @@ def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
         if per_path > cap:
             raise over
         interior = tuple((path[i], i) for i in range(1, length))
-        subsets = chain.from_iterable(combinations(interior, r) for r in range(1, length))
-        if len(full) + per_path <= cap:
-            full.update(subsets)
-            continue
-        for s in subsets:  # one at a time near the cap
+        for s in chain.from_iterable(combinations(interior, r) for r in range(1, length)):
             if s not in full:
                 if len(full) == cap:
                     raise over

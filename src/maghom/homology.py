@@ -156,8 +156,8 @@ def enumerate_sequences(
     are checked as one class of ``mh_column``.  The sequences found count
     against the basis cap once each (see ``enumerate_classes``).
     """
-    classes = [(1, list(product(g.vertices, repeat=2) if pairs is None else pairs))]
-    _check_classes(g, classes)
+    everything = product(g.vertices, repeat=2)
+    classes = _check_classes(g, [(1, everything if pairs is None else pairs)])
     return tuple(enumerate_classes(g, k, length, classes)[0])
 
 
@@ -311,11 +311,16 @@ def orbit_classes(g: Graph) -> Classes:
     return sorted(classes.items())
 
 
-def _check_classes(g: Graph, classes: Classes) -> None:
-    """Raise ValidationError unless the weights of ``classes`` are
-    positive and their pairs are vertex pairs of g, each named once."""
+def _check_classes(g: Graph, classes: Classes) -> Classes:
+    """``classes`` with each pairs list materialized as tuples; raise
+    ValidationError unless the weights are positive and the pairs are
+    vertex pairs of g, each named once."""
+    try:
+        checked = [(m, [(a, b) for a, b in pairs]) for m, pairs in classes]
+    except (TypeError, ValueError):
+        raise ValidationError("an endpoint pair is not two vertices") from None
     seen = set()
-    for m, pairs in classes:
+    for m, pairs in checked:
         if m < 1:
             raise ValidationError(f"class weight {m} is not positive")
         for pair in pairs:
@@ -325,6 +330,7 @@ def _check_classes(g: Graph, classes: Classes) -> None:
             if pair in seen:
                 raise ValidationError(f"endpoint pair {pair} is named twice")
             seen.add(pair)
+    return checked
 
 
 def mh_column(
@@ -343,8 +349,7 @@ def mh_column(
     cell weighed by m, is checked against the cap after the enumerated
     degrees.  Each class is reduced on its own.
     """
-    classes = orbit_classes(g) if classes is None else classes
-    _check_classes(g, classes)
+    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
@@ -428,7 +433,7 @@ class MHTable:
 def mh_table(g: Graph, lmax: int, classes: Classes | None = None) -> MHTable:
     """All groups with l <= lmax of the summands ``classes`` names, as in
     ``mh_column``."""
-    classes = orbit_classes(g) if classes is None else classes
+    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
     return MHTable(lmax, {
         (k, length): group
         for length in range(lmax + 1)

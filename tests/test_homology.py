@@ -363,6 +363,10 @@ def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
         [(1, [(2, -1)])],
         [(0, [(1, 3)])],
         [(2, [(1, 1)]), (-1, [(1, 3)])],
+        [(1, [[1, 3], (1, 3)])],
+        [(1, [(1, 3, 4)])],
+        [(1, [(1,)])],
+        [(1, [3])],
     ],
 )
 def test_classes_name_each_pair_once_and_only_vertices_with_positive_weights(g1, classes):
@@ -379,9 +383,18 @@ def test_classes_name_each_pair_once_and_only_vertices_with_positive_weights(g1,
 def test_one_class_weighs_its_summand(g1):
     # (3, 1) is the reversal of (1, 3), so m = 2 counts both
     assert mh_column(g1, 4, [(1, [(1, 3)])])[4] == (4, ())
+    assert mh_column(g1, 4, [(1, [[1, 3]])])[4] == (4, ())
+    assert enumerate_sequences(g1, 2, 2, [[1, 3]]) == enumerate_sequences(g1, 2, 2, [(1, 3)])
     assert mh_column(g1, 4, [(1, [(3, 1)])])[4] == (4, ())
     assert mh_column(g1, 4, [(2, [(1, 3)])])[4] == (8, ())
     assert mh_column(g1, 4, [(1, [(1, 3), (3, 1)])])[4] == (8, ())
+
+
+def test_one_shot_pairs_are_read_once_for_every_degree(g1):
+    listed = [(1, [(1, 3), (3, 1), (2, 2)])]
+    assert mh_column(g1, 4, [(1, iter(listed[0][1]))]) == mh_column(g1, 4, listed)
+    table = mh_table(g1, 4, [(1, (pair for pair in listed[0][1]))])
+    assert table.entries == mh_table(g1, 4, listed).entries
 
 
 def test_torsion_of_a_hasse_diagram_through_the_summand_route():
