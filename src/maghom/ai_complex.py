@@ -17,8 +17,10 @@ other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
 summand in degrees 2..l with d_2 dropped, and ``relative_complex`` builds
 its cells by ``homology.enumerate_sequences`` on the pairs [(a, b)] and
-its maps by ``homology.boundary_matrix``, once; the positions are
-derived only to display a cell.  ``path_complex`` builds K itself from
+keeps its maps as ``homology.boundary_matrix`` builds them, once: deleting
+x_i with sign (-1)^i, the negative of the simplicial boundary, which has
+the same homology and the same covers.  The positions are derived only
+to display a cell.  ``path_complex`` builds K itself from
 the edge paths, where K is reported or checked, and charges its
 simplices to the basis cap.  ``verify_correspondence`` compares with
 the summand that ``homology.mh_column`` computes for the one class
@@ -60,8 +62,8 @@ class RelativeComplex:
     set of the Morse matching.  The cells of dimension d are
     ``cells[starts[d]:starts[d + 1]]``.  ``boundaries[d]`` maps them to
     dimension d - 1, for each d >= 1 with both sides nonempty: deleting
-    x_i gives a face exactly when x_i is smooth, with the simplicial sign
-    (-1)^(i-1).
+    x_i gives a face exactly when x_i is smooth, with the sign (-1)^i of
+    the magnitude chain complex.
     """
 
     g: Graph = field(repr=False, compare=False)
@@ -91,8 +93,7 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     The cells of dimension d are the degree-(d+2), length-l sequences
     from a to b, each interior vertex at its cumulative distance from a.
     A position depends only on the vertex prefix, so sequence order is
-    cell order.  The boundaries are those of the magnitude chain complex,
-    negated: there deleting x_i has sign (-1)^i.
+    cell order.  The boundaries are those of the magnitude chain complex.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
@@ -100,9 +101,7 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     boundaries: dict[int, SparseMatrix] = {}
     for d in range(1, len(bases)):
         if bases[d] and bases[d - 1]:
-            mat = boundary_matrix(g, bases[d], bases[d - 1])
-            entries = {e: -v for e, v in mat.entries.items()}
-            boundaries[d] = SparseMatrix(entries, mat.nrows, mat.ncols)
+            boundaries[d] = boundary_matrix(g, bases[d], bases[d - 1])
     starts = tuple(accumulate(map(len, bases), initial=0))
     return RelativeComplex(g, a, b, length, tuple(chain(*bases)), starts, boundaries)
 
@@ -182,26 +181,14 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     return dims, maps()
 
 
-def relative_boundaries(
-    pair: RelativeComplex,
-) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]]]:
-    """Chain ranks and boundary maps of the relative complex.
-
-    Slot d holds the cells of dimension d, for d = 0 .. length-2.  The
-    maps (d, slot d -> slot d-1) come from the top slot down, as in
-    ``cell_boundaries``; a map to or from an empty slot is not yielded.
-    """
-    dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
-    return dims, reversed(pair.boundaries.items())
-
-
 def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the quotient chain complex, degrees 0 .. length-2.
 
     Cells are the simplices of K outside K'; boundary faces that fall
-    into K' are dropped.
+    into K' are dropped.  The maps are cleared from the top dimension down.
     """
-    return homology_of_complex(*relative_boundaries(pair))
+    dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
+    return homology_of_complex(dims, reversed(pair.boundaries.items()))
 
 
 def reduced_homology(cells) -> list[tuple[int, tuple[int, ...]]]:

@@ -212,7 +212,7 @@ def _cmd_match(args) -> int:
     ok, lines = _matching_report(pair, build)
     for line in lines:
         print(line)
-    for low, high in sorted(build.matching.pairs, key=lambda p: pair.cells[p[0]][1:-1]):
+    for low, high in sorted(build.matching, key=lambda p: pair.cells[p[0]][1:-1]):
         print(f"pair: {list(pair.simplex(low))} -> {list(pair.simplex(high))}")
     return 0 if ok else 1
 

@@ -81,7 +81,8 @@ def enumerate_classes(
     is reproducible, since matrix snapshots depend on it.  A sequence of
     a class stands for its m orbit elements in the full basis of this
     degree; enumeration aborts with BudgetExceeded as soon as that full
-    basis would outgrow the configured cap, before memory does.
+    basis would outgrow the configured cap, before memory does.  A pair
+    named twice raises ValidationError.
     """
     out: list[list[tuple[int, ...]]] = [[] for _ in classes]
     if k < 0 or length < 0:
@@ -89,7 +90,10 @@ def enumerate_classes(
     ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> class
     for i, (_, pairs) in enumerate(classes):
         for a, b in pairs:
-            ends.setdefault(a, {})[b] = i
+            row = ends.setdefault(a, {})
+            if b in row:
+                raise ValidationError(f"endpoint pair {(a, b)} is named twice")
+            row[b] = i
     if k == 0:
         if length == 0:
             for a in sorted(ends):

@@ -36,7 +36,6 @@ from .errors import (
     positive_int_env,
 )
 from .graph import Graph, diameter, is_pawful
-from .morse import Matching
 
 logger = logging.getLogger(__name__)
 
@@ -114,12 +113,14 @@ def build_pawful_S(g: Graph) -> SStructure:
 
 @dataclass(frozen=True)
 class MatchingBuild:
-    """A constructed matching with its cell partition, as cell indices."""
+    """A constructed matching and its unmatched cells, as cell indices.
 
-    matching: Matching
-    inserted: tuple[int, ...]    # gap-first cells, lower halves of pairs
-    deleted: tuple[int, ...]     # pattern-first cells, upper halves
-    critical: tuple[int, ...]    # untouched cells
+    ``matching`` holds (gap-first cell, pattern-first cell) pairs;
+    ``critical`` the untouched cells in index order.
+    """
+
+    matching: frozenset[tuple[int, int]]
+    critical: tuple[int, ...]
 
 
 def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBuild:
@@ -200,12 +201,7 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
         if mate[m] != c:
             raise CertificateError(f"insertion does not invert deletion at {show(c)}")
 
-    return MatchingBuild(
-        matching=Matching(frozenset(mate.items())),
-        inserted=tuple(gap_first),
-        deleted=tuple(pattern_first),
-        critical=tuple(untouched),
-    )
+    return MatchingBuild(frozenset(mate.items()), tuple(untouched))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The cells are those of ``ai_complex.RelativeComplex``, named by their
 index, and its ``covers()`` are the entries of its boundary maps: (face,
 cell) for each face of a cell, a smooth deletion of one of its vertices.
 A partial matching pairs each lower cell with a cover (a cell one
-dimension up containing it), each cell used at most once.  Orienting
-matched covers upward and all other covers downward gives a digraph; the
+dimension up containing it), each cell used at most once; it is a
+frozenset of (lower cell, upper cell) index pairs.  Orienting matched
+covers upward and all other covers downward gives a digraph; the
 matching is acyclic when that digraph has no directed cycle.  Unmatched
 cells are critical, and for an acyclic matching the cell set is
 homotopy-modelled by one cell per critical cell, which this module
@@ -15,37 +16,24 @@ position) form only in messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ai_complex import RelativeComplex, relative_homology
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of (lower cell, upper cell) pairs of cell indices."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def matched_cells(self) -> set[int]:
-        return {c for pair in self.pairs for c in pair}
-
-
-def verify_matching(pair: RelativeComplex, matching: Matching) -> tuple[bool, str | None]:
+def verify_matching(
+    pair: RelativeComplex, matching: frozenset[tuple[int, int]]
+) -> tuple[bool, str | None]:
     """Check both matching axioms; report the first violation found.
 
     Pairs are taken in the order of their cells' simplices, which is the
     order of their interior vertices in all dimensions at once.
     """
     cells, show = pair.cells, pair.simplex
-    for low, high in sorted(matching.pairs):
+    for low, high in sorted(matching):
         if not (0 <= low < len(cells) and 0 <= high < len(cells)):
             return False, f"pair ({low}, {high}) uses a cell outside the cell set"
     covers = set(pair.covers())
     used: set[int] = set()
-    order = sorted(matching.pairs, key=lambda p: (cells[p[0]][1:-1], cells[p[1]][1:-1]))
+    order = sorted(matching, key=lambda p: (cells[p[0]][1:-1], cells[p[1]][1:-1]))
     for low, high in order:
         if (low, high) not in covers:
             return False, f"pair ({show(low)}, {show(high)}) is not a cover relation"
@@ -56,7 +44,9 @@ def verify_matching(pair: RelativeComplex, matching: Matching) -> tuple[bool, st
     return True, None
 
 
-def is_acyclic(pair: RelativeComplex, matching: Matching) -> tuple[bool, list[int] | None]:
+def is_acyclic(
+    pair: RelativeComplex, matching: frozenset[tuple[int, int]]
+) -> tuple[bool, list[int] | None]:
     """Cycle check on the up/down orientation of the cover digraph.
 
     Matched covers point up, the rest point down.  An upper cell has no
@@ -65,15 +55,14 @@ def is_acyclic(pair: RelativeComplex, matching: Matching) -> tuple[bool, list[in
     from the cells in index order and takes targets in simplex order.
     Returns the cycle as a list of cell indices when one exists.
     """
-    pairs = matching.pairs
     n = len(pair.cells)
     up: list[list[int]] = [[] for _ in range(n)]
     for low, high in pair.covers():
-        if (low, high) in pairs:
+        if (low, high) in matching:
             up[low].append(high)
         else:
             up[high].append(low)
-    lows = {low for low, _ in pairs}
+    lows = {low for low, _ in matching}
     for c, targets in enumerate(up):
         if c in lows:  # up and down targets: order by interior vertices
             targets.sort(key=lambda t: pair.cells[t][1:-1])
@@ -103,13 +92,17 @@ def is_acyclic(pair: RelativeComplex, matching: Matching) -> tuple[bool, list[in
     return True, None
 
 
-def critical_cells(pair: RelativeComplex, matching: Matching) -> list[tuple[int, int]]:
+def critical_cells(
+    pair: RelativeComplex, matching: frozenset[tuple[int, int]]
+) -> list[tuple[int, int]]:
     """Unmatched cells with their dimensions, in index order."""
-    matched = matching.matched_cells()
+    matched = {c for cover in matching for c in cover}
     return [(c, len(x) - 3) for c, x in enumerate(pair.cells) if c not in matched]
 
 
-def morse_rank_check(pair: RelativeComplex, matching: Matching) -> tuple[bool, str]:
+def morse_rank_check(
+    pair: RelativeComplex, matching: frozenset[tuple[int, int]]
+) -> tuple[bool, str]:
     """Homological consequence of an acyclic matching on K_l \\ K'_l.
 
     With every critical cell in the top dimension l-2, the relative

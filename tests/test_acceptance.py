@@ -195,12 +195,9 @@ def test_criterion_10_property_suites(g1, g3, c4, g1_cert_text):
                 ))
 
     # and on a relative path-pair complex
-    from maghom.ai_complex import relative_boundaries
-
     pair = relative_complex(c4, 1, 1, 4)
-    dims, maps = relative_boundaries(pair)
-    boundaries = dict(maps)
-    for d in range(2, len(dims)):  # slot d holds the cells of dimension d
+    boundaries = pair.boundaries
+    for d in range(2, len(pair.starts) - 1):  # the cells of dimension d
         ok = ok and is_zero(sparse_matmul(boundaries[d - 1], boundaries[d]))
 
     # endpoint decomposition is a direct sum

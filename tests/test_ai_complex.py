@@ -2,7 +2,7 @@ import random
 from itertools import accumulate, product
 
 import pytest
-from conftest import random_connected
+from conftest import RP2_FACES, hasse_graph, random_connected
 from oracles import (
     is_closed_under_faces,
     is_zero,
@@ -17,13 +17,17 @@ from maghom.ai_complex import (
     f_vector,
     path_complex,
     reduced_homology,
-    relative_boundaries,
     relative_complex,
     relative_homology,
     subsequence_length,
     verify_correspondence,
 )
 from maghom.errors import BudgetExceeded
+from maghom.snf import SparseMatrix
+
+
+def negated(m):
+    return SparseMatrix({e: -v for e, v in m.entries.items()}, m.nrows, m.ncols)
 
 
 def brute_force_paths(g, a, b, length):
@@ -155,7 +159,8 @@ def test_direct_cells_are_the_full_length_simplices_of_k(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_face_table_boundaries_are_the_simplex_boundaries(seed):
     # the relative boundary two ways: from the smooth deletions that
-    # relative_complex stores as maps, and by dropping each simplex element
+    # relative_complex stores as maps, with the magnitude sign (-1)^i, and
+    # by dropping each simplex element, with the simplicial sign (-1)^(i-1),
     # and keeping the faces outside K'
     g = random_connected(random.Random(seed), 4 + seed % 4)
     for a in g.vertices:
@@ -165,11 +170,11 @@ def test_face_table_boundaries_are_the_simplex_boundaries(seed):
                 kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
                 dims, maps = cell_boundaries(sorted(kept, key=lambda s: (len(s), s)))
                 pair = relative_complex(g, a, b, ell)
-                table_dims, table_maps = relative_boundaries(pair)
+                table_dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
                 # slot k of the simplex route holds dimension k - 1
                 assert dims[1:] + [0] * (ell - len(dims)) == table_dims
                 maps = {k - 1: m for k, m in maps}
-                assert maps == dict(table_maps)
+                assert {d: negated(m) for d, m in maps.items()} == pair.boundaries
                 # the Morse covers are the entries of the simplex route's maps
                 starts = list(accumulate(dims[1:], initial=0))
                 assert set(pair.covers()) == {
@@ -200,9 +205,8 @@ def test_relative_homology_empty_pair(c4):
 
 def test_relative_boundary_squares_to_zero(g1):
     pair = relative_complex(g1, 1, 1, 4)
-    dims, maps = relative_boundaries(pair)
-    boundaries = dict(maps)
-    for d in range(2, len(dims)):  # slot d holds the cells of dimension d
+    boundaries = pair.boundaries
+    for d in range(2, len(pair.starts) - 1):  # the cells of dimension d
         assert is_zero(sparse_matmul(boundaries[d - 1], boundaries[d]))
 
 
@@ -241,6 +245,16 @@ def test_correspondence_c4(c4):
     report = verify_correspondence(c4, 1, 1, 4)
     assert report.ok
     assert report.per_degree[4] == (True, (3, ()), (3, ()))
+
+
+def test_correspondence_carries_the_torsion_of_rp2():
+    # K_4(bottom, top) of RP^2's Hasse diagram is the order complex of its
+    # face poset, so the simplex route meets the Z/2 through cell_boundaries
+    g = hasse_graph(RP2_FACES)
+    report = verify_correspondence(g, 1, g.n, 4)
+    assert report.ok
+    assert report.per_degree[3] == (True, (0, (2,)), (0, (2,)))
+    assert reduced_homology(path_complex(g, 1, g.n, 4)) == [(0, ()), (0, (2,)), (0, ())]
 
 
 def test_correspondence_g1_all_pairs_length3(g1):

@@ -466,6 +466,13 @@ def test_mh_table_verify_on_symmetric_random_graphs(capsys, tmp_path):
     assert checked == 12
 
 
+def test_mh_table_verify_on_the_rp2_fixture(capsys):
+    # the orbit route and the sum over all endpoint pairs agree on torsion
+    code, out, err = run(capsys, "mh-table", FIXTURES / "RP2H", "--lmax", 4, "--verify")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "mh-table", FIXTURES / "RP2H", "--lmax", 4)[1]
+
+
 def test_mh_table_verify_mismatch_exit_code(capsys, monkeypatch):
     real = cli.pairwise_column
 

@@ -17,7 +17,7 @@ from maghom import (
 from maghom.errors import ParseError, ValidationError
 from maghom.graph import parse_edge_list, parse_graph6
 
-from conftest import encode_graph6
+from conftest import RP2_FACES, encode_graph6, hasse_graph, load_fixture
 
 
 def floyd_warshall(n, edges):
@@ -102,6 +102,12 @@ def test_graph6_star_string():
 def test_graph6_round_trip_fixtures(g1, g2, g3, c4):
     for g in (g1, g2, g3, c4):
         assert parse_graph6(encode_graph6(g.n, g.edges)) == g
+
+
+def test_rp2_fixture_is_the_hasse_diagram_of_rp2():
+    g = load_fixture("RP2H")
+    assert g == hasse_graph(RP2_FACES)
+    assert (g.n, g.m) == (33, 76)
 
 
 def test_graph6_round_trip_random():

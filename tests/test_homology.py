@@ -270,6 +270,15 @@ def test_one_enumeration_gives_each_class_its_own_basis(g1, g2, g3, c4):
                 ]
 
 
+def test_enumeration_refuses_a_pair_named_twice(g1):
+    # called on its own, without the class checks of mh_column
+    for classes in ([(1, [(1, 3)]), (1, [(1, 3)])], [(2, [(1, 3), (2, 4), (1, 3)])]):
+        for k, length in ((0, 0), (3, 4)):
+            with pytest.raises(ValidationError, match=r"endpoint pair \(1, 3\) is named twice"):
+                enumerate_classes(g1, k, length, classes)
+    assert [len(b) for b in enumerate_classes(g1, 3, 4, [(1, [(1, 3)]), (1, [(3, 1)])])] == [10, 10]
+
+
 def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
     largest = max(len(full_basis(g1, k, 4)) for k in range(5))
     column = mh_column(g1, 4)

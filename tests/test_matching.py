@@ -124,9 +124,11 @@ def test_build_matching_partitions_cells(c4):
     s = build_pawful_S(c4)
     build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
     cells = relative_complex(c4, 1, 1, 4).cells
-    groups = set(build.inserted) | set(build.deleted) | set(build.critical)
-    assert groups == set(range(len(cells)))
-    assert len(build.inserted) == len(build.deleted) == len(build.matching)
+    inserted = {low for low, _ in build.matching}
+    deleted = {high for _, high in build.matching}
+    assert inserted | deleted | set(build.critical) == set(range(len(cells)))
+    assert len(inserted) == len(deleted) == len(build.matching)
+    assert len(inserted) + len(deleted) + len(build.critical) == len(cells)
 
 
 def test_build_matching_scan_agrees_with_sequence_indices(g1, g1_cert, c4):
@@ -142,8 +144,12 @@ def test_build_matching_scan_agrees_with_sequence_indices(g1, g1_cert, c4):
                     groups["critical"].append(c)
                 else:
                     groups["inserted" if idx.gap < idx.pattern else "deleted"].append(c)
-            assert groups == {name: list(getattr(build, name)) for name in groups}
-            for low, high in build.matching.pairs:
+            assert groups == {
+                "critical": list(build.critical),
+                "inserted": sorted(low for low, _ in build.matching),
+                "deleted": sorted(high for _, high in build.matching),
+            }
+            for low, high in build.matching:
                 i = sequence_indices(g, pair.cells[high], s).pattern
                 assert pair.cells[low] == pair.cells[high][: i + 1] + pair.cells[high][i + 2 :]
 
@@ -155,7 +161,7 @@ def test_build_matching_complete_graphs():
         for a, b in ((1, 2), (2, 2)):
             pair = relative_complex(g, a, b, ell)
             build = build_matching(g, pair, s)
-            assert not build.matching.pairs  # nothing to pair: no gaps, no patterns
+            assert not build.matching  # nothing to pair: no gaps, no patterns
             assert all(len(pair.simplex(c)) - 1 == ell - 2 for c in build.critical)
             assert morse_rank_check(relative_complex(g, a, b, ell), build.matching)[0]
 

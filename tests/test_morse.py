@@ -6,13 +6,7 @@ import oracles
 from maghom import complete_graph
 from maghom.ai_complex import faces, relative_complex
 from maghom.matching import build_matching, build_pawful_S
-from maghom.morse import (
-    Matching,
-    critical_cells,
-    is_acyclic,
-    morse_rank_check,
-    verify_matching,
-)
+from maghom.morse import critical_cells, is_acyclic, morse_rank_check, verify_matching
 
 
 def square_boundary_poset():
@@ -35,7 +29,7 @@ def square_boundary_poset():
 
 def matching(poset, *pairs):
     index = {poset.simplex(c): c for c in range(len(poset.cells))}
-    return Matching(frozenset((index[low], index[high]) for low, high in pairs))
+    return frozenset((index[low], index[high]) for low, high in pairs)
 
 
 def test_cover_relations():
@@ -49,7 +43,7 @@ def test_cover_relations():
 
 def test_verify_empty_matching():
     poset = square_boundary_poset()
-    assert verify_matching(poset, Matching(frozenset())) == (True, None)
+    assert verify_matching(poset, frozenset()) == (True, None)
 
 
 def test_verify_rejects_duplicate_cell():
@@ -90,7 +84,7 @@ def test_rotating_matching_has_cycle():
 
 def test_critical_cells_empty_matching():
     poset = square_boundary_poset()
-    crit = critical_cells(poset, Matching(frozenset()))
+    crit = critical_cells(poset, frozenset())
     assert len(crit) == len(poset.cells)
 
 
@@ -110,13 +104,13 @@ def test_morse_rank_check_c4(c4):
 
 def test_morse_rank_check_rejects_empty_matching(c4):
     # with nothing matched there are critical cells in low dimensions
-    ok, detail = morse_rank_check(relative_complex(c4, 1, 1, 4), Matching(frozenset()))
+    ok, detail = morse_rank_check(relative_complex(c4, 1, 1, 4), frozenset())
     assert not ok and "off dimension" in detail
 
 
 def test_morse_rank_check_vacuous_empty_poset(c4):
     # no odd-length closed paths in a bipartite graph: empty cell set
-    ok, _ = morse_rank_check(relative_complex(c4, 1, 2, 4), Matching(frozenset()))
+    ok, _ = morse_rank_check(relative_complex(c4, 1, 2, 4), frozenset())
     assert ok
 
 
@@ -152,7 +146,7 @@ def test_random_matchings_agree_with_the_simplex_oracles(g1):
         n = len(pair.cells)
         if n > 1 and trial % 4 == 0:  # any two cells: a reused cell or a non-cover
             pairs.add(tuple(rng.sample(range(n), 2)))
-        matching = Matching(frozenset(pairs))
+        matching = frozenset(pairs)
         shown = {(pair.simplex(low), pair.simplex(high)) for low, high in pairs}
         simplices = [pair.simplex(c) for c in range(n)]
         valid = verify_matching(pair, matching)
