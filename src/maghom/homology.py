@@ -417,7 +417,9 @@ class MHTable:
         }
 
     def to_csv(self) -> str:
-        """The l-rows-by-k-columns layout; trivial groups print as blanks."""
+        """The l-rows-by-k-columns layout; trivial groups print as blanks,
+        and a group with torsion as rank+T[divisors], the divisors separated
+        by spaces so that a field holds no comma (nor, as TSV, a tab)."""
         header = "l\\k," + ",".join(str(k) for k in range(self.lmax + 1))
         lines = [header]
         for length in range(self.lmax + 1):
@@ -427,7 +429,7 @@ class MHTable:
                 if rank == 0 and not tors:
                     cells.append("")
                 elif tors:
-                    cells.append(f"{rank}+T{list(tors)}")
+                    cells.append(f"{rank}+T[{' '.join(map(str, tors))}]")
                 else:
                     cells.append(str(rank))
             lines.append(f"{length}," + ",".join(cells))

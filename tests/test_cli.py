@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -100,6 +101,19 @@ def test_mh_table_csv(capsys, g3):
         "5,,,,,28,138,\n"
         "6,,,,,2,60,242\n"
     )
+
+
+def test_mh_table_rows_keep_the_header_width_with_two_torsion_divisors(capsys):
+    # RP^2's Hasse diagram has MH_(3,4) = Z^450 + (Z/2)^2
+    golden = (GOLDEN / "mh_table_rp2_csv.out").read_text().split("\n", 1)[1]
+    rows = list(csv.reader(io.StringIO(golden)))
+    assert rows[5][4] == "450+T[2 2]"
+    assert {len(row) for row in rows} == {len(rows[0])}
+    code, out, _ = run(capsys, "mh-table", FIXTURES / "RP2H", "--lmax", 4)
+    assert code == 0
+    assert out == golden.replace(",", "\t")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_mh_table_json(capsys):

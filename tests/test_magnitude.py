@@ -207,12 +207,6 @@ def test_series_g3_c3(g3):
     assert magnitude_series(g3, 3)[3] == -48
 
 
-def test_series_matches_rational_expansion(g1, g2, g3, c4):
-    for g in (g1, g2, g3, c4, complete_graph(4), star_graph(3)):
-        rat = magnitude_rational(g)
-        assert magnitude_series(g, 6) == rat.series(6)
-
-
 def test_low_order_coefficients(g1, g2, g3, c4):
     for g in (g1, g2, g3, c4, path_graph(5)):
         series = magnitude_series(g, 1)
@@ -329,6 +323,67 @@ def test_series_coefficients_within_the_charged_bound(g1):
     for g in (g1, complete_graph(5), cycle_graph(7)):
         series = magnitude_series(g, 30)
         assert all(abs(c) <= g.n ** (m + 1) for m, c in enumerate(series))
+
+
+SERIES_GRAPHS = ["C4", "G1", "G2", "G3", "RP2H", "K1", "K4", "K5", "star3", "star6", "P9",
+                 "C7"] + [f"random{seed}" for seed in range(10)]
+
+
+def _series_graph(name):
+    if name.startswith("random"):
+        seed = int(name[6:])
+        return random_connected(random.Random(seed), 15 + seed % 6)
+    named = {"K1": complete_graph(1), "K4": complete_graph(4), "K5": complete_graph(5),
+             "star3": star_graph(3), "star6": star_graph(6), "P9": path_graph(9),
+             "C7": cycle_graph(7)}
+    return named[name] if name in named else load_fixture(name)
+
+
+@pytest.mark.parametrize("name", SERIES_GRAPHS)
+def test_series_matches_rational_expansion(name):
+    # K5 attains the digit-width bound; the random graphs have n = 15..20
+    g = _series_graph(name)
+    rat = magnitude_rational(g)
+    for order in (0, 1, 2, 8, 30, 100):
+        assert magnitude_series(g, order) == rat.series(order)
+
+
+def _neumann_coefficients(g, order):
+    """c[k][x][m]: the q^m coefficient of ((-N)^k.1)_x for k, m <= order,
+    from the definition, one coefficient at a time."""
+    vs = range(g.n)
+    c = [[[1] + [0] * order for _ in vs]]
+    for _ in range(order):
+        prev = c[-1]
+        c.append([
+            [-sum(prev[y][m - g.dist[x + 1][y + 1]] for y in vs
+                  if y != x and g.dist[x + 1][y + 1] <= m)
+             for m in range(order + 1)]
+            for x in vs
+        ])
+    return c
+
+
+@pytest.mark.parametrize("name", ["C4", "G1", "G3", "RP2H", "K1", "K5", "star6", "P9",
+                                  "random0", "random3"])
+def test_series_bounds_cover_every_held_coefficient(name):
+    g = _series_graph(name)
+    order = 12
+    bounds = magnitude.series_bounds(g, order)
+    c = _neumann_coefficients(g, order)
+    for x in range(g.n):
+        for m in range(order + 1):
+            assert sum(abs(c[k][x][m]) for k in range(order + 1)) <= bounds[m]
+    series = magnitude_series(g, order)
+    assert all(abs(s) <= g.n * b for s, b in zip(series, bounds))
+
+
+def test_series_bounds_are_attained_on_complete_graphs():
+    for n in range(1, 7):
+        g = complete_graph(n)
+        assert magnitude.series_bounds(g, 20) == [(n - 1) ** m for m in range(21)]
+        # 1/(1 + (n-1)q) per vertex: the total is n (-(n-1))^m
+        assert magnitude_series(g, 20) == [n * (1 - n) ** m for m in range(21)]
 
 
 def test_series_charges_machine_words(monkeypatch, g1):
