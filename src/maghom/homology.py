@@ -30,8 +30,8 @@ So the whole complex is built on one pair per orbit of <Aut(G), reversal>
 on ordered pairs (``symmetry.pair_orbits``): the pairs whose orbits have
 m elements span one complex, whose groups count m times.  With trivial
 Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
-(a, a) (m = 1).  Each degree k < l of a length is enumerated once for
-all of these complexes (``enumerate_classes``): every completed
+(a, a) (m = 1).  Each degree 2 <= k < l of a length is enumerated once
+for all of these complexes (``enumerate_classes``): every completed
 sequence goes to its complex by its endpoint pair, and each complex is
 then reduced on its own.
 
@@ -83,6 +83,10 @@ def enumerate_classes(
     degree; enumeration aborts with BudgetExceeded as soon as that full
     basis would outgrow the configured cap, before memory does.  A pair
     named twice raises ValidationError.
+
+    The stub memo and the recursion that walks it hold no reference to
+    themselves once the call ends, by return or by raise, so they are
+    freed then; the caller holds only the lists returned.
     """
     out: list[list[tuple[int, ...]]] = [[] for _ in classes]
     if k < 0 or length < 0:
@@ -139,15 +143,18 @@ def enumerate_classes(
                     raise _over_cap(k, length, cap)
                 out[i].extend(new)
 
-    for first in sorted(ends):
-        groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
-        for b in sorted(ends[first]):
-            groups_of.setdefault(ends[first][b], []).append(b)
-        groups = list(groups_of.items())
-        # a single end prunes every prefix that cannot reach it in time
-        end = next(iter(ends[first])) if len(ends[first]) == 1 else None
-        following = memo.setdefault(end, {})
-        extend((), [(first, length)], k)
+    try:
+        for first in sorted(ends):
+            groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
+            for b in sorted(ends[first]):
+                groups_of.setdefault(ends[first][b], []).append(b)
+            groups = list(groups_of.items())
+            # a single end prunes every prefix that cannot reach it in time
+            end = next(iter(ends[first])) if len(ends[first]) == 1 else None
+            following = memo.setdefault(end, {})
+            extend((), [(first, length)], k)
+    finally:
+        del extend  # it calls itself through its cell: unbound, the scope is freed on return
     return out
 
 
@@ -254,13 +261,15 @@ def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseM
 
 
 def _homology(
-    g: Graph, bases: list[Basis], top: int
+    g: Graph, ones: int, bases: list[Basis], top: int
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Homology of the length-l complex spanned by ``bases`` in degrees
-    k < l (degree k at index k, l = len(bases)) and ``top`` walks in
-    degree l.
+    """Homology of the length-l complex, l >= 2, spanned by ``ones``
+    cells in degree 1, ``bases`` in degrees 2..l-1 (degree k at index
+    k - 2, l = len(bases) + 2) and ``top`` walks in degree l.
 
-    Each boundary is built once, from the top degree down so that
+    Degree 0 is empty, and d_2 maps onto C_1 (see ``is_diagonal_up_to``),
+    so it has rank ``ones`` and no divisor and is not built.  Each other
+    boundary is built once, from the top degree down so that
     ``homology_of_complex`` clears, and reaches the Smith form on its
     own, so only one is held in memory; a map to or from an empty basis
     is zero and is not built.  A row y that d_l peeled (at its gap of 2,
@@ -270,16 +279,16 @@ def _homology(
     of y_j, so y_(j-1) is not smooth, nor likewise y_j.  No insertion
     reaches such a column, so d_(l-1) is built whole.
     """
-    length = len(bases)
 
-    def boundaries():
-        if top and length and bases[-1]:
-            yield length, boundary_matrix(g, None, bases[-1])
-        for k in range(length - 1, 0, -1):
-            if bases[k] and bases[k - 1]:
-                yield k, boundary_matrix(g, bases[k], bases[k - 1])
+    def boundaries():  # d_l down to d_3, each at the index of its source
+        if top and bases and bases[-1]:
+            yield len(bases), boundary_matrix(g, None, bases[-1])
+        for i in range(len(bases) - 1, 0, -1):
+            if bases[i] and bases[i - 1]:
+                yield i, boundary_matrix(g, bases[i], bases[i - 1])
 
-    return homology_of_complex([len(b) for b in bases] + [top], boundaries())
+    (free, tors), *upper = homology_of_complex([len(b) for b in bases] + [top], boundaries())
+    return [(0, ()), (0, ()), (free - ones, tors)] + upper
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -344,32 +353,46 @@ def mh_column(
 
     One summand per class (m, pairs) of ``classes`` (``orbit_classes(g)``
     when not given) is reduced: its pairs span one complex, whose groups
-    count m times.  Each degree k < l is enumerated once for all classes
-    (``enumerate_classes``), before any boundary is built, and each class
-    gets the basis it would get alone; every cell charges its orbit size
-    m to the basis cap.  Degree l is counted, not enumerated: its cells
-    are the length-l walks, Σ (A^l)_ab over the pairs, and
-    ``boundary_matrix`` builds d_l from degree l-1.  The walk count, each
-    cell weighed by m, is checked against the cap after the enumerated
-    degrees.  Each class is reduced on its own.
+    count m times.  Each degree 2 <= k < l is enumerated once for all
+    classes (``enumerate_classes``), before any boundary is built, and
+    each class gets the basis it would get alone; every cell charges its
+    orbit size m to the basis cap.  Degrees 0, 1 and l are counted, not
+    enumerated.  Degree 0 is empty for l >= 1.  For l >= 2, degree 1 is
+    the pairs at distance l, charged first, and d_2 maps onto it (see
+    ``_homology``).  Degree l is the length-l walks, Σ (A^l)_ab over the
+    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The walk
+    count, each cell weighed by m, is checked against the cap after the
+    enumerated degrees.
+
+    Each class is reduced on its own, and its bases and boundaries are
+    freed as soon as its groups are known: the enumeration leaves no
+    reference cycle, so nothing waits for the garbage collector.
     """
     classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
-    by_degree = [enumerate_classes(g, k, length, classes) for k in range(length)]
+    if length >= 2:
+        ones = [sum(g.dist[a][b] == length for a, b in pairs) for _, pairs in classes]
+        cap = basis_cap()
+        if sum(m * one for (m, _), one in zip(classes, ones)) > cap:
+            raise _over_cap(1, length, cap)
+    by_degree = [enumerate_classes(g, k, length, classes) for k in range(2, length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
+    cells = sum(m * top for (m, _), top in zip(classes, tops))
     if length:  # as in enumerate_classes, which charges no degree 0
         cap = basis_cap()
-        if sum(m * top for (m, _), top in zip(classes, tops)) > cap:
+        if cells > cap:
             raise _over_cap(length, length, cap)
+    if length < 2:  # the walks are the only cells
+        return [(0, ())] * length + [(cells, ())]
     parts = [
-        (m, [bases[i] for bases in by_degree], tops[i])
+        (m, ones[i], [bases[i] for bases in by_degree], tops[i])
         for i, (m, _) in enumerate(classes)
     ]
     del by_degree
     columns = []
     while parts:  # a class's bases are not held once it is reduced
-        m, bases, top = parts.pop()
-        columns.append((m, _homology(g, bases, top)))
+        m, one, bases, top = parts.pop()
+        columns.append((m, _homology(g, one, bases, top)))
     return [
         (
             sum(m * column[k][0] for m, column in columns),

@@ -398,7 +398,11 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
                 bump(last3, suf, -1)
         return False
 
-    if assign(0):
+    try:
+        found = assign(0)
+    finally:
+        del assign  # it calls itself through its cell: unbound, the scope is freed on return
+    if found:
         return SStructure(frozenset(chosen_quads), frozenset(chosen_triples))
     return None
 

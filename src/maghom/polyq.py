@@ -141,18 +141,40 @@ def unpack(v: int, k: int, digits: int) -> list[int]:
     degree < ``digits`` with p(2^k) = v, if p has such coefficients.  A
     value left over raises InternalCheckError.
 
+    Adding the value whose digits are all 2^(k-1) turns each balanced
+    digit c into the plain digit c + 2^(k-1) in [0, 2^k), so v has such
+    a p exactly when that sum lies in [0, 2^(k·digits)).  Its plain
+    digits are read by divide and conquer (``_read_digits``), in
+    O(k·digits·log digits) bit operations rather than the O(k·digits^2)
+    of taking one digit off the whole value at a time.
+
     >>> unpack(3 * 2**16 - 2**8 + 5, 8, 4)   # 3q^2 - q + 5 at q = 2^8
     [5, -1, 3, 0]
     """
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    out = []
-    for _ in range(digits):
-        c = ((v + half) & mask) - half
-        out.append(c)
-        v = (v - c) >> k
-    if v:
+    half = 1 << (k - 1)
+    width = k * digits
+    plain = v + half * (((1 << width) - 1) // ((1 << k) - 1))
+    if plain >> width:  # nonzero below 0 too, as the shift floors
         raise InternalCheckError(f"a packed value has more than {digits} base-2^{k} digits")
+    out: list[int] = []
+    _read_digits(plain, k, digits, half, out)
     return out
+
+
+def _read_digits(plain: int, k: int, digits: int, half: int, out: list[int]) -> None:
+    """Append the ``digits`` base-2^k digits of 0 <= plain < 2^(k·digits),
+    lowest first, each less ``half``.  Above a few digits the value is
+    split at X^h, h = digits // 2: divmod(plain, X^h), taken as a shift
+    and a mask, since CPython divides long integers in quadratic time."""
+    if digits <= 8:
+        mask = (1 << k) - 1
+        for _ in range(digits):
+            out.append((plain & mask) - half)
+            plain >>= k
+        return
+    low = digits // 2
+    _read_digits(plain & ((1 << (k * low)) - 1), k, low, half, out)
+    _read_digits(plain >> (k * low), k, digits - low, half, out)
 
 
 def _pack(p: IntPoly, k: int) -> int:

@@ -156,17 +156,20 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
                 return found
         return None
 
-    for depth in range(len(path) - 1, -1, -1):
-        node, i, v = path[depth]
-        orbit = _orbit(v, images)
-        for w in node[i]:
-            if w in orbit or nodes >= SEARCH_NODES:
-                continue
-            nodes += 1
-            found = search(refine(g, _individualise(node, i, w)), depth + 1)
-            if found:
-                gens.append(found)
-                orbit = _orbit(v, images)
+    try:
+        for depth in range(len(path) - 1, -1, -1):
+            node, i, v = path[depth]
+            orbit = _orbit(v, images)
+            for w in node[i]:
+                if w in orbit or nodes >= SEARCH_NODES:
+                    continue
+                nodes += 1
+                found = search(refine(g, _individualise(node, i, w)), depth + 1)
+                if found:
+                    gens.append(found)
+                    orbit = _orbit(v, images)
+    finally:
+        del search  # it calls itself through its cell: unbound, the scope is freed on return
     return gens
 
 

@@ -299,6 +299,23 @@ class Poly(IntPoly):
         return Poly(super().exact_div(other))
 
 
+def unpack_by_digit(v, k, digits):
+    """The balanced base-2^k digits of v, lowest first, taken off one at a
+    time: each step reads the lowest digit and shifts it out of the whole
+    value.  None when a value is left over.  The library's former reader.
+
+    >>> unpack_by_digit(3 * 2**16 - 2**8 + 5, 8, 4)
+    [5, -1, 3, 0]
+    """
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(digits):
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> k
+    return None if v else out
+
+
 def euclid_gcd(a, b):
     """gcd in Z[q] with positive leading coefficient, by the primitive-part
     Euclidean algorithm: pseudo-remainders on primitive parts, with the

@@ -2,10 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import Poly, euclid_gcd
+from oracles import Poly, euclid_gcd, unpack_by_digit
 
 from maghom import cycle_graph, from_edges, polyq
-from maghom.errors import MaghomError
+from maghom.errors import InternalCheckError, MaghomError
 from maghom.magnitude import bordered_dets
 from maghom.polyq import IntPoly, RatFunc, poly_gcd
 from maghom.symmetry import equitable_partition
@@ -66,6 +66,26 @@ def test_gcd():
     assert poly_gcd(IntPoly([2, 2]), IntPoly([4])) == (IntPoly([2]), IntPoly([1, 1]), IntPoly([2]))
     assert poly_gcd(IntPoly([-4]), IntPoly([-6])) == (IntPoly([2]), IntPoly([-2]), IntPoly([-3]))
     assert poly_gcd(IntPoly([0, -3]), IntPoly()) == (IntPoly([0, 3]), IntPoly([-1]), IntPoly())
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 30, 31, 64, 97])
+def test_unpack_matches_the_digit_by_digit_reader(k):
+    rng = random.Random(k)
+    half = 1 << (k - 1)
+    values = [0, 1, -1, half, -half - 1]
+    for digits in (1, 7, 8, 9, 16, 17, 40, 129):
+        values += [rng.randrange(-(1 << (k * digits + 3)), 1 << (k * digits + 3)) for _ in range(4)]
+        for top in (half - 1, -half, 1, -1):  # balanced top digits, and one digit too many
+            low = sum(rng.randrange(-half, half) << (k * d) for d in range(digits - 1))
+            values += [low + (top << (k * (digits - 1))), low + (top << (k * digits))]
+    for v in values:
+        for digits in (0, 1, 7, 8, 9, 16, 17, 40, 129):
+            want = unpack_by_digit(v, k, digits)
+            if want is None:
+                with pytest.raises(InternalCheckError):
+                    polyq.unpack(v, k, digits)
+            else:
+                assert polyq.unpack(v, k, digits) == want
 
 
 @pytest.fixture
