@@ -131,7 +131,11 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
     the simplex, at position +1, the unique choice that keeps positions
     cumulative); pattern-first cells lose the vertex after the pattern
     start.  Both directions are verified to be mutually inverse; any
-    failure means the certificate is invalid for this graph.
+    failure means the certificate is invalid for this graph.  Insertion
+    is checked cell by cell, deletion by a count, since an insertion that
+    deletion inverts is one-to-one; order only decides which failure gets
+    reported, so only a count that differs sends the pattern-first cells
+    through the check one by one.
     """
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
@@ -150,9 +154,15 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
         k = len(seq) - 1
         for t in range(k):
             # a pattern starts at t: the leading triple (t = 0) or the
-            # quadruple window x_(t-1) .. x_(t+2); a gap: d(x_t, x_(t+1)) = 2
-            pattern = seq[t - 1 : t + 3] in quads if t else seq[:3] in triples
-            gap = dist[seq[t]][seq[t + 1]] == 2
+            # quadruple window x_(t-1) .. x_(t+2), both only where
+            # d(x_t, x_(t+2)) = 2, as validated; a gap: d(x_t, x_(t+1)) = 2
+            row = dist[seq[t]]
+            pattern = (
+                t < k - 1
+                and row[seq[t + 2]] == 2
+                and (seq[t - 1 : t + 3] in quads if t else seq[:3] in triples)
+            )
+            gap = row[seq[t + 1]] == 2
             if pattern or gap:
                 break
         else:
@@ -184,7 +194,6 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
         seq, i = cells[c], at[c]
         return index.get(seq[: i + 1] + seq[i + 2 :])
 
-    gap_set = set(gap_first)
     pattern_set = set(pattern_first)
     mate: dict[int, int] = {}
     for c in gap_first:
@@ -194,6 +203,10 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
         if delete(m) != c:
             raise CertificateError(f"deletion does not invert insertion at {show(c)}")
         mate[c] = m
+    # one-to-one into the pattern-first cells, so onto them when the counts agree
+    if len(mate) == len(pattern_first):
+        return MatchingBuild(frozenset(mate.items()), tuple(untouched))
+    gap_set = set(gap_first)
     for c in pattern_first:
         m = delete(c)
         if m not in gap_set:

@@ -24,9 +24,17 @@ def verify_matching(
 ) -> tuple[bool, str | None]:
     """Check both matching axioms; report the first violation found.
 
-    Pairs are taken in the order of their cells' simplices, which is the
-    order of their interior vertices in all dimensions at once.
+    The verdict comes from one unordered pass: every pair is a cover and
+    no cell is named twice.  Order only decides which violation gets
+    reported, so only a matching that fails is scanned in order: pairs
+    by their cell indices for a cell outside the cell set, then in the
+    order of their cells' simplices, which is the order of their
+    interior vertices in all dimensions at once.
     """
+    named = {c for cover in matching for c in cover}
+    if len(named) == 2 * len(matching):
+        if len(matching.intersection(pair.covers())) == len(matching):
+            return True, None
     cells, show = pair.cells, pair.simplex
     for low, high in sorted(matching):
         if not (0 <= low < len(cells) and 0 <= high < len(cells)):
@@ -49,12 +57,49 @@ def is_acyclic(
 ) -> tuple[bool, list[int] | None]:
     """Cycle check on the up/down orientation of the cover digraph.
 
-    Matched covers point up, the rest point down.  An upper cell has no
-    outgoing up-edge (it is already the top of its pair), so any directed
-    cycle automatically alternates up and down moves.  The search starts
-    from the cells in index order and takes targets in simplex order.
+    Matched covers point up, the rest point down.  When no cell is named
+    twice, an upper cell has no outgoing up-edge, so any directed cycle
+    alternates: a lower cell, its mate, a face of the mate that is
+    another lower cell, and so on.  The verdict comes from Kahn's
+    algorithm on the lower cells with those edges: acyclic exactly when
+    repeatedly removing the cells with no incoming edge removes them all.
+    Order only decides which cycle gets reported, so only on a cycle, or
+    on a cell named twice or outside the cell set, does the ordered search
+    run: from the cells in index order, taking targets in simplex order.
     Returns the cycle as a list of cell indices when one exists.
     """
+    n = len(pair.cells)
+    named = {c for cover in matching for c in cover}
+    if len(named) < 2 * len(matching) or (named and (min(named) < 0 or max(named) >= n)):
+        return _ordered_cycle(pair, matching)
+    comate = [-1] * n  # the lower cell matched with each upper cell
+    below: dict[int, list[int]] = {}  # the lower cells among each one's mate's faces
+    for low, high in matching:
+        comate[high] = low
+        below[low] = []
+    # a pair that is no cover adds edges that the digraph lacks; a cycle
+    # through them only sends the check on to the ordered search
+    indegree = [0] * n
+    for face, cell in pair.covers():
+        low = comate[cell]
+        if low != -1 and low != face and face in below:
+            below[low].append(face)
+            indegree[face] += 1
+    ready = [low for low in below if not indegree[low]]
+    for low in ready:  # grows as the loop runs
+        for face in below[low]:
+            indegree[face] -= 1
+            if not indegree[face]:
+                ready.append(face)
+    if len(ready) == len(below):
+        return True, None
+    return _ordered_cycle(pair, matching)
+
+
+def _ordered_cycle(
+    pair: RelativeComplex, matching: frozenset[tuple[int, int]]
+) -> tuple[bool, list[int] | None]:
+    """The depth-first search behind ``is_acyclic``'s reported cycle."""
     n = len(pair.cells)
     up: list[list[int]] = [[] for _ in range(n)]
     for low, high in pair.covers():

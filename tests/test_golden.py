@@ -43,6 +43,9 @@ CASES = {
                      "--matching", "pawful", "--report"],
     "morse_report_g1": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "7",
                         "--matching", F / "G1.sstruct", "--report"],
+    # the size of the benchmark's pawful 8-vertex morse items at l = 7
+    "morse_report_p8": ["morse", F / "P8", "--a", "3", "--b", "8", "--ell", "7",
+                        "--matching", "pawful", "--report"],
     "morse_certificate": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
                           "--matching", F / "G1.sstruct"],
     "match_s": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",
