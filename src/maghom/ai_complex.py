@@ -155,8 +155,8 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     cells keep their order in ``cells``.  A face is kept exactly when it
     is one of ``cells``, so leaving out a subcomplex gives the relative
     boundary.  The maps (k, slot k -> slot k-1) come one at a time, from
-    the top slot down (the order in which ``snf.homology_of_complex``
-    clears); a map to or from an empty slot is zero and is not yielded.
+    the bottom slot up (the order in which ``snf.homology_of_complex``
+    compresses); a map to or from an empty slot is zero and is not yielded.
     """
     top = max(map(len, cells), default=0)
     by_size: list[list[Simplex]] = [[] for _ in range(top + 1)]
@@ -165,7 +165,7 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
     dims = [len(group) for group in by_size]
 
     def maps():
-        for k in range(len(by_size) - 1, 0, -1):
+        for k in range(1, len(by_size)):
             if not dims[k] or not dims[k - 1]:
                 continue
             row = {s: i for i, s in enumerate(by_size[k - 1])}
@@ -185,10 +185,11 @@ def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]
     """Homology of the quotient chain complex, degrees 0 .. length-2.
 
     Cells are the simplices of K outside K'; boundary faces that fall
-    into K' are dropped.  The maps are cleared from the top dimension down.
+    into K' are dropped.  The maps are compressed from the bottom
+    dimension up.
     """
     dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
-    return homology_of_complex(dims, reversed(pair.boundaries.items()))
+    return homology_of_complex(dims, pair.boundaries.items())
 
 
 def reduced_homology(cells) -> list[tuple[int, tuple[int, ...]]]:

@@ -32,8 +32,9 @@ m elements span one complex, whose groups count m times.  With trivial
 Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
 (a, a) (m = 1).  Each degree 2 <= k < l of a length is enumerated once
 for all of these complexes (``enumerate_classes``): every completed
-sequence goes to its complex by its endpoint pair, and each complex is
-then reduced on its own.
+sequence goes to its complex by its endpoint pair.  ``mh_column`` then
+reduces each complex on its own; ``is_diagonal_up_to``, which asks
+only whether groups vanish, reduces them side by side as one.
 
 A list of classes (m, pairs) is the one way to name summands: the
 pairs of a class span one complex whose groups count m >= 1 times,
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetExceeded, ValidationError, positive_int_env
 from .graph import Graph
@@ -269,23 +270,24 @@ def _homology(
 
     Degree 0 is empty, and d_2 maps onto C_1 (see ``is_diagonal_up_to``),
     so it has rank ``ones`` and no divisor and is not built.  Each other
-    boundary is built once, from the top degree down so that
-    ``homology_of_complex`` clears, and reaches the Smith form on its
+    boundary is built once, from the bottom degree up so that
+    ``homology_of_complex`` compresses, and reaches the Smith form on its
     own, so only one is held in memory; a map to or from an empty basis
     is zero and is not built.  A row y that d_l peeled (at its gap of 2,
     position j) is a zero column of d_(l-1), as y has no smooth point:
     its lone walk has none but the inserted v, so no point of y away
     from the gap is smooth, and d(y_(j-2), v) <= 1 puts y_(j-2) within 2
     of y_j, so y_(j-1) is not smooth, nor likewise y_j.  No insertion
-    reaches such a column, so d_(l-1) is built whole.
+    reaches such a column, so d_(l-1) has no pivot there, and the rows
+    that compression drops from d_l are all stored rows.
     """
 
-    def boundaries():  # d_l down to d_3, each at the index of its source
-        if top and bases and bases[-1]:
-            yield len(bases), boundary_matrix(g, None, bases[-1])
-        for i in range(len(bases) - 1, 0, -1):
+    def boundaries():  # d_3 up to d_l, each at the index of its source
+        for i in range(1, len(bases)):
             if bases[i] and bases[i - 1]:
                 yield i, boundary_matrix(g, bases[i], bases[i - 1])
+        if top and bases and bases[-1]:
+            yield len(bases), boundary_matrix(g, None, bases[-1])
 
     (free, tors), *upper = homology_of_complex([len(b) for b in bases] + [top], boundaries())
     return [(0, ()), (0, ()), (free - ones, tors)] + upper
@@ -346,29 +348,24 @@ def _check_classes(g: Graph, classes: Classes) -> Classes:
     return checked
 
 
-def mh_column(
-    g: Graph, length: int, classes: Classes | None = None
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Free rank and torsion divisors of the length-l groups, degrees 0..l.
+def _cells(
+    g: Graph, length: int, classes: Classes
+) -> tuple[list[int], list[list[list[tuple[int, ...]]]], list[int]]:
+    """The cells of the length-l complex of each class (m, pairs) of the
+    checked ``classes``, charged to the basis cap: (ones, by_degree,
+    tops), where class i has ones[i] cells in degree 1, the basis
+    by_degree[k - 2][i] in each degree 2 <= k < l and tops[i] cells in
+    degree l.
 
-    One summand per class (m, pairs) of ``classes`` (``orbit_classes(g)``
-    when not given) is reduced: its pairs span one complex, whose groups
-    count m times.  Each degree 2 <= k < l is enumerated once for all
-    classes (``enumerate_classes``), before any boundary is built, and
-    each class gets the basis it would get alone; every cell charges its
-    orbit size m to the basis cap.  Degrees 0, 1 and l are counted, not
-    enumerated.  Degree 0 is empty for l >= 1.  For l >= 2, degree 1 is
-    the pairs at distance l, charged first, and d_2 maps onto it (see
-    ``_homology``).  Degree l is the length-l walks, Σ (A^l)_ab over the
-    pairs, and ``boundary_matrix`` builds d_l from degree l-1.  The walk
-    count, each cell weighed by m, is checked against the cap after the
-    enumerated degrees.
-
-    Each class is reduced on its own, and its bases and boundaries are
-    freed as soon as its groups are known: the enumeration leaves no
-    reference cycle, so nothing waits for the garbage collector.
+    Degrees 2 <= k < l are enumerated once for all classes
+    (``enumerate_classes``), and each class gets the basis it would get
+    alone; every cell charges its orbit size m to the cap.  Degrees 0, 1
+    and l are counted, not enumerated.  Degree 0 is empty for l >= 1.
+    For l >= 2, degree 1 is the pairs at distance l, charged first.
+    Degree l is the length-l walks, Σ (A^l)_ab over the pairs, charged
+    after the enumerated degrees.
     """
-    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
+    ones = [0] * len(classes)
     if length >= 2:
         ones = [sum(g.dist[a][b] == length for a, b in pairs) for _, pairs in classes]
         cap = basis_cap()
@@ -377,13 +374,34 @@ def mh_column(
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(2, length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
-    cells = sum(m * top for (m, _), top in zip(classes, tops))
     if length:  # as in enumerate_classes, which charges no degree 0
         cap = basis_cap()
-        if cells > cap:
+        if sum(m * top for (m, _), top in zip(classes, tops)) > cap:
             raise _over_cap(length, length, cap)
+    return ones, by_degree, tops
+
+
+def mh_column(
+    g: Graph, length: int, classes: Classes | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Free rank and torsion divisors of the length-l groups, degrees 0..l.
+
+    One summand per class (m, pairs) of ``classes`` (``orbit_classes(g)``
+    when not given) is reduced: its pairs span one complex, whose groups
+    count m times.  ``_cells`` enumerates and charges the cells of every
+    class before any boundary is built; for l >= 2 d_2 maps onto degree
+    1 (see ``_homology``), and ``boundary_matrix`` builds d_l from degree
+    l-1.
+
+    Each class is reduced on its own, and its bases and boundaries are
+    freed as soon as its groups are known, so only one class's boundary
+    is held at a time: the enumeration leaves no reference cycle, so
+    nothing waits for the garbage collector.
+    """
+    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
+    ones, by_degree, tops = _cells(g, length, classes)
     if length < 2:  # the walks are the only cells
-        return [(0, ())] * length + [(cells, ())]
+        return [(0, ())] * length + [(sum(m * top for (m, _), top in zip(classes, tops)), ())]
     parts = [
         (m, ones[i], [bases[i] for bases in by_degree], tops[i])
         for i, (m, _) in enumerate(classes)
@@ -489,12 +507,21 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     MH_{2,2} can be nonzero, all on the diagonal.  Lengths from 3 on are
     computed in increasing order, and the first one with a nonzero
     off-diagonal group settles the answer.
+
+    Only vanishing is asked, not the weighted ranks, so each length is
+    reduced as one complex: the cells of every orbit class, enumerated
+    and charged as ``mh_column`` does (``_cells``), side by side.  Its
+    groups are the direct sums of the class groups, so one vanishes
+    exactly when all of them do.
     """
     if lmax < 3:
         return True
     classes = orbit_classes(g)
     for length in range(3, lmax + 1):
-        column = mh_column(g, length, classes)
+        ones, by_degree, tops = _cells(g, length, classes)
+        bases = [list(chain.from_iterable(per_class)) for per_class in by_degree]
+        del by_degree
+        column = _homology(g, sum(ones), bases, sum(tops))
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

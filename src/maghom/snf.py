@@ -14,13 +14,14 @@ intermediate values may exceed 64 bits.  A matrix may come with rows
 its producer has peeled already (``SparseMatrix.peeled``): they count as
 unit pivots and are never loaded.
 
-``homology_of_complex`` takes the boundaries from the top degree down
-and clears: the rows on which d_(k+1) pivoted on a unit are left out as
-columns of d_k, which keeps the rank and divisors of d_k (the proof is in
-its docstring).  This is the clearing of persistent homology (Chen-Kerber,
-"Persistent homology computation with a twist", 2011; Bauer-Kerber-
-Reininghaus, "Clear and compress", 2014), carried over to Z through unit
-pivots only.
+``homology_of_complex`` takes the boundaries from the bottom degree up
+and compresses: the rows of d_(k+1) at the columns on which d_k pivoted
+on a unit are left out, which keeps the rank and divisors of d_(k+1)
+(the proof is in its docstring).  So the small low-degree maps shrink
+the large top one.  This is the compression of persistent homology
+(Bauer-Kerber-Reininghaus, "Clear and compress", 2014), the dual of
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011), carried over to Z through unit pivots only.
 """
 
 from __future__ import annotations
@@ -52,30 +53,32 @@ class SNFResult:
     """Rank and nontrivial elementary divisors of an integer matrix.
 
     ``divisors`` lists the diagonal entries > 1 of the Smith form, in
-    divisibility order d1 | d2 | ... .  ``pivot_rows`` are the rows of the
-    unit pivots of the sparse phase (none of the dense phase) and the
-    peeled rows, the rows that ``homology_of_complex`` clears from the
-    next boundary down.
+    divisibility order d1 | d2 | ... .  ``pivot_cols`` are the columns of
+    the unit pivots of the sparse phase (none of the dense phase), the
+    rows that ``homology_of_complex`` leaves out of the next boundary up.
+    A peeled row's unit column is not numbered, so it is not among them.
     """
 
     rank: int
     divisors: tuple[int, ...]
-    pivot_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    pivot_cols: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
 
-def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFResult:
+def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFResult:
     """Rank and elementary divisors via hybrid sparse/dense reduction, of
-    ``mat`` with the columns in ``cleared`` left out; the rows of the unit
-    pivots come back as ``pivot_rows``.
+    ``mat`` with the rows in ``dropped`` left out; the columns of the unit
+    pivots come back as ``pivot_cols``.
 
     The Smith form is I_|peeled| beside that of the stored entries, which
-    lie on the other rows, so the peeled rows add to the rank and to the
-    pivot rows and are never loaded.
+    lie on the other rows, so the peeled rows add to the rank and are
+    never loaded.  ``dropped`` names stored rows only: the rows that
+    ``homology_of_complex`` drops are integer combinations of the others,
+    and a peeled row is none, as no other row reaches its unit column.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in mat.entries.items():
-        if v and c not in cleared:
+        if v and r not in dropped:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
     pivots: list[int] = []
@@ -117,7 +120,7 @@ def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFRe
                             del cols[cc]
             else:
                 continue
-            pivots.append(r)
+            pivots.append(c)
 
     peel()
     # the units left, least Markowitz cost (row size - 1) * (column size - 1) first
@@ -141,7 +144,7 @@ def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFRe
         # pivot on (r, c): clear column c by row operations, then drop the
         # pivot row and column (the row cleanup is a sequence of column
         # operations that only touch the dropped row)
-        pivots.append(r)
+        pivots.append(c)
         prow = rows.pop(r)
         piv = prow[c]
         for cc in prow:
@@ -176,9 +179,9 @@ def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFRe
         peel()
 
     rank = len(pivots) + len(mat.peeled)
-    pivot_rows = mat.peeled.union(pivots)
+    pivot_cols = frozenset(pivots)
     if not rows:
-        return SNFResult(rank, (), pivot_rows)
+        return SNFResult(rank, (), pivot_cols)
 
     # dense residual: no +-1 entries left
     live_rows = sorted(rows)
@@ -190,7 +193,7 @@ def smith_normal_form(mat: SparseMatrix, cleared: Collection[int] = ()) -> SNFRe
             dense[i][cindex[c]] = v
     diag = _dense_smith_diagonal(dense)
     divisors = tuple(d for d in diag if d > 1)
-    return SNFResult(rank + len(diag), divisors, pivot_rows)
+    return SNFResult(rank + len(diag), divisors, pivot_cols)
 
 
 def _dense_smith_diagonal(m: list[list[int]]) -> list[int]:
@@ -272,31 +275,31 @@ def homology_of_complex(
     rank d_(k+1) together with the torsion divisors, which come from the
     Smith form of d_(k+1).
 
-    Boundaries given from the top degree down are cleared: d_k is reduced
-    without the columns in the ``pivot_rows`` P of d_(k+1), when d_(k+1)
-    came first.  This keeps the rank and the divisors of d_k.  The unit
-    pivots of d_(k+1) sit at (p_i, q_i), p_i in P, q_i in a set Q of its
-    columns, and each replaces the rest of the matrix by its Schur
-    complement: by det [[u, b], [c, D]] = u det(D - c u^-1 b), the P x Q
-    submatrix of d_(k+1) has determinant the product of the pivots, +-1.
-    So the columns Q of d_(k+1), with the unit vectors of C_k off P, form
-    a Z-basis of C_k: with the rows P first, their matrix is block lower
-    triangular with diagonal blocks that P x Q submatrix and an identity,
-    so its determinant is +-1.  d_k is
-    zero on the first part of that basis, since d_k d_(k+1) = 0, so in
-    that basis d_k is its columns off P beside zero columns: a unimodular
-    change of basis, which keeps the Smith form.  Dense-phase pivots are
-    not unit pivots and are never cleared.
+    Boundaries given from the bottom degree up are compressed: d_(k+1) is
+    reduced without the rows in the ``pivot_cols`` Q of d_k, when d_k came
+    first.  This keeps the rank and the divisors of d_(k+1).  The unit
+    pivots of d_k sit at (s_i, q_i), q_i in Q, s_i in a set S of its rows,
+    and each replaces the rest of the matrix by its Schur complement: by
+    det [[u, b], [c, D]] = u det(D - c u^-1 b), the S x Q submatrix
+    d_k[S, Q] has determinant the product of the pivots, +-1, so its
+    inverse is an integer matrix.  As d_k d_(k+1) = 0, its rows S give
+    d_k[S, Q] d_(k+1)[Q, :] = -d_k[S, Q^c] d_(k+1)[Q^c, :], so the rows Q
+    of d_(k+1) are -d_k[S, Q]^-1 d_k[S, Q^c] times its other rows, an
+    integer combination.  Subtracting it is a unimodular row operation
+    that leaves them zero, so dropping them keeps the Smith form.  A d_k
+    that was itself reduced without some rows is still killed by
+    d_(k+1), so the argument holds for it too.  Dense-phase pivots are
+    not unit pivots and are never dropped.
 
     A matrix with ``peeled`` rows stands for d_(k+1) U with U unimodular
     (see ``SparseMatrix``): it has the image of d_(k+1), so the same
-    homology, and d_k d_(k+1) U = 0, so the argument above holds for it
-    with each peeled row and its unit column among the pivots.
+    homology, and d_k d_(k+1) U = 0, so the argument above holds for it.
+    A boundary that comes before the one below it is reduced whole.
     """
     snf: dict[int, SNFResult] = {}
     zero = SNFResult(0, ())
     for k, mat in boundaries:
-        snf[k] = smith_normal_form(mat, snf.get(k + 1, zero).pivot_rows)
+        snf[k] = smith_normal_form(mat, snf.get(k - 1, zero).pivot_cols)
         del mat  # not held while the next boundary is built
     out = []
     for k in range(len(dims)):

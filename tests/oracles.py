@@ -10,7 +10,7 @@ from collections import namedtuple
 from math import gcd, inf
 
 from maghom.errors import MaghomError
-from maghom.homology import mh_column
+from maghom.homology import mh_column, orbit_classes
 from maghom.magnitude import magnitude_series
 from maghom.polyq import IntPoly
 from maghom.snf import SparseMatrix, smith_normal_form
@@ -204,9 +204,9 @@ def rank_fraction_free(rows):
 
 
 def homology_uncleared(dims, boundaries):
-    """Homology with every full boundary (k, d_k) reduced bottom-up and
-    nothing cleared: rank H_k = dims[k] - rank d_k - rank d_(k+1), torsion
-    from the divisors of d_(k+1)."""
+    """Homology with every full boundary (k, d_k) reduced on its own,
+    nothing cleared or compressed: rank H_k = dims[k] - rank d_k -
+    rank d_(k+1), torsion from the divisors of d_(k+1)."""
     snf = {k: smith_normal_form(mat) for k, mat in sorted(boundaries, key=lambda km: km[0])}
     out = []
     for k in range(len(dims)):
@@ -214,6 +214,19 @@ def homology_uncleared(dims, boundaries):
         rank_out = snf[k].rank if k in snf else 0
         out.append((dims[k] - rank_out - rank_in, snf[k + 1].divisors if k + 1 in snf else ()))
     return out
+
+
+def diagonal_class_by_class(g, lmax):
+    """``is_diagonal_up_to`` through ``mh_column``, which reduces one
+    orbit class at a time: does every group with k != l vanish for
+    3 <= l <= lmax?  Lengths go in increasing order, so a budget is hit
+    where the library hits it."""
+    classes = orbit_classes(g)
+    for length in range(3, lmax + 1):
+        column = mh_column(g, length, classes)
+        if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
+            return False
+    return True
 
 
 def rank_mod_p(mat, p):

@@ -13,7 +13,7 @@ from conftest import (
     load_fixture,
     random_connected,
 )
-from oracles import is_smooth, is_zero, sequence_length, sparse_matmul
+from oracles import diagonal_class_by_class, is_smooth, is_zero, sequence_length, sparse_matmul
 
 from maghom import (
     complete_graph,
@@ -526,22 +526,77 @@ def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
 
 
 def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, g3):
+    # each length is enumerated once for all orbit classes and reduced as
+    # one complex, not class by class through mh_column
     seen = []
-    column = homology.mh_column
+    cells, reduce = homology._cells, homology._homology
 
-    def recorded(g, length, *rest):
-        seen.append(length)
-        return column(g, length, *rest)
+    def recorded_cells(g, length, classes):
+        seen.append(("cells", length, len(classes)))
+        return cells(g, length, classes)
 
-    monkeypatch.setattr(homology, "mh_column", recorded)
+    def recorded_homology(g, ones, bases, top):
+        seen.append(("reduce", len(bases) + 2))
+        return reduce(g, ones, bases, top)
+
+    def refused(*args):
+        raise AssertionError("mh_column called")
+
+    monkeypatch.setattr(homology, "_cells", recorded_cells)
+    monkeypatch.setattr(homology, "_homology", recorded_homology)
+    monkeypatch.setattr(homology, "mh_column", refused)
+    assert len(orbit_classes(g3)) > 1 and len(orbit_classes(g1)) > 1
     assert not is_diagonal_up_to(g3, 6)
-    assert seen == [3]  # lengths 0-2 are diagonal without computing
+    # lengths 0-2 are diagonal without computing
+    assert seen == [("cells", 3, len(orbit_classes(g3))), ("reduce", 3)]
     seen.clear()
-    assert is_diagonal_up_to(g1, 3)
-    assert seen == [3]
+    assert is_diagonal_up_to(g1, 4)
+    n = len(orbit_classes(g1))
+    assert seen == [("cells", 3, n), ("reduce", 3), ("cells", 4, n), ("reduce", 4)]
     seen.clear()
     assert is_diagonal_up_to(g3, 2)
     assert seen == []
+
+
+def outcome(route, g, lmax):
+    try:
+        return route(g, lmax)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def cap_charges(g, lmax):
+    """Every amount charged to the basis cap at lengths 3..lmax: the
+    degree-1 cells, each enumerated degree and the walks, each cell
+    weighed by its orbit size."""
+    classes, charges = orbit_classes(g), set()
+    for length in range(3, lmax + 1):
+        walks = g.walks(length)
+        charges.add(sum(m * sum(g.dist[a][b] == length for a, b in pairs) for m, pairs in classes))
+        for k in range(2, length):
+            sizes = [len(enumerate_sequences(g, k, length, pairs)) for _, pairs in classes]
+            charges.add(sum(m * size for (m, _), size in zip(classes, sizes)))
+        charges.add(sum(m * sum(walks[a][b] for a, b in pairs) for m, pairs in classes))
+    return charges
+
+
+@pytest.mark.parametrize("name", ["C4", "G1", "G3", "K33", "C7"])
+def test_merged_diagonal_check_keeps_every_budget_outcome(monkeypatch, name):
+    # swept across each charge, the merged check gives the per-class
+    # route's verdict or raises its message at the same caps; C7, of
+    # diameter 3, reaches the degree-1 charge first at length 3
+    g = {"K33": K33, "C7": cycle_graph(7)}.get(name) or load_fixture(name)
+    lmax = 6
+    caps = sorted({c + d for c in cap_charges(g, lmax) for d in (-1, 0) if c + d > 0})
+    raised = 0
+    for cap in caps:
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
+        merged = outcome(is_diagonal_up_to, g, lmax)
+        assert merged == outcome(diagonal_class_by_class, g, lmax), cap
+        raised += isinstance(merged, str)
+    monkeypatch.delenv("MAGHOM_BASIS_CAP")
+    assert 0 < raised < len(caps)
+    assert is_diagonal_up_to(g, lmax) == diagonal_class_by_class(g, lmax)
 
 
 def test_lengths_up_to_two_are_diagonal(g1, g2, g3, c4):

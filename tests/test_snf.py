@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from conftest import RP2_FACES, random_connected
@@ -155,7 +155,7 @@ def test_torsion_of_projective_plane():
     dims, boundaries = simplicial_chain(RP2_FACES)
     for d in range(2, len(dims)):
         assert is_zero(sparse_matmul(boundaries[d - 1], boundaries[d]))
-    # bottom-up (nothing to clear) and top-down (cleared), and the oracle
+    # bottom-up (compressed) and top-down (nothing to drop), and the oracle
     h = homology_of_complex(dims, boundaries.items())
     assert h == homology_of_complex(dims, reversed(boundaries.items()))
     assert h == homology_uncleared(dims, boundaries.items())
@@ -224,14 +224,20 @@ def test_peeled_smith_form_agrees_with_the_dense_reduction():
         mat = SparseMatrix(entries, nr, nc)
         res = smith_normal_form(mat)
         assert (res.rank, res.divisors) == dense_smith(mat)
-        # the unit pivot rows carry a unimodular minor: their rows of the
-        # matrix have Smith form I
-        rows = res.pivot_rows
-        assert len(rows) <= res.rank and rows <= set(range(nr))
+        # the unit pivot columns carry a unimodular minor: their columns of
+        # the matrix have Smith form I
+        cols = res.pivot_cols
+        assert len(cols) <= res.rank and cols <= set(range(nc))
         sub = smith_normal_form(
-            SparseMatrix({rc: v for rc, v in entries.items() if rc[0] in rows}, nr, nc)
+            SparseMatrix({rc: v for rc, v in entries.items() if rc[1] in cols}, nr, nc)
         )
-        assert (sub.rank, sub.divisors) == (len(rows), ())
+        assert (sub.rank, sub.divisors) == (len(cols), ())
+        # dropped rows are left out, whatever they hold
+        dropped = frozenset(r for r in range(nr) if rng.random() < 0.3)
+        kept = SparseMatrix({rc: v for rc, v in entries.items() if rc[0] not in dropped}, nr, nc)
+        res = smith_normal_form(mat, dropped)
+        assert (res.rank, res.divisors) == dense_smith(kept)
+        assert res.pivot_cols == smith_normal_form(kept).pivot_cols
 
 
 def test_peeled_rows_add_unit_pivots_beside_the_stored_rows():
@@ -251,58 +257,84 @@ def test_peeled_rows_add_unit_pivots_beside_the_stored_rows():
         res = smith_normal_form(SparseMatrix(entries, nr, nc, peeled))
         stored = smith_normal_form(SparseMatrix(entries, nr, nc))
         assert (res.rank, res.divisors) == (len(peeled) + stored.rank, stored.divisors)
-        assert res.pivot_rows >= peeled
+        # the peeled rows' unit columns are not numbered: the pivot columns
+        # are those of the stored entries
+        assert res.pivot_cols == stored.pivot_cols
         # the same matrix with each peeled row's unit column written out
         units = {(r, nc + i): rng.choice((-1, 1)) for i, r in enumerate(sorted(peeled))}
         whole = SparseMatrix({**entries, **units}, nr, nc + len(peeled))
         assert (res.rank, res.divisors) == dense_smith(whole)
 
 
-def test_dense_phase_pivot_rows_are_not_cleared():
+def test_dense_phase_pivots_are_not_dropped():
     # Z -> Z^2 -> Z with d_2 = (2, 3)^T and d_1 = (3, -2): exact, so all
-    # groups vanish.  d_2 has no unit entry, so nothing may be cleared from
-    # d_1; leaving out its first column would give H_0 = Z/2.
+    # groups vanish.  d_1 has no unit entry, so no row may be dropped from
+    # d_2; leaving out either would give H_1 = Z/2 or Z/3.
     boundaries = [
-        (2, SparseMatrix({(0, 0): 2, (1, 0): 3}, 2, 1)),
         (1, SparseMatrix({(0, 0): 3, (0, 1): -2}, 1, 2)),
+        (2, SparseMatrix({(0, 0): 2, (1, 0): 3}, 2, 1)),
     ]
-    assert smith_normal_form(boundaries[0][1]).pivot_rows == frozenset()
+    assert smith_normal_form(boundaries[0][1]).pivot_cols == frozenset()
     expected = [(0, ()), (0, ()), (0, ())]
     assert homology_uncleared([1, 2, 1], boundaries) == expected
     assert homology_of_complex([1, 2, 1], boundaries) == expected
+    assert homology_of_complex([1, 2, 1], reversed(boundaries)) == expected
 
 
 def magnitude_boundaries(g, bases):
-    """(k, d_k) for the complex spanned by ``bases``, from the top degree down."""
+    """(k, d_k) for the complex spanned by ``bases``, from the bottom degree up."""
     return [
         (k, boundary_matrix(g, bases[k], bases[k - 1]))
-        for k in range(len(bases) - 1, 0, -1)
+        for k in range(1, len(bases))
         if bases[k] and bases[k - 1]
     ]
 
 
-def test_clearing_leaves_out_the_unit_pivot_rows_of_the_map_above(g3, monkeypatch):
+def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, monkeypatch):
     bases = [enumerate_sequences(g3, k, 6) for k in range(7)]
     calls = []
 
-    def recorded(mat, cleared=()):
-        res = smith_normal_form(mat, cleared)
-        calls.append((mat, cleared, res))
+    def recorded(mat, dropped=()):
+        res = smith_normal_form(mat, dropped)
+        calls.append((mat, dropped, res))
         return res
 
     monkeypatch.setattr(snf, "smith_normal_form", recorded)
     dims, boundaries = [len(b) for b in bases], magnitude_boundaries(g3, bases)
-    assert homology_of_complex(dims, boundaries) == homology_uncleared(dims, boundaries)
+    expected = homology_uncleared(dims, boundaries)
+    assert homology_of_complex(dims, reversed(boundaries)) == expected
+    # top down, no map comes after the one below it: nothing is dropped
+    assert all(not dropped for _, dropped, _ in calls)
+    calls.clear()
+    assert homology_of_complex(dims, boundaries) == expected
     # C_2 = 0 at length 6 (diameter 2), so d_3 is zero and not built
-    assert [mat.ncols for mat, _, _ in calls] == dims[6:3:-1]
+    assert [mat.ncols for mat, _, _ in calls] == dims[4:]
     assert not calls[0][1]
-    for (mat, _, res), (_, cleared, _) in zip(calls, calls[1:]):
-        assert cleared == res.pivot_rows
+    for (mat, _, res), (above, dropped, _) in zip(calls, calls[1:]):
+        assert mat.ncols == above.nrows
+        assert dropped == res.pivot_cols
         # no dense phase here: every pivot is a unit pivot
-        assert len(cleared) == smith_normal_form(mat).rank > 0
+        assert len(dropped) == smith_normal_form(mat).rank > 0
+        # the dropped rows are combinations of the kept ones
+        full = smith_normal_form(above)
+        kept = SparseMatrix(
+            {rc: v for rc, v in above.entries.items() if rc[0] not in dropped},
+            above.nrows,
+            above.ncols,
+        )
+        assert smith_normal_form(kept) == full
+    # the same complex through mh_column, whose top map is peeled: the
+    # rows dropped from it are stored rows
+    calls.clear()
+    assert mh_column(g3, 6, [(1, list(product(g3.vertices, repeat=2)))]) == expected
+    assert [mat.ncols for mat, _, _ in calls[:-1]] == dims[4:6]
+    for (_, _, res), (_, dropped, _) in zip(calls, calls[1:]):
+        assert dropped == res.pivot_cols
+    top, dropped, _ = calls[-1]
+    assert top.peeled and dropped and not top.peeled & dropped
 
 
-def test_clearing_keeps_the_fixture_summands(c4, g1, g2, g3):
+def test_compression_keeps_the_fixture_summands(c4, g1, g2, g3):
     for g in (c4, g1, g2, g3):
         for a in g.vertices:
             for b in g.vertices:
@@ -319,7 +351,7 @@ def test_clearing_keeps_the_fixture_summands(c4, g1, g2, g3):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_clearing_keeps_the_orbit_class_complexes(seed):
+def test_compression_keeps_the_orbit_class_complexes(seed):
     rng = random.Random(seed)
     g = random_connected(rng, 5 + seed % 3)
     for ell in range(1, 6):
@@ -329,6 +361,7 @@ def test_clearing_keeps_the_orbit_class_complexes(seed):
             dims, boundaries = [len(x) for x in bases], magnitude_boundaries(g, bases)
             columns.append((m, homology_uncleared(dims, boundaries)))
             assert homology_of_complex(dims, boundaries) == columns[-1][1]
+            assert homology_of_complex(dims, reversed(boundaries)) == columns[-1][1]
         assert mh_column(g, ell) == [
             (sum(m * c[k][0] for m, c in columns), merge_torsion((c[k][1], m) for m, c in columns))
             for k in range(ell + 1)
@@ -337,4 +370,7 @@ def test_clearing_keeps_the_orbit_class_complexes(seed):
         if ell >= 3:
             dims, maps = cell_boundaries([()] + sorted(path_complex(g, a, b, ell)))
             maps = list(maps)
-            assert homology_of_complex(dims, maps) == homology_uncleared(dims, maps)
+            assert [k for k, _ in maps] == sorted(k for k, _ in maps)
+            expected = homology_uncleared(dims, maps)
+            assert homology_of_complex(dims, maps) == expected
+            assert homology_of_complex(dims, reversed(maps)) == expected
