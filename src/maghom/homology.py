@@ -85,9 +85,10 @@ def enumerate_classes(
     basis would outgrow the configured cap, before memory does.  A pair
     named twice raises ValidationError.
 
-    The stub memo and the recursion that walks it hold no reference to
-    themselves once the call ends, by return or by raise, so they are
-    freed then; the caller holds only the lists returned.
+    The sequences are grown by a loop over an explicit stack, not by
+    recursion, so no degree is too deep for Python's recursion limit.
+    The stub memo and the stack are freed when the call ends, by return
+    or by raise; the caller holds only the lists returned.
     """
     out: list[list[tuple[int, ...]]] = [[] for _ in classes]
     if k < 0 or length < 0:
@@ -116,46 +117,43 @@ def enumerate_classes(
     # to r and end at `end` (None: anywhere); at most n * length * k lists
     # of at most n stubs each per end
     memo: dict[int | None, dict[tuple[tuple[int, int], int], list[tuple[int, int]]]] = {}
-
-    def extend(prefix: tuple[int, ...], stubs: list, gaps: int) -> None:
-        """Continue ``prefix`` by each stub (v, r): v, then ``gaps`` >= 1
-        gaps adding up to r, the last one to an allowed end."""
-        nonlocal size
-        if gaps > 1:
-            for stub in stubs:
-                after = following.get((stub, gaps))
-                if after is None:  # later gaps are >= 1 and <= maxd, and end at `end`
-                    v, r = stub
-                    lo = max(1, r - (gaps - 1) * maxd)  # skips w = v and index 0
-                    hi = r - (gaps - 1)
-                    after = following[(stub, gaps)] = [
-                        (w, r - d)
-                        for w, d in enumerate(dist[v])
-                        if lo <= d <= hi and (end is None or dist[w][end] <= r - d)
-                    ]
-                if after:
-                    extend(prefix + (stub[0],), after, gaps - 1)
-            return
-        for i, last in groups:
-            new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
-            if new:
-                size += weights[i] * len(new)
-                if size > cap:
-                    raise _over_cap(k, length, cap)
-                out[i].extend(new)
-
-    try:
-        for first in sorted(ends):
-            groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
-            for b in sorted(ends[first]):
-                groups_of.setdefault(ends[first][b], []).append(b)
-            groups = list(groups_of.items())
-            # a single end prunes every prefix that cannot reach it in time
-            end = next(iter(ends[first])) if len(ends[first]) == 1 else None
-            following = memo.setdefault(end, {})
-            extend((), [(first, length)], k)
-    finally:
-        del extend  # it calls itself through its cell: unbound, the scope is freed on return
+    for first in sorted(ends):
+        groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
+        for b in sorted(ends[first]):
+            groups_of.setdefault(ends[first][b], []).append(b)
+        groups = list(groups_of.items())
+        # a single end prunes every prefix that cannot reach it in time
+        end = next(iter(ends[first])) if len(ends[first]) == 1 else None
+        following = memo.setdefault(end, {})
+        # depth first: (prefix, stubs, gaps) continues ``prefix`` by each
+        # stub (v, r): v, then ``gaps`` >= 1 gaps adding up to r, the last
+        # one to an allowed end; children go on in reverse, so they come
+        # off in stub order
+        work = [((), [(first, length)], k)]
+        while work:
+            prefix, stubs, gaps = work.pop()
+            if gaps > 1:
+                for stub in reversed(stubs):
+                    after = following.get((stub, gaps))
+                    if after is None:  # later gaps are >= 1 and <= maxd, and end at `end`
+                        v, r = stub
+                        lo = max(1, r - (gaps - 1) * maxd)  # skips w = v and index 0
+                        hi = r - (gaps - 1)
+                        after = following[(stub, gaps)] = [
+                            (w, r - d)
+                            for w, d in enumerate(dist[v])
+                            if lo <= d <= hi and (end is None or dist[w][end] <= r - d)
+                        ]
+                    if after:
+                        work.append((prefix + (stub[0],), after, gaps - 1))
+                continue
+            for i, last in groups:
+                new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
+                if new:
+                    size += weights[i] * len(new)
+                    if size > cap:
+                        raise _over_cap(k, length, cap)
+                    out[i].extend(new)
     return out
 
 

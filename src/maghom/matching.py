@@ -25,12 +25,14 @@ backtracking.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .ai_complex import RelativeComplex
 from .errors import (
     BudgetExceeded,
     CertificateError,
+    InternalCheckError,
     ParseError,
     ValidationError,
     positive_int_env,
@@ -130,12 +132,26 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
     certificate's middle vertex inserted right after the gap start (in
     the simplex, at position +1, the unique choice that keeps positions
     cumulative); pattern-first cells lose the vertex after the pattern
-    start.  Both directions are verified to be mutually inverse; any
-    failure means the certificate is invalid for this graph.  Insertion
-    is checked cell by cell, deletion by a count, since an insertion that
-    deletion inverts is one-to-one; order only decides which failure gets
-    reported, so only a count that differs sends the pattern-first cells
-    through the check one by one.
+    start.  Each gap-first cell is checked to go to a pattern-first cell
+    that deletion takes back to it; any failure means the certificate is
+    invalid for this graph.  So insertion is one-to-one, and it is onto
+    as well, which the count comparison at the end only re-checks.
+
+    Take a pattern-first cell c = (x_0, .., x_k) with its pattern at t,
+    and let y be c with x_(t+1) deleted.  The pattern's two steps of 1
+    become one of 2, so y is a cell: it has c's length l >= 3 and one
+    degree less, at least 2, as a degree-2 cell with a pattern has
+    length 2.
+    Before t - 1, y agrees with c on every gap and pattern window, so it
+    has neither there.  At t - 1, y has no gap (that gap is c's), and it
+    has no pattern there either.  A pattern there would need
+    d(x_t, x_(t+2)) = 1, or d(x_1, x_3) = 1 when t = 1, but c's pattern
+    needs that distance to be 2.  So y is gap-first at t, its gap
+    d(x_t, x_(t+2)) = 2 (a pattern there too has already raised).  Its
+    certificate key is the key of c's pattern, and ``_by_key`` gives
+    each key one middle, x_(t+1), so inserting into y gives back c.  So
+    once the gap-first loop passes, every pattern-first cell has been
+    matched.
     """
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
@@ -203,17 +219,8 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
         if delete(m) != c:
             raise CertificateError(f"deletion does not invert insertion at {show(c)}")
         mate[c] = m
-    # one-to-one into the pattern-first cells, so onto them when the counts agree
-    if len(mate) == len(pattern_first):
-        return MatchingBuild(frozenset(mate.items()), tuple(untouched))
-    gap_set = set(gap_first)
-    for c in pattern_first:
-        m = delete(c)
-        if m not in gap_set:
-            raise CertificateError(f"preimage of {show(c)} is not a gap-first cell")
-        if mate[m] != c:
-            raise CertificateError(f"insertion does not invert deletion at {show(c)}")
-
+    if len(mate) != len(pattern_first):
+        raise InternalCheckError(f"{len(pattern_first) - len(mate)} pattern-first cells unmatched")
     return MatchingBuild(frozenset(mate.items()), tuple(untouched))
 
 
@@ -343,7 +350,9 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
     Returns a certificate, or None once the whole choice tree is ruled
     out.  Choice points are processed fewest-candidates-first; a node
     budget (default from MAGHOM_SEARCH_BUDGET) guards runaway searches,
-    raising BudgetExceeded, which is distinct from exhaustion.
+    raising BudgetExceeded, which is distinct from exhaustion.  The
+    backtracking is a loop over a stack of candidate iterators, one per
+    variable assigned, so any number of variables fits.
     """
     if diameter(g) > 2:
         raise ValidationError("certificates are defined for diameter <= 2")
@@ -363,61 +372,52 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
     if any(not v[2] for v in variables):
         return None
 
+    chosen: list[tuple[int, ...]] = []  # a triple or quadruple per assigned variable
     chosen_triples: set[tuple[int, int, int]] = set()
-    chosen_quads: set[tuple[int, int, int, int]] = set()
     # distinct keys can contribute the same prefix or suffix tuple, so
     # occupancy is counted rather than kept as a plain set
-    first3: dict[tuple[int, int, int], int] = {}
-    last3: dict[tuple[int, int, int], int] = {}
+    first3: Counter[tuple[int, ...]] = Counter()
+    last3: Counter[tuple[int, ...]] = Counter()
     nodes = 0
-
-    def bump(counter, key, delta):
-        new = counter.get(key, 0) + delta
-        if new:
-            counter[key] = new
-        else:
-            del counter[key]
-
-    def assign(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(variables):
-            return True
-        kind, key, candidates = variables[idx]
-        for mid in candidates:
+    # the candidates not yet tried for each assigned variable and the next
+    pending = [iter(variables[0][2])] if variables else []
+    while pending and len(chosen) < len(variables):
+        kind, key, _ = variables[len(chosen)]
+        for mid in pending[-1]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"certificate search exceeded {budget} nodes")
             if kind == "T":
                 t = (key[0], mid, key[1])
-                if t in first3:
+                if first3[t]:
                     continue
                 chosen_triples.add(t)
-                if assign(idx + 1):
-                    return True
-                chosen_triples.discard(t)
+                chosen.append(t)
             else:
                 al, be, de = key
                 q = (al, be, mid, de)
                 pre, suf = q[:3], q[1:]
-                if suf in first3 or pre in last3 or pre in chosen_triples:
+                if first3[suf] or last3[pre] or pre in chosen_triples:
                     continue
-                chosen_quads.add(q)
-                bump(first3, pre, 1)
-                bump(last3, suf, 1)
-                if assign(idx + 1):
-                    return True
-                chosen_quads.discard(q)
-                bump(first3, pre, -1)
-                bump(last3, suf, -1)
-        return False
-
-    try:
-        found = assign(0)
-    finally:
-        del assign  # it calls itself through its cell: unbound, the scope is freed on return
-    if found:
-        return SStructure(frozenset(chosen_quads), frozenset(chosen_triples))
-    return None
+                first3[pre] += 1
+                last3[suf] += 1
+                chosen.append(q)
+            if len(chosen) < len(variables):
+                pending.append(iter(variables[len(chosen)][2]))
+            break
+        else:  # every candidate failed: undo the choice of the variable before
+            pending.pop()
+            if chosen:
+                prev = chosen.pop()
+                if len(prev) == 3:
+                    chosen_triples.discard(prev)
+                else:
+                    first3[prev[:3]] -= 1
+                    last3[prev[1:]] -= 1
+    if len(chosen) < len(variables):
+        return None
+    quads = frozenset(x for x in chosen if len(x) == 4)
+    return SStructure(quads, frozenset(chosen_triples))
 
 
 # ---------------------------------------------------------------------------

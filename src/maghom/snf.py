@@ -4,12 +4,15 @@ homology of chain complexes.
 Boundary matrices arriving here are extremely sparse with entries +-1, so
 the Smith form comes in two phases.  The sparse phase pivots only on unit
 entries (unimodular, no coefficient growth, each pivot contributes
-elementary divisor 1).  It peels first: a unit alone in its row or in its
-column is pivoted on from a work stack, which only deletes entries.  The
-units left are taken in Markowitz order, least (row size - 1) * (column
-size - 1) first, and whatever a pivot leaves alone in a row or column is
-peeled at once.  A dense textbook Smith reduction then takes the small
-block that has no unit left.  All arithmetic uses Python integers;
+elementary divisor 1), each by one step: clear the pivot column by row
+operations, then retire the pivot row and column.  The next unit comes
+from a work stack of entries alone in their row or column while it holds
+one: such a unit has Markowitz cost (row size - 1) * (column size - 1)
+zero, and its pivot only deletes entries.  Once the stack runs dry, the
+units left come from a heap, least cost first, and whatever a pivot
+leaves alone in a row or column goes on the stack, to be taken before
+the heap's next unit.  A dense textbook Smith reduction then takes the
+small block that has no unit left.  All arithmetic uses Python integers;
 intermediate values may exceed 64 bits.  A matrix may come with rows
 its producer has peeled already (``SparseMatrix.peeled``): they count as
 unit pivots and are never loaded.
@@ -74,6 +77,10 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
     never loaded.  ``dropped`` names stored rows only: the rows that
     ``homology_of_complex`` drops are integer combinations of the others,
     and a peeled row is none, as no other row reaches its unit column.
+
+    Every sparse-phase pivot, a lone unit off the stack or a unit off the
+    Markowitz heap, runs the same step: clear its column, retire its row
+    and column, and stack what that leaves alone in a row or column.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -82,63 +89,36 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
     pivots: list[int] = []
-    # entries alone in their row or column; the units among them are
-    # pivots that make no fill
+    # entries alone in their row or column: the units among them are
+    # pivots of Markowitz cost 0, which make no fill
     stack = [(r, c) for r, rdata in rows.items() if len(rdata) == 1 for c in rdata]
     stack += [(r, c) for c, rs in cols.items() if len(rs) == 1 for r in rs]
-
-    def peel() -> None:
-        """Pivot on the stacked units that are still alone in their row or
-        column.  Either pivot only deletes: a lone unit in row r clears
-        column c from every other row, and a lone unit in column c clears
-        row r from every other column."""
-        while stack:
+    heap: list[tuple[int, int, int]] | None = None
+    while rows:
+        lone = bool(stack)
+        if lone:
             r, c = stack.pop()
-            rdata = rows.get(r)
-            if rdata is None or rdata.get(c) not in (1, -1):
-                continue
-            if len(rdata) == 1:
-                del rows[r]
-                for r2 in cols.pop(c):
-                    if r2 != r:
-                        row2 = rows[r2]
-                        del row2[c]
-                        if len(row2) == 1:
-                            stack.append((r2, next(iter(row2))))
-                        elif not row2:
-                            del rows[r2]
-            elif len(cols[c]) == 1:
-                del rows[r]
-                del cols[c]
-                for cc in rdata:
-                    if cc != c:
-                        rs = cols[cc]
-                        rs.discard(r)
-                        if len(rs) == 1:
-                            stack.append((next(iter(rs)), cc))
-                        elif not rs:
-                            del cols[cc]
-            else:
-                continue
-            pivots.append(c)
-
-    peel()
-    # the units left, least Markowitz cost (row size - 1) * (column size - 1) first
-    heap = [
-        ((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
-        for r, rdata in rows.items()
-        for c, v in rdata.items()
-        if v in (1, -1)
-    ]
-    heapq.heapify(heap)
-    while heap and rows:
-        cost, r, c = heapq.heappop(heap)
+        else:
+            if heap is None:
+                # the units left when the stack first runs dry
+                heap = [
+                    ((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
+                    for r, rdata in rows.items()
+                    for c, v in rdata.items()
+                    if v in (1, -1)
+                ]
+                heapq.heapify(heap)
+            if not heap:
+                break
+            _, r, c = heapq.heappop(heap)
         rdata = rows.get(r)
         if rdata is None or rdata.get(c) not in (1, -1):
             continue
-        current = (len(rdata) - 1) * (len(cols[c]) - 1)
-        if heap and current > heap[0][0]:
-            heapq.heappush(heap, (current, r, c))
+        cost = (len(rdata) - 1) * (len(cols[c]) - 1)
+        if lone and cost:
+            continue  # no longer alone in its row or column
+        if not lone and heap and cost > heap[0][0]:
+            heapq.heappush(heap, (cost, r, c))
             continue
 
         # pivot on (r, c): clear column c by row operations, then drop the
@@ -160,7 +140,7 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
                     if cc not in row2:
                         cols[cc].add(r2)
                     row2[cc] = new
-                    if new in (1, -1):
+                    if new in (1, -1):  # fill: not a lone pivot, so the heap is built
                         heapq.heappush(heap, ((len(row2) - 1) * (len(cols[cc]) - 1), r2, cc))
                 elif cc in row2:
                     del row2[cc]
@@ -176,7 +156,6 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
                     stack.append((next(iter(rs)), cc))
                 elif not rs:
                     del cols[cc]
-        peel()
 
     rank = len(pivots) + len(mat.peeled)
     pivot_cols = frozenset(pivots)

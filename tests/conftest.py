@@ -13,6 +13,9 @@ PETERSEN = from_edges(
     + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
 )
 K33 = from_edges([(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+# K_(20x2), the cocktail-party graph: K_40 minus the perfect matching
+# {2i - 1, 2i}; pawful, with 1560 certificate variables
+K20X2 = from_edges([(u, v) for u, v in combinations(range(1, 41), 2) if (u + 1) // 2 != (v + 1) // 2])
 
 # a 6-vertex triangulation of the real projective plane, whose integral
 # homology is Z, Z/2, 0

@@ -12,7 +12,7 @@ import pytest
 
 from maghom import ai_complex, cli, complete_graph, serialize_edge_list
 from maghom.symmetry import pair_orbits
-from conftest import FIXTURES, encode_graph6, random_connected
+from conftest import FIXTURES, K20X2, encode_graph6, random_connected
 
 GOLDEN = FIXTURES.parent / "tests" / "golden"
 
@@ -166,6 +166,23 @@ def test_ai_complex_refuses_a_path_complex_over_the_cap(capsys, monkeypatch, tmp
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == "budget exceeded: K_40(1,1) exceeds the cap of 2000000 simplices\n"
+
+
+@pytest.mark.parametrize(
+    "command, code, out, err",
+    [
+        ("morse", 0, "homology model: ok, 1 critical cell in dimension 999\n", ""),
+        ("ai-complex", 2, "", "budget exceeded: K_1001(1,2) exceeds the cap of 2000000 simplices\n"),
+    ],
+    ids=["morse", "ai-complex"],
+)
+def test_a_length_past_the_recursion_limit(capsys, monkeypatch, tmp_path, command, code, out, err):
+    # the one cell of K_2 from 1 to 2 at length 1001 is a degree-1001
+    # sequence, grown one vertex at a time without recursion
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    k2 = tmp_path / "K2"
+    k2.write_text("1 2\n")
+    assert run(capsys, command, k2, "--a", 1, "--b", 2, "--ell", 1001) == (code, out, err)
 
 
 def test_morse_pawful(capsys):
@@ -330,6 +347,18 @@ def test_classify_records_budget_failure_and_goes_on(capsys, monkeypatch, tmp_pa
     assert [r["index"] for r in records] == [1, 2, 3]
     assert [r["diagonal"] for r in records] == [True, "budget-exceeded", True]
     assert records[1]["pawful"] is False and records[1]["s_found"] is False
+
+
+def test_classify_searches_a_large_graph_and_goes_on(capsys, tmp_path):
+    # K_(20x2) has 1560 certificate variables, more than the recursion limit
+    seven = (GOLDEN / "stream7.g6").read_text().splitlines()[0]
+    stream = tmp_path / "stream.g6"
+    stream.write_text(encode_graph6(K20X2.n, K20X2.edges) + "\n" + seven + "\n")
+    code, out, err = run(capsys, "classify", stream, "--lmax", 2)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["index"], r["n"]) for r in records] == [(1, 40), (2, 7)]
+    assert (records[0]["pawful"], records[0]["s_found"]) == (True, True)
 
 
 class LinesOnly(io.StringIO):

@@ -1,6 +1,8 @@
+import sys
 from math import inf
 
 import pytest
+from conftest import K20X2
 from oracles import sequence_indices
 
 from maghom import complete_graph, from_edges
@@ -280,6 +282,16 @@ def test_pawful_implies_searchable(c4):
         found = search_structure(g)
         assert found is not None
         assert verify_s_structure(g, found.triples, found.quads) == (True, None)
+
+
+def test_search_assigns_more_variables_than_the_recursion_limit():
+    # 1560 variables, each a level of the backtracking search: a search
+    # that recursed once per variable would raise RecursionError here
+    assert sys.getrecursionlimit() < 1560
+    found = search_structure(K20X2)
+    assert found is not None
+    assert (len(found.triples), len(found.quads)) == (40, 1520)
+    assert verify_s_structure(K20X2, found.triples, found.quads) == (True, None)
 
 
 def test_search_is_deterministic(g1):
