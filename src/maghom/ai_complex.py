@@ -20,10 +20,10 @@ its cells by ``homology.enumerate_sequences`` on the pairs [(a, b)] and
 keeps its maps as ``homology.boundary_matrix`` builds them, once: deleting
 x_i with sign (-1)^i, the negative of the simplicial boundary, which has
 the same homology and the same covers.  The positions are derived only
-to display a cell.  ``path_complex`` builds K itself from
-the edge paths, where K is reported or checked, and charges its
-simplices to the basis cap.  ``verify_correspondence`` compares with
-the summand that ``homology.mh_column`` computes for the one class
+to display a cell.  ``path_complex`` builds K itself from the edge
+paths, where K is reported or checked, and charges its simplices to the
+basis cap (``errors.basis_cap``).  ``verify_correspondence`` compares
+with the summand that ``homology.mh_column`` computes for the one class
 [(1, [(a, b)])].
 
 There a simplex is a tuple of (vertex, position) pairs sorted by
@@ -38,9 +38,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph
-from .homology import basis_cap, boundary_matrix, enumerate_sequences, mh_column
+from .homology import boundary_matrix, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -117,7 +117,7 @@ def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     cap, per_path = basis_cap(), 2 ** (length - 1) - 1
-    over = BudgetExceeded(f"K_{length}({a},{b}) exceeds the cap of {cap} simplices")
+    over = over_cap(f"K_{length}({a},{b})", cap, " simplices")
     full: set[Simplex] = set()
     for path in enumerate_sequences(g, length, length, [(a, b)]):
         if per_path > cap:

@@ -23,6 +23,9 @@ from .errors import (
     MaghomError,
     ParseError,
     ValidationError,
+    basis_cap,
+    budget_option,
+    search_budget,
 )
 from .graph import (
     Graph,
@@ -32,7 +35,7 @@ from .graph import (
     parse_graph,
     parse_graph6,
 )
-from .homology import MHTable, basis_cap, is_diagonal_up_to, mh_table, pairwise_column
+from .homology import MHTable, is_diagonal_up_to, mh_table, pairwise_column
 from .magnitude import magnitude_rational, magnitude_series
 
 
@@ -232,9 +235,7 @@ def _cmd_s_structure(args) -> int:
         ok, why = mt.verify_s_structure(g, cert.triples, cert.quads)
         print("valid: true" if ok else f"valid: false {why}")
         return 0
-    if args.budget is not None and args.budget < 1:
-        raise ValidationError("--budget must be positive")
-    found = mt.search_structure(g, budget=args.budget)
+    found = mt.search_structure(g, budget=budget_option(args.budget))
     if found is None:
         print("exhausted: none")
         return 0
@@ -255,19 +256,18 @@ def _cmd_ahk_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     _require_lmax(args.lmax)
-    if args.budget is not None and args.budget < 1:
-        raise ValidationError("--budget must be positive")
-    basis_cap()  # read before the first line, so a bad setting writes no record
-    args.budget = args.budget or mt.search_budget()
+    given = budget_option(args.budget)
+    basis_cap()  # every limit is read before the first line: a bad one writes no record
+    budget = search_budget(given)
     if args.stream == "-":
         if isinstance(sys.stdin, io.TextIOWrapper):
             sys.stdin.reconfigure(errors="replace")
-        return _classify_lines(sys.stdin, args)
+        return _classify_lines(sys.stdin, args.lmax, budget)
     with open(args.stream, errors="replace") as fh:
-        return _classify_lines(fh, args)
+        return _classify_lines(fh, args.lmax, budget)
 
 
-def _classify_lines(lines, args) -> int:
+def _classify_lines(lines, lmax: int, budget: int) -> int:
     """One JSON record per graph6 line, reading the lines one at a time.
 
     A graph over a budget gets "budget-exceeded" in the field that hit
@@ -289,14 +289,14 @@ def _classify_lines(lines, args) -> int:
         record["star"] = mt.check_star_property(g)[0] if small else None
         if small:
             try:
-                record["s_found"] = mt.search_structure(g, budget=args.budget) is not None
+                record["s_found"] = mt.search_structure(g, budget=budget) is not None
             except BudgetExceeded:
                 record["s_found"] = "budget-exceeded"
         else:
             record["s_found"] = None
-        record["diagonal_up_to"] = args.lmax
+        record["diagonal_up_to"] = lmax
         try:
-            record["diagonal"] = is_diagonal_up_to(g, args.lmax)
+            record["diagonal"] = is_diagonal_up_to(g, lmax)
         except BudgetExceeded:
             record["diagonal"] = "budget-exceeded"
         record["ahk"] = None if g.is_tree() else ahk_edge_cycle_check(g)[0]

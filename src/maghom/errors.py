@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all maghom modules, and validated settings."""
+"""Exception hierarchy shared by all maghom modules, and the resource limits.
+
+This module alone names, reads, checks and words the two limits: the
+basis cap on the cells a basis or K_l(a,b) holds and the coefficients a
+magnitude table holds (``basis_cap``, ``over_cap``), and the search
+budget on the nodes of one certificate search, which ``--budget``
+overrides (``budget_option``, ``search_budget``).  A setting is read
+once per call that charges it, never once per comparison.
+"""
 
 import os
 
@@ -40,3 +48,24 @@ def positive_int_env(name: str, default: int) -> int:
     if value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
     return value
+
+
+def basis_cap() -> int:
+    return positive_int_env("MAGHOM_BASIS_CAP", 2_000_000)
+
+
+def over_cap(what: str, cap: int, unit: str = "") -> BudgetExceeded:
+    return BudgetExceeded(f"{what} exceeds the cap of {cap}{unit}")
+
+
+def budget_option(budget: int | None) -> int | None:
+    """The ``--budget`` option as given, None when it is absent; a value
+    below 1 raises ValidationError."""
+    if budget is not None and budget < 1:
+        raise ValidationError("--budget must be positive")
+    return budget
+
+
+def search_budget(budget: int | None = None) -> int:
+    """``budget`` when given, else the search budget of the environment."""
+    return positive_int_env("MAGHOM_SEARCH_BUDGET", 10_000_000) if budget is None else budget

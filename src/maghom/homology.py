@@ -48,25 +48,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .errors import BudgetExceeded, ValidationError, positive_int_env
+from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph
 from .snf import SparseMatrix, homology_of_complex, smith_normal_form
 from .symmetry import pair_orbits
 
-DEFAULT_BASIS_CAP = 2_000_000
-_BASIS_CAP_ENV = "MAGHOM_BASIS_CAP"
-
-
 Classes = list[tuple[int, list[tuple[int, int]]]]
 Basis = Sequence[tuple[int, ...]]
-
-
-def basis_cap() -> int:
-    return positive_int_env(_BASIS_CAP_ENV, DEFAULT_BASIS_CAP)
-
-
-def _over_cap(k: int, length: int, cap: int) -> BudgetExceeded:
-    return BudgetExceeded(f"degree-{k} length-{length} basis exceeds the cap of {cap}")
 
 
 def enumerate_classes(
@@ -82,8 +70,8 @@ def enumerate_classes(
     is reproducible, since matrix snapshots depend on it.  A sequence of
     a class stands for its m orbit elements in the full basis of this
     degree; enumeration aborts with BudgetExceeded as soon as that full
-    basis would outgrow the configured cap, before memory does.  A pair
-    named twice raises ValidationError.
+    basis would outgrow the basis cap (``errors.basis_cap``), before
+    memory does.  A pair named twice raises ValidationError.
 
     The sequences are grown by a loop over an explicit stack, not by
     recursion, so no degree is too deep for Python's recursion limit.
@@ -152,7 +140,7 @@ def enumerate_classes(
                 if new:
                     size += weights[i] * len(new)
                     if size > cap:
-                        raise _over_cap(k, length, cap)
+                        raise over_cap(f"degree-{k} length-{length} basis", cap)
                     out[i].extend(new)
     return out
 
@@ -368,14 +356,14 @@ def _cells(
         ones = [sum(g.dist[a][b] == length for a, b in pairs) for _, pairs in classes]
         cap = basis_cap()
         if sum(m * one for (m, _), one in zip(classes, ones)) > cap:
-            raise _over_cap(1, length, cap)
+            raise over_cap(f"degree-1 length-{length} basis", cap)
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(2, length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
     if length:  # as in enumerate_classes, which charges no degree 0
         cap = basis_cap()
         if sum(m * top for (m, _), top in zip(classes, tops)) > cap:
-            raise _over_cap(length, length, cap)
+            raise over_cap(f"degree-{length} length-{length} basis", cap)
     return ones, by_degree, tops
 
 

@@ -59,7 +59,7 @@ row degree 0, so such a minor, det M and det B among them, is the value
 at X of a polynomial of degree at most D = sum_i e_i.  So D + 1 digits
 are read, and a value left over is an internal error.  The r^2 x (D + 1)
 coefficients that the elimination stands for count against the basis
-cap (``MAGHOM_BASIS_CAP``), as the series table does.  -det B / det M
+cap (``errors.basis_cap``), as the series table does.  -det B / det M
 is brought to lowest terms by ``polyq.poly_gcd``, at q = 2^k as well.
 """
 
@@ -69,9 +69,8 @@ from itertools import accumulate
 from math import isqrt, prod
 from operator import mul
 
-from .errors import BudgetExceeded, InternalCheckError, ValidationError
+from .errors import BudgetExceeded, InternalCheckError, ValidationError, basis_cap
 from .graph import Graph
-from .homology import basis_cap
 from .polyq import IntPoly, RatFunc, unpack
 from .symmetry import Cells, equitable_partition
 
@@ -96,7 +95,7 @@ def _cell_spans(sizes: list[int]) -> list[tuple[int, int]]:
 def _check_cap(what: str, rows: int, cols: int, words: int = 1) -> None:
     """Refuse to hold ``what``, a table of rows x cols coefficients of up
     to ``words`` machine words each, when its words are over the basis
-    cap (``MAGHOM_BASIS_CAP``)."""
+    cap (``errors.basis_cap``)."""
     cap = basis_cap()
     if rows * cols * words > cap:
         each = f" of {words} machine words each" if rows * cols <= cap else ""
@@ -233,7 +232,7 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
     2^(e * (order + 1)) in size, and fits in w signed 64-bit words (which
     hold sizes up to 2^(64w - 2)), w = floor((e * (order + 1) + 1) / 64) + 1;
     the n vectors of order + 1 coefficients count n x (order + 1) x w
-    machine words against the basis cap (``MAGHOM_BASIS_CAP``):
+    machine words against the basis cap (``errors.basis_cap``):
     n x (order + 1) while w = 1.  The packed digits fit the words charged:
     by induction B_m <= (n-1) n^(m-1) for m >= 1, so n B_m < 2^(e(m+1)),
     and n B_0 = n <= 2^e; so K <= e * (order + 1) + 2 <= 64w for

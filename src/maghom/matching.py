@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ai_complex import RelativeComplex
@@ -35,18 +36,11 @@ from .errors import (
     InternalCheckError,
     ParseError,
     ValidationError,
-    positive_int_env,
+    search_budget,
 )
 from .graph import Graph, diameter, is_pawful
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SEARCH_BUDGET = 10_000_000
-_SEARCH_BUDGET_ENV = "MAGHOM_SEARCH_BUDGET"
-
-
-def search_budget() -> int:
-    return positive_int_env(_SEARCH_BUDGET_ENV, DEFAULT_SEARCH_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -228,23 +222,21 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
 # the general certificate conditions
 
 
-def _ordered_y_keys(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
+# Both key generators yield in lexicographic order with no sort: the
+# vertices run 1..n, and ``from_edges`` sorts each ``neighbors`` row.
+def _ordered_y_keys(g: Graph) -> Iterator[tuple[int, int, int]]:
     for alpha in g.vertices:
         for beta in g.neighbors[alpha]:
             for delta in g.vertices:
                 if g.dist[beta][delta] == 2:
-                    out.append((alpha, beta, delta))
-    return sorted(out)
+                    yield alpha, beta, delta
 
 
-def _ordered_x_keys(g: Graph) -> list[tuple[int, int]]:
-    return sorted(
-        (a, c)
-        for a in g.vertices
-        for c in g.vertices
-        if g.dist[a][c] == 2
-    )
+def _ordered_x_keys(g: Graph) -> Iterator[tuple[int, int]]:
+    for a in g.vertices:
+        for c in g.vertices:
+            if g.dist[a][c] == 2:
+                yield a, c
 
 
 def check_star_property(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
@@ -257,17 +249,12 @@ def check_star_property(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
     if diameter(g) > 2:
         raise ValidationError("the star property is defined for diameter <= 2")
     for alpha, beta, delta in _ordered_y_keys(g):
-        if not any(
-            g.dist[alpha][gamma] <= 1
-            for gamma in g.between[beta][delta]
-        ):
+        if all(g.dist[alpha][gamma] > 1 for gamma in g.between[beta][delta]):
             return False, (alpha, beta, delta)
     return True, None
 
 
-def verify_s_structure(
-    g: Graph, f1, f2
-) -> tuple[bool, str | None]:
+def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     """Check the three certificate conditions for given images f1, f2.
 
     ``f1`` is a collection of triples (one per ordered distance-2 pair),
@@ -294,9 +281,9 @@ def verify_s_structure(
         if (a_, c_) in seen_x:
             return False, f"(i): two triples over the pair {(a_, c_)}"
         seen_x[(a_, c_)] = t
-    missing = [k for k in _ordered_x_keys(g) if k not in seen_x]
+    missing = next((k for k in _ordered_x_keys(g) if k not in seen_x), None)
     if missing:
-        return False, f"(i): no triple over the pair {missing[0]}"
+        return False, f"(i): no triple over the pair {missing}"
 
     seen_y: dict[tuple[int, int, int], tuple] = {}
     for q in quads:
@@ -313,9 +300,9 @@ def verify_s_structure(
         if (al, be, de) in seen_y:
             return False, f"(i): two quadruples over the key {(al, be, de)}"
         seen_y[(al, be, de)] = q
-    missing_y = [k for k in _ordered_y_keys(g) if k not in seen_y]
-    if missing_y:
-        return False, f"(i): no quadruple over the key {missing_y[0]}"
+    missing = next((k for k in _ordered_y_keys(g) if k not in seen_y), None)
+    if missing:
+        return False, f"(i): no quadruple over the key {missing}"
 
     # (ii) first-three prefixes never reappear as suffixes or triples
     first3 = {q[:3] for q in quads}
@@ -349,25 +336,20 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
 
     Returns a certificate, or None once the whole choice tree is ruled
     out.  Choice points are processed fewest-candidates-first; a node
-    budget (default from MAGHOM_SEARCH_BUDGET) guards runaway searches,
-    raising BudgetExceeded, which is distinct from exhaustion.  The
-    backtracking is a loop over a stack of candidate iterators, one per
-    variable assigned, so any number of variables fits.
+    budget (``errors.search_budget`` when not given) guards runaway
+    searches, raising BudgetExceeded, which is distinct from exhaustion.
+    The backtracking is a loop over a stack of candidate iterators, one
+    per variable assigned, so any number of variables fits.
     """
     if diameter(g) > 2:
         raise ValidationError("certificates are defined for diameter <= 2")
-    if budget is None:
-        budget = search_budget()
+    budget = search_budget(budget)
 
-    variables: list[tuple[str, tuple, list]] = []
-    for key in _ordered_x_keys(g):
-        a_, c_ = key
-        variables.append(("T", key, g.between[a_][c_]))
-    for key in _ordered_y_keys(g):
-        al, be, de = key
+    variables = [("T", (a_, c_), g.between[a_][c_]) for a_, c_ in _ordered_x_keys(g)]
+    for al, be, de in _ordered_y_keys(g):
         mids = g.between[be][de]
         allowed = [ga for ga in mids if g.dist[al][ga] <= 1 or len(mids) == 1]
-        variables.append(("Q", key, allowed))
+        variables.append(("Q", (al, be, de), allowed))
     variables.sort(key=lambda v: (len(v[2]), v[0], v[1]))
     if any(not v[2] for v in variables):
         return None

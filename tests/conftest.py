@@ -79,7 +79,10 @@ def encode_graph6(n, edges):
             bits.append(1 if (i, j) in es else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = chr(63 + n)
+    if n < 63:
+        out = chr(63 + n)
+    else:  # "~", then n as three 6-bit digits, high first
+        out = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     for t in range(0, len(bits), 6):
         word = 0
         for bit in bits[t : t + 6]:

@@ -290,9 +290,23 @@ def test_s_structure_verify(capsys):
 
 
 def test_s_structure_budget_exceeded(capsys):
-    code, _, err = run(capsys, "s-structure", FIXTURES / "G1", "--search", "--budget", 1)
-    assert code == 2
-    assert "budget" in err
+    code, out, err = run(capsys, "s-structure", FIXTURES / "G1", "--search", "--budget", 1)
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: certificate search exceeded 1 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["s-structure", FIXTURES / "G1", "--search", "--budget", 0],
+        # R40 has diameter 6: the option is checked before the graph
+        ["s-structure", FIXTURES / "R40", "--search", "--budget", 0],
+        ["classify", GOLDEN / "stream7.g6", "--budget", -3],
+    ],
+    ids=["s-structure", "s-structure-diameter-6", "classify"],
+)
+def test_budget_must_be_positive(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: --budget must be positive\n")
 
 
 def test_ahk_check(capsys, tmp_path):
@@ -347,6 +361,17 @@ def test_classify_records_budget_failure_and_goes_on(capsys, monkeypatch, tmp_pa
     assert [r["index"] for r in records] == [1, 2, 3]
     assert [r["diagonal"] for r in records] == [True, "budget-exceeded", True]
     assert records[1]["pawful"] is False and records[1]["s_found"] is False
+
+
+def test_classify_records_a_search_over_its_budget_and_goes_on(capsys, tmp_path):
+    # P4 (diameter 3, no search), G1 (over one node), then a graph whose
+    # search is ruled out before its first node
+    stream = tmp_path / "stream.g6"
+    stream.write_text("Ch\nEhtw\nFEl~?\n")
+    code, out, err = run(capsys, "classify", stream, "--budget", 1)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["s_found"] for r in records] == [None, "budget-exceeded", False]
 
 
 def test_classify_searches_a_large_graph_and_goes_on(capsys, tmp_path):
@@ -585,3 +610,21 @@ def test_classify_checks_its_settings_before_the_first_record(capsys, monkeypatc
     if name == "MAGHOM_SEARCH_BUDGET":  # --budget stands in for it
         code, out, err = run(capsys, "classify", stream, "--lmax", 2, "--budget", 5)
         assert code == 0 and len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "MAGHOM_BASIS_CAP must be a positive integer, got 'x'"),
+        (["--budget", -3], "--budget must be positive"),
+        (["--budget", -3, "--lmax", -1], "--lmax must be >= 0"),
+    ],
+    ids=["cap", "budget", "lmax"],
+)
+def test_classify_checks_lmax_then_budget_then_each_setting(capsys, monkeypatch, tmp_path, argv, err):
+    # with every check failing, the first in that order wins, and no record is written
+    stream = tmp_path / "stream.g6"
+    stream.write_text("Ch\nFEl~?\n")
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "x")
+    monkeypatch.setenv("MAGHOM_SEARCH_BUDGET", "y")
+    assert run(capsys, "classify", stream, *argv) == (1, "", f"error: {err}\n")

@@ -141,6 +141,19 @@ def test_graph6_long_form():
     assert g == from_edges(edges, n=n)
 
 
+@pytest.mark.parametrize("n, header", [(62, "}"), (63, "~??~"), (64, "~?@?"), (120, "~?@w")])
+def test_graph6_round_trip_across_the_long_form(n, header):
+    # from n = 63 on, the oracle writes the 4-byte vertex count
+    rng = random.Random(2024)
+    cycle = {tuple(sorted((i, i % n + 1))) for i in range(1, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    dense = cycle | {pair for pair in pairs if rng.random() < 0.5}
+    for edges in (cycle, dense):
+        line = encode_graph6(n, edges)
+        assert line[: len(header)] == header
+        assert parse_graph6(line) == from_edges(sorted(edges), n=n)
+
+
 def test_graph6_rejects():
     with pytest.raises(ParseError):
         parse_graph6("D?")           # wrong length for n=5
