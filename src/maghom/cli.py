@@ -30,7 +30,6 @@ from .errors import (
 from .graph import (
     Graph,
     ahk_edge_cycle_check,
-    diameter,
     is_pawful,
     parse_graph,
     parse_graph6,
@@ -284,9 +283,10 @@ def _classify_lines(lines, lmax: int, budget: int) -> int:
             print(f"warning: line {idx}: {exc}", file=sys.stderr)
             continue
         record: dict = {"index": idx, "n": g.n, "m": g.m}
-        small = diameter(g) <= 2
-        record["pawful"] = is_pawful(g).verdict
-        record["star"] = mt.check_star_property(g)[0] if small else None
+        witness = is_pawful(g)
+        small = witness.far_pair is None
+        record["pawful"] = witness.verdict
+        record["star"] = witness.verdict if small else None  # see is_pawful
         if small:
             try:
                 record["s_found"] = mt.search_structure(g, budget=budget) is not None

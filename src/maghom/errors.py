@@ -67,5 +67,10 @@ def budget_option(budget: int | None) -> int | None:
 
 
 def search_budget(budget: int | None = None) -> int:
-    """``budget`` when given, else the search budget of the environment."""
-    return positive_int_env("MAGHOM_SEARCH_BUDGET", 10_000_000) if budget is None else budget
+    """``budget`` when given, else the search budget of the environment;
+    a given value below 1 raises ValidationError."""
+    if budget is None:
+        return positive_int_env("MAGHOM_SEARCH_BUDGET", 10_000_000)
+    if budget < 1:
+        raise ValidationError(f"search budget must be a positive integer, got {budget}")
+    return budget

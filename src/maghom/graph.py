@@ -276,7 +276,7 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def diameter(g: Graph) -> int:
-    return max(g.dist[u][v] for u in g.vertices for v in g.vertices)
+    return max(max(row) for row in g.dist[1:])  # column 0 holds -1, never the max
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,14 @@ def is_pawful(g: Graph) -> PawfulWitness:
     """Diameter at most 2, and every (2,2,1)-triple has a common neighbor.
 
     The reported violation is the lexicographically smallest one.
+
+    On diameter <= 2 this is also the star property, which asks of every
+    key (alpha, beta, delta) with d(alpha, beta) = 1 and d(beta, delta)
+    = 2 for a common neighbor gamma of beta and delta with d(alpha,
+    gamma) <= 1.  If d(alpha, delta) = 1, gamma = alpha passes.
+    Otherwise d(alpha, delta) = 2, gamma != alpha, and the key fails
+    exactly when (beta, delta, alpha) is a violation; a violation
+    (x, y, z) is the failing key (z, x, y).
     """
     for u in g.vertices:
         for v in g.vertices:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from .errors import ValidationError, basis_cap, over_cap
-from .graph import Graph
+from .graph import Graph, diameter
 from .snf import SparseMatrix, homology_of_complex, smith_normal_form
 from .symmetry import pair_orbits
 
@@ -94,8 +94,7 @@ def enumerate_classes(
                 if a in ends[a]:
                     out[ends[a][a]].append((a,))
         return out
-    dist = g.dist
-    maxd = max(max(row) for row in dist[1:])
+    dist, maxd = g.dist, diameter(g)
     if not k <= length <= k * maxd:
         return out  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
@@ -351,19 +350,17 @@ def _cells(
     Degree l is the length-l walks, Σ (A^l)_ab over the pairs, charged
     after the enumerated degrees.
     """
+    cap = basis_cap() if length else 0  # as in enumerate_classes, no charge at length 0
     ones = [0] * len(classes)
     if length >= 2:
         ones = [sum(g.dist[a][b] == length for a, b in pairs) for _, pairs in classes]
-        cap = basis_cap()
         if sum(m * one for (m, _), one in zip(classes, ones)) > cap:
             raise over_cap(f"degree-1 length-{length} basis", cap)
     by_degree = [enumerate_classes(g, k, length, classes) for k in range(2, length)]
     walks = g.walks(length)
     tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
-    if length:  # as in enumerate_classes, which charges no degree 0
-        cap = basis_cap()
-        if sum(m * top for (m, _), top in zip(classes, tops)) > cap:
-            raise over_cap(f"degree-{length} length-{length} basis", cap)
+    if length and sum(m * top for (m, _), top in zip(classes, tops)) > cap:
+        raise over_cap(f"degree-{length} length-{length} basis", cap)
     return ones, by_degree, tops
 
 

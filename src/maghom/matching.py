@@ -16,10 +16,14 @@ the callers re-check rather than assume.  Cells are handled as sequences
 and named by index; their (vertex, position) form appears only in error
 messages.
 
+Triples and quadruples share one distance shape, which ``_well_shaped``
+alone decides on loading, on matching and in condition (i).
+
 Pawful graphs always carry such a certificate (``build_pawful_S`` takes
 each middle as the smallest fitting vertex of ``Graph.between``);
 ``search_structure`` decides existence in general by exhaustive
-backtracking.
+backtracking.  The star property, a near middle for every quadruple
+key, is pawfulness on diameter <= 2 (see ``graph.is_pawful``).
 """
 
 from __future__ import annotations
@@ -45,29 +49,28 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SStructure:
-    """A certificate: quadruple-rule tuples and triple-rule tuples.
-
-    Every quad (alpha, beta, gamma, delta) has d(alpha,beta) = d(beta,gamma)
-    = d(gamma,delta) = 1 and d(beta,delta) = 2; every triple
-    (beta, gamma, delta) has d(beta,gamma) = d(gamma,delta) = 1 and
-    d(beta,delta) = 2.
-    """
+    """A certificate: quadruple-rule tuples (alpha, beta, gamma, delta)
+    and triple-rule tuples (beta, gamma, delta), each of the distance
+    shape that ``_well_shaped`` decides."""
 
     quads: frozenset[tuple[int, int, int, int]]
     triples: frozenset[tuple[int, int, int]]
 
 
+def _well_shaped(g: Graph, t: tuple[int, ...]) -> bool:
+    """The distance shape of a certificate tuple: every step is 1 and
+    d(t[-3], t[-1]) = 2, which is d(beta, delta) = 2 for both a triple
+    (beta, gamma, delta) and a quadruple (alpha, beta, gamma, delta)."""
+    dist = g.dist
+    return all(dist[u][v] == 1 for u, v in zip(t, t[1:])) and dist[t[-3]][t[-1]] == 2
+
+
 def _validate_structure(g: Graph, s: SStructure) -> None:
     for t in s.triples:
-        if g.dist[t[0]][t[2]] != 2 or g.dist[t[0]][t[1]] != 1 or g.dist[t[1]][t[2]] != 1:
+        if not _well_shaped(g, t):
             raise ValidationError(f"triple {t} violates its distance conditions")
     for q in s.quads:
-        if (
-            g.dist[q[0]][q[1]] != 1
-            or g.dist[q[1]][q[2]] != 1
-            or g.dist[q[2]][q[3]] != 1
-            or g.dist[q[1]][q[3]] != 2
-        ):
+        if not _well_shaped(g, q):
             raise ValidationError(f"quadruple {q} violates its distance conditions")
 
 
@@ -102,9 +105,7 @@ def build_pawful_S(g: Graph) -> SStructure:
         else (al, be, next(ga for ga in g.between[be][de] if g.dist[al][ga] == 1), de)
         for al, be, de in _ordered_y_keys(g)
     )
-    s = SStructure(quads, triples)
-    _validate_structure(g, s)
-    return s
+    return SStructure(quads, triples)
 
 
 @dataclass(frozen=True)
@@ -239,21 +240,6 @@ def _ordered_x_keys(g: Graph) -> Iterator[tuple[int, int]]:
                 yield a, c
 
 
-def check_star_property(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
-    """Does every (alpha, beta, delta) key admit a near middle vertex?
-
-    Near means d(alpha, gamma) <= 1 on top of d(beta,gamma) =
-    d(gamma,delta) = 1.  Pawful graphs always pass; the first failing key
-    (lexicographically) is returned otherwise.
-    """
-    if diameter(g) > 2:
-        raise ValidationError("the star property is defined for diameter <= 2")
-    for alpha, beta, delta in _ordered_y_keys(g):
-        if all(g.dist[alpha][gamma] > 1 for gamma in g.between[beta][delta]):
-            return False, (alpha, beta, delta)
-    return True, None
-
-
 def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     """Check the three certificate conditions for given images f1, f2.
 
@@ -275,12 +261,12 @@ def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     for t in triples:
         if len(t) != 3:
             return False, f"(i): {t} is not a triple"
-        a_, b_, c_ = t
-        if g.dist[a_][b_] != 1 or g.dist[b_][c_] != 1 or g.dist[a_][c_] != 2:
+        if not _well_shaped(g, t):
             return False, f"(i): {t} has the wrong distance pattern"
-        if (a_, c_) in seen_x:
-            return False, f"(i): two triples over the pair {(a_, c_)}"
-        seen_x[(a_, c_)] = t
+        key = (t[0], t[2])
+        if key in seen_x:
+            return False, f"(i): two triples over the pair {key}"
+        seen_x[key] = t
     missing = next((k for k in _ordered_x_keys(g) if k not in seen_x), None)
     if missing:
         return False, f"(i): no triple over the pair {missing}"
@@ -289,17 +275,12 @@ def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     for q in quads:
         if len(q) != 4:
             return False, f"(i): {q} is not a quadruple"
-        al, be, ga, de = q
-        if (
-            g.dist[al][be] != 1
-            or g.dist[be][ga] != 1
-            or g.dist[ga][de] != 1
-            or g.dist[be][de] != 2
-        ):
+        if not _well_shaped(g, q):
             return False, f"(i): {q} has the wrong distance pattern"
-        if (al, be, de) in seen_y:
-            return False, f"(i): two quadruples over the key {(al, be, de)}"
-        seen_y[(al, be, de)] = q
+        key = (q[0], q[1], q[3])
+        if key in seen_y:
+            return False, f"(i): two quadruples over the key {key}"
+        seen_y[key] = q
     missing = next((k for k in _ordered_y_keys(g) if k not in seen_y), None)
     if missing:
         return False, f"(i): no quadruple over the key {missing}"

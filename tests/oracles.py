@@ -141,6 +141,53 @@ def sequence_indices(g, seq, s):
     return SequenceIndices(pattern, gap)
 
 
+def well_shaped(g, t):
+    """The distance conditions of a triple (beta, gamma, delta) or a
+    quadruple (alpha, beta, gamma, delta), written out for each."""
+    d = g.dist
+    if len(t) == 3:
+        be, ga, de = t
+        return d[be][ga] == 1 and d[ga][de] == 1 and d[be][de] == 2
+    al, be, ga, de = t
+    return d[al][be] == 1 and d[be][ga] == 1 and d[ga][de] == 1 and d[be][de] == 2
+
+
+def star_failures(g):
+    """The keys (alpha, beta, delta) with d(alpha,beta) = 1 and
+    d(beta,delta) = 2 that no middle gamma, d(beta,gamma) = d(gamma,delta)
+    = 1, meets with d(alpha,gamma) <= 1, increasing."""
+    d, vs = g.dist, g.vertices
+    return [
+        (al, be, de)
+        for al in vs
+        for be in vs
+        for de in vs
+        if d[al][be] == 1
+        and d[be][de] == 2
+        and not any(d[be][ga] == d[ga][de] == 1 and d[al][ga] <= 1 for ga in vs)
+    ]
+
+
+def star_property(g):
+    """Every key (alpha, beta, delta) has a middle near alpha."""
+    return not star_failures(g)
+
+
+def pawful_violations(g):
+    """The triples (x, y, z) with d(x,y) = d(y,z) = 2 and d(x,z) = 1
+    that no vertex is adjacent to all of, increasing."""
+    d, vs = g.dist, g.vertices
+    return [
+        (x, y, z)
+        for x in vs
+        for y in vs
+        for z in vs
+        if d[x][y] == d[y][z] == 2
+        and d[x][z] == 1
+        and not any(d[w][x] == d[w][y] == d[w][z] == 1 for w in vs)
+    ]
+
+
 # --- sparse integer matrices ------------------------------------------------
 
 

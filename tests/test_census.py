@@ -2,15 +2,17 @@
 
 Runs every connected labelled graph on 5 vertices through the full
 pipeline and asserts the implication chain the library is built around:
-pawful implies the star property implies a certificate exists implies
-diagonality; and a diagonal bridgeless non-tree has every edge on a
-short cycle.  Bridges are excluded from the last step because an edge on
-no cycle at all can coexist with diagonality (attaching a pendant tree
-to a diagonal graph keeps it diagonal).
+pawful implies a certificate exists implies diagonality; and a diagonal
+bridgeless non-tree has every edge on a short cycle.  Bridges are
+excluded from the last step because an edge on no cycle at all can
+coexist with diagonality (attaching a pendant tree to a diagonal graph
+keeps it diagonal).  On diameter <= 2 the star property, checked by the
+brute-force oracle, is pawfulness itself (see ``is_pawful``).
 
 On seven vertices, ``classify`` runs over the diameter <= 2 graphs of
 ``fixtures/atlas7_diam2.g6`` (written by ``tools/atlas7.py`` from the
-networkx graph atlas) and its counts are pinned.
+networkx graph atlas), its ``star`` field is pawfulness on every record,
+and its counts are pinned.
 """
 
 import json
@@ -18,7 +20,7 @@ from collections import Counter, deque
 from itertools import combinations
 
 from conftest import FIXTURES
-from oracles import diagonal_class_by_class
+from oracles import diagonal_class_by_class, star_property
 
 from maghom import (
     ahk_edge_cycle_check,
@@ -30,7 +32,7 @@ from maghom import (
 )
 from maghom.errors import ValidationError
 from maghom.graph import parse_graph6
-from maghom.matching import check_star_property, search_structure
+from maghom.matching import search_structure
 
 N = 5
 
@@ -72,24 +74,26 @@ def has_bridge(g):
 def test_implication_chain_on_all_five_vertex_graphs():
     total = 0
     pawful_count = 0
+    small_count = 0
     for g in connected_graphs():
         total += 1
         pawful = is_pawful(g).verdict
         small = diameter(g) <= 2
-        star = check_star_property(g)[0] if small else False
         cert = (search_structure(g) is not None) if small else False
         diagonal = is_diagonal_up_to(g, 4)
         pawful_count += pawful
+        small_count += small
 
+        if small:
+            assert star_property(g) == pawful, g.edges
         if pawful:
-            assert star, g.edges
-        if star:
             assert cert, g.edges
         if cert:
             assert diagonal, g.edges
         if diagonal and not g.is_tree() and not has_bridge(g):
             assert ahk_edge_cycle_check(g)[0], g.edges
     assert total == 728
+    assert small_count == 368
     assert pawful_count == 296
 
 
@@ -97,13 +101,12 @@ def test_seven_vertex_census_of_diameter_two(capsys):
     # one graph per isomorphism class: 374 of the 853 connected ones
     assert cli.main(["classify", str(FIXTURES / "atlas7_diam2.g6"), "--lmax", "4"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(records) == 374
-    for r in records:
-        assert r["star"] is not None  # diameter <= 2
+    lines = (FIXTURES / "atlas7_diam2.g6").read_text().split()
+    assert len(records) == len(lines) == 374
+    for r, line in zip(records, lines):
+        assert r["star"] is r["pawful"] is star_property(parse_graph6(line)), r["index"]
         assert r["s_found"] in (True, False) and r["diagonal"] in (True, False)  # no budget hit
         if r["pawful"]:
-            assert r["star"], r["index"]
-        if r["star"]:
             assert r["s_found"] is True, r["index"]
         if r["s_found"] is True:
             assert r["diagonal"] is True, r["index"]

@@ -1,11 +1,19 @@
+import random
 import sys
+from collections import Counter
 from math import inf
 
 import pytest
-from conftest import K20X2
-from oracles import sequence_indices
+from conftest import FIXTURES, K20X2, load_fixture
+from oracles import (
+    pawful_violations,
+    sequence_indices,
+    star_failures,
+    star_property,
+    well_shaped,
+)
 
-from maghom import complete_graph, from_edges
+from maghom import complete_graph, diameter, from_edges, is_pawful
 from maghom.ai_complex import relative_complex
 from maghom.errors import (
     BudgetExceeded,
@@ -17,7 +25,6 @@ from maghom.matching import (
     SStructure,
     build_matching,
     build_pawful_S,
-    check_star_property,
     parse_s,
     search_structure,
     serialize_s,
@@ -199,29 +206,39 @@ def test_build_matching_g1_certificate(g1, g1_cert):
             assert all(len(poset.simplex(c)) - 1 == ell - 2 for c in build.critical)
 
 
-def test_star_property_pawful_fixtures(c4):
-    for g in (c4, complete_graph(4), complete_graph(5)):
-        assert check_star_property(g) == (True, None)
+def test_star_property_is_pawfulness_on_the_fixtures():
+    graphs = [complete_graph(n) for n in (1, 2, 4, 5)]
+    graphs += [load_fixture(p.name) for p in sorted(FIXTURES.iterdir()) if "." not in p.name]
+    small = [g for g in graphs if diameter(g) <= 2]
+    assert len(small) == 9  # all but R40 and RP2H
+    for g in small:
+        assert star_property(g) == is_pawful(g).verdict, g.edges
 
 
-def test_star_property_g1(g1):
-    ok, witness = check_star_property(g1)
-    assert not ok
-    assert witness == (3, 4, 1)
-    # the failing keys are exactly those whose every middle vertex is far
-    violating = [
-        (al, be, de)
-        for al in g1.vertices
-        for be in g1.neighbors[al]
-        for de in g1.vertices
-        if g1.d(be, de) == 2
-        and all(g1.d(al, ga) == 2 for ga in g1.vertices if g1.d(be, ga) == g1.d(ga, de) == 1)
-    ]
-    assert sorted(violating) == [(3, 4, 1), (4, 3, 1)]
+def test_star_property_is_pawfulness_on_random_graphs():
+    rng = random.Random(2026)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 600:
+        n = rng.randint(4, 12)
+        p = rng.uniform(0.3, 0.8)
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        try:
+            g = from_edges(edges, n=n)
+        except ValidationError:  # disconnected
+            continue
+        if diameter(g) <= 2:
+            verdict = is_pawful(g).verdict
+            assert star_property(g) == verdict, g.edges
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 100
 
 
-def test_star_property_k2_vacuous():
-    assert check_star_property(complete_graph(2)) == (True, None)
+def test_g1_star_failures_are_its_pawful_violations(g1):
+    # a failing key (alpha, beta, delta) is the violation (beta, delta, alpha)
+    assert star_failures(g1) == [(3, 4, 1), (4, 3, 1)]
+    violations = pawful_violations(g1)
+    assert sorted((z, x, y) for x, y, z in violations) == star_failures(g1)
+    assert is_pawful(g1).violation == violations[0] == (3, 1, 4)
 
 
 def test_verify_g1_certificate(g1, g1_cert):
@@ -276,9 +293,8 @@ def test_search_complete_graph_trivial():
 
 
 def test_pawful_implies_searchable(c4):
-    # pawful -> star property -> some certificate exists
     for g in (c4, complete_graph(4)):
-        assert check_star_property(g)[0]
+        assert is_pawful(g).verdict
         found = search_structure(g)
         assert found is not None
         assert verify_s_structure(g, found.triples, found.quads) == (True, None)
@@ -301,6 +317,13 @@ def test_search_is_deterministic(g1):
 def test_search_budget(g1):
     with pytest.raises(BudgetExceeded):
         search_structure(g1, budget=1)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_refuses_a_budget_below_one(g1, budget):
+    want = f"^search budget must be a positive integer, got {budget}$"
+    with pytest.raises(ValidationError, match=want):
+        search_structure(g1, budget=budget)
 
 
 def test_search_respects_env_budget(g1, monkeypatch):
@@ -331,12 +354,44 @@ def test_parse_rejects_malformed(g1):
         parse_s("T 1 2 5\n", g1)  # d(1,5) is 1, not 2
 
 
+def test_parse_and_verify_agree_on_every_one_coordinate_mutation(g1, g1_cert):
+    # parse_s refuses a misshapen tuple, and verify_s_structure names the
+    # same one under condition (i); a well-shaped one passes parse_s.
+    # Misshapen is decided by the oracle, which shares no code with either
+    tuples = sorted(g1_cert.triples) + sorted(g1_cert.quads)
+    verdicts = Counter()
+    for i, t in enumerate(tuples):
+        for j in range(len(t)):
+            for v in g1.vertices:
+                if v == t[j]:
+                    continue
+                u = t[:j] + (v,) + t[j + 1 :]
+                rest = tuples[:i] + [u] + tuples[i + 1 :]
+                s = SStructure(
+                    frozenset(x for x in rest if len(x) == 4),
+                    frozenset(x for x in rest if len(x) == 3),
+                )
+                try:
+                    parse_s(serialize_s(s), g1)
+                    refused = None
+                except ValidationError as exc:
+                    refused = str(exc)
+                ok, why = verify_s_structure(g1, s.triples, s.quads)
+                misshapen = not well_shaped(g1, u)
+                assert (why == f"(i): {u} has the wrong distance pattern") == misshapen
+                kind = "triple" if len(u) == 3 else "quadruple"
+                words = f"{kind} {u} violates its distance conditions"
+                assert refused == (words if misshapen else None)
+                verdicts[misshapen, ok] += 1
+    # 40 tuples, 3 or 4 coordinates, 5 other vertices each
+    assert sum(verdicts.values()) == 5 * (3 * 10 + 4 * 30)
+    assert verdicts[True, False] and verdicts[False, False] and not verdicts[True, True]
+
+
 def test_diameter_guards(g1):
     from maghom import path_graph
 
     p4 = path_graph(4)
-    with pytest.raises(ValidationError):
-        check_star_property(p4)
     with pytest.raises(ValidationError):
         search_structure(p4)
     with pytest.raises(ValidationError):
