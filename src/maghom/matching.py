@@ -28,7 +28,6 @@ key, is pawfulness on diameter <= 2 (see ``graph.is_pawful``).
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -43,8 +42,6 @@ from .errors import (
     search_budget,
 )
 from .graph import Graph, diameter, is_pawful
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -294,10 +291,6 @@ def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     for q in quads:
         if q[:3] in triple_set:
             return False, f"(ii): prefix of {q} is also a triple"
-        if q[1:] in triple_set:
-            # not forbidden by (ii); surfaced because it shadows the
-            # leading-triple rule when scanning cells
-            logger.info("quadruple %s has its suffix among the triples", q)
 
     # (iii) a far middle vertex must be the only middle vertex
     for q in quads:

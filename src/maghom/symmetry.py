@@ -104,24 +104,28 @@ def is_automorphism(g: Graph, perm: list[int]) -> bool:
     vertices that maps the edge set onto itself?"""
     if sorted(perm[1:]) != list(g.vertices):
         return False
-    edges = set(g.edges)
-    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in g.edges)
+    dist = g.dist
+    return all(dist[perm[u]][perm[v]] == 1 for u, v in g.edges)
 
 
-def _orbit(start, images) -> set:
-    """Everything reached from ``start`` by repeated ``images``."""
-    orbit, todo = {start}, [start]
+def _orbit(pair: tuple[int, int], gens: list[list[int]]) -> set[tuple[int, int]]:
+    """The orbit of the ordered pair (a, b) under reversal and ``gens``."""
+    orbit, todo = {pair}, [pair]
     while todo:
-        for y in images(todo.pop()):
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
+        a, b = todo.pop()
+        for image in [(b, a)] + [(perm[a], perm[b]) for perm in gens]:
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
     return orbit
 
 
 def automorphism_generators(g: Graph) -> list[list[int]]:
     """Generators of Aut(G) (of a subgroup when the search runs out of
-    ``SEARCH_NODES`` refinements), each a list with perm[v] the image of v."""
+    ``SEARCH_NODES`` refinements), each a list with perm[v] the image of v.
+    Below each candidate, the search is a loop over a stack of (cells,
+    target cell, depth, untried vertices), one refinement per vertex tried.
+    """
     cells = refine(g, (tuple(g.vertices),))
     path = []  # (cells, target cell, first vertex) at each level of the first path
     while len(cells) < g.n:
@@ -132,44 +136,36 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
     shapes = [tuple(map(len, node)) for node, _, _ in path] + [(1,) * g.n]
     gens: list[list[int]] = []
     nodes = 0
-
-    def images(u: int) -> list[int]:
-        return [perm[u] for perm in gens]
-
-    def search(cells: Cells, depth: int) -> list[int] | None:
-        """An automorphism taking the first leaf to a leaf below ``cells``."""
-        nonlocal nodes
-        if tuple(map(len, cells)) != shapes[depth]:
-            return None
-        if len(cells) == g.n:
-            perm = [0] * (g.n + 1)
-            for v, cell in zip(first_leaf, cells):
-                perm[v] = cell[0]
-            return perm if is_automorphism(g, perm) else None
-        i = _target(cells)
-        for u in cells[i]:
-            if nodes >= SEARCH_NODES:
-                return None
-            nodes += 1
-            found = search(refine(g, _individualise(cells, i, u)), depth + 1)
-            if found:
-                return found
-        return None
-
-    try:
-        for depth in range(len(path) - 1, -1, -1):
-            node, i, v = path[depth]
-            orbit = _orbit(v, images)
-            for w in node[i]:
-                if w in orbit or nodes >= SEARCH_NODES:
+    for depth in range(len(path) - 1, -1, -1):
+        node, i, v = path[depth]
+        orbit = _orbit((v, v), gens)  # v's orbit is its diagonal
+        for w in node[i]:
+            if (w, w) in orbit:
+                continue
+            stack = [(node, i, depth, iter([w]))]
+            while stack:
+                cells, j, d, untried = stack[-1]
+                u = next(untried, 0)  # vertices start at 1
+                if not u:
+                    stack.pop()
                     continue
+                if nodes >= SEARCH_NODES:
+                    return gens
                 nodes += 1
-                found = search(refine(g, _individualise(node, i, w)), depth + 1)
-                if found:
-                    gens.append(found)
-                    orbit = _orbit(v, images)
-    finally:
-        del search  # it calls itself through its cell: unbound, the scope is freed on return
+                cells = refine(g, _individualise(cells, j, u))
+                if tuple(map(len, cells)) != shapes[d + 1]:
+                    continue
+                if len(cells) < g.n:
+                    j = _target(cells)
+                    stack.append((cells, j, d + 1, iter(cells[j])))
+                    continue
+                perm = [0] * (g.n + 1)
+                for x, cell in zip(first_leaf, cells):
+                    perm[x] = cell[0]
+                if is_automorphism(g, perm):
+                    gens.append(perm)
+                    orbit = _orbit((v, v), gens)
+                    break
     return gens
 
 
@@ -186,9 +182,7 @@ def pair_orbits(g: Graph) -> dict[tuple[int, int], int]:
     seen: set[tuple[int, int]] = set()
     for pair in product(g.vertices, repeat=2):  # the first pair met of an orbit is its least
         if pair not in seen:
-            orbit = _orbit(
-                pair, lambda p: [(p[1], p[0])] + [(perm[p[0]], perm[p[1]]) for perm in gens]
-            )
+            orbit = _orbit(pair, gens)
             seen |= orbit
             sizes[pair] = len(orbit)
     return sizes

@@ -9,6 +9,7 @@ second route for the sequence-based code that replaced them.
 from collections import namedtuple
 from math import gcd, inf
 
+from maghom import symmetry
 from maghom.errors import MaghomError
 from maghom.homology import mh_column, orbit_classes
 from maghom.magnitude import magnitude_series
@@ -186,6 +187,70 @@ def pawful_violations(g):
         and d[x][z] == 1
         and not any(d[w][x] == d[w][y] == d[w][z] == 1 for w in vs)
     ]
+
+
+# --- symmetry -----------------------------------------------------------------
+
+
+def automorphism_generators(g):
+    """The library's former recursive first-path search: the same
+    generators, in the same order, within ``symmetry.SEARCH_NODES``
+    refinements, each leaf checked against the edge set."""
+    refine, individualise, target = symmetry.refine, symmetry._individualise, symmetry._target
+    edges = set(g.edges)
+    cells = refine(g, (tuple(g.vertices),))
+    path = []
+    while len(cells) < g.n:
+        i = target(cells)
+        path.append((cells, i, cells[i][0]))
+        cells = refine(g, individualise(cells, i, cells[i][0]))
+    first_leaf = [cell[0] for cell in cells]
+    shapes = [tuple(map(len, node)) for node, _, _ in path] + [(1,) * g.n]
+    gens = []
+    nodes = 0
+
+    def orbit_of(v):
+        orbit, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for y in [perm[x] for perm in gens]:
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        return orbit
+
+    def search(cells, depth):
+        nonlocal nodes
+        if tuple(map(len, cells)) != shapes[depth]:
+            return None
+        if len(cells) == g.n:
+            perm = [0] * (g.n + 1)
+            for v, cell in zip(first_leaf, cells):
+                perm[v] = cell[0]
+            image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
+            return perm if image == edges else None
+        i = target(cells)
+        for u in cells[i]:
+            if nodes >= symmetry.SEARCH_NODES:
+                return None
+            nodes += 1
+            found = search(refine(g, individualise(cells, i, u)), depth + 1)
+            if found:
+                return found
+        return None
+
+    for depth in range(len(path) - 1, -1, -1):
+        node, i, v = path[depth]
+        orbit = orbit_of(v)
+        for w in node[i]:
+            if w in orbit or nodes >= symmetry.SEARCH_NODES:
+                continue
+            nodes += 1
+            found = search(refine(g, individualise(node, i, w)), depth + 1)
+            if found:
+                gens.append(found)
+                orbit = orbit_of(v)
+    return gens
 
 
 # --- sparse integer matrices ------------------------------------------------

@@ -11,11 +11,13 @@ from maghom import (
     from_edges,
     magnitude_rational,
     magnitude_series,
+    mh_column,
     path_graph,
     star_graph,
 )
 from maghom import magnitude, polyq
 from maghom.errors import BudgetExceeded, InternalCheckError
+from maghom.homology import merge_torsion
 from maghom.polyq import IntPoly, RatFunc
 from maghom.symmetry import equitable_partition
 
@@ -267,6 +269,23 @@ def test_leinster_wedge(g1, g2, g3, c4):
         den = Poly(a.den) * b.den
         num = Poly(a.num) * b.den + Poly(b.num) * a.den - den
         assert _same(num, den, magnitude_rational(_wedge(g, h)))
+
+
+def test_magnitude_homology_of_a_wedge_is_the_direct_sum(g1, g2, g3, c4):
+    # Hepworth-Willerton: MH_(k,l)(G v H) = MH_(k,l)(G) + MH_(k,l)(H) for l >= 1.
+    # A wedge's Aut(G) differs from its blocks', so its orbit classes do too.
+    rp2h = load_fixture("RP2H")
+    cases = [(c4, g1, 5), (g1, g3, 5), (g2, cycle_graph(5), 5), (complete_graph(4), g3, 5),
+             (c4, c4, 5), (g3, g3, 5), (rp2h, c4, 4), (rp2h, g1, 4)]
+    for g, h, lmax in cases:
+        wedge = _wedge(g, h)
+        for length in range(1, lmax + 1):
+            summed = [
+                (rank_g + rank_h, merge_torsion([(tors_g, 1), (tors_h, 1)]))
+                for (rank_g, tors_g), (rank_h, tors_h) in zip(mh_column(g, length), mh_column(h, length))
+            ]
+            assert mh_column(wedge, length) == summed
+    assert mh_column(_wedge(rp2h, c4), 4)[3] == mh_column(_wedge(rp2h, g1), 4)[3] == (450, (2, 2))
 
 
 def test_leinster_cartesian_product(g1, c4):

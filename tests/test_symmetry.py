@@ -1,11 +1,12 @@
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+import oracles
 import pytest
-from conftest import K33, PETERSEN, random_connected
+from conftest import FIXTURES, K33, PETERSEN, random_connected
 
-from maghom import complete_graph, cycle_graph, from_edges, mh_column, mh_table
+from maghom import complete_graph, cycle_graph, from_edges, mh_column, mh_table, parse_graph
 from maghom import homology, symmetry
 from maghom.errors import InternalCheckError
 from maghom.symmetry import (
@@ -27,6 +28,14 @@ CUBIC = [
     from_edges([(1, 5), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6),
                 (3, 6), (3, 8), (4, 5), (4, 7), (4, 8), (7, 8)]),
 ]
+
+# K_(6x2), the cocktail-party graph on 12 vertices
+K6X2 = from_edges([(u, v) for u, v in combinations(range(1, 13), 2) if (u + 1) // 2 != (v + 1) // 2])
+# the complement of C3 + C4: 4-regular with vertex orbits {1, 5, 6} and
+# {2, 3, 4, 7}, which refinement does not split, so candidates of the wrong
+# orbit fail the shape test between candidates that find generators
+CO_C3_C4 = from_edges([(1, 2), (1, 3), (1, 4), (1, 7), (2, 4), (2, 5), (2, 6),
+                       (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)])
 
 
 def relabel(g, perm):
@@ -146,3 +155,20 @@ def test_one_summand_per_orbit_is_reduced(monkeypatch):
     monkeypatch.setattr(homology, "_homology", counted)
     mh_column(PETERSEN, 4)
     assert calls == {5: 3}  # one complex per orbit size: 10, 30 and 60
+
+
+def test_the_search_loop_finds_the_recursive_searchs_generators(monkeypatch, g1, g3, c4):
+    # the same generators in the same order, truncated searches included,
+    # so the loop charges each refinement where the recursion did
+    graphs = [c4, g1, g3, K33, PETERSEN, CO_C3_C4] + CUBIC + [complete_graph(12), K6X2]
+    atlas = [parse_graph(line) for line in (FIXTURES / "atlas7_diam2.g6").read_text().split()]
+    for g in graphs + atlas:
+        assert automorphism_generators(g) == oracles.automorphism_generators(g)
+    for budget in range(61):
+        monkeypatch.setattr(symmetry, "SEARCH_NODES", budget)
+        for g in graphs:
+            assert automorphism_generators(g) == oracles.automorphism_generators(g)
+    for budget in (3, 10):
+        monkeypatch.setattr(symmetry, "SEARCH_NODES", budget)
+        for g in atlas:
+            assert automorphism_generators(g) == oracles.automorphism_generators(g)
