@@ -59,6 +59,12 @@ def _graph_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _pair_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--ell", type=int, required=True)
+
+
 def _cmd_magnitude(args) -> int:
     g = _load_graph(args.graph, args.format)
     rat = magnitude_rational(g)
@@ -175,7 +181,7 @@ def _build_matching_from_args(
     else:
         cert = mt.build_pawful_S(g)
     pair = aic.relative_complex(g, args.a, args.b, args.ell)
-    return pair, mt.build_matching(g, pair, cert)
+    return pair, mt.build_matching(pair, cert)
 
 
 def _matching_report(
@@ -335,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ai-complex", help="the pair K_l(a,b), K'_l(a,b)")
     _graph_arg(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    _pair_args(p)
     p.add_argument("--list-faces", action="store_true")
     p.add_argument("--homology", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -345,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("morse", help="run the discrete Morse checks on a matching")
     _graph_arg(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    _pair_args(p)
     p.add_argument(
         "--matching",
         default="pawful",
@@ -360,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="build and print a certificate matching")
     _graph_arg(p)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    _pair_args(p)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--pawful", action="store_true",
                      help="derive the certificate from pawfulness")
@@ -395,14 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:  # built on the first call, not at import
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

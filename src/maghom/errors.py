@@ -2,10 +2,11 @@
 
 This module alone names, reads, checks and words the two limits: the
 basis cap on the cells a basis or K_l(a,b) holds and the coefficients a
-magnitude table holds (``basis_cap``, ``over_cap``), and the search
-budget on the nodes of one certificate search, which ``--budget``
-overrides (``budget_option``, ``search_budget``).  A setting is read
-once per call that charges it, never once per comparison.
+magnitude table holds (``basis_cap``, ``over_cap``, ``check_table_cap``),
+and the search budget on the nodes of one certificate search, which
+``--budget`` overrides (``budget_option``, ``search_budget``,
+``check_search_budget``).  A setting is read once per call that charges
+it, never once per comparison.
 """
 
 import os
@@ -56,6 +57,23 @@ def basis_cap() -> int:
 
 def over_cap(what: str, cap: int, unit: str = "") -> BudgetExceeded:
     return BudgetExceeded(f"{what} exceeds the cap of {cap}{unit}")
+
+
+def check_table_cap(what: str, rows: int, cols: int, words: int = 1) -> None:
+    """Refuse to hold ``what``, a table of rows x cols coefficients of up
+    to ``words`` machine words each, when its words are over the basis cap."""
+    cap = basis_cap()
+    if rows * cols * words > cap:
+        each = f" of {words} machine words each" if rows * cols <= cap else ""
+        raise BudgetExceeded(
+            f"{what} needs {rows} x {cols} coefficients{each}, over the basis cap {cap}"
+        )
+
+
+def check_search_budget(nodes: int, budget: int) -> None:
+    """Refuse the ``nodes``-th node of a certificate search over ``budget``."""
+    if nodes > budget:
+        raise BudgetExceeded(f"certificate search exceeded {budget} nodes")
 
 
 def budget_option(budget: int | None) -> int | None:

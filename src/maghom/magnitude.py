@@ -59,8 +59,9 @@ row degree 0, so such a minor, det M and det B among them, is the value
 at X of a polynomial of degree at most D = sum_i e_i.  So D + 1 digits
 are read, and a value left over is an internal error.  The r^2 x (D + 1)
 coefficients that the elimination stands for count against the basis
-cap (``errors.basis_cap``), as the series table does.  -det B / det M
-is brought to lowest terms by ``polyq.poly_gcd``, at q = 2^k as well.
+cap (``errors.check_table_cap``), as the series table does.  The
+fraction -det B / det M is brought to lowest terms by
+``polyq.poly_gcd``, at q = 2^k as well.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from itertools import accumulate
 from math import isqrt, prod
 from operator import mul
 
-from .errors import BudgetExceeded, InternalCheckError, ValidationError, basis_cap
+from .errors import InternalCheckError, ValidationError, check_table_cap
 from .graph import Graph
 from .polyq import IntPoly, RatFunc, unpack
 from .symmetry import Cells, equitable_partition
@@ -90,18 +91,6 @@ def _cell_spans(sizes: list[int]) -> list[tuple[int, int]]:
     """The column range of each cell in a ``_quotient`` row, last cell first."""
     ends = list(accumulate(reversed(sizes), initial=0))
     return list(zip(ends, ends[1:]))
-
-
-def _check_cap(what: str, rows: int, cols: int, words: int = 1) -> None:
-    """Refuse to hold ``what``, a table of rows x cols coefficients of up
-    to ``words`` machine words each, when its words are over the basis
-    cap (``errors.basis_cap``)."""
-    cap = basis_cap()
-    if rows * cols * words > cap:
-        each = f" of {words} machine words each" if rows * cols <= cap else ""
-        raise BudgetExceeded(
-            f"{what} needs {rows} x {cols} coefficients{each}, over the basis cap {cap}"
-        )
 
 
 def det_bound(sizes: list[int]) -> int:
@@ -147,7 +136,7 @@ def bordered_dets(g: Graph, cells: Cells | None = None) -> tuple[IntPoly, IntPol
     dist, sizes = _quotient(g, cells)
     r = len(sizes)
     top = sum(map(max, dist))
-    _check_cap(f"elimination on {r} cells", r * r, top + 1)
+    check_table_cap(f"elimination on {r} cells", r * r, top + 1)
     k = det_bound(sizes).bit_length() + 1
     pw = [1 << (k * d) for d in range(max(map(max, dist)) + 1)]
     spans = _cell_spans(sizes)
@@ -232,7 +221,7 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
     2^(e * (order + 1)) in size, and fits in w signed 64-bit words (which
     hold sizes up to 2^(64w - 2)), w = floor((e * (order + 1) + 1) / 64) + 1;
     the n vectors of order + 1 coefficients count n x (order + 1) x w
-    machine words against the basis cap (``errors.basis_cap``):
+    machine words against the basis cap (``errors.check_table_cap``):
     n x (order + 1) while w = 1.  The packed digits fit the words charged:
     by induction B_m <= (n-1) n^(m-1) for m >= 1, so n B_m < 2^(e(m+1)),
     and n B_0 = n <= 2^e; so K <= e * (order + 1) + 2 <= 64w for
@@ -242,7 +231,7 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
         raise ValidationError("series order must be >= 0")
     e = (g.n - 1).bit_length()
     words = (e * (order + 1) + 1) // 64 + 1
-    _check_cap(f"series through q^{order}", g.n, order + 1, words)
+    check_table_cap(f"series through q^{order}", g.n, order + 1, words)
     kbits = (g.n * max(series_bounds(g, order))).bit_length() + 2
     # shells[x]: (K(d - 1), the vertices at distance d from x) for 0 < d <= order
     shells = []

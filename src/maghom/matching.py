@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 from .ai_complex import RelativeComplex
 from .errors import (
-    BudgetExceeded,
     CertificateError,
     InternalCheckError,
     ParseError,
     ValidationError,
+    check_search_budget,
     search_budget,
 )
 from .graph import Graph, diameter, is_pawful
@@ -117,14 +117,14 @@ class MatchingBuild:
     critical: tuple[int, ...]
 
 
-def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBuild:
+def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
-    ``pair`` is ``relative_complex(g, a, b, l)``.  Gap-first cells get the
-    certificate's middle vertex inserted right after the gap start (in
-    the simplex, at position +1, the unique choice that keeps positions
-    cumulative); pattern-first cells lose the vertex after the pattern
-    start.  Each gap-first cell is checked to go to a pattern-first cell
+    ``pair`` is ``relative_complex(g, a, b, l)``, and ``s`` a certificate
+    for its graph ``pair.g``.  Gap-first cells get the certificate's
+    middle vertex inserted right after the gap start (in the simplex, at
+    position +1, the unique choice that keeps positions cumulative);
+    pattern-first cells lose the vertex after the pattern start.  Each gap-first cell is checked to go to a pattern-first cell
     that deletion takes back to it; any failure means the certificate is
     invalid for this graph.  So insertion is one-to-one, and it is onto
     as well, which the count comparison at the end only re-checks.
@@ -145,6 +145,7 @@ def build_matching(g: Graph, pair: RelativeComplex, s: SStructure) -> MatchingBu
     once the gap-first loop passes, every pattern-first cell has been
     matched.
     """
+    g = pair.g
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
     _validate_structure(g, s)
@@ -341,8 +342,7 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
         kind, key, _ = variables[len(chosen)]
         for mid in pending[-1]:
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"certificate search exceeded {budget} nodes")
+            check_search_budget(nodes, budget)
             if kind == "T":
                 t = (key[0], mid, key[1])
                 if first3[t]:

@@ -282,9 +282,10 @@ class RatFunc:
         if d0 not in (1, -1):
             raise MaghomError("series expansion needs constant denominator term +-1")
         out = []
+        top = self.den.degree
         for k in range(order + 1):
             acc = self.num.coefficient(k)
-            for j in range(k):
+            for j in range(max(0, k - top), k):  # den has no term above q^top
                 acc -= out[j] * self.den.coefficient(k - j)
             out.append(acc * d0)  # dividing by +-1
         return out

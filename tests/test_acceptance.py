@@ -136,7 +136,7 @@ def test_criterion_06_pawful_pipeline(c4):
         for ell in (3, 4, 5):
             for a in g.vertices:
                 for b in g.vertices:
-                    built = build_matching(g, relative_complex(g, a, b, ell), cert)
+                    built = build_matching(relative_complex(g, a, b, ell), cert)
                     poset = relative_complex(g, a, b, ell)
                     ok = ok and verify_matching(poset, built.matching)[0]
                     ok = ok and is_acyclic(poset, built.matching)[0]
@@ -156,7 +156,7 @@ def test_criterion_07_g1_certificate(g1, g1_cert_text):
     for ell in (3, 4):
         for a in g1.vertices:
             for b in g1.vertices:
-                built = build_matching(g1, relative_complex(g1, a, b, ell), cert)
+                built = build_matching(relative_complex(g1, a, b, ell), cert)
                 poset = relative_complex(g1, a, b, ell)
                 ok = ok and verify_matching(poset, built.matching)[0]
                 ok = ok and is_acyclic(poset, built.matching)[0]

@@ -88,6 +88,21 @@ def test_successive_calls_print_what_fresh_processes_print(capsys, monkeypatch):
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+def test_the_parser_is_built_at_import():
+    # main parses with the parser that import built, not with a new one
+    code = (
+        "import maghom.cli as c; c.build_parser = None; "
+        "raise SystemExit(c.main(['pawful', 'fixtures/G1']))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=FIXTURES.parent, timeout=60,
+    )
+    golden = (GOLDEN / "pawful.out").read_text()
+    assert (f"exit {done.returncode}\n{done.stdout}", done.stderr) == (golden, "")
+
+
 def test_mh_table_csv(capsys, g3):
     code, out, _ = run(capsys, "mh-table", FIXTURES / "G3", "--lmax", 6, "--csv")
     assert code == 0

@@ -120,7 +120,7 @@ def test_sequence_indices_triple_override_flag(g1):
 
 def test_build_matching_c4(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
+    build = build_matching(relative_complex(c4, 1, 1, 4), s)
     assert len(build.matching) == 6
     assert len(build.critical) == 3
     poset = relative_complex(c4, 1, 1, 4)
@@ -131,7 +131,7 @@ def test_build_matching_c4(c4):
 
 def test_build_matching_partitions_cells(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
+    build = build_matching(relative_complex(c4, 1, 1, 4), s)
     cells = relative_complex(c4, 1, 1, 4).cells
     inserted = {low for low, _ in build.matching}
     deleted = {high for _, high in build.matching}
@@ -145,7 +145,7 @@ def test_build_matching_scan_agrees_with_sequence_indices(g1, g1_cert, c4):
     for g, s in ((g1, g1_cert), (c4, build_pawful_S(c4))):
         for a, b in ((1, 1), (1, 3), (2, 4), (4, 2)):
             pair = relative_complex(g, a, b, 5)
-            build = build_matching(g, pair, s)
+            build = build_matching(pair, s)
             groups = {"critical": [], "inserted": [], "deleted": []}
             for c, seq in enumerate(pair.cells):
                 idx = sequence_indices(g, seq, s)
@@ -169,7 +169,7 @@ def test_build_matching_complete_graphs():
         s = build_pawful_S(g)
         for a, b in ((1, 2), (2, 2)):
             pair = relative_complex(g, a, b, ell)
-            build = build_matching(g, pair, s)
+            build = build_matching(pair, s)
             assert not build.matching  # nothing to pair: no gaps, no patterns
             assert all(len(pair.simplex(c)) - 1 == ell - 2 for c in build.critical)
             assert morse_rank_check(relative_complex(g, a, b, ell), build.matching)[0]
@@ -179,7 +179,7 @@ def test_build_matching_rejects_incomplete_certificate(c4):
     s = build_pawful_S(c4)
     crippled = SStructure(s.quads, frozenset(t for t in s.triples if t != (1, 2, 3)))
     with pytest.raises(CertificateError):
-        build_matching(c4, relative_complex(c4, 1, 1, 4), crippled)
+        build_matching(relative_complex(c4, 1, 1, 4), crippled)
 
 
 @pytest.mark.parametrize(
@@ -192,14 +192,14 @@ def test_build_matching_rejects_incomplete_certificate(c4):
 def test_build_matching_rejects_two_middles_over_one_key(g1, g1_cert_text, extra, message):
     s = parse_s(g1_cert_text + extra + "\n", g1)
     with pytest.raises(CertificateError) as err:
-        build_matching(g1, relative_complex(g1, 1, 3, 3), s)
+        build_matching(relative_complex(g1, 1, 3, 3), s)
     assert str(err.value) == message
 
 
 def test_build_matching_g1_certificate(g1, g1_cert):
     for ell in (3, 4):
         for a, b in ((1, 1), (1, 4), (3, 5), (6, 6)):
-            build = build_matching(g1, relative_complex(g1, a, b, ell), g1_cert)
+            build = build_matching(relative_complex(g1, a, b, ell), g1_cert)
             poset = relative_complex(g1, a, b, ell)
             assert verify_matching(poset, build.matching)[0]
             assert is_acyclic(poset, build.matching)[0]
@@ -395,4 +395,4 @@ def test_diameter_guards(g1):
     with pytest.raises(ValidationError):
         search_structure(p4)
     with pytest.raises(ValidationError):
-        build_matching(p4, relative_complex(p4, 1, 4, 3), SStructure(frozenset(), frozenset()))
+        build_matching(relative_complex(p4, 1, 4, 3), SStructure(frozenset(), frozenset()))

@@ -97,7 +97,7 @@ def test_critical_cells_partition():
 
 def test_morse_rank_check_c4(c4):
     s = build_pawful_S(c4)
-    build = build_matching(c4, relative_complex(c4, 1, 1, 4), s)
+    build = build_matching(relative_complex(c4, 1, 1, 4), s)
     ok, detail = morse_rank_check(relative_complex(c4, 1, 1, 4), build.matching)
     assert ok and "3 critical" in detail
 
@@ -118,7 +118,7 @@ def test_critical_count_equals_relative_rank_complete_graph():
     g = complete_graph(4)
     s = build_pawful_S(g)
     for a, b in ((1, 1), (1, 2)):
-        build = build_matching(g, relative_complex(g, a, b, 3), s)
+        build = build_matching(relative_complex(g, a, b, 3), s)
         from maghom.ai_complex import relative_homology
 
         rel = relative_homology(relative_complex(g, a, b, 3))
@@ -225,7 +225,7 @@ def test_fast_paths_on_edge_cases_agree_with_the_simplex_oracles(g1, g1_cert_tex
     square = square_boundary_poset()
     rotating = matching(square, ((1,), (1, 2)), ((2,), (2, 3)), ((3,), (3, 4)), ((4,), (1, 4)))
     pair = relative_complex(g1, 1, 3, 6)
-    certified = build_matching(g1, pair, parse_s(g1_cert_text, g1)).matching
+    certified = build_matching(pair, parse_s(g1_cert_text, g1)).matching
     covers = list(pair.covers())
     for closing in (closing_covers(pair, f, c) for f, c in covers):
         on = {cell for cover in closing for cell in cover}
@@ -249,7 +249,7 @@ def test_cycles_at_length_6_agree_with_the_simplex_oracles(g1, g1_cert_text):
     # along covers that close a cycle: the unordered pass finds one and
     # the ordered search then names the oracle's, cell for cell
     pair = relative_complex(g1, 1, 3, 6)
-    certified = build_matching(g1, pair, parse_s(g1_cert_text, g1)).matching
+    certified = build_matching(pair, parse_s(g1_cert_text, g1)).matching
     covers = list(pair.covers())
     rng = random.Random(2718)
     trials = 0

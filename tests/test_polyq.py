@@ -197,6 +197,31 @@ def test_ratfunc_series_geometric():
     assert r.series(5) == [2, -2, 2, -2, 2, -2]
 
 
+def test_ratfunc_series_times_den_gives_num():
+    """den x series = num mod q^(L+1) on seeded random fractions, with
+    den(0) = +-1 and each degree below and above the order L."""
+    rng = random.Random(20211)
+    signs, shapes = set(), set()
+    for _ in range(200):
+        order = rng.randint(0, 12)
+        num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 2 * order + 3))])
+        tail = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2 * order + 2))]
+        den = Poly([rng.choice((1, -1))] + tail)
+        if not num:
+            continue
+        r = RatFunc(num, den)
+        series = r.series(order)
+        assert len(series) == order + 1
+        product = Poly(r.den) * Poly(series)
+        assert [product.coefficient(k) for k in range(order + 1)] == [
+            r.num.coefficient(k) for k in range(order + 1)
+        ]
+        signs.add(r.den.coefficient(0))
+        shapes.add((r.num.degree > order, r.den.degree > order))
+    assert signs == {1, -1}
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_ratfunc_series_requires_unit_constant():
     r = RatFunc(IntPoly([1]), IntPoly([2, 1]))
     with pytest.raises(MaghomError):
