@@ -67,14 +67,12 @@ def _pair_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_magnitude(args) -> int:
     g = _load_graph(args.graph, args.format)
+    # the series first, as it checks its cap before any work: an order
+    # over the cap is then refused without running the elimination
+    series = None if args.series is None else magnitude_series(g, args.series)
     rat = magnitude_rational(g)
-    series = None
-    if args.series is not None:
-        series = magnitude_series(g, args.series)
-        if series != rat.series(args.series):
-            raise InternalCheckError(
-                "power-series inversion disagrees with the rational expansion"
-            )
+    if series is not None and series != rat.series(args.series):
+        raise InternalCheckError("power-series inversion disagrees with the rational expansion")
     if args.json:
         payload = {"num": list(rat.num.coeffs), "den": list(rat.den.coeffs)}
         if series is not None:

@@ -11,8 +11,10 @@ the cells into three groups: untouched cells A (no gap, no pattern),
 gap-first cells paired upward by inserting the certificate's middle
 vertex, and pattern-first cells paired downward by deleting the vertex
 after the pattern.  For a valid certificate this is a perfect pairing
-off of everything but A, and the resulting matching is acyclic, which
-the callers re-check rather than assume.  Cells are handled as sequences
+off of everything but A, which ``build_matching`` proves in its
+docstring and checks where a certificate can fail it.  The resulting
+matching is acyclic, which the callers (the CLI's ``morse`` and
+``match``) re-check rather than assume.  Cells are handled as sequences
 and named by index; their (vertex, position) form appears only in error
 messages.
 
@@ -121,13 +123,35 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     """Pair the cells of K_l(a,b) outside K'_l(a,b) using a certificate.
 
     ``pair`` is ``relative_complex(g, a, b, l)``, and ``s`` a certificate
-    for its graph ``pair.g``.  Gap-first cells get the certificate's
-    middle vertex inserted right after the gap start (in the simplex, at
-    position +1, the unique choice that keeps positions cumulative);
-    pattern-first cells lose the vertex after the pattern start.  Each gap-first cell is checked to go to a pattern-first cell
-    that deletion takes back to it; any failure means the certificate is
-    invalid for this graph.  So insertion is one-to-one, and it is onto
-    as well, which the count comparison at the end only re-checks.
+    for its graph ``pair.g``.  One scan stops each cell (x_0, .., x_k) at
+    its first gap (d(x_t, x_(t+1)) = 2) or first pattern.  Gap-first
+    cells get the certificate's middle vertex inserted right after the
+    gap start (in the simplex, at position +1, the unique choice that
+    keeps positions cumulative); pattern-first cells lose the vertex
+    after the pattern start.  A well-shaped certificate is refused for
+    two middles over one key (of triples or of quadruples), for no
+    middle over the key of some gap, or for a gap-first cell whose image
+    deletion at its pattern start does not take back to it.  Otherwise
+    insertion is one-to-one, and it is onto as well, which the count
+    comparison at the end only re-checks.  Acyclicity is not checked
+    here.
+
+    Nothing else can fail once ``_validate_structure`` has passed, since
+    every step of a validated tuple is 1:
+
+    - No position is both a gap and a pattern start: a pattern at t has
+      the step d(x_t, x_(t+1)) = 1 of its tuple.
+    - Take a gap-first cell with its gap at j.  Its middle, mid, is
+      adjacent to x_j and to x_(j+1), so inserting it keeps the length
+      and the endpoints and makes no two consecutive entries equal.  It
+      raises the degree by one, to at most l, as a cell with a gap of 2
+      has degree at most l - 1.  So the image is a cell.
+    - The image agrees with the cell before position j, so it has no gap
+      or pattern before j - 1.  It has no gap at j - 1 (the cell's step
+      there is 1) or at j (a step of 1 to the middle).  It has a pattern
+      at j: the triple (x_0, mid, x_1) when j = 0, or else the window
+      (x_(j-1), x_j, mid, x_(j+1)), over d(x_j, x_(j+1)) = 2.  So it is
+      pattern-first, with its pattern at j - 1 or j.
 
     Take a pattern-first cell c = (x_0, .., x_k) with its pattern at t,
     and let y be c with x_(t+1) deleted.  The pattern's two steps of 1
@@ -139,11 +163,10 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     has no pattern there either.  A pattern there would need
     d(x_t, x_(t+2)) = 1, or d(x_1, x_3) = 1 when t = 1, but c's pattern
     needs that distance to be 2.  So y is gap-first at t, its gap
-    d(x_t, x_(t+2)) = 2 (a pattern there too has already raised).  Its
-    certificate key is the key of c's pattern, and ``_by_key`` gives
-    each key one middle, x_(t+1), so inserting into y gives back c.  So
-    once the gap-first loop passes, every pattern-first cell has been
-    matched.
+    d(x_t, x_(t+2)) = 2.  Its certificate key is the key of c's
+    pattern, and ``_by_key`` gives each key one middle, x_(t+1), so
+    inserting into y gives back c.  So once the gap-first loop passes,
+    every pattern-first cell has been matched.
     """
     g = pair.g
     if diameter(g) > 2:
@@ -151,70 +174,47 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     _validate_structure(g, s)
     quad_mid = _by_key(s.quads, 2, "quadruples")
     triple_mid = _by_key(s.triples, 1, "triples")
-    cells, show = pair.cells, pair.simplex
-    index = {seq: c for c, seq in enumerate(cells)}
-
-    dist, triples, quads = g.dist, s.triples, s.quads
+    cells, dist, triples, quads = pair.cells, g.dist, s.triples, s.quads
     untouched: list[int] = []
     gap_first: list[int] = []
-    pattern_first: list[int] = []
     at: dict[int, int] = {}  # the first gap or pattern start of each paired cell
     for c, seq in enumerate(cells):
         k = len(seq) - 1
         for t in range(k):
-            # a pattern starts at t: the leading triple (t = 0) or the
-            # quadruple window x_(t-1) .. x_(t+2), both only where
-            # d(x_t, x_(t+2)) = 2, as validated; a gap: d(x_t, x_(t+1)) = 2
+            # a gap: d(x_t, x_(t+1)) = 2; a pattern: the leading triple
+            # (t = 0) or the quadruple window x_(t-1) .. x_(t+2), both
+            # only where d(x_t, x_(t+2)) = 2, as validated
             row = dist[seq[t]]
-            pattern = (
+            if row[seq[t + 1]] == 2:
+                gap_first.append(c)
+                break
+            if (
                 t < k - 1
                 and row[seq[t + 2]] == 2
                 and (seq[t - 1 : t + 3] in quads if t else seq[:3] in triples)
-            )
-            gap = row[seq[t + 1]] == 2
-            if pattern or gap:
+            ):
                 break
         else:
             untouched.append(c)
             continue
-        if pattern and gap:
-            raise CertificateError(f"cell {show(c)}: pattern and gap coincide at {t}")
-        (gap_first if gap else pattern_first).append(c)
         at[c] = t
 
-    def insert(c: int) -> int:
-        seq, j = cells[c], at[c]
-        if j == 0:
-            mid = triple_mid.get((seq[0], seq[1]))
-        else:
-            mid = quad_mid.get((seq[j - 1], seq[j], seq[j + 1]))
-        if mid is None:
-            raise CertificateError(
-                f"no certificate entry for the gap at {j} in {seq}"
-            )
-        out = index.get(seq[: j + 1] + (mid,) + seq[j + 1 :])
-        if out is None:
-            raise CertificateError(
-                f"inserting {mid} into {seq} left the length-{pair.length} cell set"
-            )
-        return out
-
-    def delete(c: int) -> int | None:
-        seq, i = cells[c], at[c]
-        return index.get(seq[: i + 1] + seq[i + 2 :])
-
-    pattern_set = set(pattern_first)
-    mate: dict[int, int] = {}
+    index = {seq: c for c, seq in enumerate(cells)}
+    mates: list[tuple[int, int]] = []
     for c in gap_first:
-        m = insert(c)
-        if m not in pattern_set:
-            raise CertificateError(f"image of {show(c)} is not a pattern-first cell")
-        if delete(m) != c:
-            raise CertificateError(f"deletion does not invert insertion at {show(c)}")
-        mate[c] = m
-    if len(mate) != len(pattern_first):
-        raise InternalCheckError(f"{len(pattern_first) - len(mate)} pattern-first cells unmatched")
-    return MatchingBuild(frozenset(mate.items()), tuple(untouched))
+        seq, j = cells[c], at[c]
+        mid = triple_mid.get(seq[:2]) if j == 0 else quad_mid.get(seq[j - 1 : j + 2])
+        if mid is None:
+            raise CertificateError(f"no certificate entry for the gap at {j} in {seq}")
+        m = index[seq[: j + 1] + (mid,) + seq[j + 1 :]]
+        image, i = cells[m], at[m]
+        if image[: i + 1] + image[i + 2 :] != seq:
+            raise CertificateError(f"deletion does not invert insertion at {pair.simplex(c)}")
+        mates.append((c, m))
+    pattern_first = len(at) - len(gap_first)
+    if len(mates) != pattern_first:
+        raise InternalCheckError(f"{pattern_first - len(mates)} pattern-first cells unmatched")
+    return MatchingBuild(frozenset(mates), tuple(untouched))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,35 @@ def test_magnitude_series_is_charged_by_coefficient_size(capsys, monkeypatch):
     )
 
 
+def test_magnitude_series_over_the_cap_is_refused_before_the_elimination(capsys, monkeypatch):
+    def elimination(g):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
+    monkeypatch.setattr(cli, "magnitude_rational", elimination)
+    code, out, err = run(capsys, "magnitude", FIXTURES / "R40", "--series", 2000)
+    assert code == 2 and out == ""
+    assert err == (
+        "budget exceeded: series through q^2000 needs 40 x 2001 coefficients "
+        "of 188 machine words each, over the basis cap 2000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "order, code, err",
+    [
+        (100, 2, "budget exceeded: series through q^100 needs 6 x 101 coefficients, "
+                 "over the basis cap 143\n"),
+        (-1, 1, "error: series order must be >= 0\n"),
+    ],
+    ids=["over-the-cap", "negative"],
+)
+def test_magnitude_series_refusal_comes_before_the_elimination_cap(capsys, monkeypatch, order, code, err):
+    # the elimination on G1 is over this cap too (16 x 9 coefficients)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "143")
+    assert run(capsys, "magnitude", FIXTURES / "G1", "--series", order) == (code, "", err)
+
+
 def test_magnitude_elimination_over_the_cap_is_a_budget_error(capsys, monkeypatch):
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "143")
     code, out, err = run(capsys, "magnitude", FIXTURES / "G1")

@@ -1,10 +1,12 @@
 import random
+import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import inf
 
 import pytest
-from conftest import FIXTURES, K20X2, load_fixture
+from conftest import FIXTURES, K20X2, load_fixture, random_connected
 from oracles import (
     pawful_violations,
     sequence_indices,
@@ -18,6 +20,7 @@ from maghom.ai_complex import relative_complex
 from maghom.errors import (
     BudgetExceeded,
     CertificateError,
+    InternalCheckError,
     ParseError,
     ValidationError,
 )
@@ -178,7 +181,7 @@ def test_build_matching_complete_graphs():
 def test_build_matching_rejects_incomplete_certificate(c4):
     s = build_pawful_S(c4)
     crippled = SStructure(s.quads, frozenset(t for t in s.triples if t != (1, 2, 3)))
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"^no certificate entry for the gap at 0 in \(1, 3, 1\)$"):
         build_matching(relative_complex(c4, 1, 1, 4), crippled)
 
 
@@ -194,6 +197,75 @@ def test_build_matching_rejects_two_middles_over_one_key(g1, g1_cert_text, extra
     with pytest.raises(CertificateError) as err:
         build_matching(relative_complex(g1, 1, 3, 3), s)
     assert str(err.value) == message
+
+
+def _random_certificate(g, rng, variant):
+    """Every key's middle drawn from ``Graph.between``, so every tuple is
+    well shaped; then each tuple dropped with one probability, or one
+    key with two candidates given a second middle."""
+    triples, quads = set(), set()
+    for be in g.vertices:
+        for de in g.vertices:
+            if g.dist[be][de] == 2:
+                triples.add((be, rng.choice(g.between[be][de]), de))
+                quads.update((al, be, rng.choice(g.between[be][de]), de) for al in g.neighbors[be])
+    two = sorted(t for t in triples | quads if len(g.between[t[-3]][t[-1]]) > 1)
+    if variant == "dropped":
+        p = rng.choice((0.02, 0.1, 0.3))
+        triples = {t for t in triples if rng.random() > p}
+        quads = {q for q in quads if rng.random() > p}
+    elif variant == "second" and two:
+        t = rng.choice(two)
+        other = rng.choice([x for x in g.between[t[-3]][t[-1]] if x != t[-2]])
+        (triples if len(t) == 3 else quads).add(t[:-2] + (other, t[-1]))
+    return SStructure(frozenset(quads), frozenset(triples))
+
+
+BUILD_REFUSALS = re.compile(
+    r"two (triples|quadruples) share the key \(.*\)"
+    r"|no certificate entry for the gap at \d+ in \(.*\)"
+    r"|deletion does not invert insertion at \(.*\)"
+)
+
+
+def test_build_matching_on_random_certificates(g1, g3, c4):
+    # a well-shaped certificate gives an acyclic matching or one of the
+    # four refusals; any other exception, such as a KeyError from a cell
+    # lookup, would contradict a proof in build_matching's docstring
+    rng = random.Random(32)
+    graphs = [c4, g1, g3, load_fixture("P8")]
+    while len(graphs) < 14:
+        g = random_connected(rng, rng.randint(5, 8))
+        if diameter(g) == 2:
+            graphs.append(g)
+    outcomes = Counter()
+    for g in graphs:
+        for ell in (3, 4, 5):
+            for _ in range(2):
+                a, b = rng.choice(g.vertices), rng.choice(g.vertices)
+                pair = relative_complex(g, a, b, ell)
+                for variant in ("complete", "dropped", "second") * 3:
+                    try:
+                        build = build_matching(pair, _random_certificate(g, rng, variant))
+                    except CertificateError as exc:
+                        assert BUILD_REFUSALS.fullmatch(str(exc)), str(exc)
+                        outcomes[str(exc).split(" ")[0]] += 1
+                        continue
+                    assert verify_matching(pair, build.matching) == (True, None)
+                    assert is_acyclic(pair, build.matching)[0]
+                    outcomes["matched"] += 1
+    assert set(outcomes) == {"matched", "two", "no", "deletion"}, outcomes
+
+
+def test_build_matching_rechecks_that_every_pattern_first_cell_is_matched(c4):
+    # relative_complex never gives this cell list, which lacks a gap-first
+    # cell: its pattern-first mate is left with nothing to pair it with
+    pair = relative_complex(c4, 1, 1, 4)
+    s = build_pawful_S(c4)
+    low = min(low for low, _ in build_matching(pair, s).matching)
+    doctored = replace(pair, cells=pair.cells[:low] + pair.cells[low + 1 :])
+    with pytest.raises(InternalCheckError, match="^1 pattern-first cells unmatched$"):
+        build_matching(doctored, s)
 
 
 def test_build_matching_g1_certificate(g1, g1_cert):
