@@ -9,6 +9,7 @@ disagreed -- a bug signal, not a user error).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -398,6 +399,10 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # The library makes no reference cycles (tests/test_gc.py), so a pass
+    # of the cyclic collector over its many small tables frees nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (
@@ -414,6 +419,9 @@ def main(argv=None) -> int:
     except MaghomError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,12 +25,15 @@ CASES = {
     # coefficients of up to 94 bits: a digit width too narrow shows here
     "magnitude_series_r40": ["magnitude", F / "R40", "--series", "60", "--json"],
     "mh_table_csv": ["mh-table", F / "G3", "--lmax", "6", "--csv"],
+    # --verify also sums each length over all n^2 endpoint summands
+    "mh_table_csv_verify": ["mh-table", F / "G3", "--lmax", "6", "--verify", "--csv"],
     "mh_table_json": ["mh-table", F / "G3", "--lmax", "5", "--json"],
     "mh_table_json_l8": ["mh-table", F / "G3", "--lmax", "8", "--json"],
     # RP^2's Hasse diagram: MH_(3,4) = Z^450 + (Z/2)^2
     "mh_table_rp2": ["mh-table", F / "RP2H", "--lmax", "5", "--json"],
     # two torsion divisors in one field: T[2 2]
     "mh_table_rp2_csv": ["mh-table", F / "RP2H", "--lmax", "4", "--csv"],
+    "mh_table_rp2_csv_verify": ["mh-table", F / "RP2H", "--lmax", "4", "--verify", "--csv"],
     "mh_table_ab": ["mh-table", F / "C4", "--lmax", "4", "--ab", "1,1", "--json"],
     "mh_table_tsv": ["mh-table", F / "G1", "--lmax", "4"],
     "ai_complex": ["ai-complex", F / "C4", "--a", "1", "--b", "1", "--ell", "4",

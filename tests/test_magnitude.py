@@ -232,6 +232,13 @@ def test_euler_check_g3(g3):
     assert magnitude_series(g3, 4)[4] == 72
 
 
+@pytest.mark.parametrize("name", ["petersen", "g3"])
+def test_euler_check_at_length_9(name, g3):
+    # the length of the longest mh-table runs; Petersen has 4,444,470
+    # length-9 chains over all degrees
+    assert euler_check({"petersen": PETERSEN, "g3": g3}[name], 9)
+
+
 # Leinster's closed forms (arXiv:1401.4623), compared exactly by
 # cross-multiplying numerators and denominators.
 
