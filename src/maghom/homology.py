@@ -50,7 +50,7 @@ from itertools import chain, product
 
 from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph, diameter
-from .snf import SparseMatrix, homology_of_complex, smith_normal_form
+from .snf import SparseMatrix, homology_of_complex, invariant_factors
 from .symmetry import pair_orbits
 
 Classes = list[tuple[int, list[tuple[int, int]]]]
@@ -282,8 +282,8 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     """Invariant factors of the direct sum of T^m over the parts (T, m),
     each T given by its divisors.
 
-    They are the divisors of the Smith form of the diagonal matrix of all
-    the divisors, each repeated m times.
+    They are the invariant factors above 1 of all the divisors, each
+    repeated m times (``snf.invariant_factors``).
 
     >>> merge_torsion([((2,), 2), ((3,), 1)])
     (2, 6)
@@ -294,12 +294,8 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     >>> merge_torsion([((6,), 3), ((4,), 1)])
     (2, 6, 6, 12)
     """
-    divisors = [d for tors, m in parts for d in tors * m]
-    if not divisors:
-        return ()
-    n = len(divisors)
-    diagonal = SparseMatrix({(i, i): d for i, d in enumerate(divisors)}, n, n)
-    return smith_normal_form(diagonal).divisors
+    factors = invariant_factors(d for tors, m in parts for d in tors * m)
+    return tuple(d for d in factors if d > 1)
 
 
 def orbit_classes(g: Graph) -> Classes:

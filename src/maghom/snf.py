@@ -11,11 +11,13 @@ one: such a unit has Markowitz cost (row size - 1) * (column size - 1)
 zero, and its pivot only deletes entries.  Once the stack runs dry, the
 units left come from a heap, least cost first, and whatever a pivot
 leaves alone in a row or column goes on the stack, to be taken before
-the heap's next unit.  A dense textbook Smith reduction then takes the
-small block that has no unit left.  All arithmetic uses Python integers;
-intermediate values may exceed 64 bits.  A matrix may come with rows
-its producer has peeled already (``SparseMatrix.peeled``): they count as
-unit pivots and are never loaded.
+the heap's next unit.  A dense Smith reduction then takes the small
+block that has no unit left: it splits off one pivot of least size at a
+time, and ``invariant_factors`` puts the pivots in divisibility order by
+Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  All arithmetic uses Python
+integers; intermediate values may exceed 64 bits.  A matrix may come
+with rows its producer has peeled already (``SparseMatrix.peeled``):
+they count as unit pivots and are never loaded.
 
 ``homology_of_complex`` takes the boundaries from the bottom degree up
 and compresses: the rows of d_(k+1) at the columns on which d_k pivoted
@@ -32,6 +34,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,9 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
 
     Every sparse-phase pivot, a lone unit off the stack or a unit off the
     Markowitz heap, runs the same step: clear its column, retire its row
-    and column, and stack what that leaves alone in a row or column.
+    and column, and stack what that leaves alone in a row or column.  The
+    rows left when no unit remains go to ``_dense_smith_diagonal`` as one
+    dense block.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -163,82 +168,80 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
         return SNFResult(rank, (), pivot_cols)
 
     # dense residual: no +-1 entries left
-    live_rows = sorted(rows)
-    live_cols = sorted({c for rdata in rows.values() for c in rdata})
-    cindex = {c: j for j, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[i][cindex[c]] = v
-    diag = _dense_smith_diagonal(dense)
+    live_cols = {c for rdata in rows.values() for c in rdata}
+    diag = _dense_smith_diagonal([[rdata.get(c, 0) for c in live_cols] for rdata in rows.values()])
     divisors = tuple(d for d in diag if d > 1)
     return SNFResult(rank + len(diag), divisors, pivot_cols)
 
 
 def _dense_smith_diagonal(m: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith form of a dense matrix, in divisibility order."""
-    nr, nc = len(m), len(m[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        # smallest nonzero entry in the trailing block becomes the pivot
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        for row in m:
-            row[t], row[bj] = row[bj], row[t]
+    """Diagonal of the Smith form of a dense matrix, units included, in
+    divisibility order; ``m`` is reduced in place.
 
-        while True:
-            # reduce column t
-            restart = False
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:            # remainder smaller than pivot
-                        m[t], m[i] = m[i], m[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # reduce row t
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # divisibility: pivot must divide every remaining entry
-            piv = m[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, nc):
-                m[t][j] += m[offender][j]
-        diag.append(abs(m[t][t]))
-        t += 1
-    return diag
+    Each round pivots on an entry p of least size.  It reduces p's column
+    by row operations, then p's row by column operations, each entry by
+    its floor quotient by p.  If both are then clear apart from p, p's row
+    and column split off as the summand (|p|); their deletion leaves the
+    rest of the matrix as it was.  Otherwise each entry left over in them
+    is a remainder, smaller than |p|, so the next round's pivot is smaller.
+    So each round splits off a row and column or lowers the least size, a
+    positive integer, and the rounds end.  The recorded pivots give a diagonal matrix
+    equivalent to ``m``, and ``invariant_factors`` puts it in Smith form.
+    """
+    diag: list[int] = []
+    while True:
+        size = 0
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                if v and (not size or abs(v) < size):
+                    size, pi, pj = abs(v), i, j
+        if not size:
+            return invariant_factors(diag)
+        prow = m[pi]
+        p = prow[pj]
+        for row in m:
+            if row is not prow and row[pj]:
+                q = row[pj] // p
+                for j, v in enumerate(prow):
+                    row[j] -= q * v
+        for j, v in enumerate(prow):
+            if j != pj and v:
+                q = v // p
+                for row in m:
+                    row[j] -= q * row[pj]
+        left = any(row[pj] for row in m if row is not prow)
+        if left or any(v for j, v in enumerate(prow) if j != pj):
+            continue
+        diag.append(size)
+        del m[pi]
+        for row in m:
+            del row[pj]
+
+
+def invariant_factors(values: Iterable[int]) -> list[int]:
+    """Diagonal of the Smith form of diag(values), in divisibility order:
+    the invariant factors of the sum of the groups Z/v, units and zeros
+    included.
+
+    One identity does it: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), as
+    gcd * lcm = a * b and the two sides have the same primary parts.  For
+    each i < j in turn, (d_i, d_j) becomes (gcd, lcm); after its pairs,
+    d_i divides every later entry, and the later pairs keep that, as they
+    only take gcds and lcms of its multiples.
+
+    >>> invariant_factors([4, 6, 1, 0])
+    [1, 2, 12, 0]
+    >>> invariant_factors([-2, 3])
+    [1, 6]
+    """
+    d = [abs(v) for v in values]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            g = gcd(a, b)
+            if g != a:  # a does not divide b, so g > 0
+                d[i], d[j] = g, a // g * b
+    return d
 
 
 def homology_of_complex(

@@ -7,6 +7,7 @@ second route for the sequence-based code that replaced them.
 """
 
 from collections import namedtuple
+from itertools import combinations
 from math import gcd, inf
 
 from maghom import symmetry
@@ -313,6 +314,61 @@ def rank_fraction_free(rows):
         if pr == nr:
             break
     return rank
+
+
+def determinant(rows):
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination.
+
+    >>> determinant([[2, 1], [4, 3]])
+    2
+    >>> determinant([[0, 1], [1, 0]])
+    -1
+    >>> determinant([])
+    1
+    """
+    m = [[int(v) for v in row] for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv_row = next((i for i in range(k, n) if m[i][k]), None)
+        if piv_row is None:
+            return 0
+        if piv_row != k:
+            m[k], m[piv_row] = m[piv_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def determinantal_divisors(rows):
+    """Diagonal of the Smith form of an integer matrix from its minors,
+    with no reduction of the matrix: d_k is the gcd of its k x k minors
+    (d_0 = 1), the k-th entry is d_k / d_(k-1), and the rank is the last
+    k with d_k != 0 (once the k x k minors vanish, the larger ones do, by
+    Laplace expansion).
+
+    >>> determinantal_divisors([[2, 0], [0, 3]])
+    [1, 6]
+    >>> determinantal_divisors([[2, 4], [4, 8]])
+    [2]
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    diag, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                d = gcd(d, determinant([[rows[r][c] for c in cs] for r in rs]))
+        if not d:
+            break
+        diag.append(d // prev)
+        prev = d
+    return diag
 
 
 def homology_uncleared(dims, boundaries):

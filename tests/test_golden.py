@@ -4,6 +4,10 @@ Each case's stdout and exit code are compared with a file under
 ``tests/golden``.  The files were captured from the CLI and pin its
 output format; a change that alters them must say why.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+
+``REFUSALS`` lists commands the CLI refuses, each with its environment,
+exit code and exact stderr.  The tests run both tables through ``main``,
+and CI runs both through the installed console script.
 """
 
 import sys
@@ -67,6 +71,54 @@ CASES = {
     "classify_l5": ["classify", GOLDEN / "stream7.g6", "--lmax", "5"],
 }
 
+# name -> (environment, argv, exit code, exact stderr): a command refused
+# over a limit or on a misshapen certificate, with no stdout checked
+REFUSALS = {
+    "morse_basis_cap": (
+        {"MAGHOM_BASIS_CAP": "39"},
+        ["morse", F / "C4", "--a", "1", "--b", "3", "--ell", "6", "--matching", "pawful"],
+        2,
+        "budget exceeded: degree-5 length-6 basis exceeds the cap of 39\n",
+    ),
+    "magnitude_series_cap": (
+        {},
+        ["magnitude", F / "G1", "--series", "300000"],
+        2,
+        "budget exceeded: series through q^300000 needs 6 x 300001 coefficients"
+        " of 14063 machine words each, over the basis cap 2000000\n",
+    ),
+    "ai_complex_simplex_cap": (
+        {},
+        ["ai-complex", GOLDEN / "K2", "--a", "1", "--b", "2", "--ell", "23"],
+        2,
+        "budget exceeded: K_23(1,2) exceeds the cap of 2000000 simplices\n",
+    ),
+    "search_budget": (
+        {},
+        ["s-structure", F / "G1", "--search", "--budget", "1"],
+        2,
+        "budget exceeded: certificate search exceeded 1 nodes\n",
+    ),
+    "search_budget_variable": (
+        {"MAGHOM_SEARCH_BUDGET": "abc"},
+        ["classify", GOLDEN / "stream7.g6"],
+        1,
+        "error: MAGHOM_SEARCH_BUDGET must be a positive integer, got 'abc'\n",
+    ),
+    "triple_distances": (
+        {},
+        ["s-structure", F / "G1", "--verify", GOLDEN / "T121.sstruct"],
+        1,
+        "error: triple (1, 2, 1) violates its distance conditions\n",
+    ),
+    "quadruple_distances": (
+        {},
+        ["s-structure", F / "G1", "--verify", GOLDEN / "Q1123.sstruct"],
+        1,
+        "error: quadruple (1, 1, 2, 3) violates its distance conditions\n",
+    ),
+}
+
 
 def run(argv) -> str:
     out = StringIO()
@@ -78,6 +130,17 @@ def run(argv) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     assert run(CASES[name]) == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal(name, monkeypatch, capsys):
+    env, argv, code, err = REFUSALS[name]
+    for var in ("MAGHOM_BASIS_CAP", "MAGHOM_SEARCH_BUDGET"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert main([str(a) for a in argv]) == code
+    assert capsys.readouterr().err == err
 
 
 if __name__ == "__main__":

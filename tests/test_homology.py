@@ -1,4 +1,5 @@
 import random
+import time
 from collections import defaultdict
 from itertools import product
 
@@ -506,6 +507,13 @@ def test_merge_torsion():
             parts.append((tuple(chain), rng.randint(1, 4)))
         expected = invariant_factors([d for chain, m in parts for d in chain * m])
         assert merge_torsion(parts) == expected
+
+
+def test_merge_torsion_of_many_divisors_stays_fast():
+    # a Smith form of the 800 x 800 diagonal matrix takes seconds
+    start = time.perf_counter()
+    assert merge_torsion([((2,), 400), ((4,), 400)]) == (2,) * 400 + (4,) * 400
+    assert time.perf_counter() - start < 1
 
 
 def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):

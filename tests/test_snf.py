@@ -1,9 +1,13 @@
 import random
+import time
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from conftest import RP2_FACES, random_connected
 from oracles import (
+    determinant,
+    determinantal_divisors,
     from_dense,
     homology_uncleared,
     is_zero,
@@ -168,17 +172,20 @@ def test_torsion_of_projective_plane():
         check_rank_mod_p(boundaries[d])
 
 
-def test_torus_homology():
-    # 3x3 grid torus, each square split into two triangles: Z, Z^2, Z
-    def vid(i, j):
-        return 3 * (i % 3) + (j % 3)
-
+def grid_surface(vid):
+    """Dims and boundaries of the 3x3 grid, each square split into two
+    triangles, with grid point (i, j) glued to vertex ``vid(i, j)``."""
     faces = []
     for i in range(3):
         for j in range(3):
             faces.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
             faces.append((vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)))
-    dims, boundaries = simplicial_chain(faces)
+    return simplicial_chain(faces)
+
+
+def test_torus_homology():
+    # 3x3 grid torus: Z, Z^2, Z
+    dims, boundaries = grid_surface(lambda i, j: 3 * (i % 3) + (j % 3))
     assert dims == [9, 27, 18]
     h = homology_of_complex(dims, boundaries.items())
     assert h == homology_of_complex(dims, reversed(boundaries.items()))
@@ -186,6 +193,30 @@ def test_torus_homology():
     assert h[0] == (1, ())
     assert h[1] == (2, ())
     assert h[2] == (1, ())
+    for d in (1, 2):
+        check_rank_mod_p(boundaries[d])
+
+
+def test_klein_bottle_homology(monkeypatch):
+    # the 3x3 grid with (i, j + 3) ~ (-i mod 3, j), i periodic: Z, Z + Z/2,
+    # 0, a free rank and torsion in the same degree
+    dims, boundaries = grid_surface(lambda i, j: 3 * ((-1) ** (j // 3) * i % 3) + j % 3)
+    assert dims == [9, 27, 18]
+    residual_rows = []
+
+    def recorded(m):
+        residual_rows.append(len(m))
+        return _dense_smith_diagonal(m)
+
+    monkeypatch.setattr(snf, "_dense_smith_diagonal", recorded)
+    h = homology_of_complex(dims, boundaries.items())
+    assert h == [(1, ()), (1, (2,)), (0, ())]
+    assert h == homology_of_complex(dims, reversed(boundaries.items()))
+    assert h == homology_uncleared(dims, boundaries.items())
+    # Z/2 comes out of the dense phase in each route: a 1 x 1 block once
+    # compressed, 3 x 1 when d_2 is reduced whole
+    assert residual_rows == [1, 3, 3]
+    assert 2 in check_rank_mod_p(boundaries[2])
     for d in (1, 2):
         check_rank_mod_p(boundaries[d])
 
@@ -238,6 +269,37 @@ def test_peeled_smith_form_agrees_with_the_dense_reduction():
         res = smith_normal_form(mat, dropped)
         assert (res.rank, res.divisors) == dense_smith(kept)
         assert res.pivot_cols == smith_normal_form(kept).pivot_cols
+
+
+def test_smith_forms_agree_with_the_determinantal_divisors():
+    # a second route with no elimination: the gcds of the minors
+    rng = random.Random(1729)
+    for _ in range(1500):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice((2, 4, 9, 30))
+        m = [
+            [0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        diag = determinantal_divisors(m)
+        res = snf_dense(m)
+        assert (res.rank, res.divisors) == (len(diag), tuple(d for d in diag if d > 1)), m
+        assert _dense_smith_diagonal([row[:] for row in m]) == diag, m
+
+
+def test_dense_phase_on_even_matrices_stays_fast():
+    # no entry is a unit, so every pivot leaves remainders; a reduction that
+    # swaps each remainder into the pivot place and starts over takes about
+    # 20 s on the 60 x 60 matrix
+    rng = random.Random(5)
+    for n in (20, 40, 60):
+        m = [[rng.randint(-9, 9) * 2 for _ in range(n)] for _ in range(n)]
+        start = time.perf_counter()
+        diag = _dense_smith_diagonal([row[:] for row in m])
+        assert time.perf_counter() - start < 3
+        assert len(diag) == n
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        assert prod(diag) == abs(determinant(m))
 
 
 def test_peeled_rows_add_unit_pivots_beside_the_stored_rows():
