@@ -16,15 +16,14 @@ of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
 summand in degrees 2..l with d_2 dropped, and ``relative_complex`` builds
-its cells by ``homology.enumerate_sequences`` on the pairs [(a, b)] and
+its cells by ``homology.enumerate_sequences`` on the summand {(a, b): 1} and
 keeps its maps as ``homology.boundary_matrix`` builds them, once: deleting
 x_i with sign (-1)^i, the negative of the simplicial boundary, which has
 the same homology and the same covers.  The positions are derived only
 to display a cell.  ``path_complex`` builds K itself from the edge
 paths, where K is reported or checked, and charges its simplices to the
 basis cap (``errors.basis_cap``).  ``verify_correspondence`` compares
-with the summand that ``homology.mh_column`` computes for the one class
-[(1, [(a, b)])].
+with the summand that ``homology.mh_column`` computes for {(a, b): 1}.
 
 There a simplex is a tuple of (vertex, position) pairs sorted by
 position; that ordering fixes the boundary orientation.  ``faces`` and
@@ -97,7 +96,7 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    bases = [enumerate_sequences(g, k, length, [(a, b)]) for k in range(2, length + 1)]
+    bases = [enumerate_sequences(g, k, length, {(a, b): 1}) for k in range(2, length + 1)]
     boundaries: dict[int, SparseMatrix] = {}
     for d in range(1, len(bases)):
         if bases[d] and bases[d - 1]:
@@ -117,16 +116,18 @@ def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     cap, per_path = basis_cap(), 2 ** (length - 1) - 1
-    over = over_cap(f"K_{length}({a},{b})", cap, " simplices")
+    # made where raised: an exception held by a local of this frame would
+    # hold the frame in turn, through its traceback, and leave a cycle
+    what = f"K_{length}({a},{b})"
     full: set[Simplex] = set()
-    for path in enumerate_sequences(g, length, length, [(a, b)]):
+    for path in enumerate_sequences(g, length, length, {(a, b): 1}):
         if per_path > cap:
-            raise over
+            raise over_cap(what, cap, " simplices")
         interior = tuple((path[i], i) for i in range(1, length))
         for s in chain.from_iterable(combinations(interior, r) for r in range(1, length)):
             if s not in full:
                 if len(full) == cap:
-                    raise over
+                    raise over_cap(what, cap, " simplices")
                 full.add(s)
     return frozenset(full)
 
@@ -226,7 +227,7 @@ def verify_correspondence(g: Graph, a: int, b: int, length: int) -> Corresponden
     cells.sort(key=lambda s: (len(s), s))
     rel = homology_of_complex(*cell_boundaries(cells))[1:]  # slot 0 is empty
     rel += [(0, ())] * (length - 1 - len(rel))
-    column = mh_column(g, length, [(1, [(a, b)])])
+    column = mh_column(g, length, {(a, b): 1})
     per: dict[int, tuple[bool, tuple, tuple]] = {}
     ok = True
     for k in range(2, length + 1):

@@ -90,7 +90,6 @@ def _table_json(table: MHTable) -> str:
     entries = {
         f"{k},{length}": {"rank": rank, "torsion": list(tors)}
         for (k, length), (rank, tors) in sorted(table.entries.items())
-        if rank or tors
     }
     return json.dumps({"lmax": table.lmax, "entries": entries}, sort_keys=True)
 
@@ -111,12 +110,12 @@ def _cmd_mh_table(args) -> int:
         _require_vertices(g, a, b)
         if args.verify:
             raise ValidationError("--verify checks the whole table, not one summand")
-        table = mh_table(g, args.lmax, [(1, [(a, b)])])
+        table = mh_table(g, args.lmax, {(a, b): 1})
     else:
         table = mh_table(g, args.lmax)
     if args.verify:
         for length in range(args.lmax + 1):
-            column = [table.entries[(k, length)] for k in range(length + 1)]
+            column = [table.entries.get((k, length), (0, ())) for k in range(length + 1)]
             if column != pairwise_column(g, length):
                 raise InternalCheckError(
                     f"length-{length} groups differ from the sum over all endpoint pairs"

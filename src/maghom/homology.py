@@ -27,95 +27,99 @@ summand onto the (b, a) summand: position i of R(x) is smooth exactly
 when position k - i of x is, so the boundary satisfies dR = (-1)^k Rd in
 degree k, and R with the signs (-1)^(k(k+1)/2) is a chain isomorphism.
 So the whole complex is built on one pair per orbit of <Aut(G), reversal>
-on ordered pairs (``symmetry.pair_orbits``): the pairs whose orbits have
-m elements span one complex, whose groups count m times.  With trivial
-Aut(G) these are two complexes, the pairs a < b (m = 2) and the pairs
-(a, a) (m = 1).  Each degree 2 <= k < l of a length is enumerated once
-for all of these complexes (``enumerate_classes``): every completed
-sequence goes to its complex by its endpoint pair.  ``mh_column`` then
-reduces each complex on its own; ``is_diagonal_up_to``, which asks
-only whether groups vanish, reduces them side by side as one.
+on ordered pairs, whose groups count m times, m the orbit size.
 
-A list of classes (m, pairs) is the one way to name summands: the
-pairs of a class span one complex whose groups count m >= 1 times,
-and no pair may be named twice.  ``orbit_classes`` gives the classes of
-the whole complex; one summand (a, b) is [(1, [(a, b)])].
+A mapping {(a, b): m} is the one way to name summands: the (a, b)
+summand, counted m >= 1 times.  ``symmetry.pair_orbits`` gives the one
+of the whole complex; one summand (a, b) is {(a, b): 1}.  Each degree
+2 <= k < l of a length is enumerated once for all the pairs named
+(``enumerate_sequences``), into one lexicographic list.  ``mh_column``
+sorts it by endpoint pair and reduces each pair on its own;
+``is_diagonal_up_to``, which asks only whether groups vanish, reduces
+the whole list as one complex.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph, diameter
 from .snf import SparseMatrix, homology_of_complex, invariant_factors
 from .symmetry import pair_orbits
 
-Classes = list[tuple[int, list[tuple[int, int]]]]
+Summands = Mapping[tuple[int, int], int]
 Basis = Sequence[tuple[int, ...]]
 
 
-def enumerate_classes(
-    g: Graph, k: int, length: int, classes: Classes
-) -> list[list[tuple[int, ...]]]:
-    """Degree-k sequences of total length ``length`` whose endpoint pair
-    (x_0, x_k) lies in each class (m, pairs), lexicographically per class.
+def _checked(g: Graph, summands: Summands | None) -> Summands:
+    """``summands``, or every ordered pair once when None; raise
+    ValidationError unless it maps pairs of vertices of g to integers
+    m >= 1."""
+    if summands is None:
+        return dict.fromkeys(product(g.vertices, repeat=2), 1)
+    try:
+        for (a, b), m in summands.items():
+            for v in (a, b):
+                if not 1 <= v <= g.n:
+                    raise ValidationError(f"vertex {v} is outside 1..{g.n}")
+            if not isinstance(m, int) or m < 1:
+                raise ValidationError(f"summand weight {m!r} is not an integer >= 1")
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError("summands map endpoint pairs (a, b) to weights m") from None
+    return summands
 
-    One pass serves every class: the sequences are grown from each first
-    vertex towards all of its allowed ends at once, and each batch of
-    completions is handed to its class by end vertex.  Within a class the
-    order is lexicographic, as if it were enumerated alone; basis order
-    is reproducible, since matrix snapshots depend on it.  A sequence of
-    a class stands for its m orbit elements in the full basis of this
-    degree; enumeration aborts with BudgetExceeded as soon as that full
-    basis would outgrow the basis cap (``errors.basis_cap``), before
-    memory does.  A pair named twice raises ValidationError.
+
+def enumerate_sequences(
+    g: Graph, k: int, length: int, summands: Summands | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Degree-k sequences of total length ``length`` whose endpoint pair
+    (x_0, x_k) is named by ``summands`` (every pair when None),
+    lexicographically.
+
+    One depth-first pass per first vertex grows the sequences towards all
+    of its named ends at once.  Basis order is reproducible, since matrix
+    snapshots depend on it.  A sequence of the summand {(a, b): m} stands
+    for m cells of the full basis of this degree; enumeration aborts with
+    BudgetExceeded as soon as that full basis would outgrow the basis cap
+    (``errors.basis_cap``), before memory does.
 
     The sequences are grown by a loop over an explicit stack, not by
     recursion, so no degree is too deep for Python's recursion limit.
     The stub memo and the stack are freed when the call ends, by return
-    or by raise; the caller holds only the lists returned.
+    or by raise; the caller holds only the tuple returned.
     """
-    out: list[list[tuple[int, ...]]] = [[] for _ in classes]
+    ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> m
+    for (a, b), m in _checked(g, summands).items():
+        ends.setdefault(a, {})[b] = m
     if k < 0 or length < 0:
-        return out
-    ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> class
-    for i, (_, pairs) in enumerate(classes):
-        for a, b in pairs:
-            row = ends.setdefault(a, {})
-            if b in row:
-                raise ValidationError(f"endpoint pair {(a, b)} is named twice")
-            row[b] = i
+        return ()
     if k == 0:
-        if length == 0:
-            for a in sorted(ends):
-                if a in ends[a]:
-                    out[ends[a][a]].append((a,))
-        return out
+        return tuple((a,) for a in sorted(ends) if length == 0 and a in ends[a])
     dist, maxd = g.dist, diameter(g)
     if not k <= length <= k * maxd:
-        return out  # each of the k gaps contributes between 1 and maxd
+        return ()  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
-    weights = [m for m, _ in classes]
+    out: list[tuple[int, ...]] = []
     size = 0  # of the full basis found so far
     # memo[end][((v, r), gaps)]: the stubs after v when `gaps` gaps add up
     # to r and end at `end` (None: anywhere); at most n * length * k lists
     # of at most n stubs each per end
     memo: dict[int | None, dict[tuple[tuple[int, int], int], list[tuple[int, int]]]] = {}
     for first in sorted(ends):
-        groups_of: dict[int, list[int]] = {}  # class -> its ends, increasing
-        for b in sorted(ends[first]):
-            groups_of.setdefault(ends[first][b], []).append(b)
-        groups = list(groups_of.items())
+        weight = ends[first]
+        last = sorted(weight)
+        # the weight of every end, when they share one: no lookup per sequence
+        shared = weight[last[0]] if len(set(weight.values())) == 1 else None
         # a single end prunes every prefix that cannot reach it in time
-        end = next(iter(ends[first])) if len(ends[first]) == 1 else None
+        end = last[0] if len(last) == 1 else None
         following = memo.setdefault(end, {})
         # depth first: (prefix, stubs, gaps) continues ``prefix`` by each
         # stub (v, r): v, then ``gaps`` >= 1 gaps adding up to r, the last
-        # one to an allowed end; children go on in reverse, so they come
-        # off in stub order
+        # one to a named end; children go on in reverse, so they come off
+        # in stub order
         work = [((), [(first, length)], k)]
         while work:
             prefix, stubs, gaps = work.pop()
@@ -134,36 +138,21 @@ def enumerate_classes(
                     if after:
                         work.append((prefix + (stub[0],), after, gaps - 1))
                 continue
-            for i, last in groups:
-                new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
-                if new:
-                    size += weights[i] * len(new)
-                    if size > cap:
-                        raise over_cap(f"degree-{k} length-{length} basis", cap)
-                    out[i].extend(new)
-    return out
-
-
-def enumerate_sequences(
-    g: Graph, k: int, length: int, pairs: Iterable[tuple[int, int]] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Degree-k sequences of total length ``length``, lexicographically.
-
-    ``pairs`` allows the pairs (x_0, x_k), all of them when None; they
-    are checked as one class of ``mh_column``.  The sequences found count
-    against the basis cap once each (see ``enumerate_classes``).
-    """
-    everything = product(g.vertices, repeat=2)
-    classes = _check_classes(g, [(1, everything if pairs is None else pairs)])
-    return tuple(enumerate_classes(g, k, length, classes)[0])
+            new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
+            if new:
+                size += shared * len(new) if shared else sum(weight[x[-1]] for x in new)
+                if size > cap:
+                    raise over_cap(f"degree-{k} length-{length} basis", cap)
+                out.extend(new)
+    return tuple(out)
 
 
 def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
     The bases are degrees k and k-1 of one length and one set of
-    endpoint pairs, from ``enumerate_sequences`` or ``enumerate_classes``
-    with the same length and pairs.  Column x picks up (-1)^i at the row
+    endpoint pairs, from ``enumerate_sequences`` with the same length
+    and pairs.  Column x picks up (-1)^i at the row
     of x with position i deleted, for every smooth interior i
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
     are kept.
@@ -298,98 +287,58 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     return tuple(d for d in factors if d > 1)
 
 
-def orbit_classes(g: Graph) -> Classes:
-    """One endpoint pair from each orbit of <Aut(G), reversal> on ordered
-    pairs, grouped by orbit size m: (m, pairs) in increasing order of m."""
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for pair, m in pair_orbits(g).items():
-        classes.setdefault(m, []).append(pair)
-    return sorted(classes.items())
+def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
+    """The bases of degrees 2 <= k < l of the length-l complex of the
+    checked ``summands``, after charging the full basis of each degree
+    to the basis cap, every cell of a summand {(a, b): m} m times.
 
-
-def _check_classes(g: Graph, classes: Classes) -> Classes:
-    """``classes`` with each pairs list materialized as tuples; raise
-    ValidationError unless the weights are positive and the pairs are
-    vertex pairs of g, each named once."""
-    try:
-        checked = [(m, [(a, b) for a, b in pairs]) for m, pairs in classes]
-    except (TypeError, ValueError):
-        raise ValidationError("an endpoint pair is not two vertices") from None
-    seen = set()
-    for m, pairs in checked:
-        if m < 1:
-            raise ValidationError(f"class weight {m} is not positive")
-        for pair in pairs:
-            for v in pair:
-                if not 1 <= v <= g.n:
-                    raise ValidationError(f"vertex {v} is outside 1..{g.n}")
-            if pair in seen:
-                raise ValidationError(f"endpoint pair {pair} is named twice")
-            seen.add(pair)
-    return checked
-
-
-def _cells(
-    g: Graph, length: int, classes: Classes
-) -> tuple[list[int], list[list[list[tuple[int, ...]]]], list[int]]:
-    """The cells of the length-l complex of each class (m, pairs) of the
-    checked ``classes``, charged to the basis cap: (ones, by_degree,
-    tops), where class i has ones[i] cells in degree 1, the basis
-    by_degree[k - 2][i] in each degree 2 <= k < l and tops[i] cells in
-    degree l.
-
-    Degrees 2 <= k < l are enumerated once for all classes
-    (``enumerate_classes``), and each class gets the basis it would get
-    alone; every cell charges its orbit size m to the cap.  Degrees 0, 1
-    and l are counted, not enumerated.  Degree 0 is empty for l >= 1.
-    For l >= 2, degree 1 is the pairs at distance l, charged first.
-    Degree l is the length-l walks, Σ (A^l)_ab over the pairs, charged
-    after the enumerated degrees.
+    Degrees 2 <= k < l are enumerated once for all summands
+    (``enumerate_sequences``).  Degrees 0, 1 and l are counted, not
+    enumerated.  Degree 0 is empty for l >= 1.  For l >= 2, degree 1 is
+    the pairs at distance l, charged first.  Degree l is the length-l
+    walks, (A^l)_ab in the (a, b) summand, charged after the enumerated
+    degrees.
     """
-    cap = basis_cap() if length else 0  # as in enumerate_classes, no charge at length 0
-    ones = [0] * len(classes)
-    if length >= 2:
-        ones = [sum(g.dist[a][b] == length for a, b in pairs) for _, pairs in classes]
-        if sum(m * one for (m, _), one in zip(classes, ones)) > cap:
-            raise over_cap(f"degree-1 length-{length} basis", cap)
-    by_degree = [enumerate_classes(g, k, length, classes) for k in range(2, length)]
+    cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
+    if length >= 2 and sum(m for (a, b), m in summands.items() if g.dist[a][b] == length) > cap:
+        raise over_cap(f"degree-1 length-{length} basis", cap)
+    bases = [enumerate_sequences(g, k, length, summands) for k in range(2, length)]
     walks = g.walks(length)
-    tops = [sum(walks[a][b] for a, b in pairs) for _, pairs in classes]
-    if length and sum(m * top for (m, _), top in zip(classes, tops)) > cap:
+    if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
         raise over_cap(f"degree-{length} length-{length} basis", cap)
-    return ones, by_degree, tops
+    return bases
 
 
 def mh_column(
-    g: Graph, length: int, classes: Classes | None = None
+    g: Graph, length: int, summands: Summands | None = None
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
-    One summand per class (m, pairs) of ``classes`` (``orbit_classes(g)``
-    when not given) is reduced: its pairs span one complex, whose groups
-    count m times.  ``_cells`` enumerates and charges the cells of every
-    class before any boundary is built; for l >= 2 d_2 maps onto degree
-    1 (see ``_homology``), and ``boundary_matrix`` builds d_l from degree
-    l-1.
+    The sum of the summands {(a, b): m} (``pair_orbits(g)`` when not
+    given), the groups of each counted m times.  ``_cells`` enumerates and
+    charges the cells of every summand before any boundary is built; each
+    degree's list is then sorted by endpoint pair, and each pair is
+    reduced on its own: for l >= 2 d_2 maps onto degree 1 (see
+    ``_homology``), and ``boundary_matrix`` builds d_l from degree l-1.
 
-    Each class is reduced on its own, and its bases and boundaries are
-    freed as soon as its groups are known, so only one class's boundary
-    is held at a time: the enumeration leaves no reference cycle, so
-    nothing waits for the garbage collector.
+    A pair's bases are freed as soon as its groups are known, so only one
+    pair's boundary is held at a time: the enumeration leaves no
+    reference cycle, so nothing waits for the garbage collector.
     """
-    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
-    ones, by_degree, tops = _cells(g, length, classes)
+    summands = pair_orbits(g) if summands is None else _checked(g, summands)
+    by_degree = _cells(g, length, summands)
+    walks = g.walks(length)
     if length < 2:  # the walks are the only cells
-        return [(0, ())] * length + [(sum(m * top for (m, _), top in zip(classes, tops)), ())]
-    parts = [
-        (m, ones[i], [bases[i] for bases in by_degree], tops[i])
-        for i, (m, _) in enumerate(classes)
-    ]
+        return [(0, ())] * length + [(sum(m * walks[a][b] for (a, b), m in summands.items()), ())]
+    bases = {pair: [[] for _ in by_degree] for pair in summands}
+    for i, basis in enumerate(by_degree):
+        for x in basis:
+            bases[x[0], x[-1]][i].append(x)
     del by_degree
-    columns = []
-    while parts:  # a class's bases are not held once it is reduced
-        m, one, bases, top = parts.pop()
-        columns.append((m, _homology(g, one, bases, top)))
+    columns = [
+        (m, _homology(g, g.dist[a][b] == length, bases.pop((a, b)), walks[a][b]))
+        for (a, b), m in summands.items()
+    ]
     return [
         (
             sum(m * column[k][0] for m, column in columns),
@@ -401,17 +350,14 @@ def mh_column(
 
 def pairwise_column(g: Graph, length: int) -> list[tuple[int, tuple[int, ...]]]:
     """``mh_column(g, length)`` by a second route that uses no symmetry:
-    the sum of all n^2 endpoint summands, each reduced on its own."""
-    summands = [mh_column(g, length, [(1, [(a, b)])]) for a in g.vertices for b in g.vertices]
-    return [
-        (sum(s[k][0] for s in summands), merge_torsion((s[k][1], 1) for s in summands))
-        for k in range(length + 1)
-    ]
+    the sum of all n^2 endpoint summands, each counted once."""
+    return mh_column(g, length, _checked(g, None))
 
 
 @dataclass(frozen=True)
 class MHTable:
-    """Ranks and torsion of all groups with 0 <= k <= l <= lmax."""
+    """Ranks and torsion of the groups with 0 <= k <= l <= lmax; only
+    the nonzero ones are held."""
 
     lmax: int
     entries: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
@@ -423,18 +369,10 @@ class MHTable:
         return self.entries.get((k, length), (0, ()))[1]
 
     def is_diagonal(self) -> bool:
-        return all(
-            rank == 0 and not tors
-            for (k, length), (rank, tors) in self.entries.items()
-            if k != length
-        )
+        return all(k == length for k, length in self.entries)
 
     def off_diagonal(self) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
-        return {
-            cell: val
-            for cell, val in sorted(self.entries.items())
-            if cell[0] != cell[1] and (val[0] or val[1])
-        }
+        return {cell: val for cell, val in sorted(self.entries.items()) if cell[0] != cell[1]}
 
     def to_csv(self) -> str:
         """The l-rows-by-k-columns layout; trivial groups print as blanks,
@@ -456,14 +394,14 @@ class MHTable:
         return "\n".join(lines) + "\n"
 
 
-def mh_table(g: Graph, lmax: int, classes: Classes | None = None) -> MHTable:
-    """All groups with l <= lmax of the summands ``classes`` names, as in
-    ``mh_column``."""
-    classes = orbit_classes(g) if classes is None else _check_classes(g, classes)
+def mh_table(g: Graph, lmax: int, summands: Summands | None = None) -> MHTable:
+    """All groups with l <= lmax of ``summands``, as in ``mh_column``."""
+    summands = pair_orbits(g) if summands is None else _checked(g, summands)
     return MHTable(lmax, {
         (k, length): group
         for length in range(lmax + 1)
-        for k, group in enumerate(mh_column(g, length, classes))
+        for k, group in enumerate(mh_column(g, length, summands))
+        if group != (0, ())
     })
 
 
@@ -488,19 +426,19 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     off-diagonal group settles the answer.
 
     Only vanishing is asked, not the weighted ranks, so each length is
-    reduced as one complex: the cells of every orbit class, enumerated
-    and charged as ``mh_column`` does (``_cells``), side by side.  Its
-    groups are the direct sums of the class groups, so one vanishes
-    exactly when all of them do.
+    reduced as one complex: the cells of one pair per orbit, enumerated
+    and charged as ``mh_column`` does (``_cells``), in one lexicographic
+    list per degree.  Its groups are the direct sums of the groups of
+    the pairs, so one vanishes exactly when all of them do.
     """
     if lmax < 3:
         return True
-    classes = orbit_classes(g)
+    summands = pair_orbits(g)
     for length in range(3, lmax + 1):
-        ones, by_degree, tops = _cells(g, length, classes)
-        bases = [list(chain.from_iterable(per_class)) for per_class in by_degree]
-        del by_degree
-        column = _homology(g, sum(ones), bases, sum(tops))
+        walks = g.walks(length)
+        ones = sum(g.dist[a][b] == length for a, b in summands)
+        tops = sum(walks[a][b] for a, b in summands)
+        column = _homology(g, ones, _cells(g, length, summands), tops)
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

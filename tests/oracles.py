@@ -12,7 +12,7 @@ from math import gcd, inf
 
 from maghom import symmetry
 from maghom.errors import MaghomError
-from maghom.homology import mh_column, orbit_classes
+from maghom.homology import mh_column
 from maghom.magnitude import magnitude_series
 from maghom.polyq import IntPoly
 from maghom.snf import SparseMatrix, smith_normal_form
@@ -384,14 +384,14 @@ def homology_uncleared(dims, boundaries):
     return out
 
 
-def diagonal_class_by_class(g, lmax):
+def diagonal_pair_by_pair(g, lmax):
     """``is_diagonal_up_to`` through ``mh_column``, which reduces one
-    orbit class at a time: does every group with k != l vanish for
+    endpoint pair at a time: does every group with k != l vanish for
     3 <= l <= lmax?  Lengths go in increasing order, so a budget is hit
     where the library hits it."""
-    classes = orbit_classes(g)
+    summands = symmetry.pair_orbits(g)
     for length in range(3, lmax + 1):
-        column = mh_column(g, length, classes)
+        column = mh_column(g, length, summands)
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

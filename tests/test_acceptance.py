@@ -111,7 +111,7 @@ def test_criterion_04_c4_worked_example(c4):
         f_vector(full) == (6, 12, 8)
         and full - set(simplices(pair)) == expected_sub
         and rel == [(0, ()), (0, ()), (3, ())]
-        and mh_column(c4, 4, [(1, [(1, 1)])])[4] == (3, ())
+        and mh_column(c4, 4, {(1, 1): 1})[4] == (3, ())
     )
     report(4, ok, "C4 pair at (a,a), length 4: octahedron, 11-face subcomplex, Z^3")
 
@@ -203,7 +203,7 @@ def test_criterion_10_property_suites(g1, g3, c4, g1_cert_text):
     # endpoint decomposition is a direct sum
     for g, k, length in ((g1, 3, 3), (g3, 2, 3)):
         total = sum(
-            mh_column(g, length, [(1, [(a, b)])])[k][0] for a in g.vertices for b in g.vertices
+            mh_column(g, length, {(a, b): 1})[k][0] for a in g.vertices for b in g.vertices
         )
         ok = ok and total == mh_column(g, length)[k][0]
 

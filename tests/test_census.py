@@ -20,7 +20,7 @@ from collections import Counter, deque
 from itertools import combinations
 
 from conftest import FIXTURES
-from oracles import diagonal_class_by_class, star_property
+from oracles import diagonal_pair_by_pair, star_property
 
 from maghom import (
     ahk_edge_cycle_check,
@@ -120,15 +120,15 @@ def test_seven_vertex_census_of_diameter_two(capsys):
     assert kinds == {"pawful": 217, "certificate": 14, "diagonal": 111, "not diagonal": 32}
 
 
-def test_merged_diagonal_check_agrees_with_the_class_by_class_route():
+def test_merged_diagonal_check_agrees_with_the_pair_by_pair_route():
     # is_diagonal_up_to reduces each length as one complex; mh_column
-    # reduces one orbit class at a time
+    # reduces one endpoint pair at a time
     lines = (FIXTURES / "atlas7_diam2.g6").read_text().split()
     assert len(lines) == 374
     verdicts = Counter()
     for line in lines:
         g = parse_graph6(line)
         verdict = is_diagonal_up_to(g, 5)
-        assert verdict == diagonal_class_by_class(g, 5), line
+        assert verdict == diagonal_pair_by_pair(g, 5), line
         verdicts[verdict] += 1
     assert verdicts[False] > 0 and verdicts[True] > 0

@@ -8,12 +8,12 @@ import gc
 
 import pytest
 from conftest import FIXTURES, K33, PETERSEN
-from test_golden import CASES
+from test_golden import CASES, REFUSALS
 
 from maghom import cli, is_diagonal_up_to, mh_table
 from maghom.ai_complex import relative_complex
 from maghom.errors import BudgetExceeded, InternalCheckError, ParseError
-from maghom.homology import enumerate_classes, orbit_classes
+from maghom.homology import enumerate_sequences
 from maghom.matching import build_matching, parse_s, search_structure
 from maghom.morse import is_acyclic, morse_rank_check, verify_matching
 from maghom.symmetry import pair_orbits
@@ -37,7 +37,7 @@ def test_no_cyclic_garbage_is_left(c4, g1, g2, g3, g1_cert_text, monkeypatch):
             raise AssertionError("the search stayed within a budget of one node")
         monkeypatch.setenv("MAGHOM_BASIS_CAP", "3")
         try:
-            enumerate_classes(g1, 3, 5, orbit_classes(g1))
+            enumerate_sequences(g1, 3, 5, pair_orbits(g1))
         except BudgetExceeded:
             pass
         else:
@@ -57,24 +57,24 @@ def test_no_cyclic_garbage_is_left(c4, g1, g2, g3, g1_cert_text, monkeypatch):
 def test_no_command_leaves_cyclic_garbage(tmp_path, monkeypatch, capsys):
     stream = tmp_path / "stream.g6"
     stream.write_text("Ch\n!!!notgraph6!!!\nEhtw\nFEl~?\n")
-    # (argv, MAGHOM_BASIS_CAP, exit code): every golden, then the refusals
-    runs = [([str(a) for a in argv], None, 0) for argv in CASES.values()] + [
-        (["magnitude", str(tmp_path / "missing")], None, 1),
-        (["morse", str(FIXTURES / "C4"), "--a", "1", "--b", "3", "--ell", "6",
-          "--matching", "pawful"], "39", 2),
-        (["s-structure", str(FIXTURES / "G1"), "--search", "--budget", "1"], None, 2),
+    # (argv, environment, exit code): every golden, every refusal, and two
+    # runs that no table lists
+    runs = [(argv, {}, 0) for argv in CASES.values()]
+    runs += [(argv, env, code) for env, argv, code, _ in REFUSALS.values()]
+    runs += [
+        (["magnitude", tmp_path / "missing"], {}, 1),
         # a warning for line 2, then "budget-exceeded" for line 3's search
-        (["classify", str(stream), "--budget", "1"], None, 0),
+        (["classify", stream, "--budget", "1"], {}, 0),
     ]
     gc.collect()
     gc.disable()
     try:
-        for argv, cap, code in runs:
-            if cap is None:
-                monkeypatch.delenv("MAGHOM_BASIS_CAP", raising=False)
-            else:
-                monkeypatch.setenv("MAGHOM_BASIS_CAP", cap)
-            assert cli.main(argv) == code, argv
+        for argv, env, code in runs:
+            for var in ("MAGHOM_BASIS_CAP", "MAGHOM_SEARCH_BUDGET"):
+                monkeypatch.delenv(var, raising=False)
+            for var, value in env.items():
+                monkeypatch.setenv(var, value)
+            assert cli.main([str(a) for a in argv]) == code, argv
             assert gc.collect() == 0, argv
     finally:
         gc.enable()

@@ -14,7 +14,7 @@ from conftest import (
     load_fixture,
     random_connected,
 )
-from oracles import diagonal_class_by_class, is_smooth, is_zero, sequence_length, sparse_matmul
+from oracles import diagonal_pair_by_pair, is_smooth, is_zero, sequence_length, sparse_matmul
 
 from maghom import (
     complete_graph,
@@ -29,13 +29,12 @@ from maghom import homology
 from maghom.errors import BudgetExceeded, ValidationError
 from maghom.homology import (
     boundary_matrix,
-    enumerate_classes,
     merge_torsion,
     mh_column,
-    orbit_classes,
     pairwise_column,
 )
 from maghom.snf import SparseMatrix
+from maghom.symmetry import pair_orbits
 
 
 def test_enumerate_degree_zero(g1):
@@ -58,18 +57,8 @@ def test_enumerate_is_lexicographic_and_valid(g2):
 
 def test_enumerate_endpoint_restriction(g2):
     full = enumerate_sequences(g2, 3, 4)
-    restricted = enumerate_sequences(g2, 3, 4, [(1, 2)])
+    restricted = enumerate_sequences(g2, 3, 4, {(1, 2): 1})
     assert restricted == tuple(s for s in full if s[0] == 1 and s[-1] == 2)
-
-
-def test_enumerate_reads_one_shot_endpoints_once(g1):
-    pairs = [(1, 3), (3, 1), (2, 2)]
-    listed = enumerate_sequences(g1, 2, 2, pairs)
-    assert len(listed) == 6
-    assert enumerate_sequences(g1, 2, 2, iter(pairs)) == listed
-    assert enumerate_sequences(g1, 2, 2, (p for p in pairs)) == listed
-    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)])) == enumerate_sequences(g1, 2, 2, [(1, 3)])
-    assert enumerate_sequences(g1, 2, 2, iter([(1, 3)]))
 
 
 def test_boundary_zero_column_for_non_smooth(c4):
@@ -114,6 +103,16 @@ def test_single_edge_table():
     assert table.is_diagonal()
 
 
+def test_a_table_holds_only_its_nonzero_groups():
+    # K2 has one nonzero group per length, MH_(l,l) = Z^2, among the
+    # (lmax + 1)(lmax + 2)/2 groups with k <= l, here 80,901
+    table = mh_table(complete_graph(2), 400)
+    assert table.entries == {(length, length): (2, ()) for length in range(401)}
+    assert table.rank(3, 400) == 0 and table.torsion(3, 400) == ()
+    assert table.is_diagonal() and table.off_diagonal() == {}
+    assert table.to_csv().splitlines()[401] == "400," + "," * 400 + "2"
+
+
 def test_g2_pinned_rank(g2):
     assert mh_column(g2, 3)[3] == (38, ())
 
@@ -130,7 +129,7 @@ def test_direct_sum_law(g1, g3):
         torsion = []
         for a in g.vertices:
             for b in g.vertices:
-                rank, tors = mh_column(g, length, [(1, [(a, b)])])[k]
+                rank, tors = mh_column(g, length, {(a, b): 1})[k]
                 total += rank
                 torsion.extend(tors)
         rank, tors = mh_column(g, length)[k]
@@ -141,12 +140,12 @@ def test_direct_sum_law(g1, g3):
 def test_mh_ab_bipartite_odd_closed(c4):
     # closed sequences in a bipartite graph have even length
     for k in range(4):
-        assert enumerate_sequences(c4, k, 3, [(1, 1)]) == ()
-        assert mh_column(c4, 3, [(1, [(1, 1)])])[k] == (0, ())
+        assert enumerate_sequences(c4, k, 3, {(1, 1): 1}) == ()
+        assert mh_column(c4, 3, {(1, 1): 1})[k] == (0, ())
 
 
 def test_mh_ab_c4_antipodal_sphere(c4):
-    assert mh_column(c4, 4, [(1, [(1, 1)])])[4] == (3, ())
+    assert mh_column(c4, 4, {(1, 1): 1})[4] == (3, ())
 
 
 def test_diagonality_judgements(g1, g3):
@@ -226,58 +225,48 @@ def test_enumerator_matches_brute_force(g1, c4):
                 assert enumerate_sequences(g, k, length) == seqs
                 assert full_basis(g, k, length) == seqs
                 some = rng.sample(pairs, rng.randrange(len(pairs) + 1))
-                assert enumerate_sequences(g, k, length, some) == tuple(
+                assert enumerate_sequences(g, k, length, dict.fromkeys(some, 1)) == tuple(
                     x for x in seqs if (x[0], x[-1]) in some
                 )
                 by_ends = defaultdict(list)
                 for x in seqs:
                     by_ends[(x[0], x[-1])].append(x)
                 for a, b in pairs:
-                    assert enumerate_sequences(g, k, length, [(a, b)]) == tuple(by_ends[(a, b)])
+                    assert enumerate_sequences(g, k, length, {(a, b): 1}) == tuple(by_ends[(a, b)])
 
 
 def test_basis_cap_is_exact(monkeypatch, g1):
-    # the cap bounds the full basis: every sequence found counts the orbit
-    # size m of its class, summed over all classes of one enumeration
-    all_pairs = list(product(g1.vertices, repeat=2))
-    open_pairs = [(a, b) for a, b in all_pairs if a < b]
-    closed_pairs = [(a, a) for a in g1.vertices]
-    for k, length, classes in (
-        (1, 2, [(1, all_pairs)]), (2, 2, [(1, all_pairs)]), (3, 4, [(2, open_pairs)]),
-        (3, 4, [(3, closed_pairs), (2, open_pairs)]), (4, 5, [(1, [(1, 3)])]),
-        (3, 4, [(1, [(2, 2)]), (5, [(1, 3), (4, 2)])]), (3, 4, orbit_classes(g1)),
+    # the cap bounds the full basis: every sequence found counts the weight
+    # m of its summand, summed over all summands of one enumeration
+    all_pairs = dict.fromkeys(product(g1.vertices, repeat=2), 1)
+    open_pairs = {(a, b): 2 for a, b in all_pairs if a < b}
+    closed_pairs = {(a, a): 3 for a in g1.vertices}
+    for k, length, summands in (
+        (1, 2, all_pairs), (2, 2, all_pairs), (3, 4, open_pairs),
+        (3, 4, closed_pairs | open_pairs), (4, 5, {(1, 3): 1}),
+        (3, 4, {(2, 2): 1, (1, 3): 5, (4, 2): 5}), (3, 4, pair_orbits(g1)),
     ):
-        bases = enumerate_classes(g1, k, length, classes)
-        full = sum(m * len(basis) for (m, _), basis in zip(classes, bases))
-        assert all(bases)
+        basis = enumerate_sequences(g1, k, length, summands)
+        full = sum(summands[x[0], x[-1]] for x in basis)
+        assert basis
         monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full))
-        assert enumerate_classes(g1, k, length, classes) == bases
+        assert enumerate_sequences(g1, k, length, summands) == basis
         monkeypatch.setenv("MAGHOM_BASIS_CAP", str(full - 1))
         with pytest.raises(BudgetExceeded):
-            enumerate_classes(g1, k, length, classes)
+            enumerate_sequences(g1, k, length, summands)
         monkeypatch.delenv("MAGHOM_BASIS_CAP")
 
 
-def test_one_enumeration_gives_each_class_its_own_basis(g1, g2, g3, c4):
-    # the shared pass splits its sequences by endpoint pair, and each class
-    # gets the lexicographic basis it gets when enumerated alone
+def test_one_enumeration_merges_the_bases_of_its_pairs(g1, g2, g3, c4):
+    # one pass over all the orbit representatives gives the lexicographic
+    # merge of the bases each pair gets when enumerated alone
     for g in [c4, g1, g2, g3, K33, PETERSEN] + SMALL_GRAPHS:
-        classes = orbit_classes(g)
+        summands = pair_orbits(g)
         for length in range(6):
             for k in range(length + 1):
-                bases = enumerate_classes(g, k, length, classes)
-                assert bases == [
-                    list(enumerate_sequences(g, k, length, pairs)) for _, pairs in classes
-                ]
-
-
-def test_enumeration_refuses_a_pair_named_twice(g1):
-    # called on its own, without the class checks of mh_column
-    for classes in ([(1, [(1, 3)]), (1, [(1, 3)])], [(2, [(1, 3), (2, 4), (1, 3)])]):
-        for k, length in ((0, 0), (3, 4)):
-            with pytest.raises(ValidationError, match=r"endpoint pair \(1, 3\) is named twice"):
-                enumerate_classes(g1, k, length, classes)
-    assert [len(b) for b in enumerate_classes(g1, 3, 4, [(1, [(1, 3)]), (1, [(3, 1)])])] == [10, 10]
+                assert enumerate_sequences(g, k, length, summands) == tuple(sorted(
+                    x for pair in summands for x in enumerate_sequences(g, k, length, {pair: 1})
+                ))
 
 
 def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
@@ -292,7 +281,7 @@ def test_column_cap_is_the_largest_full_basis(monkeypatch, g1):
 
 def test_top_degree_cap_counts_the_walks(monkeypatch):
     # K_3 at l = 4: only degree 4 is nonempty, 3 * 2^4 = 48 walks, counted
-    # over the classes (a, a) (m = 3) and (a, b) (m = 6) without enumeration
+    # over the summands (1, 1) (m = 3) and (1, 2) (m = 6) without enumeration
     k3 = complete_graph(3)
     assert len(full_basis(k3, 4, 4)) == 48
     column = mh_column(k3, 4)
@@ -317,8 +306,7 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
     # a one-entry column, and stores the rest of d_l on the other rows,
     # without its zero columns
     for g in [c4, g1, g2, g3, K33] + SMALL_GRAPHS:
-        pair_sets = [pairs for _, pairs in orbit_classes(g)]
-        pair_sets += [[(a, b)] for a in g.vertices for b in g.vertices]
+        pair_sets = [pair_orbits(g)] + [{(a, b): 1} for a in g.vertices for b in g.vertices]
         for length in range(1, 6):
             walks = g.walks(length)
             for pairs in pair_sets:
@@ -351,60 +339,49 @@ def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
     peeled_seen = 0
     for g in [g1, g3, K33, PETERSEN, cycle_graph(7)] + SMALL_GRAPHS:
         for length in range(3, 7):
-            for _, pairs in orbit_classes(g):
-                upper = enumerate_sequences(g, length - 1, length, pairs)
-                lower = enumerate_sequences(g, length - 2, length, pairs)
-                if upper and lower:
-                    peeled = boundary_matrix(g, None, upper).peeled
-                    below = boundary_matrix(g, upper, lower)
-                    assert not any(col in peeled for _, col in below.entries)
-                    peeled_seen += len(peeled)
+            upper = enumerate_sequences(g, length - 1, length, pair_orbits(g))
+            lower = enumerate_sequences(g, length - 2, length, pair_orbits(g))
+            if upper and lower:
+                peeled = boundary_matrix(g, None, upper).peeled
+                below = boundary_matrix(g, upper, lower)
+                assert not any(col in peeled for _, col in below.entries)
+                peeled_seen += len(peeled)
     assert peeled_seen > 1000
 
 
 @pytest.mark.parametrize(
-    "classes",
+    "summands",
     [
-        [(1, [(1, 3), (1, 3)])],
-        [(1, [(1, 3)]), (1, [(1, 3)])],
-        [(2, [(2, 2), (1, 3)]), (1, [(4, 5), (1, 3)])],
-        [(1, [(1, 99)])],
-        [(1, [(0, 3)])],
-        [(1, [(2, -1)])],
-        [(0, [(1, 3)])],
-        [(2, [(1, 1)]), (-1, [(1, 3)])],
-        [(1, [[1, 3], (1, 3)])],
-        [(1, [(1, 3, 4)])],
-        [(1, [(1,)])],
-        [(1, [3])],
+        {(1, 99): 1},
+        {(0, 3): 1},
+        {(2, -1): 1},
+        {(1, 3): 0},
+        {(1, 1): 2, (1, 3): -1},
+        {(1, 3): 1.5},
+        {(1, 3): "2"},
+        {(1, 3, 4): 1},
+        {(1,): 1},
+        {3: 1},
+        {("1", 3): 1},
+        [(1, 3)],
     ],
 )
-def test_classes_name_each_pair_once_and_only_vertices_with_positive_weights(g1, classes):
-    if len(classes) == 1 and classes[0][0] == 1:
-        with pytest.raises(ValidationError):
-            enumerate_sequences(g1, 3, 4, classes[0][1])
+def test_summands_name_only_vertex_pairs_with_positive_integer_weights(g1, summands):
+    with pytest.raises(ValidationError):
+        enumerate_sequences(g1, 3, 4, summands)
     for length in (0, 4):
         with pytest.raises(ValidationError):
-            mh_column(g1, length, classes)
+            mh_column(g1, length, summands)
         with pytest.raises(ValidationError):
-            mh_table(g1, length, classes)
+            mh_table(g1, length, summands)
 
 
-def test_one_class_weighs_its_summand(g1):
+def test_the_weight_counts_a_summand(g1):
     # (3, 1) is the reversal of (1, 3), so m = 2 counts both
-    assert mh_column(g1, 4, [(1, [(1, 3)])])[4] == (4, ())
-    assert mh_column(g1, 4, [(1, [[1, 3]])])[4] == (4, ())
-    assert enumerate_sequences(g1, 2, 2, [[1, 3]]) == enumerate_sequences(g1, 2, 2, [(1, 3)])
-    assert mh_column(g1, 4, [(1, [(3, 1)])])[4] == (4, ())
-    assert mh_column(g1, 4, [(2, [(1, 3)])])[4] == (8, ())
-    assert mh_column(g1, 4, [(1, [(1, 3), (3, 1)])])[4] == (8, ())
-
-
-def test_one_shot_pairs_are_read_once_for_every_degree(g1):
-    listed = [(1, [(1, 3), (3, 1), (2, 2)])]
-    assert mh_column(g1, 4, [(1, iter(listed[0][1]))]) == mh_column(g1, 4, listed)
-    table = mh_table(g1, 4, [(1, (pair for pair in listed[0][1]))])
-    assert table.entries == mh_table(g1, 4, listed).entries
+    assert mh_column(g1, 4, {(1, 3): 1})[4] == (4, ())
+    assert mh_column(g1, 4, {(3, 1): 1})[4] == (4, ())
+    assert mh_column(g1, 4, {(1, 3): 2})[4] == (8, ())
+    assert mh_column(g1, 4, {(1, 3): 1, (3, 1): 1})[4] == (8, ())
 
 
 def test_torsion_of_a_hasse_diagram_through_the_summand_route():
@@ -416,7 +393,24 @@ def test_torsion_of_a_hasse_diagram_through_the_summand_route():
     column = mh_column(g, 4)
     assert column == pairwise_column(g, 4)
     assert column[3] == (450, (2, 2))
-    assert mh_column(g, 4, [(1, [(1, g.n)])])[3] == (0, (2,))
+    assert mh_column(g, 4, {(1, g.n): 1})[3] == (0, (2,))
+
+
+def test_a_weight_repeats_the_groups_of_its_summand():
+    # m copies of the summand's groups, torsion included, added to the
+    # other pairs' groups; the pairs of one call share one enumeration
+    g = hasse_graph(RP2_FACES)
+    assert mh_column(g, 4, {(1, g.n): 3})[3] == (0, (2, 2, 2))
+    weights = {(1, g.n): 2, (g.n, 1): 1, (1, 1): 4}
+    alone = {pair: mh_column(g, 4, {pair: 1}) for pair in weights}
+    assert mh_column(g, 4, weights) == [
+        (
+            sum(m * alone[pair][k][0] for pair, m in weights.items()),
+            merge_torsion((alone[pair][k][1], m) for pair, m in weights.items()),
+        )
+        for k in range(5)
+    ]
+    assert mh_column(g, 4, weights)[4][0] > 0
 
 
 def test_between_is_the_geodesic_interval(g1, g2, g3, c4):
@@ -446,7 +440,7 @@ def test_boundary_raises_on_a_missing_coface(g1):
 
 def open_basis(g, k, length):
     """The sequences with x_0 < x_k, a basis of a subcomplex."""
-    pairs = [(a, b) for a in g.vertices for b in g.vertices if a < b]
+    pairs = {(a, b): 1 for a in g.vertices for b in g.vertices if a < b}
     return enumerate_sequences(g, k, length, pairs)
 
 
@@ -524,7 +518,7 @@ def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
         ranks = defaultdict(int)
         torsion = defaultdict(list)
         for a, b in product(g.vertices, repeat=2):
-            for cell, (rank, tors) in mh_table(g, 5, [(1, [(a, b)])]).entries.items():
+            for cell, (rank, tors) in mh_table(g, 5, {(a, b): 1}).entries.items():
                 ranks[cell] += rank
                 torsion[cell] += tors
         assert table.entries == {
@@ -534,14 +528,14 @@ def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
 
 
 def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, g3):
-    # each length is enumerated once for all orbit classes and reduced as
-    # one complex, not class by class through mh_column
+    # each length is enumerated once for all orbit representatives and
+    # reduced as one complex, not pair by pair through mh_column
     seen = []
     cells, reduce = homology._cells, homology._homology
 
-    def recorded_cells(g, length, classes):
-        seen.append(("cells", length, len(classes)))
-        return cells(g, length, classes)
+    def recorded_cells(g, length, summands):
+        seen.append(("cells", length, len(summands)))
+        return cells(g, length, summands)
 
     def recorded_homology(g, ones, bases, top):
         seen.append(("reduce", len(bases) + 2))
@@ -553,13 +547,13 @@ def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, 
     monkeypatch.setattr(homology, "_cells", recorded_cells)
     monkeypatch.setattr(homology, "_homology", recorded_homology)
     monkeypatch.setattr(homology, "mh_column", refused)
-    assert len(orbit_classes(g3)) > 1 and len(orbit_classes(g1)) > 1
+    assert len(pair_orbits(g3)) > 1 and len(pair_orbits(g1)) > 1
     assert not is_diagonal_up_to(g3, 6)
     # lengths 0-2 are diagonal without computing
-    assert seen == [("cells", 3, len(orbit_classes(g3))), ("reduce", 3)]
+    assert seen == [("cells", 3, len(pair_orbits(g3))), ("reduce", 3)]
     seen.clear()
     assert is_diagonal_up_to(g1, 4)
-    n = len(orbit_classes(g1))
+    n = len(pair_orbits(g1))
     assert seen == [("cells", 3, n), ("reduce", 3), ("cells", 4, n), ("reduce", 4)]
     seen.clear()
     assert is_diagonal_up_to(g3, 2)
@@ -577,20 +571,20 @@ def cap_charges(g, lmax):
     """Every amount charged to the basis cap at lengths 3..lmax: the
     degree-1 cells, each enumerated degree and the walks, each cell
     weighed by its orbit size."""
-    classes, charges = orbit_classes(g), set()
+    summands, charges = pair_orbits(g), set()
     for length in range(3, lmax + 1):
         walks = g.walks(length)
-        charges.add(sum(m * sum(g.dist[a][b] == length for a, b in pairs) for m, pairs in classes))
+        charges.add(sum(m for (a, b), m in summands.items() if g.dist[a][b] == length))
         for k in range(2, length):
-            sizes = [len(enumerate_sequences(g, k, length, pairs)) for _, pairs in classes]
-            charges.add(sum(m * size for (m, _), size in zip(classes, sizes)))
-        charges.add(sum(m * sum(walks[a][b] for a, b in pairs) for m, pairs in classes))
+            basis = enumerate_sequences(g, k, length, summands)
+            charges.add(sum(summands[x[0], x[-1]] for x in basis))
+        charges.add(sum(m * walks[a][b] for (a, b), m in summands.items()))
     return charges
 
 
 @pytest.mark.parametrize("name", ["C4", "G1", "G3", "K33", "C7"])
 def test_merged_diagonal_check_keeps_every_budget_outcome(monkeypatch, name):
-    # swept across each charge, the merged check gives the per-class
+    # swept across each charge, the merged check gives the per-pair
     # route's verdict or raises its message at the same caps; C7, of
     # diameter 3, reaches the degree-1 charge first at length 3
     g = {"K33": K33, "C7": cycle_graph(7)}.get(name) or load_fixture(name)
@@ -600,11 +594,11 @@ def test_merged_diagonal_check_keeps_every_budget_outcome(monkeypatch, name):
     for cap in caps:
         monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
         merged = outcome(is_diagonal_up_to, g, lmax)
-        assert merged == outcome(diagonal_class_by_class, g, lmax), cap
+        assert merged == outcome(diagonal_pair_by_pair, g, lmax), cap
         raised += isinstance(merged, str)
     monkeypatch.delenv("MAGHOM_BASIS_CAP")
     assert 0 < raised < len(caps)
-    assert is_diagonal_up_to(g, lmax) == diagonal_class_by_class(g, lmax)
+    assert is_diagonal_up_to(g, lmax) == diagonal_pair_by_pair(g, lmax)
 
 
 def test_lengths_up_to_two_are_diagonal(g1, g2, g3, c4):

@@ -280,7 +280,7 @@ def test_leinster_wedge(g1, g2, g3, c4):
 
 def test_magnitude_homology_of_a_wedge_is_the_direct_sum(g1, g2, g3, c4):
     # Hepworth-Willerton: MH_(k,l)(G v H) = MH_(k,l)(G) + MH_(k,l)(H) for l >= 1.
-    # A wedge's Aut(G) differs from its blocks', so its orbit classes do too.
+    # A wedge's Aut(G) differs from its blocks', so its pair orbits do too.
     rp2h = load_fixture("RP2H")
     cases = [(c4, g1, 5), (g1, g3, 5), (g2, cycle_graph(5), 5), (complete_graph(4), g3, 5),
              (c4, c4, 5), (g3, g3, 5), (rp2h, c4, 4), (rp2h, g1, 4)]

@@ -125,7 +125,7 @@ def test_critical_count_equals_relative_rank_complete_graph():
         assert rel[1][0] == len(build.critical)
         from maghom import mh_column
 
-        assert mh_column(g, 3, [(1, [(a, b)])])[3][0] == len(build.critical)
+        assert mh_column(g, 3, {(a, b): 1})[3][0] == len(build.critical)
 
 
 def assert_agrees_with_the_simplex_oracles(pair, pairs):

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -16,20 +16,21 @@ from oracles import (
     sparse_matmul,
 )
 
-from maghom import boundary_matrix, enumerate_sequences, snf
+from maghom import boundary_matrix, enumerate_sequences, homology, snf
 from maghom.ai_complex import (
     cell_boundaries,
     path_complex,
     relative_complex,
     relative_homology,
 )
-from maghom.homology import merge_torsion, mh_column, orbit_classes
+from maghom.homology import merge_torsion, mh_column
 from maghom.snf import (
     SparseMatrix,
     _dense_smith_diagonal,
     homology_of_complex,
     smith_normal_form,
 )
+from maghom.symmetry import pair_orbits
 
 
 def snf_dense(rows):
@@ -146,7 +147,7 @@ def test_rank_mod_p_on_fixture_boundaries(c4, g1, g2, g3):
         for a in g.vertices:
             for b in g.vertices:
                 for ell in range(1, 6):
-                    bases = [enumerate_sequences(g, k, ell, [(a, b)]) for k in range(ell + 1)]
+                    bases = [enumerate_sequences(g, k, ell, {(a, b): 1}) for k in range(ell + 1)]
                     for k in range(1, ell + 1):
                         if bases[k] and bases[k - 1]:
                             check_rank_mod_p(boundary_matrix(g, bases[k], bases[k - 1]))
@@ -385,10 +386,10 @@ def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, mon
             above.ncols,
         )
         assert smith_normal_form(kept) == full
-    # the same complex through mh_column, whose top map is peeled: the
-    # rows dropped from it are stored rows
+    # the same complex as the homology module reduces it, its top map
+    # peeled: the rows dropped from it are stored rows
     calls.clear()
-    assert mh_column(g3, 6, [(1, list(product(g3.vertices, repeat=2)))]) == expected
+    assert homology._homology(g3, dims[1], bases[2:6], dims[6]) == expected
     assert [mat.ncols for mat, _, _ in calls[:-1]] == dims[4:6]
     for (_, _, res), (_, dropped, _) in zip(calls, calls[1:]):
         assert dropped == res.pivot_cols
@@ -401,10 +402,10 @@ def test_compression_keeps_the_fixture_summands(c4, g1, g2, g3):
         for a in g.vertices:
             for b in g.vertices:
                 for ell in range(1, 7):
-                    bases = [enumerate_sequences(g, k, ell, [(a, b)]) for k in range(ell + 1)]
+                    bases = [enumerate_sequences(g, k, ell, {(a, b): 1}) for k in range(ell + 1)]
                     dims = [len(x) for x in bases]
                     expected = homology_uncleared(dims, magnitude_boundaries(g, bases))
-                    assert mh_column(g, ell, [(1, [(a, b)])]) == expected
+                    assert mh_column(g, ell, {(a, b): 1}) == expected
                     if ell >= 3:
                         # the relative complex is the summand in degrees 2..l
                         pair = relative_complex(g, a, b, ell)
@@ -413,13 +414,13 @@ def test_compression_keeps_the_fixture_summands(c4, g1, g2, g3):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_compression_keeps_the_orbit_class_complexes(seed):
+def test_compression_keeps_each_orbit_summand_complex(seed):
     rng = random.Random(seed)
     g = random_connected(rng, 5 + seed % 3)
     for ell in range(1, 6):
         columns = []
-        for m, pairs in orbit_classes(g):
-            bases = [enumerate_sequences(g, k, ell, pairs) for k in range(ell + 1)]
+        for pair, m in pair_orbits(g).items():
+            bases = [enumerate_sequences(g, k, ell, {pair: 1}) for k in range(ell + 1)]
             dims, boundaries = [len(x) for x in bases], magnitude_boundaries(g, bases)
             columns.append((m, homology_uncleared(dims, boundaries)))
             assert homology_of_complex(dims, boundaries) == columns[-1][1]

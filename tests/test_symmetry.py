@@ -144,7 +144,7 @@ def test_a_truncated_search_gives_finer_orbits_and_the_same_groups(monkeypatch, 
         monkeypatch.undo()
 
 
-def test_one_summand_per_orbit_is_reduced(monkeypatch):
+def test_one_summand_per_orbit_is_reduced(monkeypatch, g3):
     calls = Counter()
     column = homology._homology
 
@@ -154,7 +154,12 @@ def test_one_summand_per_orbit_is_reduced(monkeypatch):
 
     monkeypatch.setattr(homology, "_homology", counted)
     mh_column(PETERSEN, 4)
-    assert calls == {5: 3}  # one complex per orbit size: 10, 30 and 60
+    assert calls == {5: 3}  # one pair per orbit, of sizes 10, 30 and 60
+    calls.clear()
+    for length in range(2, 6):
+        mh_column(g3, length)
+    assert len(pair_orbits(g3)) == 13
+    assert calls == {length + 1: 13 for length in range(2, 6)}  # one reduction per pair
 
 
 def test_the_search_loop_finds_the_recursive_searchs_generators(monkeypatch, g1, g3, c4):
