@@ -293,7 +293,9 @@ def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
     to the basis cap, every cell of a summand {(a, b): m} m times.
 
     Degrees 2 <= k < l are enumerated once for all summands
-    (``enumerate_sequences``).  Degrees 0, 1 and l are counted, not
+    (``enumerate_sequences``), but a degree k < l / diam(G) has no cells,
+    as each of its k gaps is at most diam(G), and is not enumerated (nor
+    is any degree when diam(G) = 0).  Degrees 0, 1 and l are counted, not
     enumerated.  Degree 0 is empty for l >= 1.  For l >= 2, degree 1 is
     the pairs at distance l, charged first.  Degree l is the length-l
     walks, (A^l)_ab in the (a, b) summand, charged after the enumerated
@@ -302,7 +304,9 @@ def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
     cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
     if length >= 2 and sum(m for (a, b), m in summands.items() if g.dist[a][b] == length) > cap:
         raise over_cap(f"degree-1 length-{length} basis", cap)
-    bases = [enumerate_sequences(g, k, length, summands) for k in range(2, length)]
+    maxd = diameter(g)
+    low = -(-length // maxd) if maxd else length
+    bases = [enumerate_sequences(g, k, length, summands) if k >= low else () for k in range(2, length)]
     walks = g.walks(length)
     if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
         raise over_cap(f"degree-{length} length-{length} basis", cap)

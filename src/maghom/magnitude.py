@@ -7,6 +7,31 @@ inversion of Z = I + N with N the strictly positive-distance part (exact
 power series).  Agreement of the two is a standing cross-check, and the
 series ties into magnitude homology through the alternating rank sum.
 
+Pendant trees are added in closed form, and the determinants are taken
+on what is left, the 2-core.  Let v have the single neighbour u in G,
+and H = G - v.  Every path from v to another vertex leaves through u,
+so d(v, x) = 1 + d(u, x) for x != v, and no shortest path between two
+vertices of H passes through v (it would meet u twice), so H has the
+distances of G.  Z(0) = I, so Z is invertible, the weighting w with
+Z w = 1 is unique, and the magnitude, the entry sum of Z^-1, is that
+of w.  With w_H the
+weighting of H, extended by 0 at v, and c = 1/(1 + q), set
+w = w_H + c (e_v - q e_u).  Row v of Z w is q sum_x q^d(u,x) w_H(x) +
+c (1 - q^2) = q + (1 - q) = 1, and row y != v is 1 + c (q^(d(y,u)+1) -
+q q^d(y,u)) = 1.  So #G = #H + (1 - q)/(1 + q): Leinster's wedge formula
+#(H v K_2) = #H + #K_2 - 1 (Leinster, "The magnitude of a graph",
+Math. Proc. Camb. Phil. Soc. 2019).  Removing degree-1 vertices one at
+a time until none is left removes t of them and leaves the 2-core of
+G, or one vertex for a tree, with the distances of G.  With det M and
+det B those of the core (below; one vertex has M = (1), det B = -1),
+
+    #G = -det B / det M + t (1 - q)/(1 + q)
+       = (t det M (1 - q) - det B (1 + q)) / (det M (1 + q)),
+
+so a tree on n vertices has magnitude (n - (n - 2) q)/(1 + q).  Cut
+vertices whose blocks both have cycles are not split: the wedge formula
+would then need products of the blocks' fractions.
+
 The bordered determinants are taken on a quotient of Z.  On a partition
 of the vertices into cells C_1..C_r that is equitable for the distances
 (``symmetry.equitable_partition``: the multiset of d(x, y) over y in C_j
@@ -66,7 +91,7 @@ fraction -det B / det M is brought to lowest terms by
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import isqrt, prod
 from operator import mul
 
@@ -149,14 +174,55 @@ def bordered_dets(g: Graph, cells: Cells | None = None) -> tuple[IntPoly, IntPol
     return tuple(IntPoly(unpack(det // scale, k, top + 1)) for det in _det_bareiss(rows))
 
 
+def two_core(g: Graph) -> tuple[Graph, int]:
+    """The graph left when degree-1 vertices are removed one at a time
+    until none is left, on 1..r in the order of g's labels, and the
+    number t of vertices removed: the 2-core, or one vertex of a tree.
+    Its distances are g's (see the module docstring), so no search is
+    run again.  With t = 0 it is g itself."""
+    degree = list(map(len, g.neighbors))
+    removed = [False] * (g.n + 1)
+    leaves = [v for v in g.vertices if degree[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # the last vertex of a tree
+            continue
+        removed[v] = True
+        for w in g.neighbors[v]:
+            if not removed[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    keep = [v for v in g.vertices if not removed[v]]
+    if len(keep) == g.n:
+        return g, 0
+    label = dict(zip(keep, range(1, len(keep) + 1)))
+    index = (0, *keep)  # index 0 unused, as in g
+    core = Graph(
+        n=len(keep),
+        edges=tuple((label[u], label[v]) for u, v in g.edges if u in label and v in label),
+        neighbors=tuple(tuple(label[w] for w in g.neighbors[v] if w in label) for v in index),
+        dist=tuple(tuple(g.dist[v][x] for x in index) for v in index),
+    )
+    return core, g.n - len(keep)
+
+
 def magnitude_rational(g: Graph) -> RatFunc:
     """Sum of the inverse similarity matrix's entries, in lowest terms.
 
     Uses the bordered-determinant identity -det B / det M on the quotient
-    by the coarsest equitable partition (see the module docstring).
+    of the 2-core by its coarsest equitable partition, and adds the t
+    vertices of the pendant trees as t (1 - q)/(1 + q) (see the module
+    docstring).
     """
-    det_m, det_b = bordered_dets(g, equitable_partition(g))
-    return RatFunc(-det_b, det_m)
+    core, t = two_core(g)
+    det_m, det_b = bordered_dets(core, equitable_partition(core))
+    if not t:
+        return RatFunc(-det_b, det_m)
+    # times 1 + q and 1 - q: each coefficient plus or minus the one below
+    m, b = (0, *det_m.coeffs), (0, *det_b.coeffs)
+    num = [t * (x - y) - (u + v) for x, y, u, v in zip_longest(m[1:], m, b[1:], b, fillvalue=0)]
+    return RatFunc(IntPoly(num), IntPoly([x + y for x, y in zip_longest(m[1:], m, fillvalue=0)]))
 
 
 def series_bounds(g: Graph, order: int) -> list[int]:

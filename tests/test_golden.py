@@ -28,6 +28,9 @@ CASES = {
     "magnitude_json": ["magnitude", F / "G1", "--json"],
     # coefficients of up to 94 bits: a digit width too narrow shows here
     "magnitude_series_r40": ["magnitude", F / "R40", "--series", "60", "--json"],
+    # a 500-vertex tree: the whole-graph quotient is over the basis cap,
+    # its 2-core is one vertex
+    "magnitude_series_t500": ["magnitude", F / "T500", "--series", "8", "--json"],
     "mh_table_csv": ["mh-table", F / "G3", "--lmax", "6", "--csv"],
     # --verify also sums each length over all n^2 endpoint summands
     "mh_table_csv_verify": ["mh-table", F / "G3", "--lmax", "6", "--verify", "--csv"],

@@ -292,6 +292,21 @@ def test_top_degree_cap_counts_the_walks(monkeypatch):
         mh_column(k3, 4)
 
 
+def test_degrees_below_l_over_the_diameter_are_not_enumerated(monkeypatch, g3):
+    calls = []
+    enumerate_named = homology.enumerate_sequences
+    monkeypatch.setattr(
+        homology, "enumerate_sequences",
+        lambda g, k, length, summands: calls.append((k, length)) or enumerate_named(g, k, length, summands),
+    )
+    # K_2 has diameter 1: at length l only the l-step walks are cells
+    table = mh_table(complete_graph(2), 50)
+    assert calls == [] and table.is_diagonal() and table.rank(50, 50) == 2
+    # G3 has diameter 2: degrees ceil(l / 2) to l - 1, and 2 or more
+    mh_table(g3, 6)
+    assert calls == [(k, length) for length in range(3, 7) for k in range(max(2, -(-length // 2)), length)]
+
+
 def nonzero_columns(mat):
     """The columns of ``mat`` as a multiset of {row: entry}, zero ones left out."""
     columns = defaultdict(dict)

@@ -278,6 +278,91 @@ def test_leinster_wedge(g1, g2, g3, c4):
         assert _same(num, den, magnitude_rational(_wedge(g, h)))
 
 
+# Pendant trees: magnitude_rational strips them and eliminates on the
+# 2-core; the whole-graph elimination below is the oracle.
+
+
+def _whole_graph(g):
+    """-det B / det M on the quotient of all of g, pendant trees and all."""
+    det_m, det_b = magnitude.bordered_dets(g, equitable_partition(g))
+    return RatFunc(-det_b, det_m)
+
+
+def _random_tree(rng, n):
+    return from_edges([(rng.randrange(1, v), v) for v in range(2, n + 1)], n=n)
+
+
+def _hang_trees(rng, g, extra):
+    """g with ``extra`` more vertices, each joined to one vertex before it."""
+    return from_edges(list(g.edges) + [(rng.randrange(1, v), v) for v in range(g.n + 1, g.n + extra + 1)])
+
+
+def _caterpillar(spine, legs):
+    """A path 1..spine with ``legs`` leaves on each of its vertices."""
+    edges = [(i, i + 1) for i in range(1, spine)]
+    edges += [(i, spine + legs * (i - 1) + j) for i in range(1, spine + 1) for j in range(1, legs + 1)]
+    return from_edges(edges, n=spine * (legs + 1))
+
+
+def _lollipop(m, tail):
+    """K_m with a path of ``tail`` more vertices hung on vertex m."""
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return from_edges(edges + [(v, v + 1) for v in range(m, m + tail)], n=m + tail)
+
+
+def _spider(legs):
+    """Paths of the given lengths joined at vertex 1."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(1 if i == 0 else n + i, n + i + 1) for i in range(length)]
+        n += length
+    return from_edges(edges, n=n)
+
+
+def test_leinster_tree_formula():
+    # each pendant vertex adds #K_2 - 1 = (1 - q)/(1 + q) to #K_1 = 1
+    rng = random.Random(7)
+    trees = [_random_tree(rng, n) for n in [*range(2, 31), 60, 125, 250]]
+    trees.append(load_fixture("T500"))
+    for g in trees:
+        r = magnitude_rational(g)
+        assert (r.num, r.den) == (IntPoly([g.n, 2 - g.n]), IntPoly([1, 1]))
+        assert magnitude_series(g, 8) == r.series(8)
+        core, t = magnitude.two_core(g)
+        assert (core.n, t) == (1, g.n - 1)
+        if g.n <= 12:
+            assert r == _whole_graph(g)
+    # the whole-graph quotient of T500 has 410 cells, over the basis cap
+    with pytest.raises(BudgetExceeded, match="elimination on 410 cells"):
+        _whole_graph(trees[-1])
+
+
+def test_two_core_route_equals_whole_graph_elimination(g1, g3):
+    graphs = [complete_graph(1), complete_graph(2), path_graph(7), star_graph(5)]
+    graphs += [_caterpillar(spine, legs) for spine, legs in ((3, 1), (4, 2), (6, 1))]
+    graphs += [_lollipop(m, tail) for m, tail in ((3, 1), (3, 4), (5, 2), (6, 6))]
+    graphs += [_spider(legs) for legs in ((1, 2, 3), (2, 2, 2, 2), (4, 1, 1))]
+    rng = random.Random(11)
+    graphs += [_hang_trees(rng, g, 3) for g in (g1, g3, cycle_graph(5), PETERSEN)]
+    graphs += [_hang_trees(rng, random_connected(rng, 3 + seed % 10), 1 + seed % 7) for seed in range(50)]
+    for g in graphs:
+        assert magnitude.two_core(g)[1] or g.n == 1
+        r = magnitude_rational(g)
+        assert r == _whole_graph(g)
+        assert magnitude_series(g, 8) == r.series(8)
+
+
+def test_two_core_keeps_the_distances_of_the_graph(g1):
+    # a Graph compares by all of its fields, its distances among them
+    assert magnitude.two_core(_lollipop(4, 3)) == (complete_graph(4), 3)
+    assert magnitude.two_core(g1) == (g1, 0)  # no leaf: g itself
+    rng = random.Random(2)
+    for _ in range(20):
+        g = _hang_trees(rng, cycle_graph(6), 5)
+        assert magnitude.two_core(g) == (cycle_graph(6), 5)
+        assert cycle_graph(6).dist == tuple(row[:7] for row in g.dist[:7])
+
+
 def test_magnitude_homology_of_a_wedge_is_the_direct_sum(g1, g2, g3, c4):
     # Hepworth-Willerton: MH_(k,l)(G v H) = MH_(k,l)(G) + MH_(k,l)(H) for l >= 1.
     # A wedge's Aut(G) differs from its blocks', so its pair orbits do too.
@@ -429,8 +514,9 @@ def test_series_charges_machine_words(monkeypatch, g1):
 
 
 def test_reach_on_the_forty_vertex_graph(monkeypatch):
-    # the largest gcd met so far, of degree 43; the determinants are kept
-    # from the one elimination, and the Euclid oracle is not run on them
+    # the largest gcd met so far, of degree 36; the determinants are kept
+    # from the one elimination, on the 36-vertex 2-core (4 pendant
+    # vertices), and the Euclid oracle is not run on them
     g = load_fixture("R40")
     dets = []
     eliminate = magnitude.bordered_dets
@@ -440,5 +526,9 @@ def test_reach_on_the_forty_vertex_graph(monkeypatch):
     r = magnitude_rational(g)
     [(det_m, det_b)] = dets
     assert r.series(8) == magnitude_series(g, 8)
-    assert Poly(r.num) * det_m == -Poly(det_b) * r.den
-    assert det_m.degree - r.den.degree == 43
+    # lifted: t det M (1 - q) - det B (1 + q) over det M (1 + q), t = 4
+    num = Poly(det_m) * Poly([4, -4]) - Poly(det_b) * Poly([1, 1])
+    den = Poly(det_m) * Poly([1, 1])
+    gcd = den.exact_div(r.den)
+    assert (Poly(r.num) * gcd, Poly(r.den) * gcd) == (num, den)
+    assert gcd.degree == 36
