@@ -18,8 +18,15 @@ matching is acyclic, which the callers (the CLI's ``morse`` and
 and named by index; their (vertex, position) form appears only in error
 messages.
 
-Triples and quadruples share one distance shape, which ``_well_shaped``
-alone decides on loading, on matching and in condition (i).
+Triples and quadruples are one rule form: each is its key with the
+middle put before the key's last vertex, ``key[:-1] + (middle,) +
+key[-1:]``, over a key (beta, delta) or (alpha, beta, delta).  So they
+share one distance shape, which ``_well_shaped`` alone decides on
+loading, on matching and in condition (i), one middle table in
+``build_matching`` and one search step in ``search_structure``.  A
+rule's back is its last three vertices and its front all but its last;
+condition (ii) says no front is a back.  A triple's front has two
+vertices, so it is never a back: only a quadruple's prefix counts.
 
 Pawful graphs always carry such a certificate (``build_pawful_S`` takes
 each middle as the smallest fitting vertex of ``Graph.between``);
@@ -30,7 +37,6 @@ key, is pawfulness on diameter <= 2 (see ``graph.is_pawful``).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -65,22 +71,21 @@ def _well_shaped(g: Graph, t: tuple[int, ...]) -> bool:
 
 
 def _validate_structure(g: Graph, s: SStructure) -> None:
-    for t in s.triples:
-        if not _well_shaped(g, t):
-            raise ValidationError(f"triple {t} violates its distance conditions")
-    for q in s.quads:
-        if not _well_shaped(g, q):
-            raise ValidationError(f"quadruple {q} violates its distance conditions")
+    for kind, rules in (("triple", s.triples), ("quadruple", s.quads)):
+        for t in rules:
+            if not _well_shaped(g, t):
+                raise ValidationError(f"{kind} {t} violates its distance conditions")
 
 
-def _by_key(tuples, mid: int, kind: str) -> dict[tuple[int, ...], int]:
-    """Each tuple's entry at ``mid``, keyed by the tuple without it."""
+def _by_key(rules, kind: str) -> dict[tuple[int, ...], int]:
+    """Each rule's middle (its second-to-last vertex), keyed by the rule
+    without it."""
     out: dict[tuple[int, ...], int] = {}
-    for t in sorted(tuples):
-        key = t[:mid] + t[mid + 1 :]
-        if key in out and out[key] != t[mid]:
+    for t in sorted(rules):
+        key = t[:-2] + t[-1:]
+        if key in out:  # distinct rules over one key: distinct middles
             raise CertificateError(f"two {kind} share the key {key}")
-        out[key] = t[mid]
+        out[key] = t[-2]
     return out
 
 
@@ -124,17 +129,20 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
 
     ``pair`` is ``relative_complex(g, a, b, l)``, and ``s`` a certificate
     for its graph ``pair.g``.  One scan stops each cell (x_0, .., x_k) at
-    its first gap (d(x_t, x_(t+1)) = 2) or first pattern.  Gap-first
-    cells get the certificate's middle vertex inserted right after the
-    gap start (in the simplex, at position +1, the unique choice that
-    keeps positions cumulative); pattern-first cells lose the vertex
-    after the pattern start.  A well-shaped certificate is refused for
-    two middles over one key (of triples or of quadruples), for no
-    middle over the key of some gap, or for a gap-first cell whose image
-    deletion at its pattern start does not take back to it.  Otherwise
-    insertion is one-to-one, and it is onto as well, which the count
-    comparison at the end only re-checks.  Acyclicity is not checked
-    here.
+    its first gap (d(x_t, x_(t+1)) = 2) or first pattern, a rule of the
+    certificate that is (x_0, x_1, x_2) or (x_(t-1), .., x_(t+2)).  A
+    gap-first cell with its gap at j gets a middle inserted right after
+    the gap start (in the simplex, at position +1, the unique choice that
+    keeps positions cumulative): one table over the keys of both kinds
+    gives the middle over (x_0, x_1) when j = 0 and over
+    (x_(j-1), x_j, x_(j+1)) otherwise.  Pattern-first cells lose the
+    vertex after the pattern start.  A well-shaped certificate is refused
+    for two middles over one key (the quadruples are checked first), for
+    no middle over the key of some gap, or for a gap-first cell whose
+    image deletion at its pattern start does not take back to it.
+    Otherwise insertion is one-to-one, and it is onto as well, which the
+    count comparison at the end only re-checks.  Acyclicity is not
+    checked here.
 
     Nothing else can fail once ``_validate_structure`` has passed, since
     every step of a validated tuple is 1:
@@ -172,17 +180,18 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     if diameter(g) > 2:
         raise ValidationError("certificate matchings need diameter <= 2")
     _validate_structure(g, s)
-    quad_mid = _by_key(s.quads, 2, "quadruples")
-    triple_mid = _by_key(s.triples, 1, "triples")
-    cells, dist, triples, quads = pair.cells, g.dist, s.triples, s.quads
+    # triple and quadruple keys differ in length, so one table holds both;
+    # with two middles over a key of each kind, the quadruple key is named
+    middle = _by_key(s.quads, "quadruples") | _by_key(s.triples, "triples")
+    cells, dist, rules = pair.cells, g.dist, s.quads | s.triples
     untouched: list[int] = []
     gap_first: list[int] = []
     at: dict[int, int] = {}  # the first gap or pattern start of each paired cell
     for c, seq in enumerate(cells):
         k = len(seq) - 1
         for t in range(k):
-            # a gap: d(x_t, x_(t+1)) = 2; a pattern: the leading triple
-            # (t = 0) or the quadruple window x_(t-1) .. x_(t+2), both
+            # a gap: d(x_t, x_(t+1)) = 2; a pattern: the rule that is the
+            # leading triple (t = 0) or the window x_(t-1) .. x_(t+2),
             # only where d(x_t, x_(t+2)) = 2, as validated
             row = dist[seq[t]]
             if row[seq[t + 1]] == 2:
@@ -191,7 +200,7 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
             if (
                 t < k - 1
                 and row[seq[t + 2]] == 2
-                and (seq[t - 1 : t + 3] in quads if t else seq[:3] in triples)
+                and (seq[t - 1 : t + 3] if t else seq[:3]) in rules
             ):
                 break
         else:
@@ -203,7 +212,7 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     mates: list[tuple[int, int]] = []
     for c in gap_first:
         seq, j = cells[c], at[c]
-        mid = triple_mid.get(seq[:2]) if j == 0 else quad_mid.get(seq[j - 1 : j + 2])
+        mid = middle.get(seq[j - 1 : j + 2] if j else seq[:2])
         if mid is None:
             raise CertificateError(f"no certificate entry for the gap at {j} in {seq}")
         m = index[seq[: j + 1] + (mid,) + seq[j + 1 :]]
@@ -243,9 +252,11 @@ def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
 
     ``f1`` is a collection of triples (one per ordered distance-2 pair),
     ``f2`` a collection of quadruples (one per (alpha, beta, delta) key).
-    Condition (i): both are sections of the key projections.  Condition
-    (ii): no quadruple's first three coordinates appear as the last three
-    of any quadruple, nor among the triples.  Condition (iii): a
+    Condition (i): both are sections of the key projections, which one
+    loop checks for triples and then for quadruples, each rule's key
+    being the rule without its middle.  Condition (ii): no quadruple's
+    first three coordinates (its front) appear as the last three (the
+    back) of any quadruple, nor among the triples.  Condition (iii): a
     quadruple whose middle is far from alpha must use the unique common
     neighbor of beta and delta.
     """
@@ -255,35 +266,26 @@ def verify_s_structure(g: Graph, f1, f2) -> tuple[bool, str | None]:
     quads = sorted(tuple(q) for q in f2)
 
     # (i) sections of the projections, defined on every key exactly once
-    seen_x: dict[tuple[int, int], tuple] = {}
-    for t in triples:
-        if len(t) != 3:
-            return False, f"(i): {t} is not a triple"
-        if not _well_shaped(g, t):
-            return False, f"(i): {t} has the wrong distance pattern"
-        key = (t[0], t[2])
-        if key in seen_x:
-            return False, f"(i): two triples over the pair {key}"
-        seen_x[key] = t
-    missing = next((k for k in _ordered_x_keys(g) if k not in seen_x), None)
-    if missing:
-        return False, f"(i): no triple over the pair {missing}"
+    for kind, over, size, rules, keys in (
+        ("triple", "the pair", 3, triples, _ordered_x_keys(g)),
+        ("quadruple", "the key", 4, quads, _ordered_y_keys(g)),
+    ):
+        seen: set[tuple[int, ...]] = set()
+        for t in rules:
+            if len(t) != size:
+                return False, f"(i): {t} is not a {kind}"
+            if not _well_shaped(g, t):
+                return False, f"(i): {t} has the wrong distance pattern"
+            key = t[:-2] + t[-1:]
+            if key in seen:
+                return False, f"(i): two {kind}s over {over} {key}"
+            seen.add(key)
+        missing = next((k for k in keys if k not in seen), None)
+        if missing:
+            return False, f"(i): no {kind} over {over} {missing}"
 
-    seen_y: dict[tuple[int, int, int], tuple] = {}
-    for q in quads:
-        if len(q) != 4:
-            return False, f"(i): {q} is not a quadruple"
-        if not _well_shaped(g, q):
-            return False, f"(i): {q} has the wrong distance pattern"
-        key = (q[0], q[1], q[3])
-        if key in seen_y:
-            return False, f"(i): two quadruples over the key {key}"
-        seen_y[key] = q
-    missing = next((k for k in _ordered_y_keys(g) if k not in seen_y), None)
-    if missing:
-        return False, f"(i): no quadruple over the key {missing}"
-
-    # (ii) first-three prefixes never reappear as suffixes or triples
+    # (ii) no front (a quadruple's first three) is a back (a quadruple's
+    # last three, or a triple)
     first3 = {q[:3] for q in quads}
     for q in quads:
         if q[1:] in first3:
@@ -310,7 +312,14 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
     """Exhaustive backtracking search for a certificate.
 
     Returns a certificate, or None once the whole choice tree is ruled
-    out.  Choice points are processed fewest-candidates-first; a node
+    out.  A variable is a key with its candidate middles: every vertex
+    between beta and delta for a triple, and for a quadruple those near
+    alpha, or the only one (condition (iii)).  Variables are assigned
+    fewest candidates first, then quadruple keys before triple keys,
+    then by key, and each variable's candidates in vertex order; this
+    order decides which certificate is found and printed.  A candidate
+    is refused when its back is a chosen front or its front a chosen
+    back (condition (ii)); condition (i) holds by construction.  A node
     budget (``errors.search_budget`` when not given) guards runaway
     searches, raising BudgetExceeded, which is distinct from exhaustion.
     The backtracking is a loop over a stack of candidate iterators, one
@@ -320,60 +329,49 @@ def search_structure(g: Graph, budget: int | None = None) -> SStructure | None:
         raise ValidationError("certificates are defined for diameter <= 2")
     budget = search_budget(budget)
 
-    variables = [("T", (a_, c_), g.between[a_][c_]) for a_, c_ in _ordered_x_keys(g)]
+    variables = [((be, de), g.between[be][de]) for be, de in _ordered_x_keys(g)]
     for al, be, de in _ordered_y_keys(g):
         mids = g.between[be][de]
         allowed = [ga for ga in mids if g.dist[al][ga] <= 1 or len(mids) == 1]
-        variables.append(("Q", (al, be, de), allowed))
-    variables.sort(key=lambda v: (len(v[2]), v[0], v[1]))
-    if any(not v[2] for v in variables):
+        variables.append(((al, be, de), allowed))
+    # fewest candidates, then quadruple keys (three vertices), then by key
+    variables.sort(key=lambda v: (len(v[1]), -len(v[0]), v[0]))
+    if any(not v[1] for v in variables):
         return None
 
-    chosen: list[tuple[int, ...]] = []  # a triple or quadruple per assigned variable
-    chosen_triples: set[tuple[int, int, int]] = set()
-    # distinct keys can contribute the same prefix or suffix tuple, so
-    # occupancy is counted rather than kept as a plain set
-    first3: Counter[tuple[int, ...]] = Counter()
-    last3: Counter[tuple[int, ...]] = Counter()
+    chosen: list[tuple[int, ...]] = []  # the rule of each assigned variable
+    # distinct rules can share a front or a back, so each is counted; a
+    # triple's front has two vertices and never meets a back
+    fronts: dict[tuple[int, ...], int] = {}
+    backs: dict[tuple[int, ...], int] = {}
     nodes = 0
     # the candidates not yet tried for each assigned variable and the next
-    pending = [iter(variables[0][2])] if variables else []
+    pending = [iter(variables[0][1])] if variables else []
     while pending and len(chosen) < len(variables):
-        kind, key, _ = variables[len(chosen)]
+        key = variables[len(chosen)][0]
         for mid in pending[-1]:
             nodes += 1
             check_search_budget(nodes, budget)
-            if kind == "T":
-                t = (key[0], mid, key[1])
-                if first3[t]:
-                    continue
-                chosen_triples.add(t)
-                chosen.append(t)
-            else:
-                al, be, de = key
-                q = (al, be, mid, de)
-                pre, suf = q[:3], q[1:]
-                if first3[suf] or last3[pre] or pre in chosen_triples:
-                    continue
-                first3[pre] += 1
-                last3[suf] += 1
-                chosen.append(q)
+            t = key[:-1] + (mid,) + key[-1:]
+            front, back = t[:-1], t[-3:]
+            if fronts.get(back) or backs.get(front):
+                continue
+            fronts[front] = fronts.get(front, 0) + 1
+            backs[back] = backs.get(back, 0) + 1
+            chosen.append(t)
             if len(chosen) < len(variables):
-                pending.append(iter(variables[len(chosen)][2]))
+                pending.append(iter(variables[len(chosen)][1]))
             break
         else:  # every candidate failed: undo the choice of the variable before
             pending.pop()
             if chosen:
                 prev = chosen.pop()
-                if len(prev) == 3:
-                    chosen_triples.discard(prev)
-                else:
-                    first3[prev[:3]] -= 1
-                    last3[prev[1:]] -= 1
+                fronts[prev[:-1]] -= 1
+                backs[prev[-3:]] -= 1
     if len(chosen) < len(variables):
         return None
-    quads = frozenset(x for x in chosen if len(x) == 4)
-    return SStructure(quads, frozenset(chosen_triples))
+    quads = frozenset(t for t in chosen if len(t) == 4)
+    return SStructure(quads, frozenset(t for t in chosen if len(t) == 3))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ CASES = {
     "pawful": ["pawful", F / "G1"],
     "s_structure_verify": ["s-structure", F / "G1", "--verify", F / "G1.sstruct"],
     "s_structure_search": ["s-structure", F / "G2", "--search"],
+    # a found certificate: the search's variable order decides which
+    "s_structure_search_g1": ["s-structure", F / "G1", "--search"],
     "ahk_check": ["ahk-check", F / "G3"],
     "classify": ["classify", GOLDEN / "stream.g6", "--lmax", "4"],
     # 7 vertices: FEl~? is first off-diagonal at l = 5, FhCKG and Frq_w at
@@ -75,7 +77,8 @@ CASES = {
 }
 
 # name -> (environment, argv, exit code, exact stderr): a command refused
-# over a limit or on a misshapen certificate, with no stdout checked
+# over a limit or on an invalid certificate (misshapen tuples, or two
+# middles over one key), with no stdout checked
 REFUSALS = {
     "morse_basis_cap": (
         {"MAGHOM_BASIS_CAP": "39"},
@@ -119,6 +122,15 @@ REFUSALS = {
         ["s-structure", F / "G1", "--verify", GOLDEN / "Q1123.sstruct"],
         1,
         "error: quadruple (1, 1, 2, 3) violates its distance conditions\n",
+    ),
+    # two middles over a triple key and over a quadruple key: the
+    # quadruples are checked first
+    "certificate_two_middles": (
+        {},
+        ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",
+         "--s", GOLDEN / "G1_two_middles.sstruct"],
+        1,
+        "error: two quadruples share the key (1, 2, 4)\n",
     ),
 }
 

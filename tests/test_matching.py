@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -24,6 +25,7 @@ from maghom.errors import (
     ParseError,
     ValidationError,
 )
+from maghom.graph import parse_graph6
 from maghom.matching import (
     SStructure,
     build_matching,
@@ -389,6 +391,30 @@ def test_search_is_deterministic(g1):
 def test_search_budget(g1):
     with pytest.raises(BudgetExceeded):
         search_structure(g1, budget=1)
+
+
+def test_search_refutes_a_non_pawful_graph_in_sixty_nodes():
+    # n = 9, diameter 2, not pawful, no certificate (and diagonal through
+    # l = 4): refusing a quadruple whose prefix is a chosen back prunes
+    # the tree to 60 nodes; without that half of condition (ii) the
+    # search runs past 10^6
+    g = parse_graph6("HtbNqC}")
+    assert (g.n, diameter(g), is_pawful(g).verdict) == (9, 2, False)
+    assert search_structure(g, budget=60) is None
+    with pytest.raises(BudgetExceeded):
+        search_structure(g, budget=59)
+
+
+def test_search_results_on_the_atlas_are_pinned():
+    # the certificate found (231 of the 374 graphs have one) depends on
+    # the order of the variables and of their candidates
+    digest = hashlib.sha256()
+    for line in (FIXTURES / "atlas7_diam2.g6").read_text().split():
+        found = search_structure(parse_graph6(line))
+        digest.update((serialize_s(found) if found else "none\n").encode())
+    assert digest.hexdigest() == (
+        "5004f716cf5e24ee01b50d10975d5602001272f8a5468207a5360f510193585c"
+    )
 
 
 @pytest.mark.parametrize("budget", [0, -5])
