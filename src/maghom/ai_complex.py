@@ -15,12 +15,21 @@ are the length-l sequences (a, x_1, .., x_(k-1), b) of the (a, b) summand
 of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
-summand in degrees 2..l with d_2 dropped, and ``relative_complex`` builds
-its cells by ``homology.enumerate_sequences`` on the summand {(a, b): 1} and
-keeps its maps as ``homology.boundary_matrix`` builds them, once: deleting
-x_i with sign (-1)^i, the negative of the simplicial boundary, which has
-the same homology and the same covers.  The positions are derived only
-to display a cell.  ``path_complex`` builds K itself from the edge
+summand in degrees 2..l with d_2 dropped, and ``relative_complex`` keeps
+its maps as ``homology.boundary_matrix`` builds them, once: deleting x_i
+with sign (-1)^i, the negative of the simplicial boundary, which has the
+same homology and the same covers.
+
+Its top cells, the length-l walks, are not enumerated.  A walk with no
+smooth point has no face outside K' and, being top-dimensional, no
+coface: it is an isolated cell, critical in every matching and one free
+Z of the top homology (Forman, "Morse theory for cell complexes", 1998).
+So ``relative_complex`` lists the cells of degrees 2..l-1, which
+``homology._cells`` enumerates on the summand {(a, b): 1}, and the walks
+with a smooth point, which d_l finds by insertion into degree l-1, and
+only counts the isolated walks, as the walk count (A^l)_ab less those
+listed.  The positions are derived only to display a cell.
+``path_complex`` builds K itself from the edge
 paths, where K is reported or checked, and charges its simplices to the
 basis cap (``errors.basis_cap``).  ``verify_correspondence`` compares
 with the summand that ``homology.mh_column`` computes for {(a, b): 1}.
@@ -39,7 +48,7 @@ from itertools import accumulate, chain, combinations
 
 from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph
-from .homology import boundary_matrix, enumerate_sequences, mh_column
+from .homology import _cells, _checked, boundary_matrix, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -52,17 +61,25 @@ def subsequence_length(g: Graph, a: int, b: int, simplex: Simplex) -> int:
 
 @dataclass(frozen=True)
 class RelativeComplex:
-    """The simplices of K_l(a,b) outside K'_l(a,b), as vertex sequences.
+    """The simplices of K_l(a,b) outside K'_l(a,b) that have a face
+    there, as vertex sequences, and the count of those that have none.
 
     The cell with interior vertices x_1 .. x_(k-1) is the degree-k,
     length-l sequence (a, x_1, .., x_(k-1), b), of dimension k - 2.
-    ``cells`` holds them by degree, then lexicographically: the order of
-    their simplices, the basis of the relative chain complex and the cell
-    set of the Morse matching.  The cells of dimension d are
+    ``cells`` holds them by degree: below the top, lexicographically, the
+    order of their simplices; in the top dimension l - 2, the walks with
+    a smooth point, in order of first appearance as d_l inserts them.
+    They are the basis of the relative chain complex and the cell set of
+    the Morse matching.  The cells of dimension d are
     ``cells[starts[d]:starts[d + 1]]``.  ``boundaries[d]`` maps them to
     dimension d - 1, for each d >= 1 with both sides nonempty: deleting
     x_i gives a face exactly when x_i is smooth, with the sign (-1)^i of
     the magnitude chain complex.
+
+    ``isolated`` counts the walks with no smooth point: top cells with no
+    face and no coface, so in no boundary and no matching pair.  They are
+    critical cells and free generators of the top homology, and every
+    count of cells adds them.
     """
 
     g: Graph = field(repr=False, compare=False)
@@ -72,6 +89,7 @@ class RelativeComplex:
     cells: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]
     boundaries: dict[int, SparseMatrix] = field(repr=False, compare=False)
+    isolated: int
 
     def simplex(self, c: int) -> Simplex:
         """Cell c in its (vertex, position) form, for display."""
@@ -91,18 +109,29 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
 
     The cells of dimension d are the degree-(d+2), length-l sequences
     from a to b, each interior vertex at its cumulative distance from a.
-    A position depends only on the vertex prefix, so sequence order is
-    cell order.  The boundaries are those of the magnitude chain complex.
+    A position depends only on the vertex prefix, so below the top
+    sequence order is cell order.  The boundaries are those of the
+    magnitude chain complex.  ``homology._cells`` enumerates degrees
+    2..l-1 and charges each, and then the walk count, to the basis cap,
+    as enumerating degree l would.  d_l is built by insertion into degree
+    l - 1, unpeeled, and its columns are the top cells listed; the other
+    walks are counted as ``isolated``.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    bases = [enumerate_sequences(g, k, length, {(a, b): 1}) for k in range(2, length + 1)]
+    bases = _cells(g, length, _checked(g, {(a, b): 1}))
     boundaries: dict[int, SparseMatrix] = {}
     for d in range(1, len(bases)):
         if bases[d] and bases[d - 1]:
             boundaries[d] = boundary_matrix(g, bases[d], bases[d - 1])
+    top: list[tuple[int, ...]] = []
+    d_top = boundary_matrix(g, None, bases[-1], peel=False, walks=top)
+    if top:
+        boundaries[len(bases)] = d_top
+    bases.append(top)
     starts = tuple(accumulate(map(len, bases), initial=0))
-    return RelativeComplex(g, a, b, length, tuple(chain(*bases)), starts, boundaries)
+    isolated = g.walks(length)[a][b] - len(top)
+    return RelativeComplex(g, a, b, length, tuple(chain(*bases)), starts, boundaries, isolated)
 
 
 def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
@@ -187,9 +216,10 @@ def relative_homology(pair: RelativeComplex) -> list[tuple[int, tuple[int, ...]]
 
     Cells are the simplices of K outside K'; boundary faces that fall
     into K' are dropped.  The maps are compressed from the bottom
-    dimension up.
+    dimension up.  The isolated cells add their count to the top rank.
     """
     dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
+    dims[-1] += pair.isolated
     return homology_of_complex(dims, pair.boundaries.items())
 
 

@@ -139,8 +139,8 @@ def _cmd_ai_complex(args) -> int:
         "b": args.b,
         "ell": args.ell,
         "f_vector": list(aic.f_vector(full)),
-        "subcomplex_size": len(full) - len(pair.cells),
-        "quotient_cells": len(pair.cells),
+        "subcomplex_size": len(full) - len(pair.cells) - pair.isolated,
+        "quotient_cells": len(pair.cells) + pair.isolated,
     }
     if args.homology:
         rel = aic.relative_homology(pair)
@@ -148,9 +148,11 @@ def _cmd_ai_complex(args) -> int:
             {"degree": d, "rank": r, "torsion": list(t)} for d, (r, t) in enumerate(rel)
         ]
     if args.list_faces:
-        cells = {pair.simplex(c) for c in range(len(pair.cells))}
         payload["faces"] = [
-            {"simplex": [list(p) for p in s], "in_subcomplex": s not in cells}
+            {
+                "simplex": [list(p) for p in s],
+                "in_subcomplex": aic.subsequence_length(g, args.a, args.b, s) < args.ell,
+            }
             for s in sorted(full, key=lambda s: (len(s), s))
         ]
     if args.json:
@@ -178,6 +180,7 @@ def _build_matching_from_args(
             cert = mt.parse_s(fh.read(), g)
     else:
         cert = mt.build_pawful_S(g)
+    mt.require_diameter_2(g)  # refused before the complex is built
     pair = aic.relative_complex(g, args.a, args.b, args.ell)
     return pair, mt.build_matching(pair, cert)
 
@@ -189,9 +192,9 @@ def _matching_report(
     ok_acyclic, cycle = ms.is_acyclic(pair, build.matching)
     ok_ranks, detail = ms.morse_rank_check(pair, build.matching)
     lines = [
-        f"cells outside the subcomplex: {len(pair.cells)}",
+        f"cells outside the subcomplex: {len(pair.cells) + pair.isolated}",
         f"matched pairs: {len(build.matching)}",
-        f"critical cells: {len(build.critical)}",
+        f"critical cells: {len(build.critical) + pair.isolated}",
         f"matching axioms: {'ok' if ok_match else why_match}",
         f"acyclic: {'yes' if ok_acyclic else f'no, cycle of length {len(cycle)}'}",
         f"homology model: {'ok, ' + detail if ok_ranks else detail}",

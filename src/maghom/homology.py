@@ -147,7 +147,13 @@ def enumerate_sequences(
     return tuple(out)
 
 
-def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseMatrix:
+def boundary_matrix(
+    g: Graph,
+    basis_k: Basis | None,
+    basis_lo: Basis,
+    peel: bool = True,
+    walks: list[tuple[int, ...]] | None = None,
+) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
     The bases are degrees k and k-1 of one length and one set of
@@ -172,7 +178,8 @@ def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseM
     KeyError.
 
     With ``basis_k`` None, k is the top degree, the length l, and the
-    columns are the walks so found, in order of first appearance.  Each y
+    columns are the walks so found, in order of first appearance; given
+    ``walks``, a list, they are appended to it in column order.  Each y
     has one gap of 2, at position j, the only gap with a nonempty
     interval: the common neighbours of y_(j-1) and y_j.  All gaps of a
     walk w are 1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.
@@ -190,6 +197,11 @@ def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseM
     are not stored; these include the walks with no smooth point, which
     are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
     I_|peeled| beside that of the stored entries.
+
+    With ``peel`` False, no row is peeled, and the result is d_l itself
+    without its zero columns: the columns are exactly the walks with a
+    smooth point, each with all of its entries.  ``_homology`` peels;
+    ``ai_complex.relative_complex`` does not, as it reads covers from d_l.
     """
     dist, between = g.dist, g.between
     entries: dict[tuple[int, int], int] = {}
@@ -207,22 +219,23 @@ def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseM
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
             at = (j,)  # the only gap with a nonempty interval
-            for p in range(1, last):
-                if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
-                    break  # smooth in every walk made from y
-            else:
-                # distances from the neighbours of v in the walk; row 0 of
-                # dist is all zeros and stands for a missing one
-                left = dist[y[j - 2]] if j > 1 else dist[0]
-                right = dist[y[j + 1]] if j < last else dist[0]
-                lone = False
-                for v in between[y[j - 1]][y[j]]:
-                    if left[v] != 2 and right[v] != 2:
-                        lone = True
-                        break
-                if lone:
-                    peeled.append(row)
-                    continue
+            if peel:
+                for p in range(1, last):
+                    if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
+                        break  # smooth in every walk made from y
+                else:
+                    # distances from the neighbours of v in the walk; row 0
+                    # of dist is all zeros and stands for a missing one
+                    left = dist[y[j - 2]] if j > 1 else dist[0]
+                    right = dist[y[j + 1]] if j < last else dist[0]
+                    lone = False
+                    for v in between[y[j - 1]][y[j]]:
+                        if left[v] != 2 and right[v] != 2:
+                            lone = True
+                            break
+                    if lone:
+                        peeled.append(row)
+                        continue
         for j in at:
             inserts = between[y[j - 1]][y[j]]
             if inserts:
@@ -232,6 +245,8 @@ def boundary_matrix(g: Graph, basis_k: Basis | None, basis_lo: Basis) -> SparseM
                     x = head + (v,) + tail
                     col = index[x] if basis_k is not None else index.setdefault(x, len(index))
                     entries[(row, col)] = sign
+    if walks is not None:
+        walks.extend(index)
     return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
 
 

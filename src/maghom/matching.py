@@ -117,11 +117,21 @@ class MatchingBuild:
     """A constructed matching and its unmatched cells, as cell indices.
 
     ``matching`` holds (gap-first cell, pattern-first cell) pairs;
-    ``critical`` the untouched cells in index order.
+    ``critical`` the untouched cells in index order.  The relative
+    complex's isolated cells have no index and are not listed, but they
+    are untouched and critical too.
     """
 
     matching: frozenset[tuple[int, int]]
     critical: tuple[int, ...]
+
+
+def require_diameter_2(g: Graph) -> None:
+    """Refuse a graph of diameter > 2: a certificate names no middle for
+    a gap of 3 or more.  The CLI asks before it builds the complex, so
+    such a graph is refused the same way at every length."""
+    if diameter(g) > 2:
+        raise ValidationError("certificate matchings need diameter <= 2")
 
 
 def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
@@ -177,8 +187,7 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     every pattern-first cell has been matched.
     """
     g = pair.g
-    if diameter(g) > 2:
-        raise ValidationError("certificate matchings need diameter <= 2")
+    require_diameter_2(g)
     _validate_structure(g, s)
     # triple and quadruple keys differ in length, so one table holds both;
     # with two middles over a key of each kind, the quadruple key is named

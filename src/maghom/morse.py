@@ -10,8 +10,9 @@ covers upward and all other covers downward gives a digraph; the
 matching is acyclic when that digraph has no directed cycle.  Unmatched
 cells are critical, and for an acyclic matching the cell set is
 homotopy-modelled by one cell per critical cell, which this module
-verifies at the level of homology ranks.  Cells appear in their (vertex,
-position) form only in messages.
+verifies at the level of homology ranks.  The pair's isolated cells have
+no index and no cover: they are critical in every matching, and only
+counted.  Cells appear in their (vertex, position) form only in messages.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def _ordered_cycle(
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * n
+    # the top cells, not in simplex order, come last; every cycle holds a
+    # lower cell, so the roots before them reach it first
     for root in range(n):
         if color[root] != WHITE:
             continue
@@ -140,7 +143,9 @@ def _ordered_cycle(
 def critical_cells(
     pair: RelativeComplex, matching: frozenset[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Unmatched cells with their dimensions, in index order."""
+    """Unmatched cells with their dimensions, in index order; the
+    relative complex's isolated cells, which have no index, are not
+    among them."""
     matched = {c for cover in matching for c in cover}
     return [(c, len(x) - 3) for c, x in enumerate(pair.cells) if c not in matched]
 
@@ -152,7 +157,8 @@ def morse_rank_check(
 
     With every critical cell in the top dimension l-2, the relative
     homology of the pair must be free of rank equal to the critical
-    count, concentrated in degree l-2.  Returns (ok, diagnostic).
+    count, concentrated in degree l-2.  The count includes the pair's
+    isolated cells, all of them top-dimensional.  Returns (ok, diagnostic).
     """
     length = pair.length
     crit = critical_cells(pair, matching)
@@ -160,15 +166,16 @@ def morse_rank_check(
     if off:
         shown = [(pair.simplex(c), d) for c, d in off[:5]]
         return False, f"critical cells off dimension {length - 2}: {shown}"
+    count = len(crit) + pair.isolated
     rel = relative_homology(pair)
     for deg, (rank, tors) in enumerate(rel):
         if deg == length - 2:
-            if (rank, tors) != (len(crit), ()):
+            if (rank, tors) != (count, ()):
                 return False, (
                     f"degree {deg}: homology {(rank, list(tors))} but "
-                    f"{len(crit)} critical cells"
+                    f"{count} critical cells"
                 )
         elif rank or tors:
             return False, f"degree {deg}: unexpected homology {(rank, list(tors))}"
-    plural = "s" if len(crit) != 1 else ""
-    return True, f"{len(crit)} critical cell{plural} in dimension {length - 2}"
+    plural = "s" if count != 1 else ""
+    return True, f"{count} critical cell{plural} in dimension {length - 2}"

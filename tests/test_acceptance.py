@@ -109,7 +109,8 @@ def test_criterion_04_c4_worked_example(c4):
     rel = relative_homology(pair)
     ok = (
         f_vector(full) == (6, 12, 8)
-        and full - set(simplices(pair)) == expected_sub
+        and set(simplices(pair)) <= full - expected_sub
+        and len(pair.cells) + pair.isolated == len(full - expected_sub)
         and rel == [(0, ()), (0, ()), (3, ())]
         and mh_column(c4, 4, {(1, 1): 1})[4] == (3, ())
     )

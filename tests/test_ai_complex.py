@@ -4,14 +4,24 @@ from itertools import accumulate, product
 import pytest
 from conftest import RP2_FACES, hasse_graph, random_connected
 from oracles import (
+    faces,
     is_closed_under_faces,
+    is_smooth,
     is_zero,
     simplex_to_sequence,
     simplices,
     sparse_matmul,
 )
 
-from maghom import complete_graph, cycle_graph, enumerate_sequences, mh_column, path_graph
+from maghom import (
+    ai_complex,
+    complete_graph,
+    cycle_graph,
+    enumerate_sequences,
+    homology,
+    mh_column,
+    path_graph,
+)
 from maghom.ai_complex import (
     cell_boundaries,
     f_vector,
@@ -28,6 +38,19 @@ from maghom.snf import SparseMatrix
 
 def negated(m):
     return SparseMatrix({e: -v for e, v in m.entries.items()}, m.nrows, m.ncols)
+
+
+def assert_listed_plus_isolated(pair, kept):
+    """The cells of ``pair`` are ``kept``, simplices sorted by size and
+    then lexicographically, less ``pair.isolated`` top cells that have
+    no face among them: the same below the top, a subset at the top."""
+    listed, low = simplices(pair), pair.starts[-2]
+    assert listed[:low] == kept[:low]
+    assert set(listed[low:]) <= set(kept[low:])
+    assert len(listed) + pair.isolated == len(kept)
+    below = set(kept[:low])
+    for s in set(kept[low:]) - set(listed[low:]):
+        assert not any(f in below for f, _ in faces(s))
 
 
 def brute_force_paths(g, a, b, length):
@@ -67,7 +90,9 @@ def test_c4_pair_worked_example(c4):
         ((4, 1), (1, 2)),
         ((4, 1), (4, 3)),
     }
-    assert full - set(simplices(pair)) == expected_sub
+    # the listed cells and the isolated ones make up K outside K'
+    assert set(simplices(pair)) <= full - expected_sub
+    assert len(pair.cells) + pair.isolated == len(full - expected_sub)
 
 
 def test_pairs_closed_under_faces(g1, c4):
@@ -129,6 +154,40 @@ def test_positions_are_cumulative_outside_subcomplex(g1, c4):
                 assert s[t - 1] == (seq[t], pos)
 
 
+def test_top_cells_are_the_walks_with_a_smooth_point(g1, g3, c4):
+    # the walks by brute force: those with a smooth point are listed, in
+    # some order, and the others are counted as isolated; with them the
+    # cells are the full-length simplices of K
+    for g in (c4, g1, g3, complete_graph(5)):
+        for a, b in product(g.vertices, repeat=2):
+            for ell in range(3, 7):
+                pair = relative_complex(g, a, b, ell)
+                walks = enumerate_sequences(g, ell, ell, {(a, b): 1})
+                smooth = {w for w in walks if any(is_smooth(g, w, i) for i in range(1, ell))}
+                top = pair.cells[pair.starts[-2]:]
+                assert len(top) == len(set(top)) and set(top) == smooth
+                assert pair.isolated == len(walks) - len(smooth)
+                full = path_complex(g, a, b, ell)
+                kept = sum(subsequence_length(g, a, b, s) == ell for s in full)
+                assert len(pair.cells) + pair.isolated == kept
+
+
+def test_relative_complex_enumerates_no_walk(g1, monkeypatch):
+    # degrees 2..l-1 are enumerated; the walks, degree l, are counted
+    calls = []
+
+    def recording(g, k, length, summands=None):
+        calls.append((k, length))
+        return enumerate_sequences(g, k, length, summands)
+
+    monkeypatch.setattr(homology, "enumerate_sequences", recording)
+    monkeypatch.setattr(ai_complex, "enumerate_sequences", recording)
+    for ell in (3, 4, 5, 6):
+        pair = relative_complex(g1, 1, 3, ell)
+        assert pair.cells[-1] and len(pair.cells[-1]) == ell + 1
+    assert calls and all(k < length for k, length in calls)
+
+
 def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
     # K' by its definition: the completed sequence is shorter than l
     for g in (c4, g1, g2, g3):
@@ -137,15 +196,18 @@ def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
                 continue
             for ell in (3, 4, 5):
                 full = path_complex(g, a, b, ell)
-                cells = simplices(relative_complex(g, a, b, ell))
+                pair = relative_complex(g, a, b, ell)
+                cells = simplices(pair)
                 short = {s for s in full if subsequence_length(g, a, b, s) < ell}
-                assert full - set(cells) == short
-                assert set(cells) == full - short
+                assert not short & set(cells)
+                assert set(cells) <= full - short
+                assert len(cells) + pair.isolated == len(full - short)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_direct_cells_are_the_full_length_simplices_of_k(seed):
-    # the two routes to the cells, in the same order, on every endpoint pair
+    # the two routes to the cells, in the same order below the top, on
+    # every endpoint pair; the top cells left out are isolated
     g = random_connected(random.Random(seed), 4 + seed % 4)
     for a in g.vertices:
         for b in g.vertices:
@@ -153,7 +215,7 @@ def test_direct_cells_are_the_full_length_simplices_of_k(seed):
                 full = path_complex(g, a, b, ell)
                 kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
                 expected = sorted(kept, key=lambda s: (len(s), s))
-                assert simplices(relative_complex(g, a, b, ell)) == expected
+                assert_listed_plus_isolated(relative_complex(g, a, b, ell), expected)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -161,20 +223,30 @@ def test_face_table_boundaries_are_the_simplex_boundaries(seed):
     # the relative boundary two ways: from the smooth deletions that
     # relative_complex stores as maps, with the magnitude sign (-1)^i, and
     # by dropping each simplex element, with the simplicial sign (-1)^(i-1),
-    # and keeping the faces outside K'
+    # and keeping the faces outside K'; the simplex route takes the cells
+    # in the pair's order, the isolated ones last
     g = random_connected(random.Random(seed), 4 + seed % 4)
     for a in g.vertices:
         for b in g.vertices:
             for ell in (3, 4, 5):
                 full = path_complex(g, a, b, ell)
                 kept = [s for s in full if subsequence_length(g, a, b, s) == ell]
-                dims, maps = cell_boundaries(sorted(kept, key=lambda s: (len(s), s)))
                 pair = relative_complex(g, a, b, ell)
+                listed = simplices(pair)
+                isolated = sorted(set(kept) - set(listed))
+                dims, maps = cell_boundaries(listed + isolated)
                 table_dims = [hi - lo for lo, hi in zip(pair.starts, pair.starts[1:])]
+                table_dims[-1] += pair.isolated
                 # slot k of the simplex route holds dimension k - 1
                 assert dims[1:] + [0] * (ell - len(dims)) == table_dims
                 maps = {k - 1: m for k, m in maps}
-                assert {d: negated(m) for d, m in maps.items()} == pair.boundaries
+                listed_maps = {}
+                for d, m in maps.items():
+                    ncols = m.ncols - (pair.isolated if d == ell - 2 else 0)
+                    assert all(c < ncols for _, c in m.entries)  # no face
+                    if ncols:
+                        listed_maps[d] = negated(SparseMatrix(m.entries, m.nrows, ncols))
+                assert listed_maps == pair.boundaries
                 # the Morse covers are the entries of the simplex route's maps
                 starts = list(accumulate(dims[1:], initial=0))
                 assert set(pair.covers()) == {
@@ -224,7 +296,8 @@ def test_augmented_boundary_squares_to_zero(g1, c4):
 def test_euler_characteristic_of_quotient(g1):
     pair = relative_complex(g1, 2, 4, 4)
     cells = simplices(pair)
-    chi = sum((-1) ** (len(s) - 1) for s in cells)
+    # the isolated cells are in the top dimension, l - 2
+    chi = sum((-1) ** (len(s) - 1) for s in cells) + (-1) ** (4 - 2) * pair.isolated
     rel = relative_homology(pair)
     assert chi == sum((-1) ** d * rank for d, (rank, _) in enumerate(rel))
 

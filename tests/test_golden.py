@@ -56,6 +56,10 @@ CASES = {
     # the size of the benchmark's pawful 8-vertex morse items at l = 7
     "morse_report_p8": ["morse", F / "P8", "--a", "3", "--b", "8", "--ell", "7",
                         "--matching", "pawful", "--report"],
+    # K5 at l = 5 has no cell below the top, so every walk is isolated:
+    # 205 critical cells, none of them listed
+    "morse_report_k5": ["morse", GOLDEN / "K5", "--a", "1", "--b", "2", "--ell", "5",
+                        "--report"],
     "morse_certificate": ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
                           "--matching", F / "G1.sstruct"],
     "match_s": ["match", F / "G1", "--a", "1", "--b", "3", "--ell", "3",
@@ -131,6 +135,15 @@ REFUSALS = {
          "--s", GOLDEN / "G1_two_middles.sstruct"],
         1,
         "error: two quadruples share the key (1, 2, 4)\n",
+    ),
+    # diameter 5: refused before the complex is built, which at l = 30
+    # would be over the basis cap
+    "certificate_diameter": (
+        {},
+        ["morse", GOLDEN / "P6", "--a", "1", "--b", "1", "--ell", "30",
+         "--matching", GOLDEN / "empty.sstruct"],
+        1,
+        "error: certificate matchings need diameter <= 2\n",
     ),
 }
 

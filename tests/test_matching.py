@@ -127,8 +127,8 @@ def test_build_matching_c4(c4):
     s = build_pawful_S(c4)
     build = build_matching(relative_complex(c4, 1, 1, 4), s)
     assert len(build.matching) == 6
-    assert len(build.critical) == 3
     poset = relative_complex(c4, 1, 1, 4)
+    assert len(build.critical) + poset.isolated == 3
     assert all(len(poset.simplex(c)) - 1 == 2 for c in build.critical)
     assert verify_matching(poset, build.matching)[0]
     assert is_acyclic(poset, build.matching)[0]

@@ -118,14 +118,15 @@ def test_critical_count_equals_relative_rank_complete_graph():
     g = complete_graph(4)
     s = build_pawful_S(g)
     for a, b in ((1, 1), (1, 2)):
-        build = build_matching(relative_complex(g, a, b, 3), s)
+        pair = relative_complex(g, a, b, 3)
+        build = build_matching(pair, s)
         from maghom.ai_complex import relative_homology
 
         rel = relative_homology(relative_complex(g, a, b, 3))
-        assert rel[1][0] == len(build.critical)
+        assert rel[1][0] == len(build.critical) + pair.isolated
         from maghom import mh_column
 
-        assert mh_column(g, 3, {(a, b): 1})[3][0] == len(build.critical)
+        assert mh_column(g, 3, {(a, b): 1})[3][0] == len(build.critical) + pair.isolated
 
 
 def assert_agrees_with_the_simplex_oracles(pair, pairs):
