@@ -111,21 +111,22 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     from a to b, each interior vertex at its cumulative distance from a.
     A position depends only on the vertex prefix, so below the top
     sequence order is cell order.  The boundaries are those of the
-    magnitude chain complex.  ``homology._cells`` enumerates degrees
-    2..l-1 and charges each, and then the walk count, to the basis cap,
-    as enumerating degree l would.  d_l is built by insertion into degree
-    l - 1, unpeeled, and its columns are the top cells listed; the other
-    walks are counted as ``isolated``.
+    magnitude chain complex.  ``homology._cells`` enumerates the degrees
+    below l and charges each, and then the walk count, to the basis cap,
+    as enumerating degree l would; degrees 2..l-1 are kept, as the
+    relative complex drops degree 1.  d_l is built by insertion into
+    degree l - 1, unpeeled, and its columns are the top cells listed; the
+    other walks are counted as ``isolated``.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    bases = _cells(g, length, _checked(g, {(a, b): 1}))
+    bases = _cells(g, length, _checked(g, {(a, b): 1}))[2:]
     boundaries: dict[int, SparseMatrix] = {}
     for d in range(1, len(bases)):
         if bases[d] and bases[d - 1]:
             boundaries[d] = boundary_matrix(g, bases[d], bases[d - 1])
     top: list[tuple[int, ...]] = []
-    d_top = boundary_matrix(g, None, bases[-1], peel=False, walks=top)
+    d_top = boundary_matrix(g, None, bases[-1], walks=top)
     if top:
         boundaries[len(bases)] = d_top
     bases.append(top)

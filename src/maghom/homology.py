@@ -8,7 +8,10 @@ point is smooth exactly when it lies inside the geodesic interval of its
 two neighbours, so every boundary is built by one rule from its lower
 degree: a coface inserts a vertex of that interval (``Graph.between``)
 into a gap.  Homology is computed exactly (free rank plus torsion
-divisors) by Smith normal form of the boundary matrices.
+divisors) by Smith normal form of the boundary matrices, every degree by
+the same rule: degrees 0 and 1 too, so the vanishing of MH_(0,l) for
+l >= 1 and of MH_(1,l) for l >= 2 (Hepworth-Willerton) is computed, not
+assumed.
 
 The top degree k = l is never enumerated.  Its generators are the
 length-l walks, since each of their l gaps is 1, so its rank in the
@@ -32,7 +35,7 @@ on ordered pairs, whose groups count m times, m the orbit size.
 A mapping {(a, b): m} is the one way to name summands: the (a, b)
 summand, counted m >= 1 times.  ``symmetry.pair_orbits`` gives the one
 of the whole complex; one summand (a, b) is {(a, b): 1}.  Each degree
-2 <= k < l of a length is enumerated once for all the pairs named
+k < l of a length is enumerated once for all the pairs named
 (``enumerate_sequences``), into one lexicographic list.  ``mh_column``
 sorts it by endpoint pair and reduces each pair on its own;
 ``is_diagonal_up_to``, which asks only whether groups vanish, reduces
@@ -111,8 +114,6 @@ def enumerate_sequences(
     for first in sorted(ends):
         weight = ends[first]
         last = sorted(weight)
-        # the weight of every end, when they share one: no lookup per sequence
-        shared = weight[last[0]] if len(set(weight.values())) == 1 else None
         # a single end prunes every prefix that cannot reach it in time
         end = last[0] if len(last) == 1 else None
         following = memo.setdefault(end, {})
@@ -140,7 +141,7 @@ def enumerate_sequences(
                 continue
             new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
             if new:
-                size += shared * len(new) if shared else sum(weight[x[-1]] for x in new)
+                size += sum(weight[x[-1]] for x in new)
                 if size > cap:
                     raise over_cap(f"degree-{k} length-{length} basis", cap)
                 out.extend(new)
@@ -151,7 +152,6 @@ def boundary_matrix(
     g: Graph,
     basis_k: Basis | None,
     basis_lo: Basis,
-    peel: bool = True,
     walks: list[tuple[int, ...]] | None = None,
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
@@ -178,8 +178,7 @@ def boundary_matrix(
     KeyError.
 
     With ``basis_k`` None, k is the top degree, the length l, and the
-    columns are the walks so found, in order of first appearance; given
-    ``walks``, a list, they are appended to it in column order.  Each y
+    columns are the walks so found, in order of first appearance.  Each y
     has one gap of 2, at position j, the only gap with a nonempty
     interval: the common neighbours of y_(j-1) and y_j.  All gaps of a
     walk w are 1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.
@@ -198,10 +197,12 @@ def boundary_matrix(
     are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
     I_|peeled| beside that of the stored entries.
 
-    With ``peel`` False, no row is peeled, and the result is d_l itself
-    without its zero columns: the columns are exactly the walks with a
-    smooth point, each with all of its entries.  ``_homology`` peels;
-    ``ai_complex.relative_complex`` does not, as it reads covers from d_l.
+    Given ``walks``, a list, the caller reads the entries of d_l as
+    covers, so no row is peeled: the result is d_l itself without its
+    zero columns, whose columns, the walks with a smooth point, each with
+    all of its entries, are appended to ``walks`` in column order.
+    ``_homology`` peels; ``ai_complex.relative_complex`` asks for the
+    walks.
     """
     dist, between = g.dist, g.between
     entries: dict[tuple[int, int], int] = {}
@@ -219,7 +220,7 @@ def boundary_matrix(
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
             at = (j,)  # the only gap with a nonempty interval
-            if peel:
+            if walks is None:
                 for p in range(1, last):
                     if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
                         break  # smooth in every walk made from y
@@ -250,36 +251,33 @@ def boundary_matrix(
     return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
 
 
-def _homology(
-    g: Graph, ones: int, bases: list[Basis], top: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Homology of the length-l complex, l >= 2, spanned by ``ones``
-    cells in degree 1, ``bases`` in degrees 2..l-1 (degree k at index
-    k - 2, l = len(bases) + 2) and ``top`` walks in degree l.
+def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Homology of the length-l complex spanned by ``bases`` in degrees
+    0..l-1 (degree k at index k, l = len(bases)) and ``top`` walks in
+    degree l.
 
-    Degree 0 is empty, and d_2 maps onto C_1 (see ``is_diagonal_up_to``),
-    so it has rank ``ones`` and no divisor and is not built.  Each other
-    boundary is built once, from the bottom degree up so that
-    ``homology_of_complex`` compresses, and reaches the Smith form on its
-    own, so only one is held in memory; a map to or from an empty basis
-    is zero and is not built.  A row y that d_l peeled (at its gap of 2,
-    position j) is a zero column of d_(l-1), as y has no smooth point:
-    its lone walk has none but the inserted v, so no point of y away
-    from the gap is smooth, and d(y_(j-2), v) <= 1 puts y_(j-2) within 2
-    of y_j, so y_(j-1) is not smooth, nor likewise y_j.  No insertion
-    reaches such a column, so d_(l-1) has no pivot there, and the rows
-    that compression drops from d_l are all stored rows.
+    Each boundary d_1 .. d_l is built once, from the bottom degree up so
+    that ``homology_of_complex`` compresses, and reaches the Smith form
+    on its own, so only one is held in memory; a map to or from an empty
+    basis is zero and is not built.  So degrees 0 and 1 are reduced like
+    the others, and d_2's unit pivots drop rows of d_3.  A row y that
+    d_l peeled (at its gap of 2, position j) is a zero column of
+    d_(l-1), as y has no smooth point: its lone walk has none but the
+    inserted v, so no point of y away from the gap is smooth, and
+    d(y_(j-2), v) <= 1 puts y_(j-2) within 2 of y_j, so y_(j-1) is not
+    smooth, nor likewise y_j.  No insertion reaches such a column, so
+    d_(l-1) has no pivot there, and the rows that compression drops from
+    d_l are all stored rows.
     """
 
-    def boundaries():  # d_3 up to d_l, each at the index of its source
-        for i in range(1, len(bases)):
-            if bases[i] and bases[i - 1]:
-                yield i, boundary_matrix(g, bases[i], bases[i - 1])
+    def boundaries():  # d_1 up to d_l, each at its source degree
+        for k in range(1, len(bases)):
+            if bases[k] and bases[k - 1]:
+                yield k, boundary_matrix(g, bases[k], bases[k - 1])
         if top and bases and bases[-1]:
             yield len(bases), boundary_matrix(g, None, bases[-1])
 
-    (free, tors), *upper = homology_of_complex([len(b) for b in bases] + [top], boundaries())
-    return [(0, ()), (0, ()), (free - ones, tors)] + upper
+    return homology_of_complex([len(b) for b in bases] + [top], boundaries())
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -303,26 +301,25 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
 
 
 def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
-    """The bases of degrees 2 <= k < l of the length-l complex of the
-    checked ``summands``, after charging the full basis of each degree
-    to the basis cap, every cell of a summand {(a, b): m} m times.
+    """The bases of degrees 0 <= k < l of the length-l complex of the
+    checked ``summands`` (degree k at index k), after charging the full
+    basis of each degree to the basis cap, every cell of a summand
+    {(a, b): m} m times.
 
-    Degrees 2 <= k < l are enumerated once for all summands
-    (``enumerate_sequences``), but a degree k < l / diam(G) has no cells,
-    as each of its k gaps is at most diam(G), and is not enumerated (nor
-    is any degree when diam(G) = 0).  Degrees 0, 1 and l are counted, not
-    enumerated.  Degree 0 is empty for l >= 1.  For l >= 2, degree 1 is
-    the pairs at distance l, charged first.  Degree l is the length-l
-    walks, (A^l)_ab in the (a, b) summand, charged after the enumerated
-    degrees.
+    Each degree k < l is enumerated once for all summands
+    (``enumerate_sequences``), which charges it, in increasing order;
+    but a degree k < l / diam(G) has no cells, as each of its k gaps is
+    at most diam(G), and is not enumerated (nor is any degree when
+    diam(G) = 0).  So degree 0 is empty for l >= 1, and degree 1, the
+    pairs at distance l, is enumerated only for l <= diam(G).  Degree l
+    is the length-l walks, (A^l)_ab in the (a, b) summand: counted, not
+    enumerated, and charged after the enumerated degrees.
     """
-    cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
-    if length >= 2 and sum(m for (a, b), m in summands.items() if g.dist[a][b] == length) > cap:
-        raise over_cap(f"degree-1 length-{length} basis", cap)
     maxd = diameter(g)
     low = -(-length // maxd) if maxd else length
-    bases = [enumerate_sequences(g, k, length, summands) if k >= low else () for k in range(2, length)]
+    bases = [enumerate_sequences(g, k, length, summands) if k >= low else () for k in range(length)]
     walks = g.walks(length)
+    cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
     if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
         raise over_cap(f"degree-{length} length-{length} basis", cap)
     return bases
@@ -337,8 +334,7 @@ def mh_column(
     given), the groups of each counted m times.  ``_cells`` enumerates and
     charges the cells of every summand before any boundary is built; each
     degree's list is then sorted by endpoint pair, and each pair is
-    reduced on its own: for l >= 2 d_2 maps onto degree 1 (see
-    ``_homology``), and ``boundary_matrix`` builds d_l from degree l-1.
+    reduced on its own by ``_homology``, every boundary by one rule.
 
     A pair's bases are freed as soon as its groups are known, so only one
     pair's boundary is held at a time: the enumeration leaves no
@@ -347,15 +343,13 @@ def mh_column(
     summands = pair_orbits(g) if summands is None else _checked(g, summands)
     by_degree = _cells(g, length, summands)
     walks = g.walks(length)
-    if length < 2:  # the walks are the only cells
-        return [(0, ())] * length + [(sum(m * walks[a][b] for (a, b), m in summands.items()), ())]
     bases = {pair: [[] for _ in by_degree] for pair in summands}
     for i, basis in enumerate(by_degree):
         for x in basis:
             bases[x[0], x[-1]][i].append(x)
     del by_degree
     columns = [
-        (m, _homology(g, g.dist[a][b] == length, bases.pop((a, b)), walks[a][b]))
+        (m, _homology(g, bases.pop((a, b)), walks[a][b]))
         for (a, b), m in summands.items()
     ]
     return [
@@ -429,7 +423,8 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
 
     Every length l <= 2 is diagonal, so the check starts at length 3.
     This is Hepworth–Willerton's vanishing of MH_{0,l} for l != 0 and of
-    MH_{1,l} for l != 1.  For connected G:
+    MH_{1,l} for l != 1, which the lengths from 3 on compute as they do
+    every other degree.  For connected G:
 
     * C_{0,l} = 0 for l >= 1, since a single vertex has length 0.
     * For l >= 2, a generator (a, b) of C_{1,l} has d(a, b) = l, so a
@@ -455,9 +450,7 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     summands = pair_orbits(g)
     for length in range(3, lmax + 1):
         walks = g.walks(length)
-        ones = sum(g.dist[a][b] == length for a, b in summands)
-        tops = sum(walks[a][b] for a, b in summands)
-        column = _homology(g, ones, _cells(g, length, summands), tops)
+        column = _homology(g, _cells(g, length, summands), sum(walks[a][b] for a, b in summands))
         if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
             return False
     return True

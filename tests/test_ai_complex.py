@@ -63,16 +63,16 @@ def brute_force_paths(g, a, b, length):
     return sorted(out)
 
 
-def test_enumerate_paths_k2():
+def test_enumerate_sequences_k2():
     assert enumerate_sequences(complete_graph(2), 1, 1, {(1, 2): 1}) == ((1, 2),)
 
 
-def test_enumerate_paths_c4_closed(c4):
+def test_enumerate_sequences_c4_closed(c4):
     paths = enumerate_sequences(c4, 4, 4, {(1, 1): 1})
     assert len(paths) == 8  # one per maximal face of the octahedron
 
 
-def test_enumerate_paths_match_brute_force(g1, g2):
+def test_enumerate_sequences_match_brute_force(g1, g2):
     for g, a, b, ell in ((g1, 1, 1, 3), (g1, 2, 4, 3), (g2, 1, 2, 4)):
         assert list(enumerate_sequences(g, ell, ell, {(a, b): 1})) == brute_force_paths(g, a, b, ell)
 

@@ -136,6 +136,14 @@ REFUSALS = {
         1,
         "error: two quadruples share the key (1, 2, 4)\n",
     ),
+    # RP^2's Hasse diagram has 152 walks of length 1 and 360 pairs at
+    # distance 2, so degree 1 at length 2 is the first degree over the cap
+    "degree_1_cap": (
+        {"MAGHOM_BASIS_CAP": "200"},
+        ["mh-table", F / "RP2H", "--lmax", "3"],
+        2,
+        "budget exceeded: degree-1 length-2 basis exceeds the cap of 200\n",
+    ),
     # diameter 5: refused before the complex is built, which at l = 30
     # would be over the basis cap
     "certificate_diameter": (

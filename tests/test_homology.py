@@ -137,15 +137,46 @@ def test_direct_sum_law(g1, g3):
         assert sorted(torsion) == sorted(tors)
 
 
-def test_mh_ab_bipartite_odd_closed(c4):
+def test_mh_column_bipartite_odd_closed(c4):
     # closed sequences in a bipartite graph have even length
     for k in range(4):
         assert enumerate_sequences(c4, k, 3, {(1, 1): 1}) == ()
         assert mh_column(c4, 3, {(1, 1): 1})[k] == (0, ())
 
 
-def test_mh_ab_c4_antipodal_sphere(c4):
+def test_mh_column_c4_antipodal_sphere(c4):
     assert mh_column(c4, 4, {(1, 1): 1})[4] == (3, ())
+
+
+def test_degrees_0_and_1_are_computed_not_assumed(monkeypatch):
+    # MH_(0,l) vanishes for l >= 1 and MH_(1,l) for l >= 2 (Hepworth-
+    # Willerton); degree 1 is enumerated and d_2 is built like every other
+    # boundary, so the zeros come out of the reduction: at each l >= 2 the
+    # rows of the d_2 built are the orbit representatives at distance l
+    rows = []
+    inserted = homology.boundary_matrix
+
+    def recorded(g, basis_k, basis_lo, walks=None):
+        if basis_lo and len(basis_lo[0]) == 2:
+            rows.extend(basis_lo)
+        return inserted(g, basis_k, basis_lo, walks)
+
+    monkeypatch.setattr(homology, "boundary_matrix", recorded)
+    graphs = [cycle_graph(7), path_graph(6), load_fixture("RP2H"), random_connected(random.Random(1), 9)]
+    for g in graphs:
+        ones = 0
+        for length in range(7):
+            rows.clear()
+            column = mh_column(g, length)
+            if length >= 1:
+                assert column[0] == (0, ())
+            if length >= 2:
+                assert column[1] == (0, ())
+                assert sorted(rows) == sorted(p for p in pair_orbits(g) if g.dist[p[0]][p[1]] == length)
+                ones += len(rows)
+            else:
+                assert rows == []
+        assert ones  # the diameter is at least 3, so degree 1 is nonempty at l = 2 and 3
 
 
 def test_diagonality_judgements(g1, g3):
@@ -302,9 +333,9 @@ def test_degrees_below_l_over_the_diameter_are_not_enumerated(monkeypatch, g3):
     # K_2 has diameter 1: at length l only the l-step walks are cells
     table = mh_table(complete_graph(2), 50)
     assert calls == [] and table.is_diagonal() and table.rank(50, 50) == 2
-    # G3 has diameter 2: degrees ceil(l / 2) to l - 1, and 2 or more
+    # G3 has diameter 2: degrees ceil(l / 2) to l - 1, degree 1 included
     mh_table(g3, 6)
-    assert calls == [(k, length) for length in range(3, 7) for k in range(max(2, -(-length // 2)), length)]
+    assert calls == [(k, length) for length in range(7) for k in range(-(-length // 2), length)]
 
 
 def nonzero_columns(mat):
@@ -552,9 +583,9 @@ def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, 
         seen.append(("cells", length, len(summands)))
         return cells(g, length, summands)
 
-    def recorded_homology(g, ones, bases, top):
-        seen.append(("reduce", len(bases) + 2))
-        return reduce(g, ones, bases, top)
+    def recorded_homology(g, bases, top):
+        seen.append(("reduce", len(bases)))
+        return reduce(g, bases, top)
 
     def refused(*args):
         raise AssertionError("mh_column called")

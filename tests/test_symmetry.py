@@ -148,9 +148,9 @@ def test_one_summand_per_orbit_is_reduced(monkeypatch, g3):
     calls = Counter()
     column = homology._homology
 
-    def counted(g, ones, bases, top):
-        calls[len(bases) + 3] += 1  # degrees 0, 1 and l are counted, not enumerated
-        return column(g, ones, bases, top)
+    def counted(g, bases, top):
+        calls[len(bases) + 1] += 1  # degrees 0..l-1 and the top degree l
+        return column(g, bases, top)
 
     monkeypatch.setattr(homology, "_homology", counted)
     mh_column(PETERSEN, 4)
