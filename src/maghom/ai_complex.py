@@ -16,9 +16,11 @@ of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
 summand in degrees 2..l with d_2 dropped, and ``relative_complex`` keeps
-its maps as ``homology.boundary_matrix`` builds them, once: deleting x_i
-with sign (-1)^i, the negative of the simplicial boundary, which has the
-same homology and the same covers.
+its maps as ``homology.boundary_matrix`` builds them, once, from the one
+boundary stream that ``homology._homology`` reduces too
+(``homology._boundaries``): deleting x_i with sign (-1)^i, the negative
+of the simplicial boundary, which has the same homology and the same
+covers.
 
 Its top cells, the length-l walks, are not enumerated.  A walk with no
 smooth point has no face outside K' and, being top-dimensional, no
@@ -48,7 +50,7 @@ from itertools import accumulate, chain, combinations
 
 from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph
-from .homology import _cells, _checked, boundary_matrix, enumerate_sequences, mh_column
+from .homology import _boundaries, _cells, _checked, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -114,21 +116,17 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     magnitude chain complex.  ``homology._cells`` enumerates the degrees
     below l and charges each, and then the walk count, to the basis cap,
     as enumerating degree l would; degrees 2..l-1 are kept, as the
-    relative complex drops degree 1.  d_l is built by insertion into
-    degree l - 1, unpeeled, and its columns are the top cells listed; the
-    other walks are counted as ``isolated``.
+    relative complex drops degree 1.  The maps come from
+    ``homology._boundaries``, the stream ``homology._homology`` reduces,
+    on those degrees: d_l is built by insertion into degree l - 1,
+    unpeeled, and its columns are the top cells listed; the other walks
+    are counted as ``isolated``.
     """
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     bases = _cells(g, length, _checked(g, {(a, b): 1}))[2:]
-    boundaries: dict[int, SparseMatrix] = {}
-    for d in range(1, len(bases)):
-        if bases[d] and bases[d - 1]:
-            boundaries[d] = boundary_matrix(g, bases[d], bases[d - 1])
     top: list[tuple[int, ...]] = []
-    d_top = boundary_matrix(g, None, bases[-1], walks=top)
-    if top:
-        boundaries[len(bases)] = d_top
+    boundaries = dict(_boundaries(g, bases, top))
     bases.append(top)
     starts = tuple(accumulate(map(len, bases), initial=0))
     isolated = g.walks(length)[a][b] - len(top)

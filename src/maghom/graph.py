@@ -63,7 +63,7 @@ class Graph:
         power is the one before times A, kept on the graph for later
         lengths; a power found twice at once is the same, and kept once."""
         powers, neighbors = self._powers, self.neighbors
-        for i in range(length):
+        for i in range(len(powers) - 1, length):  # powers 0..len - 1 are held
             if i + 1 not in powers:
                 rows = []
                 for row in powers[i]:

@@ -37,16 +37,19 @@ summand, counted m >= 1 times.  ``symmetry.pair_orbits`` gives the one
 of the whole complex; one summand (a, b) is {(a, b): 1}.  Each degree
 k < l of a length is enumerated once for all the pairs named
 (``enumerate_sequences``), into one lexicographic list.  ``mh_column``
-sorts it by endpoint pair and reduces each pair on its own;
-``is_diagonal_up_to``, which asks only whether groups vanish, reduces
-the whole list as one complex.
+sorts it by endpoint pair and reduces on its own each pair that holds a
+length-l walk; a pair with none holds no cell either, and its groups are
+zero, so they are neither computed nor merged.  ``is_diagonal_up_to``,
+which asks only whether groups vanish, reduces the whole list as one
+complex.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import ValidationError, basis_cap, over_cap
 from .graph import Graph, diameter
@@ -66,7 +69,7 @@ def _checked(g: Graph, summands: Summands | None) -> Summands:
     try:
         for (a, b), m in summands.items():
             for v in (a, b):
-                if not 1 <= v <= g.n:
+                if not 1 <= v <= g.n or not isinstance(v, int):
                     raise ValidationError(f"vertex {v} is outside 1..{g.n}")
             if not isinstance(m, int) or m < 1:
                 raise ValidationError(f"summand weight {m!r} is not an integer >= 1")
@@ -251,33 +254,45 @@ def boundary_matrix(
     return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
 
 
+def _boundaries(
+    g: Graph, bases: list[Basis], walks: list[tuple[int, ...]] | None = None
+) -> Iterator[tuple[int, SparseMatrix]]:
+    """(k, d_k) for d_1 .. d_l between nonempty degrees of the length-l
+    complex with ``bases`` in degrees 0..l-1 (l = len(bases)), from the
+    bottom up, d_l last; ``walks`` as ``boundary_matrix`` takes it.
+
+    The top degree is nonempty whenever degree l-1 is: the l-1 gaps of a
+    degree-(l-1), length-l cell add up to l, so one of them is 2, and a
+    common neighbour inserted there makes a walk.  So d_l is built
+    whenever degree l-1 has a cell.  ``_homology`` and
+    ``ai_complex.relative_complex`` both take their maps from here.
+    """
+    for k in range(1, len(bases)):
+        if bases[k] and bases[k - 1]:
+            yield k, boundary_matrix(g, bases[k], bases[k - 1])
+    if bases and bases[-1]:
+        yield len(bases), boundary_matrix(g, None, bases[-1], walks)
+
+
 def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[int, ...]]]:
     """Homology of the length-l complex spanned by ``bases`` in degrees
     0..l-1 (degree k at index k, l = len(bases)) and ``top`` walks in
     degree l.
 
-    Each boundary d_1 .. d_l is built once, from the bottom degree up so
-    that ``homology_of_complex`` compresses, and reaches the Smith form
-    on its own, so only one is held in memory; a map to or from an empty
-    basis is zero and is not built.  So degrees 0 and 1 are reduced like
-    the others, and d_2's unit pivots drop rows of d_3.  A row y that
-    d_l peeled (at its gap of 2, position j) is a zero column of
-    d_(l-1), as y has no smooth point: its lone walk has none but the
-    inserted v, so no point of y away from the gap is smooth, and
+    Each boundary d_1 .. d_l is built once (``_boundaries``), from the
+    bottom degree up so that ``homology_of_complex`` compresses, and
+    reaches the Smith form on its own, so only one is held in memory; a
+    map to or from an empty basis is zero and is not built.  So degrees 0
+    and 1 are reduced like the others, and d_2's unit pivots drop rows of
+    d_3.  A row y that d_l peeled (at its gap of 2, position j) is a zero
+    column of d_(l-1), as y has no smooth point: its lone walk has none
+    but the inserted v, so no point of y away from the gap is smooth, and
     d(y_(j-2), v) <= 1 puts y_(j-2) within 2 of y_j, so y_(j-1) is not
     smooth, nor likewise y_j.  No insertion reaches such a column, so
     d_(l-1) has no pivot there, and the rows that compression drops from
     d_l are all stored rows.
     """
-
-    def boundaries():  # d_1 up to d_l, each at its source degree
-        for k in range(1, len(bases)):
-            if bases[k] and bases[k - 1]:
-                yield k, boundary_matrix(g, bases[k], bases[k - 1])
-        if top and bases and bases[-1]:
-            yield len(bases), boundary_matrix(g, None, bases[-1])
-
-    return homology_of_complex([len(b) for b in bases] + [top], boundaries())
+    return homology_of_complex([len(b) for b in bases] + [top], _boundaries(g, bases))
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -332,33 +347,38 @@ def mh_column(
 
     The sum of the summands {(a, b): m} (``pair_orbits(g)`` when not
     given), the groups of each counted m times.  ``_cells`` enumerates and
-    charges the cells of every summand before any boundary is built; each
-    degree's list is then sorted by endpoint pair, and each pair is
-    reduced on its own by ``_homology``, every boundary by one rule.
+    charges the cells of every summand before any boundary is built; they
+    are then sorted into per-pair bases, a pair's lists made at its first
+    cell, and each pair is reduced on its own by ``_homology``, every
+    boundary by one rule.
+
+    Only the pairs with a length-l walk, (A^l)_ab > 0, are reduced.  A
+    pair with none holds no cell either: replacing each gap of a cell by
+    a geodesic, edge by edge, makes a walk with the same ends and length.
+    So its groups are zero.  Each degree merges only the nonzero groups,
+    each counted m times, and a degree with none reads (0, ()).
 
     A pair's bases are freed as soon as its groups are known, so only one
     pair's boundary is held at a time: the enumeration leaves no
     reference cycle, so nothing waits for the garbage collector.
     """
     summands = pair_orbits(g) if summands is None else _checked(g, summands)
-    by_degree = _cells(g, length, summands)
     walks = g.walks(length)
-    bases = {pair: [[] for _ in by_degree] for pair in summands}
-    for i, basis in enumerate(by_degree):
-        for x in basis:
-            bases[x[0], x[-1]][i].append(x)
-    del by_degree
-    columns = [
-        (m, _homology(g, bases.pop((a, b)), walks[a][b]))
-        for (a, b), m in summands.items()
-    ]
-    return [
-        (
-            sum(m * column[k][0] for m, column in columns),
-            merge_torsion((column[k][1], m) for m, column in columns),
-        )
-        for k in range(length + 1)
-    ]
+    # pair -> the cells of each degree, made once, at the pair's first cell
+    bases = defaultdict(lambda: [[] for _ in range(length)])
+    for x in chain.from_iterable(_cells(g, length, summands)):  # degree len(x) - 1
+        bases[x[0], x[-1]][len(x) - 1].append(x)
+    groups: dict[int, list[tuple[int, tuple[int, tuple[int, ...]]]]] = {}  # k -> [(m, group)]
+    for (a, b), m in summands.items():
+        if walks[a][b]:  # else the pair has no cell either: see the docstring
+            for k, group in enumerate(_homology(g, bases.pop((a, b), [()] * length), walks[a][b])):
+                if group != (0, ()):
+                    groups.setdefault(k, []).append((m, group))
+    column = [(0, ())] * (length + 1)
+    for k, parts in groups.items():
+        free = sum(m * rank for m, (rank, _) in parts)
+        column[k] = free, merge_torsion((tors, m) for m, (_, tors) in parts)
+    return column
 
 
 def pairwise_column(g: Graph, length: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -179,6 +179,31 @@ def test_degrees_0_and_1_are_computed_not_assumed(monkeypatch):
         assert ones  # the diameter is at least 3, so degree 1 is nonempty at l = 2 and 3
 
 
+def test_k2_is_diagonal_at_every_length():
+    # K2 has diameter 1, so every cell is a walk, and (A^l) has one walk
+    # from each vertex: MH_(l,l) = Z^2 and nothing else, for every l
+    table = mh_table(complete_graph(2), 400)
+    assert table.entries == {(length, length): (2, ()) for length in range(401)}
+
+
+def test_pairs_without_a_walk_are_not_reduced(monkeypatch):
+    # a path is bipartite, so a pair holds no length-l walk, and no cell,
+    # when the parity of l differs from that of its distance
+    reductions = []
+    reduce = homology._homology
+
+    def counted(g, bases, top):
+        reductions.append(top)
+        return reduce(g, bases, top)
+
+    g = path_graph(7)
+    expected = mh_table(g, 6)
+    monkeypatch.setattr(homology, "_homology", counted)
+    assert mh_table(g, 6) == expected
+    assert 0 < len(reductions) < len(pair_orbits(g)) * 7
+    assert all(reductions)  # each reduced pair has a walk
+
+
 def test_diagonality_judgements(g1, g3):
     assert is_diagonal_up_to(star_graph(3), 4)
     assert is_diagonal_up_to(g1, 4)
@@ -410,6 +435,7 @@ def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
         {3: 1},
         {("1", 3): 1},
         [(1, 3)],
+        {(1.5, 3): 1},
     ],
 )
 def test_summands_name_only_vertex_pairs_with_positive_integer_weights(g1, summands):

@@ -159,7 +159,31 @@ def test_one_summand_per_orbit_is_reduced(monkeypatch, g3):
     for length in range(2, 6):
         mh_column(g3, length)
     assert len(pair_orbits(g3)) == 13
-    assert calls == {length + 1: 13 for length in range(2, 6)}  # one reduction per pair
+    # one reduction per orbit pair that holds a cell or a walk
+    held = {
+        length + 1: len(pair_orbits(g3).keys() & holding_pairs(g3, length))
+        for length in range(2, 6)
+    }
+    assert calls == held
+    assert held[3] < 13  # and none for the pairs that hold neither
+
+
+def holding_pairs(g, length):
+    """The pairs (a, b) that hold a length-l cell of some degree, found
+    from the distances, or a length-l walk (``g.walks``)."""
+    pairs = set()
+    for a in g.vertices:
+        # ends[r]: the last entries of the length-r sequences from a, each
+        # gap a distance >= 1, so consecutive entries differ
+        ends = [{a}]
+        for r in range(1, length + 1):
+            ends.append({
+                w for d in range(1, r + 1) for v in ends[r - d] for w in g.vertices
+                if g.dist[v][w] == d
+            })
+        pairs |= {(a, b) for b in ends[length]}
+    walks = g.walks(length)
+    return pairs | {(a, b) for a in g.vertices for b in g.vertices if walks[a][b]}
 
 
 def test_the_search_loop_finds_the_recursive_searchs_generators(monkeypatch, g1, g3, c4):
