@@ -102,8 +102,9 @@ class RelativeComplex:
         """(face, cell) as cell indices, for each entry of the boundaries."""
         for d, mat in self.boundaries.items():
             lo, first = self.starts[d - 1], self.starts[d]
-            for r, c in mat.entries:
-                yield lo + r, first + c
+            for r, rdata in mat.rows.items():
+                for c in rdata:
+                    yield lo + r, first + c
 
 
 def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
@@ -198,14 +199,13 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
             if not dims[k] or not dims[k - 1]:
                 continue
             row = {s: i for i, s in enumerate(by_size[k - 1])}
-            entries = {
+            # the entries dict is freed once the rows are made
+            yield k, SparseMatrix.from_entries({
                 (row[f], col): sign
                 for col, s in enumerate(by_size[k])
                 for f, sign in faces(s)
                 if f in row
-            }
-            yield k, SparseMatrix(entries, dims[k - 1], dims[k])
-            del entries  # not held while the next map is built
+            }, dims[k - 1], dims[k])
 
     return dims, maps()
 

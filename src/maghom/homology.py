@@ -166,12 +166,14 @@ def boundary_matrix(
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
     are kept.
 
-    The entries are found by insertion, row by row: for each y in
-    ``basis_lo``, each gap j of y and each v in ``g.between[y_(j-1)][y_j]``,
-    column x, which is y with v inserted at j, gets (-1)^j at row y.  This
-    finds each nonzero entry once.  Such an x has the endpoints, degree
-    and length of the columns, as v lies on a geodesic from y_(j-1) to y_j
-    and is neither end; v is smooth in x, and deleting it gives y back.
+    The entries are found by insertion, row by row, and stored by rows:
+    for each y in ``basis_lo``, each gap j of y and each v in
+    ``g.between[y_(j-1)][y_j]``, column x, which is y with v inserted at
+    j, gets (-1)^j in the stored row of y, one dict filled as it is
+    found, with no (row, col) key made.  This finds each nonzero entry
+    once.  Such an x has the endpoints, degree and length of the
+    columns, as v lies on a geodesic from y_(j-1) to y_j and is neither
+    end; v is smooth in x, and deleting it gives y back.
     Conversely, a smooth x_i lies inside the interval of x_(i-1) and
     x_(i+1), which differ, their distance being a sum of two positive
     ones; so deleting x_i gives a row y, into which x_i inserts as x.
@@ -198,7 +200,8 @@ def boundary_matrix(
     rows, in order of first appearance.  The columns that are then zero
     are not stored; these include the walks with no smooth point, which
     are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
-    I_|peeled| beside that of the stored entries.
+    I_|peeled| beside that of the stored rows; a peeled row is not
+    stored.
 
     Given ``walks``, a list, the caller reads the entries of d_l as
     covers, so no row is peeled: the result is d_l itself without its
@@ -208,7 +211,7 @@ def boundary_matrix(
     walks.
     """
     dist, between = g.dist, g.between
-    entries: dict[tuple[int, int], int] = {}
+    rows: dict[int, dict[int, int]] = {}
     peeled = []
     gaps = range(1, len(basis_lo[0]) if basis_lo else 1)  # of every y
     if basis_k is None:
@@ -240,6 +243,7 @@ def boundary_matrix(
                     if lone:
                         peeled.append(row)
                         continue
+        rdata = rows[row] = {}
         for j in at:
             inserts = between[y[j - 1]][y[j]]
             if inserts:
@@ -248,10 +252,10 @@ def boundary_matrix(
                 for v in inserts:
                     x = head + (v,) + tail
                     col = index[x] if basis_k is not None else index.setdefault(x, len(index))
-                    entries[(row, col)] = sign
+                    rdata[col] = sign
     if walks is not None:
         walks.extend(index)
-    return SparseMatrix(entries, len(basis_lo), len(index), frozenset(peeled))
+    return SparseMatrix(rows, len(basis_lo), len(index), frozenset(peeled))
 
 
 def _boundaries(

@@ -1,23 +1,35 @@
 """Exact integer linear algebra: sparse Smith normal form and the
 homology of chain complexes.
 
-Boundary matrices arriving here are extremely sparse with entries +-1, so
-the Smith form comes in two phases.  The sparse phase pivots only on unit
-entries (unimodular, no coefficient growth, each pivot contributes
+Boundary matrices arriving here are extremely sparse with entries +-1,
+stored by rows, so the Smith form comes in three phases.  The first is
+coreduction (Kaczynski-Mrozek-Slusarek, "Homology computation by
+reduction of chain complexes", 1998; Mrozek-Batko, "Coreduction homology
+algorithm", 2009): a column whose only entry is +-1 is a unit pivot with
+nothing to clear, so its row and column are retired at once.  This needs
+no column sets: per column it keeps the number of entries and the XOR of
+their row ids.  When the count is 1 the XOR is the row id itself, as
+r ^ 0 = r (row 0 included), and retiring a row takes its id out of the
+XOR of each of its columns again, as r ^ r = 0, while their counts go
+down by one; a column whose count reaches 1 is queued.  Coreduction
+makes no fill, so the two tables stay exact.  Almost every pivot of a
+magnitude boundary is taken so.
+
+The rows left get column sets and a sparse unimodular phase that pivots
+only on unit entries (no coefficient growth, each pivot contributes
 elementary divisor 1), each by one step: clear the pivot column by row
-operations, then retire the pivot row and column.  The next unit comes
-from a work stack of entries alone in their row or column while it holds
-one: such a unit has Markowitz cost (row size - 1) * (column size - 1)
-zero, and its pivot only deletes entries.  Once the stack runs dry, the
-units left come from a heap, least cost first, and whatever a pivot
-leaves alone in a row or column goes on the stack, to be taken before
-the heap's next unit.  A dense Smith reduction then takes the small
-block that has no unit left: it splits off one pivot of least size at a
-time, and ``invariant_factors`` puts the pivots in divisibility order by
-Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  All arithmetic uses Python
-integers; intermediate values may exceed 64 bits.  A matrix may come
-with rows its producer has peeled already (``SparseMatrix.peeled``):
-they count as unit pivots and are never loaded.
+operations, then retire the pivot row and column.  The units are taken
+from a heap, least Markowitz cost (row size - 1) * (column size - 1)
+first, and whatever a pivot leaves alone in a row or column goes on a
+work stack, to be taken before the heap's next unit: such a unit has
+cost zero, and its pivot only deletes entries.  A dense Smith reduction
+then takes the small block that has no unit left: it splits off one
+pivot of least size at a time, and ``invariant_factors`` puts the pivots
+in divisibility order by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  All
+arithmetic uses Python integers; intermediate values may exceed 64
+bits.  A matrix may come with rows its producer has peeled already
+(``SparseMatrix.peeled``): they count as unit pivots and are never
+loaded.
 
 ``homology_of_complex`` takes the boundaries from the bottom degree up
 and compresses: the rows of d_(k+1) at the columns on which d_k pivoted
@@ -32,26 +44,63 @@ clearing (Chen-Kerber, "Persistent homology computation with a twist",
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from math import gcd
 
 
+class _Entries(Mapping):
+    """Read-only {(row, col): value} view of row-stored entries; its
+    ``len`` is the number of stored entries."""
+
+    def __init__(self, rows: dict[int, dict[int, int]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return self._rows[key[0]][key[1]]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((r, c) for r, rdata in self._rows.items() for c in rdata)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Integer matrix stored as {(row, col): nonzero value}, beside the
-    ``peeled`` rows: each stands for a unit pivot whose row and column
-    hold no other entry, and none of its entries is stored.
+    """Integer matrix stored by rows, {row: {col: nonzero value}}, beside
+    the ``peeled`` rows: each stands for a unit pivot whose row and column
+    hold no other entry, and none of its entries is stored.  A row with
+    no entry may be stored empty or left out.
 
     So the matrix is I_|peeled| on the peeled rows and their unit columns
     (not counted in ``ncols``), plus the stored entries on the other rows.
-    ``boundary_matrix`` peels the top boundary as it assembles it.
+    ``boundary_matrix`` fills one dict per row as it inserts, and peels
+    the top boundary as it assembles it; ``from_entries`` takes a
+    {(row, col): value} dict, and ``entries`` is that view of the rows.
     """
 
-    entries: dict[tuple[int, int], int]
+    rows: dict[int, dict[int, int]]
     nrows: int
     ncols: int
     peeled: frozenset[int] = frozenset()
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[tuple[int, int], int],
+                     nrows: int, ncols: int) -> SparseMatrix:
+        """The matrix with ``entries``, a {(row, col): nonzero value}
+        mapping; raise ValueError for an entry outside ``nrows`` x
+        ``ncols``, as the Smith form indexes its column tables by col."""
+        rows: dict[int, dict[int, int]] = {}
+        for (r, c), v in entries.items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry ({r}, {c}) is outside {nrows} x {ncols}")
+            rows.setdefault(r, {})[c] = v
+        return cls(rows, nrows, ncols)
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        return _Entries(self.rows)
 
 
 @dataclass(frozen=True)
@@ -60,7 +109,8 @@ class SNFResult:
 
     ``divisors`` lists the diagonal entries > 1 of the Smith form, in
     divisibility order d1 | d2 | ... .  ``pivot_cols`` are the columns of
-    the unit pivots of the sparse phase (none of the dense phase), the
+    the unit pivots of coreduction and of the sparse phase (none of the
+    dense phase), the
     rows that ``homology_of_complex`` leaves out of the next boundary up.
     A peeled row's unit column is not numbered, so it is not among them.
     """
@@ -81,41 +131,57 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
     ``homology_of_complex`` drops are integer combinations of the others,
     and a peeled row is none, as no other row reaches its unit column.
 
-    Every sparse-phase pivot, a lone unit off the stack or a unit off the
-    Markowitz heap, runs the same step: clear its column, retire its row
-    and column, and stack what that leaves alone in a row or column.  The
-    rows left when no unit remains go to ``_dense_smith_diagonal`` as one
-    dense block.
+    Coreduction comes first: a column holding one entry, +-1, retires
+    that entry's row, which the XOR of the column's row ids names (see
+    the module docstring).  Only the rows left are copied and get column
+    sets.  Every pivot of the next phase, a lone unit off the stack or a
+    unit off the Markowitz heap, runs the same step: clear its column,
+    retire its row and column, and stack what that leaves alone in a row
+    or column.  The rows left when no unit remains go to
+    ``_dense_smith_diagonal`` as one dense block.  ``pivot_cols`` holds
+    the unit pivots of both sparse phases: each is a unit pivot of the
+    matrix reduced by the ones before it, which is what compression
+    needs.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in mat.entries.items():
-        if v and r not in dropped:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    rows = {r: rdata for r, rdata in mat.rows.items() if rdata and r not in dropped}
+    # coreduction: a column whose one entry is +-1 is a unit pivot with
+    # nothing to clear; it retires its row, the one that the XOR of the
+    # column's row ids names, as the column holds one row
+    count, xor = [0] * mat.ncols, [0] * mat.ncols
+    for r, rdata in rows.items():
+        for c in rdata:
+            count[c] += 1
+            xor[c] ^= r
     pivots: list[int] = []
-    # entries alone in their row or column: the units among them are
-    # pivots of Markowitz cost 0, which make no fill
-    stack = [(r, c) for r, rdata in rows.items() if len(rdata) == 1 for c in rdata]
-    stack += [(r, c) for c, rs in cols.items() if len(rs) == 1 for r in rs]
-    heap: list[tuple[int, int, int]] | None = None
+    queue = [c for c, n in enumerate(count) if n == 1]
+    while queue:
+        c = queue.pop()
+        if count[c] == 1 and rows[r := xor[c]][c] in (1, -1):
+            pivots.append(c)
+            for cc in rows.pop(r):
+                count[cc] -= 1
+                xor[cc] ^= r
+                if count[cc] == 1:
+                    queue.append(cc)
+    cols: dict[int, set[int]] = {}
+    for r, rdata in rows.items():
+        rows[r] = rdata = dict(rdata)  # reduced in place below; ``mat`` is left as it was
+        for c in rdata:
+            cols.setdefault(c, set()).add(r)
+    # the units left, least Markowitz cost first: one alone in its row
+    # costs 0, as its pivot makes no fill
+    heap = [((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
+            for r, rdata in rows.items() for c, v in rdata.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    stack: list[tuple[int, int]] = []  # what a pivot leaves alone in a row or column
     while rows:
         lone = bool(stack)
         if lone:
             r, c = stack.pop()
-        else:
-            if heap is None:
-                # the units left when the stack first runs dry
-                heap = [
-                    ((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
-                    for r, rdata in rows.items()
-                    for c, v in rdata.items()
-                    if v in (1, -1)
-                ]
-                heapq.heapify(heap)
-            if not heap:
-                break
+        elif heap:
             _, r, c = heapq.heappop(heap)
+        else:
+            break
         rdata = rows.get(r)
         if rdata is None or rdata.get(c) not in (1, -1):
             continue
@@ -145,7 +211,7 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
                     if cc not in row2:
                         cols[cc].add(r2)
                     row2[cc] = new
-                    if new in (1, -1):  # fill: not a lone pivot, so the heap is built
+                    if new in (1, -1):
                         heapq.heappush(heap, ((len(row2) - 1) * (len(cols[cc]) - 1), r2, cc))
                 elif cc in row2:
                     del row2[cc]

@@ -260,7 +260,7 @@ def automorphism_generators(g):
 def from_dense(rows):
     """The SparseMatrix of a list of integer rows."""
     entries = {(i, j): int(v) for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-    return SparseMatrix(entries, len(rows), len(rows[0]) if rows else 0)
+    return SparseMatrix.from_entries(entries, len(rows), len(rows[0]) if rows else 0)
 
 
 def sparse_matmul(a, b):
@@ -273,7 +273,7 @@ def sparse_matmul(a, b):
     for (r, k), va in a.entries.items():
         for c, vb in b_rows.get(k, ()):
             out[(r, c)] = out.get((r, c), 0) + va * vb
-    return SparseMatrix({rc: v for rc, v in out.items() if v}, a.nrows, b.ncols)
+    return SparseMatrix.from_entries({rc: v for rc, v in out.items() if v}, a.nrows, b.ncols)
 
 
 def is_zero(mat):

@@ -37,7 +37,7 @@ from maghom.snf import SparseMatrix
 
 
 def negated(m):
-    return SparseMatrix({e: -v for e, v in m.entries.items()}, m.nrows, m.ncols)
+    return SparseMatrix.from_entries({e: -v for e, v in m.entries.items()}, m.nrows, m.ncols)
 
 
 def assert_listed_plus_isolated(pair, kept):
@@ -245,7 +245,7 @@ def test_face_table_boundaries_are_the_simplex_boundaries(seed):
                     ncols = m.ncols - (pair.isolated if d == ell - 2 else 0)
                     assert all(c < ncols for _, c in m.entries)  # no face
                     if ncols:
-                        listed_maps[d] = negated(SparseMatrix(m.entries, m.nrows, ncols))
+                        listed_maps[d] = negated(SparseMatrix.from_entries(m.entries, m.nrows, ncols))
                 assert listed_maps == pair.boundaries
                 # the Morse covers are the entries of the simplex route's maps
                 starts = list(accumulate(dims[1:], initial=0))

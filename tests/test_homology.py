@@ -392,12 +392,12 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                     for i in range(1, length)
                     if is_smooth(g, x, i)
                 }
-                deleted = SparseMatrix(full, len(lower), len(top))
+                deleted = SparseMatrix.from_entries(full, len(lower), len(top))
                 lone = {col[0][0] for col in nonzero_columns(deleted) if len(col) == 1}
                 assert inserted.peeled == lone
                 rest = {rc: v for rc, v in full.items() if rc[0] not in lone}
                 assert nonzero_columns(inserted) == nonzero_columns(
-                    SparseMatrix(rest, len(lower), len(top))
+                    SparseMatrix.from_entries(rest, len(lower), len(top))
                 )
                 assert not any(r in lone for r, _ in inserted.entries)
                 assert inserted.ncols == len(nonzero_columns(inserted))

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
 from math import prod
 
@@ -10,6 +11,7 @@ from oracles import (
     determinantal_divisors,
     from_dense,
     homology_uncleared,
+    is_smooth,
     is_zero,
     rank_fraction_free,
     rank_mod_p,
@@ -105,7 +107,7 @@ def simplicial_chain(maximal_faces):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 entries[(lower[face], col)] = (-1) ** i
-        boundaries[d] = SparseMatrix(entries, dims[d - 1], dims[d])
+        boundaries[d] = SparseMatrix.from_entries(entries, dims[d - 1], dims[d])
     return dims, boundaries
 
 
@@ -223,8 +225,8 @@ def test_klein_bottle_homology(monkeypatch):
 
 
 def test_sparse_matmul_shapes():
-    a = SparseMatrix({(0, 1): 2}, 2, 3)
-    b = SparseMatrix({(1, 0): 3}, 3, 1)
+    a = SparseMatrix.from_entries({(0, 1): 2}, 2, 3)
+    b = SparseMatrix.from_entries({(1, 0): 3}, 3, 1)
     prod = sparse_matmul(a, b)
     assert prod.entries == {(0, 0): 6}
     assert (prod.nrows, prod.ncols) == (2, 1)
@@ -253,7 +255,7 @@ def test_peeled_smith_form_agrees_with_the_dense_reduction():
             for c in range(nc)
             if rng.random() < density
         }
-        mat = SparseMatrix(entries, nr, nc)
+        mat = SparseMatrix.from_entries(entries, nr, nc)
         res = smith_normal_form(mat)
         assert (res.rank, res.divisors) == dense_smith(mat)
         # the unit pivot columns carry a unimodular minor: their columns of
@@ -261,12 +263,14 @@ def test_peeled_smith_form_agrees_with_the_dense_reduction():
         cols = res.pivot_cols
         assert len(cols) <= res.rank and cols <= set(range(nc))
         sub = smith_normal_form(
-            SparseMatrix({rc: v for rc, v in entries.items() if rc[1] in cols}, nr, nc)
+            SparseMatrix.from_entries({rc: v for rc, v in entries.items() if rc[1] in cols}, nr, nc)
         )
         assert (sub.rank, sub.divisors) == (len(cols), ())
         # dropped rows are left out, whatever they hold
         dropped = frozenset(r for r in range(nr) if rng.random() < 0.3)
-        kept = SparseMatrix({rc: v for rc, v in entries.items() if rc[0] not in dropped}, nr, nc)
+        kept = SparseMatrix.from_entries(
+            {rc: v for rc, v in entries.items() if rc[0] not in dropped}, nr, nc
+        )
         res = smith_normal_form(mat, dropped)
         assert (res.rank, res.divisors) == dense_smith(kept)
         assert res.pivot_cols == smith_normal_form(kept).pivot_cols
@@ -317,15 +321,15 @@ def test_peeled_rows_add_unit_pivots_beside_the_stored_rows():
             for c in range(nc)
             if r not in peeled and rng.random() < 0.25
         }
-        res = smith_normal_form(SparseMatrix(entries, nr, nc, peeled))
-        stored = smith_normal_form(SparseMatrix(entries, nr, nc))
+        res = smith_normal_form(replace(SparseMatrix.from_entries(entries, nr, nc), peeled=peeled))
+        stored = smith_normal_form(SparseMatrix.from_entries(entries, nr, nc))
         assert (res.rank, res.divisors) == (len(peeled) + stored.rank, stored.divisors)
         # the peeled rows' unit columns are not numbered: the pivot columns
         # are those of the stored entries
         assert res.pivot_cols == stored.pivot_cols
         # the same matrix with each peeled row's unit column written out
         units = {(r, nc + i): rng.choice((-1, 1)) for i, r in enumerate(sorted(peeled))}
-        whole = SparseMatrix({**entries, **units}, nr, nc + len(peeled))
+        whole = SparseMatrix.from_entries({**entries, **units}, nr, nc + len(peeled))
         assert (res.rank, res.divisors) == dense_smith(whole)
 
 
@@ -334,8 +338,8 @@ def test_dense_phase_pivots_are_not_dropped():
     # groups vanish.  d_1 has no unit entry, so no row may be dropped from
     # d_2; leaving out either would give H_1 = Z/2 or Z/3.
     boundaries = [
-        (1, SparseMatrix({(0, 0): 3, (0, 1): -2}, 1, 2)),
-        (2, SparseMatrix({(0, 0): 2, (1, 0): 3}, 2, 1)),
+        (1, SparseMatrix.from_entries({(0, 0): 3, (0, 1): -2}, 1, 2)),
+        (2, SparseMatrix.from_entries({(0, 0): 2, (1, 0): 3}, 2, 1)),
     ]
     assert smith_normal_form(boundaries[0][1]).pivot_cols == frozenset()
     expected = [(0, ()), (0, ()), (0, ())]
@@ -380,7 +384,7 @@ def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, mon
         assert len(dropped) == smith_normal_form(mat).rank > 0
         # the dropped rows are combinations of the kept ones
         full = smith_normal_form(above)
-        kept = SparseMatrix(
+        kept = SparseMatrix.from_entries(
             {rc: v for rc, v in above.entries.items() if rc[0] not in dropped},
             above.nrows,
             above.ncols,
@@ -395,6 +399,54 @@ def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, mon
         assert dropped == res.pivot_cols
     top, dropped, _ = calls[-1]
     assert top.peeled and dropped and not top.peeled & dropped
+
+
+def deleted(g, upper, lower):
+    """{(row, col): sign} of the boundary from ``upper`` to ``lower`` by
+    the deletion rule: column x has (-1)^i at the row of x without its
+    smooth interior point i."""
+    index = {y: r for r, y in enumerate(lower)}
+    return {
+        (index[x[:i] + x[i + 1 :]], col): (-1) ** i
+        for col, x in enumerate(upper)
+        for i in range(1, len(x) - 1)
+        if is_smooth(g, x, i)
+    }
+
+
+def test_entries_views_are_the_deletion_rule_and_count_the_stored_entries(g1, g3, monkeypatch):
+    # the traced nnz counts read len(mat.entries): every map that
+    # ``_homology`` reduces for G3 at length 6, and the maps of a relative
+    # complex, hold the entries the deletion rule gives, no more
+    bases = [enumerate_sequences(g3, k, 6) for k in range(7)]
+    maps = []
+    real = smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda mat, d=(): maps.append(mat) or real(mat, d))
+    homology._homology(g3, bases[:6], len(bases[6]))
+    *below, top = maps
+    assert [mat.ncols for mat in below] == [len(bases[4]), len(bases[5])]
+    for mat, k in zip(below, (4, 5)):
+        assert mat.entries == deleted(g3, bases[k], bases[k - 1])
+    # the top map peels the rows of its one-entry columns and stores the
+    # other columns on the other rows, in order of first appearance
+    full = deleted(g3, bases[6], bases[5])
+    columns = {}
+    for (r, col), v in full.items():
+        columns.setdefault(col, {})[r] = v
+    lone = {r for column in columns.values() if len(column) == 1 for r in column}
+    kept = {col: {r: v for r, v in column.items() if r not in lone} for col, column in columns.items()}
+    order = sorted((min(column), bases[6][col], col) for col, column in kept.items() if column)
+    assert top.peeled == lone and top.ncols == len(order)
+    assert top.entries == {(r, i): v for i, (_, _, col) in enumerate(order) for r, v in kept[col].items()}
+    # the relative complex's top slot lists its walks with a face
+    pair = relative_complex(g1, 1, 3, 7)
+    cells = [pair.cells[lo:hi] for lo, hi in zip(pair.starts, pair.starts[1:])]
+    for d, mat in pair.boundaries.items():
+        assert mat.entries == deleted(g1, cells[d], cells[d - 1])
+    # the counts as they were when the entries were stored as one
+    # {(row, col): value} dict
+    counts = [len(mat.entries) for mat in maps + list(pair.boundaries.values())]
+    assert counts == [374, 4324, 5098, 122, 614, 1108] and sum(counts) == 11_640
 
 
 def test_compression_keeps_the_fixture_summands(c4, g1, g2, g3):
@@ -437,3 +489,67 @@ def test_compression_keeps_each_orbit_summand_complex(seed):
             expected = homology_uncleared(dims, maps)
             assert homology_of_complex(dims, maps) == expected
             assert homology_of_complex(dims, reversed(maps)) == expected
+
+
+def test_entries_outside_the_shape_are_refused():
+    # the Smith form indexes its column tables by column: a negative
+    # column would wrap round and a too-large one would overrun them
+    for entry in ((0, -1), (0, 3), (-1, 0), (2, 0)):
+        with pytest.raises(ValueError, match="outside 2 x 3"):
+            SparseMatrix.from_entries({(0, 0): 1, entry: 1}, 2, 3)
+    mat = SparseMatrix.from_entries({(1, 2): -1, (0, 0): 2}, 2, 3)
+    assert mat.rows == {1: {2: -1}, 0: {0: 2}}
+    assert mat.entries == {(0, 0): 2, (1, 2): -1} and len(mat.entries) == 2
+
+
+@pytest.mark.parametrize(
+    "entries, shape, dropped, form",
+    [
+        # lone columns holding 2 and -3 are no unit pivots: they keep
+        # their divisors, 2 + 3 = 1 + 6
+        ({(0, 0): 2, (1, 1): -3}, (2, 2), (), (2, (6,))),
+        ({(0, 0): 2, (0, 1): 1, (1, 1): 1, (1, 2): -3, (2, 2): 4}, (3, 3), (), (3, (8,))),
+        # a lone entry on row 0, the XOR of no other row id
+        ({(0, 0): -1, (0, 1): 1, (1, 1): 1, (1, 2): 2, (2, 2): 2}, (3, 3), (), (3, (2,))),
+        # column 3 is lone on row 0 once row 1 is retired: its XOR is 0
+        ({(0, 3): 1, (1, 3): 1, (1, 0): 1}, (2, 4), (), (2, ())),
+        # column 1 is lone only once row 3 is retired, column 2 only once
+        # row 5 is; two lone columns share row 6
+        (
+            {(3, 0): 1, (3, 1): 1, (5, 1): -1, (5, 2): 1, (6, 2): 1, (6, 3): 1, (6, 4): -1},
+            (7, 5),
+            (),
+            (3, ()),
+        ),
+        # no lone column: coreduction takes nothing
+        ({(0, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 3, (2, 2): 3, (2, 0): 3}, (3, 3), (), None),
+        # a dropped row is column 1's only entry, and one of column 0's two
+        ({(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 2): 2}, (3, 3), (1,), (2, (2,))),
+        # columns and rows past the last one used
+        ({(0, 0): 1, (1, 1): 3}, (5, 9), (), (2, (3,))),
+    ],
+    ids=[
+        "lone-2-and-minus-3",
+        "lone-2-and-minus-3-beside-units",
+        "lone-on-row-0",
+        "lone-on-row-0-after-a-retirement",
+        "lone-after-a-retirement",
+        "no-lone-column",
+        "dropped-lone-entry",
+        "shape-past-the-entries",
+    ],
+)
+def test_coreduction_edge_cases_agree_with_the_dense_reduction(entries, shape, dropped, form):
+    mat = SparseMatrix.from_entries(entries, *shape)
+    kept = SparseMatrix.from_entries(
+        {rc: v for rc, v in entries.items() if rc[0] not in dropped}, *shape
+    )
+    res = smith_normal_form(mat, dropped)
+    assert (res.rank, res.divisors) == dense_smith(kept)
+    assert form is None or (res.rank, res.divisors) == form
+    # the unit pivot columns carry a unimodular minor
+    cols = res.pivot_cols
+    sub = smith_normal_form(
+        SparseMatrix.from_entries({rc: v for rc, v in kept.entries.items() if rc[1] in cols}, *shape)
+    )
+    assert (sub.rank, sub.divisors) == (len(cols), ())
