@@ -198,14 +198,14 @@ def cell_boundaries(cells) -> tuple[list[int], Iterator[tuple[int, SparseMatrix]
         for k in range(1, len(by_size)):
             if not dims[k] or not dims[k - 1]:
                 continue
-            row = {s: i for i, s in enumerate(by_size[k - 1])}
-            # the entries dict is freed once the rows are made
-            yield k, SparseMatrix.from_entries({
-                (row[f], col): sign
-                for col, s in enumerate(by_size[k])
-                for f, sign in faces(s)
-                if f in row
-            }, dims[k - 1], dims[k])
+            index = {s: i for i, s in enumerate(by_size[k - 1])}
+            rows: dict[int, dict[int, int]] = {}  # filled as the faces are found
+            for col, s in enumerate(by_size[k]):
+                for f, sign in faces(s):
+                    row = index.get(f)
+                    if row is not None:
+                        rows.setdefault(row, {})[col] = sign
+            yield k, SparseMatrix(rows, dims[k - 1], dims[k])
 
     return dims, maps()
 

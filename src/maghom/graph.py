@@ -54,6 +54,12 @@ class Graph:
         )
 
     @cached_property
+    def diameter(self) -> int:
+        """The largest distance, found on first use, once per graph, like
+        ``between``."""
+        return max(max(row) for row in self.dist[1:])  # column 0 holds -1, never the max
+
+    @cached_property
     def _powers(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         return {0: tuple(tuple(int(u == v) for v in range(self.n + 1)) for u in range(self.n + 1))}
 
@@ -276,7 +282,7 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def diameter(g: Graph) -> int:
-    return max(max(row) for row in g.dist[1:])  # column 0 holds -1, never the max
+    return g.diameter
 
 
 @dataclass(frozen=True)

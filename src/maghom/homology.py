@@ -19,8 +19,9 @@ length-l walks, since each of their l gaps is 1, so its rank in the
 built from degree l-1 by the same insertions, its zero columns never
 made.  A walk whose only smooth point is the inserted vertex peels its
 row as d_l is assembled (elementary reduction, Kaczynski-Mrozek-Slusarek,
-"Homology computation by reduction of chain complexes", 1998).  The
-proofs are in ``boundary_matrix``.
+"Homology computation by reduction of chain complexes", 1998); only the
+rows that d_(l-1) left without an entry are tested.  The proofs are in
+``boundary_matrix`` and ``_homology``.
 
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
@@ -47,12 +48,12 @@ complex.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, product
 
 from .errors import ValidationError, basis_cap, over_cap
-from .graph import Graph, diameter
+from .graph import Graph
 from .snf import SparseMatrix, homology_of_complex, invariant_factors
 from .symmetry import pair_orbits
 
@@ -60,22 +61,28 @@ Summands = Mapping[tuple[int, int], int]
 Basis = Sequence[tuple[int, ...]]
 
 
+class _Checked(dict):
+    """Summands that ``_checked`` has validated; it returns them as they are."""
+
+
 def _checked(g: Graph, summands: Summands | None) -> Summands:
-    """``summands``, or every ordered pair once when None; raise
-    ValidationError unless it maps pairs of vertices of g to integers
-    m >= 1."""
+    """``summands``, or every ordered pair once when None, checked once:
+    raise ValidationError unless it maps pairs of vertices of g to
+    integers m >= 1 (not bools)."""
+    if isinstance(summands, _Checked):
+        return summands
     if summands is None:
-        return dict.fromkeys(product(g.vertices, repeat=2), 1)
+        return _Checked.fromkeys(product(g.vertices, repeat=2), 1)
     try:
         for (a, b), m in summands.items():
             for v in (a, b):
-                if not 1 <= v <= g.n or not isinstance(v, int):
+                if not 1 <= v <= g.n or type(v) is not int:
                     raise ValidationError(f"vertex {v} is outside 1..{g.n}")
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ValidationError(f"summand weight {m!r} is not an integer >= 1")
     except (AttributeError, TypeError, ValueError):
         raise ValidationError("summands map endpoint pairs (a, b) to weights m") from None
-    return summands
+    return _Checked(summands)
 
 
 def enumerate_sequences(
@@ -90,7 +97,10 @@ def enumerate_sequences(
     snapshots depend on it.  A sequence of the summand {(a, b): m} stands
     for m cells of the full basis of this degree; enumeration aborts with
     BudgetExceeded as soon as that full basis would outgrow the basis cap
-    (``errors.basis_cap``), before memory does.
+    (``errors.basis_cap``), before memory does.  A mapping passed in is
+    checked (``_checked``); ``mh_table``, ``mh_column``,
+    ``is_diagonal_up_to`` and ``ai_complex.relative_complex`` check theirs
+    once per call and pass it on checked.
 
     The sequences are grown by a loop over an explicit stack, not by
     recursion, so no degree is too deep for Python's recursion limit.
@@ -104,7 +114,7 @@ def enumerate_sequences(
         return ()
     if k == 0:
         return tuple((a,) for a in sorted(ends) if length == 0 and a in ends[a])
-    dist, maxd = g.dist, diameter(g)
+    dist, maxd = g.dist, g.diameter
     if not k <= length <= k * maxd:
         return ()  # each of the k gaps contributes between 1 and maxd
     cap = basis_cap()
@@ -156,6 +166,7 @@ def boundary_matrix(
     basis_k: Basis | None,
     basis_lo: Basis,
     walks: list[tuple[int, ...]] | None = None,
+    faced: Container[int] | None = None,
 ) -> SparseMatrix:
     """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
 
@@ -189,26 +200,29 @@ def boundary_matrix(
     walk w are 1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.
     Its points i < j-1 and i > j+1 are the points i and i-1 of y and do
     not depend on v; point j-1 (if j >= 2) compares y_(j-2) with v, and
-    point j+1 (if j <= l-2) compares v with y_(j+1).
+    point j+1 (if j <= l-2) compares v with y_(j+1).  Given ``walks``, a
+    list, the columns are appended to it in column order.
 
-    When j is the only smooth point of some such w, its column of d_l is
-    the lone entry (-1)^j at row y, and y is peeled: adding multiples of
-    that column to the others (column operations, which keep the image)
-    clears the rest of row y.  So the result is d_l U for a unimodular
-    U: its ``peeled`` rows, each with its unit column, and the columns of
+    ``faced`` selects peeling: the rows of d_l that d_(l-1) reached, its
+    columns that hold an entry, which are the rows y with a smooth point.
+    Given it, a row outside it is peeled when some v makes a walk whose
+    only smooth point is j: the others are points of y, none of them
+    smooth, so only points j-1 and j+1 need testing.  That column of d_l
+    is the lone entry (-1)^j at row y: adding multiples of it to the
+    others (column operations, which keep the image) clears the rest of
+    row y.  A row in ``faced`` is never peeled, as no such walk comes
+    from it (``_homology``).  So the result is d_l U for a unimodular U:
+    its ``peeled`` rows, each with its unit column, and the columns of
     the walks with two or more smooth points, restricted to the other
     rows, in order of first appearance.  The columns that are then zero
     are not stored; these include the walks with no smooth point, which
     are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
     I_|peeled| beside that of the stored rows; a peeled row is not
-    stored.
-
-    Given ``walks``, a list, the caller reads the entries of d_l as
-    covers, so no row is peeled: the result is d_l itself without its
-    zero columns, whose columns, the walks with a smooth point, each with
-    all of its entries, are appended to ``walks`` in column order.
-    ``_homology`` peels; ``ai_complex.relative_complex`` asks for the
-    walks.
+    stored.  Without ``faced`` nothing is peeled: the result is d_l
+    itself without its zero columns, its columns the walks with a smooth
+    point, each with all of its entries.  ``_homology`` peels;
+    ``ai_complex.relative_complex`` reads the entries of d_l as covers
+    and does not.
     """
     dist, between = g.dist, g.between
     rows: dict[int, dict[int, int]] = {}
@@ -226,23 +240,19 @@ def boundary_matrix(
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
             at = (j,)  # the only gap with a nonempty interval
-            if walks is None:
-                for p in range(1, last):
-                    if (p < j - 1 or p > j) and dist[y[p - 1]][y[p + 1]] == 2:
-                        break  # smooth in every walk made from y
-                else:
-                    # distances from the neighbours of v in the walk; row 0
-                    # of dist is all zeros and stands for a missing one
-                    left = dist[y[j - 2]] if j > 1 else dist[0]
-                    right = dist[y[j + 1]] if j < last else dist[0]
-                    lone = False
-                    for v in between[y[j - 1]][y[j]]:
-                        if left[v] != 2 and right[v] != 2:
-                            lone = True
-                            break
-                    if lone:
-                        peeled.append(row)
-                        continue
+            if faced is not None and row not in faced:
+                # distances from the neighbours of v in the walk; row 0
+                # of dist is all zeros and stands for a missing one
+                left = dist[y[j - 2]] if j > 1 else dist[0]
+                right = dist[y[j + 1]] if j < last else dist[0]
+                lone = False
+                for v in between[y[j - 1]][y[j]]:
+                    if left[v] != 2 and right[v] != 2:
+                        lone = True
+                        break
+                if lone:
+                    peeled.append(row)
+                    continue
         rdata = rows[row] = {}
         for j in at:
             inserts = between[y[j - 1]][y[j]]
@@ -263,7 +273,13 @@ def _boundaries(
 ) -> Iterator[tuple[int, SparseMatrix]]:
     """(k, d_k) for d_1 .. d_l between nonempty degrees of the length-l
     complex with ``bases`` in degrees 0..l-1 (l = len(bases)), from the
-    bottom up, d_l last; ``walks`` as ``boundary_matrix`` takes it.
+    bottom up, d_l last.  Given ``walks``, d_l appends its columns to it
+    and is built whole, as ``ai_complex.relative_complex`` reads its
+    entries as covers; otherwise it is peeled, with the columns of
+    d_(l-1) that hold an entry as ``faced`` (``boundary_matrix``).  They
+    are none when degree l-2 has no cell, as deleting a smooth point
+    would give one.  d_(l-1) is built whole, so ``faced`` also holds the
+    rows of d_l that compression later drops.
 
     The top degree is nonempty whenever degree l-1 is: the l-1 gaps of a
     degree-(l-1), length-l cell add up to l, so one of them is 2, and a
@@ -271,11 +287,16 @@ def _boundaries(
     whenever degree l-1 has a cell.  ``_homology`` and
     ``ai_complex.relative_complex`` both take their maps from here.
     """
+    faced: set[int] | None = set() if walks is None else None
     for k in range(1, len(bases)):
         if bases[k] and bases[k - 1]:
-            yield k, boundary_matrix(g, bases[k], bases[k - 1])
+            mat = boundary_matrix(g, bases[k], bases[k - 1])
+            if k == len(bases) - 1 and faced is not None:
+                faced = set().union(*mat.rows.values())
+            yield k, mat
+            del mat  # not held while the next boundary is built
     if bases and bases[-1]:
-        yield len(bases), boundary_matrix(g, None, bases[-1], walks)
+        yield len(bases), boundary_matrix(g, None, bases[-1], walks, faced)
 
 
 def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -288,11 +309,14 @@ def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[i
     reaches the Smith form on its own, so only one is held in memory; a
     map to or from an empty basis is zero and is not built.  So degrees 0
     and 1 are reduced like the others, and d_2's unit pivots drop rows of
-    d_3.  A row y that d_l peeled (at its gap of 2, position j) is a zero
-    column of d_(l-1), as y has no smooth point: its lone walk has none
-    but the inserted v, so no point of y away from the gap is smooth, and
+    d_3.  d_l is peeled, reading from d_(l-1) which of its rows have a
+    smooth point.  A row y that some walk peels (at y's gap of 2,
+    position j) has no smooth point: the walk has none but the inserted
+    v, so no point of y away from the gap is smooth, and
     d(y_(j-2), v) <= 1 puts y_(j-2) within 2 of y_j, so y_(j-1) is not
-    smooth, nor likewise y_j.  No insertion reaches such a column, so
+    smooth, nor likewise y_j.  So the rows that d_(l-1) reaches, the
+    ``faced`` ones, are never peeled, and the rest need only the test at
+    the gap.  No insertion reaches a peeled row's column of d_(l-1), so
     d_(l-1) has no pivot there, and the rows that compression drops from
     d_l are all stored rows.
     """
@@ -334,7 +358,7 @@ def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
     is the length-l walks, (A^l)_ab in the (a, b) summand: counted, not
     enumerated, and charged after the enumerated degrees.
     """
-    maxd = diameter(g)
+    maxd = g.diameter
     low = -(-length // maxd) if maxd else length
     bases = [enumerate_sequences(g, k, length, summands) if k >= low else () for k in range(length)]
     walks = g.walks(length)
@@ -366,7 +390,7 @@ def mh_column(
     pair's boundary is held at a time: the enumeration leaves no
     reference cycle, so nothing waits for the garbage collector.
     """
-    summands = pair_orbits(g) if summands is None else _checked(g, summands)
+    summands = _Checked(pair_orbits(g)) if summands is None else _checked(g, summands)
     walks = g.walks(length)
     # pair -> the cells of each degree, made once, at the pair's first cell
     bases = defaultdict(lambda: [[] for _ in range(length)])
@@ -433,7 +457,7 @@ class MHTable:
 
 def mh_table(g: Graph, lmax: int, summands: Summands | None = None) -> MHTable:
     """All groups with l <= lmax of ``summands``, as in ``mh_column``."""
-    summands = pair_orbits(g) if summands is None else _checked(g, summands)
+    summands = _Checked(pair_orbits(g)) if summands is None else _checked(g, summands)
     return MHTable(lmax, {
         (k, length): group
         for length in range(lmax + 1)
@@ -471,7 +495,7 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     """
     if lmax < 3:
         return True
-    summands = pair_orbits(g)
+    summands = _Checked(pair_orbits(g))
     for length in range(3, lmax + 1):
         walks = g.walks(length)
         column = _homology(g, _cells(g, length, summands), sum(walks[a][b] for a, b in summands))

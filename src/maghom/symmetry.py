@@ -30,8 +30,6 @@ orbits are finer but just as correct.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import InternalCheckError
 from .graph import Graph
 
@@ -108,15 +106,15 @@ def is_automorphism(g: Graph, perm: list[int]) -> bool:
     return all(dist[perm[u]][perm[v]] == 1 for u, v in g.edges)
 
 
-def _orbit(pair: tuple[int, int], gens: list[list[int]]) -> set[tuple[int, int]]:
-    """The orbit of the ordered pair (a, b) under reversal and ``gens``."""
-    orbit, todo = {pair}, [pair]
+def _orbit(v: int, gens: list[list[int]]) -> set[int]:
+    """The orbit of vertex v under ``gens``."""
+    orbit, todo = {v}, [v]
     while todo:
-        a, b = todo.pop()
-        for image in [(b, a)] + [(perm[a], perm[b]) for perm in gens]:
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
+        x = todo.pop()
+        for perm in gens:
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                todo.append(perm[x])
     return orbit
 
 
@@ -138,9 +136,9 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
     nodes = 0
     for depth in range(len(path) - 1, -1, -1):
         node, i, v = path[depth]
-        orbit = _orbit((v, v), gens)  # v's orbit is its diagonal
+        orbit = _orbit(v, gens)
         for w in node[i]:
-            if (w, w) in orbit:
+            if w in orbit:
                 continue
             stack = [(node, i, depth, iter([w]))]
             while stack:
@@ -164,7 +162,7 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
                     perm[x] = cell[0]
                 if is_automorphism(g, perm):
                     gens.append(perm)
-                    orbit = _orbit((v, v), gens)
+                    orbit = _orbit(v, gens)
                     break
     return gens
 
@@ -173,16 +171,42 @@ def pair_orbits(g: Graph) -> dict[tuple[int, int], int]:
     """Orbits of <Aut(G), reversal> on the ordered pairs (a, b) of vertices:
     each orbit's least pair mapped to its size, in increasing order of
     pairs.  Raises InternalCheckError if a generator is not an automorphism.
+
+    Reversal commutes with Aut(G), so the orbit of (a, b) is the
+    Aut(G)-orbit of the unordered pair {a, b}, each pair {a, b} with
+    a != b counted as (a, b) and (b, a); its least ordered pair is its
+    least (min, max).  A union-find joins each unordered pair with its
+    image under each generator, over only the pairs that generator moves,
+    those with an end it moves, and keeps every class under its least
+    pair, so the classes come out in increasing order.
     """
     gens = automorphism_generators(g)
     for perm in gens:
         if not is_automorphism(g, perm):
             raise InternalCheckError(f"generator {perm[1:]} is not an automorphism")
+    w = g.n + 1
+    parent = list(range(w * w))  # {a, b}, a <= b, at index a w + b
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in gens:
+        for a in g.vertices:
+            pa = perm[a]
+            if pa != a:
+                for b in g.vertices:
+                    pb = perm[b]
+                    x = root(a * w + b if a <= b else b * w + a)
+                    y = root(pa * w + pb if pa <= pb else pb * w + pa)
+                    parent[max(x, y)] = min(x, y)
     sizes: dict[tuple[int, int], int] = {}
-    seen: set[tuple[int, int]] = set()
-    for pair in product(g.vertices, repeat=2):  # the first pair met of an orbit is its least
-        if pair not in seen:
-            orbit = _orbit(pair, gens)
-            seen |= orbit
-            sizes[pair] = len(orbit)
+    for a in g.vertices:
+        for b in range(a, w):  # in increasing order, so a class's root comes first
+            x = a * w + b
+            parent[x] = parent[parent[x]]  # its root, as parent[x] <= x is done
+            pair = divmod(parent[x], w)
+            sizes[pair] = sizes.get(pair, 0) + (1 if a == b else 2)
     return sizes

@@ -7,7 +7,7 @@ second route for the sequence-based code that replaced them.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, inf
 
 from maghom import symmetry
@@ -252,6 +252,27 @@ def automorphism_generators(g):
                 gens.append(found)
                 orbit = orbit_of(v)
     return gens
+
+
+def pair_orbits(g, gens):
+    """The library's former orbit closure: from each pair not yet in an
+    orbit, in increasing order, apply reversal and every generator in
+    ``gens`` until nothing new appears; each orbit's least pair mapped to
+    its size, in increasing order of pairs."""
+    sizes, seen = {}, set()
+    for pair in product(g.vertices, repeat=2):
+        if pair in seen:
+            continue
+        orbit, todo = {pair}, [pair]
+        while todo:
+            a, b = todo.pop()
+            for image in [(b, a)] + [(perm[a], perm[b]) for perm in gens]:
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        sizes[pair] = len(orbit)
+    return sizes
 
 
 # --- sparse integer matrices ------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -156,10 +156,10 @@ def test_degrees_0_and_1_are_computed_not_assumed(monkeypatch):
     rows = []
     inserted = homology.boundary_matrix
 
-    def recorded(g, basis_k, basis_lo, walks=None):
+    def recorded(g, basis_k, basis_lo, walks=None, faced=None):
         if basis_lo and len(basis_lo[0]) == 2:
             rows.extend(basis_lo)
-        return inserted(g, basis_k, basis_lo, walks)
+        return inserted(g, basis_k, basis_lo, walks, faced=faced)
 
     monkeypatch.setattr(homology, "boundary_matrix", recorded)
     graphs = [cycle_graph(7), path_graph(6), load_fixture("RP2H"), random_connected(random.Random(1), 9)]
@@ -371,11 +371,36 @@ def nonzero_columns(mat):
     return sorted(sorted(col.items()) for col in columns.values())
 
 
+def deletion_rule(g, upper, lower):
+    """The boundary from ``upper`` to ``lower`` as {(row, col): sign}, one
+    smooth deletion at a time."""
+    index = {x: r for r, x in enumerate(lower)}
+    return {
+        (index[x[:i] + x[i + 1 :]], col): (-1) ** i
+        for col, x in enumerate(upper)
+        for i in range(1, len(x) - 1)
+        if is_smooth(g, x, i)
+    }
+
+
+def faced_rows(g, length, pairs):
+    """The degree-(l-1) cells that the deletion-rule d_(l-1) reaches."""
+    upper = enumerate_sequences(g, length - 1, length, pairs)
+    lower = enumerate_sequences(g, length - 2, length, pairs)
+    return {col for _, col in deletion_rule(g, upper, lower)}
+
+
+def lone_rows(entries):
+    """The rows of a {(row, col): sign} matrix that hold a one-entry column."""
+    count = Counter(col for _, col in entries)
+    return {row for row, col in entries if count[col] == 1}
+
+
 def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
     # the walk count is the enumerated top degree; the boundary built by
-    # insertion peels exactly the rows of the deletion-rule d_l that hold
-    # a one-entry column, and stores the rest of d_l on the other rows,
-    # without its zero columns
+    # insertion, given the rows that d_(l-1) reaches, peels exactly the
+    # rows of the deletion-rule d_l that hold a one-entry column, and
+    # stores the rest of d_l on the other rows, without its zero columns
     for g in [c4, g1, g2, g3, K33] + SMALL_GRAPHS:
         pair_sets = [pair_orbits(g)] + [{(a, b): 1} for a in g.vertices for b in g.vertices]
         for length in range(1, 6):
@@ -384,16 +409,9 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                 top = enumerate_sequences(g, length, length, pairs)
                 assert sum(walks[a][b] for a, b in pairs) == len(top)
                 lower = enumerate_sequences(g, length - 1, length, pairs)
-                inserted = boundary_matrix(g, None, lower)
-                index = {x: r for r, x in enumerate(lower)}
-                full = {
-                    (index[x[:i] + x[i + 1 :]], col): (-1) ** i
-                    for col, x in enumerate(top)
-                    for i in range(1, length)
-                    if is_smooth(g, x, i)
-                }
-                deleted = SparseMatrix.from_entries(full, len(lower), len(top))
-                lone = {col[0][0] for col in nonzero_columns(deleted) if len(col) == 1}
+                inserted = boundary_matrix(g, None, lower, faced=faced_rows(g, length, pairs))
+                full = deletion_rule(g, top, lower)
+                lone = lone_rows(full)
                 assert inserted.peeled == lone
                 rest = {rc: v for rc, v in full.items() if rc[0] not in lone}
                 assert nonzero_columns(inserted) == nonzero_columns(
@@ -403,21 +421,60 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                 assert inserted.ncols == len(nonzero_columns(inserted))
 
 
+def test_without_faced_rows_the_top_boundary_is_built_whole(g1, g3):
+    # no row is peeled: the result is the deletion-rule d_l without its
+    # zero columns, whose walks, the ones with a smooth point, ``walks``
+    # collects in column order
+    for g in [g1, g3, K33, PETERSEN, cycle_graph(7)] + SMALL_GRAPHS:
+        pairs = pair_orbits(g)
+        for length in range(1, 6):
+            top = enumerate_sequences(g, length, length, pairs)
+            lower = enumerate_sequences(g, length - 1, length, pairs)
+            walks = []
+            whole = boundary_matrix(g, None, lower, walks)
+            assert whole.peeled == frozenset()
+            assert boundary_matrix(g, None, lower) == whole
+            assert sorted(walks) == [
+                x for x in top if any(is_smooth(g, x, i) for i in range(1, length))
+            ]
+            assert dict(whole.entries) == deletion_rule(g, walks, lower)
+            assert whole.ncols == len(walks)
+
+
 def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
     # a cell that d_l peels has no smooth point, so no insertion reaches
     # its column of d_(l-1), which is built whole; the graphs of diameter
     # 3 or more also test the ends of the peeled cell's gap of 2
     peeled_seen = 0
     for g in [g1, g3, K33, PETERSEN, cycle_graph(7)] + SMALL_GRAPHS:
+        pairs = pair_orbits(g)
         for length in range(3, 7):
-            upper = enumerate_sequences(g, length - 1, length, pair_orbits(g))
-            lower = enumerate_sequences(g, length - 2, length, pair_orbits(g))
+            upper = enumerate_sequences(g, length - 1, length, pairs)
+            lower = enumerate_sequences(g, length - 2, length, pairs)
             if upper and lower:
-                peeled = boundary_matrix(g, None, upper).peeled
                 below = boundary_matrix(g, upper, lower)
-                assert not any(col in peeled for _, col in below.entries)
-                peeled_seen += len(peeled)
+                faced = {col for _, col in below.entries}
+                top = enumerate_sequences(g, length, length, pairs)
+                lone = lone_rows(deletion_rule(g, top, upper))
+                assert not faced & lone
+                assert boundary_matrix(g, None, upper, faced=faced).peeled == lone
+                peeled_seen += len(lone)
     assert peeled_seen > 1000
+
+
+def test_the_peeled_rows_of_a_column_are_pinned(monkeypatch, g3):
+    # losing the top-degree peel changes no group, so the count pins it
+    peeled = []
+    inserted = homology.boundary_matrix
+
+    def recorded(*args, **kwargs):
+        mat = inserted(*args, **kwargs)
+        peeled.append(len(mat.peeled))
+        return mat
+
+    monkeypatch.setattr(homology, "boundary_matrix", recorded)
+    assert mh_column(g3, 6) == [(0, ())] * 4 + [(2, ()), (60, ()), (242, ())]
+    assert sum(peeled) == 150
 
 
 @pytest.mark.parametrize(
@@ -436,6 +493,8 @@ def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
         {("1", 3): 1},
         [(1, 3)],
         {(1.5, 3): 1},
+        {(True, 3): 1},
+        {(1, 3): True},
     ],
 )
 def test_summands_name_only_vertex_pairs_with_positive_integer_weights(g1, summands):
@@ -446,6 +505,24 @@ def test_summands_name_only_vertex_pairs_with_positive_integer_weights(g1, summa
             mh_column(g1, length, summands)
         with pytest.raises(ValidationError):
             mh_table(g1, length, summands)
+
+
+def test_summands_are_checked_once_per_call(g1):
+    # the table, each of its columns and each of their degrees read the
+    # mapping the caller passed in once, to check it
+    class Counted(dict):
+        reads = 0
+
+        def items(self):
+            self.reads += 1
+            return super().items()
+
+    summands = Counted({(1, 3): 1, (2, 2): 3})
+    table = mh_table(g1, 5, summands)
+    assert summands.reads == 1
+    assert table == mh_table(g1, 5, dict(summands))
+    enumerate_sequences(g1, 3, 4, summands)
+    assert summands.reads == 2
 
 
 def test_the_weight_counts_a_summand(g1):

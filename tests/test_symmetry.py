@@ -91,6 +91,19 @@ def test_orbits_match_brute_force(g1, g3, c4):
             assert is_automorphism(g, perm)
 
 
+def test_union_find_gives_the_orbit_closures_in_the_same_order(g1, g3):
+    # each orbit's least pair with its size, key order included, as the
+    # closure that re-applies every generator to every pair found
+    rng = random.Random(18)
+    graphs = [parse_graph(line) for line in (FIXTURES / "atlas7_diam2.g6").read_text().split()]
+    for g in [g1, g3, K33, PETERSEN, complete_graph(7), cycle_graph(9)]:
+        graphs += [relabel(g, [0] + rng.sample(g.vertices, g.n)) for _ in range(20)]
+    assert len(graphs) == 374 + 6 * 20
+    for g in graphs:
+        orbits = pair_orbits(g)
+        assert list(orbits.items()) == list(oracles.pair_orbits(g, automorphism_generators(g)).items())
+
+
 def test_partition_is_equitable_and_coarser_than_the_orbits(g1, g3):
     for g in [g1, g3, PETERSEN] + SMALL:
         cells = equitable_partition(g)
