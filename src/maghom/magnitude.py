@@ -4,8 +4,13 @@ The similarity matrix Z has (x, y) entry q^d(x,y).  Its inverse's entry
 sum is computed two independent ways: as a ratio of bordered
 determinants (exact rational function, below), and by truncated Neumann
 inversion of Z = I + N with N the strictly positive-distance part (exact
-power series).  Agreement of the two is a standing cross-check, and the
-series ties into magnitude homology through the alternating rank sum.
+power series).  The series is a recursion on plain integers: the q^m
+coefficient of the weighting at x is minus the sum, over the vertices y
+at each distance d <= m from x, of y's coefficient at q^(m-d)
+(``magnitude_series``).  It shares no code with the determinants or the
+equitable partition.  Agreement of the two is a standing cross-check,
+and the series ties into magnitude homology through the alternating rank
+sum.
 
 Pendant trees are added in closed form, and the determinants are taken
 on what is left, the 2-core.  Let v have the single neighbour u in G,
@@ -93,7 +98,6 @@ from __future__ import annotations
 
 from itertools import accumulate, zip_longest
 from math import isqrt, prod
-from operator import mul
 
 from .errors import InternalCheckError, ValidationError, check_table_cap
 from .graph import Graph
@@ -225,98 +229,51 @@ def magnitude_rational(g: Graph) -> RatFunc:
     return RatFunc(IntPoly(num), IntPoly([x + y for x, y in zip_longest(m[1:], m, fillvalue=0)]))
 
 
-def series_bounds(g: Graph, order: int) -> list[int]:
-    """B_0..B_order: B_0 = 1 and B_m = max_x sum_(1 <= d <= m) |shell_x(d)|
-    B_(m-d), with shell_x(d) the vertices at distance d from x.  The q^m
-    coefficients of the Neumann vectors N^k.1 at one vertex add up, over
-    k, to at most B_m (see ``magnitude_series``).  K_n gives
-    B_m = (n-1)^m."""
-    profiles = {
-        tuple(row.count(d) for d in range(1, min(order, max(row)) + 1))
-        for row in g.dist[1:]
-    }
-    bounds = [1]
-    for _ in range(order):
-        # zip pairs |shell_x(d)| with B_(m-d) for d <= m
-        bounds.append(max(sum(map(mul, p, reversed(bounds))) for p in profiles))
-    return bounds
-
-
 def magnitude_series(g: Graph, order: int) -> list[int]:
     """Magnitude coefficients through q^order by Neumann inversion.
 
-    Z = I + N with every entry of N of positive degree, so the entry sum
-    of Z^{-1} is sum_k (-1)^k 1.N^k.1, and N^k has no term below q^k.  The
-    q^m coefficient of (N^k.1)_x is the number of walks x = x_0, ..., x_k
-    with x_(i+1) != x_i whose distances add up to m.
+    Z = I + N with every entry of N of positive degree, so the weighting
+    w with Z w = 1 is sum_k (-1)^k N^k.1, and the magnitude is its entry
+    sum.  Let s_m(x) be the q^m coefficient of w_x: the number of walks
+    x = x_0, ..., x_k with x_(i+1) != x_i whose distances add up to m,
+    summed with sign (-1)^k over k.  With shell_x(d) the vertices at
+    distance d from x, Z w = 1 is w = 1 - N w, which reads at q^m:
+    s_0(x) = 1 and
 
-    The vectors N^k.1 are built by ``order`` matrix-vector products,
-    truncated at q^order, on packed integers (Kronecker substitution, see
-    ``maghom.polyq``).  Each vertex's entry of N^k.1 is held divided by
-    q^k, as one integer: its value at q = X = 2^K, whose base-X digits are
-    the order - k + 1 coefficients of q^k through q^order.  With
-    shell_x(d) the vertices at distance d from x, step k + 1 gives x
-    sum_d X^(d-1) sum_(y in shell_x(d)) v_y: one integer sum per shell,
-    shifted by K(d - 1), the one power of q fewer being the next step's
-    division by q^(k+1).  Truncation keeps the t = order - k digits of
-    q^(k+1) through q^order, and is one mask, the sum mod X^t: every
-    coefficient is a walk count in [0, X), so no digit borrows and the
-    low t digits of the sum are the coefficients kept (a balanced mask
-    is not needed).  Step k adds (-1)^k times the sum of its vectors,
-    shifted back by K k, to the total, whose order + 1 signed
-    coefficients are read once as balanced base-X digits
-    (``polyq.unpack``).
+        s_m(x) = -sum_(1 <= d <= m) sum_(y in shell_x(d)) s_(m-d)(y),
 
-    K comes from the graph.  Let b_m(x) be the number of such walks from
-    x of distance sum m and any number of steps.  A walk's first step goes
-    to some y in shell_x(d) with 1 <= d <= m and goes on as a walk from y
-    of distance sum m - d, so b_0(x) = 1 and
-    b_m(x) = sum_d sum_(y in shell_x(d)) b_(m-d)(y), and by induction
-    b_m(x) <= B_m (``series_bounds``).  So every coefficient held for x at
-    q^m is at most B_m, and the q^m coefficient of the total, a signed
-    sum of such walk counts over x and k, is at most n B_m in size.
-    K = bit_length(n max_(m <= order) B_m) + 2 puts both below X/4.  K_n
-    attains the bound: its q^m coefficient is n (-(n-1))^m.
+    and the q^m coefficient of the magnitude is sum_x s_m(x).  So the
+    series is ``order`` rounds of integer sums, round m reading the rounds
+    before it, and the n x (order + 1) table of s_m(x) is what is held.
 
-    The charge against the basis cap uses the coarser bound n^(m+1).  No
-    coefficient held at q^m exceeds n^(m+1) in size: there are at most
-    (n-1)^k walks of k steps, and 0 for k > m; the sums over shells add
-    walks of one sign, and the entry sum adds n of them for each k <= m,
-    at most n * sum_(k<=m) (n-1)^k <= n * ((n-1) + 1)^m.  So with
-    n <= 2^e every coefficient through q^order is at most
-    2^(e * (order + 1)) in size, and fits in w signed 64-bit words (which
-    hold sizes up to 2^(64w - 2)), w = floor((e * (order + 1) + 1) / 64) + 1;
-    the n vectors of order + 1 coefficients count n x (order + 1) x w
-    machine words against the basis cap (``errors.check_table_cap``):
-    n x (order + 1) while w = 1.  The packed digits fit the words charged:
-    by induction B_m <= (n-1) n^(m-1) for m >= 1, so n B_m < 2^(e(m+1)),
-    and n B_0 = n <= 2^e; so K <= e * (order + 1) + 2 <= 64w for
-    order >= 1, and K <= e + 3 < 64 for order 0.
+    The charge against the basis cap uses the bound n^(m+1).  No
+    coefficient held at q^m exceeds n^(m+1) in size: |s_m(x)| is at most
+    the number of such walks of distance sum m, at most (n-1)^k of k
+    steps and none for k > m, so at most sum_(k<=m) (n-1)^k <= n^m, and
+    the entry sum adds n of them.  So with n <= 2^e every coefficient
+    through q^order is at most 2^(e * (order + 1)) in size, and fits in w
+    signed 64-bit words (which hold sizes up to 2^(64w - 2)),
+    w = floor((e * (order + 1) + 1) / 64) + 1; the table counts
+    n x (order + 1) x w machine words against the basis cap
+    (``errors.check_table_cap``): n x (order + 1) while w = 1.  K_n
+    comes close: its q^m coefficient is n (-(n-1))^m.
     """
+    if type(order) is not int:  # a bool is refused too
+        raise ValidationError(f"series order must be an integer, got {order!r}")
     if order < 0:
         raise ValidationError("series order must be >= 0")
-    e = (g.n - 1).bit_length()
+    n = g.n
+    e = (n - 1).bit_length()
     words = (e * (order + 1) + 1) // 64 + 1
-    check_table_cap(f"series through q^{order}", g.n, order + 1, words)
-    kbits = (g.n * max(series_bounds(g, order))).bit_length() + 2
-    # shells[x]: (K(d - 1), the vertices at distance d from x) for 0 < d <= order
-    shells = []
-    for x in g.vertices:
-        shell: dict[int, list[int]] = {}
-        for y, d in enumerate(g.dist[x][1:]):
-            if 0 < d <= order:
-                shell.setdefault(d, []).append(y)
-        shells.append([(kbits * (d - 1), ys) for d, ys in shell.items()])
-    vec = [1] * g.n
-    totals = [g.n, 0]  # the steps k that add, even k, and those that subtract
-    for step in range(1, order + 1):
-        width = kbits * (order - step + 1)
-        mask = (1 << width) - 1
-        get = vec.__getitem__
-        # a shell shifted by the whole width adds no digit kept
-        vec = [
-            sum([sum(map(get, ys)) << shift for shift, ys in shell if shift < width]) & mask
-            for shell in shells
-        ]
-        totals[step % 2] += sum(vec) << (kbits * step)
-    return unpack(totals[0] - totals[1], kbits, order + 1)
+    check_table_cap(f"series through q^{order}", n, order + 1, words)
+    # The table grows in place in one list, row s_m after row s_(m-1),
+    # behind ``top`` rows of zeros.  While row m is built, s_(m-d)(y) is
+    # at index y - d n from the end whatever m is, and a row m - d < 0
+    # is one of the zeros.
+    top = min(order, g.diameter)
+    reach = [[y - d * n for y, d in enumerate(row[1:]) if 0 < d <= order] for row in g.dist[1:]]
+    flat = [0] * (top * n) + [1] * n
+    get = flat.__getitem__
+    for _ in range(order):
+        flat += [-sum(map(get, back)) for back in reach]
+    return [sum(flat[i:i + n]) for i in range(top * n, len(flat), n)]

@@ -69,10 +69,13 @@ def refine(g: Graph, cells: Cells) -> Cells:
 
 def check_equitable(g: Graph, cells: Cells) -> None:
     """Raise InternalCheckError unless ``cells`` partition the vertices and
-    the distances from x into each cell do not depend on x within a cell."""
+    the distances from x into each cell do not depend on x within a cell.
+    A one-vertex cell has one profile, so only larger cells are compared."""
     if sorted(v for cell in cells for v in cell) != list(g.vertices):
         raise InternalCheckError("refinement did not return a partition of the vertices")
     for cell in cells:
+        if len(cell) == 1:
+            continue
         profiles = {
             tuple(tuple(sorted(g.dist[x][y] for y in other)) for other in cells)
             for x in cell

@@ -16,7 +16,7 @@ from maghom import (
     star_graph,
 )
 from maghom import magnitude, polyq
-from maghom.errors import BudgetExceeded, InternalCheckError
+from maghom.errors import BudgetExceeded, InternalCheckError, ValidationError
 from maghom.homology import merge_torsion
 from maghom.polyq import IntPoly, RatFunc
 from maghom.symmetry import equitable_partition
@@ -475,26 +475,63 @@ def _neumann_coefficients(g, order):
     return c
 
 
+@pytest.mark.parametrize("name", SERIES_GRAPHS)
+def test_series_equals_the_per_step_definition(name):
+    g = _series_graph(name)
+    order = 12
+    c = _neumann_coefficients(g, order)
+    want = [sum(c[k][x][m] for k in range(order + 1) for x in range(g.n))
+            for m in range(order + 1)]
+    assert magnitude_series(g, order) == want
+
+
 @pytest.mark.parametrize("name", ["C4", "G1", "G3", "RP2H", "K1", "K5", "star6", "P9",
                                   "random0", "random3"])
 def test_series_bounds_cover_every_held_coefficient(name):
+    # the held s_m(x) = sum_k c[k][x][m] is at most the walk count
+    # sum_k |c[k][x][m]| <= n^m, and the entry sum at most n^(m+1)
     g = _series_graph(name)
     order = 12
-    bounds = magnitude.series_bounds(g, order)
     c = _neumann_coefficients(g, order)
     for x in range(g.n):
         for m in range(order + 1):
-            assert sum(abs(c[k][x][m]) for k in range(order + 1)) <= bounds[m]
+            walks = sum(abs(c[k][x][m]) for k in range(order + 1))
+            assert abs(sum(c[k][x][m] for k in range(order + 1))) <= walks <= g.n**m
     series = magnitude_series(g, order)
-    assert all(abs(s) <= g.n * b for s, b in zip(series, bounds))
+    assert all(abs(s) <= g.n ** (m + 1) for m, s in enumerate(series))
 
 
 def test_series_bounds_are_attained_on_complete_graphs():
+    # every walk of distance sum m in K_n has m steps, so s_m(x) is
+    # (-(n-1))^m, all (n-1)^m walks of one sign
     for n in range(1, 7):
         g = complete_graph(n)
-        assert magnitude.series_bounds(g, 20) == [(n - 1) ** m for m in range(21)]
+        c = _neumann_coefficients(g, 8)
+        assert all(sum(c[k][x][m] for k in range(9)) == (1 - n) ** m
+                   for x in range(n) for m in range(9))
         # 1/(1 + (n-1)q) per vertex: the total is n (-(n-1))^m
         assert magnitude_series(g, 20) == [n * (1 - n) ** m for m in range(21)]
+
+
+def test_series_reaches_high_orders():
+    # R40 and K_n far past the orders of the other tests; K_n in closed form
+    g = load_fixture("R40")
+    assert magnitude_series(g, 300) == magnitude_rational(g).series(300)
+    for n in range(1, 7):
+        g = complete_graph(n)
+        series = magnitude_series(g, 200)
+        assert series == magnitude_rational(g).series(200)
+        assert series == [n * (1 - n) ** m for m in range(201)]
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, "3", None, -1])
+def test_series_order_is_an_integer_at_least_zero(order):
+    with pytest.raises(ValidationError) as err:
+        magnitude_series(cycle_graph(5), order)
+    if order == -1:
+        assert str(err.value) == "series order must be >= 0"
+    else:
+        assert str(err.value) == f"series order must be an integer, got {order!r}"
 
 
 def test_series_charges_machine_words(monkeypatch, g1):

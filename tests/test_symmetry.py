@@ -144,6 +144,18 @@ def test_a_non_equitable_partition_is_refused(monkeypatch, g1):
         check_equitable(g1, ((1, 2, 3), (4, 5)))  # vertex 6 is missing
 
 
+def test_equitable_check_skips_only_what_one_vertex_cannot_break(g1):
+    singles = tuple((v,) for v in range(3, 7))
+    with pytest.raises(InternalCheckError) as err:
+        check_equitable(g1, ((1,), (1,)) + singles)  # vertex 1 twice, 2 missing
+    assert str(err.value) == "refinement did not return a partition of the vertices"
+    with pytest.raises(InternalCheckError) as err:
+        check_equitable(g1, ((1, 2),) + singles)  # degrees 2 and 4
+    assert str(err.value) == "partition is not equitable at cell [1, 2]"
+    for g in [g1, PETERSEN, complete_graph(4)] + SMALL:
+        check_equitable(g, tuple((v,) for v in g.vertices))
+
+
 def test_a_truncated_search_gives_finer_orbits_and_the_same_groups(monkeypatch, g3):
     for g in (g3, PETERSEN):
         full = pair_orbits(g)
