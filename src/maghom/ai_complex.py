@@ -48,7 +48,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 
-from .errors import ValidationError, basis_cap, over_cap
+from .errors import ValidationError, basis_cap, check_length, over_cap
 from .graph import Graph
 from .homology import _boundaries, _cells, _checked, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
@@ -121,11 +121,14 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     ``homology._boundaries``, the stream ``homology._homology`` reduces,
     on those degrees: d_l is built by insertion into degree l - 1,
     unpeeled, and its columns are the top cells listed; the other walks
-    are counted as ``isolated``.
+    are counted as ``isolated``.  A length that is not an int >= 3
+    raises ValidationError.
     """
+    check_length("length", length, signed=True)
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    bases = _cells(g, length, _checked(g, {(a, b): 1}))[2:]
+    low, window = _cells(g, length, _checked(g, {(a, b): 1}))
+    bases = ([()] * low + window)[2:]
     top: list[tuple[int, ...]] = []
     boundaries = dict(_boundaries(g, bases, top))
     bases.append(top)
@@ -140,8 +143,10 @@ def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:
     The edge paths are the degree-l, length-l sequences from a to b:
     each of their l gaps is a single edge.  The simplices held count
     against the basis cap, and K is refused with BudgetExceeded as soon
-    as it would exceed it.  Each path alone has 2^(l-1) - 1 of them.
+    as it would exceed it.  Each path alone has 2^(l-1) - 1 of them.  A
+    length that is not an int >= 3 raises ValidationError.
     """
+    check_length("length", length, signed=True)
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
     cap, per_path = basis_cap(), 2 ** (length - 1) - 1

@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     basis_cap,
     budget_option,
+    check_length,
     search_budget,
 )
 from .graph import (
@@ -94,13 +95,8 @@ def _table_json(table: MHTable) -> str:
     return json.dumps({"lmax": table.lmax, "entries": entries}, sort_keys=True)
 
 
-def _require_lmax(lmax: int) -> None:
-    if lmax < 0:
-        raise ValidationError("--lmax must be >= 0")
-
-
 def _cmd_mh_table(args) -> int:
-    _require_lmax(args.lmax)
+    check_length("--lmax", args.lmax)
     g = _load_graph(args.graph, args.format)
     if args.ab:
         try:
@@ -261,7 +257,7 @@ def _cmd_ahk_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _require_lmax(args.lmax)
+    check_length("--lmax", args.lmax)
     given = budget_option(args.budget)
     basis_cap()  # every limit is read before the first line: a bad one writes no record
     budget = search_budget(given)

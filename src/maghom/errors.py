@@ -6,7 +6,8 @@ magnitude table holds (``basis_cap``, ``over_cap``, ``check_table_cap``),
 and the search budget on the nodes of one certificate search, which
 ``--budget`` overrides (``budget_option``, ``search_budget``,
 ``check_search_budget``).  A setting is read once per call that charges
-it, never once per comparison.
+it, never once per comparison.  ``check_length`` words the one rule for
+a length, degree, lmax or series order passed to the library.
 """
 
 import os
@@ -49,6 +50,16 @@ def positive_int_env(name: str, default: int) -> int:
     if value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
     return value
+
+
+def check_length(what: str, value: object, signed: bool = False) -> None:
+    """Refuse ``value``, a length, degree, lmax or order, with
+    ValidationError unless it is an ``int`` (a bool is refused too) and,
+    unless ``signed``, >= 0."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < 0 and not signed:
+        raise ValidationError(f"{what} must be >= 0")
 
 
 def basis_cap() -> int:

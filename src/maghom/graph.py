@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_length
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ class Graph:
         """The rows of A^length, A the adjacency matrix (index 0 unused):
         ``walks(l)[a][b]`` counts the length-l walks from a to b.  Each
         power is the one before times A, kept on the graph for later
-        lengths; a power found twice at once is the same, and kept once."""
+        lengths; a power found twice at once is the same, and kept once.
+        A length that is not an int >= 0 raises ValidationError."""
+        check_length("length", length)
         powers, neighbors = self._powers, self.neighbors
         for i in range(len(powers) - 1, length):  # powers 0..len - 1 are held
             if i + 1 not in powers:

@@ -36,8 +36,9 @@ on ordered pairs, whose groups count m times, m the orbit size.
 A mapping {(a, b): m} is the one way to name summands: the (a, b)
 summand, counted m >= 1 times.  ``symmetry.pair_orbits`` gives the one
 of the whole complex; one summand (a, b) is {(a, b): 1}.  Each degree
-k < l of a length is enumerated once for all the pairs named
-(``enumerate_sequences``), into one lexicographic list.  ``mh_column``
+k < l of a length that can hold a cell, k >= l / diam(G), is enumerated
+once for all the pairs named (``enumerate_sequences``), into one
+lexicographic list, and only those degrees and l are reduced.  ``mh_column``
 sorts it by endpoint pair and reduces on its own each pair that holds a
 length-l walk; a pair with none holds no cell either, and its groups are
 zero, so they are neither computed nor merged.  ``is_diagonal_up_to``,
@@ -52,7 +53,7 @@ from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .errors import ValidationError, basis_cap, over_cap
+from .errors import ValidationError, basis_cap, check_length, over_cap
 from .graph import Graph
 from .snf import SparseMatrix, homology_of_complex, invariant_factors
 from .symmetry import pair_orbits
@@ -105,8 +106,12 @@ def enumerate_sequences(
     The sequences are grown by a loop over an explicit stack, not by
     recursion, so no degree is too deep for Python's recursion limit.
     The stub memo and the stack are freed when the call ends, by return
-    or by raise; the caller holds only the tuple returned.
+    or by raise; the caller holds only the tuple returned.  A degree or
+    length that is not an int raises ValidationError; a negative one
+    gives no sequence.
     """
+    check_length("degree", k, signed=True)
+    check_length("length", length, signed=True)
     ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> m
     for (a, b), m in _checked(g, summands).items():
         ends.setdefault(a, {})[b] = m
@@ -271,15 +276,22 @@ def boundary_matrix(
 def _boundaries(
     g: Graph, bases: list[Basis], walks: list[tuple[int, ...]] | None = None
 ) -> Iterator[tuple[int, SparseMatrix]]:
-    """(k, d_k) for d_1 .. d_l between nonempty degrees of the length-l
-    complex with ``bases`` in degrees 0..l-1 (l = len(bases)), from the
-    bottom up, d_l last.  Given ``walks``, d_l appends its columns to it
-    and is built whole, as ``ai_complex.relative_complex`` reads its
-    entries as covers; otherwise it is peeled, with the columns of
-    d_(l-1) that hold an entry as ``faced`` (``boundary_matrix``).  They
-    are none when degree l-2 has no cell, as deleting a smooth point
-    would give one.  d_(l-1) is built whole, so ``faced`` also holds the
-    rows of d_l that compression later drops.
+    """(i, d) for the maps between nonempty degrees of the complex of
+    ``bases`` and the length-l walks, from the bottom up, d_l last.
+    ``bases`` holds consecutive degrees of one length l, the last of them
+    degree l-1; index i numbers a basis and the map out of it, and the
+    walks come at index len(bases).  The first basis may be any degree:
+    ``_cells`` starts at the lowest that can hold a cell, and
+    ``ai_complex.relative_complex`` at degree 2.
+
+    Given ``walks``, d_l appends its columns to it and is built whole,
+    as ``ai_complex.relative_complex`` reads its entries as covers;
+    otherwise it is peeled, with the columns of d_(l-1) that hold an
+    entry as ``faced`` (``boundary_matrix``).  They are none when degree
+    l-2 has no cell, as deleting a smooth point would give one; a degree
+    below the first basis has none (``_homology``).  d_(l-1) is built
+    whole, so ``faced`` also holds the rows of d_l that compression
+    later drops.
 
     The top degree is nonempty whenever degree l-1 is: the l-1 gaps of a
     degree-(l-1), length-l cell add up to l, so one of them is 2, and a
@@ -300,9 +312,12 @@ def _boundaries(
 
 
 def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Homology of the length-l complex spanned by ``bases`` in degrees
-    0..l-1 (degree k at index k, l = len(bases)) and ``top`` walks in
-    degree l.
+    """Homology of the complex of ``bases`` and ``top`` walks, indexed as
+    in ``_boundaries``: the groups of the degrees of ``bases``, then of
+    the top degree l, in order.  The degree below the first basis must
+    hold no cell, so that the map out of the first is zero: degree 0, or
+    the lowest degree that ``_cells`` lists.  So a length costs what the
+    degrees that can hold a cell cost, not one slot per degree.
 
     Each boundary d_1 .. d_l is built once (``_boundaries``), from the
     bottom degree up so that ``homology_of_complex`` compresses, and
@@ -343,29 +358,31 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     return tuple(d for d in factors if d > 1)
 
 
-def _cells(g: Graph, length: int, summands: Summands) -> list[Basis]:
-    """The bases of degrees 0 <= k < l of the length-l complex of the
-    checked ``summands`` (degree k at index k), after charging the full
-    basis of each degree to the basis cap, every cell of a summand
-    {(a, b): m} m times.
+def _cells(g: Graph, length: int, summands: Summands) -> tuple[int, list[Basis]]:
+    """(low, bases): the bases of degrees low <= k < l of the length-l
+    complex of the checked ``summands`` (degree k at index k - low),
+    after charging the full basis of each degree to the basis cap, every
+    cell of a summand {(a, b): m} m times.
 
-    Each degree k < l is enumerated once for all summands
-    (``enumerate_sequences``), which charges it, in increasing order;
-    but a degree k < l / diam(G) has no cells, as each of its k gaps is
-    at most diam(G), and is not enumerated (nor is any degree when
-    diam(G) = 0).  So degree 0 is empty for l >= 1, and degree 1, the
-    pairs at distance l, is enumerated only for l <= diam(G).  Degree l
-    is the length-l walks, (A^l)_ab in the (a, b) summand: counted, not
-    enumerated, and charged after the enumerated degrees.
+    A degree k < l / diam(G) has no cells, as each of its k gaps is at
+    most diam(G), so the window starts at low = ⌈l / diam(G)⌉ (at l when
+    diam(G) = 0, an empty window) and the degrees below are neither
+    enumerated nor listed.  So degree 0 is left out for l >= 1, and
+    degree 1, the pairs at distance l, is enumerated only for
+    l <= diam(G).  Each degree of the window is enumerated once for all
+    summands (``enumerate_sequences``), which charges it, in increasing
+    order.  Degree l is the length-l walks, (A^l)_ab in the (a, b)
+    summand: counted, not enumerated, and charged after the enumerated
+    degrees.
     """
     maxd = g.diameter
     low = -(-length // maxd) if maxd else length
-    bases = [enumerate_sequences(g, k, length, summands) if k >= low else () for k in range(length)]
+    bases = [enumerate_sequences(g, k, length, summands) for k in range(low, length)]
     walks = g.walks(length)
     cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
     if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
         raise over_cap(f"degree-{length} length-{length} basis", cap)
-    return bases
+    return low, bases
 
 
 def mh_column(
@@ -388,25 +405,42 @@ def mh_column(
 
     A pair's bases are freed as soon as its groups are known, so only one
     pair's boundary is held at a time: the enumeration leaves no
-    reference cycle, so nothing waits for the garbage collector.
+    reference cycle, so nothing waits for the garbage collector.  A
+    length that is not an int >= 0 raises ValidationError.
     """
+    check_length("length", length)
     summands = _Checked(pair_orbits(g)) if summands is None else _checked(g, summands)
+    column = [(0, ())] * (length + 1)
+    for k, group in _groups(g, length, summands).items():
+        column[k] = group
+    return column
+
+
+def _groups(
+    g: Graph, length: int, summands: Summands
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """The nonzero groups of ``mh_column`` by degree, in increasing
+    degree, for checked ``summands``: each pair is reduced on the window
+    of degrees that ``_cells`` lists, so a length costs what its
+    nonempty degrees cost."""
     walks = g.walks(length)
+    low, cells = _cells(g, length, summands)
     # pair -> the cells of each degree, made once, at the pair's first cell
-    bases = defaultdict(lambda: [[] for _ in range(length)])
-    for x in chain.from_iterable(_cells(g, length, summands)):  # degree len(x) - 1
-        bases[x[0], x[-1]][len(x) - 1].append(x)
+    bases = defaultdict(lambda: [[] for _ in cells])
+    for x in chain.from_iterable(cells):  # degree len(x) - 1
+        bases[x[0], x[-1]][len(x) - 1 - low].append(x)
     groups: dict[int, list[tuple[int, tuple[int, tuple[int, ...]]]]] = {}  # k -> [(m, group)]
     for (a, b), m in summands.items():
-        if walks[a][b]:  # else the pair has no cell either: see the docstring
-            for k, group in enumerate(_homology(g, bases.pop((a, b), [()] * length), walks[a][b])):
+        if walks[a][b]:  # else the pair has no cell either: see mh_column
+            pair = bases.pop((a, b), [()] * len(cells))
+            for k, group in enumerate(_homology(g, pair, walks[a][b]), low):
                 if group != (0, ()):
                     groups.setdefault(k, []).append((m, group))
-    column = [(0, ())] * (length + 1)
-    for k, parts in groups.items():
-        free = sum(m * rank for m, (rank, _) in parts)
-        column[k] = free, merge_torsion((tors, m) for m, (_, tors) in parts)
-    return column
+    return {
+        k: (sum(m * rank for m, (rank, _) in parts),
+            merge_torsion((tors, m) for m, (_, tors) in parts))
+        for k, parts in sorted(groups.items())
+    }
 
 
 def pairwise_column(g: Graph, length: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -456,13 +490,14 @@ class MHTable:
 
 
 def mh_table(g: Graph, lmax: int, summands: Summands | None = None) -> MHTable:
-    """All groups with l <= lmax of ``summands``, as in ``mh_column``."""
+    """All groups with l <= lmax of ``summands``, as in ``mh_column``; an
+    lmax that is not an int >= 0 raises ValidationError."""
+    check_length("lmax", lmax)
     summands = _Checked(pair_orbits(g)) if summands is None else _checked(g, summands)
     return MHTable(lmax, {
         (k, length): group
         for length in range(lmax + 1)
-        for k, group in enumerate(mh_column(g, length, summands))
-        if group != (0, ())
+        for k, group in _groups(g, length, summands).items()
     })
 
 
@@ -491,14 +526,17 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     reduced as one complex: the cells of one pair per orbit, enumerated
     and charged as ``mh_column`` does (``_cells``), in one lexicographic
     list per degree.  Its groups are the direct sums of the groups of
-    the pairs, so one vanishes exactly when all of them do.
+    the pairs, so one vanishes exactly when all of them do.  An lmax
+    that is not an int >= 0 raises ValidationError.
     """
+    check_length("lmax", lmax)
     if lmax < 3:
         return True
     summands = _Checked(pair_orbits(g))
     for length in range(3, lmax + 1):
         walks = g.walks(length)
-        column = _homology(g, _cells(g, length, summands), sum(walks[a][b] for a, b in summands))
-        if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
+        low, bases = _cells(g, length, summands)
+        column = _homology(g, bases, sum(walks[a][b] for a, b in summands))
+        if any(rank or tors for k, (rank, tors) in enumerate(column, low) if k != length):
             return False
     return True

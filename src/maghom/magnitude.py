@@ -99,7 +99,7 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from math import isqrt, prod
 
-from .errors import InternalCheckError, ValidationError, check_table_cap
+from .errors import InternalCheckError, check_length, check_table_cap
 from .graph import Graph
 from .polyq import IntPoly, RatFunc, unpack
 from .symmetry import Cells, equitable_partition
@@ -258,10 +258,7 @@ def magnitude_series(g: Graph, order: int) -> list[int]:
     (``errors.check_table_cap``): n x (order + 1) while w = 1.  K_n
     comes close: its q^m coefficient is n (-(n-1))^m.
     """
-    if type(order) is not int:  # a bool is refused too
-        raise ValidationError(f"series order must be an integer, got {order!r}")
-    if order < 0:
-        raise ValidationError("series order must be >= 0")
+    check_length("series order", order)
     n = g.n
     e = (n - 1).bit_length()
     words = (e * (order + 1) + 1) // 64 + 1

@@ -19,17 +19,17 @@ The rows left get column sets and a sparse unimodular phase that pivots
 only on unit entries (no coefficient growth, each pivot contributes
 elementary divisor 1), each by one step: clear the pivot column by row
 operations, then retire the pivot row and column.  The units are taken
-from a heap, least Markowitz cost (row size - 1) * (column size - 1)
-first, and whatever a pivot leaves alone in a row or column goes on a
-work stack, to be taken before the heap's next unit: such a unit has
-cost zero, and its pivot only deletes entries.  A dense Smith reduction
-then takes the small block that has no unit left: it splits off one
-pivot of least size at a time, and ``invariant_factors`` puts the pivots
-in divisibility order by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  All
-arithmetic uses Python integers; intermediate values may exceed 64
-bits.  A matrix may come with rows its producer has peeled already
-(``SparseMatrix.peeled``): they count as unit pivots and are never
-loaded.
+from one heap, least Markowitz cost (row size - 1) * (column size - 1)
+first (Markowitz, "The elimination form of the inverse", 1957).  An
+entry that a pivot leaves alone in a row or column goes on the heap at
+cost zero, as its pivot only deletes entries, and like every entry there
+it is tested when it comes off.  A dense Smith reduction then takes the
+small block that has no unit left: it splits off one pivot of least size
+at a time, and ``invariant_factors`` puts the pivots in divisibility
+order by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  All arithmetic uses
+Python integers; intermediate values may exceed 64 bits.  A matrix may
+come with rows its producer has peeled already (``SparseMatrix.peeled``):
+they count as unit pivots and are never loaded.
 
 ``homology_of_complex`` takes the boundaries from the bottom degree up
 and compresses: the rows of d_(k+1) at the columns on which d_k pivoted
@@ -109,10 +109,10 @@ class SNFResult:
 
     ``divisors`` lists the diagonal entries > 1 of the Smith form, in
     divisibility order d1 | d2 | ... .  ``pivot_cols`` are the columns of
-    the unit pivots of coreduction and of the sparse phase (none of the
-    dense phase), the
-    rows that ``homology_of_complex`` leaves out of the next boundary up.
-    A peeled row's unit column is not numbered, so it is not among them.
+    the unit pivots of coreduction and of the Markowitz heap (none of
+    the dense phase), the rows that ``homology_of_complex`` leaves out of
+    the next boundary up.  A peeled row's unit column is not numbered, so
+    it is not among them.
     """
 
     rank: int
@@ -134,12 +134,13 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
     Coreduction comes first: a column holding one entry, +-1, retires
     that entry's row, which the XOR of the column's row ids names (see
     the module docstring).  Only the rows left are copied and get column
-    sets.  Every pivot of the next phase, a lone unit off the stack or a
-    unit off the Markowitz heap, runs the same step: clear its column,
-    retire its row and column, and stack what that leaves alone in a row
-    or column.  The rows left when no unit remains go to
-    ``_dense_smith_diagonal`` as one dense block.  ``pivot_cols`` holds
-    the unit pivots of both sparse phases: each is a unit pivot of the
+    sets.  Every other unit pivot comes off the Markowitz heap and runs
+    one step: clear its column, retire its row and column, and push what
+    that leaves alone in a row or column at cost 0.  An entry popped is
+    skipped unless it is still a unit, and pushed back if its cost has
+    grown past the heap's least.  The rows left when no unit remains go
+    to ``_dense_smith_diagonal`` as one dense block.  ``pivot_cols``
+    holds the unit pivots of both sources: each is a unit pivot of the
     matrix reduced by the ones before it, which is what compression
     needs.
     """
@@ -168,28 +169,20 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
         rows[r] = rdata = dict(rdata)  # reduced in place below; ``mat`` is left as it was
         for c in rdata:
             cols.setdefault(c, set()).add(r)
-    # the units left, least Markowitz cost first: one alone in its row
-    # costs 0, as its pivot makes no fill
+    # the units left, least Markowitz cost first; what a pivot leaves
+    # alone in a row or column goes on at cost 0, as its pivot makes no
+    # fill, and every entry is tested when it comes off
     heap = [((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
             for r, rdata in rows.items() for c, v in rdata.items() if v in (1, -1)]
     heapq.heapify(heap)
-    stack: list[tuple[int, int]] = []  # what a pivot leaves alone in a row or column
-    while rows:
-        lone = bool(stack)
-        if lone:
-            r, c = stack.pop()
-        elif heap:
-            _, r, c = heapq.heappop(heap)
-        else:
-            break
+    while rows and heap:
+        _, r, c = heapq.heappop(heap)
         rdata = rows.get(r)
         if rdata is None or rdata.get(c) not in (1, -1):
             continue
         cost = (len(rdata) - 1) * (len(cols[c]) - 1)
-        if lone and cost:
-            continue  # no longer alone in its row or column
-        if not lone and heap and cost > heap[0][0]:
-            heapq.heappush(heap, (cost, r, c))
+        if heap and cost > heap[0][0]:
+            heapq.heappush(heap, (cost, r, c))  # its cost grew since it went on
             continue
 
         # pivot on (r, c): clear column c by row operations, then drop the
@@ -217,14 +210,14 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
                     del row2[cc]
                     cols[cc].discard(r2)
             if len(row2) == 1:
-                stack.append((r2, next(iter(row2))))
+                heapq.heappush(heap, (0, r2, next(iter(row2))))
             elif not row2:
                 del rows[r2]
         for cc in prow:
             if cc != c:
                 rs = cols[cc]
                 if len(rs) == 1:
-                    stack.append((next(iter(rs)), cc))
+                    heapq.heappush(heap, (0, next(iter(rs)), cc))
                 elif not rs:
                     del cols[cc]
 

@@ -26,6 +26,7 @@ from maghom import (
     star_graph,
 )
 from maghom import homology
+from maghom.ai_complex import path_complex, relative_complex
 from maghom.errors import BudgetExceeded, ValidationError
 from maghom.homology import (
     boundary_matrix,
@@ -507,6 +508,38 @@ def test_summands_name_only_vertex_pairs_with_positive_integer_weights(g1, summa
             mh_table(g1, length, summands)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: mh_column(g, -1), "length must be >= 0"),
+        (lambda g: pairwise_column(g, -1), "length must be >= 0"),
+        (lambda g: g.walks(-1), "length must be >= 0"),
+        (lambda g: mh_column(g, 2.0), "length must be an integer, got 2.0"),
+        (lambda g: g.walks(True), "length must be an integer, got True"),
+        (lambda g: relative_complex(g, 1, 3, 3.0), "length must be an integer, got 3.0"),
+        (lambda g: path_complex(g, 1, 3, 4.0), "length must be an integer, got 4.0"),
+        (lambda g: relative_complex(g, 1, 3, -1), "path-pair complexes need length >= 3"),
+        (lambda g: mh_table(g, True), "lmax must be an integer, got True"),
+        (lambda g: mh_table(g, -1), "lmax must be >= 0"),
+        (lambda g: is_diagonal_up_to(g, -1), "lmax must be >= 0"),
+        (lambda g: is_diagonal_up_to(g, 4.0), "lmax must be an integer, got 4.0"),
+        (lambda g: enumerate_sequences(g, 1.0, 2), "degree must be an integer, got 1.0"),
+        (lambda g: enumerate_sequences(g, True, 1), "degree must be an integer, got True"),
+        (lambda g: enumerate_sequences(g, 1, "2"), "length must be an integer, got '2'"),
+    ],
+)
+def test_lengths_degrees_and_lmax_must_be_ints_and_not_negative(call, message):
+    with pytest.raises(ValidationError) as err:
+        call(cycle_graph(5))
+    assert str(err.value) == message
+
+
+def test_negative_degrees_and_lengths_enumerate_nothing(g1):
+    assert enumerate_sequences(g1, -1, 2) == ()
+    assert enumerate_sequences(g1, 1, -2) == ()
+    assert enumerate_sequences(g1, -1, -1) == ()
+
+
 def test_summands_are_checked_once_per_call(g1):
     # the table, each of its columns and each of their degrees read the
     # mapping the caller passed in once, to check it
@@ -682,12 +715,17 @@ def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, 
     seen = []
     cells, reduce = homology._cells, homology._homology
 
+    lows = []
+
     def recorded_cells(g, length, summands):
         seen.append(("cells", length, len(summands)))
-        return cells(g, length, summands)
+        low, bases = cells(g, length, summands)
+        lows.append(low)
+        return low, bases
 
     def recorded_homology(g, bases, top):
-        seen.append(("reduce", len(bases)))
+        # the bases start at the lowest degree that can hold a cell
+        seen.append(("reduce", lows[-1] + len(bases)))
         return reduce(g, bases, top)
 
     def refused(*args):

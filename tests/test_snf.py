@@ -553,3 +553,33 @@ def test_coreduction_edge_cases_agree_with_the_dense_reduction(entries, shape, d
         SparseMatrix.from_entries({rc: v for rc, v in kept.entries.items() if rc[1] in cols}, *shape)
     )
     assert (sub.rank, sub.divisors) == (len(cols), ())
+
+
+def test_smith_form_leaves_its_input_as_it_was(g3):
+    # a cycle of units: no lone column for coreduction, and every unit
+    # pivot makes fill, as its row has an entry where the row it clears
+    # has none; then G3's peeled top map at length 6, less the rows at
+    # the unit pivot columns of the map below
+    cycle = SparseMatrix.from_entries(
+        {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}, 3, 3
+    )
+    cols = {c: {r for r, rdata in cycle.rows.items() if c in rdata} for c in range(3)}
+    assert all(len(rs) == 2 for rs in cols.values())
+    assert all(cycle.rows[r].keys() - cycle.rows[r2].keys()
+               for rs in cols.values() for r in rs for r2 in rs - {r})
+    bases = [enumerate_sequences(g3, k, 6) for k in range(6)]
+    below = boundary_matrix(g3, bases[5], bases[4])
+    top = boundary_matrix(g3, None, bases[5], faced=set().union(*below.rows.values()))
+    dropped = smith_normal_form(below).pivot_cols
+    assert top.peeled and dropped and dropped <= top.rows.keys()
+    for mat, rows, form in ((cycle, (), (3, (2,))), (top, dropped, None)):
+        before = ({r: dict(d) for r, d in mat.rows.items()}, mat.nrows, mat.ncols, mat.peeled)
+        res = smith_normal_form(mat, rows)
+        assert form is None or (res.rank, res.divisors) == form
+        assert (mat.rows, mat.nrows, mat.ncols, mat.peeled) == before
+        assert smith_normal_form(mat, rows) == res
+    # the relative complex keeps its maps for covers() after its homology
+    pair = relative_complex(g3, 1, 6, 5)
+    covers = list(pair.covers())
+    relative_homology(pair)
+    assert covers and list(pair.covers()) == covers

@@ -172,25 +172,26 @@ def test_a_truncated_search_gives_finer_orbits_and_the_same_groups(monkeypatch, 
 def test_one_summand_per_orbit_is_reduced(monkeypatch, g3):
     calls = Counter()
     column = homology._homology
+    length = 4
 
     def counted(g, bases, top):
-        calls[len(bases) + 1] += 1  # degrees 0..l-1 and the top degree l
+        calls[length] += 1  # the length of the mh_column call below
         return column(g, bases, top)
 
     monkeypatch.setattr(homology, "_homology", counted)
-    mh_column(PETERSEN, 4)
-    assert calls == {5: 3}  # one pair per orbit, of sizes 10, 30 and 60
+    mh_column(PETERSEN, length)
+    assert calls == {4: 3}  # one pair per orbit, of sizes 10, 30 and 60
     calls.clear()
     for length in range(2, 6):
         mh_column(g3, length)
     assert len(pair_orbits(g3)) == 13
     # one reduction per orbit pair that holds a cell or a walk
     held = {
-        length + 1: len(pair_orbits(g3).keys() & holding_pairs(g3, length))
+        length: len(pair_orbits(g3).keys() & holding_pairs(g3, length))
         for length in range(2, 6)
     }
     assert calls == held
-    assert held[3] < 13  # and none for the pairs that hold neither
+    assert held[2] < 13  # and none for the pairs that hold neither
 
 
 def holding_pairs(g, length):
