@@ -19,7 +19,6 @@ from . import matching as mt
 from . import morse as ms
 from .errors import (
     BudgetExceeded,
-    CertificateError,
     InternalCheckError,
     MaghomError,
     ParseError,
@@ -403,18 +402,13 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (
-        ParseError, ValidationError, CertificateError, OSError, UnicodeDecodeError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except MaghomError as exc:  # pragma: no cover - safety net
+    except (MaghomError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

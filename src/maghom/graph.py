@@ -104,13 +104,16 @@ def _bfs_row(n: int, adj: list[list[int]], source: int) -> list[int]:
 def from_edges(edges, n: int | None = None) -> Graph:
     """Build a validated Graph from an iterable of (u, v) pairs.
 
-    Raises ValidationError on loops, duplicate edges, non-positive ids,
-    or a disconnected result.  With ``n`` given, vertices 1..n are used
+    Raises ValidationError on loops, duplicate edges, an id or ``n``
+    that is not a positive ``int`` (a bool is refused), or a
+    disconnected result.  With ``n`` given, vertices 1..n are used
     as-is; otherwise n is the largest id that appears.
     """
+    if n is not None:
+        check_length("vertex count", n, signed=True)
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
-        if not (isinstance(u, int) and isinstance(v, int)) or u < 1 or v < 1:
+        if not (type(u) is int and type(v) is int) or u < 1 or v < 1:
             raise ValidationError(f"vertex ids must be positive integers, got ({u}, {v})")
         if u == v:
             raise ValidationError(f"loop at vertex {u}")
@@ -161,18 +164,21 @@ def relabel_normalized(edges) -> list[tuple[int, int]]:
 
 
 def complete_graph(n: int) -> Graph:
+    check_length("n", n, signed=True)
     if n < 1:
         raise ValidationError("complete graph needs n >= 1")
     return from_edges([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], n=n)
 
 
 def cycle_graph(n: int) -> Graph:
+    check_length("n", n, signed=True)
     if n < 3:
         raise ValidationError("cycle graph needs n >= 3")
     return from_edges([(i, i + 1) for i in range(1, n)] + [(1, n)], n=n)
 
 
 def path_graph(n: int) -> Graph:
+    check_length("n", n, signed=True)
     if n < 1:
         raise ValidationError("path graph needs n >= 1")
     return from_edges([(i, i + 1) for i in range(1, n)], n=n)
@@ -180,6 +186,7 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves}: hub 1 joined to leaves 2..leaves+1."""
+    check_length("leaves", leaves, signed=True)
     if leaves < 1:
         raise ValidationError("star graph needs at least one leaf")
     return from_edges([(1, i) for i in range(2, leaves + 2)], n=leaves + 1)

@@ -20,8 +20,8 @@ only on unit entries (no coefficient growth, each pivot contributes
 elementary divisor 1), each by one step: clear the pivot column by row
 operations, then retire the pivot row and column.  The units are taken
 from one heap, least Markowitz cost (row size - 1) * (column size - 1)
-first (Markowitz, "The elimination form of the inverse", 1957).  An
-entry that a pivot leaves alone in a row or column goes on the heap at
+first (Markowitz, "The elimination form of the inverse", 1957).  The
+entry of a row that a pivot leaves with one entry goes on the heap at
 cost zero, as its pivot only deletes entries, and like every entry there
 it is tested when it comes off.  A dense Smith reduction then takes the
 small block that has no unit left: it splits off one pivot of least size
@@ -135,14 +135,15 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
     that entry's row, which the XOR of the column's row ids names (see
     the module docstring).  Only the rows left are copied and get column
     sets.  Every other unit pivot comes off the Markowitz heap and runs
-    one step: clear its column, retire its row and column, and push what
-    that leaves alone in a row or column at cost 0.  An entry popped is
-    skipped unless it is still a unit, and pushed back if its cost has
-    grown past the heap's least.  The rows left when no unit remains go
-    to ``_dense_smith_diagonal`` as one dense block.  ``pivot_cols``
-    holds the unit pivots of both sources: each is a unit pivot of the
-    matrix reduced by the ones before it, which is what compression
-    needs.
+    one step: clear its column and retire its row and column.  Each
+    entry that this turns into +-1 goes on the heap at its Markowitz
+    cost, and the entry of each row that it leaves with one entry at
+    cost 0.  An entry popped is skipped unless it is still a unit, and
+    pushed back if its cost has grown past the heap's least.  The rows
+    left when no unit remains go to ``_dense_smith_diagonal`` as one
+    dense block.  ``pivot_cols`` holds the unit pivots of both sources:
+    each is a unit pivot of the matrix reduced by the ones before it,
+    which is what compression needs.
     """
     rows = {r: rdata for r, rdata in mat.rows.items() if rdata and r not in dropped}
     # coreduction: a column whose one entry is +-1 is a unit pivot with
@@ -169,9 +170,9 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
         rows[r] = rdata = dict(rdata)  # reduced in place below; ``mat`` is left as it was
         for c in rdata:
             cols.setdefault(c, set()).add(r)
-    # the units left, least Markowitz cost first; what a pivot leaves
-    # alone in a row or column goes on at cost 0, as its pivot makes no
-    # fill, and every entry is tested when it comes off
+    # the units left, least Markowitz cost first; the entry of a row that
+    # a pivot leaves with one entry goes on at cost 0, as its pivot makes
+    # no fill, and every entry is tested when it comes off
     heap = [((len(rdata) - 1) * (len(cols[c]) - 1), r, c)
             for r, rdata in rows.items() for c, v in rdata.items() if v in (1, -1)]
     heapq.heapify(heap)
@@ -206,20 +207,13 @@ def smith_normal_form(mat: SparseMatrix, dropped: Collection[int] = ()) -> SNFRe
                     row2[cc] = new
                     if new in (1, -1):
                         heapq.heappush(heap, ((len(row2) - 1) * (len(cols[cc]) - 1), r2, cc))
-                elif cc in row2:
+                else:  # new is 0, and f * v is not: cc was in the row
                     del row2[cc]
                     cols[cc].discard(r2)
             if len(row2) == 1:
                 heapq.heappush(heap, (0, r2, next(iter(row2))))
             elif not row2:
                 del rows[r2]
-        for cc in prow:
-            if cc != c:
-                rs = cols[cc]
-                if len(rs) == 1:
-                    heapq.heappush(heap, (0, next(iter(rs)), cc))
-                elif not rs:
-                    del cols[cc]
 
     rank = len(pivots) + len(mat.peeled)
     pivot_cols = frozenset(pivots)

@@ -69,6 +69,41 @@ def test_parse_rejects(text, exc):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: from_edges([(True, 2)]), "vertex ids must be positive integers, got (True, 2)"),
+        (lambda: from_edges([(1, 2)], 2.0), "vertex count must be an integer, got 2.0"),
+        (lambda: from_edges([(1, 2)], True), "vertex count must be an integer, got True"),
+        (lambda: complete_graph(True), "n must be an integer, got True"),
+        (lambda: complete_graph(2.0), "n must be an integer, got 2.0"),
+        (lambda: path_graph(3.0), "n must be an integer, got 3.0"),
+        (lambda: cycle_graph(4.5), "n must be an integer, got 4.5"),
+        (lambda: star_graph(True), "leaves must be an integer, got True"),
+    ],
+)
+def test_graphs_refuse_bool_and_float_ids_and_sizes(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: complete_graph(0), "complete graph needs n >= 1"),
+        (lambda: path_graph(-1), "path graph needs n >= 1"),
+        (lambda: cycle_graph(2), "cycle graph needs n >= 3"),
+        (lambda: star_graph(0), "star graph needs at least one leaf"),
+        (lambda: from_edges([], 0), "graph must have at least one vertex"),
+    ],
+)
+def test_graphs_refuse_too_few_vertices(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_distances_match_floyd_warshall(g1, g2, g3, c4):
     for g in (g1, g2, g3, c4):
         oracle = floyd_warshall(g.n, g.edges)

@@ -200,10 +200,14 @@ def test_torus_homology():
         check_rank_mod_p(boundaries[d])
 
 
+def klein_bottle():
+    """The 3x3 grid with (i, j + 3) ~ (-i mod 3, j), i periodic."""
+    return grid_surface(lambda i, j: 3 * ((-1) ** (j // 3) * i % 3) + j % 3)
+
+
 def test_klein_bottle_homology(monkeypatch):
-    # the 3x3 grid with (i, j + 3) ~ (-i mod 3, j), i periodic: Z, Z + Z/2,
-    # 0, a free rank and torsion in the same degree
-    dims, boundaries = grid_surface(lambda i, j: 3 * ((-1) ** (j // 3) * i % 3) + j % 3)
+    # Z, Z + Z/2, 0: a free rank and torsion in the same degree
+    dims, boundaries = klein_bottle()
     assert dims == [9, 27, 18]
     residual_rows = []
 
@@ -222,6 +226,35 @@ def test_klein_bottle_homology(monkeypatch):
     assert 2 in check_rank_mod_p(boundaries[2])
     for d in (1, 2):
         check_rank_mod_p(boundaries[d])
+
+
+def test_no_unit_entry_reaches_the_dense_phase(g1, g3, monkeypatch):
+    # the sparse phase pivots on every +-1 entry it meets, those that its
+    # own fill makes included, so the dense block it hands on holds none
+    blocks = []
+
+    def recorded(m):
+        blocks.append([row[:] for row in m])
+        return _dense_smith_diagonal(m)
+
+    monkeypatch.setattr(snf, "_dense_smith_diagonal", recorded)
+    for dims, boundaries in (simplicial_chain(RP2_FACES), klein_bottle()):
+        homology_of_complex(dims, boundaries.items())
+        homology_of_complex(dims, reversed(boundaries.items()))
+    for g in (g1, g3):
+        bases = [enumerate_sequences(g, k, 6) for k in range(7)]
+        for _, mat in magnitude_boundaries(g, bases):
+            smith_normal_form(mat)
+    rng = random.Random(46)
+    for _ in range(300):
+        nr, nc = rng.randint(2, 14), rng.randint(2, 14)
+        entries = {
+            (r, c): rng.choice((1, -1, 1, -1, 2, -2, 3, -3))
+            for r in range(nr) for c in range(nc) if rng.random() < 0.3
+        }
+        smith_normal_form(SparseMatrix.from_entries(entries, nr, nc))
+    assert len(blocks) > 100
+    assert not [v for m in blocks for row in m for v in row if v in (1, -1)]
 
 
 def test_sparse_matmul_shapes():
