@@ -145,7 +145,12 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     the gap start (in the simplex, at position +1, the unique choice that
     keeps positions cumulative): one table over the keys of both kinds
     gives the middle over (x_0, x_1) when j = 0 and over
-    (x_(j-1), x_j, x_(j+1)) otherwise.  Pattern-first cells lose the
+    (x_(j-1), x_j, x_(j+1)) otherwise.  The image is a coface, so it is
+    found in the cell's own row of ``pair.boundaries``, as the coface
+    whose vertex at position j + 1 is the middle.  Only one coface has
+    it there: an insertion before position j + 1 shifts x_j there, one
+    after it leaves x_(j+1) there, and the middle is adjacent to both,
+    so it is neither.  Pattern-first cells lose the
     vertex after the pattern start.  A well-shaped certificate is refused
     for two middles over one key (the quadruples are checked first), for
     no middle over the key of some gap, or for a gap-first cell whose
@@ -163,7 +168,8 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
       adjacent to x_j and to x_(j+1), so inserting it keeps the length
       and the endpoints and makes no two consecutive entries equal.  It
       raises the degree by one, to at most l, as a cell with a gap of 2
-      has degree at most l - 1.  So the image is a cell.
+      has degree at most l - 1.  So the image is a cell, and a coface:
+      the middle is smooth in it, as d(x_j, x_(j+1)) = 2 = 1 + 1.
     - The image agrees with the cell before position j, so it has no gap
       or pattern before j - 1.  It has no gap at j - 1 (the cell's step
       there is 1) or at j (a step of 1 to the middle).  It has a pattern
@@ -217,14 +223,23 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
             continue
         at[c] = t
 
-    index = {seq: c for c, seq in enumerate(cells)}
+    starts, bounds = pair.starts, pair.boundaries
     mates: list[tuple[int, int]] = []
     for c in gap_first:
         seq, j = cells[c], at[c]
         mid = middle.get(seq[j - 1 : j + 2] if j else seq[:2])
         if mid is None:
             raise CertificateError(f"no certificate entry for the gap at {j} in {seq}")
-        m = index[seq[: j + 1] + (mid,) + seq[j + 1 :]]
+        # the image is the one coface in c's row with mid at position j + 1;
+        # a row that lacks it leaves c unmatched, for the count check below
+        d = len(seq) - 3
+        first = starts[d + 1]
+        for col in bounds[d + 1].rows.get(c - starts[d], ()):
+            m = first + col
+            if cells[m][j + 1] == mid:
+                break
+        else:
+            continue
         image, i = cells[m], at[m]
         if image[: i + 1] + image[i + 2 :] != seq:
             raise CertificateError(f"deletion does not invert insertion at {pair.simplex(c)}")

@@ -13,6 +13,11 @@ homotopy-modelled by one cell per critical cell, which this module
 verifies at the level of homology ranks.  The pair's isolated cells have
 no index and no cover: they are critical in every matching, and only
 counted.  Cells appear in their (vertex, position) form only in messages.
+
+The verdicts read the boundary rows themselves: a cell's row in
+``boundaries[d + 1]`` lists its cofaces as offsets from ``starts[d + 1]``.
+``covers()`` serves only the ordered scans that name a violation or a
+cycle.
 """
 
 from __future__ import annotations
@@ -26,17 +31,35 @@ def verify_matching(
     """Check both matching axioms; report the first violation found.
 
     The verdict comes from one unordered pass: every pair is a cover and
-    no cell is named twice.  Order only decides which violation gets
+    no cell is named twice.  A pair (low, high) is a cover when high,
+    less the start of the dimension above low's, is a column of low's
+    row in the boundary.  Order only decides which violation gets
     reported, so only a matching that fails is scanned in order: pairs
     by their cell indices for a cell outside the cell set, then in the
     order of their cells' simplices, which is the order of their
     interior vertices in all dimensions at once.
     """
-    named = {c for cover in matching for c in cover}
-    if len(named) == 2 * len(matching):
-        if len(matching.intersection(pair.covers())) == len(matching):
-            return True, None
-    cells, show = pair.cells, pair.simplex
+    cells, starts, bounds = pair.cells, pair.starts, pair.boundaries
+    n = len(cells)
+    named = bytearray(n)
+    for low, high in matching:
+        if not 0 <= low < n:
+            break
+        d = len(cells[low]) - 3
+        mat = bounds.get(d + 1)
+        # the row's columns are offsets into the dimension above, so an upper
+        # index outside that dimension gives an offset that is no column
+        if (
+            mat is None
+            or high - starts[d + 1] not in mat.rows.get(low - starts[d], ())
+            or named[low]
+            or named[high]
+        ):
+            break
+        named[low] = named[high] = 1
+    else:
+        return True, None
+    show = pair.simplex
     for low, high in sorted(matching):
         if not (0 <= low < len(cells) and 0 <= high < len(cells)):
             return False, f"pair ({low}, {high}) uses a cell outside the cell set"
@@ -62,30 +85,40 @@ def is_acyclic(
     twice, an upper cell has no outgoing up-edge, so any directed cycle
     alternates: a lower cell, its mate, a face of the mate that is
     another lower cell, and so on.  The verdict comes from Kahn's
-    algorithm on the lower cells with those edges: acyclic exactly when
-    repeatedly removing the cells with no incoming edge removes them all.
+    algorithm on the lower cells with those edges, read off the boundary
+    rows of the lower cells: acyclic exactly when repeatedly removing the
+    cells with no incoming edge removes them all.
     Order only decides which cycle gets reported, so only on a cycle, or
     on a cell named twice or outside the cell set, does the ordered search
     run: from the cells in index order, taking targets in simplex order.
     Returns the cycle as a list of cell indices when one exists.
     """
     n = len(pair.cells)
-    named = {c for cover in matching for c in cover}
-    if len(named) < 2 * len(matching) or (named and (min(named) < 0 or max(named) >= n)):
-        return _ordered_cycle(pair, matching)
+    lower = bytearray(n)  # 1 on each lower cell, 2 on each upper cell
     comate = [-1] * n  # the lower cell matched with each upper cell
     below: dict[int, list[int]] = {}  # the lower cells among each one's mate's faces
     for low, high in matching:
+        if low == high or not (0 <= low < n and 0 <= high < n) or lower[low] or lower[high]:
+            return _ordered_cycle(pair, matching)
+        lower[low], lower[high] = 1, 2
         comate[high] = low
         below[low] = []
-    # a pair that is no cover adds edges that the digraph lacks; a cycle
-    # through them only sends the check on to the ordered search
+    # the edges come from the boundary rows of the lower cells; a pair that
+    # is no cover adds edges that the digraph lacks, and a cycle through
+    # them only sends the check on to the ordered search
     indegree = [0] * n
-    for face, cell in pair.covers():
-        low = comate[cell]
-        if low != -1 and low != face and face in below:
-            below[low].append(face)
-            indegree[face] += 1
+    starts = pair.starts
+    for d, mat in pair.boundaries.items():
+        lo, first = starts[d - 1], starts[d]
+        for r, cols in mat.rows.items():
+            face = lo + r
+            if lower[face] != 1:
+                continue
+            for c in cols:
+                low = comate[first + c]
+                if low != -1 and low != face:
+                    below[low].append(face)
+                    indegree[face] += 1
     ready = [low for low in below if not indegree[low]]
     for low in ready:  # grows as the loop runs
         for face in below[low]:
@@ -145,9 +178,12 @@ def critical_cells(
 ) -> list[tuple[int, int]]:
     """Unmatched cells with their dimensions, in index order; the
     relative complex's isolated cells, which have no index, are not
-    among them."""
-    matched = {c for cover in matching for c in cover}
-    return [(c, len(x) - 3) for c, x in enumerate(pair.cells) if c not in matched]
+    among them.  Every cell of ``matching`` must be in the cell set, as
+    in a matching that ``verify_matching`` passes."""
+    matched = bytearray(len(pair.cells))
+    for low, high in matching:
+        matched[low] = matched[high] = 1
+    return [(c, len(x) - 3) for c, x in enumerate(pair.cells) if not matched[c]]
 
 
 def morse_rank_check(

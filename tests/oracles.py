@@ -143,6 +143,54 @@ def sequence_indices(g, seq, s):
     return SequenceIndices(pattern, gap)
 
 
+def build_matching(pair, s):
+    """The certificate matching as built before it read the boundary rows:
+    each gap-first cell's mate is found by inserting the middle into its
+    sequence and looking the image up in an index over every cell."""
+    from maghom.errors import CertificateError, InternalCheckError
+    from maghom.matching import MatchingBuild, _by_key, _validate_structure, require_diameter_2
+
+    g = pair.g
+    require_diameter_2(g)
+    _validate_structure(g, s)
+    middle = _by_key(s.quads, "quadruples") | _by_key(s.triples, "triples")
+    cells, dist, rules = pair.cells, g.dist, s.quads | s.triples
+    untouched, gap_first, at = [], [], {}
+    for c, seq in enumerate(cells):
+        k = len(seq) - 1
+        for t in range(k):
+            row = dist[seq[t]]
+            if row[seq[t + 1]] == 2:
+                gap_first.append(c)
+                break
+            if (
+                t < k - 1
+                and row[seq[t + 2]] == 2
+                and (seq[t - 1 : t + 3] if t else seq[:3]) in rules
+            ):
+                break
+        else:
+            untouched.append(c)
+            continue
+        at[c] = t
+    index = {seq: c for c, seq in enumerate(cells)}
+    mates = []
+    for c in gap_first:
+        seq, j = cells[c], at[c]
+        mid = middle.get(seq[j - 1 : j + 2] if j else seq[:2])
+        if mid is None:
+            raise CertificateError(f"no certificate entry for the gap at {j} in {seq}")
+        m = index[seq[: j + 1] + (mid,) + seq[j + 1 :]]
+        image, i = cells[m], at[m]
+        if image[: i + 1] + image[i + 2 :] != seq:
+            raise CertificateError(f"deletion does not invert insertion at {pair.simplex(c)}")
+        mates.append((c, m))
+    pattern_first = len(at) - len(gap_first)
+    if len(mates) != pattern_first:
+        raise InternalCheckError(f"{pattern_first - len(mates)} pattern-first cells unmatched")
+    return MatchingBuild(frozenset(mates), tuple(untouched))
+
+
 def well_shaped(g, t):
     """The distance conditions of a triple (beta, gamma, delta) or a
     quadruple (alpha, beta, gamma, delta), written out for each."""

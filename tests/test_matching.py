@@ -4,11 +4,13 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from math import inf
 
 import pytest
 from conftest import FIXTURES, K20X2, load_fixture, random_connected
 from oracles import (
+    build_matching as build_matching_by_index,
     pawful_violations,
     sequence_indices,
     star_failures,
@@ -22,6 +24,7 @@ from maghom.errors import (
     BudgetExceeded,
     CertificateError,
     InternalCheckError,
+    MaghomError,
     ParseError,
     ValidationError,
 )
@@ -260,14 +263,78 @@ def test_build_matching_on_random_certificates(g1, g3, c4):
 
 
 def test_build_matching_rechecks_that_every_pattern_first_cell_is_matched(c4):
-    # relative_complex never gives this cell list, which lacks a gap-first
-    # cell: its pattern-first mate is left with nothing to pair it with
+    # relative_complex never gives this boundary, which lacks the row of a
+    # gap-first cell: that cell finds no mate, and its pattern-first mate
+    # is left with nothing to pair it with
     pair = relative_complex(c4, 1, 1, 4)
     s = build_pawful_S(c4)
     low = min(low for low, _ in build_matching(pair, s).matching)
-    doctored = replace(pair, cells=pair.cells[:low] + pair.cells[low + 1 :])
+    d = len(pair.cells[low]) - 3
+    mat = pair.boundaries[d + 1]
+    rows = {r: cols for r, cols in mat.rows.items() if r != low - pair.starts[d]}
+    doctored = replace(pair, boundaries={**pair.boundaries, d + 1: replace(mat, rows=rows)})
     with pytest.raises(InternalCheckError, match="^1 pattern-first cells unmatched$"):
         build_matching(doctored, s)
+
+
+def _build_outcome(build, pair, s):
+    """A build's matching and critical cells, or its refusal's type and message."""
+    try:
+        done = build(pair, s)
+    except MaghomError as exc:
+        return type(exc), str(exc)
+    return done.matching, done.critical
+
+
+def test_build_matching_agrees_with_the_index_and_insertion_oracle(g1, g1_cert):
+    # each mate found in its cell's boundary row against the former lookup
+    # of the inserted sequence in an index over all cells: on the G1
+    # certificate and its well-shaped one-coordinate mutations (plus some
+    # misshapen ones) at l = 3..6, and on pawful 8-vertex graphs at l = 5..7
+    rng = random.Random(4242)
+    tuples = sorted(g1_cert.triples) + sorted(g1_cert.quads)
+    mutants = [
+        tuples[:i] + [t[:j] + (v,) + t[j + 1 :]] + tuples[i + 1 :]
+        for i, t in enumerate(tuples)
+        for j in range(len(t))
+        for v in g1.vertices
+        if v != t[j]
+    ]
+    assert len(mutants) == 750
+    shaped = [m for m in mutants if all(well_shaped(g1, t) for t in m)]
+    picked = shaped + rng.sample([m for m in mutants if m not in shaped], 10)
+    certs = [g1_cert] + [
+        SStructure(frozenset(t for t in m if len(t) == 4), frozenset(t for t in m if len(t) == 3))
+        for m in picked
+    ]
+    pairs: dict[tuple[int, int, int], object] = {}
+    cases = []
+    for cert in certs:
+        for ell in (3, 4, 5, 6):
+            key = (rng.choice(g1.vertices), rng.choice(g1.vertices), ell)
+            if key not in pairs:
+                pairs[key] = relative_complex(g1, *key)
+            cases.append((pairs[key], cert))
+    pairs8 = list(combinations(range(1, 9), 2))
+    # walk counts near those of the benchmark's 8-vertex morse calls
+    sizes = {5: (300, 500), 6: (1500, 2500), 7: (7000, 11000)}
+    for ell in (5, 5, 6, 6, 7):
+        lo, hi = sizes[ell]
+        while True:
+            try:
+                g = from_edges(sorted(rng.sample(pairs8, 16)), n=8)
+            except ValidationError:  # disconnected
+                continue
+            a, b = rng.sample(g.vertices, 2)
+            if is_pawful(g).verdict and lo <= g.walks(ell)[a][b] <= hi:
+                break
+        cases.append((relative_complex(g, a, b, ell), build_pawful_S(g)))
+    outcomes = Counter()
+    for pair, cert in cases:
+        got = _build_outcome(build_matching, pair, cert)
+        assert got == _build_outcome(build_matching_by_index, pair, cert)
+        outcomes["matched" if isinstance(got[0], frozenset) else got[1].split(" ")[0]] += 1
+    assert set(outcomes) == {"matched", "two", "no", "deletion", "triple", "quadruple"}, outcomes
 
 
 def test_build_matching_g1_certificate(g1, g1_cert):

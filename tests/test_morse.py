@@ -7,21 +7,29 @@ from maghom import complete_graph
 from maghom.ai_complex import faces, relative_complex
 from maghom.matching import build_matching, build_pawful_S, parse_s
 from maghom.morse import critical_cells, is_acyclic, morse_rank_check, verify_matching
+from maghom.snf import SparseMatrix
 
 
 def square_boundary_poset():
     """The boundary of a square as an abstract complex on elements 1..4.
 
     It is given as the morse functions read a relative complex: cells
-    with sentinel ends, their covers as (face, cell) indices, and each
-    cell's display form.
+    with sentinel ends, the start of each dimension, the boundary by
+    rows (each face's cofaces as offsets into the dimension above), its
+    covers as (face, cell) indices, and each cell's display form.
     """
     simplices = [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)]
     simplices.sort(key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(simplices)}
     covers = [(index[f], c) for c, s in enumerate(simplices) for f, _ in faces(s) if f in index]
+    rows: dict[int, dict[int, int]] = {}
+    for c, s in enumerate(simplices[4:]):
+        for f, sign in faces(s):
+            rows.setdefault(index[f], {})[c] = sign
     return SimpleNamespace(
         cells=[(0,) + s + (0,) for s in simplices],
+        starts=(0, 4, 8),
+        boundaries={1: SparseMatrix(rows, 4, 4)},
         covers=covers.__iter__,
         simplex=simplices.__getitem__,
     )
@@ -243,6 +251,37 @@ def test_fast_paths_on_edge_cases_agree_with_the_simplex_oracles(g1, g1_cert_tex
     # wrapped, a negative index would close the square's cycle again
     wrapped = next(edge_cases(square, rotating, rotating))
     assert is_acyclic(square, frozenset(wrapped)) == (True, None)
+
+
+def test_bad_pairs_get_the_ordered_scans_message(g1, g1_cert_text):
+    # pairs that the unordered passes must send on to the ordered scans:
+    # an upper index equal to a column of the lower cell's row, as an
+    # offset into some dimension other than the one above (only the
+    # offset into that one is a cover), a reversed pair, an index past the
+    # last cell and a cell paired with itself; on the square alone and
+    # among a certified matching
+    square = square_boundary_poset()
+    trap = frozenset({(0, 3)})  # (1,) has the coface (1, 4) at column 3
+    assert verify_matching(square, trap) == (False, "pair ((1,), (4,)) is not a cover relation")
+    pair = relative_complex(g1, 1, 3, 6)
+    certified = build_matching(pair, parse_s(g1_cert_text, g1)).matching
+    for poset, base in ((square, frozenset()), (pair, certified)):
+        starts, n = poset.starts, len(poset.cells)
+        traps = []
+        for low, high in sorted(poset.covers()):
+            d = len(poset.cells[low]) - 3
+            col = high - starts[d + 1]
+            traps += [
+                (low, high, starts[e] + col)
+                for e in range(len(starts) - 1)
+                if e != d + 1 and starts[e] + col < starts[e + 1] and starts[e] + col != low
+            ]
+        assert traps
+        low, high, other = traps[0]
+        for bad in ((low, other), (high, low), (low, n), (low, low)):
+            pairs = {p for p in base if not set(p) & set(bad)} | {bad}
+            valid, _ = assert_agrees_with_the_simplex_oracles(poset, pairs)
+            assert not valid
 
 
 def test_cycles_at_length_6_agree_with_the_simplex_oracles(g1, g1_cert_text):
