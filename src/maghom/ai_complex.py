@@ -16,11 +16,12 @@ of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
 summand in degrees 2..l with d_2 dropped, and ``relative_complex`` keeps
-its maps as ``homology.boundary_matrix`` builds them, once, from the one
-boundary stream that ``homology._homology`` reduces too
-(``homology._boundaries``): deleting x_i with sign (-1)^i, the negative
-of the simplicial boundary, which has the same homology and the same
-covers.
+its maps as ``homology.boundary_matrix`` builds them, once, by the rule
+of every magnitude boundary (``homology._boundaries``): deleting x_i
+with sign (-1)^i, the negative of the simplicial boundary, which has
+the same homology and the same covers.  Below the top its cells stay in
+lexicographic order, the order of their simplices, which the Morse
+reports read.
 
 Its top cells, the length-l walks, are not enumerated.  A walk with no
 smooth point has no face outside K' and, being top-dimensional, no
@@ -118,8 +119,8 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
     below l and charges each, and then the walk count, to the basis cap,
     as enumerating degree l would; degrees 2..l-1 are kept, as the
     relative complex drops degree 1.  The maps come from
-    ``homology._boundaries``, the stream ``homology._homology`` reduces,
-    on those degrees: d_l is built by insertion into degree l - 1,
+    ``homology._boundaries`` on those degrees, each looked up in the
+    degree above: d_l is built by insertion into degree l - 1,
     unpeeled, and its columns are the top cells listed; the other walks
     are counted as ``isolated``.  A length that is not an int >= 3
     raises ValidationError.

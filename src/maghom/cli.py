@@ -273,7 +273,9 @@ def _classify_lines(lines, lmax: int, budget: int) -> int:
 
     A graph over a budget gets "budget-exceeded" in the field that hit
     it, and the stream goes on.  Undecodable bytes are replaced, so such
-    a line gets a warning like any other unparsable line.
+    a line gets a warning like any other unparsable line.  A pawful graph
+    carries a certificate (``matching.build_pawful_S``), which is built,
+    with no search; only the other graphs of diameter <= 2 are searched.
     """
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -289,13 +291,15 @@ def _classify_lines(lines, lmax: int, budget: int) -> int:
         small = witness.far_pair is None
         record["pawful"] = witness.verdict
         record["star"] = witness.verdict if small else None  # see is_pawful
-        if small:
+        if not small:
+            record["s_found"] = None
+        elif witness.verdict:
+            record["s_found"] = mt.build_pawful_S(g) is not None
+        else:
             try:
                 record["s_found"] = mt.search_structure(g, budget=budget) is not None
             except BudgetExceeded:
                 record["s_found"] = "budget-exceeded"
-        else:
-            record["s_found"] = None
         record["diagonal_up_to"] = lmax
         try:
             record["diagonal"] = is_diagonal_up_to(g, lmax)

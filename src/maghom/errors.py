@@ -2,7 +2,8 @@
 
 This module alone names, reads, checks and words the two limits: the
 basis cap on the cells a basis or K_l(a,b) holds and the coefficients a
-magnitude table holds (``basis_cap``, ``over_cap``, ``check_table_cap``),
+magnitude table holds (``basis_cap``, ``over_cap``, ``BasisCharge``,
+``check_table_cap``),
 and the search budget on the nodes of one certificate search, which
 ``--budget`` overrides (``budget_option``, ``search_budget``,
 ``check_search_budget``).  A setting is read once per call that charges
@@ -11,6 +12,7 @@ a length, degree, lmax or series order passed to the library.
 """
 
 import os
+from collections.abc import Mapping
 
 
 class MaghomError(Exception):
@@ -68,6 +70,29 @@ def basis_cap() -> int:
 
 def over_cap(what: str, cap: int, unit: str = "") -> BudgetExceeded:
     return BudgetExceeded(f"{what} exceeds the cap of {cap}{unit}")
+
+
+class BasisCharge:
+    """The running count of one basis, ``what``, against the basis cap,
+    which is read once, when the charge is made.  Each cell of the
+    summand (a, b) counts ``weights[a, b]`` times, as it stands for that
+    many cells of the full basis.  ``add`` counts n more and refuses the
+    basis as soon as the count is over the cap, so the cells that one
+    charge has let by never outgrow it by more than one batch.  A caller
+    that counts a run of batches itself may add them once, at its end,
+    if it calls ``add`` with its count so far as soon as that is over
+    ``room``, what is left of the cap."""
+
+    __slots__ = ("what", "weights", "cap", "room")
+
+    def __init__(self, what: str, weights: Mapping[tuple[int, int], int]):
+        self.what, self.weights, self.cap = what, weights, basis_cap()
+        self.room = self.cap
+
+    def add(self, n: int) -> None:
+        self.room -= n
+        if self.room < 0:
+            raise over_cap(self.what, self.cap)
 
 
 def check_table_cap(what: str, rows: int, cols: int, words: int = 1) -> None:

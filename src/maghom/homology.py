@@ -13,6 +13,19 @@ the same rule: degrees 0 and 1 too, so the vanishing of MH_(0,l) for
 l >= 1 and of MH_(1,l) for l >= 2 (Hepworth-Willerton) is computed, not
 assumed.
 
+Each length's complexes grow degree by degree from the bottom
+(``_columns``).  As the boundary deletes exactly the smooth points
+(Hepworth-Willerton, arXiv:1505.04125), a degree-k cell with a smooth
+point is a coface of a degree-(k-1) cell, so d_k, built by insertion
+into degree k-1, finds it: ``boundary_matrix`` with no upper basis
+numbers the cofaces in order of first appearance, as its columns.  The
+cells with no smooth point are the zero columns of d_k.  They follow the
+smooth ones, lexicographically, from an enumeration that prunes every
+prefix with a smooth point (``enumerate_sequences`` with ``smooth``
+False).  So a smooth cell's number is its column of d_k, d_k is reduced
+as soon as it is built, and compression reads its unit-pivot columns as
+rows of d_(k+1).
+
 The top degree k = l is never enumerated.  Its generators are the
 length-l walks, since each of their l gaps is 1, so its rank in the
 (a, b) summand is the walk count (A^l)_ab (``Graph.walks``), and d_l is
@@ -20,8 +33,9 @@ built from degree l-1 by the same insertions, its zero columns never
 made.  A walk whose only smooth point is the inserted vertex peels its
 row as d_l is assembled (elementary reduction, Kaczynski-Mrozek-Slusarek,
 "Homology computation by reduction of chain complexes", 1998); only the
-rows that d_(l-1) left without an entry are tested.  The proofs are in
-``boundary_matrix`` and ``_homology``.
+degree-(l-1) cells with no smooth point, the ones after the smooth
+cells, are tested.  The proofs are in ``boundary_matrix`` and
+``_columns``.
 
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
@@ -35,27 +49,28 @@ on ordered pairs, whose groups count m times, m the orbit size.
 
 A mapping {(a, b): m} is the one way to name summands: the (a, b)
 summand, counted m >= 1 times.  ``symmetry.pair_orbits`` gives the one
-of the whole complex; one summand (a, b) is {(a, b): 1}.  Each degree
-k < l of a length that can hold a cell, k >= l / diam(G), is enumerated
-once for all the pairs named (``enumerate_sequences``), into one
-lexicographic list, and only those degrees and l are reduced.  ``mh_column``
-sorts it by endpoint pair and reduces on its own each pair that holds a
-length-l walk; a pair with none holds no cell either, and its groups are
-zero, so they are neither computed nor merged.  ``is_diagonal_up_to``,
-which asks only whether groups vanish, reduces the whole list as one
-complex.
+of the whole complex; one summand (a, b) is {(a, b): 1}.  Only the
+degrees k < l of a length that can hold a cell, k >= l / diam(G), and
+l itself are built and reduced.  Each of them is charged to the basis
+cap in full, for all the pairs named, before the next is touched.
+``mh_column`` grows one complex per pair that holds a length-l walk and
+reduces each on its own; a pair with none holds no cell either, and its
+groups are zero, so they are neither computed nor merged.
+``is_diagonal_up_to``, which asks only whether groups vanish, grows one
+complex of all the pairs named.  ``ai_complex.relative_complex`` keeps
+lexicographic cells below the top (``_cells``, ``_boundaries``), as its
+Morse reports read cell order as simplex order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
-from .errors import ValidationError, basis_cap, check_length, over_cap
+from .errors import BasisCharge, ValidationError, check_length
 from .graph import Graph
-from .snf import SparseMatrix, homology_of_complex, invariant_factors
+from .snf import SNFResult, SparseMatrix, groups_of, invariant_factors, smith_normal_form
 from .symmetry import pair_orbits
 
 Summands = Mapping[tuple[int, int], int]
@@ -87,21 +102,34 @@ def _checked(g: Graph, summands: Summands | None) -> Summands:
 
 
 def enumerate_sequences(
-    g: Graph, k: int, length: int, summands: Summands | None = None
+    g: Graph,
+    k: int,
+    length: int,
+    summands: Summands | None = None,
+    smooth: bool = True,
+    charge: BasisCharge | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Degree-k sequences of total length ``length`` whose endpoint pair
     (x_0, x_k) is named by ``summands`` (every pair when None),
-    lexicographically.
+    lexicographically; with ``smooth`` False, only those with no smooth
+    point.
 
     One depth-first pass per first vertex grows the sequences towards all
-    of its named ends at once.  Basis order is reproducible, since matrix
-    snapshots depend on it.  A sequence of the summand {(a, b): m} stands
-    for m cells of the full basis of this degree; enumeration aborts with
-    BudgetExceeded as soon as that full basis would outgrow the basis cap
-    (``errors.basis_cap``), before memory does.  A mapping passed in is
-    checked (``_checked``); ``mh_table``, ``mh_column``,
-    ``is_diagonal_up_to`` and ``ai_complex.relative_complex`` check theirs
-    once per call and pass it on checked.
+    of its named ends at once.  An interior point is decided as soon as
+    its right neighbour is chosen, so with ``smooth`` False a prefix
+    whose last interior point is smooth is pruned, with all that would
+    continue it, and the sequences left come in the same order.  Basis
+    order is reproducible, since matrix snapshots depend on it.  A
+    sequence of the summand {(a, b): m} stands for m cells of the full
+    basis of this degree.  Each batch found is added to ``charge``
+    (``errors.BasisCharge``; one of this degree alone when not given),
+    which aborts the enumeration with BudgetExceeded as soon as the full
+    basis would outgrow the basis cap, before memory does; ``_columns``
+    passes the charge that the degree's smooth cells went to first.  A
+    mapping passed in is checked (``_checked``); ``mh_table``,
+    ``mh_column``, ``is_diagonal_up_to`` and
+    ``ai_complex.relative_complex`` check theirs once per call and pass
+    it on checked.
 
     The sequences are grown by a loop over an explicit stack, not by
     recursion, so no degree is too deep for Python's recursion limit.
@@ -112,8 +140,9 @@ def enumerate_sequences(
     """
     check_length("degree", k, signed=True)
     check_length("length", length, signed=True)
+    summands = _checked(g, summands)
     ends: dict[int, dict[int, int]] = {}  # first vertex -> end -> m
-    for (a, b), m in _checked(g, summands).items():
+    for (a, b), m in summands.items():
         ends.setdefault(a, {})[b] = m
     if k < 0 or length < 0:
         return ()
@@ -122,9 +151,10 @@ def enumerate_sequences(
     dist, maxd = g.dist, g.diameter
     if not k <= length <= k * maxd:
         return ()  # each of the k gaps contributes between 1 and maxd
-    cap = basis_cap()
+    if charge is None:
+        charge = BasisCharge(f"degree-{k} length-{length} basis", summands)
+    prune = not smooth
     out: list[tuple[int, ...]] = []
-    size = 0  # of the full basis found so far
     # memo[end][((v, r), gaps)]: the stubs after v when `gaps` gaps add up
     # to r and end at `end` (None: anywhere); at most n * length * k lists
     # of at most n stubs each per end
@@ -135,13 +165,20 @@ def enumerate_sequences(
         # a single end prunes every prefix that cannot reach it in time
         end = last[0] if len(last) == 1 else None
         following = memo.setdefault(end, {})
-        # depth first: (prefix, stubs, gaps) continues ``prefix`` by each
-        # stub (v, r): v, then ``gaps`` >= 1 gaps adding up to r, the last
-        # one to a named end; children go on in reverse, so they come off
-        # in stub order
-        work = [((), [(first, length)], k)]
+        # depth first: (prefix, stubs, gaps, before, at) continues
+        # ``prefix`` by each stub (v, r): v, then ``gaps`` >= 1 gaps adding
+        # up to r, the last one to a named end; ``before`` and ``at`` are
+        # what is left of the length after prefix[-2] and prefix[-1].
+        # Children go on in reverse, so they come off in stub order
+        work = [((), [(first, length)], k, 0, 0)]
         while work:
-            prefix, stubs, gaps = work.pop()
+            prefix, stubs, gaps, before, at = work.pop()
+            if prune and len(prefix) > 1:
+                # prefix[-1] is smooth before v, of a stub (v, r), exactly when
+                # d(prefix[-2], v) = d(prefix[-2], prefix[-1]) + d(prefix[-1], v),
+                # which is before - r
+                row = dist[prefix[-2]]
+                stubs = [s for s in stubs if row[s[0]] + s[1] != before]
             if gaps > 1:
                 for stub in reversed(stubs):
                     after = following.get((stub, gaps))
@@ -155,13 +192,17 @@ def enumerate_sequences(
                             if lo <= d <= hi and (end is None or dist[w][end] <= r - d)
                         ]
                     if after:
-                        work.append((prefix + (stub[0],), after, gaps - 1))
+                        work.append((prefix + (stub[0],), after, gaps - 1, at, stub[1]))
                 continue
-            new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
+            if prune and prefix:
+                # v, before the end w, is smooth exactly when d(prefix[-1], w) = at
+                row = dist[prefix[-1]]
+                new = [prefix + (v, w) for v, r in stubs for w in last
+                       if dist[v][w] == r and row[w] != at]
+            else:
+                new = [prefix + (v, w) for v, r in stubs for w in last if dist[v][w] == r]
             if new:
-                size += sum(weight[x[-1]] for x in new)
-                if size > cap:
-                    raise over_cap(f"degree-{k} length-{length} basis", cap)
+                charge.add(sum(weight[x[-1]] for x in new))
                 out.extend(new)
     return tuple(out)
 
@@ -170,15 +211,16 @@ def boundary_matrix(
     g: Graph,
     basis_k: Basis | None,
     basis_lo: Basis,
-    walks: list[tuple[int, ...]] | None = None,
+    cofaces: list[tuple[int, ...]] | None = None,
     faced: Container[int] | None = None,
+    charge: BasisCharge | None = None,
 ) -> SparseMatrix:
-    """Matrix of the boundary from the span of ``basis_k`` to ``basis_lo``.
+    """Matrix of the boundary from degree k to the span of ``basis_lo``.
 
-    The bases are degrees k and k-1 of one length and one set of
-    endpoint pairs, from ``enumerate_sequences`` with the same length
-    and pairs.  Column x picks up (-1)^i at the row
-    of x with position i deleted, for every smooth interior i
+    ``basis_lo`` is degree k-1 of one length and one set of endpoint
+    pairs, and ``basis_k``, when given, degree k of the same, as
+    ``enumerate_sequences`` lists them.  Column x picks up (-1)^i at the
+    row of x with position i deleted, for every smooth interior i
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
     are kept.
 
@@ -198,49 +240,61 @@ def boundary_matrix(
     ``basis_k`` given, each x is looked up in it; one missing raises
     KeyError.
 
-    With ``basis_k`` None, k is the top degree, the length l, and the
-    columns are the walks so found, in order of first appearance.  Each y
-    has one gap of 2, at position j, the only gap with a nonempty
+    With ``basis_k`` None, the columns are the cofaces so found, in order
+    of first appearance: by the converse above, these are the degree-k
+    cells with a smooth point, and the columns of d_k that are not zero.
+    Given ``cofaces``, a list, they are appended to it in column order.
+    Given ``charge`` (``errors.BasisCharge``), each row that finds new
+    cofaces charges them, each weighed as its endpoint pair, before the
+    next row is read, so they are refused as soon as they are over the
+    basis cap.  ``_columns`` builds every d_k so.
+
+    At the top degree k = l, the length, the cofaces are the walks.
+    Each y has one gap of 2, at position j, the only gap with a nonempty
     interval: the common neighbours of y_(j-1) and y_j.  All gaps of a
     walk w are 1, so its point i is smooth when d(w_(i-1), w_(i+1)) = 2.
     Its points i < j-1 and i > j+1 are the points i and i-1 of y and do
     not depend on v; point j-1 (if j >= 2) compares y_(j-2) with v, and
-    point j+1 (if j <= l-2) compares v with y_(j+1).  Given ``walks``, a
-    list, the columns are appended to it in column order.
+    point j+1 (if j <= l-2) compares v with y_(j+1).
 
-    ``faced`` selects peeling: the rows of d_l that d_(l-1) reached, its
-    columns that hold an entry, which are the rows y with a smooth point.
-    Given it, a row outside it is peeled when some v makes a walk whose
-    only smooth point is j: the others are points of y, none of them
-    smooth, so only points j-1 and j+1 need testing.  That column of d_l
-    is the lone entry (-1)^j at row y: adding multiples of it to the
-    others (column operations, which keep the image) clears the rest of
-    row y.  A row in ``faced`` is never peeled, as no such walk comes
-    from it (``_homology``).  So the result is d_l U for a unimodular U:
-    its ``peeled`` rows, each with its unit column, and the columns of
-    the walks with two or more smooth points, restricted to the other
-    rows, in order of first appearance.  The columns that are then zero
-    are not stored; these include the walks with no smooth point, which
-    are most of them.  d_(l-1) d_l U = 0, and the Smith form of d_l U is
-    I_|peeled| beside that of the stored rows; a peeled row is not
-    stored.  Without ``faced`` nothing is peeled: the result is d_l
-    itself without its zero columns, its columns the walks with a smooth
-    point, each with all of its entries.  ``_homology`` peels;
-    ``ai_complex.relative_complex`` reads the entries of d_l as covers
-    and does not.
+    ``faced`` selects peeling, at the top degree: the rows of d_l with a
+    smooth point, the ones that d_(l-1) reaches.  Given it, a row outside
+    it is peeled when some v makes a walk whose only smooth point is j:
+    the others are points of y, none of them smooth, so only points j-1
+    and j+1 need testing.  That column of d_l is the lone entry (-1)^j at
+    row y: adding multiples of it to the others (column operations,
+    which keep the image) clears the rest of row y.  A row in ``faced``
+    is never peeled, as no such walk comes from it (``_columns``).  So
+    the result is d_l U for a unimodular U: its ``peeled`` rows, each
+    with its unit column, and the columns of the walks with two or more
+    smooth points, restricted to the other rows, in order of first
+    appearance.  The columns that are then zero are not stored; these
+    include the walks with no smooth point, which are most of them.
+    d_(l-1) d_l U = 0, and the Smith form of d_l U is I_|peeled| beside
+    that of the stored rows; a peeled row is not stored.  Without
+    ``faced`` nothing is peeled: the result is d_l itself without its
+    zero columns, its columns the walks with a smooth point, each with
+    all of its entries.  ``_columns`` peels, its smooth cells of degree
+    l-1 being its first rows; ``ai_complex.relative_complex`` reads the
+    entries of d_l as covers and does not.
     """
     dist, between = g.dist, g.between
+    singles = [(v,) for v in range(g.n + 1)]  # each vertex v as (v,), made once
     rows: dict[int, dict[int, int]] = {}
     peeled = []
-    gaps = range(1, len(basis_lo[0]) if basis_lo else 1)  # of every y
-    if basis_k is None:
-        index: dict[tuple[int, ...], int] = {}  # the walks in order of first appearance
-        last = len(gaps)  # each y ends at l - 1
-    else:
-        index = {x: col for col, x in enumerate(basis_k)}
+    y0 = basis_lo[0] if basis_lo else ()
+    gaps = range(1, len(y0))  # of every y
+    last = len(gaps)
+    # at the top degree every gap is 1 but one, which is 2
+    top = sum(dist[u][w] for u, w in zip(y0, y0[1:])) == len(y0)
+    found = basis_k is None
+    index = {} if found else {x: col for col, x in enumerate(basis_k)}
+    setdefault, size = index.setdefault, len(index)
+    weights = None if charge is None else charge.weights
+    spent = 0  # weighed, since the call began
     for row, y in enumerate(basis_lo):
         at = gaps
-        if basis_k is None:
+        if top:
             j = 1
             while dist[y[j - 1]][y[j]] == 1:
                 j += 1
@@ -259,83 +313,54 @@ def boundary_matrix(
                     peeled.append(row)
                     continue
         rdata = rows[row] = {}
+        before = size
         for j in at:
             inserts = between[y[j - 1]][y[j]]
             if inserts:
-                sign = (-1) ** j
+                sign = -1 if j & 1 else 1
                 head, tail = y[:j], y[j:]
-                for v in inserts:
-                    x = head + (v,) + tail
-                    col = index[x] if basis_k is not None else index.setdefault(x, len(index))
-                    rdata[col] = sign
-    if walks is not None:
-        walks.extend(index)
-    return SparseMatrix(rows, len(basis_lo), len(index), frozenset(peeled))
+                if found:  # a new coface takes the next column
+                    for v in inserts:
+                        col = setdefault(head + singles[v] + tail, size)
+                        if col == size:
+                            size += 1
+                        rdata[col] = sign
+                else:
+                    for v in inserts:
+                        rdata[index[head + singles[v] + tail]] = sign
+        if size > before and weights is not None:
+            spent += weights[y[0], y[-1]] * (size - before)
+            if spent > charge.room:
+                charge.add(spent)  # refuses
+    if weights is not None:
+        charge.add(spent)
+    if cofaces is not None:
+        cofaces.extend(index)
+    return SparseMatrix(rows, len(basis_lo), size, frozenset(peeled))
 
 
 def _boundaries(
-    g: Graph, bases: list[Basis], walks: list[tuple[int, ...]] | None = None
+    g: Graph, bases: list[Basis], walks: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, SparseMatrix]]:
     """(i, d) for the maps between nonempty degrees of the complex of
-    ``bases`` and the length-l walks, from the bottom up, d_l last.
-    ``bases`` holds consecutive degrees of one length l, the last of them
-    degree l-1; index i numbers a basis and the map out of it, and the
-    walks come at index len(bases).  The first basis may be any degree:
-    ``_cells`` starts at the lowest that can hold a cell, and
-    ``ai_complex.relative_complex`` at degree 2.
-
-    Given ``walks``, d_l appends its columns to it and is built whole,
-    as ``ai_complex.relative_complex`` reads its entries as covers;
-    otherwise it is peeled, with the columns of d_(l-1) that hold an
-    entry as ``faced`` (``boundary_matrix``).  They are none when degree
-    l-2 has no cell, as deleting a smooth point would give one; a degree
-    below the first basis has none (``_homology``).  d_(l-1) is built
-    whole, so ``faced`` also holds the rows of d_l that compression
-    later drops.
+    ``bases`` and the length-l walks, from the bottom up, d_l last: the
+    maps of ``ai_complex.relative_complex``.  ``bases`` holds consecutive
+    degrees of one length l, lexicographically, the last of them degree
+    l-1; index i numbers a basis and the map out of it, and the walks
+    come at index len(bases).  d_l is built whole, its columns appended
+    to ``walks``, as ``relative_complex`` reads its entries as covers
+    (``boundary_matrix``).
 
     The top degree is nonempty whenever degree l-1 is: the l-1 gaps of a
     degree-(l-1), length-l cell add up to l, so one of them is 2, and a
     common neighbour inserted there makes a walk.  So d_l is built
-    whenever degree l-1 has a cell.  ``_homology`` and
-    ``ai_complex.relative_complex`` both take their maps from here.
+    whenever degree l-1 has a cell.
     """
-    faced: set[int] | None = set() if walks is None else None
     for k in range(1, len(bases)):
         if bases[k] and bases[k - 1]:
-            mat = boundary_matrix(g, bases[k], bases[k - 1])
-            if k == len(bases) - 1 and faced is not None:
-                faced = set().union(*mat.rows.values())
-            yield k, mat
-            del mat  # not held while the next boundary is built
+            yield k, boundary_matrix(g, bases[k], bases[k - 1])
     if bases and bases[-1]:
-        yield len(bases), boundary_matrix(g, None, bases[-1], walks, faced)
-
-
-def _homology(g: Graph, bases: list[Basis], top: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Homology of the complex of ``bases`` and ``top`` walks, indexed as
-    in ``_boundaries``: the groups of the degrees of ``bases``, then of
-    the top degree l, in order.  The degree below the first basis must
-    hold no cell, so that the map out of the first is zero: degree 0, or
-    the lowest degree that ``_cells`` lists.  So a length costs what the
-    degrees that can hold a cell cost, not one slot per degree.
-
-    Each boundary d_1 .. d_l is built once (``_boundaries``), from the
-    bottom degree up so that ``homology_of_complex`` compresses, and
-    reaches the Smith form on its own, so only one is held in memory; a
-    map to or from an empty basis is zero and is not built.  So degrees 0
-    and 1 are reduced like the others, and d_2's unit pivots drop rows of
-    d_3.  d_l is peeled, reading from d_(l-1) which of its rows have a
-    smooth point.  A row y that some walk peels (at y's gap of 2,
-    position j) has no smooth point: the walk has none but the inserted
-    v, so no point of y away from the gap is smooth, and
-    d(y_(j-2), v) <= 1 puts y_(j-2) within 2 of y_j, so y_(j-1) is not
-    smooth, nor likewise y_j.  So the rows that d_(l-1) reaches, the
-    ``faced`` ones, are never peeled, and the rest need only the test at
-    the gap.  No insertion reaches a peeled row's column of d_(l-1), so
-    d_(l-1) has no pivot there, and the rows that compression drops from
-    d_l are all stored rows.
-    """
-    return homology_of_complex([len(b) for b in bases] + [top], _boundaries(g, bases))
+        yield len(bases), boundary_matrix(g, None, bases[-1], walks)
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -360,29 +385,156 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
 
 def _cells(g: Graph, length: int, summands: Summands) -> tuple[int, list[Basis]]:
     """(low, bases): the bases of degrees low <= k < l of the length-l
-    complex of the checked ``summands`` (degree k at index k - low),
-    after charging the full basis of each degree to the basis cap, every
-    cell of a summand {(a, b): m} m times.
+    complex of the checked ``summands`` (degree k at index k - low), in
+    lexicographic order, after charging the full basis of each degree to
+    the basis cap, every cell of a summand {(a, b): m} m times; the cells
+    of ``ai_complex.relative_complex``.
 
     A degree k < l / diam(G) has no cells, as each of its k gaps is at
     most diam(G), so the window starts at low = ⌈l / diam(G)⌉ (at l when
     diam(G) = 0, an empty window) and the degrees below are neither
-    enumerated nor listed.  So degree 0 is left out for l >= 1, and
-    degree 1, the pairs at distance l, is enumerated only for
-    l <= diam(G).  Each degree of the window is enumerated once for all
-    summands (``enumerate_sequences``), which charges it, in increasing
-    order.  Degree l is the length-l walks, (A^l)_ab in the (a, b)
-    summand: counted, not enumerated, and charged after the enumerated
-    degrees.
+    enumerated nor listed.  Each degree of the window is enumerated once
+    for all summands (``enumerate_sequences``), which charges it, in
+    increasing order.  Degree l is the length-l walks, (A^l)_ab in the
+    (a, b) summand: counted, not enumerated, and charged after the
+    enumerated degrees (``_charge_walks``).
     """
-    maxd = g.diameter
-    low = -(-length // maxd) if maxd else length
+    low = _low(g, length)
     bases = [enumerate_sequences(g, k, length, summands) for k in range(low, length)]
-    walks = g.walks(length)
-    cap = basis_cap() if length else 0  # as in enumerate_sequences, no charge at length 0
-    if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
-        raise over_cap(f"degree-{length} length-{length} basis", cap)
+    _charge_walks(g, length, summands)
     return low, bases
+
+
+def _low(g: Graph, length: int) -> int:
+    """⌈l / diam(G)⌉, the lowest degree that can hold a length-l cell, as
+    each gap is at most diam(G); l when diam(G) = 0."""
+    maxd = g.diameter
+    return -(-length // maxd) if maxd else length
+
+
+def _charge_walks(g: Graph, length: int, summands: Summands) -> None:
+    """Charge the top degree, (A^l)_ab cells in the summand (a, b), to
+    the basis cap; as in ``enumerate_sequences``, length 0 is not
+    charged."""
+    if length:
+        walks = g.walks(length)
+        BasisCharge(f"degree-{length} length-{length} basis", summands).add(
+            sum(m * walks[a][b] for (a, b), m in summands.items())
+        )
+
+
+class _Complex:
+    """One complex of ``_columns`` as it grows: ``cells``, the basis of
+    the degree reached, its ``smooth`` cells first; the rank of each
+    degree so far (``dims``); the Smith form of each map built, by the
+    index of its degree in ``dims`` (``forms``), and the unit-pivot
+    columns of the last (``pivots``)."""
+
+    __slots__ = ("cells", "smooth", "dims", "forms", "pivots")
+
+    def __init__(self) -> None:
+        self.cells: list[tuple[int, ...]] = []
+        self.smooth = 0
+        self.dims: list[int] = []
+        self.forms: dict[int, SNFResult] = {}
+        self.pivots: frozenset[int] = frozenset()
+
+    def grow(self, g: Graph, charge: BasisCharge) -> None:
+        """Replace ``cells`` by the smooth cells of the next degree, found
+        and charged by building the map into ``cells``, which is reduced."""
+        lower, self.cells = self.cells, []
+        if lower:
+            self.reduce(boundary_matrix(g, None, lower, self.cells, charge=charge))
+        else:
+            self.pivots = frozenset()
+        self.smooth = len(self.cells)
+
+    def reduce(self, mat: SparseMatrix) -> None:
+        """Reduce ``mat``, the map out of the degree that ``dims`` lists
+        next, without the rows at the unit-pivot columns of the map
+        before it (compression, ``snf.homology_of_complex``)."""
+        form = smith_normal_form(mat, self.pivots)
+        self.forms[len(self.dims)] = SNFResult(form.rank, form.divisors)
+        self.pivots = form.pivot_cols
+
+
+def _columns(
+    g: Graph, length: int, summands: Summands, merged: bool
+) -> tuple[int, list[tuple[int, list[tuple[int, tuple[int, ...]]]]]]:
+    """(low, [(m, groups)]): the groups of the degrees low..l of each
+    complex of the length-l chains of the checked ``summands``, with the
+    weight m of its pair.  With ``merged``, one complex of all the pairs
+    (weight 1); otherwise one for each pair (a, b) that holds a length-l
+    walk, (A^l)_ab > 0.  A pair with none holds no cell either:
+    replacing each gap of a cell by a geodesic, edge by edge, makes a
+    walk with the same ends and length.  The window starts at
+    low = ⌈l / diam(G)⌉ (``_low``), so a length costs what the degrees
+    that can hold a cell cost.
+
+    The complexes grow together, degree by degree, from low up.  In
+    degree k, each complex's d_k is built by insertion into its degree
+    k-1 (``boundary_matrix`` with no upper basis), which finds its cells
+    with a smooth point, numbered as d_k's columns, and is reduced at
+    once (``smith_normal_form``), without the rows at the unit-pivot
+    columns of d_(k-1) (compression, ``snf.homology_of_complex``).  The
+    cells with no smooth point follow, from one enumeration for all the
+    pairs (``enumerate_sequences`` with ``smooth`` False); they are zero
+    columns of d_k and of no other map into degree k.  So d_k is built
+    exactly when degree k-1 has a cell, as degree k then has one: a
+    degree-(k-1) cell with k - 1 < l has a gap of 2 or more, and a vertex
+    of its interval inserts there.  Degree low has no smooth cell, as
+    degree low - 1 is empty.  Only one map is held at a time, and the
+    cells of two degrees.
+
+    The basis cap keeps the meaning it has when each degree is listed
+    whole: degree k is charged in full, first its smooth cells as each
+    d_k finds them, complex after complex, then its other cells, on the
+    same charge, before degree k+1 is touched, and the walk count after
+    the last degree (``_charge_walks``).  So a refusal names the first
+    degree over the cap, and no degree's cells outgrow it by more than a
+    row's cofaces or an enumeration batch.
+
+    d_l is peeled with the smooth cells of degree l-1, its first rows, as
+    ``faced``.  A row y that some walk peels (at y's gap of 2, position
+    j) has no smooth point: the walk has none but the inserted v, so no
+    point of y away from the gap is smooth, and d(y_(j-2), v) <= 1 puts
+    y_(j-2) within 2 of y_j, so y_(j-1) is not smooth, nor likewise y_j.
+    So the smooth cells are never peeled, and the rest need only the test
+    at the gap.  No insertion reaches a peeled row's column of d_(l-1), a
+    zero column, so d_(l-1) has no pivot there, and the rows that
+    compression drops from d_l are all stored rows.
+    """
+    low = _low(g, length)
+    walks = g.walks(length)
+    held = [(a, b) for a, b in summands if walks[a][b]]
+    if merged:
+        whole = _Complex()
+        complexes = [(1, sum(walks[a][b] for a, b in held), whole)] if held else []
+    else:
+        owner = {pair: _Complex() for pair in held}
+        complexes = [(summands[a, b], walks[a][b], c) for (a, b), c in owner.items()]
+    for k in range(low, length):
+        charge = BasisCharge(f"degree-{k} length-{length} basis", summands)
+        for _, _, c in complexes:
+            c.grow(g, charge)
+        unsmooth = enumerate_sequences(g, k, length, summands, False, charge)
+        if merged:
+            whole.cells.extend(unsmooth)
+        else:
+            for x in unsmooth:
+                owner[x[0], x[-1]].cells.append(x)
+        del unsmooth  # not held while degree k + 1 is built
+        for _, _, c in complexes:
+            c.dims.append(len(c.cells))
+    _charge_walks(g, length, summands)
+    out = []
+    for m, top, c in complexes:
+        if c.cells:
+            c.reduce(boundary_matrix(g, None, c.cells, faced=range(c.smooth)))
+        c.cells = []
+        c.dims.append(top)
+        out.append((m, groups_of(c.dims, c.forms)))
+    return low, out
 
 
 def mh_column(
@@ -391,22 +543,15 @@ def mh_column(
     """Free rank and torsion divisors of the length-l groups, degrees 0..l.
 
     The sum of the summands {(a, b): m} (``pair_orbits(g)`` when not
-    given), the groups of each counted m times.  ``_cells`` enumerates and
-    charges the cells of every summand before any boundary is built; they
-    are then sorted into per-pair bases, a pair's lists made at its first
-    cell, and each pair is reduced on its own by ``_homology``, every
-    boundary by one rule.
+    given), the groups of each counted m times.  Each pair that holds a
+    length-l walk is a complex of its own, grown and reduced by
+    ``_columns``, every boundary by one rule; a pair with none holds no
+    cell, and its groups are zero.  Each degree merges only the nonzero
+    groups, each counted m times, and a degree with none reads (0, ()).
 
-    Only the pairs with a length-l walk, (A^l)_ab > 0, are reduced.  A
-    pair with none holds no cell either: replacing each gap of a cell by
-    a geodesic, edge by edge, makes a walk with the same ends and length.
-    So its groups are zero.  Each degree merges only the nonzero groups,
-    each counted m times, and a degree with none reads (0, ()).
-
-    A pair's bases are freed as soon as its groups are known, so only one
-    pair's boundary is held at a time: the enumeration leaves no
-    reference cycle, so nothing waits for the garbage collector.  A
-    length that is not an int >= 0 raises ValidationError.
+    The complexes leave no reference cycle, so nothing waits for the
+    garbage collector.  A length that is not an int >= 0 raises
+    ValidationError.
     """
     check_length("length", length)
     summands = _Checked(pair_orbits(g)) if summands is None else _checked(g, summands)
@@ -420,22 +565,14 @@ def _groups(
     g: Graph, length: int, summands: Summands
 ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """The nonzero groups of ``mh_column`` by degree, in increasing
-    degree, for checked ``summands``: each pair is reduced on the window
-    of degrees that ``_cells`` lists, so a length costs what its
-    nonempty degrees cost."""
-    walks = g.walks(length)
-    low, cells = _cells(g, length, summands)
-    # pair -> the cells of each degree, made once, at the pair's first cell
-    bases = defaultdict(lambda: [[] for _ in cells])
-    for x in chain.from_iterable(cells):  # degree len(x) - 1
-        bases[x[0], x[-1]][len(x) - 1 - low].append(x)
+    degree, for checked ``summands``: one complex per pair
+    (``_columns``), each group counted with its pair's weight."""
+    low, columns = _columns(g, length, summands, merged=False)
     groups: dict[int, list[tuple[int, tuple[int, tuple[int, ...]]]]] = {}  # k -> [(m, group)]
-    for (a, b), m in summands.items():
-        if walks[a][b]:  # else the pair has no cell either: see mh_column
-            pair = bases.pop((a, b), [()] * len(cells))
-            for k, group in enumerate(_homology(g, pair, walks[a][b]), low):
-                if group != (0, ()):
-                    groups.setdefault(k, []).append((m, group))
+    for m, column in columns:
+        for k, group in enumerate(column, low):
+            if group != (0, ()):
+                groups.setdefault(k, []).append((m, group))
     return {
         k: (sum(m * rank for m, (rank, _) in parts),
             merge_torsion((tors, m) for m, (_, tors) in parts))
@@ -523,20 +660,19 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
     off-diagonal group settles the answer.
 
     Only vanishing is asked, not the weighted ranks, so each length is
-    reduced as one complex: the cells of one pair per orbit, enumerated
-    and charged as ``mh_column`` does (``_cells``), in one lexicographic
-    list per degree.  Its groups are the direct sums of the groups of
-    the pairs, so one vanishes exactly when all of them do.  An lmax
-    that is not an int >= 0 raises ValidationError.
+    reduced as one complex: the cells of one pair per orbit, grown and
+    charged as ``mh_column`` does (``_columns``), in one basis per
+    degree.  Its groups are the direct sums of the groups of the pairs,
+    so one vanishes exactly when all of them do.  An lmax that is not an
+    int >= 0 raises ValidationError.
     """
     check_length("lmax", lmax)
     if lmax < 3:
         return True
     summands = _Checked(pair_orbits(g))
     for length in range(3, lmax + 1):
-        walks = g.walks(length)
-        low, bases = _cells(g, length, summands)
-        column = _homology(g, bases, sum(walks[a][b] for a, b in summands))
-        if any(rank or tors for k, (rank, tors) in enumerate(column, low) if k != length):
-            return False
+        low, columns = _columns(g, length, summands, merged=True)
+        for _, column in columns:
+            if any(rank or tors for k, (rank, tors) in enumerate(column, low) if k != length):
+                return False
     return True

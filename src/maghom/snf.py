@@ -297,6 +297,9 @@ def invariant_factors(values: Iterable[int]) -> list[int]:
     return d
 
 
+_ZERO = SNFResult(0, ())  # the Smith form of a zero map
+
+
 def homology_of_complex(
     dims: list[int], boundaries: Iterable[tuple[int, SparseMatrix]]
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -332,13 +335,19 @@ def homology_of_complex(
     A boundary that comes before the one below it is reduced whole.
     """
     snf: dict[int, SNFResult] = {}
-    zero = SNFResult(0, ())
     for k, mat in boundaries:
-        snf[k] = smith_normal_form(mat, snf.get(k - 1, zero).pivot_cols)
+        snf[k] = smith_normal_form(mat, snf.get(k - 1, _ZERO).pivot_cols)
         del mat  # not held while the next boundary is built
+    return groups_of(dims, snf)
+
+
+def groups_of(dims: list[int], snf: Mapping[int, SNFResult]) -> list[tuple[int, tuple[int, ...]]]:
+    """Free rank and torsion divisors of each degree k < len(dims) of a
+    complex with ``dims[k]`` cells in degree k and ``snf[k]`` the Smith
+    form of d_k (a degree missing has d_k = 0): dims[k] - rank d_k -
+    rank d_(k+1), and the divisors of d_(k+1)."""
     out = []
     for k in range(len(dims)):
-        incoming = snf.get(k + 1, zero)
-        betti = dims[k] - snf.get(k, zero).rank - incoming.rank
-        out.append((betti, incoming.divisors))
+        incoming = snf.get(k + 1, _ZERO)
+        out.append((dims[k] - snf.get(k, _ZERO).rank - incoming.rank, incoming.divisors))
     return out

@@ -1,3 +1,5 @@
+import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -43,6 +45,20 @@ def hasse_graph(faces):
 
 def load_fixture(name):
     return parse_graph((FIXTURES / name).read_text())
+
+
+def census_stream(seed=1):
+    """The first batch of the benchmark's ``census`` workload at ``seed``
+    (``perfbench/workloads.py``, seeded as ``perfbench/run.py`` seeds
+    it): 300 relabelled connected 7-vertex graphs as (n, edges), in
+    stream order."""
+    sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    batch = workloads.make_batch("census", random.Random(f"census:{seed}"), set())
+    return [graph for call in batch for graph in call["graphs"]]
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,18 @@ from itertools import combinations, product
 from math import gcd, inf
 
 from maghom import symmetry
-from maghom.errors import MaghomError
-from maghom.homology import mh_column
+from maghom.errors import MaghomError, basis_cap, check_length, over_cap
+from maghom.homology import (
+    MHTable,
+    _checked,
+    boundary_matrix,
+    enumerate_sequences,
+    merge_torsion,
+    mh_column,
+)
 from maghom.magnitude import magnitude_series
 from maghom.polyq import IntPoly
-from maghom.snf import SparseMatrix, smith_normal_form
+from maghom.snf import SparseMatrix, homology_of_complex, smith_normal_form
 
 
 def sequence_length(g, points):
@@ -605,5 +612,99 @@ def euler_check(g, lmax):
         for k, (rank, _) in enumerate(mh_column(g, length)):
             alt += rank if k % 2 == 0 else -rank
         if alt != series[length]:
+            return False
+    return True
+
+
+# --- the lexicographic homology pipeline ------------------------------------
+# The library's route before each degree's cells came from the insertions
+# into the degree below: every degree of the window enumerated whole, in
+# lexicographic order and charged on its own, the walks charged after
+# them, then per complex the boundaries looked up in a {cell: column}
+# index of the degree above, bottom up, the top one peeled with the
+# columns of the map below that hold an entry as its ``faced`` rows.
+
+
+def lexicographic_cells(g, length, summands):
+    """(low, bases): every degree k with ceil(l / diam) <= k < l of the
+    checked ``summands`` in lexicographic order, each charged to the
+    basis cap by its own enumeration, then the walk count charged."""
+    maxd = g.diameter
+    low = -(-length // maxd) if maxd else length
+    bases = [enumerate_sequences(g, k, length, summands) for k in range(low, length)]
+    walks = g.walks(length)
+    cap = basis_cap() if length else 0
+    if length and sum(m * walks[a][b] for (a, b), m in summands.items()) > cap:
+        raise over_cap(f"degree-{length} length-{length} basis", cap)
+    return low, bases
+
+
+def indexed_boundaries(g, bases, walks=None):
+    """(i, d_i) for the complex of ``bases`` (consecutive degrees of one
+    length, the last one l - 1) and the walks: each d_i with its columns
+    looked up in the basis above, then d_l by insertion, peeled, its
+    columns appended to ``walks`` when given."""
+    faced = set()
+    for k in range(1, len(bases)):
+        if bases[k] and bases[k - 1]:
+            mat = boundary_matrix(g, bases[k], bases[k - 1])
+            if k == len(bases) - 1:
+                faced = {c for _, c in mat.entries}
+            yield k, mat
+    if bases and bases[-1]:
+        yield len(bases), boundary_matrix(g, None, bases[-1], walks, faced)
+
+
+def indexed_homology(g, bases, top):
+    """Groups of the complex of ``bases`` and ``top`` walks, compressed
+    from the bottom up."""
+    return homology_of_complex([len(b) for b in bases] + [top], indexed_boundaries(g, bases))
+
+
+def indexed_groups(g, length, summands):
+    """The nonzero groups of the length by degree, as the library's
+    ``homology._groups``: the cells sorted into per-pair bases, each pair
+    with a length-l walk reduced on its own."""
+    walks = g.walks(length)
+    low, cells = lexicographic_cells(g, length, summands)
+    bases = {}
+    for degree in cells:
+        for x in degree:
+            bases.setdefault((x[0], x[-1]), [[] for _ in cells])[len(x) - 1 - low].append(x)
+    groups = {}
+    for (a, b), m in summands.items():
+        if walks[a][b]:
+            pair = bases.get((a, b), [()] * len(cells))
+            for k, group in enumerate(indexed_homology(g, pair, walks[a][b]), low):
+                if group != (0, ()):
+                    groups.setdefault(k, []).append((m, group))
+    return {
+        k: (sum(m * rank for m, (rank, _) in parts),
+            merge_torsion((tors, m) for m, (_, tors) in parts))
+        for k, parts in sorted(groups.items())
+    }
+
+
+def indexed_mh_table(g, lmax, summands=None):
+    """``mh_table`` by the lexicographic pipeline."""
+    check_length("lmax", lmax)
+    summands = symmetry.pair_orbits(g) if summands is None else _checked(g, summands)
+    return MHTable(lmax, {
+        (k, length): group
+        for length in range(lmax + 1)
+        for k, group in indexed_groups(g, length, summands).items()
+    })
+
+
+def indexed_is_diagonal_up_to(g, lmax):
+    """``is_diagonal_up_to`` by the lexicographic pipeline: from length 3
+    on, the cells of all orbit pairs reduced as one complex per length."""
+    check_length("lmax", lmax)
+    summands = symmetry.pair_orbits(g)
+    for length in range(3, lmax + 1):
+        walks = g.walks(length)
+        low, bases = lexicographic_cells(g, length, summands)
+        column = indexed_homology(g, bases, sum(walks[a][b] for a, b in summands))
+        if any(rank or tors for k, (rank, tors) in enumerate(column, low) if k != length):
             return False
     return True

@@ -19,8 +19,8 @@ import json
 from collections import Counter, deque
 from itertools import combinations
 
-from conftest import FIXTURES
-from oracles import diagonal_pair_by_pair, star_property
+from conftest import FIXTURES, census_stream
+from oracles import diagonal_pair_by_pair, indexed_is_diagonal_up_to, star_property
 
 from maghom import (
     ahk_edge_cycle_check,
@@ -32,7 +32,7 @@ from maghom import (
 )
 from maghom.errors import ValidationError
 from maghom.graph import parse_graph6
-from maghom.matching import search_structure
+from maghom.matching import build_pawful_S, search_structure, verify_s_structure
 
 N = 5
 
@@ -132,3 +132,32 @@ def test_merged_diagonal_check_agrees_with_the_pair_by_pair_route():
         assert verdict == diagonal_pair_by_pair(g, 5), line
         verdicts[verdict] += 1
     assert verdicts[False] > 0 and verdicts[True] > 0
+
+
+def test_grown_diagonal_check_agrees_with_the_lexicographic_pipeline():
+    # each length grown degree by degree from the map below, against the
+    # whole lexicographic bases reduced as one complex: on the atlas at
+    # lmax 5, and on the benchmark's seed-1 census stream at lmax 4
+    runs = [(parse_graph6(line), 5) for line in (FIXTURES / "atlas7_diam2.g6").read_text().split()]
+    runs += [(from_edges(edges, n=n), 4) for n, edges in census_stream(1)]
+    assert len(runs) == 374 + 300
+    verdicts = Counter()
+    for g, lmax in runs:
+        verdict = is_diagonal_up_to(g, lmax)
+        assert verdict == indexed_is_diagonal_up_to(g, lmax), (g.n, g.edges)
+        verdicts[lmax, verdict] += 1
+    assert all(verdicts[lmax, verdict] for lmax in (4, 5) for verdict in (True, False))
+
+
+def test_every_built_certificate_on_the_atlas_is_valid():
+    # classify takes a pawful graph's certificate from build_pawful_S,
+    # with no search; each one built on the atlas passes all three
+    # certificate conditions
+    built = 0
+    for line in (FIXTURES / "atlas7_diam2.g6").read_text().split():
+        g = parse_graph6(line)
+        if is_pawful(g).verdict:
+            s = build_pawful_S(g)
+            assert verify_s_structure(g, s.triples, s.quads) == (True, None), line
+            built += 1
+    assert built == 217

@@ -6,13 +6,18 @@ import random
 import subprocess
 import sys
 import time
+import traceback
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from maghom import ai_complex, cli, complete_graph, serialize_edge_list
+from maghom import ai_complex, cli, complete_graph, homology, mh_column, serialize_edge_list
+from maghom.errors import BudgetExceeded
 from maghom.symmetry import pair_orbits
-from conftest import FIXTURES, K20X2, encode_graph6, random_connected
+from conftest import FIXTURES, K20X2, census_stream, encode_graph6, random_connected
+from oracles import indexed_groups, indexed_is_diagonal_up_to, indexed_mh_table
 
 GOLDEN = FIXTURES.parent / "tests" / "golden"
 
@@ -418,6 +423,27 @@ def test_classify_records_a_search_over_its_budget_and_goes_on(capsys, tmp_path)
     assert [r["s_found"] for r in records] == [None, "budget-exceeded", False]
 
 
+def test_classify_builds_a_pawful_graphs_certificate_without_a_search(capsys, monkeypatch, tmp_path):
+    # C4 is pawful, so its certificate is built and its record reads true
+    # even at a budget of one node; G1 is not, and its search still runs
+    # over that budget
+    searched = []
+    search = cli.mt.search_structure
+
+    def recorded(g, budget=None):
+        searched.append(g.n)
+        return search(g, budget=budget)
+
+    monkeypatch.setattr(cli.mt, "search_structure", recorded)
+    stream = tmp_path / "stream.g6"
+    stream.write_text("Cr\nEhtw\n")
+    code, out, err = run(capsys, "classify", stream, "--budget", 1)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["n"], r["pawful"], r["s_found"]) for r in records] == [(4, True, True), (6, False, "budget-exceeded")]
+    assert searched == [6]
+
+
 def test_classify_searches_a_large_graph_and_goes_on(capsys, tmp_path):
     # K_(20x2) has 1560 certificate variables, more than the recursion limit
     seven = (GOLDEN / "stream7.g6").read_text().splitlines()[0]
@@ -672,3 +698,68 @@ def test_classify_checks_lmax_then_budget_then_each_setting(capsys, monkeypatch,
     monkeypatch.setenv("MAGHOM_BASIS_CAP", "x")
     monkeypatch.setenv("MAGHOM_SEARCH_BUDGET", "y")
     assert run(capsys, "classify", stream, *argv) == (1, "", f"error: {err}\n")
+
+
+# every cap of the sweep: 1..60, then the powers of two and three times them
+SWEEP_CAPS = sorted(set(range(1, 61)) | {2**k for k in range(15)} | {3 * 2**k for k in range(14)})
+
+
+def test_every_basis_cap_refuses_as_the_lexicographic_pipeline(capsys, monkeypatch, tmp_path):
+    # stdout, stderr and exit code at each cap of the sweep are those of
+    # the lexicographic pipeline (tests/oracles.py), which enumerates
+    # every degree whole before it builds a map: a refusal names the same
+    # degree with the same message, and a record over the cap in a
+    # census stream reads "budget-exceeded" in the same field
+    stream = tmp_path / "census.g6"
+    stream.write_text("".join(encode_graph6(n, edges) + "\n" for n, edges in census_stream(1)[:50]))
+    commands = [
+        ["mh-table", FIXTURES / "G3", "--lmax", 6],
+        ["mh-table", FIXTURES / "G3", "--lmax", 6, "--ab", "1,2"],
+        ["classify", stream, "--lmax", 4],
+    ]
+    outcomes = Counter()
+    for cap in SWEEP_CAPS:
+        monkeypatch.setenv("MAGHOM_BASIS_CAP", str(cap))
+        for argv in commands:
+            grown = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "_groups", indexed_groups)
+                patch.setattr(cli, "is_diagonal_up_to", indexed_is_diagonal_up_to)
+                assert run(capsys, *argv) == grown, (cap, argv)
+            budget = grown[0] == 2 or '"budget-exceeded"' in grown[1]
+            outcomes[argv[0], budget] += 1
+    # each command both refuses and finishes somewhere in the sweep
+    assert all(outcomes[command, budget] for command in ("mh-table", "classify") for budget in (True, False))
+
+
+def test_a_degree_is_refused_while_its_smooth_cells_are_found(monkeypatch, g3):
+    # G3 at l = 9: degree 6 holds 28,056 cells of the full basis and
+    # degree 7 holds 92,214, 77,414 of them with a smooth point; at a cap
+    # of 50,000 degree 7 is refused while d_7 finds them, before its
+    # other cells are enumerated, with the message of a whole
+    # enumeration, and the memory traced stays under 6 MB (3.4 MB on
+    # CPython 3.11, where the uncapped column peaks at 8.8 MB)
+    enumerated = []
+    enumerate_named = homology.enumerate_sequences
+
+    def recorded(g, k, length, *args):
+        enumerated.append(k)
+        return enumerate_named(g, k, length, *args)
+
+    monkeypatch.setattr(homology, "enumerate_sequences", recorded)
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "50000")
+    g3.walks(9)  # the walk counts, held by the graph, are not the column's
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^degree-7 length-9 basis exceeds the cap of 50000$") as err:
+            mh_column(g3, 9)
+        capped = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "boundary_matrix" in [frame.name for frame in traceback.extract_tb(err.value.__traceback__)]
+    assert enumerated == [5, 6]
+    assert capped < 6_000_000
+    monkeypatch.undo()
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", "50000")
+    with pytest.raises(BudgetExceeded, match="^degree-7 length-9 basis exceeds the cap of 50000$"):
+        indexed_mh_table(g3, 9)

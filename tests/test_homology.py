@@ -14,7 +14,16 @@ from conftest import (
     load_fixture,
     random_connected,
 )
-from oracles import diagonal_pair_by_pair, is_smooth, is_zero, sequence_length, sparse_matmul
+from oracles import (
+    diagonal_pair_by_pair,
+    indexed_boundaries,
+    indexed_mh_table,
+    is_smooth,
+    is_zero,
+    lexicographic_cells,
+    sequence_length,
+    sparse_matmul,
+)
 
 from maghom import (
     complete_graph,
@@ -27,7 +36,7 @@ from maghom import (
 )
 from maghom import homology
 from maghom.ai_complex import path_complex, relative_complex
-from maghom.errors import BudgetExceeded, ValidationError
+from maghom.errors import BasisCharge, BudgetExceeded, ValidationError
 from maghom.homology import (
     boundary_matrix,
     merge_torsion,
@@ -157,10 +166,10 @@ def test_degrees_0_and_1_are_computed_not_assumed(monkeypatch):
     rows = []
     inserted = homology.boundary_matrix
 
-    def recorded(g, basis_k, basis_lo, walks=None, faced=None):
+    def recorded(g, basis_k, basis_lo, *args, **kwargs):
         if basis_lo and len(basis_lo[0]) == 2:
             rows.extend(basis_lo)
-        return inserted(g, basis_k, basis_lo, walks, faced=faced)
+        return inserted(g, basis_k, basis_lo, *args, **kwargs)
 
     monkeypatch.setattr(homology, "boundary_matrix", recorded)
     graphs = [cycle_graph(7), path_graph(6), load_fixture("RP2H"), random_connected(random.Random(1), 9)]
@@ -189,20 +198,32 @@ def test_k2_is_diagonal_at_every_length():
 
 def test_pairs_without_a_walk_are_not_reduced(monkeypatch):
     # a path is bipartite, so a pair holds no length-l walk, and no cell,
-    # when the parity of l differs from that of its distance
-    reductions = []
-    reduce = homology._homology
+    # when the parity of l differs from that of its distance; one complex
+    # is reduced (its groups read off once) per pair with a walk, and
+    # every map built is the map of one such pair
+    reductions, built = [], set()
+    groups_of, inserted = homology.groups_of, homology.boundary_matrix
 
-    def counted(g, bases, top):
-        reductions.append(top)
-        return reduce(g, bases, top)
+    def counted(dims, forms):
+        reductions.append(dims[-1])  # the walk count of the complex
+        return groups_of(dims, forms)
+
+    def recorded(g, basis_k, basis_lo, *args, **kwargs):
+        (pair,) = {(y[0], y[-1]) for y in basis_lo}
+        built.add((pair, sequence_length(g, basis_lo[0])))
+        return inserted(g, basis_k, basis_lo, *args, **kwargs)
 
     g = path_graph(7)
     expected = mh_table(g, 6)
-    monkeypatch.setattr(homology, "_homology", counted)
+    monkeypatch.setattr(homology, "groups_of", counted)
+    monkeypatch.setattr(homology, "boundary_matrix", recorded)
     assert mh_table(g, 6) == expected
-    assert 0 < len(reductions) < len(pair_orbits(g)) * 7
+    orbits = pair_orbits(g)
+    with_walks = [(p, length) for length in range(7) for p in orbits if g.walks(length)[p[0]][p[1]]]
+    assert len(reductions) == len(with_walks) < len(orbits) * 7
     assert all(reductions)  # each reduced pair has a walk
+    assert built and {p for p, _ in built} <= set(orbits)
+    assert all(g.walks(length)[a][b] for (a, b), length in built)
 
 
 def test_diagonality_judgements(g1, g3):
@@ -354,7 +375,7 @@ def test_degrees_below_l_over_the_diameter_are_not_enumerated(monkeypatch, g3):
     enumerate_named = homology.enumerate_sequences
     monkeypatch.setattr(
         homology, "enumerate_sequences",
-        lambda g, k, length, summands: calls.append((k, length)) or enumerate_named(g, k, length, summands),
+        lambda g, k, length, *args: calls.append((k, length)) or enumerate_named(g, k, length, *args),
     )
     # K_2 has diameter 1: at length l only the l-step walks are cells
     table = mh_table(complete_graph(2), 50)
@@ -710,38 +731,43 @@ def test_column_is_the_sum_of_all_endpoint_summands(g1, g2, g3, c4):
 
 
 def test_diagonal_check_stops_at_the_first_off_diagonal_length(monkeypatch, g1, g3):
-    # each length is enumerated once for all orbit representatives and
-    # reduced as one complex, not pair by pair through mh_column
+    # each degree of a length is enumerated once for all orbit
+    # representatives, and the length is reduced as one complex (its
+    # groups read off once), not pair by pair through mh_column
     seen = []
-    cells, reduce = homology._cells, homology._homology
+    enumerate_named, groups_of = homology.enumerate_sequences, homology.groups_of
 
-    lows = []
+    def recorded_cells(g, k, length, summands, *args):
+        seen.append(("cells", k, length, len(summands)))
+        return enumerate_named(g, k, length, summands, *args)
 
-    def recorded_cells(g, length, summands):
-        seen.append(("cells", length, len(summands)))
-        low, bases = cells(g, length, summands)
-        lows.append(low)
-        return low, bases
-
-    def recorded_homology(g, bases, top):
-        # the bases start at the lowest degree that can hold a cell
-        seen.append(("reduce", lows[-1] + len(bases)))
-        return reduce(g, bases, top)
+    def recorded_groups(dims, forms):
+        seen.append(("reduce",))
+        return groups_of(dims, forms)
 
     def refused(*args):
         raise AssertionError("mh_column called")
 
-    monkeypatch.setattr(homology, "_cells", recorded_cells)
-    monkeypatch.setattr(homology, "_homology", recorded_homology)
+    def expected(g, lengths):
+        # the degrees from the lowest that can hold a cell up to l - 1
+        n = len(pair_orbits(g))
+        return [
+            event
+            for length in lengths
+            for event in [("cells", k, length, n) for k in range(-(-length // g.diameter), length)]
+            + [("reduce",)]
+        ]
+
+    monkeypatch.setattr(homology, "enumerate_sequences", recorded_cells)
+    monkeypatch.setattr(homology, "groups_of", recorded_groups)
     monkeypatch.setattr(homology, "mh_column", refused)
     assert len(pair_orbits(g3)) > 1 and len(pair_orbits(g1)) > 1
     assert not is_diagonal_up_to(g3, 6)
     # lengths 0-2 are diagonal without computing
-    assert seen == [("cells", 3, len(pair_orbits(g3))), ("reduce", 3)]
+    assert seen == expected(g3, [3])
     seen.clear()
     assert is_diagonal_up_to(g1, 4)
-    n = len(pair_orbits(g1))
-    assert seen == [("cells", 3, n), ("reduce", 3), ("cells", 4, n), ("reduce", 4)]
+    assert seen == expected(g1, [3, 4])
     seen.clear()
     assert is_diagonal_up_to(g3, 2)
     assert seen == []
@@ -797,3 +823,124 @@ def test_lengths_up_to_two_are_diagonal(g1, g2, g3, c4):
             assert all(group == (0, ()) for group in column[:length])
         for lmax in range(6):
             assert is_diagonal_up_to(g, lmax) == mh_table(g, lmax).is_diagonal()
+
+
+# --- the grown complexes against the lexicographic pipeline -----------------
+
+
+@pytest.mark.parametrize(
+    "name, lmax",
+    [("C4", 7), ("G1", 7), ("G2", 7), ("G3", 7), ("RP2H", 5), ("K33", 7), ("Petersen", 7)],
+)
+def test_grown_complexes_give_the_lexicographic_pipelines_table(name, lmax):
+    # RP2H carries the torsion Z/2 + Z/2 in MH_(3,4)
+    g = {"K33": K33, "Petersen": PETERSEN}.get(name) or load_fixture(name)
+    table = mh_table(g, lmax)
+    assert table == indexed_mh_table(g, lmax)
+    assert any(tors for _, tors in table.entries.values()) == (name == "RP2H")
+
+
+def no_smooth_point(g, x):
+    return not any(is_smooth(g, x, i) for i in range(1, len(x) - 1))
+
+
+def test_the_unsmooth_enumeration_is_the_filtered_full_one(g1, g3, c4):
+    # the same cells in the same order as the full enumeration filtered,
+    # for the pairs of one call, one pair, and the orbit representatives
+    seen = 0
+    for g in (g1, g3, c4):
+        for summands in (None, {(1, 3): 1}, pair_orbits(g)):
+            for length in range(8):
+                for k in range(length + 1):
+                    full = enumerate_sequences(g, k, length, summands)
+                    unsmooth = enumerate_sequences(g, k, length, summands, smooth=False)
+                    assert unsmooth == tuple(x for x in full if no_smooth_point(g, x))
+                    seen += len(full) - len(unsmooth)
+    assert seen > 10_000
+
+
+def test_the_unsmooth_enumeration_continues_the_charge_it_is_given(monkeypatch, g3):
+    # it charges only the cells it lists, each weighed by its summand, on
+    # top of what the charge already holds, and refuses past the cap
+    summands = pair_orbits(g3)
+    unsmooth = enumerate_sequences(g3, 5, 7, summands, smooth=False)
+    weight = sum(summands[x[0], x[-1]] for x in unsmooth)
+    assert 0 < weight < sum(summands[x[0], x[-1]] for x in enumerate_sequences(g3, 5, 7, summands))
+    monkeypatch.setenv("MAGHOM_BASIS_CAP", str(weight + 10))
+    charge = BasisCharge("degree-5 length-7 basis", summands)
+    charge.add(10)
+    assert enumerate_sequences(g3, 5, 7, summands, False, charge) == unsmooth
+    assert charge.room == 0
+    charge = BasisCharge("degree-5 length-7 basis", summands)
+    charge.add(11)
+    with pytest.raises(BudgetExceeded, match=f"degree-5 length-7 basis exceeds the cap of {weight + 10}"):
+        enumerate_sequences(g3, 5, 7, summands, False, charge)
+
+
+def grown_length(monkeypatch, g, length, summands):
+    """The maps ``_groups`` builds at one length and the cells each degree
+    gets: ({(degree, row cell, column cell): value}, peeled row cells,
+    {degree: smooth cells}, {degree: unsmooth cells})."""
+    entries, peeled, smooth, unsmooth = {}, set(), Counter(), Counter()
+    inserted, enumerate_named = homology.boundary_matrix, homology.enumerate_sequences
+
+    def recorded(g, basis_k, basis_lo, cofaces=None, faced=None, charge=None):
+        cols = []
+        mat = inserted(g, basis_k, basis_lo, cols, faced, charge)
+        if cofaces is not None:
+            cofaces.extend(cols)
+        k = len(basis_lo[0])
+        if faced is None:
+            smooth[k] += len(cols)
+        entries.update({(k, basis_lo[r], cols[c]): v for (r, c), v in mat.entries.items()})
+        peeled.update(basis_lo[r] for r in mat.peeled)
+        return mat
+
+    def counted(g, k, length, summands, smooth=True, charge=None):
+        cells = enumerate_named(g, k, length, summands, smooth, charge)
+        unsmooth[k] += len(cells)
+        return cells
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "boundary_matrix", recorded)
+        patch.setattr(homology, "enumerate_sequences", counted)
+        homology._groups(g, length, summands)
+    return entries, peeled, smooth, unsmooth
+
+
+def lexicographic_length(g, length, summands):
+    """The same for the lexicographic pipeline, one pair at a time, and
+    the size of each degree's full basis."""
+    entries, peeled = {}, set()
+    low, cells = lexicographic_cells(g, length, summands)
+    sizes = {k: len(basis) for k, basis in enumerate(cells, low)}
+    walks = g.walks(length)
+    for pair in summands:
+        if walks[pair[0]][pair[1]]:
+            _, bases = lexicographic_cells(g, length, {pair: 1})
+            top = []
+            for i, mat in indexed_boundaries(g, bases, top):
+                lower, upper = bases[i - 1], top if i == len(bases) else bases[i]
+                k = i + low
+                entries.update({(k, lower[r], upper[c]): v for (r, c), v in mat.entries.items()})
+                peeled.update(lower[r] for r in mat.peeled)
+    return entries, peeled, sizes
+
+
+def test_each_degree_is_its_smooth_cells_then_the_others(monkeypatch, g1, g3, c4):
+    # per degree, the cells that d_k finds and the ones enumerated after
+    # them make up the full basis, and every length stores the same
+    # entries, read through their cells, and peels the same rows as the
+    # lexicographic pipeline
+    peeled_seen = 0
+    for g in (c4, g1, g3, K33, PETERSEN, load_fixture("RP2H")):
+        summands = pair_orbits(g)
+        for length in range(1, 7 if g.n < 30 else 5):
+            entries, peeled, smooth, unsmooth = grown_length(monkeypatch, g, length, summands)
+            old_entries, old_peeled, sizes = lexicographic_length(g, length, summands)
+            assert {k: smooth[k] + unsmooth[k] for k in sizes} == sizes
+            assert set(smooth) | set(unsmooth) <= set(sizes)
+            assert entries == old_entries
+            assert peeled == old_peeled
+            peeled_seen += len(peeled)
+    assert peeled_seen > 1000

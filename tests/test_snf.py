@@ -423,11 +423,17 @@ def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, mon
             above.ncols,
         )
         assert smith_normal_form(kept) == full
-    # the same complex as the homology module reduces it, its top map
-    # peeled: the rows dropped from it are stored rows
+    # the same complex as the homology module grows it, one complex of
+    # every pair: the columns of each map below the top are the cells of
+    # its degree with a smooth point, it leaves out the rows at the unit
+    # pivots of the map below, and its top map is peeled: the rows
+    # dropped from it are stored rows
     calls.clear()
-    assert homology._homology(g3, bases[:6], dims[6]) == expected
-    assert [mat.ncols for mat, _, _ in calls[:-1]] == dims[4:6]
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    low, [(_, column)] = homology._columns(g3, 6, homology._checked(g3, None), merged=True)
+    assert column == expected[low:]
+    smooth = [sum(any(is_smooth(g3, x, i) for i in range(1, k)) for x in bases[k]) for k in (4, 5)]
+    assert [mat.ncols for mat, _, _ in calls[:-1]] == smooth
     for (_, _, res), (_, dropped, _) in zip(calls, calls[1:]):
         assert dropped == res.pivot_cols
     top, dropped, _ = calls[-1]
@@ -447,30 +453,53 @@ def deleted(g, upper, lower):
     }
 
 
+def by_cells(mat, rows, cols):
+    """The stored entries of ``mat`` as {(row cell, column cell): value}."""
+    return {(rows[r], cols[c]): v for (r, c), v in mat.entries.items()}
+
+
 def test_entries_views_are_the_deletion_rule_and_count_the_stored_entries(g1, g3, monkeypatch):
-    # the traced nnz counts read len(mat.entries): every map that
-    # ``_homology`` reduces for G3 at length 6, and the maps of a relative
-    # complex, hold the entries the deletion rule gives, no more
+    # the traced nnz counts read len(mat.entries): every map that the
+    # homology module builds for G3 at length 6, as one complex of every
+    # pair, and the maps of a relative complex, hold the entries the
+    # deletion rule gives, no more
     bases = [enumerate_sequences(g3, k, 6) for k in range(7)]
-    maps = []
-    real = smith_normal_form
-    monkeypatch.setattr(snf, "smith_normal_form", lambda mat, d=(): maps.append(mat) or real(mat, d))
-    homology._homology(g3, bases[:6], len(bases[6]))
-    *below, top = maps
-    assert [mat.ncols for mat in below] == [len(bases[4]), len(bases[5])]
-    for mat, k in zip(below, (4, 5)):
-        assert mat.entries == deleted(g3, bases[k], bases[k - 1])
+    maps = []  # (row cells, column cells, map)
+    inserted = homology.boundary_matrix
+
+    def recorded(g, basis_k, basis_lo, cofaces=None, faced=None, charge=None):
+        cols = []
+        mat = inserted(g, basis_k, basis_lo, cols, faced, charge)
+        if cofaces is not None:
+            cofaces.extend(cols)
+        maps.append((list(basis_lo), cols, mat))
+        return mat
+
+    monkeypatch.setattr(homology, "boundary_matrix", recorded)
+    homology._columns(g3, 6, homology._checked(g3, None), merged=True)
+    *below, (rows, cols, top) = maps
+    for (lower, upper, mat), k in zip(below, (4, 5)):
+        full = deleted(g3, bases[k], bases[k - 1])
+        assert sorted(lower) == list(bases[k - 1]) and mat.ncols == len(upper)
+        assert by_cells(mat, lower, upper) == {
+            (bases[k - 1][r], bases[k][c]): v for (r, c), v in full.items()
+        }
     # the top map peels the rows of its one-entry columns and stores the
     # other columns on the other rows, in order of first appearance
-    full = deleted(g3, bases[6], bases[5])
+    full = {(bases[5][r], bases[6][c]): v for (r, c), v in deleted(g3, bases[6], bases[5]).items()}
     columns = {}
-    for (r, col), v in full.items():
-        columns.setdefault(col, {})[r] = v
-    lone = {r for column in columns.values() if len(column) == 1 for r in column}
-    kept = {col: {r: v for r, v in column.items() if r not in lone} for col, column in columns.items()}
-    order = sorted((min(column), bases[6][col], col) for col, column in kept.items() if column)
-    assert top.peeled == lone and top.ncols == len(order)
-    assert top.entries == {(r, i): v for i, (_, _, col) in enumerate(order) for r, v in kept[col].items()}
+    for (y, x), v in full.items():
+        columns.setdefault(x, {})[y] = v
+    lone = {y for column in columns.values() if len(column) == 1 for y in column}
+    kept = {(y, x): v for (y, x), v in full.items() if y not in lone}
+    number = {y: r for r, y in enumerate(rows)}
+    first = {}
+    for y, x in kept:
+        first[x] = min(first.get(x, len(rows)), number[y])
+    assert {rows[r] for r in top.peeled} == lone
+    assert cols == sorted(first, key=lambda x: (first[x], x)) and top.ncols == len(cols)
+    assert by_cells(top, rows, cols) == kept
+    monkeypatch.undo()
     # the relative complex's top slot lists its walks with a face
     pair = relative_complex(g1, 1, 3, 7)
     cells = [pair.cells[lo:hi] for lo, hi in zip(pair.starts, pair.starts[1:])]
@@ -478,7 +507,7 @@ def test_entries_views_are_the_deletion_rule_and_count_the_stored_entries(g1, g3
         assert mat.entries == deleted(g1, cells[d], cells[d - 1])
     # the counts as they were when the entries were stored as one
     # {(row, col): value} dict
-    counts = [len(mat.entries) for mat in maps + list(pair.boundaries.values())]
+    counts = [len(mat.entries) for _, _, mat in maps] + [len(mat.entries) for mat in pair.boundaries.values()]
     assert counts == [374, 4324, 5098, 122, 614, 1108] and sum(counts) == 11_640
 
 

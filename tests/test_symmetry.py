@@ -170,15 +170,16 @@ def test_a_truncated_search_gives_finer_orbits_and_the_same_groups(monkeypatch, 
 
 
 def test_one_summand_per_orbit_is_reduced(monkeypatch, g3):
+    # each complex reduced has its groups read off once
     calls = Counter()
-    column = homology._homology
+    groups_of = homology.groups_of
     length = 4
 
-    def counted(g, bases, top):
+    def counted(dims, forms):
         calls[length] += 1  # the length of the mh_column call below
-        return column(g, bases, top)
+        return groups_of(dims, forms)
 
-    monkeypatch.setattr(homology, "_homology", counted)
+    monkeypatch.setattr(homology, "groups_of", counted)
     mh_column(PETERSEN, length)
     assert calls == {4: 3}  # one pair per orbit, of sizes 10, 30 and 60
     calls.clear()

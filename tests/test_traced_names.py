@@ -20,6 +20,7 @@ REQUIRED = {
     "boundary_matrix": "homology.boundary",
     "is_diagonal_up_to": "homology.diagonal",
     "smith_normal_form": "snf.snf",
+    "build_pawful_S": "matching.certificate",
     "build_matching": "matching.build_matching",
     "search_structure": "matching.search",
     "verify_matching": "morse.verify",
