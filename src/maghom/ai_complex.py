@@ -15,27 +15,28 @@ are the length-l sequences (a, x_1, .., x_(k-1), b) of the (a, b) summand
 of the magnitude chain complex, and a face of one (drop x_i, keep the
 other positions) lies outside K' exactly when x_i is smooth: the relative
 faces are the smooth deletions.  So the relative chain complex is that
-summand in degrees 2..l with d_2 dropped, and ``relative_complex`` keeps
-its maps as ``homology.boundary_matrix`` builds them, once, by the rule
-of every magnitude boundary (``homology._boundaries``): deleting x_i
-with sign (-1)^i, the negative of the simplicial boundary, which has
-the same homology and the same covers.  Below the top its cells stay in
-lexicographic order, the order of their simplices, which the Morse
-reports read.
+summand in degrees 2..l with d_2 dropped, and ``relative_complex``
+builds it as every magnitude complex is built (``homology._grow``),
+degree by degree, each d_k by insertion into the degree below, and keeps
+its maps: deleting x_i with sign (-1)^i, the negative of the simplicial
+boundary, which has the same homology and the same covers.  So in each
+dimension the cells with a face outside K' come first, in order of
+first appearance, and the others follow lexicographically.  Simplex
+order, (size, sequence), is ``RelativeComplex.order``; only the Morse
+reports of a failure sort by it.
 
 Its top cells, the length-l walks, are not enumerated.  A walk with no
 smooth point has no face outside K' and, being top-dimensional, no
 coface: it is an isolated cell, critical in every matching and one free
 Z of the top homology (Forman, "Morse theory for cell complexes", 1998).
-So ``relative_complex`` lists the cells of degrees 2..l-1, which
-``homology._cells`` enumerates on the summand {(a, b): 1}, and the walks
-with a smooth point, which d_l finds by insertion into degree l-1, and
-only counts the isolated walks, as the walk count (A^l)_ab less those
-listed.  The positions are derived only to display a cell.
-``path_complex`` builds K itself from the edge
-paths, where K is reported or checked, and charges its simplices to the
-basis cap (``errors.basis_cap``).  ``verify_correspondence`` compares
-with the summand that ``homology.mh_column`` computes for {(a, b): 1}.
+So ``relative_complex`` lists the walks with a smooth point, which d_l
+finds by insertion into degree l-1, and only counts the isolated walks,
+as the walk count (A^l)_ab less those listed.  The positions are
+derived only to display a cell.  ``path_complex`` builds K itself from
+the edge paths, where K is reported or checked, and charges its
+simplices to the basis cap (``errors.basis_cap``).
+``verify_correspondence`` compares with the summand that
+``homology.mh_column`` computes for {(a, b): 1}.
 
 There a simplex is a tuple of (vertex, position) pairs sorted by
 position; that ordering fixes the boundary orientation.  ``faces`` and
@@ -46,12 +47,12 @@ time, the second route that ``verify_correspondence`` uses.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, combinations
 
 from .errors import ValidationError, basis_cap, check_length, over_cap
 from .graph import Graph
-from .homology import _boundaries, _cells, _checked, enumerate_sequences, mh_column
+from .homology import _checked, _grow, _Kept, enumerate_sequences, mh_column
 from .snf import SparseMatrix, homology_of_complex
 
 Simplex = tuple[tuple[int, int], ...]  # ((vertex, position), ...), positions increasing
@@ -69,15 +70,20 @@ class RelativeComplex:
 
     The cell with interior vertices x_1 .. x_(k-1) is the degree-k,
     length-l sequence (a, x_1, .., x_(k-1), b), of dimension k - 2.
-    ``cells`` holds them by degree: below the top, lexicographically, the
-    order of their simplices; in the top dimension l - 2, the walks with
-    a smooth point, in order of first appearance as d_l inserts them.
-    They are the basis of the relative chain complex and the cell set of
-    the Morse matching.  The cells of dimension d are
-    ``cells[starts[d]:starts[d + 1]]``.  ``boundaries[d]`` maps them to
-    dimension d - 1, for each d >= 1 with both sides nonempty: deleting
-    x_i gives a face exactly when x_i is smooth, with the sign (-1)^i of
-    the magnitude chain complex.
+    ``cells`` holds them by degree, and in each dimension first the
+    cells with a face outside K', the cells with a smooth point, in
+    order of first appearance as the map into the degree below inserts
+    them, then the others lexicographically; the top dimension l - 2 has
+    only the first kind.  (In dimension 0 that face is the empty
+    simplex, whose sequence (a, b) has length d(a, b): outside K'
+    exactly when d(a, b) = l.)  So index order is not simplex order,
+    which ``order`` gives.  They are the basis of the relative chain
+    complex and the cell set of the Morse matching.  The cells of
+    dimension d are ``cells[starts[d]:starts[d + 1]]``.
+    ``boundaries[d]`` maps them to dimension d - 1, for each d >= 1 with
+    both sides nonempty, with its full shape: the cells with no face are
+    its zero columns.  Deleting x_i gives a face exactly when x_i is
+    smooth, with the sign (-1)^i of the magnitude chain complex.
 
     ``isolated`` counts the walks with no smooth point: top cells with no
     face and no coface, so in no boundary and no matching pair.  They are
@@ -99,6 +105,11 @@ class RelativeComplex:
         seq, dist = self.cells[c], self.g.dist
         return tuple(zip(seq[1:-1], accumulate(dist[u][v] for u, v in zip(seq, seq[1:-1]))))
 
+    def order(self, c: int) -> tuple[int, tuple[int, ...]]:
+        """The sort key of simplex order: cell c's size, then its
+        sequence, which within a size orders the simplices."""
+        return len(self.cells[c]), self.cells[c]
+
     def covers(self) -> Iterator[tuple[int, int]]:
         """(face, cell) as cell indices, for each entry of the boundaries."""
         for d, mat in self.boundaries.items():
@@ -113,29 +124,26 @@ def relative_complex(g: Graph, a: int, b: int, length: int) -> RelativeComplex:
 
     The cells of dimension d are the degree-(d+2), length-l sequences
     from a to b, each interior vertex at its cumulative distance from a.
-    A position depends only on the vertex prefix, so below the top
-    sequence order is cell order.  The boundaries are those of the
-    magnitude chain complex.  ``homology._cells`` enumerates the degrees
-    below l and charges each, and then the walk count, to the basis cap,
-    as enumerating degree l would; degrees 2..l-1 are kept, as the
-    relative complex drops degree 1.  The maps come from
-    ``homology._boundaries`` on those degrees, each looked up in the
-    degree above: d_l is built by insertion into degree l - 1,
-    unpeeled, and its columns are the top cells listed; the other walks
-    are counted as ``isolated``.  A length that is not an int >= 3
-    raises ValidationError.
+    The complex of the summand {(a, b): 1} grows in ``homology._grow``,
+    which charges each degree below l, and then the walk count, to the
+    basis cap, as enumerating degree l would, and lists only the cells
+    with no smooth point.  Degrees 2..l are kept, as the relative
+    complex drops degree 1, and every map with them: d_l unpeeled, its
+    columns the top cells listed; the other walks are counted as
+    ``isolated``.  A length that is not an int >= 3 raises
+    ValidationError.
     """
     check_length("length", length, signed=True)
     if length < 3:
         raise ValidationError("path-pair complexes need length >= 3")
-    low, window = _cells(g, length, _checked(g, {(a, b): 1}))
-    bases = ([()] * low + window)[2:]
-    top: list[tuple[int, ...]] = []
-    boundaries = dict(_boundaries(g, bases, top))
-    bases.append(top)
-    starts = tuple(accumulate(map(len, bases), initial=0))
-    isolated = g.walks(length)[a][b] - len(top)
-    return RelativeComplex(g, a, b, length, tuple(chain(*bases)), starts, boundaries, isolated)
+    grown = _Kept()
+    _grow(g, length, _checked(g, {(a, b): 1}), [grown])
+    dims = grown.dims[2:] + [len(grown.cells)]  # dimensions 0 .. l-2
+    cells = tuple(grown.kept[sum(grown.dims[:2]) :] + grown.cells)
+    starts = tuple(accumulate(dims, initial=0))
+    boundaries = {k - 2: replace(mat, ncols=dims[k - 2]) for k, mat in grown.maps.items() if k > 2}
+    isolated = g.walks(length)[a][b] - len(grown.cells)
+    return RelativeComplex(g, a, b, length, cells, starts, boundaries, isolated)
 
 
 def path_complex(g: Graph, a: int, b: int, length: int) -> frozenset[Simplex]:

@@ -401,7 +401,10 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     # The library makes no reference cycles (tests/test_gc.py), so a pass
-    # of the cyclic collector over its many small tables frees nothing.
+    # of the cyclic collector over its many small tables would free
+    # nothing of it.  CPython 3.12 and later leave cycles of their own
+    # (``_pylong``'s closures, for the exact division of huge integers),
+    # which wait for the collector once it is enabled again.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -60,6 +60,26 @@ class Graph:
         return max(max(row) for row in self.dist[1:])  # column 0 holds -1, never the max
 
     @cached_property
+    def pawful(self) -> PawfulWitness:
+        """``is_pawful``'s witness, found on first use, once per graph,
+        like ``between``."""
+        dist = self.dist
+        for u in self.vertices:
+            for v in self.vertices:
+                if dist[u][v] > 2:
+                    return PawfulWitness(False, far_pair=(u, v))
+        for x in self.vertices:
+            for y in self.vertices:
+                if dist[x][y] != 2:
+                    continue
+                for z in self.vertices:
+                    if dist[y][z] != 2 or dist[x][z] != 1:
+                        continue
+                    if all(dist[w][z] != 1 for w in self.between[x][y]):
+                        return PawfulWitness(False, violation=(x, y, z))
+        return PawfulWitness(True)
+
+    @cached_property
     def _powers(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         return {0: tuple(tuple(int(u == v) for v in range(self.n + 1)) for u in range(self.n + 1))}
 
@@ -327,21 +347,11 @@ def is_pawful(g: Graph) -> PawfulWitness:
     Otherwise d(alpha, delta) = 2, gamma != alpha, and the key fails
     exactly when (beta, delta, alpha) is a violation; a violation
     (x, y, z) is the failing key (z, x, y).
+
+    The witness is found once per graph and kept on it (``Graph.pawful``),
+    so ``classify`` and ``matching.build_pawful_S`` share one search.
     """
-    for u in g.vertices:
-        for v in g.vertices:
-            if g.dist[u][v] > 2:
-                return PawfulWitness(False, far_pair=(u, v))
-    for x in g.vertices:
-        for y in g.vertices:
-            if g.dist[x][y] != 2:
-                continue
-            for z in g.vertices:
-                if g.dist[y][z] != 2 or g.dist[x][z] != 1:
-                    continue
-                if all(g.dist[w][z] != 1 for w in g.between[x][y]):
-                    return PawfulWitness(False, violation=(x, y, z))
-    return PawfulWitness(True)
+    return g.pawful
 
 
 def ahk_edge_cycle_check(g: Graph) -> tuple[bool, tuple[int, int] | None]:

@@ -13,18 +13,21 @@ the same rule: degrees 0 and 1 too, so the vanishing of MH_(0,l) for
 l >= 1 and of MH_(1,l) for l >= 2 (Hepworth-Willerton) is computed, not
 assumed.
 
-Each length's complexes grow degree by degree from the bottom
-(``_columns``).  As the boundary deletes exactly the smooth points
-(Hepworth-Willerton, arXiv:1505.04125), a degree-k cell with a smooth
-point is a coface of a degree-(k-1) cell, so d_k, built by insertion
-into degree k-1, finds it: ``boundary_matrix`` with no upper basis
-numbers the cofaces in order of first appearance, as its columns.  The
-cells with no smooth point are the zero columns of d_k.  They follow the
-smooth ones, lexicographically, from an enumeration that prunes every
-prefix with a smooth point (``enumerate_sequences`` with ``smooth``
-False).  So a smooth cell's number is its column of d_k, d_k is reduced
-as soon as it is built, and compression reads its unit-pivot columns as
-rows of d_(k+1).
+Every magnitude complex is built one way: it grows degree by degree
+from the bottom, in one loop (``_grow``).  As the boundary deletes
+exactly the smooth points (Hepworth-Willerton, arXiv:1505.04125), a
+degree-k cell with a smooth point is a coface of a degree-(k-1) cell,
+so d_k, built by insertion into degree k-1, finds it:
+``boundary_matrix`` numbers the cofaces in order of first appearance,
+as its columns.  The cells with no smooth point are the zero columns of
+d_k.  They follow the smooth ones, lexicographically, from an
+enumeration that prunes every prefix with a smooth point
+(``enumerate_sequences`` with ``smooth`` False).  So a smooth cell's
+number is its column of d_k, and the caller decides what happens to
+d_k as soon as it is built.  ``mh_column`` and ``is_diagonal_up_to``
+reduce it (``_Complex``), and compression reads its unit-pivot columns
+as rows of d_(k+1); ``ai_complex.relative_complex`` keeps it
+(``_Kept``).
 
 The top degree k = l is never enumerated.  Its generators are the
 length-l walks, since each of their l gaps is 1, so its rank in the
@@ -35,7 +38,7 @@ row as d_l is assembled (elementary reduction, Kaczynski-Mrozek-Slusarek,
 "Homology computation by reduction of chain complexes", 1998); only the
 degree-(l-1) cells with no smooth point, the ones after the smooth
 cells, are tested.  The proofs are in ``boundary_matrix`` and
-``_columns``.
+``_grow``.
 
 Two symmetries map one endpoint summand isomorphically onto another.
 An automorphism sigma of G preserves distances, so it maps the (a, b)
@@ -57,14 +60,13 @@ cap in full, for all the pairs named, before the next is touched.
 reduces each on its own; a pair with none holds no cell either, and its
 groups are zero, so they are neither computed nor merged.
 ``is_diagonal_up_to``, which asks only whether groups vanish, grows one
-complex of all the pairs named.  ``ai_complex.relative_complex`` keeps
-lexicographic cells below the top (``_cells``, ``_boundaries``), as its
-Morse reports read cell order as simplex order.
+complex of all the pairs named.  ``ai_complex.relative_complex`` grows
+the one summand {(a, b): 1}.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -124,7 +126,7 @@ def enumerate_sequences(
     basis of this degree.  Each batch found is added to ``charge``
     (``errors.BasisCharge``; one of this degree alone when not given),
     which aborts the enumeration with BudgetExceeded as soon as the full
-    basis would outgrow the basis cap, before memory does; ``_columns``
+    basis would outgrow the basis cap, before memory does; ``_grow``
     passes the charge that the degree's smooth cells went to first.  A
     mapping passed in is checked (``_checked``); ``mh_table``,
     ``mh_column``, ``is_diagonal_up_to`` and
@@ -209,7 +211,6 @@ def enumerate_sequences(
 
 def boundary_matrix(
     g: Graph,
-    basis_k: Basis | None,
     basis_lo: Basis,
     cofaces: list[tuple[int, ...]] | None = None,
     faced: Container[int] | None = None,
@@ -218,9 +219,8 @@ def boundary_matrix(
     """Matrix of the boundary from degree k to the span of ``basis_lo``.
 
     ``basis_lo`` is degree k-1 of one length and one set of endpoint
-    pairs, and ``basis_k``, when given, degree k of the same, as
-    ``enumerate_sequences`` lists them.  Column x picks up (-1)^i at the
-    row of x with position i deleted, for every smooth interior i
+    pairs, in any order.  Column x picks up (-1)^i at the row of x with
+    position i deleted, for every smooth interior i
     (d(x_(i-1), x_(i+1)) = d(x_(i-1), x_i) + d(x_i, x_(i+1))); endpoints
     are kept.
 
@@ -236,18 +236,18 @@ def boundary_matrix(
     x_(i+1), which differ, their distance being a sum of two positive
     ones; so deleting x_i gives a row y, into which x_i inserts as x.
     Deleting two positions of one x gives two sequences, as no two
-    consecutive entries are equal, so no x comes from one y twice.  With
-    ``basis_k`` given, each x is looked up in it; one missing raises
-    KeyError.
+    consecutive entries are equal, so no x comes from one y twice.
 
-    With ``basis_k`` None, the columns are the cofaces so found, in order
-    of first appearance: by the converse above, these are the degree-k
-    cells with a smooth point, and the columns of d_k that are not zero.
-    Given ``cofaces``, a list, they are appended to it in column order.
+    The columns are the cofaces so found, in order of first appearance:
+    by the converse above, these are the degree-k cells with a smooth
+    point, and the columns of d_k that are not zero; the cells with no
+    smooth point are its zero columns, which a caller numbers after
+    them.  Given ``cofaces``, a list, they are appended to it in column
+    order.
     Given ``charge`` (``errors.BasisCharge``), each row that finds new
     cofaces charges them, each weighed as its endpoint pair, before the
     next row is read, so they are refused as soon as they are over the
-    basis cap.  ``_columns`` builds every d_k so.
+    basis cap.  ``_grow`` builds every d_k so.
 
     At the top degree k = l, the length, the cofaces are the walks.
     Each y has one gap of 2, at position j, the only gap with a nonempty
@@ -264,7 +264,7 @@ def boundary_matrix(
     and j+1 need testing.  That column of d_l is the lone entry (-1)^j at
     row y: adding multiples of it to the others (column operations,
     which keep the image) clears the rest of row y.  A row in ``faced``
-    is never peeled, as no such walk comes from it (``_columns``).  So
+    is never peeled, as no such walk comes from it (``_grow``).  So
     the result is d_l U for a unimodular U: its ``peeled`` rows, each
     with its unit column, and the columns of the walks with two or more
     smooth points, restricted to the other rows, in order of first
@@ -274,9 +274,10 @@ def boundary_matrix(
     that of the stored rows; a peeled row is not stored.  Without
     ``faced`` nothing is peeled: the result is d_l itself without its
     zero columns, its columns the walks with a smooth point, each with
-    all of its entries.  ``_columns`` peels, its smooth cells of degree
-    l-1 being its first rows; ``ai_complex.relative_complex`` reads the
-    entries of d_l as covers and does not.
+    all of its entries.  ``_Complex`` peels, its smooth cells of degree
+    l-1 being its first rows; ``_Kept``, for
+    ``ai_complex.relative_complex``, which reads the entries of d_l as
+    covers, does not.
     """
     dist, between = g.dist, g.between
     singles = [(v,) for v in range(g.n + 1)]  # each vertex v as (v,), made once
@@ -287,9 +288,8 @@ def boundary_matrix(
     last = len(gaps)
     # at the top degree every gap is 1 but one, which is 2
     top = sum(dist[u][w] for u, w in zip(y0, y0[1:])) == len(y0)
-    found = basis_k is None
-    index = {} if found else {x: col for col, x in enumerate(basis_k)}
-    setdefault, size = index.setdefault, len(index)
+    index: dict[tuple[int, ...], int] = {}  # each coface found -> its column
+    setdefault, size = index.setdefault, 0
     weights = None if charge is None else charge.weights
     spent = 0  # weighed, since the call began
     for row, y in enumerate(basis_lo):
@@ -319,15 +319,11 @@ def boundary_matrix(
             if inserts:
                 sign = -1 if j & 1 else 1
                 head, tail = y[:j], y[j:]
-                if found:  # a new coface takes the next column
-                    for v in inserts:
-                        col = setdefault(head + singles[v] + tail, size)
-                        if col == size:
-                            size += 1
-                        rdata[col] = sign
-                else:
-                    for v in inserts:
-                        rdata[index[head + singles[v] + tail]] = sign
+                for v in inserts:  # a new coface takes the next column
+                    col = setdefault(head + singles[v] + tail, size)
+                    if col == size:
+                        size += 1
+                    rdata[col] = sign
         if size > before and weights is not None:
             spent += weights[y[0], y[-1]] * (size - before)
             if spent > charge.room:
@@ -337,30 +333,6 @@ def boundary_matrix(
     if cofaces is not None:
         cofaces.extend(index)
     return SparseMatrix(rows, len(basis_lo), size, frozenset(peeled))
-
-
-def _boundaries(
-    g: Graph, bases: list[Basis], walks: list[tuple[int, ...]]
-) -> Iterator[tuple[int, SparseMatrix]]:
-    """(i, d) for the maps between nonempty degrees of the complex of
-    ``bases`` and the length-l walks, from the bottom up, d_l last: the
-    maps of ``ai_complex.relative_complex``.  ``bases`` holds consecutive
-    degrees of one length l, lexicographically, the last of them degree
-    l-1; index i numbers a basis and the map out of it, and the walks
-    come at index len(bases).  d_l is built whole, its columns appended
-    to ``walks``, as ``relative_complex`` reads its entries as covers
-    (``boundary_matrix``).
-
-    The top degree is nonempty whenever degree l-1 is: the l-1 gaps of a
-    degree-(l-1), length-l cell add up to l, so one of them is 2, and a
-    common neighbour inserted there makes a walk.  So d_l is built
-    whenever degree l-1 has a cell.
-    """
-    for k in range(1, len(bases)):
-        if bases[k] and bases[k - 1]:
-            yield k, boundary_matrix(g, bases[k], bases[k - 1])
-    if bases and bases[-1]:
-        yield len(bases), boundary_matrix(g, None, bases[-1], walks)
 
 
 def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
@@ -383,52 +355,13 @@ def merge_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ..
     return tuple(d for d in factors if d > 1)
 
 
-def _cells(g: Graph, length: int, summands: Summands) -> tuple[int, list[Basis]]:
-    """(low, bases): the bases of degrees low <= k < l of the length-l
-    complex of the checked ``summands`` (degree k at index k - low), in
-    lexicographic order, after charging the full basis of each degree to
-    the basis cap, every cell of a summand {(a, b): m} m times; the cells
-    of ``ai_complex.relative_complex``.
-
-    A degree k < l / diam(G) has no cells, as each of its k gaps is at
-    most diam(G), so the window starts at low = ⌈l / diam(G)⌉ (at l when
-    diam(G) = 0, an empty window) and the degrees below are neither
-    enumerated nor listed.  Each degree of the window is enumerated once
-    for all summands (``enumerate_sequences``), which charges it, in
-    increasing order.  Degree l is the length-l walks, (A^l)_ab in the
-    (a, b) summand: counted, not enumerated, and charged after the
-    enumerated degrees (``_charge_walks``).
-    """
-    low = _low(g, length)
-    bases = [enumerate_sequences(g, k, length, summands) for k in range(low, length)]
-    _charge_walks(g, length, summands)
-    return low, bases
-
-
-def _low(g: Graph, length: int) -> int:
-    """⌈l / diam(G)⌉, the lowest degree that can hold a length-l cell, as
-    each gap is at most diam(G); l when diam(G) = 0."""
-    maxd = g.diameter
-    return -(-length // maxd) if maxd else length
-
-
-def _charge_walks(g: Graph, length: int, summands: Summands) -> None:
-    """Charge the top degree, (A^l)_ab cells in the summand (a, b), to
-    the basis cap; as in ``enumerate_sequences``, length 0 is not
-    charged."""
-    if length:
-        walks = g.walks(length)
-        BasisCharge(f"degree-{length} length-{length} basis", summands).add(
-            sum(m * walks[a][b] for (a, b), m in summands.items())
-        )
-
-
 class _Complex:
-    """One complex of ``_columns`` as it grows: ``cells``, the basis of
-    the degree reached, its ``smooth`` cells first; the rank of each
-    degree so far (``dims``); the Smith form of each map built, by the
-    index of its degree in ``dims`` (``forms``), and the unit-pivot
-    columns of the last (``pivots``)."""
+    """One complex of ``_grow`` as it grows: ``cells``, the basis of the
+    degree reached, its ``smooth`` cells first, and the rank of each
+    degree so far, by degree (``dims``).  Each map goes to ``take`` as
+    soon as it is built.  This class reduces it and holds only its Smith
+    form, by its degree (``forms``), and the unit-pivot columns of the
+    last map (``pivots``), so it holds one map at a time."""
 
     __slots__ = ("cells", "smooth", "dims", "forms", "pivots")
 
@@ -439,102 +372,149 @@ class _Complex:
         self.forms: dict[int, SNFResult] = {}
         self.pivots: frozenset[int] = frozenset()
 
-    def grow(self, g: Graph, charge: BasisCharge) -> None:
+    def grow(self, g: Graph, charge: BasisCharge | None = None) -> None:
         """Replace ``cells`` by the smooth cells of the next degree, found
-        and charged by building the map into ``cells``, which is reduced."""
+        and charged by building the map into ``cells``, which goes to
+        ``take`` with the cells of its rows."""
         lower, self.cells = self.cells, []
         if lower:
-            self.reduce(boundary_matrix(g, None, lower, self.cells, charge=charge))
+            self.take(boundary_matrix(g, lower, self.cells, charge=charge), lower)
         else:
             self.pivots = frozenset()
         self.smooth = len(self.cells)
 
-    def reduce(self, mat: SparseMatrix) -> None:
-        """Reduce ``mat``, the map out of the degree that ``dims`` lists
-        next, without the rows at the unit-pivot columns of the map
-        before it (compression, ``snf.homology_of_complex``)."""
+    def take(self, mat: SparseMatrix, lower: list[tuple[int, ...]]) -> None:
+        """Reduce ``mat``, the map out of degree len(dims), without the
+        rows at the unit-pivot columns of the map before it (compression,
+        ``snf.homology_of_complex``)."""
         form = smith_normal_form(mat, self.pivots)
         self.forms[len(self.dims)] = SNFResult(form.rank, form.divisors)
         self.pivots = form.pivot_cols
 
+    def top(self, g: Graph) -> None:
+        """Take d_l, peeled with the smooth cells of degree l-1 as its
+        ``faced`` rows (``_grow``); the walks are not listed."""
+        if self.cells:
+            self.take(boundary_matrix(g, self.cells, faced=range(self.smooth)), self.cells)
+        self.cells = []
 
-def _columns(
-    g: Graph, length: int, summands: Summands, merged: bool
-) -> tuple[int, list[tuple[int, list[tuple[int, tuple[int, ...]]]]]]:
-    """(low, [(m, groups)]): the groups of the degrees low..l of each
-    complex of the length-l chains of the checked ``summands``, with the
-    weight m of its pair.  With ``merged``, one complex of all the pairs
-    (weight 1); otherwise one for each pair (a, b) that holds a length-l
-    walk, (A^l)_ab > 0.  A pair with none holds no cell either:
-    replacing each gap of a cell by a geodesic, edge by edge, makes a
-    walk with the same ends and length.  The window starts at
-    low = ⌈l / diam(G)⌉ (``_low``), so a length costs what the degrees
-    that can hold a cell cost.
 
-    The complexes grow together, degree by degree, from low up.  In
-    degree k, each complex's d_k is built by insertion into its degree
-    k-1 (``boundary_matrix`` with no upper basis), which finds its cells
-    with a smooth point, numbered as d_k's columns, and is reduced at
-    once (``smith_normal_form``), without the rows at the unit-pivot
-    columns of d_(k-1) (compression, ``snf.homology_of_complex``).  The
-    cells with no smooth point follow, from one enumeration for all the
-    pairs (``enumerate_sequences`` with ``smooth`` False); they are zero
+class _Kept(_Complex):
+    """The complex of ``ai_complex.relative_complex``, which keeps what
+    ``_Complex`` lets go: each map whole, by its degree (``maps``), and
+    the cells of its rows, one degree after another in one list
+    (``kept``), so every degree below the top that has a cell.  d_l is
+    built as the maps below it are, unpeeled; its columns, the walks
+    with a smooth point, are left in ``cells``."""
+
+    __slots__ = ("kept", "maps")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kept: list[tuple[int, ...]] = []
+        self.maps: dict[int, SparseMatrix] = {}
+
+    def take(self, mat: SparseMatrix, lower: list[tuple[int, ...]]) -> None:
+        self.maps[len(self.dims)] = mat
+        self.kept += lower
+
+    top = _Complex.grow
+
+
+def _grow(
+    g: Graph,
+    length: int,
+    summands: Summands,
+    complexes: Sequence[_Complex],
+    owner: Mapping[tuple[int, int], _Complex] | None = None,
+) -> None:
+    """The one degree loop: grow ``complexes``, of the length-l chains
+    of the checked ``summands``, together, degree by degree, up to the
+    top degree l.  The cells of a pair go to its complex in ``owner``,
+    or, with no ``owner``, to the one complex given.
+
+    A degree k < l / diam(G) has no cells, as each of its k gaps is at
+    most diam(G).  So the loop starts at low = ⌈l / diam(G)⌉ (at l when
+    diam(G) = 0, an empty window), and ``dims`` reads 0 below it: a
+    length costs what the degrees that can hold a cell cost.  In degree
+    k, each complex's d_k is built by insertion into its degree k-1
+    (``boundary_matrix``), which finds its cells with a smooth point,
+    numbered as d_k's columns in order of first appearance, and goes to
+    the complex's ``take`` at once.  The cells with no smooth point
+    follow, lexicographically, from one enumeration for all the pairs
+    (``enumerate_sequences`` with ``smooth`` False); they are zero
     columns of d_k and of no other map into degree k.  So d_k is built
     exactly when degree k-1 has a cell, as degree k then has one: a
-    degree-(k-1) cell with k - 1 < l has a gap of 2 or more, and a vertex
-    of its interval inserts there.  Degree low has no smooth cell, as
-    degree low - 1 is empty.  Only one map is held at a time, and the
-    cells of two degrees.
+    degree-(k-1) cell with k - 1 < l has a gap of 2 or more, and a
+    vertex of its interval inserts there.  Degree low has no smooth
+    cell, as degree low - 1 is empty.  The top degree, the length-l
+    walks, is never enumerated: each complex's ``top`` takes d_l, built
+    by the same insertions into degree l-1.
 
     The basis cap keeps the meaning it has when each degree is listed
     whole: degree k is charged in full, first its smooth cells as each
     d_k finds them, complex after complex, then its other cells, on the
-    same charge, before degree k+1 is touched, and the walk count after
-    the last degree (``_charge_walks``).  So a refusal names the first
-    degree over the cap, and no degree's cells outgrow it by more than a
-    row's cofaces or an enumeration batch.
+    same charge, before degree k+1 is touched.  The walks, (A^l)_ab in
+    the summand (a, b), are charged after the last degree, as
+    enumerating degree l would (as there, length 0 is not charged).  So
+    a refusal names the first degree over the cap, and no degree's cells
+    outgrow it by more than a row's cofaces or an enumeration batch.
 
-    d_l is peeled with the smooth cells of degree l-1, its first rows, as
-    ``faced``.  A row y that some walk peels (at y's gap of 2, position
-    j) has no smooth point: the walk has none but the inserted v, so no
-    point of y away from the gap is smooth, and d(y_(j-2), v) <= 1 puts
-    y_(j-2) within 2 of y_j, so y_(j-1) is not smooth, nor likewise y_j.
-    So the smooth cells are never peeled, and the rest need only the test
-    at the gap.  No insertion reaches a peeled row's column of d_(l-1), a
-    zero column, so d_(l-1) has no pivot there, and the rows that
-    compression drops from d_l are all stored rows.
+    ``_Complex.top`` peels d_l with the smooth cells of degree l-1, its
+    first rows, as ``faced``.  A row y that some walk peels (at y's gap
+    of 2, position j) has no smooth point: the walk has none but the
+    inserted v, so no point of y away from the gap is smooth, and
+    d(y_(j-2), v) <= 1 puts y_(j-2) within 2 of y_j, so y_(j-1) is not
+    smooth, nor likewise y_j.  So the smooth cells are never peeled, and
+    the rest need only the test at the gap.  No insertion reaches a
+    peeled row's column of d_(l-1), a zero column, so d_(l-1) has no
+    pivot there, and the rows that compression drops from d_l are all
+    stored rows.
     """
-    low = _low(g, length)
-    walks = g.walks(length)
-    held = [(a, b) for a, b in summands if walks[a][b]]
-    if merged:
-        whole = _Complex()
-        complexes = [(1, sum(walks[a][b] for a, b in held), whole)] if held else []
-    else:
-        owner = {pair: _Complex() for pair in held}
-        complexes = [(summands[a, b], walks[a][b], c) for (a, b), c in owner.items()]
+    maxd = g.diameter
+    low = -(-length // maxd) if maxd else length
+    for c in complexes:
+        c.dims = [0] * low
     for k in range(low, length):
         charge = BasisCharge(f"degree-{k} length-{length} basis", summands)
-        for _, _, c in complexes:
+        for c in complexes:
             c.grow(g, charge)
         unsmooth = enumerate_sequences(g, k, length, summands, False, charge)
-        if merged:
-            whole.cells.extend(unsmooth)
+        if owner is None:
+            complexes[0].cells.extend(unsmooth)
         else:
             for x in unsmooth:
                 owner[x[0], x[-1]].cells.append(x)
         del unsmooth  # not held while degree k + 1 is built
-        for _, _, c in complexes:
+        for c in complexes:
             c.dims.append(len(c.cells))
-    _charge_walks(g, length, summands)
-    out = []
-    for m, top, c in complexes:
-        if c.cells:
-            c.reduce(boundary_matrix(g, None, c.cells, faced=range(c.smooth)))
-        c.cells = []
-        c.dims.append(top)
-        out.append((m, groups_of(c.dims, c.forms)))
-    return low, out
+    if length:
+        walks = g.walks(length)
+        top = sum(m * walks[a][b] for (a, b), m in summands.items())
+        BasisCharge(f"degree-{length} length-{length} basis", summands).add(top)
+    for c in complexes:
+        c.top(g)
+
+
+def _columns(
+    g: Graph, length: int, summands: Summands, merged: bool
+) -> list[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
+    """[(m, groups)]: the groups of the degrees 0..l of each complex of
+    the length-l chains of the checked ``summands``, with the weight m of
+    its pair, each grown and reduced by ``_grow``.  With ``merged``, one
+    complex of all the pairs (weight 1); otherwise one for each pair
+    (a, b) that holds a length-l walk, (A^l)_ab > 0.  A pair with none
+    holds no cell either: replacing each gap of a cell by a geodesic,
+    edge by edge, makes a walk with the same ends and length."""
+    walks = g.walks(length)
+    held = [(a, b) for a, b in summands if walks[a][b]]
+    if merged:
+        owner, complexes = None, [(1, sum(walks[a][b] for a, b in held), _Complex())]
+    else:
+        owner = {pair: _Complex() for pair in held}
+        complexes = [(summands[a, b], walks[a][b], c) for (a, b), c in owner.items()]
+    _grow(g, length, summands, [c for _, _, c in complexes], owner)
+    return [(m, groups_of(c.dims + [top], c.forms)) for m, top, c in complexes]
 
 
 def mh_column(
@@ -567,10 +547,9 @@ def _groups(
     """The nonzero groups of ``mh_column`` by degree, in increasing
     degree, for checked ``summands``: one complex per pair
     (``_columns``), each group counted with its pair's weight."""
-    low, columns = _columns(g, length, summands, merged=False)
     groups: dict[int, list[tuple[int, tuple[int, tuple[int, ...]]]]] = {}  # k -> [(m, group)]
-    for m, column in columns:
-        for k, group in enumerate(column, low):
+    for m, column in _columns(g, length, summands, merged=False):
+        for k, group in enumerate(column):
             if group != (0, ()):
                 groups.setdefault(k, []).append((m, group))
     return {
@@ -671,8 +650,7 @@ def is_diagonal_up_to(g: Graph, lmax: int) -> bool:
         return True
     summands = _Checked(pair_orbits(g))
     for length in range(3, lmax + 1):
-        low, columns = _columns(g, length, summands, merged=True)
-        for _, column in columns:
-            if any(rank or tors for k, (rank, tors) in enumerate(column, low) if k != length):
+        for _, column in _columns(g, length, summands, merged=True):
+            if any(rank or tors for k, (rank, tors) in enumerate(column) if k != length):
                 return False
     return True

@@ -154,10 +154,12 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
     vertex after the pattern start.  A well-shaped certificate is refused
     for two middles over one key (the quadruples are checked first), for
     no middle over the key of some gap, or for a gap-first cell whose
-    image deletion at its pattern start does not take back to it.
-    Otherwise insertion is one-to-one, and it is onto as well, which the
-    count comparison at the end only re-checks.  Acyclicity is not
-    checked here.
+    image deletion at its pattern start does not take back to it; the
+    gap-first cells are scanned in index order, and only after a refusal
+    again in simplex order (``RelativeComplex.order``), so that the
+    first faulty one in that order is named.  Otherwise insertion is
+    one-to-one, and it is onto as well, which the count comparison at
+    the end only re-checks.  Acyclicity is not checked here.
 
     Nothing else can fail once ``_validate_structure`` has passed, since
     every step of a validated tuple is 1:
@@ -224,8 +226,9 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
         at[c] = t
 
     starts, bounds = pair.starts, pair.boundaries
-    mates: list[tuple[int, int]] = []
-    for c in gap_first:
+
+    def mate(c: int) -> int | None:
+        """The image of gap-first cell c, or None when its row lacks it."""
         seq, j = cells[c], at[c]
         mid = middle.get(seq[j - 1 : j + 2] if j else seq[:2])
         if mid is None:
@@ -239,11 +242,17 @@ def build_matching(pair: RelativeComplex, s: SStructure) -> MatchingBuild:
             if cells[m][j + 1] == mid:
                 break
         else:
-            continue
+            return None
         image, i = cells[m], at[m]
         if image[: i + 1] + image[i + 2 :] != seq:
             raise CertificateError(f"deletion does not invert insertion at {pair.simplex(c)}")
-        mates.append((c, m))
+        return m
+
+    try:
+        mates = [(c, m) for c in gap_first if (m := mate(c)) is not None]
+    except CertificateError:  # the refusal names the first faulty cell in simplex order
+        list(map(mate, sorted(gap_first, key=pair.order)))
+        raise
     pattern_first = len(at) - len(gap_first)
     if len(mates) != pattern_first:
         raise InternalCheckError(f"{pattern_first - len(mates)} pattern-first cells unmatched")

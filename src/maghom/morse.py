@@ -90,7 +90,7 @@ def is_acyclic(
     cells with no incoming edge removes them all.
     Order only decides which cycle gets reported, so only on a cycle, or
     on a cell named twice or outside the cell set, does the ordered search
-    run: from the cells in index order, taking targets in simplex order.
+    run: from the cells in simplex order, taking targets in simplex order.
     Returns the cycle as a list of cell indices when one exists.
     """
     n = len(pair.cells)
@@ -133,7 +133,10 @@ def is_acyclic(
 def _ordered_cycle(
     pair: RelativeComplex, matching: frozenset[tuple[int, int]]
 ) -> tuple[bool, list[int] | None]:
-    """The depth-first search behind ``is_acyclic``'s reported cycle."""
+    """The depth-first search behind ``is_acyclic``'s reported cycle:
+    roots in simplex order (``RelativeComplex.order``), and each cell's
+    targets by their interior vertices, which among faces of one cell is
+    simplex order too."""
     n = len(pair.cells)
     up: list[list[int]] = [[] for _ in range(n)]
     for low, high in pair.covers():
@@ -141,18 +144,12 @@ def _ordered_cycle(
             up[low].append(high)
         else:
             up[high].append(low)
-    lows = {low for low, _ in matching}
-    for c, targets in enumerate(up):
-        if c in lows:  # up and down targets: order by interior vertices
-            targets.sort(key=lambda t: pair.cells[t][1:-1])
-        else:  # one dimension, where index order is simplex order
-            targets.sort()
+    for targets in up:  # by interior vertices, simplex order in one dimension
+        targets.sort(key=lambda t: pair.cells[t][1:-1])
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * n
-    # the top cells, not in simplex order, come last; every cycle holds a
-    # lower cell, so the roots before them reach it first
-    for root in range(n):
+    for root in sorted(range(n), key=pair.order):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
@@ -194,12 +191,15 @@ def morse_rank_check(
     With every critical cell in the top dimension l-2, the relative
     homology of the pair must be free of rank equal to the critical
     count, concentrated in degree l-2.  The count includes the pair's
-    isolated cells, all of them top-dimensional.  Returns (ok, diagnostic).
+    isolated cells, all of them top-dimensional.  Returns (ok,
+    diagnostic); a diagnostic shows the first five cells off that
+    dimension in simplex order.
     """
     length = pair.length
     crit = critical_cells(pair, matching)
     off = [(c, d) for c, d in crit if d != length - 2]
     if off:
+        off.sort(key=lambda cd: pair.order(cd[0]))
         shown = [(pair.simplex(c), d) for c, d in off[:5]]
         return False, f"critical cells off dimension {length - 2}: {shown}"
     count = len(crit) + pair.isolated

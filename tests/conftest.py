@@ -115,10 +115,11 @@ def full_basis(g, k, length):
 
 
 def full_boundary(g, k, length):
-    """The degree-k boundary matrix of the whole length-l complex."""
-    from maghom import boundary_matrix
+    """The degree-k boundary matrix of the whole length-l complex, its
+    rows and columns the lexicographic bases, built by deletion."""
+    from oracles import indexed_boundary
 
-    return boundary_matrix(g, full_basis(g, k, length), full_basis(g, k - 1, length))
+    return indexed_boundary(g, full_basis(g, k, length), full_basis(g, k - 1, length))
 
 
 def random_connected(rng, n):

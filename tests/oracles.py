@@ -7,7 +7,7 @@ second route for the sequence-based code that replaced them.
 """
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd, inf
 
 from maghom import symmetry
@@ -620,9 +620,23 @@ def euler_check(g, lmax):
 # The library's route before each degree's cells came from the insertions
 # into the degree below: every degree of the window enumerated whole, in
 # lexicographic order and charged on its own, the walks charged after
-# them, then per complex the boundaries looked up in a {cell: column}
-# index of the degree above, bottom up, the top one peeled with the
-# columns of the map below that hold an entry as its ``faced`` rows.
+# them, then per complex the boundaries of given bases, bottom up, here
+# built by deletion, the top one by the library's insertion, peeled with
+# the columns of the map below that hold an entry as its ``faced`` rows.
+
+
+def indexed_boundary(g, upper, lower):
+    """The boundary from the span of ``upper`` to that of ``lower``, two
+    bases of one length in the given orders, built by deletion, column
+    by column: column x gets (-1)^i at the row of x with its smooth
+    position i deleted.  A face missing from ``lower`` raises KeyError."""
+    index = {y: r for r, y in enumerate(lower)}
+    rows = {}
+    for col, x in enumerate(upper):
+        for i in range(1, len(x) - 1):
+            if is_smooth(g, x, i):
+                rows.setdefault(index[x[:i] + x[i + 1 :]], {})[col] = (-1) ** i
+    return SparseMatrix(rows, len(lower), len(upper))
 
 
 def lexicographic_cells(g, length, summands):
@@ -641,18 +655,44 @@ def lexicographic_cells(g, length, summands):
 
 def indexed_boundaries(g, bases, walks=None):
     """(i, d_i) for the complex of ``bases`` (consecutive degrees of one
-    length, the last one l - 1) and the walks: each d_i with its columns
-    looked up in the basis above, then d_l by insertion, peeled, its
-    columns appended to ``walks`` when given."""
+    length, the last one l - 1) and the walks: each d_i between the bases
+    (``indexed_boundary``), then d_l by insertion, peeled, its columns
+    appended to ``walks`` when given."""
     faced = set()
     for k in range(1, len(bases)):
         if bases[k] and bases[k - 1]:
-            mat = boundary_matrix(g, bases[k], bases[k - 1])
+            mat = indexed_boundary(g, bases[k], bases[k - 1])
             if k == len(bases) - 1:
                 faced = {c for _, c in mat.entries}
             yield k, mat
     if bases and bases[-1]:
-        yield len(bases), boundary_matrix(g, None, bases[-1], walks, faced)
+        yield len(bases), boundary_matrix(g, bases[-1], walks, faced)
+
+
+def lexicographic_pair(g, a, b, length):
+    """``ai_complex.relative_complex`` by the lexicographic pipeline: the
+    cells of each dimension below the top in lexicographic order, the
+    order of their simplices, each map between them built by deletion
+    (``indexed_boundary``), and d_l by the library's insertion,
+    unpeeled, its columns the top cells listed, in order of first
+    appearance."""
+    from maghom.ai_complex import RelativeComplex
+
+    low, window = lexicographic_cells(g, length, _checked(g, {(a, b): 1}))
+    bases = ([()] * low + list(window))[2:]  # degrees 2 .. l-1
+    boundaries = {
+        d: indexed_boundary(g, bases[d], bases[d - 1])
+        for d in range(1, len(bases))
+        if bases[d] and bases[d - 1]
+    }
+    top = []
+    if bases and bases[-1]:
+        boundaries[len(bases)] = boundary_matrix(g, bases[-1], top)
+    bases.append(top)
+    starts = tuple(accumulate(map(len, bases), initial=0))
+    cells = tuple(x for basis in bases for x in basis)
+    isolated = g.walks(length)[a][b] - len(top)
+    return RelativeComplex(g, a, b, length, cells, starts, boundaries, isolated)
 
 
 def indexed_homology(g, bases, top):

@@ -2,12 +2,13 @@ import random
 from itertools import accumulate, product
 
 import pytest
-from conftest import RP2_FACES, hasse_graph, random_connected
+from conftest import RP2_FACES, hasse_graph, load_fixture, random_connected
 from oracles import (
     faces,
     is_closed_under_faces,
     is_smooth,
     is_zero,
+    lexicographic_pair,
     simplex_to_sequence,
     simplices,
     sparse_matmul,
@@ -34,6 +35,7 @@ from maghom.ai_complex import (
 )
 from maghom.errors import BudgetExceeded
 from maghom.snf import SparseMatrix
+from maghom.symmetry import pair_orbits
 
 
 def negated(m):
@@ -43,14 +45,22 @@ def negated(m):
 def assert_listed_plus_isolated(pair, kept):
     """The cells of ``pair`` are ``kept``, simplices sorted by size and
     then lexicographically, less ``pair.isolated`` top cells that have
-    no face among them: the same below the top, a subset at the top."""
-    listed, low = simplices(pair), pair.starts[-2]
-    assert listed[:low] == kept[:low]
-    assert set(listed[low:]) <= set(kept[low:])
+    no face outside K'.  In each dimension the cells with such a face
+    come first, and below the top the others follow in the order of
+    ``kept``.  In dimension 0 that face is the empty simplex, outside K'
+    exactly when d(a, b) = l."""
+    listed, top = simplices(pair), len(pair.starts) - 2
+    outside = set(kept) | ({()} if pair.g.dist[pair.a][pair.b] == pair.length else set())
     assert len(listed) + pair.isolated == len(kept)
-    below = set(kept[:low])
-    for s in set(kept[low:]) - set(listed[low:]):
-        assert not any(f in below for f, _ in faces(s))
+    for d, (lo, hi) in enumerate(zip(pair.starts, pair.starts[1:])):
+        cells = listed[lo:hi]
+        faced = [s for s in cells if any(f in outside for f, _ in faces(s))]
+        rest = [s for s in kept if len(s) == d + 1 and s not in set(faced)]
+        if d < top:
+            assert cells == faced + rest
+        else:
+            assert cells == faced and len(rest) == pair.isolated
+            assert not any(f in outside for s in rest for f, _ in faces(s))
 
 
 def brute_force_paths(g, a, b, length):
@@ -173,19 +183,21 @@ def test_top_cells_are_the_walks_with_a_smooth_point(g1, g3, c4):
 
 
 def test_relative_complex_enumerates_no_walk(g1, monkeypatch):
-    # degrees 2..l-1 are enumerated; the walks, degree l, are counted
+    # the degrees below l are grown by insertion, and only their cells
+    # with no smooth point are enumerated; the walks, degree l, are counted
     calls = []
 
-    def recording(g, k, length, summands=None):
-        calls.append((k, length))
-        return enumerate_sequences(g, k, length, summands)
+    def recording(g, k, length, summands=None, smooth=True, charge=None):
+        calls.append((k, length, smooth))
+        return enumerate_sequences(g, k, length, summands, smooth, charge)
 
     monkeypatch.setattr(homology, "enumerate_sequences", recording)
     monkeypatch.setattr(ai_complex, "enumerate_sequences", recording)
     for ell in (3, 4, 5, 6):
         pair = relative_complex(g1, 1, 3, ell)
         assert pair.cells[-1] and len(pair.cells[-1]) == ell + 1
-    assert calls and all(k < length for k, length in calls)
+    assert calls and all(k < length and smooth is False for k, length, smooth in calls)
+    assert {k for k, length, _ in calls if length == 6} == {3, 4, 5}
 
 
 def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
@@ -204,10 +216,53 @@ def test_subcomplex_is_the_short_cells(g1, g2, g3, c4):
                 assert len(cells) + pair.isolated == len(full - short)
 
 
+def signed_covers(pair):
+    """(face, cell, sign) for each entry of the pair's maps, as sequences."""
+    cells, starts = pair.cells, pair.starts
+    return sorted(
+        (cells[starts[d - 1] + r], cells[starts[d] + c], v)
+        for d, mat in pair.boundaries.items()
+        for (r, c), v in mat.entries.items()
+    )
+
+
+@pytest.mark.parametrize("name", ["G1", "G2", "G3", "C4", "RP2H"])
+def test_the_grown_pair_is_the_lexicographic_pair_reordered(name):
+    # relative_complex grows each degree by insertion; the oracle lists
+    # each dimension below the top lexicographically and builds its maps
+    # by deletion.  Per dimension: the same cells, those with a smooth
+    # point (a face outside K') first and the others lexicographically
+    # after them; the same signed covers, isolated cells and starts; and
+    # every map of full shape, with d_(k-1) d_k = 0
+    g = load_fixture(name)
+    rp2 = name == "RP2H"
+    seen = 0
+    for a, b in pair_orbits(g) if rp2 else product(g.vertices, repeat=2):
+        for ell in range(3, 6 if rp2 else 8):
+            pair, lex = relative_complex(g, a, b, ell), lexicographic_pair(g, a, b, ell)
+            assert (pair.starts, pair.isolated) == (lex.starts, lex.isolated)
+            for lo, hi in zip(pair.starts, pair.starts[1:]):
+                cells = pair.cells[lo:hi]
+                assert sorted(cells) == sorted(lex.cells[lo:hi])
+                smooth = [any(is_smooth(g, x, i) for i in range(1, len(x) - 1)) for x in cells]
+                faced = sum(smooth)
+                assert all(smooth[:faced])
+                assert list(cells[faced:]) == sorted(cells[faced:])
+                seen += 0 < faced < hi - lo
+            assert signed_covers(pair) == signed_covers(lex)
+            assert pair.boundaries.keys() == lex.boundaries.keys()
+            for d, mat in pair.boundaries.items():
+                dims = pair.starts[d] - pair.starts[d - 1], pair.starts[d + 1] - pair.starts[d]
+                assert (mat.nrows, mat.ncols) == dims
+                if d - 1 in pair.boundaries:
+                    assert is_zero(sparse_matmul(pair.boundaries[d - 1], mat))
+    assert seen  # some dimension is not in lexicographic order
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_direct_cells_are_the_full_length_simplices_of_k(seed):
-    # the two routes to the cells, in the same order below the top, on
-    # every endpoint pair; the top cells left out are isolated
+    # the two routes to the cells, in the order that the pair promises,
+    # on every endpoint pair; the top cells left out are isolated
     g = random_connected(random.Random(seed), 4 + seed % 4)
     for a in g.vertices:
         for b in g.vertices:

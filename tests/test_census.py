@@ -17,6 +17,7 @@ and its counts are pinned.
 
 import json
 from collections import Counter, deque
+from functools import cached_property
 from itertools import combinations
 
 from conftest import FIXTURES, census_stream
@@ -30,8 +31,9 @@ from maghom import (
     is_diagonal_up_to,
     is_pawful,
 )
+from maghom import matching
 from maghom.errors import ValidationError
-from maghom.graph import parse_graph6
+from maghom.graph import Graph, parse_graph6
 from maghom.matching import build_pawful_S, search_structure, verify_s_structure
 
 N = 5
@@ -118,6 +120,27 @@ def test_seven_vertex_census_of_diameter_two(capsys):
         for r in records
     )
     assert kinds == {"pawful": 217, "certificate": 14, "diagonal": 111, "not diagonal": 32}
+
+
+def test_classify_tests_pawfulness_once_per_record(capsys, monkeypatch):
+    # the record's pawful field and the certificate built for a pawful
+    # graph read one witness, kept on the graph; the certificate is still
+    # built, by build_pawful_S, which refuses a graph that is not pawful
+    tested, built = [], []
+    witness, build = Graph.pawful.func, matching.build_pawful_S
+
+    def counted(g):
+        tested.append(g.edges)
+        return witness(g)
+
+    kept = cached_property(counted)
+    kept.__set_name__(Graph, "pawful")
+    monkeypatch.setattr(Graph, "pawful", kept)
+    monkeypatch.setattr(matching, "build_pawful_S", lambda g: built.append(g) or build(g))
+    assert cli.main(["classify", str(FIXTURES / "atlas7_diam2.g6"), "--lmax", "2"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(tested) == len(set(tested)) == len(records) == 374
+    assert len(built) == sum(r["pawful"] for r in records) == 217
 
 
 def test_merged_diagonal_check_agrees_with_the_pair_by_pair_route():

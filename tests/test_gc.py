@@ -1,10 +1,17 @@
-"""The library leaves no reference cycles behind: each call's tables are
-freed when it returns, by reference counting, not by the cyclic
-garbage collector.  So ``cli.main`` pauses the collector for each
-command and puts it back as it found it."""
+"""The library makes no reference cycles: each call's tables are freed
+when it returns, by reference counting, not by the cyclic garbage
+collector.  So ``cli.main`` pauses the collector for each command and
+puts it back as it found it.  The interpreter may still leave cycles of
+its own: CPython 3.12 and later run the exact division of huge integers
+(``magnitude._det_bareiss``) in Python, in ``_pylong``, whose helper
+closures are cycles.  A failure names what the collector found, so the
+source of a cycle shows.
+"""
 
 import argparse
 import gc
+import types
+from collections import Counter
 
 import pytest
 from conftest import FIXTURES, K33, PETERSEN
@@ -17,6 +24,27 @@ from maghom.homology import enumerate_sequences
 from maghom.matching import build_matching, parse_s, search_structure
 from maghom.morse import is_acyclic, morse_rank_check, verify_matching
 from maghom.symmetry import pair_orbits
+
+
+def collected():
+    """Run the cyclic collector and say what it found: the count, and
+    the objects by type, or by module and qualified name for functions.
+    They are kept for the count (``gc.DEBUG_SAVEALL``), then freed."""
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        count = gc.collect()
+        found = Counter(
+            f"{obj.__module__}.{obj.__qualname__}"
+            if isinstance(obj, types.FunctionType)
+            else type(obj).__qualname__
+            for obj in gc.garbage
+        )
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        gc.collect()  # frees what was kept
+    return count, ", ".join(f"{n} {name}" for name, n in found.most_common())
 
 
 def test_no_cyclic_garbage_is_left(c4, g1, g2, g3, g1_cert_text, monkeypatch):
@@ -49,7 +77,8 @@ def test_no_cyclic_garbage_is_left(c4, g1, g2, g3, g1_cert_text, monkeypatch):
         assert is_acyclic(pair, matching) == (True, None)
         assert morse_rank_check(pair, matching)[0]
         del pair, matching
-        assert gc.collect() == 0
+        count, found = collected()
+        assert count == 0, found
     finally:
         gc.enable()
 
@@ -75,7 +104,8 @@ def test_no_command_leaves_cyclic_garbage(tmp_path, monkeypatch, capsys):
             for var, value in env.items():
                 monkeypatch.setenv(var, value)
             assert cli.main([str(a) for a in argv]) == code, argv
-            assert gc.collect() == 0, argv
+            count, found = collected()
+            assert count == 0, (argv, found)
     finally:
         gc.enable()
     capsys.readouterr()

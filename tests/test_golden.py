@@ -81,8 +81,9 @@ CASES = {
 }
 
 # name -> (environment, argv, exit code, exact stderr): a command refused
-# over a limit or on an invalid certificate (misshapen tuples, or two
-# middles over one key), with no stdout checked
+# over a limit or on an invalid certificate (misshapen tuples, two
+# middles over one key, a gap with no middle, or an insertion that
+# deletion does not invert), with no stdout checked
 REFUSALS = {
     "morse_basis_cap": (
         {"MAGHOM_BASIS_CAP": "39"},
@@ -135,6 +136,24 @@ REFUSALS = {
          "--s", GOLDEN / "G1_two_middles.sstruct"],
         1,
         "error: two quadruples share the key (1, 2, 4)\n",
+    ),
+    # the refusals that name one of several faulty cells name the first
+    # in simplex order, not in cell index order: G1's certificate with
+    # Q 1 2 5 4 made Q 1 2 3 4 (cell index order would name
+    # ((6, 1), (5, 2), (1, 3), (2, 4))), and without T 1 2 3
+    "certificate_swapped_middle": (
+        {},
+        ["match", F / "G1", "--a", "2", "--b", "4", "--ell", "6",
+         "--s", GOLDEN / "G1_swapped_middle.sstruct"],
+        1,
+        "error: deletion does not invert insertion at ((1, 1), (2, 2), (1, 3), (2, 4))\n",
+    ),
+    "certificate_missing_triple": (
+        {},
+        ["morse", F / "G1", "--a", "1", "--b", "3", "--ell", "5",
+         "--matching", GOLDEN / "G1_no_T123.sstruct"],
+        1,
+        "error: no certificate entry for the gap at 0 in (1, 3, 2, 6, 3)\n",
     ),
     # RP^2's Hasse diagram has 152 walks of length 1 and 360 pairs at
     # distance 2, so degree 1 at length 2 is the first degree over the cap

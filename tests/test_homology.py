@@ -17,6 +17,7 @@ from conftest import (
 from oracles import (
     diagonal_pair_by_pair,
     indexed_boundaries,
+    indexed_boundary,
     indexed_mh_table,
     is_smooth,
     is_zero,
@@ -166,10 +167,10 @@ def test_degrees_0_and_1_are_computed_not_assumed(monkeypatch):
     rows = []
     inserted = homology.boundary_matrix
 
-    def recorded(g, basis_k, basis_lo, *args, **kwargs):
+    def recorded(g, basis_lo, *args, **kwargs):
         if basis_lo and len(basis_lo[0]) == 2:
             rows.extend(basis_lo)
-        return inserted(g, basis_k, basis_lo, *args, **kwargs)
+        return inserted(g, basis_lo, *args, **kwargs)
 
     monkeypatch.setattr(homology, "boundary_matrix", recorded)
     graphs = [cycle_graph(7), path_graph(6), load_fixture("RP2H"), random_connected(random.Random(1), 9)]
@@ -208,10 +209,10 @@ def test_pairs_without_a_walk_are_not_reduced(monkeypatch):
         reductions.append(dims[-1])  # the walk count of the complex
         return groups_of(dims, forms)
 
-    def recorded(g, basis_k, basis_lo, *args, **kwargs):
+    def recorded(g, basis_lo, *args, **kwargs):
         (pair,) = {(y[0], y[-1]) for y in basis_lo}
         built.add((pair, sequence_length(g, basis_lo[0])))
-        return inserted(g, basis_k, basis_lo, *args, **kwargs)
+        return inserted(g, basis_lo, *args, **kwargs)
 
     g = path_graph(7)
     expected = mh_table(g, 6)
@@ -431,7 +432,7 @@ def test_top_degree_is_counted_and_its_boundary_inserted(g1, g2, g3, c4):
                 top = enumerate_sequences(g, length, length, pairs)
                 assert sum(walks[a][b] for a, b in pairs) == len(top)
                 lower = enumerate_sequences(g, length - 1, length, pairs)
-                inserted = boundary_matrix(g, None, lower, faced=faced_rows(g, length, pairs))
+                inserted = boundary_matrix(g, lower, faced=faced_rows(g, length, pairs))
                 full = deletion_rule(g, top, lower)
                 lone = lone_rows(full)
                 assert inserted.peeled == lone
@@ -453,9 +454,9 @@ def test_without_faced_rows_the_top_boundary_is_built_whole(g1, g3):
             top = enumerate_sequences(g, length, length, pairs)
             lower = enumerate_sequences(g, length - 1, length, pairs)
             walks = []
-            whole = boundary_matrix(g, None, lower, walks)
+            whole = boundary_matrix(g, lower, walks)
             assert whole.peeled == frozenset()
-            assert boundary_matrix(g, None, lower) == whole
+            assert boundary_matrix(g, lower) == whole
             assert sorted(walks) == [
                 x for x in top if any(is_smooth(g, x, i) for i in range(1, length))
             ]
@@ -474,12 +475,11 @@ def test_peeled_rows_are_zero_columns_of_the_map_below(g1, g3):
             upper = enumerate_sequences(g, length - 1, length, pairs)
             lower = enumerate_sequences(g, length - 2, length, pairs)
             if upper and lower:
-                below = boundary_matrix(g, upper, lower)
-                faced = {col for _, col in below.entries}
+                faced = {col for _, col in deletion_rule(g, upper, lower)}
                 top = enumerate_sequences(g, length, length, pairs)
                 lone = lone_rows(deletion_rule(g, top, upper))
                 assert not faced & lone
-                assert boundary_matrix(g, None, upper, faced=faced).peeled == lone
+                assert boundary_matrix(g, upper, faced=faced).peeled == lone
                 peeled_seen += len(lone)
     assert peeled_seen > 1000
 
@@ -631,16 +631,6 @@ def test_between_is_the_geodesic_interval(g1, g2, g3, c4):
                     assert interval == [v for v in g.neighbors[u] if v in g.neighbors[w]]
 
 
-def test_boundary_raises_on_a_missing_coface(g1):
-    # a basis without one cell with a smooth point is not the degree
-    # above ``lower``
-    basis = full_basis(g1, 3, 4)
-    lower = full_basis(g1, 2, 4)
-    col = min(c for _, c in boundary_matrix(g1, basis, lower).entries)
-    with pytest.raises(KeyError):
-        boundary_matrix(g1, basis[:col] + basis[col + 1 :], lower)
-
-
 def open_basis(g, k, length):
     """The sequences with x_0 < x_k, a basis of a subcomplex."""
     pairs = {(a, b): 1 for a in g.vertices for b in g.vertices if a < b}
@@ -648,21 +638,23 @@ def open_basis(g, k, length):
 
 
 def test_boundary_matches_smooth_point_rule(g3):
-    # the inline smooth test agrees with is_smooth, position by position
+    # the insertions agree with is_smooth, position by position: the map
+    # built by insertion holds, read through its cells, the entries of the
+    # one built by deletion, and its columns are the cells with a face
     for g in [g3] + SMALL_GRAPHS:
         for length in range(2, 5):
             for k in range(2, length + 1):
                 for bases in (full_basis, open_basis):
                     basis = bases(g, k, length)
                     lower = bases(g, k - 1, length)
-                    index = {x: r for r, x in enumerate(lower)}
-                    expected = {
-                        (index[x[:i] + x[i + 1 :]], col): (-1) ** i
-                        for col, x in enumerate(basis)
-                        for i in range(1, k)
-                        if is_smooth(g, x, i)
+                    cols = []
+                    inserted = boundary_matrix(g, lower, cols)
+                    expected = indexed_boundary(g, basis, lower)
+                    assert inserted.ncols == len(cols) and inserted.nrows == len(lower)
+                    assert sorted(cols) == [x for x in basis if not no_smooth_point(g, x)]
+                    assert {(lower[r], cols[c]): v for (r, c), v in inserted.entries.items()} == {
+                        (lower[r], basis[c]): v for (r, c), v in expected.entries.items()
                     }
-                    assert boundary_matrix(g, basis, lower).entries == expected
 
 
 def invariant_factors(divisors):
@@ -884,9 +876,9 @@ def grown_length(monkeypatch, g, length, summands):
     entries, peeled, smooth, unsmooth = {}, set(), Counter(), Counter()
     inserted, enumerate_named = homology.boundary_matrix, homology.enumerate_sequences
 
-    def recorded(g, basis_k, basis_lo, cofaces=None, faced=None, charge=None):
+    def recorded(g, basis_lo, cofaces=None, faced=None, charge=None):
         cols = []
-        mat = inserted(g, basis_k, basis_lo, cols, faced, charge)
+        mat = inserted(g, basis_lo, cols, faced, charge)
         if cofaces is not None:
             cofaces.extend(cols)
         k = len(basis_lo[0])

@@ -11,6 +11,7 @@ import pytest
 from conftest import FIXTURES, K20X2, load_fixture, random_connected
 from oracles import (
     build_matching as build_matching_by_index,
+    lexicographic_pair,
     pawful_violations,
     sequence_indices,
     star_failures,
@@ -278,19 +279,25 @@ def test_build_matching_rechecks_that_every_pattern_first_cell_is_matched(c4):
 
 
 def _build_outcome(build, pair, s):
-    """A build's matching and critical cells, or its refusal's type and message."""
+    """A build's matching and critical cells, read through their
+    sequences, or its refusal's type and message."""
     try:
         done = build(pair, s)
     except MaghomError as exc:
         return type(exc), str(exc)
-    return done.matching, done.critical
+    cells = pair.cells
+    return {(cells[low], cells[high]) for low, high in done.matching}, sorted(
+        cells[c] for c in done.critical
+    )
 
 
 def test_build_matching_agrees_with_the_index_and_insertion_oracle(g1, g1_cert):
     # each mate found in its cell's boundary row against the former lookup
-    # of the inserted sequence in an index over all cells: on the G1
-    # certificate and its well-shaped one-coordinate mutations (plus some
-    # misshapen ones) at l = 3..6, and on pawful 8-vertex graphs at l = 5..7
+    # of the inserted sequence in an index over all cells, the oracle
+    # given the lexicographic pair, so that a refusal names the first
+    # faulty cell in simplex order: on the G1 certificate and its
+    # well-shaped one-coordinate mutations (plus some misshapen ones) at
+    # l = 3..6, and on pawful 8-vertex graphs at l = 5..7
     rng = random.Random(4242)
     tuples = sorted(g1_cert.triples) + sorted(g1_cert.quads)
     mutants = [
@@ -313,8 +320,8 @@ def test_build_matching_agrees_with_the_index_and_insertion_oracle(g1, g1_cert):
         for ell in (3, 4, 5, 6):
             key = (rng.choice(g1.vertices), rng.choice(g1.vertices), ell)
             if key not in pairs:
-                pairs[key] = relative_complex(g1, *key)
-            cases.append((pairs[key], cert))
+                pairs[key] = relative_complex(g1, *key), lexicographic_pair(g1, *key)
+            cases.append((*pairs[key], cert))
     pairs8 = list(combinations(range(1, 9), 2))
     # walk counts near those of the benchmark's 8-vertex morse calls
     sizes = {5: (300, 500), 6: (1500, 2500), 7: (7000, 11000)}
@@ -328,12 +335,13 @@ def test_build_matching_agrees_with_the_index_and_insertion_oracle(g1, g1_cert):
             a, b = rng.sample(g.vertices, 2)
             if is_pawful(g).verdict and lo <= g.walks(ell)[a][b] <= hi:
                 break
-        cases.append((relative_complex(g, a, b, ell), build_pawful_S(g)))
+        cert = build_pawful_S(g)
+        cases.append((relative_complex(g, a, b, ell), lexicographic_pair(g, a, b, ell), cert))
     outcomes = Counter()
-    for pair, cert in cases:
+    for pair, lexicographic, cert in cases:
         got = _build_outcome(build_matching, pair, cert)
-        assert got == _build_outcome(build_matching_by_index, pair, cert)
-        outcomes["matched" if isinstance(got[0], frozenset) else got[1].split(" ")[0]] += 1
+        assert got == _build_outcome(build_matching_by_index, lexicographic, cert)
+        outcomes["matched" if isinstance(got[0], set) else got[1].split(" ")[0]] += 1
     assert set(outcomes) == {"matched", "two", "no", "deletion", "triple", "quadruple"}, outcomes
 
 

@@ -16,7 +16,8 @@ def square_boundary_poset():
     It is given as the morse functions read a relative complex: cells
     with sentinel ends, the start of each dimension, the boundary by
     rows (each face's cofaces as offsets into the dimension above), its
-    covers as (face, cell) indices, and each cell's display form.
+    covers as (face, cell) indices, each cell's display form and its
+    key in simplex order.
     """
     simplices = [(1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)]
     simplices.sort(key=lambda s: (len(s), s))
@@ -26,12 +27,14 @@ def square_boundary_poset():
     for c, s in enumerate(simplices[4:]):
         for f, sign in faces(s):
             rows.setdefault(index[f], {})[c] = sign
+    cells = [(0,) + s + (0,) for s in simplices]
     return SimpleNamespace(
-        cells=[(0,) + s + (0,) for s in simplices],
+        cells=cells,
         starts=(0, 4, 8),
         boundaries={1: SparseMatrix(rows, 4, 4)},
         covers=covers.__iter__,
         simplex=simplices.__getitem__,
+        order=lambda c: (len(cells[c]), cells[c]),
     )
 
 
@@ -138,25 +141,27 @@ def test_critical_count_equals_relative_rank_complete_graph():
 
 
 def assert_agrees_with_the_simplex_oracles(pair, pairs):
-    """Verdicts, messages and cycles as the oracles give them.
+    """Verdicts, messages and cycles as the oracles give them, given the
+    cells in simplex order, by size and then lexicographically.
 
     A cell index outside the cell set is shown to the oracles as a tuple
     that is no simplex of the complex; the message names it by index.
     """
     n = len(pair.cells)
     simplices = oracles.simplices(pair)
+    ordered = sorted(simplices, key=lambda s: (len(s), s))
     outside = simplices[-1] * 2
     shown = {
         tuple(simplices[c] if 0 <= c < n else outside for c in cover) for cover in pairs
     }
     matching = frozenset(pairs)
-    expected = oracles.verify_matching(simplices, shown)
+    expected = oracles.verify_matching(ordered, shown)
     stray = sorted(p for p in pairs if not all(0 <= c < n for c in p))
     if stray:
         expected = (False, f"pair {stray[0]} uses a cell outside the cell set")
     assert verify_matching(pair, matching) == expected
     ok, cycle = is_acyclic(pair, matching)
-    assert (ok, cycle and [pair.simplex(c) for c in cycle]) == oracles.is_acyclic(simplices, shown)
+    assert (ok, cycle and [pair.simplex(c) for c in cycle]) == oracles.is_acyclic(ordered, shown)
     return expected[0], ok
 
 
@@ -164,7 +169,7 @@ def test_random_matchings_agree_with_the_simplex_oracles(g1):
     # the index-and-table checks against the former simplex-based ones, on
     # valid, cyclic and invalid matchings; cycles come back cell for cell
     rng = random.Random(3141)
-    seen = {"acyclic": 0, "cyclic": 0, "invalid": 0}
+    seen = {"acyclic": 0, "cyclic": 0, "invalid": 0, "off": 0}
     for trial in range(360):
         a, b = rng.choice(list(g1.vertices)), rng.choice(list(g1.vertices))
         pair = relative_complex(g1, a, b, 4 + trial % 3)
@@ -180,6 +185,15 @@ def test_random_matchings_agree_with_the_simplex_oracles(g1):
             pairs.add(tuple(rng.sample(range(n), 2)))
         valid, ok = assert_agrees_with_the_simplex_oracles(pair, pairs)
         seen["invalid" if not valid else "acyclic" if ok else "cyclic"] += 1
+        if valid:  # the first five critical cells off the top dimension, in simplex order
+            matched = {pair.simplex(c) for cover in pairs for c in cover}
+            top = pair.length - 2
+            ordered = sorted(oracles.simplices(pair), key=lambda s: (len(s), s))
+            off = [(s, len(s) - 1) for s in ordered if s not in matched and len(s) - 1 != top]
+            if off:
+                shown = f"critical cells off dimension {top}: {off[:5]}"
+                assert morse_rank_check(pair, frozenset(pairs)) == (False, shown)
+                seen["off"] += 1
     assert min(seen.values()) >= 20, seen
 
 

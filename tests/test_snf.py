@@ -11,6 +11,7 @@ from oracles import (
     determinantal_divisors,
     from_dense,
     homology_uncleared,
+    indexed_boundary,
     is_smooth,
     is_zero,
     rank_fraction_free,
@@ -152,7 +153,7 @@ def test_rank_mod_p_on_fixture_boundaries(c4, g1, g2, g3):
                     bases = [enumerate_sequences(g, k, ell, {(a, b): 1}) for k in range(ell + 1)]
                     for k in range(1, ell + 1):
                         if bases[k] and bases[k - 1]:
-                            check_rank_mod_p(boundary_matrix(g, bases[k], bases[k - 1]))
+                            check_rank_mod_p(boundary_matrix(g, bases[k - 1]))
                     if ell >= 3:
                         for mat in relative_complex(g, a, b, ell).boundaries.values():
                             check_rank_mod_p(mat)
@@ -382,9 +383,10 @@ def test_dense_phase_pivots_are_not_dropped():
 
 
 def magnitude_boundaries(g, bases):
-    """(k, d_k) for the complex spanned by ``bases``, from the bottom degree up."""
+    """(k, d_k) for the complex spanned by ``bases``, from the bottom
+    degree up, its rows and columns the bases (``oracles.indexed_boundary``)."""
     return [
-        (k, boundary_matrix(g, bases[k], bases[k - 1]))
+        (k, indexed_boundary(g, bases[k], bases[k - 1]))
         for k in range(1, len(bases))
         if bases[k] and bases[k - 1]
     ]
@@ -430,8 +432,8 @@ def test_compression_leaves_out_the_rows_at_the_unit_pivot_columns_below(g3, mon
     # dropped from it are stored rows
     calls.clear()
     monkeypatch.setattr(homology, "smith_normal_form", recorded)
-    low, [(_, column)] = homology._columns(g3, 6, homology._checked(g3, None), merged=True)
-    assert column == expected[low:]
+    [(_, column)] = homology._columns(g3, 6, homology._checked(g3, None), merged=True)
+    assert column == expected
     smooth = [sum(any(is_smooth(g3, x, i) for i in range(1, k)) for x in bases[k]) for k in (4, 5)]
     assert [mat.ncols for mat, _, _ in calls[:-1]] == smooth
     for (_, _, res), (_, dropped, _) in zip(calls, calls[1:]):
@@ -467,9 +469,9 @@ def test_entries_views_are_the_deletion_rule_and_count_the_stored_entries(g1, g3
     maps = []  # (row cells, column cells, map)
     inserted = homology.boundary_matrix
 
-    def recorded(g, basis_k, basis_lo, cofaces=None, faced=None, charge=None):
+    def recorded(g, basis_lo, cofaces=None, faced=None, charge=None):
         cols = []
-        mat = inserted(g, basis_k, basis_lo, cols, faced, charge)
+        mat = inserted(g, basis_lo, cols, faced, charge)
         if cofaces is not None:
             cofaces.extend(cols)
         maps.append((list(basis_lo), cols, mat))
@@ -630,8 +632,8 @@ def test_smith_form_leaves_its_input_as_it_was(g3):
     assert all(cycle.rows[r].keys() - cycle.rows[r2].keys()
                for rs in cols.values() for r in rs for r2 in rs - {r})
     bases = [enumerate_sequences(g3, k, 6) for k in range(6)]
-    below = boundary_matrix(g3, bases[5], bases[4])
-    top = boundary_matrix(g3, None, bases[5], faced=set().union(*below.rows.values()))
+    below = indexed_boundary(g3, bases[5], bases[4])
+    top = boundary_matrix(g3, bases[5], faced=set().union(*below.rows.values()))
     dropped = smith_normal_form(below).pivot_cols
     assert top.peeled and dropped and dropped <= top.rows.keys()
     for mat, rows, form in ((cycle, (), (3, (2,))), (top, dropped, None)):
